@@ -63,12 +63,14 @@ type record struct {
 // enforces as floors (with -tolerance headroom); everything else is recorded
 // but not gated (figure-of-merit metrics like sf_sat_pct are simulation
 // outputs, not performance).
-var floorMetrics = map[string]bool{"points/s": true, "speedup": true, "cycles/s": true}
+var floorMetrics = map[string]bool{"points/s": true, "speedup": true, "cycles/s": true, "sessions/s": true}
 
 // ceilingMetrics are lower-is-better metrics enforced as hard ceilings, with
-// no tolerance: they are deterministic counts, not throughput. A baseline of
-// 0 allocs/op means any allocation in the hot loop fails the gate.
-var ceilingMetrics = map[string]bool{"allocs/op": true}
+// no tolerance. allocs/op is a deterministic count: a baseline of 0 means
+// any allocation in the hot loop fails the gate. ns/access (the trace
+// kernel's cost per cache-model access) is a timing, so its headroom is in
+// the baseline value itself.
+var ceilingMetrics = map[string]bool{"allocs/op": true, "ns/access": true}
 
 // benchLine matches `BenchmarkName-P  N  v unit  v unit ...`.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)

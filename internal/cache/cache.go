@@ -25,21 +25,26 @@ type Result struct {
 // LineSize is the cache line size in bytes (Table I: 64 B).
 const LineSize = 64
 
-// set is one associative set with LRU order (index 0 = MRU).
-type set struct {
-	tags  []uint64
-	dirty []bool
-	valid []bool
-}
+// A way is one packed cache-line slot: line<<2 | dirty<<1 | valid. Line
+// addresses are byte addresses divided by LineSize, so they fit in 58 bits
+// and the shift loses nothing. The zero value is an invalid, clean way.
+const (
+	wayValid = 1 << 0
+	wayDirty = 1 << 1
+)
 
-// level is one cache level.
+// level is one cache level: every way of every set in one flat array,
+// set-major, each set's ways contiguous in LRU order (index 0 = MRU). A
+// probe is one masked compare per way and an LRU update is one copy inside
+// the set, which for the paper's largest set (16 ways) spans two host cache
+// lines.
 type level struct {
-	sets    []set
+	ways    []uint64
 	assoc   int
 	setMask uint64
 }
 
-func newLevel(sizeBytes, assoc int) *level {
+func newLevel(sizeBytes, assoc int) level {
 	lines := sizeBytes / LineSize
 	nsets := lines / assoc
 	if nsets < 1 {
@@ -50,29 +55,26 @@ func newLevel(sizeBytes, assoc int) *level {
 	for nsets&(nsets-1) != 0 {
 		nsets &= nsets - 1
 	}
-	l := &level{assoc: assoc, setMask: uint64(nsets - 1)}
-	l.sets = make([]set, nsets)
-	for i := range l.sets {
-		l.sets[i] = set{
-			tags:  make([]uint64, assoc),
-			dirty: make([]bool, assoc),
-			valid: make([]bool, assoc),
-		}
-	}
-	return l
+	return level{ways: make([]uint64, nsets*assoc), assoc: assoc, setMask: uint64(nsets - 1)}
+}
+
+// set returns the ways of the set that owns lineAddr.
+func (l *level) set(lineAddr uint64) []uint64 {
+	base := int(lineAddr&l.setMask) * l.assoc
+	return l.ways[base : base+l.assoc]
 }
 
 // lookup probes the level; on hit the line moves to MRU and dirty is ORed.
 func (l *level) lookup(lineAddr uint64, write bool) bool {
-	s := &l.sets[lineAddr&l.setMask]
-	for i := 0; i < l.assoc; i++ {
-		if s.valid[i] && s.tags[i] == lineAddr {
-			// Move to MRU.
-			tag, d := s.tags[i], s.dirty[i]
-			copy(s.tags[1:i+1], s.tags[0:i])
-			copy(s.dirty[1:i+1], s.dirty[0:i])
-			copy(s.valid[1:i+1], s.valid[0:i])
-			s.tags[0], s.dirty[0], s.valid[0] = tag, d || write, true
+	s := l.set(lineAddr)
+	key := lineAddr<<2 | wayValid
+	for i, w := range s {
+		if w&^wayDirty == key {
+			if write {
+				w |= wayDirty
+			}
+			copy(s[1:i+1], s[:i])
+			s[0] = w
 			return true
 		}
 	}
@@ -81,22 +83,24 @@ func (l *level) lookup(lineAddr uint64, write bool) bool {
 
 // insert installs the line at MRU, returning any evicted dirty line.
 func (l *level) insert(lineAddr uint64, dirty bool) (evicted uint64, wasDirty bool) {
-	s := &l.sets[lineAddr&l.setMask]
-	last := l.assoc - 1
-	if s.valid[last] && s.dirty[last] {
-		evicted, wasDirty = s.tags[last], true
+	s := l.set(lineAddr)
+	last := len(s) - 1
+	if lru := s[last]; lru&(wayValid|wayDirty) == wayValid|wayDirty {
+		evicted, wasDirty = lru>>2, true
 	}
-	copy(s.tags[1:], s.tags[:last])
-	copy(s.dirty[1:], s.dirty[:last])
-	copy(s.valid[1:], s.valid[:last])
-	s.tags[0], s.dirty[0], s.valid[0] = lineAddr, dirty, true
+	copy(s[1:], s[:last])
+	w := lineAddr<<2 | wayValid
+	if dirty {
+		w |= wayDirty
+	}
+	s[0] = w
 	return evicted, wasDirty
 }
 
 // Hierarchy is the paper's three-level hierarchy. It is not safe for
 // concurrent use; the trace generator drives it from one goroutine.
 type Hierarchy struct {
-	l1, l2, l3 *level
+	l1, l2, l3 level
 	// Stats
 	Accesses  int64
 	HitsL1    int64

@@ -126,3 +126,243 @@ func TestPowerOfTwoSetRounding(t *testing.T) {
 		t.Fatal("no accesses recorded")
 	}
 }
+
+// refHierarchy is the layout this package shipped before the packed-way
+// kernel: three separately allocated slices (tags, dirty, valid) per set,
+// kept here as the reference model the production hierarchy must match
+// access for access.
+type refHierarchy struct {
+	l1, l2, l3 *refLevel
+	Accesses   int64
+	HitsL1     int64
+	HitsL2     int64
+	HitsL3     int64
+	Misses     int64
+	Writeback  int64
+}
+
+type refSet struct {
+	tags  []uint64
+	dirty []bool
+	valid []bool
+}
+
+type refLevel struct {
+	sets    []refSet
+	assoc   int
+	setMask uint64
+}
+
+func newRefLevel(sizeBytes, assoc int) *refLevel {
+	lines := sizeBytes / LineSize
+	nsets := lines / assoc
+	if nsets < 1 {
+		nsets = 1
+	}
+	for nsets&(nsets-1) != 0 {
+		nsets &= nsets - 1
+	}
+	l := &refLevel{assoc: assoc, setMask: uint64(nsets - 1)}
+	l.sets = make([]refSet, nsets)
+	for i := range l.sets {
+		l.sets[i] = refSet{
+			tags:  make([]uint64, assoc),
+			dirty: make([]bool, assoc),
+			valid: make([]bool, assoc),
+		}
+	}
+	return l
+}
+
+func (l *refLevel) lookup(lineAddr uint64, write bool) bool {
+	s := &l.sets[lineAddr&l.setMask]
+	for i := 0; i < l.assoc; i++ {
+		if s.valid[i] && s.tags[i] == lineAddr {
+			tag, d := s.tags[i], s.dirty[i]
+			copy(s.tags[1:i+1], s.tags[0:i])
+			copy(s.dirty[1:i+1], s.dirty[0:i])
+			copy(s.valid[1:i+1], s.valid[0:i])
+			s.tags[0], s.dirty[0], s.valid[0] = tag, d || write, true
+			return true
+		}
+	}
+	return false
+}
+
+func (l *refLevel) insert(lineAddr uint64, dirty bool) (evicted uint64, wasDirty bool) {
+	s := &l.sets[lineAddr&l.setMask]
+	last := l.assoc - 1
+	if s.valid[last] && s.dirty[last] {
+		evicted, wasDirty = s.tags[last], true
+	}
+	copy(s.tags[1:], s.tags[:last])
+	copy(s.dirty[1:], s.dirty[:last])
+	copy(s.valid[1:], s.valid[:last])
+	s.tags[0], s.dirty[0], s.valid[0] = lineAddr, dirty, true
+	return evicted, wasDirty
+}
+
+func newRef(l1Size, l1Assoc, l2Size, l2Assoc, l3Size, l3Assoc int) *refHierarchy {
+	return &refHierarchy{
+		l1: newRefLevel(l1Size, l1Assoc),
+		l2: newRefLevel(l2Size, l2Assoc),
+		l3: newRefLevel(l3Size, l3Assoc),
+	}
+}
+
+func (h *refHierarchy) Access(addr uint64, t AccessType) Result {
+	h.Accesses++
+	line := addr / LineSize
+	write := t == Write
+	if h.l1.lookup(line, write) {
+		h.HitsL1++
+		return Result{HitLevel: 1}
+	}
+	if h.l2.lookup(line, write) {
+		h.HitsL2++
+		h.l1.insert(line, write)
+		return Result{HitLevel: 2}
+	}
+	if h.l3.lookup(line, write) {
+		h.HitsL3++
+		h.l1.insert(line, write)
+		h.l2.insert(line, write)
+		return Result{HitLevel: 3}
+	}
+	h.Misses++
+	res := Result{MemRead: true}
+	h.l1.insert(line, write)
+	h.l2.insert(line, write)
+	if evicted, wasDirty := h.l3.insert(line, write); wasDirty {
+		h.Writeback++
+		res.HasWriteback = true
+		res.WritebackAddr = evicted * LineSize
+	}
+	return res
+}
+
+// geometry is one hierarchy shape of the differential tests.
+type geometry struct {
+	name                                              string
+	l1Size, l1Assoc, l2Size, l2Assoc, l3Size, l3Assoc int
+}
+
+var geometries = []geometry{
+	{"paper", 32 << 10, 4, 2 << 20, 8, 32 << 20, 16},
+	// Non-power-of-two line counts (set count rounds down) and odd
+	// associativities, small enough that every level evicts constantly.
+	{"odd-3-5-7", 96 * 64, 3, 640 * 64, 5, 2240 * 64, 7},
+	// Direct-mapped L1 over a fully associative single-set L2 and L3.
+	{"one-set", 8 * 64, 1, 6 * 64, 6, 24 * 64, 24},
+}
+
+type access struct {
+	addr  uint64
+	write bool
+}
+
+// differ replays the stream through both models and compares every Result
+// and, at the end, all six counters.
+func differ(t testing.TB, g geometry, stream []access) {
+	t.Helper()
+	h := New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
+	ref := newRef(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
+	for i, a := range stream {
+		at := Read
+		if a.write {
+			at = Write
+		}
+		got, want := h.Access(a.addr, at), ref.Access(a.addr, at)
+		if got != want {
+			t.Fatalf("%s: access %d (addr %#x write %v): got %+v, reference %+v",
+				g.name, i, a.addr, a.write, got, want)
+		}
+	}
+	got := [6]int64{h.Accesses, h.HitsL1, h.HitsL2, h.HitsL3, h.Misses, h.Writeback}
+	want := [6]int64{ref.Accesses, ref.HitsL1, ref.HitsL2, ref.HitsL3, ref.Misses, ref.Writeback}
+	if got != want {
+		t.Fatalf("%s: counters (accesses, L1, L2, L3, misses, writebacks) %v, reference %v",
+			g.name, got, want)
+	}
+}
+
+// l3Sets is the level's set count after power-of-two rounding.
+func (g geometry) l3Sets() uint64 {
+	return uint64(len(newLevel(g.l3Size, g.l3Assoc).ways) / g.l3Assoc)
+}
+
+func TestDifferentialAgainstReference(t *testing.T) {
+	for _, g := range geometries {
+		n := 60_000
+		if g.name == "paper" {
+			n = 1_500_000 // enough to fill and churn the 524 288-line L3
+		}
+		if testing.Short() {
+			n /= 10
+		}
+		stride := g.l3Sets() * LineSize // consecutive lines of one L3 set
+		streams := map[string]func(rng *rand.Rand, i int) access{
+			// Hot lines (every level hits) mixed with a span several
+			// times the L3, reads and writes.
+			"random": func(rng *rand.Rand, _ int) access {
+				span := int64(4 * g.l3Size)
+				if rng.Intn(4) == 0 {
+					span = int64(g.l1Size)
+				}
+				return access{uint64(rng.Int63n(span)), rng.Intn(3) == 0}
+			},
+			// Every access lands in one set of every level.
+			"single-set": func(rng *rand.Rand, _ int) access {
+				return access{uint64(rng.Intn(3*g.l3Assoc)) * stride, rng.Intn(2) == 0}
+			},
+			"all-writes": func(rng *rand.Rand, _ int) access {
+				return access{uint64(rng.Int63n(int64(2 * g.l3Size))), true}
+			},
+			// assoc+1 lines cycling through one L3 set: LRU's worst
+			// case, every access evicts the line needed next.
+			"cyclic-assoc+1": func(_ *rand.Rand, i int) access {
+				return access{uint64(i%(g.l3Assoc+1)) * stride, i%2 == 0}
+			},
+			// Line 0 packs to the same word as an empty way but for its
+			// valid bit; top-of-range addresses use every tag bit.
+			"edges": func(rng *rand.Rand, _ int) access {
+				edge := [...]uint64{0, 1, LineSize - 1, LineSize, ^uint64(0), ^uint64(0) - stride, 1 << 63}
+				return access{edge[rng.Intn(len(edge))] + uint64(rng.Intn(4))*stride, rng.Intn(2) == 0}
+			},
+		}
+		for name, gen := range streams {
+			rng := rand.New(rand.NewSource(int64(len(name)) + int64(g.l3Assoc)))
+			stream := make([]access, n)
+			for i := range stream {
+				stream[i] = gen(rng, i)
+			}
+			t.Run(g.name+"/"+name, func(t *testing.T) { differ(t, g, stream) })
+		}
+	}
+}
+
+// FuzzHierarchyDifferential decodes the input into accesses — three bytes
+// each: a set-local line index, a set selector, a write flag — over the
+// odd-sized geometry, where a few hundred bytes already evict from L3.
+func FuzzHierarchyDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0, 1})                         // write, read, write one line
+	f.Add([]byte{0, 0, 1, 1, 0, 1, 2, 0, 1, 3, 0, 1, 4, 0, 1, 0, 0}) // dirty L1 set overflow, trailing partial
+	cyc := make([]byte, 0, 3*64)
+	for i := 0; i < 64; i++ {
+		cyc = append(cyc, byte(i%8), 0, byte(i&1)) // 8 = l3Assoc+1 cyclic over one set
+	}
+	f.Add(cyc)
+	g := geometries[1]
+	stride := g.l3Sets() * LineSize
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stream := make([]access, 0, len(data)/3)
+		for ; len(data) >= 3; data = data[3:] {
+			stream = append(stream, access{
+				addr:  uint64(data[0])*stride + uint64(data[1]%4)*LineSize,
+				write: data[2]&1 == 1,
+			})
+		}
+		differ(t, g, stream)
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -517,4 +518,60 @@ func appendRaw(t *testing.T, path, line string) {
 	f.f.WriteString(line)
 	f.mu.Unlock()
 	f.close()
+}
+
+// TestSubscribeDuringCheckpointWindow attaches a stream in the window
+// between a point's journal append and its publish: the append runs
+// outside Service.mu, so the stream's replay already holds the point when
+// the publish reaches it, and the point must still arrive once.
+//
+// The window is forced, not hoped for: the test holds Service.mu, lets the
+// executor emit one point (its journal append completes, its publish
+// blocks on the lock), and then unlocks and subscribes in one breath. With
+// one P the blocked publisher cannot run between the Unlock and
+// Subscribe's Lock; Completed still reading 0 after Subscribe proves the
+// publish had not happened when the stream attached.
+func TestSubscribeDuringCheckpointWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	exec := &fakeExec{gate: make(chan struct{})}
+	s := openTestService(t, t.TempDir(), exec)
+	defer s.Close()
+	j := submitPoints(t, s, "a", 2)
+	waitState(t, s, j.ID, StateRunning)
+
+	s.mu.Lock()
+	jr := s.journals[j.ID]
+	exec.gate <- struct{}{}
+	for deadline := time.Now().Add(10 * time.Second); jr.completed() != 1; {
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			t.Fatal("point 0 never reached the journal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Unlock()
+	sub, stop, err := s.Subscribe(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if got, err := s.Get(j.ID); err != nil || got.Completed != 0 {
+		t.Fatalf("point 0 was published before the stream attached (completed %d, err %v): window not forced",
+			got.Completed, err)
+	}
+
+	exec.gate <- struct{}{}
+	seen := map[int]int{}
+	for {
+		rec, ok := sub.next()
+		if !ok {
+			break
+		}
+		if rec.Type == "result" {
+			seen[*rec.Point]++
+		}
+	}
+	if seen[0] != 1 || seen[1] != 1 || len(seen) != 2 {
+		t.Errorf("stream delivered points %v (point: times), want points 0 and 1 once each", seen)
+	}
 }

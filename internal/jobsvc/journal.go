@@ -218,21 +218,23 @@ func readJournal(dir, id string) ([]PointResult, error) {
 	return results, nil
 }
 
-// record checkpoints one point, returning false when the point was
-// already journaled (a requeued duplicate — dropped, keeping the journal
-// a set).
-func (j *journal) record(r PointResult) (bool, error) {
+// record checkpoints one point. fresh is false when the point was already
+// journaled (a requeued duplicate — dropped, keeping the journal a set);
+// for a fresh point, seq is its index in the arrival order snapshot
+// returns, so a snapshot of length n holds exactly the records with
+// seq < n.
+func (j *journal) record(r PointResult) (seq int, fresh bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if r.Point < 0 || j.done[r.Point] {
-		return false, nil
+		return 0, false, nil
 	}
 	if err := j.app.append(r); err != nil {
-		return false, err
+		return 0, false, err
 	}
 	j.done[r.Point] = true
 	j.results = append(j.results, r)
-	return true, nil
+	return len(j.results) - 1, true, nil
 }
 
 // completed returns the checkpointed point count.

@@ -64,6 +64,9 @@ type subscriber struct {
 	cond    *sync.Cond
 	backlog []StreamRecord
 	closed  bool
+	// replayed is the number of journal records the replay carried; it is
+	// set before the subscriber is registered and read under Service.mu.
+	replayed int
 }
 
 const subBacklogCap = 4096
@@ -324,6 +327,7 @@ func (s *Service) Subscribe(id string) (sub *subscriber, stop func(), err error)
 	} else if rs, jerr := readJournal(s.cfg.StateDir, id); jerr == nil {
 		replay = rs
 	}
+	sub.replayed = len(replay)
 	terminal := j.State.terminal()
 	state, jerrText, completed, points := j.State, j.Error, j.Completed, j.Points
 	if !terminal {
@@ -334,12 +338,14 @@ func (s *Service) Subscribe(id string) (sub *subscriber, stop func(), err error)
 	}
 	s.mu.Unlock()
 
-	// Replay happens outside the lock but before any live record can be
-	// observed by the consumer: live records land behind the replay in
-	// the backlog only after registration, and the backlog is FIFO.
-	// (Records checkpointed between the snapshot above and registration
-	// are deduplicated by point on the consumer side if it cares; the
-	// window is closed under the lock, so there is none.)
+	// Replay is pushed outside the lock. Journal appends do not take s.mu,
+	// so a point can be journaled before the snapshot above and published
+	// (under s.mu) only after the registration: it is in the replay and
+	// would arrive live as well, which is why the publisher drops results
+	// whose arrival index the replay covers (sub.replayed). A point
+	// journaled after the snapshot has a larger index and arrives live,
+	// once. A live record published before this loop finishes lands ahead
+	// of the replay in the backlog.
 	for _, r := range replay {
 		p := r.Point
 		sub.push(StreamRecord{Type: "result", Point: &p, Result: r.Result})
@@ -518,7 +524,7 @@ func (s *Service) run(j *Job, jr *journal, pending []int, ctx context.Context, c
 	defer cancel()
 	emit := Emitter{
 		Result: func(point int, result json.RawMessage) {
-			fresh, err := jr.record(PointResult{Point: point, Result: result})
+			seq, fresh, err := jr.record(PointResult{Point: point, Result: result})
 			if err != nil {
 				s.cfg.Logf("jobsvc: %s: checkpoint point %d: %v", j.ID, point, err)
 				return
@@ -530,7 +536,14 @@ func (s *Service) run(j *Job, jr *journal, pending []int, ctx context.Context, c
 			s.mu.Lock()
 			j.Completed++
 			s.served[j.Tenant]++
-			s.publishLocked(j.ID, StreamRecord{Type: "result", Point: &p, Result: result})
+			// The journal append above ran outside the lock, so a stream
+			// attached since then has this point in its replay already.
+			rec := StreamRecord{Type: "result", Point: &p, Result: result}
+			for sub := range s.subs[j.ID] {
+				if seq >= sub.replayed {
+					sub.push(rec)
+				}
+			}
 			s.mu.Unlock()
 		},
 		Telemetry: func(record json.RawMessage) {

@@ -6,4 +6,12 @@
 // the paper's cache hierarchy (internal/cache), and emits the post-L3
 // stream of memory-network operations with instruction-ID timestamps, 100k
 // operations per trace as in Section V.
+//
+// Generate is the pure kernel: a trace is a function of the workload model,
+// the address map, the op count and two seeds, and of nothing else — in
+// particular not of the network design that will replay it. Shared puts
+// that kernel behind a process-wide, bounded store keyed by exactly those
+// arguments, so the designs of one Figure 12 row synthesize each trace
+// once. Traces from Shared are read-only; golden digests in the tests pin
+// Generate's output to history.
 package trace

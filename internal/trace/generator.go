@@ -48,14 +48,16 @@ const WarmupAccesses = 700_000
 // Generate produces a trace of exactly ops post-cache operations (the paper
 // collects 100,000) by running the workload model through a fresh paper
 // cache hierarchy and mapping line addresses to memory nodes. Collection
-// starts after WarmupAccesses raw accesses.
+// starts after WarmupAccesses raw accesses. Generate is the pure, uncached
+// kernel: every call synthesizes, and the caller owns the result. Sessions
+// go through Shared.
 func Generate(w Workload, m memnode.AddressMap, ops int, seed int64) (*Trace, error) {
 	if ops <= 0 {
 		return nil, fmt.Errorf("trace: ops must be positive, got %d", ops)
 	}
 	h := cache.NewPaperHierarchy()
 	rng := rand.New(rand.NewSource(seed))
-	tr := &Trace{Workload: w.Name()}
+	tr := &Trace{Workload: w.Name(), Ops: make([]Op, 0, ops)}
 	var instr int64
 	for i := 0; i < WarmupAccesses; i++ {
 		a := w.Next(rng)

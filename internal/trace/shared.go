@@ -1,0 +1,97 @@
+package trace
+
+import (
+	"container/list"
+	"sync"
+
+	"repro/internal/memnode"
+)
+
+// SharedOpsBound is the number of trace ops the process-wide store keeps
+// alive, about 32 MB at 32 bytes an op. The paper-scale Figure 12 (8
+// workloads x 4 sockets x 25 000 ops = 800 000 ops) fits, so its five
+// designs synthesize each trace once.
+const SharedOpsBound = 1 << 20
+
+// sharedKey is everything a trace is a function of. The design a session
+// runs on is not part of it: Generate sees only the workload model, the
+// address map and the two seeds.
+type sharedKey struct {
+	name         string
+	m            memnode.AddressMap
+	ops          int
+	wseed, gseed int64
+}
+
+// sharedEntry is one trace, in flight until ready is closed.
+type sharedEntry struct {
+	key   sharedKey
+	ready chan struct{}
+	tr    *Trace
+	err   error
+	// elem is the entry's place in the LRU list once retained.
+	elem *list.Element
+}
+
+// sharedStore maps keys to traces that are being synthesized or retained.
+var sharedStore struct {
+	mu       sync.Mutex
+	entries  map[sharedKey]*sharedEntry
+	lru      list.List // retained entries, most recently used first
+	retained int       // sum of ops over lru
+	// syntheses counts the calls that found no entry and synthesized (or
+	// failed to); the rest waited for one of those or hit a retained trace.
+	syntheses int64
+}
+
+// Shared returns the trace Generate(NewWorkload(name, m.CapacityBytes(),
+// wseed), m, ops, gseed) would, synthesizing it at most once per process
+// while it stays retained: concurrent callers with one key wait for a
+// single synthesis, and finished traces are kept, least recently used
+// evicted first, under SharedOpsBound ops in total. A trace larger than
+// the bound is returned but not kept, and neither is a failure.
+//
+// The returned trace is shared: callers must treat it, and its Ops, as
+// read-only.
+func Shared(name string, m memnode.AddressMap, ops int, wseed, gseed int64) (*Trace, error) {
+	key := sharedKey{name: name, m: m, ops: ops, wseed: wseed, gseed: gseed}
+	s := &sharedStore
+	s.mu.Lock()
+	if e, ok := s.entries[key]; ok {
+		if e.elem != nil {
+			s.lru.MoveToFront(e.elem)
+		}
+		s.mu.Unlock()
+		<-e.ready
+		return e.tr, e.err
+	}
+	e := &sharedEntry{key: key, ready: make(chan struct{})}
+	if s.entries == nil {
+		s.entries = make(map[sharedKey]*sharedEntry)
+	}
+	s.entries[key] = e
+	s.syntheses++
+	s.mu.Unlock()
+
+	if w, err := NewWorkload(name, m.CapacityBytes(), wseed); err != nil {
+		e.err = err
+	} else {
+		e.tr, e.err = Generate(w, m, ops, gseed)
+	}
+
+	s.mu.Lock()
+	if e.err != nil || ops > SharedOpsBound {
+		delete(s.entries, key)
+	} else {
+		e.elem = s.lru.PushFront(e)
+		s.retained += ops
+		for s.retained > SharedOpsBound {
+			old := s.lru.Remove(s.lru.Back()).(*sharedEntry)
+			s.retained -= old.key.ops
+			delete(s.entries, old.key)
+		}
+	}
+	s.mu.Unlock()
+	close(e.ready)
+	return e.tr, e.err
+}

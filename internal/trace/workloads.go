@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,6 +27,11 @@ type Workload interface {
 var WorkloadNames = []string{
 	"wordcount", "grep", "sort", "pagerank", "redis", "memcached", "kmeans", "matmul",
 }
+
+// ErrUnknownWorkload is wrapped by NewWorkload (and so by Shared) when the
+// name is not a Table IV workload, so callers can tell a bad name from a
+// synthesis failure.
+var ErrUnknownWorkload = errors.New("trace: unknown workload")
 
 // NewWorkload builds the named Table IV workload model scaled to a memory
 // pool of the given byte capacity. Seed shuffles hot regions.
@@ -83,7 +89,7 @@ func NewWorkload(name string, capacity uint64, seed int64) (Workload, error) {
 		// centroid reads/writes.
 		return &kmeans{span: capacity, k: 64, dims: 16, instrPerOp: 5, seed: seed}, nil
 	default:
-		return nil, fmt.Errorf("trace: unknown workload %q (want one of %v)", name, WorkloadNames)
+		return nil, fmt.Errorf("%w %q (want one of %v)", ErrUnknownWorkload, name, WorkloadNames)
 	}
 }
 
@@ -169,15 +175,20 @@ type keyValue struct {
 	seed       int64
 	zipf       *rand.Zipf
 	perm       []uint64
-	pending    []Access
+	// pending[head:tail] are the object's remaining lines. The queue is
+	// refilled only when empty and an object has at most 8 lines, so a
+	// fixed array and two indices replace a slice that reallocated on
+	// every object.
+	pending    [8]Access
+	head, tail int
 }
 
 func (w *keyValue) Name() string { return w.name }
 
 func (w *keyValue) Next(rng *rand.Rand) Access {
-	if len(w.pending) > 0 {
-		a := w.pending[0]
-		w.pending = w.pending[1:]
+	if w.head < w.tail {
+		a := w.pending[w.head]
+		w.head++
 		return a
 	}
 	if w.zipf == nil {
@@ -197,10 +208,10 @@ func (w *keyValue) Next(rng *rand.Rand) Access {
 	instr := jitter(rng, w.instrPerOp)
 	// Touch every line of the object: first access returned now, the rest
 	// queued with small instruction gaps.
+	w.head, w.tail = 0, 0
 	for i := uint64(1); i < w.objLines; i++ {
-		w.pending = append(w.pending, Access{
-			Addr: (base + i*64) % w.span, Write: write, Instr: 2,
-		})
+		w.pending[w.tail] = Access{Addr: (base + i*64) % w.span, Write: write, Instr: 2}
+		w.tail++
 	}
 	return Access{Addr: base, Write: write, Instr: instr}
 }

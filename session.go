@@ -2,6 +2,7 @@ package stringfigure
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -476,28 +477,34 @@ func (n *Network) buildTraceParts(ctx context.Context, cfg SessionConfig, worklo
 	}
 	amap := memnode.NewAddressMap(len(aliveNodes))
 	traces := make([][]trace.Op, sockets)
+	threads := int64(cfg.Threads)
 	for i := range traces {
-		// Trace synthesis is CPU-heavy (hundreds of thousands of cache
-		// accesses per socket); honor cancellation between sockets too.
+		// A cold trace costs hundreds of thousands of cache-model accesses;
+		// honor cancellation between sockets too.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w, err := trace.NewWorkload(workload, amap.CapacityBytes(), cfg.Seed+int64(i))
-		if err != nil {
+		// The trace depends on the workload, the alive-node count, Ops and
+		// the seeds but not on the design, so it comes from the process-wide
+		// store and is read-only here: sessions on other designs, possibly
+		// running now, replay the same ops.
+		tr, err := trace.Shared(workload, amap, cfg.Ops, cfg.Seed+int64(i), cfg.Seed+int64(100+i))
+		if errors.Is(err, trace.ErrUnknownWorkload) {
 			return nil, fmt.Errorf("%w: %v", ErrUnknownPattern, err)
 		}
-		tr, err := trace.Generate(w, amap, cfg.Ops, cfg.Seed+int64(100+i))
 		if err != nil {
 			return nil, err
 		}
-		// Ops address alive memory nodes; the network sees their routers.
-		// Instruction gaps compress by the per-socket thread count.
-		threads := int64(cfg.Threads)
-		for k := range tr.Ops {
-			tr.Ops[k].Node = n.d.NodeRouter(aliveNodes[tr.Ops[k].Node])
-			tr.Ops[k].Instr /= threads
+		// This design's view goes into a fresh slice: ops address alive
+		// memory nodes and the network sees their routers; instruction gaps
+		// compress by the per-socket thread count.
+		ops := make([]trace.Op, len(tr.Ops))
+		for k, op := range tr.Ops {
+			op.Node = n.d.NodeRouter(aliveNodes[op.Node])
+			op.Instr /= threads
+			ops[k] = op
 		}
-		traces[i] = tr.Ops
+		traces[i] = ops
 	}
 	return &traceParts{pool: pool, cpuNodes: cpuNodes, traces: traces}, nil
 }
