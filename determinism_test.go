@@ -367,7 +367,7 @@ func TestCrossCoreGatedTelemetry(t *testing.T) {
 		t.Run(d, func(t *testing.T) {
 			net := mustNet(t, d, 32)
 			base := SessionConfig{Rate: 0.08, Warmup: 500, Measure: 40_000, Seed: 7,
-				TelemetryEvery: 1000, Gates: gates,
+				TelemetryEvery: 1000, Scenario: []ScenarioSpec{ChurnTrace(gates...)},
 				FlowBuckets: 4, TraceSampleEvery: 4}
 			coreDiff(t, d, func(cfg SessionConfig) any {
 				var snaps []TelemetrySnapshot

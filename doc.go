@@ -42,9 +42,9 @@
 // and SessionConfig.WithTelemetry stream TelemetrySnapshot interval
 // records out of live sessions and sweeps — including distributed sweeps,
 // whose remote workers forward their snapshots over the wire so the
-// merged stream looks exactly like a local run's — and SessionConfig.Gates
-// schedules mid-run reconfiguration so the paper's Section VI transients
-// appear in that stream. ServeMetrics exposes the same stream (plus
+// merged stream looks exactly like a local run's — and SessionConfig.Scenario
+// (ChurnTrace for an explicit gate list) schedules mid-run reconfiguration
+// so the paper's Section VI transients appear in that stream. ServeMetrics exposes the same stream (plus
 // per-worker cluster liveness) as a Prometheus-text /metrics endpoint:
 //
 //	m, err := stringfigure.ServeMetrics(":9090")

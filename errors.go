@@ -34,9 +34,9 @@ var (
 	// ErrScenario reports an invalid scenario schedule: an unknown
 	// ScenarioSpec kind, parameters outside their documented ranges, an
 	// illegal combination (two rate-modulating specs, a regeneration
-	// combined with anything else, Scenario alongside Gates), or a
-	// scenario on a design that cannot execute it (regen-s2 anywhere but
-	// s2, rate modulation on a closed-loop trace run).
+	// combined with anything else), or a scenario on a design or workload
+	// that cannot execute it (regen-s2 anywhere but s2, rate modulation on
+	// a closed-loop trace run).
 	ErrScenario = errors.New("stringfigure: invalid scenario")
 
 	// ErrWorkerLost reports a distributed sweep point abandoned after

@@ -85,7 +85,7 @@ func main() {
 		Measure:        45000,
 		Seed:           3,
 		TelemetryEvery: 1000,
-		Gates:          gates,
+		Scenario:       []stringfigure.ScenarioSpec{stringfigure.ChurnTrace(gates...)},
 		FlowBuckets:    buckets,
 	}
 

@@ -46,7 +46,7 @@ func main() {
 		Measure:        45000,
 		Seed:           3,
 		TelemetryEvery: 1000,
-		Gates:          gates,
+		Scenario:       []stringfigure.ScenarioSpec{stringfigure.ChurnTrace(gates...)},
 	}
 
 	fmt.Printf("%d-node String Figure, uniform traffic at rate %.2f\n", n, cfg.Rate)

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	const n = 128
-	net, err := stringfigure.NewFromOptions(stringfigure.Options{Nodes: n, Seed: 7})
+	net, err := stringfigure.New(stringfigure.WithNodes(n), stringfigure.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}

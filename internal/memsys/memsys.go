@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/energy"
@@ -160,31 +159,27 @@ func (s *System) Run(cycles int64) {
 	}
 }
 
-// RunToCompletion runs until every socket drained its trace and every read
-// returned, or maxCycles elapsed; it returns the consumed cycles and
-// whether the run completed.
-func (s *System) RunToCompletion(maxCycles int64) (int64, bool, error) {
-	return s.RunToCompletionContext(context.Background(), maxCycles)
-}
+// pollCycles is the slice RunToCompletion runs between completion polls.
+const pollCycles = 32
 
-// RunToCompletionContext is RunToCompletion with cooperative cancellation:
-// ctx is checked between co-simulation slices, so long trace runs abort
-// promptly (returning ctx.Err()) when the caller cancels.
-func (s *System) RunToCompletionContext(ctx context.Context, maxCycles int64) (int64, bool, error) {
+// RunToCompletion runs until every socket drained its trace and every read
+// returned, polling every pollCycles, or until maxCycles elapsed — never
+// more: the last slice is clamped to the remaining budget. It returns the
+// consumed cycles and whether the run completed. Sessions, which also
+// need cancellation and mid-run events, drive Run slices themselves.
+func (s *System) RunToCompletion(maxCycles int64) (int64, bool, error) {
 	start := s.net.Cycle()
-	for s.net.Cycle()-start < maxCycles {
-		if err := ctx.Err(); err != nil {
-			return s.net.Cycle() - start, false, err
+	for !s.allDone() {
+		left := maxCycles - (s.net.Cycle() - start)
+		if left <= 0 {
+			return s.net.Cycle() - start, false, nil
 		}
-		if s.allDone() {
-			return s.net.Cycle() - start, true, nil
-		}
-		s.Run(32)
+		s.Run(min(left, pollCycles))
 		if s.net.Results().Deadlocked {
 			return s.net.Cycle() - start, false, fmt.Errorf("memsys: network deadlocked")
 		}
 	}
-	return s.net.Cycle() - start, s.allDone(), nil
+	return s.net.Cycle() - start, true, nil
 }
 
 func (s *System) allDone() bool {
@@ -337,10 +332,10 @@ func (s *System) Results() Results {
 	return r
 }
 
-// Sim exposes the underlying network simulator for sessions that drive
-// the co-simulation themselves — the scheduled (gated) trace path needs
-// the mid-run hooks (SetEscapeRoute, SetLinkLatency) and the cycle
-// counter between Run slices. Mutate it only between slices, on the
+// Sim exposes the underlying network simulator for callers that drive
+// the co-simulation themselves — sessions read the cycle counter between
+// Run slices, and gate-scheduled ones need the mid-run hooks
+// (SetEscapeRoute, SetLinkLatency). Mutate it only between slices, on the
 // simulating goroutine.
 func (s *System) Sim() *netsim.Sim { return s.net }
 

@@ -110,6 +110,20 @@ func TestSmallerWindowIsSlower(t *testing.T) {
 	}
 }
 
+// TestRunToCompletionHonorsBudget: an unfinished run consumes exactly its
+// cycle budget, not the budget rounded up to the next completion poll.
+func TestRunToCompletionHonorsBudget(t *testing.T) {
+	sys := buildSmall(t, [][]trace.Op{synthTrace(300, 20, 4), synthTrace(300, 20, 0)}, 8)
+	cycles, done, err := sys.RunToCompletion(100)
+	if err != nil || done {
+		t.Fatalf("done=%v err=%v, want an unfinished run", done, err)
+	}
+	if cycles != 100 || sys.Sim().Cycle() != 100 {
+		t.Errorf("RunToCompletion(100) consumed %d cycles (clock at %d), want exactly 100",
+			cycles, sys.Sim().Cycle())
+	}
+}
+
 func TestLocalAccessesSkipNetwork(t *testing.T) {
 	// All ops target the CPU's own node: no network packets at all.
 	ops := make([]trace.Op, 100)

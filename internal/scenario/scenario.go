@@ -152,9 +152,8 @@ type Schedule struct {
 // cycle, same-scheduled-cycle events fuse into one reconfiguration
 // epoch, epochs closer than minInterval to their predecessor defer to
 // the earliest legal cycle preserving order, and events landing at or
-// past total are dropped. This is the exact normalization the session
-// layer has always applied to SessionConfig.Gates, extracted so compiled
-// scenarios and hand-written gate schedules share one set of rules.
+// past total are dropped. Generated scenarios and hand-written churn
+// traces share this one set of rules.
 func Normalize(raw []GateEvent, wake, minInterval, total int64) []GateEvent {
 	events := make([]GateEvent, 0, len(raw))
 	for _, ev := range raw {

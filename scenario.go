@@ -31,11 +31,10 @@ const (
 // the session compiles into a deterministic per-cycle event schedule
 // before the run starts. Compilation is pure — equal specs, seeds and
 // networks always yield byte-identical schedules — and the compiled gate
-// stream obeys the paper's Section VI epoch rules exactly like
-// hand-written SessionConfig.Gates (same-cycle events form one
-// reconfiguration epoch, epochs sit at least the 100 us minimum
+// stream obeys the paper's Section VI epoch rules (same-cycle events form
+// one reconfiguration epoch, epochs sit at least the 100 us minimum
 // reconfiguration interval apart, gate-ons defer past the link wake
-// latency).
+// latency; see GateEvent).
 //
 // Kind selects the generator; each kind reads its own field subset (see
 // the constructors). Invalid specs surface as ErrScenario when the run
@@ -90,11 +89,14 @@ type ScenarioSpec struct {
 	Outage int64 `json:"outage,omitempty"`
 }
 
-// ChurnTrace replays an explicit gate-event list through the scenario
-// engine: the events are normalized under the same Section VI epoch rules
-// as SessionConfig.Gates, but invalid transitions are filtered rather
-// than rejected — the trace-replay ergonomics for schedules captured from
-// real churn logs.
+// ChurnTrace replays an explicit gate-event list — the way to schedule
+// hand-written mid-run reconfiguration: each event gates a node off or
+// back on at its absolute network cycle inside the running simulation.
+// The events are normalized under the Section VI epoch rules (see
+// GateEvent); transitions that are invalid when their turn comes — a node
+// already in the requested state, a gate-off that would leave fewer than
+// two alive nodes — are filtered rather than rejected, the trace-replay
+// ergonomics for schedules captured from real churn logs.
 func ChurnTrace(gates ...GateEvent) ScenarioSpec {
 	return ScenarioSpec{Kind: ScenarioChurnTrace, Gates: gates}
 }
@@ -192,16 +194,6 @@ func (r *scenarioRecorder) wrap(cfg SessionConfig, offset int64) SessionConfig {
 	return cfg
 }
 
-// timing returns the Section VI timing constants: the live network's on
-// the String Figure family, the paper defaults elsewhere (the scenario
-// engine needs them for rate schedules on the baseline designs too).
-func (n *Network) timing() reconfig.Timing {
-	if n.net != nil {
-		return n.net.Timing
-	}
-	return reconfig.DefaultTiming()
-}
-
 // specToInternal lowers the public spec into the scenario package's form.
 func specToInternal(sp ScenarioSpec) scenario.Spec {
 	isp := scenario.Spec{
@@ -227,57 +219,59 @@ func specToInternal(sp ScenarioSpec) scenario.Spec {
 	return isp
 }
 
-// compileSpecs compiles public specs against a bare environment with the
-// paper's default Section VI timing and an all-alive mask — the
-// submission-time validation path (jobsvc), which has no live network to
-// compile against. Every spec a live run would reject is rejected here
-// too; the run compiles again over the actual network before executing.
-func compileSpecs(specs []ScenarioSpec, nodes int, total, seed int64) (scenario.Schedule, error) {
-	isp := make([]scenario.Spec, len(specs))
-	for i, sp := range specs {
-		isp[i] = specToInternal(sp)
-	}
-	t := reconfig.DefaultTiming()
-	sch, err := scenario.Compile(isp, scenario.Env{
+// scenarioEnv is what scenarios compile against: the node count, the
+// Section VI timing in cycles, the starting alive mask (nil = all alive)
+// and the seed specs without their own derive from. resolveSchedule sets
+// the run length.
+func scenarioEnv(nodes int, t reconfig.Timing, alive []bool, seed int64) scenario.Env {
+	return scenario.Env{
 		Nodes:       nodes,
-		Total:       total,
-		Seed:        seed,
+		Alive:       alive,
 		Wake:        int64(t.LinkWakeNs / netsim.CycleNs),
 		MinInterval: int64(t.MinIntervalNs / netsim.CycleNs),
-	})
-	if err != nil {
-		return sch, fmt.Errorf("%w: %v", ErrScenario, err)
+		Seed:        seed,
 	}
-	return sch, nil
 }
 
-// compileScenario compiles the session's scenario specs against this
-// network into an executable schedule for a run of `total` cycles. All
-// compilation failures wrap ErrScenario.
-func (n *Network) compileScenario(cfg SessionConfig, total int64) (scenario.Schedule, error) {
-	if len(cfg.Gates) > 0 {
-		return scenario.Schedule{}, fmt.Errorf("%w: Scenario and Gates are mutually exclusive (fold the gate list into a churn-trace spec)", ErrScenario)
+// scenarioEnv is the live network's compile environment: its own timing
+// and alive mask on the String Figure family, the paper defaults elsewhere
+// (rate schedules need them on the baseline designs too).
+func (n *Network) scenarioEnv(seed int64) scenario.Env {
+	if n.net == nil {
+		return scenarioEnv(n.d.N, reconfig.DefaultTiming(), nil, seed)
+	}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return scenarioEnv(n.d.N, n.net.Timing, n.net.AliveSlice(), seed)
+}
+
+// resolveSchedule compiles the (default-filled) config's scenario specs
+// into the event schedule of one run: an open-loop run spans
+// Warmup+Measure cycles, a closed-loop one MaxCycles. It owns the
+// scenario x workload rule — rate modulation and regeneration have no
+// closed-loop meaning, since offered load emerges from the replay — and
+// is called both by a run, against its live network, and by the job
+// service's submission check, against a bare all-alive environment, so
+// the two reject the same specs with the same sentinel. All failures wrap
+// ErrScenario; no scenario is the empty schedule.
+func resolveSchedule(cfg SessionConfig, env scenario.Env, closedLoop bool) (scenario.Schedule, error) {
+	if len(cfg.Scenario) == 0 {
+		return scenario.Schedule{}, nil
+	}
+	env.Total = cfg.Warmup + cfg.Measure
+	if closedLoop {
+		env.Total = cfg.MaxCycles
 	}
 	specs := make([]scenario.Spec, len(cfg.Scenario))
 	for i, sp := range cfg.Scenario {
 		specs[i] = specToInternal(sp)
 	}
-	t := n.timing()
-	env := scenario.Env{
-		Nodes:       n.d.N,
-		Total:       total,
-		Wake:        int64(t.LinkWakeNs / netsim.CycleNs),
-		MinInterval: int64(t.MinIntervalNs / netsim.CycleNs),
-		Seed:        cfg.Seed,
-	}
-	if n.net != nil {
-		n.mu.RLock()
-		env.Alive = n.net.AliveSlice()
-		n.mu.RUnlock()
-	}
 	sch, err := scenario.Compile(specs, env)
 	if err != nil {
 		return scenario.Schedule{}, fmt.Errorf("%w: %v", ErrScenario, err)
+	}
+	if closedLoop && (len(sch.Rates) > 0 || sch.Regen != nil) {
+		return scenario.Schedule{}, fmt.Errorf("%w: rate modulation and regeneration need an open-loop synthetic workload (trace replay is closed-loop)", ErrScenario)
 	}
 	return sch, nil
 }

@@ -5,34 +5,105 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/memsys"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
 
-// This file executes compiled scenario schedules (and the legacy
-// SessionConfig.Gates path, which lowers onto the same machinery): the
-// gateRig shared by gate-scheduled synthetic and trace-driven runs, plus
-// the per-shape executors — runSyntheticScheduled (gates + rates),
-// runSyntheticRated (rate modulation only, any design),
-// runSyntheticRegen (the S2 rebuild baseline) and runTraceScheduled
-// (gates under closed-loop trace replay).
+// This file is the session layer's executor. Every run — open-loop
+// synthetic (runOpenLoop) or closed-loop trace replay (runTrace), with or
+// without a scenario — is a stepper advanced by the one loop, drive,
+// through a cycle-sorted timeline of actions (statistics reset, gate
+// apply, rate change); a plain run is the empty timeline, not a separate
+// path. lockRun decides how exclusive a run is: a schedule that gates
+// nodes takes the network's write lock and a gateRig, everything else
+// the read lock and no rig. The S2 regeneration baseline (runRegen) is
+// two open-loop stretches on two networks.
 
-// runToCycle advances the simulator to an absolute cycle with cooperative
-// cancellation, in simChunk slices.
-func runToCycle(ctx context.Context, sim *netsim.Sim, target int64) error {
-	for sim.Cycle() < target {
+// stepper is what drive advances: an open-loop *netsim.Sim or a
+// closed-loop *memsys.System behind its run step.
+type stepper struct {
+	// sim is the network clock (the co-simulation's own network for a
+	// closed-loop run).
+	sim *netsim.Sim
+	// run advances the simulation k cycles; a closed-loop step fails on a
+	// deadlocked network.
+	run func(k int64) error
+	// slice bounds one run call, and with it the latency of cancellation
+	// and of the done poll.
+	slice int64
+	// done, when set, ends the run early (closed-loop completion).
+	done func() bool
+}
+
+// Slice bounds: open-loop runs check for cancellation every simChunk
+// cycles; closed-loop runs poll completion every traceSliceCycles, the
+// memsys completion-poll granularity (Result.Cycles depends on it).
+const (
+	simChunk         = 2048
+	traceSliceCycles = 32
+)
+
+// action is one timeline entry: do fires between slices, once the clock
+// reaches cycle.
+type action struct {
+	cycle int64
+	do    func() error
+}
+
+// drive advances the stepper to cycle end (or until it reports done),
+// firing each action of the cycle-sorted timeline at its cycle. A slice
+// never crosses the next action or end, so the done poll restarts its
+// slice grid at every action; actions at or past end never fire.
+func drive(ctx context.Context, st stepper, end int64, acts []action) error {
+	for {
+		now := st.sim.Cycle()
+		for len(acts) > 0 && acts[0].cycle <= now && acts[0].cycle < end {
+			if err := acts[0].do(); err != nil {
+				return err
+			}
+			acts = acts[1:]
+		}
+		if now >= end || (st.done != nil && st.done()) {
+			return nil
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		step := target - sim.Cycle()
-		if step > simChunk {
-			step = simChunk
+		target := end
+		if len(acts) > 0 && acts[0].cycle < end {
+			target = acts[0].cycle
 		}
-		sim.Run(step)
+		if err := st.run(min(target-now, st.slice)); err != nil {
+			return err
+		}
 	}
-	return nil
+}
+
+// lockRun takes the lock a run under the given gate schedule needs and
+// returns the release function. Reconfiguration is part of a gated run,
+// so it is exclusive: the write lock, plus the gateRig that executes the
+// schedule, whose release restores the starting alive mask however the
+// run ended. A gate-free run — plain, rate-modulated, a regeneration
+// phase — shares the network under the read lock and gets a nil rig.
+func (n *Network) lockRun(gates []scenario.GateEvent, rec *scenarioRecorder) (*gateRig, func(), error) {
+	if len(gates) == 0 {
+		n.mu.RLock()
+		return nil, n.mu.RUnlock, nil
+	}
+	if n.net == nil {
+		return nil, nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
+	}
+	n.mu.Lock()
+	rig, err := n.newGateRig(gates, rec)
+	if err != nil {
+		n.mu.Unlock()
+		return nil, nil, err
+	}
+	return rig, func() {
+		rig.restore()
+		n.mu.Unlock()
+	}, nil
 }
 
 // gateRig is the shared execution machinery of gate-scheduled runs: the
@@ -45,18 +116,20 @@ func runToCycle(ctx context.Context, sim *netsim.Sim, target int64) error {
 type gateRig struct {
 	n      *Network
 	events []scenario.GateEvent
-	// masks[i] is the alive mask after the first i events; adjs[i] its
-	// adjacency. out is the union adjacency over every phase: all wires
-	// any phase activates exist from cycle 0 (they are pre-provisioned
-	// shortcuts or switched links); which ones carry traffic at any moment
-	// is governed by the live routing tables.
-	masks [][]bool
-	adjs  [][][]int
-	out   [][]int
+	// adjs[i] is the adjacency of the alive mask after the first i events.
+	// out is the union adjacency over every phase: all wires any phase
+	// activates exist from cycle 0 (they are pre-provisioned shortcuts or
+	// switched links); which ones carry traffic at any moment is governed
+	// by the live routing tables.
+	adjs [][][]int
+	out  [][]int
 	// start is the alive mask on entry (restored on exit); aliveNow tracks
-	// the live mask as events apply, consulted dynamically by injection.
-	start    []bool
-	aliveNow []bool
+	// the live mask as events apply, consulted dynamically by injection;
+	// everAlive marks the nodes that stay powered through the whole
+	// schedule (where closed-loop runs place memory pages and CPU sockets).
+	start     []bool
+	aliveNow  []bool
+	everAlive []bool
 	// wake charges links a gate-off switches on (ring healing) their
 	// remaining wake-up latency, keyed by directed link.
 	wakeCycles int64
@@ -67,12 +140,14 @@ type gateRig struct {
 
 // newGateRig validates the normalized schedule against the live network
 // (the caller holds the write lock) and precomputes every phase's
-// adjacency. Validation matches the documented Gates contract: events
+// adjacency. Compiled schedules already satisfy these rules, but the mask
+// can change between compile and lock, so they are checked again: events
 // must stay in range, never re-apply a node's current state, and never
 // drop the network below two alive nodes.
 func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder) (*gateRig, error) {
 	start := n.net.AliveSlice()
 	cur := append([]bool(nil), start...)
+	ever := append([]bool(nil), start...)
 	masks := [][]bool{start}
 	aliveCount := len(start)
 	for _, a := range start {
@@ -96,6 +171,7 @@ func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder)
 			aliveCount++
 		} else {
 			aliveCount--
+			ever[ev.Node] = false
 		}
 		masks = append(masks, append([]bool(nil), cur...))
 	}
@@ -125,11 +201,11 @@ func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder)
 	return &gateRig{
 		n:          n,
 		events:     events,
-		masks:      masks,
 		adjs:       adjs,
 		out:        out,
 		start:      start,
 		aliveNow:   start,
+		everAlive:  ever,
 		wakeCycles: int64(n.net.Timing.LinkWakeNs / netsim.CycleNs),
 		wake:       make(map[[2]int]int64),
 		rec:        rec,
@@ -152,11 +228,16 @@ func (r *gateRig) escapeFor(alive []bool) func(cur, dst int) (int, int) {
 	}
 }
 
-// attach binds the rig to its simulator and installs the wake-aware link
-// latency: flits routed onto a still waking link are charged its
-// remaining wake time, which is the mechanism behind the post-gate-off
-// latency transient the telemetry stream watches.
-func (r *gateRig) attach(sim *netsim.Sim) {
+// attach binds the rig to its simulator and returns the schedule as
+// timeline actions. It installs the wake-aware link latency: flits routed
+// onto a still waking link are charged its remaining wake time, which is
+// the mechanism behind the post-gate-off latency transient the telemetry
+// stream watches. A nil rig (gate-free run) attaches nothing — the
+// simulator keeps its nil LinkLatency fast path — and has no actions.
+func (r *gateRig) attach(sim *netsim.Sim) []action {
+	if r == nil {
+		return nil
+	}
 	r.sim = sim
 	sim.SetLinkLatency(func(u, v int) int {
 		l := netsim.DefaultLinkLatency
@@ -167,21 +248,11 @@ func (r *gateRig) attach(sim *netsim.Sim) {
 		}
 		return l
 	})
-}
-
-// everAlive returns the AND of every phase's alive mask: the nodes that
-// stay powered through the whole schedule (where closed-loop runs place
-// memory pages and CPU sockets).
-func (r *gateRig) everAlive() []bool {
-	ever := append([]bool(nil), r.start...)
-	for _, m := range r.masks {
-		for i, a := range m {
-			if !a {
-				ever[i] = false
-			}
-		}
+	acts := make([]action, len(r.events))
+	for i, ev := range r.events {
+		acts[i] = action{ev.Cycle, func() error { return r.apply(i) }}
 	}
-	return ever
+	return acts
 }
 
 // apply executes event idx against the live network and simulator:
@@ -235,168 +306,16 @@ func (r *gateRig) restore() {
 	}
 }
 
-// runSyntheticGated is runSynthetic for the legacy SessionConfig.Gates
-// path: the raw events normalize under the Section VI epoch rules
-// (scenario.Normalize — the same rules compiled scenarios already
-// satisfy) and execute on the scheduled engine.
-func (n *Network) runSyntheticGated(ctx context.Context, cfg SessionConfig, pat traffic.Pattern) (Result, error) {
-	if n.net == nil {
-		return Result{}, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
-	}
-	total := cfg.Warmup + cfg.Measure
-	t := n.net.Timing
-	raw := make([]scenario.GateEvent, len(cfg.Gates))
-	for i, ev := range cfg.Gates {
-		raw[i] = scenario.GateEvent(ev)
-	}
-	events := scenario.Normalize(raw,
-		int64(t.LinkWakeNs/netsim.CycleNs), int64(t.MinIntervalNs/netsim.CycleNs), total)
-	return n.runSyntheticScheduled(ctx, cfg, pat, events, nil)
-}
-
-// runSyntheticScheduled drives one open-loop synthetic run under a
-// compiled schedule: the run takes the network's write lock
-// (reconfiguration is part of the run, so it is exclusive), builds the
-// simulator over the union of the physical wires every phase activates,
-// and applies each gate event to the live routing tables — and each rate
-// event to the injection process — at its cycle. Packets already in
-// flight route around a reconfiguration (or divert to the escape
-// subnetwork, or drop as unroutable), which is exactly the transient the
-// telemetry stream watches.
-func (n *Network) runSyntheticScheduled(ctx context.Context, cfg SessionConfig, pat traffic.Pattern,
-	gates []scenario.GateEvent, rates []scenario.RateEvent) (Result, error) {
-	if n.net == nil {
-		return Result{}, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
-	}
-	total := cfg.Warmup + cfg.Measure
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rec := &scenarioRecorder{}
-	rig, err := n.newGateRig(gates, rec)
-	if err != nil {
-		return Result{}, err
-	}
-
-	simCfg := netsim.SFConfig(n.d.SF, cfg.Seed)
-	simCfg.Out = rig.out
-	simCfg.Alg = n.net.Router
-	simCfg.VCPolicy = n.net.Router.VirtualChannel
-	simCfg.EscapeRoute = rig.escapeFor(rig.start)
-	if cfg.AdaptiveThreshold > 0 {
-		simCfg.AdaptiveThreshold = cfg.AdaptiveThreshold
-	}
-	simCfg.ReferenceCore = cfg.ReferenceCore
-	simCfg.PacketFlits = cfg.PacketFlits
-	wireTelemetry(&simCfg, rec.wrap(cfg, 0), cfg.Rate, nil)
-	sim, err := netsim.New(simCfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Injection liveness follows the schedule: gated nodes neither source
-	// nor sink new traffic from the moment their event applies (aliveNow
-	// is swapped by apply, so the lookup is dynamic).
-	sim.SetPattern(cfg.Rate, n.hostedPattern(pat, func(v int) bool { return rig.aliveNow[v] }))
-	rig.attach(sim)
-	defer rig.restore()
-
-	gi, ri := 0, 0
-	phase := func(limit int64) error {
-		for {
-			next := int64(-1)
-			if gi < len(gates) && gates[gi].Cycle < limit {
-				next = gates[gi].Cycle
-			}
-			if ri < len(rates) && rates[ri].Cycle < limit && (next < 0 || rates[ri].Cycle < next) {
-				next = rates[ri].Cycle
-			}
-			if next < 0 {
-				return runToCycle(ctx, sim, limit)
-			}
-			if err := runToCycle(ctx, sim, next); err != nil {
-				return err
-			}
-			for gi < len(gates) && gates[gi].Cycle == next {
-				if err := rig.apply(gi); err != nil {
-					return err
-				}
-				gi++
-			}
-			for ri < len(rates) && rates[ri].Cycle == next {
-				rate := cfg.Rate * rates[ri].Scale
-				sim.SetRate(rate)
-				rec.add(ScenarioEvent{Cycle: next, Kind: scenarioEvRate, Rate: rate})
-				ri++
-			}
-		}
-	}
-	if err := phase(cfg.Warmup); err != nil {
-		return Result{}, err
-	}
-	sim.ResetStats()
-	if err := phase(total); err != nil {
-		return Result{}, err
-	}
-	return n.syntheticResult(sim.Results(), cfg.Rate), nil
-}
-
-// runSyntheticRated drives one open-loop synthetic run whose schedule
-// only modulates the injection rate (diurnal/bursty scenarios): no
-// reconfiguration happens, so the run works on every design and takes
-// only the read lock, like a plain synthetic run.
-func (n *Network) runSyntheticRated(ctx context.Context, cfg SessionConfig, pat traffic.Pattern,
-	rates []scenario.RateEvent) (Result, error) {
-	total := cfg.Warmup + cfg.Measure
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	rec := &scenarioRecorder{}
-	simCfg := n.snapshotCfg(cfg)
-	simCfg.PacketFlits = cfg.PacketFlits
-	wireTelemetry(&simCfg, rec.wrap(cfg, 0), cfg.Rate, nil)
-	sim, err := netsim.New(simCfg)
-	if err != nil {
-		return Result{}, err
-	}
-	var alive []bool
-	if n.net != nil {
-		alive = n.net.AliveSlice()
-	}
-	sim.SetPattern(cfg.Rate, n.hostedPattern(pat, func(v int) bool {
-		return alive == nil || alive[v]
-	}))
-	ri := 0
-	phase := func(limit int64) error {
-		for ri < len(rates) && rates[ri].Cycle < limit {
-			if err := runToCycle(ctx, sim, rates[ri].Cycle); err != nil {
-				return err
-			}
-			rate := cfg.Rate * rates[ri].Scale
-			sim.SetRate(rate)
-			rec.add(ScenarioEvent{Cycle: rates[ri].Cycle, Kind: scenarioEvRate, Rate: rate})
-			ri++
-		}
-		return runToCycle(ctx, sim, limit)
-	}
-	if err := phase(cfg.Warmup); err != nil {
-		return Result{}, err
-	}
-	sim.ResetStats()
-	if err := phase(total); err != nil {
-		return Result{}, err
-	}
-	return n.syntheticResult(sim.Results(), cfg.Rate), nil
-}
-
-// runSyntheticRegen executes the ScenarioRegenS2 baseline: phase A runs
-// the full-scale S2 topology to the regeneration cycle; the topology is
-// then regenerated at Drop fewer nodes (a fresh seeded build — S2 cannot
-// gate nodes, so down-scaling means rebuilding), and phase B runs the
-// remainder on the new network with injection silenced through the
-// rebuild outage. The measured window stitches both phases together, so
-// the regeneration's outage and warm-cache loss land in the same metrics
-// a String Figure storm is measured by.
-func (n *Network) runSyntheticRegen(ctx context.Context, cfg SessionConfig, patName string,
+// runRegen executes the ScenarioRegenS2 baseline as two open-loop
+// stretches: phase A runs the full-scale S2 topology to the regeneration
+// cycle; the topology is then regenerated at Drop fewer nodes (a fresh
+// seeded build — S2 cannot gate nodes, so down-scaling means rebuilding),
+// and phase B runs the remainder on the new network, its clock offset by
+// the regeneration cycle and injection silenced through the rebuild
+// outage. The measured window stitches both phases together, so the
+// regeneration's outage and warm-cache loss land in the same metrics a
+// String Figure storm is measured by.
+func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName string,
 	pat traffic.Pattern, rg *scenario.Regen) (Result, error) {
 	if n.d.Name != "s2" {
 		return Result{}, fmt.Errorf("%w: regen-s2 on design %q (the regeneration baseline rebuilds an s2 topology; reconfigurable designs gate nodes in place instead)",
@@ -407,33 +326,8 @@ func (n *Network) runSyntheticRegen(ctx context.Context, cfg SessionConfig, patN
 	}
 	total := cfg.Warmup + cfg.Measure
 	R := rg.Cycle
-	// Phase A is measured only when the regeneration lands after warm-up;
-	// an earlier regeneration leaves the whole measured window to phase B.
-	measuredA := R > cfg.Warmup
 	rec := &scenarioRecorder{}
-
-	resA, err := func() (netsim.Results, error) {
-		n.mu.RLock()
-		defer n.mu.RUnlock()
-		simCfg := n.snapshotCfg(cfg)
-		simCfg.PacketFlits = cfg.PacketFlits
-		wireTelemetry(&simCfg, rec.wrap(cfg, 0), cfg.Rate, nil)
-		sim, err := netsim.New(simCfg)
-		if err != nil {
-			return netsim.Results{}, err
-		}
-		sim.SetPattern(cfg.Rate, n.hostedPattern(pat, func(int) bool { return true }))
-		if measuredA {
-			if err := runToCycle(ctx, sim, cfg.Warmup); err != nil {
-				return netsim.Results{}, err
-			}
-			sim.ResetStats()
-		}
-		if err := runToCycle(ctx, sim, R); err != nil {
-			return netsim.Results{}, err
-		}
-		return sim.Results(), nil
-	}()
+	resA, err := n.runOpenLoop(ctx, cfg, pat, rec, scenario.Schedule{}, 0, R, cfg.Rate)
 	if err != nil {
 		return Result{}, err
 	}
@@ -454,57 +348,17 @@ func (n *Network) runSyntheticRegen(ctx context.Context, cfg SessionConfig, patN
 	}
 	rec.add(ScenarioEvent{Cycle: R, Kind: scenarioEvRegen, Node: n2.Nodes()})
 
-	bTotal := total - R
-	outEnd := rg.Outage
-	if outEnd > bTotal {
-		outEnd = bTotal
-	}
-	resB, err := func() (netsim.Results, error) {
-		n2.mu.RLock()
-		defer n2.mu.RUnlock()
-		simCfg := n2.snapshotCfg(cfg)
-		simCfg.PacketFlits = cfg.PacketFlits
-		// Phase B's simulator clock restarts at zero; the recorder offset
-		// restores absolute run cycles on its snapshots.
-		wireTelemetry(&simCfg, rec.wrap(cfg, R), cfg.Rate, nil)
-		sim, err := netsim.New(simCfg)
-		if err != nil {
-			return netsim.Results{}, err
-		}
-		// Injection stays silenced through the rebuild outage.
-		sim.SetPattern(0, n2.hostedPattern(patB, func(int) bool { return true }))
-		type act struct {
-			cycle int64
-			f     func()
-		}
-		var acts []act
-		if !measuredA && cfg.Warmup-R > 0 {
-			acts = append(acts, act{cfg.Warmup - R, sim.ResetStats})
-		}
-		if outEnd < bTotal {
-			acts = append(acts, act{outEnd, func() {
-				sim.SetRate(cfg.Rate)
-				rec.add(ScenarioEvent{Cycle: R + outEnd, Kind: scenarioEvRate, Rate: cfg.Rate})
-			}})
-		}
-		sort.SliceStable(acts, func(i, j int) bool { return acts[i].cycle < acts[j].cycle })
-		for _, a := range acts {
-			if err := runToCycle(ctx, sim, a.cycle); err != nil {
-				return netsim.Results{}, err
-			}
-			a.f()
-		}
-		if err := runToCycle(ctx, sim, bTotal); err != nil {
-			return netsim.Results{}, err
-		}
-		return sim.Results(), nil
-	}()
+	// Phase B starts silent and returns to the configured rate when the
+	// outage ends (never, if the outage outlasts the run).
+	back := scenario.Schedule{Rates: []scenario.RateEvent{{Cycle: rg.Outage, Scale: 1}}}
+	resB, err := n2.runOpenLoop(ctx, cfg, patB, rec, back, R, total-R, 0)
 	if err != nil {
 		return Result{}, err
 	}
-
+	// Phase A is measured only when the regeneration lands after warm-up;
+	// an earlier regeneration leaves the whole measured window to phase B.
 	res := resB
-	if measuredA {
+	if R > cfg.Warmup {
 		res = mergeNetResults(resA, resB)
 	}
 	return n.syntheticResult(res, cfg.Rate), nil
@@ -533,124 +387,4 @@ func mergeNetResults(a, b netsim.Results) netsim.Results {
 	}
 	m.Deadlocked = m.Deadlocked || b.Deadlocked
 	return m
-}
-
-// traceSliceCycles is the co-simulation slice between event checks on
-// scheduled trace runs, matching the memsys completion-poll granularity.
-const traceSliceCycles = 32
-
-// traceSchedule resolves a closed-loop trace run's gate schedule from
-// Scenario or the legacy Gates list (already normalized under the epoch
-// rules). Rate modulation and regeneration have no closed-loop meaning —
-// offered load emerges from the replay — so those specs reject with
-// ErrScenario.
-func (n *Network) traceSchedule(cfg SessionConfig) ([]scenario.GateEvent, error) {
-	if len(cfg.Scenario) > 0 {
-		sch, err := n.compileScenario(cfg, cfg.MaxCycles)
-		if err != nil {
-			return nil, err
-		}
-		if len(sch.Rates) > 0 || sch.Regen != nil {
-			return nil, fmt.Errorf("%w: rate modulation and regeneration need an open-loop synthetic workload (trace replay is closed-loop)", ErrScenario)
-		}
-		return sch.Gates, nil
-	}
-	if len(cfg.Gates) == 0 {
-		return nil, nil
-	}
-	if n.net == nil {
-		return nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
-	}
-	t := n.net.Timing
-	raw := make([]scenario.GateEvent, len(cfg.Gates))
-	for i, ev := range cfg.Gates {
-		raw[i] = scenario.GateEvent(ev)
-	}
-	return scenario.Normalize(raw,
-		int64(t.LinkWakeNs/netsim.CycleNs), int64(t.MinIntervalNs/netsim.CycleNs), cfg.MaxCycles), nil
-}
-
-// runTraceScheduled drives one closed-loop trace run under a gate
-// schedule: memory pages and CPU sockets live on the nodes that stay
-// powered through every phase (gating never strands a socket or a page),
-// the network simulates over the union link set, and gate events apply
-// between co-simulation slices at their scheduled cycles — crossing
-// traffic reroutes around the gated region while the replay keeps
-// running, which is the closed-loop transient the scenario suite
-// measures. Like all scheduled runs it is exclusive (write lock) and
-// restores the starting mask on exit.
-func (n *Network) runTraceScheduled(ctx context.Context, cfg SessionConfig, workload string,
-	events []scenario.GateEvent) (Result, error) {
-	if n.net == nil {
-		return Result{}, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rec := &scenarioRecorder{}
-	rig, err := n.newGateRig(events, rec)
-	if err != nil {
-		return Result{}, err
-	}
-	parts, err := n.buildTraceParts(ctx, cfg, workload, rig.everAlive())
-	if err != nil {
-		return Result{}, err
-	}
-
-	netCfg := netsim.SFConfig(n.d.SF, cfg.Seed)
-	netCfg.Out = rig.out
-	netCfg.Alg = n.net.Router
-	netCfg.VCPolicy = n.net.Router.VirtualChannel
-	netCfg.EscapeRoute = rig.escapeFor(rig.start)
-	if cfg.AdaptiveThreshold > 0 {
-		netCfg.AdaptiveThreshold = cfg.AdaptiveThreshold
-	}
-	netCfg.ReferenceCore = cfg.ReferenceCore
-	var sys *memsys.System
-	wireTelemetry(&netCfg, rec.wrap(cfg, 0), 0, func() int {
-		if sys == nil {
-			return 0
-		}
-		return sys.OutstandingReads()
-	})
-	sys, err = memsys.Build(netCfg, parts.pool, parts.cpuNodes, cfg.Window, parts.traces)
-	if err != nil {
-		return Result{}, err
-	}
-	sys.Ports = n.d.Ports
-	sim := sys.Sim()
-	rig.attach(sim)
-	defer rig.restore()
-
-	pos := 0
-	for !sys.Done() {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		now := sim.Cycle()
-		if now >= cfg.MaxCycles {
-			return Result{}, fmt.Errorf("stringfigure: %s trace run did not finish in %d cycles",
-				workload, now)
-		}
-		target := cfg.MaxCycles
-		if pos < len(events) && events[pos].Cycle < target {
-			target = events[pos].Cycle
-		}
-		if target > now {
-			step := target - now
-			if step > traceSliceCycles {
-				step = traceSliceCycles
-			}
-			sys.Run(step)
-			if sys.NetResults().Deadlocked {
-				return Result{}, fmt.Errorf("memsys: network deadlocked")
-			}
-		}
-		for pos < len(events) && events[pos].Cycle <= sim.Cycle() {
-			if err := rig.apply(pos); err != nil {
-				return Result{}, err
-			}
-			pos++
-		}
-	}
-	return traceResult(sys), nil
 }

@@ -10,6 +10,8 @@ import (
 	"slices"
 
 	"repro/internal/jobsvc"
+	"repro/internal/reconfig"
+	"repro/internal/trace"
 )
 
 // JobSpec is the JSON payload of one simulation-service job: a network to
@@ -19,8 +21,9 @@ import (
 // the point's index (PointSeed), so a job interrupted by a service
 // restart resumes with results bit-identical to an uninterrupted run.
 type JobSpec struct {
-	// Design, Nodes, Ports and NetSeed build the network (see Options;
-	// Design defaults to "sf", Nodes is required).
+	// Design, Nodes, Ports and NetSeed build the network (see WithDesign,
+	// WithNodes, WithPorts, WithSeed; Design defaults to "sf", Nodes is
+	// required).
 	Design  string `json:"design,omitempty"`
 	Nodes   int    `json:"nodes"`
 	Ports   int    `json:"ports,omitempty"`
@@ -110,10 +113,71 @@ func (js JobSpec) rates() []float64 {
 	return js.Rates
 }
 
-// validate is the submission-time spec check shared by Plan.
+// Upper bounds on one job. A JobSpec arrives from the network and is
+// journaled before it runs, so an oversized one would not fail once: the
+// job log would replay it into every restart. They are constants, not
+// options — nothing in the repository runs a job near them.
+const (
+	// maxJobNodes is the largest scale shown feasible (the N=4096 design
+	// and routing-table builds of the event-core work).
+	maxJobNodes = 4096
+	// maxJobPoints bounds the rate axis (one sweep point and one journal
+	// record per entry).
+	maxJobPoints = 4096
+	// maxJobCycles bounds warmup+measure at the closed-loop cycle budget.
+	maxJobCycles = defaultMaxCycles
+	// maxJobScenarioSpecs and maxJobChurnEvents bound the scenario list
+	// and each churn-trace spec's explicit event list.
+	maxJobScenarioSpecs = 16
+	maxJobChurnEvents   = 4096
+)
+
+// JobLimitError reports a JobSpec field above the service's fixed upper
+// bound: the job is rejected at submission (and a journaled one, replayed
+// by a restart, settles failed without running).
+type JobLimitError struct {
+	// Field is the JobSpec JSON field (or derived quantity) over its bound.
+	Field string
+	// Value is what the spec asked for, Max the bound.
+	Value, Max int64
+}
+
+// Error implements error.
+func (e *JobLimitError) Error() string {
+	return fmt.Sprintf("stringfigure: job spec %s = %d exceeds the service bound %d", e.Field, e.Value, e.Max)
+}
+
+// checkBounds rejects a spec any of whose sizes exceeds its bound.
+func (js JobSpec) checkBounds() error {
+	limits := []JobLimitError{
+		{"nodes", int64(js.Nodes), maxJobNodes},
+		{"rates (points)", int64(len(js.Rates)), maxJobPoints},
+		// Each window alone first, so the sum below cannot overflow.
+		{"warmup", js.Warmup, maxJobCycles},
+		{"measure", js.Measure, maxJobCycles},
+		{"warmup+measure", js.Warmup + js.Measure, maxJobCycles},
+		{"ops", int64(js.Ops), trace.SharedOpsBound},
+		{"scenario (specs)", int64(len(js.Scenario)), maxJobScenarioSpecs},
+	}
+	for _, sp := range js.Scenario {
+		limits = append(limits, JobLimitError{"scenario gates (events)", int64(len(sp.Gates)), maxJobChurnEvents})
+	}
+	for _, l := range limits {
+		if l.Value > l.Max {
+			return &l
+		}
+	}
+	return nil
+}
+
+// validate is the spec check shared by Plan (submission) and Run (a
+// replayed job log is input too).
 func (js JobSpec) validate() error {
 	if js.Nodes < 2 {
 		return fmt.Errorf("stringfigure: job spec needs nodes >= 2 (got %d)", js.Nodes)
+	}
+	if err := js.checkBounds(); err != nil {
+		return err
 	}
 	if js.Design != "" && !slices.Contains(Designs(), js.Design) {
 		return fmt.Errorf("%w: %q (want one of %v)", ErrUnknownDesign, js.Design, Designs())
@@ -126,28 +190,16 @@ func (js JobSpec) validate() error {
 			return fmt.Errorf("stringfigure: job spec rate %d is %v", i, r)
 		}
 	}
-	if len(js.Scenario) > 0 {
-		// Compile against the run's shape at submission time (the run
-		// compiles again over the live network): warm-up/measure defaults
-		// mirror SessionConfig.fill, trace jobs span MaxCycles.
-		warmup, measure := js.Warmup, js.Measure
-		if warmup <= 0 {
-			warmup = 1000
-		}
-		if measure <= 0 {
-			measure = 4000
-		}
-		total := warmup + measure
-		if js.Trace != "" {
-			total = 40_000_000
-		}
-		sch, err := compileSpecs(js.Scenario, js.Nodes, total, js.Seed)
-		if err != nil {
-			return err
-		}
-		if js.Trace != "" && (len(sch.Rates) > 0 || sch.Regen != nil) {
-			return fmt.Errorf("%w: rate modulation and regeneration need an open-loop synthetic workload (trace replay is closed-loop)", ErrScenario)
-		}
+	// Resolve the scenario schedule exactly as the run will — the same
+	// function over the same default-filled config — against a bare
+	// environment (every node alive, the paper's Section VI timing), so an
+	// invalid scenario rejects the job instead of failing its first point.
+	// The run resolves again over the live network.
+	cfg := js.sessionConfig()
+	cfg.fill()
+	env := scenarioEnv(js.Nodes, reconfig.DefaultTiming(), nil, js.Seed)
+	if _, err := resolveSchedule(cfg, env, js.Trace != ""); err != nil {
+		return err
 	}
 	// A derived per-point seed of exactly 0 cannot be pinned through
 	// Point.Seed (0 means "derive"), which would break resume determinism
@@ -344,17 +396,15 @@ func (e *sweepExecutor) Run(ctx context.Context, raw json.RawMessage, pending []
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return fmt.Errorf("stringfigure: decode job spec: %w", err)
 	}
+	if err := spec.validate(); err != nil {
+		return err
+	}
 	w, err := spec.workload()
 	if err != nil {
 		return err
 	}
-	net, err := NewFromOptions(Options{
-		Design:  spec.Design,
-		Nodes:   spec.Nodes,
-		Ports:   spec.Ports,
-		Seed:    spec.NetSeed,
-		Cluster: e.cluster,
-	})
+	net, err := New(WithDesign(spec.Design), WithNodes(spec.Nodes), WithPorts(spec.Ports),
+		WithSeed(spec.NetSeed), WithCluster(e.cluster))
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -295,5 +298,140 @@ func TestServiceDistributedJob(t *testing.T) {
 	b, _ := json.Marshal(ref)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("distributed job results differ from local-only run\ndistributed: %s\nlocal:       %s", a, b)
+	}
+}
+
+// TestServiceScenarioSentinelParity pins the one-source-of-truth rule for
+// scenario x workload legality: submission resolves the schedule with the
+// function the run itself calls, so every cell Session.Run rejects is
+// rejected by SubmitJob with the same sentinel, and every cell that runs is
+// accepted.
+func TestServiceScenarioSentinelParity(t *testing.T) {
+	s, err := NewService(ServiceConfig{StateDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	scenarios := []struct {
+		name   string
+		design string
+		specs  []ScenarioSpec
+	}{
+		{"churn-trace", "sf", []ScenarioSpec{ChurnTrace(GateEvent{Cycle: 50, Node: 3})}},
+		// Churn stops early: over a trace job's 40M-cycle budget it would
+		// gate every node at some point and leave nowhere to place pages.
+		{"churn", "sf", []ScenarioSpec{{Kind: ScenarioChurn, Every: 100, MaxDown: 1, Stop: 400}}},
+		{"storm", "sf", []ScenarioSpec{FailureStorm(50, 4, 1, 0)}},
+		{"diurnal", "sf", []ScenarioSpec{DiurnalRate(200, 0.5)}},
+		{"bursty", "sf", []ScenarioSpec{BurstyRate(100, 20, 2)}},
+		{"regen", "s2", []ScenarioSpec{RegenerateS2(150, 4, 50)}},
+		{"unknown-kind", "sf", []ScenarioSpec{{Kind: "meteor"}}},
+		{"churn-no-tick", "sf", []ScenarioSpec{Churn(0, 1)}},
+		{"two-rate-specs", "sf", []ScenarioSpec{DiurnalRate(200, 0.5), BurstyRate(100, 20, 2)}},
+		{"regen+storm", "s2", []ScenarioSpec{RegenerateS2(150, 4, 50), FailureStorm(50, 4, 1, 0)}},
+		{"event-out-of-range", "sf", []ScenarioSpec{ChurnTrace(GateEvent{Cycle: 50, Node: 99})}},
+	}
+	for _, sc := range scenarios {
+		for _, closedLoop := range []bool{false, true} {
+			name := sc.name + "/synthetic"
+			js := JobSpec{Design: sc.design, Nodes: 16, Seed: 3, Warmup: 100, Measure: 300,
+				Ops: 50, Scenario: sc.specs}
+			var w Workload = SyntheticWorkload{Pattern: "uniform"}
+			if closedLoop {
+				name = sc.name + "/trace"
+				js.Trace = TraceWorkloads()[0]
+				w = TraceWorkload{Workload: js.Trace}
+			}
+			t.Run(name, func(t *testing.T) {
+				_, runErr := mustNet(t, sc.design, 16).NewSession(js.sessionConfig()).Run(w)
+				if runErr != nil && !errors.Is(runErr, ErrScenario) {
+					t.Fatalf("Session.Run: %v, want success or ErrScenario", runErr)
+				}
+				j, subErr := s.SubmitJob("parity", 0, js)
+				if errors.Is(subErr, ErrScenario) != errors.Is(runErr, ErrScenario) || (subErr == nil) != (runErr == nil) {
+					t.Errorf("SubmitJob err = %v, Session.Run err = %v", subErr, runErr)
+				}
+				if subErr == nil {
+					if err := s.CancelJob(j.ID); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestServiceRejectsOversizedJobs is the hostile-input gate: every JobSpec
+// size has a fixed upper bound checked at submission with a typed error —
+// the poison job {"nodes":100000000} used to be journaled and then killed
+// the service with an out-of-memory design build on every restart.
+func TestServiceRejectsOversizedJobs(t *testing.T) {
+	s, err := NewService(ServiceConfig{StateDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	manyGates := make([]GateEvent, maxJobChurnEvents+1)
+	for _, tc := range []struct {
+		field string
+		spec  JobSpec
+	}{
+		{"nodes", JobSpec{Nodes: 100_000_000}},
+		{"nodes", JobSpec{Nodes: maxJobNodes + 1}},
+		{"rates (points)", JobSpec{Nodes: 16, Rates: make([]float64, maxJobPoints+1)}},
+		{"warmup", JobSpec{Nodes: 16, Warmup: 1 << 62, Measure: 1 << 62}},
+		{"measure", JobSpec{Nodes: 16, Measure: maxJobCycles + 1}},
+		{"warmup+measure", JobSpec{Nodes: 16, Warmup: maxJobCycles/2 + 1, Measure: maxJobCycles / 2}},
+		{"ops", JobSpec{Nodes: 16, Trace: TraceWorkloads()[0], Ops: 1<<20 + 1}},
+		{"scenario (specs)", JobSpec{Nodes: 16, Scenario: make([]ScenarioSpec, maxJobScenarioSpecs+1)}},
+		{"scenario gates (events)", JobSpec{Nodes: 16, Scenario: []ScenarioSpec{ChurnTrace(manyGates...)}}},
+	} {
+		_, err := s.SubmitJob("mallory", 0, tc.spec)
+		var lim *JobLimitError
+		if !errors.As(err, &lim) || lim.Field != tc.field {
+			t.Errorf("%s over bound: err = %v, want a JobLimitError on that field", tc.field, err)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d oversized jobs were journaled", len(jobs))
+	}
+	// At the bounds a spec is still legal (checked without running it).
+	edge := JobSpec{Nodes: maxJobNodes, Rates: make([]float64, maxJobPoints),
+		Warmup: maxJobCycles / 2, Measure: maxJobCycles / 2, Ops: 1 << 20}
+	if err := edge.validate(); err != nil {
+		t.Errorf("spec at the bounds rejected: %v", err)
+	}
+}
+
+// TestServiceReplayedOversizedJobFails: a job log written before the
+// bounds existed is input too — the replayed poison job settles failed
+// instead of building a 100M-node design.
+func TestServiceReplayedOversizedJobFails(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{"op":"submit","id":"j-000001","tenant":"mallory","points":1,"spec":{"nodes":100000000},"at":"2026-09-01T00:00:00Z"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewService(ServiceConfig{StateDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j, err := s.Job("j-000001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State == "failed" {
+			if !strings.Contains(j.Error, "exceeds the service bound") {
+				t.Errorf("failed with %q, want the bound error", j.Error)
+			}
+			return
+		}
+		if j.State == "done" || time.Now().After(deadline) {
+			t.Fatalf("replayed oversized job is %s, want failed", j.State)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/energy"
 	"repro/internal/memnode"
 	"repro/internal/memsys"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -66,26 +68,17 @@ type SessionConfig struct {
 	// Sampling keys on the deterministic packet id (no RNG), so tracing
 	// on/off leaves Results bit-identical. 0 disables; needs a sink.
 	TraceSampleEvery int64
-	// Gates schedules mid-run reconfiguration: each event gates a node off
-	// or back on at its absolute network cycle inside the running
-	// simulation (synthetic workloads on reconfigurable designs only).
-	// Same-cycle events form one reconfiguration epoch, and epochs closer
-	// together than the paper's 100 us minimum reconfiguration interval
-	// are deferred to the earliest legal cycle (see GateEvent). Scheduled
-	// runs are exclusive — they hold the network's write lock — and
-	// restore the starting alive mask on exit. Pair with telemetry to
-	// watch the latency transient a reconfiguration causes.
-	Gates []GateEvent
 	// Scenario attaches declarative scenarios — churn traces, failure
 	// storms, diurnal/bursty rate modulation, the S2 regeneration
 	// baseline — compiled into a deterministic event schedule before the
 	// run starts (see ScenarioSpec and the ChurnTrace/Churn/FailureStorm/
-	// DiurnalRate/BurstyRate/RegenerateS2 constructors). Gate-producing
-	// scenarios follow the same epoch rules, exclusivity and mask-restore
-	// contract as Gates (the two fields are mutually exclusive —
-	// ErrScenario if both are set); rate-modulating scenarios run on any
-	// design under the read lock like a plain run. Invalid specs surface
-	// as ErrScenario when the run starts.
+	// DiurnalRate/BurstyRate/RegenerateS2 constructors). A schedule that
+	// gates nodes (reconfigurable designs only) makes the run exclusive —
+	// it holds the network's write lock — and the starting alive mask is
+	// restored on exit; rate-modulating scenarios run on any design under
+	// the read lock like a plain run. Invalid specs surface as ErrScenario
+	// when the run starts. Pair with telemetry to watch the latency
+	// transient a reconfiguration causes.
 	Scenario []ScenarioSpec
 
 	// ReferenceCore runs the simulation on the netsim reference core — the
@@ -101,6 +94,9 @@ type SessionConfig struct {
 	// protocol — remote workers report progress frames instead.
 	onTelemetry func(TelemetrySnapshot)
 }
+
+// defaultMaxCycles is the closed-loop cycle budget (SessionConfig.MaxCycles).
+const defaultMaxCycles = 40_000_000
 
 func (c *SessionConfig) fill() {
 	if c.Rate <= 0 {
@@ -128,7 +124,7 @@ func (c *SessionConfig) fill() {
 		c.Threads = 4
 	}
 	if c.MaxCycles <= 0 {
-		c.MaxCycles = 40_000_000
+		c.MaxCycles = defaultMaxCycles
 	}
 	if c.TelemetryEvery <= 0 {
 		c.TelemetryEvery = 1000
@@ -228,16 +224,23 @@ type Result struct {
 	Err error `json:"-"`
 }
 
-// snapshotCfg assembles a simulator configuration for the network's current
-// active state. Callers must hold n.mu (read side).
-func (n *Network) snapshotCfg(cfg SessionConfig) netsim.Config {
+// simConfig assembles a simulator configuration for the network's current
+// active state or, under a gate rig, for the union of the wires every
+// phase of the schedule activates (with the escape routes of the starting
+// mask). Callers hold n.mu through lockRun.
+func (n *Network) simConfig(cfg SessionConfig, rig *gateRig) netsim.Config {
 	var sc netsim.Config
 	if n.net != nil {
 		sc = netsim.SFConfig(n.d.SF, cfg.Seed)
-		sc.Out = n.net.OutNeighbors()
 		sc.Alg = n.net.Router
 		sc.VCPolicy = n.net.Router.VirtualChannel
-		sc.EscapeRoute = netsim.RingEscape(n.d.SF, n.net.AliveSlice())
+		if rig != nil {
+			sc.Out = rig.out
+			sc.EscapeRoute = rig.escapeFor(rig.start)
+		} else {
+			sc.Out = n.net.OutNeighbors()
+			sc.EscapeRoute = netsim.RingEscape(n.d.SF, n.net.AliveSlice())
+		}
 	} else {
 		sc = n.d.NetCfg(cfg.Seed)
 	}
@@ -248,23 +251,14 @@ func (n *Network) snapshotCfg(cfg SessionConfig) netsim.Config {
 	return sc
 }
 
-// simChunk is how many cycles run between cancellation checks.
-const simChunk = 2048
-
-// runChunked advances the simulator with cooperative cancellation.
-func runChunked(ctx context.Context, sim *netsim.Sim, cycles int64) error {
-	for done := int64(0); done < cycles; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		step := cycles - done
-		if step > simChunk {
-			step = simChunk
-		}
-		sim.Run(step)
-		done += step
+// startMask snapshots the alive mask a gate-free run keeps for its whole
+// lifetime (nil = every node, on designs without reconfiguration).
+// Callers hold n.mu.
+func (n *Network) startMask() []bool {
+	if n.net == nil {
+		return nil
 	}
-	return nil
+	return n.net.AliveSlice()
 }
 
 // runSynthetic drives one open-loop synthetic-traffic simulation. The
@@ -275,57 +269,84 @@ func runChunked(ctx context.Context, sim *netsim.Sim, cycles int64) error {
 // function workloads, which the S2 regeneration scenario rejects —
 // regenerating swaps the node count the traffic draws over).
 func (n *Network) runSynthetic(ctx context.Context, cfg SessionConfig, patName string, pat traffic.Pattern) (Result, error) {
-	if len(cfg.Scenario) > 0 {
-		sch, err := n.compileScenario(cfg, cfg.Warmup+cfg.Measure)
-		if err != nil {
-			return Result{}, err
-		}
-		switch {
-		case sch.Regen != nil:
-			return n.runSyntheticRegen(ctx, cfg, patName, pat, sch.Regen)
-		case len(sch.Gates) > 0:
-			return n.runSyntheticScheduled(ctx, cfg, pat, sch.Gates, sch.Rates)
-		case len(sch.Rates) > 0:
-			return n.runSyntheticRated(ctx, cfg, pat, sch.Rates)
-		}
-		// An empty schedule (every event normalized away) runs plain.
-	} else if len(cfg.Gates) > 0 {
-		return n.runSyntheticGated(ctx, cfg, pat)
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	simCfg := n.snapshotCfg(cfg)
-	simCfg.PacketFlits = cfg.PacketFlits
-	wireTelemetry(&simCfg, cfg, cfg.Rate, nil)
-	sim, err := netsim.New(simCfg)
+	sch, err := resolveSchedule(cfg, n.scenarioEnv(cfg.Seed), false)
 	if err != nil {
 		return Result{}, err
 	}
-	// Node liveness snapshot (all alive on designs without reconfiguration;
-	// routers and nodes coincide whenever net != nil).
-	var alive []bool
-	if n.net != nil {
-		alive = n.net.AliveSlice()
+	if sch.Regen != nil {
+		return n.runRegen(ctx, cfg, patName, pat, sch.Regen)
 	}
-	sim.SetPattern(cfg.Rate, n.hostedPattern(pat, func(v int) bool {
-		return alive == nil || alive[v]
-	}))
-	if err := runChunked(ctx, sim, cfg.Warmup); err != nil {
+	res, err := n.runOpenLoop(ctx, cfg, pat, &scenarioRecorder{}, sch, 0, cfg.Warmup+cfg.Measure, cfg.Rate)
+	if err != nil {
 		return Result{}, err
 	}
-	sim.ResetStats()
-	if err := runChunked(ctx, sim, cfg.Measure); err != nil {
-		return Result{}, err
+	return n.syntheticResult(res, cfg.Rate), nil
+}
+
+// runOpenLoop simulates one open-loop stretch on this network: a fresh
+// simulator injecting pat at rate0 runs `end` cycles under sch's gate and
+// rate events, with statistics reset where the warm-up ends. offset is the
+// run cycle this simulator's cycle 0 stands for (non-zero only for the
+// second phase of an S2 regeneration): the warm-up boundary and telemetry
+// stamps shift by it, sch's cycles are already on the simulator's clock.
+//
+// Gate events mutate the live routing tables at their cycle; packets
+// already in flight route around the reconfiguration (or divert to the
+// escape subnetwork, or drop as unroutable), which is exactly the
+// transient the telemetry stream watches.
+func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, pat traffic.Pattern, rec *scenarioRecorder,
+	sch scenario.Schedule, offset, end int64, rate0 float64) (netsim.Results, error) {
+	rig, unlock, err := n.lockRun(sch.Gates, rec)
+	if err != nil {
+		return netsim.Results{}, err
 	}
-	return n.syntheticResult(sim.Results(), cfg.Rate), nil
+	defer unlock()
+	simCfg := n.simConfig(cfg, rig)
+	simCfg.PacketFlits = cfg.PacketFlits
+	wireTelemetry(&simCfg, rec.wrap(cfg, offset), cfg.Rate, nil)
+	sim, err := netsim.New(simCfg)
+	if err != nil {
+		return netsim.Results{}, err
+	}
+	// Injection liveness follows the schedule: gated nodes neither source
+	// nor sink new traffic from the moment their event applies (the rig
+	// swaps aliveNow, so the lookup is dynamic). Gate-free runs filter by
+	// the mask they started under.
+	nodeAlive := func(v int) bool { return rig.aliveNow[v] }
+	if rig == nil {
+		alive := n.startMask()
+		nodeAlive = func(v int) bool { return alive == nil || alive[v] }
+	}
+	sim.SetPattern(rate0, n.hostedPattern(pat, nodeAlive))
+
+	// The timeline; the stable sort keeps reset, gates, rates in that order
+	// within one cycle.
+	var acts []action
+	if w := cfg.Warmup - offset; w >= 0 {
+		acts = append(acts, action{w, func() error { sim.ResetStats(); return nil }})
+	}
+	acts = append(acts, rig.attach(sim)...)
+	for _, ev := range sch.Rates {
+		acts = append(acts, action{ev.Cycle, func() error {
+			rate := cfg.Rate * ev.Scale
+			sim.SetRate(rate)
+			rec.add(ScenarioEvent{Cycle: ev.Cycle + offset, Kind: scenarioEvRate, Rate: rate})
+			return nil
+		}})
+	}
+	sort.SliceStable(acts, func(i, j int) bool { return acts[i].cycle < acts[j].cycle })
+	st := stepper{sim: sim, slice: simChunk, run: func(k int64) error { sim.Run(k); return nil }}
+	if err := drive(ctx, st, end, acts); err != nil {
+		return netsim.Results{}, err
+	}
+	return sim.Results(), nil
 }
 
 // hostedPattern adapts a memory-node traffic pattern to router-level
 // injection: each injecting router picks the source uniformly among its
 // hosted nodes (so concentrated FB/AFB routers represent all their nodes'
 // traffic), filters by node liveness, and drops intra-router traffic.
-// nodeAlive is consulted per call, so scheduled (gated) runs pass a dynamic
-// lookup.
+// nodeAlive is consulted per call, so gated runs pass a dynamic lookup.
 func (n *Network) hostedPattern(pat traffic.Pattern, nodeAlive func(v int) bool) func(srcRouter int, rng *rand.Rand) (int, bool) {
 	hosted := n.d.RouterNodes
 	return func(srcRouter int, rng *rand.Rand) (int, bool) {
@@ -356,8 +377,7 @@ func (n *Network) hostedPattern(pat traffic.Pattern, nodeAlive func(v int) bool)
 }
 
 // syntheticResult assembles the unified Result of one open-loop measured
-// window (shared by plain and gate-scheduled synthetic runs, which the
-// telemetry determinism tests compare field for field).
+// window.
 func (n *Network) syntheticResult(res netsim.Results, rate float64) Result {
 	var em energy.Model
 	em.AddFlitHopsRadix(res.FlitHops, n.d.Ports)
@@ -385,30 +405,39 @@ func (n *Network) syntheticResult(res netsim.Results, rate float64) Result {
 // active network, and report IPC, read latency and the energy split.
 // Memory pages live on alive nodes (gating migrates them), and requests
 // travel at router granularity so the concentrated designs work unchanged.
+//
+// Under a gate schedule pages and CPU sockets live on the nodes that stay
+// powered through every phase (gating never strands a socket or a page),
+// the network simulates over the union link set, and gate events apply
+// between co-simulation slices at their scheduled cycles — crossing
+// traffic reroutes around the gated region while the replay keeps
+// running. Rate modulation and regeneration have no closed-loop meaning
+// (offered load emerges from the replay); resolveSchedule rejects them.
 func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload string) (Result, error) {
-	events, err := n.traceSchedule(cfg)
+	sch, err := resolveSchedule(cfg, n.scenarioEnv(cfg.Seed), true)
 	if err != nil {
 		return Result{}, err
 	}
-	if len(events) > 0 {
-		return n.runTraceScheduled(ctx, cfg, workload, events)
+	rec := &scenarioRecorder{}
+	rig, unlock, err := n.lockRun(sch.Gates, rec)
+	if err != nil {
+		return Result{}, err
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var alive []bool
-	if n.net != nil {
-		alive = n.net.AliveSlice()
+	defer unlock()
+	alive := n.startMask()
+	if rig != nil {
+		alive = rig.everAlive
 	}
 	parts, err := n.buildTraceParts(ctx, cfg, workload, alive)
 	if err != nil {
 		return Result{}, err
 	}
-	netCfg := n.snapshotCfg(cfg)
+	netCfg := n.simConfig(cfg, rig)
 	// The snapshot hook reaches through to the co-simulation for the
 	// memory-side occupancy; sys is assigned before any cycle runs, and
 	// callbacks fire on the simulating goroutine.
 	var sys *memsys.System
-	wireTelemetry(&netCfg, cfg, 0, func() int {
+	wireTelemetry(&netCfg, rec.wrap(cfg, 0), 0, func() int {
 		if sys == nil {
 			return 0
 		}
@@ -419,13 +448,19 @@ func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload stri
 		return Result{}, err
 	}
 	sys.Ports = n.d.Ports
-	cycles, done, err := sys.RunToCompletionContext(ctx, cfg.MaxCycles)
-	if err != nil {
+	st := stepper{sim: sys.Sim(), slice: traceSliceCycles, done: sys.Done, run: func(k int64) error {
+		sys.Run(k)
+		if sys.NetResults().Deadlocked {
+			return errors.New("memsys: network deadlocked")
+		}
+		return nil
+	}}
+	if err := drive(ctx, st, cfg.MaxCycles, rig.attach(st.sim)); err != nil {
 		return Result{}, err
 	}
-	if !done {
+	if !sys.Done() {
 		return Result{}, fmt.Errorf("stringfigure: %s trace run did not finish in %d cycles",
-			workload, cycles)
+			workload, st.sim.Cycle())
 	}
 	return traceResult(sys), nil
 }
@@ -439,9 +474,9 @@ type traceParts struct {
 }
 
 // buildTraceParts synthesizes the memory layout and per-socket traces of
-// a closed-loop run over the given alive mask (nil = every node; the
-// scheduled path passes the AND of every phase's mask so pages and
-// sockets never land on a node the schedule gates off).
+// a closed-loop run over the given alive mask (nil = every node; a gated
+// run passes the AND of every phase's mask so pages and sockets never
+// land on a node the schedule gates off).
 func (n *Network) buildTraceParts(ctx context.Context, cfg SessionConfig, workload string, alive []bool) (*traceParts, error) {
 	// Memory pages are interleaved over the alive nodes only — gating a
 	// node migrates its pages rather than dropping its traffic.
@@ -510,7 +545,7 @@ func (n *Network) buildTraceParts(ctx context.Context, cfg SessionConfig, worklo
 }
 
 // traceResult assembles the unified Result of one completed closed-loop
-// co-simulation (shared by the plain and gate-scheduled trace paths).
+// co-simulation.
 func traceResult(sys *memsys.System) Result {
 	mres := sys.Results()
 	netRes := sys.NetResults()

@@ -29,30 +29,6 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-func TestNewFromOptionsShim(t *testing.T) {
-	// The struct constructor and functional options must build identical
-	// networks from identical parameters.
-	a, err := NewFromOptions(Options{Nodes: 48, Seed: 9, Unidirectional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(WithNodes(48), WithSeed(9), Unidirectional())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Ports() != b.Ports() || a.Spaces() != b.Spaces() {
-		t.Fatalf("shim mismatch: %d/%d ports, %d/%d spaces",
-			a.Ports(), b.Ports(), a.Spaces(), b.Spaces())
-	}
-	for v := 0; v < 48; v++ {
-		for s := 0; s < a.Spaces(); s++ {
-			if a.Coordinate(s, v) != b.Coordinate(s, v) {
-				t.Fatalf("coordinate (%d,%d) differs", s, v)
-			}
-		}
-	}
-}
-
 func TestRouteAndMD(t *testing.T) {
 	net, err := New(WithNodes(40), WithSeed(2))
 	if err != nil {

@@ -108,7 +108,8 @@ type PacketTraceEvent struct {
 // GateEvent schedules one reconfiguration inside a running session: at the
 // absolute network cycle (warm-up starts at cycle 0) the node is gated off
 // or back on, mid-simulation — the transient-response scenario behind the
-// paper's elasticity story. See SessionConfig.Gates.
+// paper's elasticity story. Gate events reach a session through a
+// ChurnTrace scenario (SessionConfig.Scenario).
 //
 // Timing follows the four-step protocol (Section VI): a gate-off applies at
 // its scheduled cycle, with the healing shortcut wires charged the 5 us

@@ -8,6 +8,7 @@ package stringfigure_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -161,7 +162,7 @@ func TestGatingTransientTelemetry(t *testing.T) {
 		gates = append(gates, GateEvent{Cycle: gateOn, Node: v, On: true})
 	}
 	cfg := SessionConfig{Rate: 0.1, Warmup: 1000, Measure: 47000, Seed: 3,
-		TelemetryEvery: 500, Gates: gates}
+		TelemetryEvery: 500, Scenario: []ScenarioSpec{ChurnTrace(gates...)}}
 	snaps, done := net.NewSession(cfg).RunTelemetry(context.Background(),
 		SyntheticWorkload{Pattern: "uniform"})
 	var collected []TelemetrySnapshot
@@ -210,6 +211,34 @@ func TestGatingTransientTelemetry(t *testing.T) {
 	}
 }
 
+// TestGatedRunRestoresMaskOnCancel: a gate-scheduled run canceled after
+// its gate-off applied still restores the starting alive mask and releases
+// the network's write lock.
+func TestGatedRunRestoresMaskOnCancel(t *testing.T) {
+	net, err := New(WithNodes(16), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := SessionConfig{Rate: 0.05, Warmup: 200, Measure: 400_000, Seed: 3,
+		Scenario: []ScenarioSpec{ChurnTrace(GateEvent{Cycle: 500, Node: 3})}}
+	cfg = cfg.WithTelemetry(256, func(s TelemetrySnapshot) {
+		if len(s.Scenario) > 0 {
+			cancel()
+		}
+	})
+	if _, err := net.NewSession(cfg).RunContext(ctx, SyntheticWorkload{Pattern: "uniform"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if net.AliveCount() != 16 {
+		t.Errorf("alive count after canceled gated run = %d, want 16", net.AliveCount())
+	}
+	if err := net.GateOff(3); err != nil { // needs the write lock back
+		t.Errorf("GateOff after canceled gated run: %v", err)
+	}
+}
+
 // TestGateScheduleHonorsMinInterval pins the paper's minimum
 // reconfiguration spacing (Section VI, 100 us = 31250 cycles): two gate
 // epochs scheduled closer than that are not applied back to back — the
@@ -225,10 +254,10 @@ func TestGateScheduleHonorsMinInterval(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := SessionConfig{Rate: 0.05, Warmup: 500, Measure: 36000, Seed: 2,
-			Gates: []GateEvent{
-				{Cycle: 2000, Node: 3, On: false},
-				{Cycle: second, Node: 9, On: false},
-			}}
+			Scenario: []ScenarioSpec{ChurnTrace(
+				GateEvent{Cycle: 2000, Node: 3, On: false},
+				GateEvent{Cycle: second, Node: 9, On: false},
+			)}}
 		res, err := net.NewSession(cfg).Run(SyntheticWorkload{Pattern: "uniform"})
 		if err != nil {
 			t.Fatal(err)

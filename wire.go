@@ -59,14 +59,8 @@ func (n *Network) spec() networkSpec {
 
 // build deploys the spec into a fresh Network.
 func (s networkSpec) build() (*Network, error) {
-	net, err := NewFromOptions(Options{
-		Design:         s.Design,
-		Nodes:          s.Nodes,
-		Ports:          s.Ports,
-		Seed:           s.Seed,
-		Unidirectional: s.Unidirectional,
-		NoShortcuts:    s.NoShortcuts,
-	})
+	net, err := options{design: s.Design, nodes: s.Nodes, ports: s.Ports, seed: s.Seed,
+		unidirectional: s.Unidirectional, noShortcuts: s.NoShortcuts}.build()
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +149,6 @@ type wireSessionConfig struct {
 	TelemetryEvery    int64
 	FlowBuckets       int
 	TraceSampleEvery  int64
-	Gates             []GateEvent
 	Scenario          []ScenarioSpec
 	ReferenceCore     bool
 }
@@ -177,7 +170,6 @@ func cfgToWire(c SessionConfig) wireSessionConfig {
 		TelemetryEvery:    c.TelemetryEvery,
 		FlowBuckets:       c.FlowBuckets,
 		TraceSampleEvery:  c.TraceSampleEvery,
-		Gates:             c.Gates,
 		Scenario:          c.Scenario,
 		ReferenceCore:     c.ReferenceCore,
 	}
@@ -200,7 +192,6 @@ func (w wireSessionConfig) cfg() SessionConfig {
 		TelemetryEvery:    w.TelemetryEvery,
 		FlowBuckets:       w.FlowBuckets,
 		TraceSampleEvery:  w.TraceSampleEvery,
-		Gates:             w.Gates,
 		Scenario:          w.Scenario,
 		ReferenceCore:     w.ReferenceCore,
 	}
