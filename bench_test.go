@@ -363,33 +363,62 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// netsimStepBench drives the raw simulator one cycle per benchmark op on a
-// String Figure network of n nodes at the given injection rate. Warmup fills
-// the network to its steady state (queues at their high-water marks, the
-// packet pool primed, flow histograms at their latency high-water), after
-// which the core must run without heap allocations — allocs/op is reported
-// and gated at 0 by bench_baseline.json, and cycles/s is the
-// perf-trajectory headline. flowBuckets > 0 enables per-flow accounting
-// (the BenchmarkNetsimStepFlow variant), pinning the accounting-on
-// overhead next to the observability-off ceiling.
-func netsimStepBench(b *testing.B, n int, rate float64, reference bool, flowBuckets int) {
+// netsimStepConfig is the simulator configuration of the netsim benchmarks
+// for a String Figure network of n nodes. The historical grid points step
+// the four-port uni-directional wire variant with the simulator's five-flit
+// default packets; session selects what the session layer runs instead —
+// the paper's topology (topology.NewPaperSF: PortsForN ports,
+// bi-directional) and one-flit request packets.
+func netsimStepConfig(b *testing.B, n int, session bool) netsim.Config {
 	b.Helper()
-	sf, err := topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 1, Shortcuts: true})
+	build := func() (*topology.StringFigure, error) {
+		return topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 1, Shortcuts: true})
+	}
+	if session {
+		build = func() (*topology.StringFigure, error) { return topology.NewPaperSF(n, 1) }
+	}
+	sf, err := build()
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := netsim.SFConfig(sf, 1)
-	cfg.ReferenceCore = reference
-	cfg.FlowBuckets = flowBuckets
+	if session {
+		cfg.PacketFlits = 1
+	}
+	return cfg
+}
+
+// netsimStepSim builds a fresh simulator over cfg under uniform traffic at
+// the given injection rate.
+func netsimStepSim(b *testing.B, cfg netsim.Config, rate float64) *netsim.Sim {
+	b.Helper()
 	sim, err := netsim.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pat, err := traffic.NewPattern("uniform", n)
+	pat, err := traffic.NewPattern("uniform", len(cfg.Out))
 	if err != nil {
 		b.Fatal(err)
 	}
 	sim.SetPattern(rate, pat)
+	return sim
+}
+
+// netsimStepBench drives the raw simulator one cycle per benchmark op.
+// Warmup fills the network to its steady state (queues at their high-water
+// marks, the packet pool primed, flow histograms at their latency
+// high-water, the route cache warm), after which the core must run without
+// heap allocations — allocs/op is reported and gated at 0 by
+// bench_baseline.json, and cycles/s is the perf-trajectory headline.
+// flowBuckets > 0 enables per-flow accounting (the BenchmarkNetsimStepFlow
+// variant), pinning the accounting-on overhead next to the
+// observability-off ceiling.
+func netsimStepBench(b *testing.B, n int, rate float64, session, reference bool, flowBuckets int) {
+	b.Helper()
+	cfg := netsimStepConfig(b, n, session)
+	cfg.ReferenceCore = reference
+	cfg.FlowBuckets = flowBuckets
+	sim := netsimStepSim(b, cfg, rate)
 	sim.Run(3000)
 	if sim.Results().Deadlocked {
 		b.Fatal("deadlocked during warmup")
@@ -406,71 +435,85 @@ func netsimStepBench(b *testing.B, n int, rate float64, reference bool, flowBuck
 	}
 }
 
-// netsimStepGrid is the benchmark load matrix. Rates are fixed fractions of
-// each size's measured saturation rate (N=64: 0.025, N=256: 0.012, N=1024:
-// 0.006 flits/node/cycle under uniform traffic): "low" is 5% of saturation —
-// the flat region of the latency-load curve, where the event core's
-// idle-router skipping dominates — and "mid" is 40%, below the knee but with
-// most routers busy most cycles. Both reach a stable in-flight population,
+// netsimStepGrid is the benchmark load matrix, in packets per node per
+// cycle. "low" is the near-idle end (N=1024: sfperf's synth-idle rate),
+// where the event core's idle-router skipping dominates, and "light" is
+// 1-5% of the loaded packet rate — most routers still idle most cycles.
+// "loaded" is the regime the figures' rate sweeps and saturation searches
+// run in, configured the way sessions run it (see netsimStepConfig): rate
+// 0.20, sfperf's synth-loaded-n256 — every router busy every cycle, near
+// but under saturation. All three reach a stable in-flight population,
 // which allocs/op needs to be meaningful (an ever-growing source-queue
 // backlog allocates forever on any core).
 var netsimStepGrid = []struct {
-	n    int
-	load string
-	rate float64
+	n       int
+	load    string
+	rate    float64
+	session bool
 }{
-	{64, "low", 0.00125}, {64, "mid", 0.01},
-	{256, "low", 0.0006}, {256, "mid", 0.005},
-	{1024, "low", 0.0003}, {1024, "mid", 0.0025},
+	{64, "low", 0.00125, false}, {64, "light", 0.01, false},
+	{256, "low", 0.0006, false}, {256, "light", 0.005, false}, {256, "loaded", 0.20, true},
+	{1024, "low", 0.0003, false}, {1024, "light", 0.0025, false}, {1024, "loaded", 0.20, true},
 }
 
 // BenchmarkNetsimStep is the netsim hot-loop benchmark grid: cycles/s and
-// allocs/op at N=64/256/1024 under low and mid uniform load. These are the
-// numbers the event-driven core rewrite targets; benchgate holds cycles/s
-// above the bench_baseline.json floors and allocs/op at 0.
+// allocs/op at N=64/256/1024 from near-idle to loaded. benchgate holds
+// cycles/s above the bench_baseline.json floors and allocs/op at 0.
 func BenchmarkNetsimStep(b *testing.B) {
 	for _, g := range netsimStepGrid {
 		b.Run(fmt.Sprintf("N%d_%s", g.n, g.load), func(b *testing.B) {
-			netsimStepBench(b, g.n, g.rate, false, 0)
+			netsimStepBench(b, g.n, g.rate, g.session, false, 0)
 		})
 	}
 }
 
-// BenchmarkNetsimStepFlow is the N=64 mid-load grid point with per-flow
+// BenchmarkNetsimStepCold is the loaded N=256 point the way a sweep point
+// runs it: each op builds a fresh simulator over shared routing tables —
+// empty queues, empty packet pool, cold private route cache — and runs 1000
+// cycles with no warm-up. The warm grid cannot see what this gates:
+// construction, growth to the working set (allocs/op is the whole
+// session's, held under a ceiling) and the price of every cold routing
+// decision.
+func BenchmarkNetsimStepCold(b *testing.B) {
+	b.Run("N256_loaded", func(b *testing.B) {
+		const cycles = 1000
+		cfg := netsimStepConfig(b, 256, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sim := netsimStepSim(b, cfg, 0.20)
+			sim.Run(cycles)
+			if sim.Results().Deadlocked {
+				b.Fatal("deadlocked")
+			}
+		}
+		b.ReportMetric(float64(b.N*cycles)/b.Elapsed().Seconds(), "cycles/s")
+	})
+}
+
+// BenchmarkNetsimStepFlow is the N=64 light-load grid point with per-flow
 // accounting enabled (4×4 src/dst buckets, the sfexp default): the delta
-// against NetsimStep/N64_mid is the observability overhead, and the
+// against NetsimStep/N64_light is the observability overhead, and the
 // allocs/op ceiling pins the accounting path allocation-free in steady
 // state — the flow histograms live in a pre-carved arena that reaches its
 // latency high-water mark during warmup.
 func BenchmarkNetsimStepFlow(b *testing.B) {
-	b.Run("N64_mid", func(b *testing.B) {
-		netsimStepBench(b, 64, 0.01, false, 4)
+	b.Run("N64_light", func(b *testing.B) {
+		netsimStepBench(b, 64, 0.01, false, false, 4)
 	})
 }
 
-// BenchmarkNetsimStepScenario is the N=64 mid-load grid point with a rate
+// BenchmarkNetsimStepScenario is the N=64 light-load grid point with a rate
 // schedule armed: every 1024 cycles the injection rate re-sets, alternating
 // ±25% around the grid rate — the way a compiled diurnal or bursty scenario
 // drives the core between Run slices. SetRate only restarts the geometric
 // skip-sampling trial, so the scheduled path must hold the same 0 allocs/op
 // ceiling as the unscheduled core; the cycles/s delta against
-// NetsimStep/N64_mid is the cost of arming a scenario at all.
+// NetsimStep/N64_light is the cost of arming a scenario at all.
 func BenchmarkNetsimStepScenario(b *testing.B) {
-	b.Run("N64_mid", func(b *testing.B) {
-		const n, rate = 64, 0.01
-		sf, err := topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 1, Shortcuts: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := netsim.New(netsim.SFConfig(sf, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		pat, err := traffic.NewPattern("uniform", n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.SetPattern(rate, pat)
+	b.Run("N64_light", func(b *testing.B) {
+		const rate = 0.01
+		sim := netsimStepSim(b, netsimStepConfig(b, 64, false), rate)
 		sim.Run(3000)
 		if sim.Results().Deadlocked {
 			b.Fatal("deadlocked during warmup")
@@ -503,7 +546,7 @@ func BenchmarkNetsimStepScenario(b *testing.B) {
 // per-node injection draws and per-cycle allocations.
 func BenchmarkNetsimStepRef(b *testing.B) {
 	b.Run("N1024_low", func(b *testing.B) {
-		netsimStepBench(b, 1024, 0.0003, true, 0)
+		netsimStepBench(b, 1024, 0.0003, false, true, 0)
 	})
 }
 

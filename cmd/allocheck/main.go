@@ -9,9 +9,10 @@
 // fmt call on a debug path) and only shows up later as GC pressure.
 //
 // Cold paths are exempt: construction (New, fill, topology wiring),
-// ring.grow (queues reach their high-water capacity once), newPacket
-// (the pool primes itself during warmup), snapshot/results assembly, and
-// the escape-route recompute that only runs on reconfiguration.
+// ring.grow (queues reach their high-water capacity once), growPool (the
+// packet pool doubles toward its high-water mark), snapshot/results
+// assembly, and the escape-route swap that only runs on reconfiguration
+// (it detaches the simulator to a fresh private route cache).
 package main
 
 import (
@@ -40,12 +41,14 @@ var hotFuncs = map[string]bool{
 	"drainSourceQueue": true, "routeHeads": true, "routeUnit": true,
 	"routeFront": true, "arbitrate": true, "arbitrateSlot": true,
 	"scanSlot": true, "scanSlotRef": true, "pickPort": true,
-	// routing helpers
+	"overThreshold": true,
+	// routing helpers (get/put are the route cache's lookup and fill)
 	"candidates": true, "portOf": true, "noteBlocked": true,
-	"assignEscape": true, "escapeHop": true, "InvalidateRoutes": true,
+	"assignEscape": true, "escapeHop": true, "get": true, "put": true,
 	// packet and queue plumbing
 	"enqueuePacket": true, "enqueueSized": true, "purgeHeadPacket": true,
-	"freePacket": true, "recordDelivery": true, "scheduleWake": true,
+	"allocPacket": true, "freePacket": true, "recordDelivery": true,
+	"scheduleWake": true,
 	// ring ops (grow is the deliberate cold-path exception)
 	"Len": true, "push": true, "front": true, "at": true,
 	"popFront": true, "truncate": true, "pop": true,

@@ -122,7 +122,9 @@ func TestDistributedSweepForwardsTelemetry(t *testing.T) {
 func TestDistributedTelemetryWorkerLoss(t *testing.T) {
 	const nodes = 32
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.05, 0.08})
-	cfg := SessionConfig{Warmup: 1000, Measure: 30000, Seed: 3}
+	// Long points (~0.2 s each): worker A's must still be running when the
+	// kill, triggered by the first snapshots, reaches it.
+	cfg := SessionConfig{Warmup: 1000, Measure: 300000, Seed: 3}
 
 	reference, err := New(WithNodes(nodes), WithSeed(4))
 	if err != nil {

@@ -163,6 +163,11 @@ func routerNodes(n, routers int, nodeRouter func(int) int) [][]int {
 
 func fromSF(name string, seed int64, sf *topology.StringFigure) *Design {
 	g := sf.Graph()
+	// One router, adjacency and escape function per design: all three are
+	// read-only, so every session's configuration shares them.
+	out := sf.OutNeighbors()
+	alg := routing.NewGreediestOver(sf, 0, out)
+	escape := netsim.RingEscape(sf, nil)
 	d := &Design{
 		Name:       name,
 		Seed:       seed,
@@ -170,12 +175,15 @@ func fromSF(name string, seed int64, sf *topology.StringFigure) *Design {
 		Routers:    sf.Cfg.N,
 		Ports:      sf.Cfg.Ports,
 		PortBudget: sfPortBudget(sf),
-		Out:        sf.OutNeighbors(),
+		Out:        out,
 		Graph:      g,
-		Alg:        routing.NewGreediest(sf, 0),
+		Alg:        alg,
 		NodeRouter: identity,
 		NetCfg: func(simSeed int64) netsim.Config {
-			return netsim.SFConfig(sf, simSeed)
+			cfg := netsim.SFPolicy(alg, simSeed)
+			cfg.Out = out
+			cfg.EscapeRoute = escape
+			return cfg
 		},
 		SF:             sf,
 		Reconfigurable: name == "sf",

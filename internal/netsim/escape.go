@@ -36,20 +36,31 @@ func RingEscape(sf *topology.StringFigure, alive []bool) func(cur, dst int) (int
 	}
 }
 
-// SFConfig assembles the simulator configuration for a full-scale String
-// Figure network with the paper's policies: greediest routing with two-hop
-// lookahead, the coordinate-direction virtual-channel split on the adaptive
-// channels, adaptive first-hop selection, and the Space-0 ring escape.
-func SFConfig(sf *topology.StringFigure, seed int64) Config {
-	g := routing.NewGreediest(sf, 0)
+// SFPolicy is the paper's String Figure simulator policy around an existing
+// greediest router: the coordinate-direction virtual-channel split over two
+// adaptive channels, two escape channels for the ring dateline, and adaptive
+// first-hop selection. The caller supplies Out and EscapeRoute for the
+// adjacency and alive mask g's tables describe; g is only read, so one
+// router serves any number of configurations.
+func SFPolicy(g *routing.Greediest, seed int64) Config {
 	return Config{
-		Out:         sf.OutNeighbors(),
-		Alg:         g,
-		VCPolicy:    g.VirtualChannel,
-		EscapeVCs:   2,
-		VCs:         4,
-		EscapeRoute: RingEscape(sf, nil),
-		Adaptive:    AdaptiveFirstHop,
-		Seed:        seed,
+		Alg:       g,
+		VCPolicy:  g.VirtualChannel,
+		EscapeVCs: 2,
+		VCs:       4,
+		Adaptive:  AdaptiveFirstHop,
+		Seed:      seed,
 	}
+}
+
+// SFConfig assembles the simulator configuration for a full-scale String
+// Figure network with the paper's policies: a freshly built greediest
+// router with two-hop lookahead under SFPolicy, and the Space-0 ring
+// escape. Callers that already hold a router use SFPolicy and skip the
+// table build.
+func SFConfig(sf *topology.StringFigure, seed int64) Config {
+	cfg := SFPolicy(routing.NewGreediest(sf, 0), seed)
+	cfg.Out = sf.OutNeighbors()
+	cfg.EscapeRoute = RingEscape(sf, nil)
+	return cfg
 }

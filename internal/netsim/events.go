@@ -78,6 +78,13 @@ const (
 	wheelMask = wheelSize - 1
 )
 
+// wakeList is one wheel bucket: the first and last link of a FIFO list
+// threaded through Sim.wakeNext. head < 0 marks it empty (tail is then
+// stale).
+type wakeList struct {
+	head, tail int32
+}
+
 // activeSet is the router worklist: a bitmap of routers that may have work
 // this cycle (flits queued in input units, or source-queue flits waiting to
 // drain). Iteration is in ascending router index order, which the credit

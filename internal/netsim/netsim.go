@@ -97,6 +97,11 @@ type Config struct {
 	// its Results and Snapshots against the event-driven core, which must
 	// match bit for bit.
 	ReferenceCore bool
+	// Routes, when set, is a route cache shared with other simulators built
+	// over the same Alg and Out (see RouteCache); nil gives the simulator a
+	// private one. Results are identical either way. The caller keeps Alg's
+	// tables and Out unchanged for as long as any simulator runs on it.
+	Routes *RouteCache
 	// Seed drives injection randomness.
 	Seed int64
 }
@@ -139,6 +144,17 @@ func (c *Config) fill() error {
 	}
 	return nil
 }
+
+// Seed capacities, so that a session started cold — the regime every sweep
+// point runs in — reaches its working set without a burst of small
+// allocations: the packet pool's first slab (see growPool), and each
+// router's source queue, carved from one arena at New (a ring, so a power
+// of two).
+const (
+	poolSeed    = 64
+	poolSlabMax = 4096
+	srcQSeed    = 8
+)
 
 // packet is one in-flight packet. Packets are pooled: a packet returns to
 // the free list when its last flit retires (ejects or is purged), so
@@ -335,11 +351,15 @@ type Sim struct {
 	// active is the worklist of routers with queued or waiting flits. The
 	// wake calendar of pending link arrivals is split between wheel (a
 	// timing wheel of the next wheelSize cycles, O(1) per wake) and events
-	// (the overflow heap for far wakes). All are maintained only by the
-	// event-driven core (the reference core scans).
-	active activeSet
-	wheel  [wheelSize][]int32
-	events eventHeap
+	// (the overflow heap for far wakes). A link has at most one wake
+	// outstanding, so a wheel bucket is a FIFO list threaded through
+	// wakeNext (one slot per link) and arming a wake never allocates. All
+	// are maintained only by the event-driven core (the reference core
+	// scans).
+	active   activeSet
+	wheel    [wheelSize]wakeList
+	wakeNext []int32
+	events   eventHeap
 	// linkAt[l] locates global link l: the router owning it and its output
 	// port there, in one record so a wake touches one cache line.
 	linkAt []linkLoc
@@ -349,8 +369,10 @@ type Sim struct {
 	// is how the determinism suite cross-checks the counter.
 	flitsIn int
 
-	// pool is the packet free list.
-	pool []*packet
+	// pool is the packet free list; pooled counts the packets ever
+	// allocated into it (see growPool).
+	pool   []*packet
+	pooled int
 
 	// portStamp/portVal implement the neighbor-to-output-port lookup
 	// without per-router maps: portOf stamps the current router's
@@ -373,19 +395,15 @@ type Sim struct {
 	rsc        routing.Scratch
 	balg       routing.BufferedAlgorithm // non-nil when Alg supports batching
 
-	// rcPort is the event core's persistent route cache: the resolved
-	// routing outcome per (cur, dst) pair, indexed cur*n + dst. At any
-	// hop where the adaptive policy does not apply (every hop beyond the
-	// source under AdaptiveFirstHop), the candidates → pickPort decision
-	// depends only on the routing tables and static coordinates — never
-	// on credits or other dynamic state — so its outcome stays valid
-	// across cycles until the tables mutate. Entries hold the chosen
-	// output port, rcNoRoute (no adaptive candidates: escape or drop),
-	// rcNoPort (candidates resolve to no usable port: drop), or rcEmpty
-	// (not yet computed). InvalidateRoutes resets the cache; the
-	// scheduled-gates path flushes it via SetEscapeRoute, which its
-	// apply step always calls right after mutating tables.
-	rcPort []int8
+	// rc is the event core's route cache (Config.Routes, or a private
+	// instance): the table-deterministic outcome per (cur, dst). nil on the
+	// reference core and under AdaptiveEveryHop, where no hop is
+	// table-deterministic, and on networks too large for the table.
+	rc *RouteCache
+	// overThresholdHops counts adaptive-hop decisions that found the
+	// deterministic port at or over AdaptiveThreshold and evaluated the
+	// full candidate set (the tests' witness that the branch ran).
+	overThresholdHops int64
 
 	// scanSawLive is set by noteBlocked during a grant scan when a blocked
 	// candidate's starvation counter is live (adaptive VC, head at front):
@@ -412,19 +430,17 @@ func New(cfg Config) (*Sim, error) {
 		portRouter: -1,
 		memoRouter: -1,
 	}
-	// The persistent route cache is quadratic in n (one byte per pair);
-	// skip it beyond ~16M pairs (16 MiB), or when a port index would not
-	// fit the byte encoding — the fast path degrades to the per-pass
-	// memo. The reference core never consults it.
+	if cfg.Routes != nil && cfg.Routes.n != n {
+		return nil, fmt.Errorf("netsim: route cache built for %d routers, network has %d", cfg.Routes.n, n)
+	}
 	maxPorts := 0
 	for _, row := range cfg.Out {
-		if len(row) > maxPorts {
-			maxPorts = len(row)
-		}
+		maxPorts = max(maxPorts, len(row))
 	}
-	if !cfg.ReferenceCore && n*n <= 1<<24 && maxPorts < 125 {
-		s.rcPort = make([]int8, n*n)
-		s.InvalidateRoutes()
+	if !cfg.ReferenceCore && cfg.Adaptive != AdaptiveEveryHop && maxPorts <= rcMaxPort+1 {
+		if s.rc = cfg.Routes; s.rc == nil {
+			s.rc = NewRouteCache(n)
+		}
 	}
 	s.routers = make([]*router, n)
 	rarena := make([]router, n) // contiguous router structs: s.routers[v] derefs stay in cache
@@ -483,6 +499,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	flitA := make([]flit, totIn*fcap)
 	infA := make([]inflight, totLinks*4)
+	srcA := make([]flit, n*srcQSeed)
 	carve := func(n int, a *[]uint64) []uint64 {
 		s := (*a)[:n:n]
 		*a = (*a)[n:]
@@ -499,6 +516,7 @@ func New(cfg Config) (*Sim, error) {
 			r.in[i].vc = int32(i % cfg.VCs)
 			r.in[i].q.buf, flitA = flitA[:fcap:fcap], flitA[fcap:]
 		}
+		r.srcQ.buf, srcA = srcA[:srcQSeed:srcQSeed], srcA[srcQSeed:]
 		r.links, linkA = linkA[:nout:nout], linkA[nout:]
 		for p := range r.links {
 			r.links[p].buf, infA = infA[:4:4], infA[4:]
@@ -521,6 +539,10 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	s.linkAt = make([]linkLoc, links)
+	s.wakeNext = make([]int32, links)
+	for i := range s.wheel {
+		s.wheel[i].head = -1
+	}
 	for _, r := range s.routers {
 		for p := range r.outNbr {
 			s.linkAt[r.linkBase+int32(p)] = linkLoc{rtr: int32(r.id), port: int32(p)}
@@ -642,13 +664,17 @@ func (s *Sim) deliverLinkFlits() {
 	for len(s.events) > 0 && s.events[0].arrive <= s.cycle {
 		s.wakeLink(s.events.pop().link)
 	}
+	// Detach this cycle's bucket before walking it: wakeLink re-arms the
+	// link it serves, always for a later cycle and hence another bucket,
+	// overwriting that link's wakeNext slot.
 	b := &s.wheel[s.cycle&wheelMask]
-	// Re-arms from wakeLink always target a later cycle, hence a different
-	// bucket: plain indexed iteration is safe.
-	for i := 0; i < len(*b); i++ {
-		s.wakeLink((*b)[i])
+	link := b.head
+	b.head = -1
+	for link >= 0 {
+		next := s.wakeNext[link]
+		s.wakeLink(link)
+		link = next
 	}
-	*b = (*b)[:0]
 }
 
 // wakeLink delivers the arrived prefix of one link's delay line and re-arms
@@ -675,7 +701,14 @@ func (s *Sim) wakeLink(link int32) {
 // its span, the overflow heap beyond it.
 func (s *Sim) scheduleWake(arrive int64, link int32) {
 	if arrive-s.cycle < wheelSize {
-		s.wheel[arrive&wheelMask] = append(s.wheel[arrive&wheelMask], link)
+		b := &s.wheel[arrive&wheelMask]
+		s.wakeNext[link] = -1
+		if b.head < 0 {
+			b.head = link
+		} else {
+			s.wakeNext[b.tail] = link
+		}
+		b.tail = link
 	} else {
 		s.events.push(linkEvent{arrive: arrive, link: link})
 	}
@@ -721,13 +754,13 @@ func (s *Sim) deliverFlit(r *router, p int, f flit) {
 }
 
 // routeFront tries to resolve the route of a head flit that just became
-// the front of an input unit, straight from the persistent route cache —
+// the front of an input unit, straight from the route cache —
 // the event core's shortcut past the attention pass. Deliveries all happen
 // before any router's route pass, and the outcomes served here (ejection,
 // cached table-deterministic ports) depend on no dynamic state, so
 // assigning them during delivery is indistinguishable from routeUnit
 // assigning them later the same cycle. Any case this cannot decide
-// identically — first hops, escape traffic, cache misses, drop outcomes —
+// identically — escape traffic, cache misses, drop outcomes —
 // is declined, leaving the unit on the attention path for routeUnit.
 func (s *Sim) routeFront(r *router, iu *inputUnit, unit int, f flit) bool {
 	if s.cfg.ReferenceCore || !f.head || f.pkt.escaped {
@@ -740,18 +773,19 @@ func (s *Sim) routeFront(r *router, iu *inputUnit, unit int, f flit) bool {
 		r.candSet(eject, unit)
 		return true
 	}
-	if s.rcPort == nil || s.cfg.Adaptive == AdaptiveEveryHop ||
-		(s.cfg.Adaptive == AdaptiveFirstHop && unit >= len(r.in)-s.cfg.VCs) {
+	// Link deliveries never land in an injection unit, so this is never a
+	// first hop: the cached outcome is the whole decision.
+	if s.rc == nil {
 		return false
 	}
-	outcome := s.rcPort[r.id*len(s.routers)+f.pkt.dst]
+	outcome := s.rc.get(r.id, f.pkt.dst)
 	if outcome < 0 {
 		return false
 	}
-	iu.route = int(outcome)
+	iu.route = outcome
 	iu.outVC = f.pkt.advc
 	iu.blocked = 0
-	r.candSet(int(outcome), unit)
+	r.candSet(outcome, unit)
 	return true
 }
 
@@ -819,24 +853,34 @@ func (s *Sim) adaptiveVC(src, dst int) int {
 	return s.cfg.EscapeVCs + pick
 }
 
-// allocPacket takes a packet from the pool, falling back to the heap only
-// when the pool is dry (growth toward the steady-state in-flight
-// high-water mark).
+// allocPacket takes a packet from the pool, growing the pool when it is
+// dry (growth toward the steady-state in-flight high-water mark).
 func (s *Sim) allocPacket() *packet {
-	if n := len(s.pool); n > 0 {
-		p := s.pool[n-1]
-		s.pool[n-1] = nil
-		s.pool = s.pool[:n-1]
-		return p
+	if len(s.pool) == 0 {
+		s.growPool()
 	}
-	return newPacket()
+	n := len(s.pool)
+	p := s.pool[n-1]
+	s.pool[n-1] = nil
+	s.pool = s.pool[:n-1]
+	return p
 }
 
-// newPacket is the pool-miss slow path, kept out of the hot functions so
-// the escape-analysis gate can pin them allocation-free.
+// growPool is the pool-miss slow path, kept out of the hot functions so the
+// escape-analysis gate can pin them allocation-free. It adds one slab as
+// large as the population so far, within [poolSeed, poolSlabMax]: reaching
+// a modest high-water mark costs O(log) allocations instead of one per
+// packet, while a backlog that keeps growing (a run past saturation) is
+// never over-provisioned by more than one bounded slab.
 //
 //go:noinline
-func newPacket() *packet { return new(packet) }
+func (s *Sim) growPool() {
+	slab := make([]packet, min(max(poolSeed, s.pooled), poolSlabMax))
+	s.pooled += len(slab)
+	for i := range slab {
+		s.pool = append(s.pool, &slab[i])
+	}
+}
 
 // freePacket returns a fully retired packet to the pool.
 func (s *Sim) freePacket(p *packet) { s.pool = append(s.pool, p) }
@@ -909,13 +953,6 @@ func (s *Sim) drainSourceQueue(r *router) {
 	}
 }
 
-// Route cache sentinels (see Sim.rcPort).
-const (
-	rcEmpty   int8 = -3 // outcome not yet computed
-	rcNoPort  int8 = -2 // candidates resolve to no usable port: drop
-	rcNoRoute int8 = -1 // no adaptive candidates: escape or drop
-)
-
 // candidates resolves the adaptive next-hop candidates for cur toward dst.
 // The event core batches: one metric evaluation per (router pass,
 // destination) through the memo; the reference core (or a non-batching
@@ -940,16 +977,6 @@ func (s *Sim) candidates(cur, dst int) []int {
 	s.memoKeys = append(s.memoKeys, int32(dst))
 	s.memoOffs = append(s.memoOffs, int32(len(s.memoBuf)))
 	return s.memoBuf[s.memoOffs[len(s.memoOffs)-2]:]
-}
-
-// InvalidateRoutes flushes the persistent route cache. Callers that mutate
-// the routing tables mid-run (GateOn/GateOff outside the scheduled-gates
-// path) must call it — or SetEscapeRoute, which implies it — before the
-// next Run slice.
-func (s *Sim) InvalidateRoutes() {
-	for i := range s.rcPort {
-		s.rcPort[i] = rcEmpty
-	}
 }
 
 // portOf resolves which output port of r (if any) leads to node, stamping
@@ -1043,41 +1070,43 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 		}
 		return
 	}
-	// At a hop where the adaptive policy does not apply, the routing
-	// decision is a pure function of the tables: serve it from the
-	// persistent route cache, falling back to candidates → pickPort on a
-	// miss and recording the outcome. Adaptive hops (which read credit
-	// state) always take the slow path and are never cached.
-	// A packet sits at its source router only in an injection unit (the
-	// adaptive channels strictly decrease the routing metric, so a
-	// forwarded packet never revisits its source; escape packets were
-	// handled above), which makes the first-hop test a pure index check.
+	// The deterministic outcome — the first candidate's port, or a no-route
+	// verdict — is a pure function of the tables, served from the route
+	// cache at every hop and computed (and recorded) on a miss. At an
+	// adaptive hop the paper's policy keeps that port unless its queue is
+	// at or over the threshold, so only then is the full candidate set
+	// evaluated against credit state; that result is never cached.
+	adaptive := s.cfg.Adaptive == AdaptiveEveryHop ||
+		(s.cfg.Adaptive == AdaptiveFirstHop && r.id == f.pkt.src)
 	outcome := rcEmpty
-	cacheable := s.rcPort != nil &&
-		!(s.cfg.Adaptive == AdaptiveEveryHop ||
-			(s.cfg.Adaptive == AdaptiveFirstHop && i >= len(r.in)-s.cfg.VCs))
-	if cacheable {
-		outcome = s.rcPort[r.id*len(s.routers)+f.pkt.dst]
+	if s.rc != nil {
+		outcome = s.rc.get(r.id, f.pkt.dst)
 	}
+	var cands []int
 	if outcome == rcEmpty {
-		cands := s.candidates(r.id, f.pkt.dst)
+		cands = s.candidates(r.id, f.pkt.dst)
 		if len(cands) == 0 {
 			outcome = rcNoRoute
-		} else if port := s.pickPort(r, f.pkt, cands); port >= 0 {
-			outcome = int8(port)
 		} else {
-			outcome = rcNoPort
+			outcome = s.pickPort(r, f.pkt, cands, false)
 		}
-		if cacheable {
-			s.rcPort[r.id*len(s.routers)+f.pkt.dst] = outcome
+		if s.rc != nil {
+			s.rc.put(r.id, f.pkt.dst, outcome)
 		}
+	}
+	if adaptive && outcome >= 0 && s.overThreshold(r, outcome, f.pkt.advc) {
+		if cands == nil {
+			cands = s.candidates(r.id, f.pkt.dst)
+		}
+		s.overThresholdHops++
+		outcome = s.pickPort(r, f.pkt, cands, true)
 	}
 	switch {
 	case outcome >= 0:
-		iu.route = int(outcome)
+		iu.route = outcome
 		iu.outVC = f.pkt.advc
 		iu.blocked = 0
-		r.candSet(int(outcome), i)
+		r.candSet(outcome, i)
 		r.attnClear(i)
 	case outcome == rcNoRoute:
 		// Unroutable on the adaptive network: try escape before
@@ -1147,11 +1176,19 @@ func (s *Sim) escapeHop(cur, dst int) (int, int) {
 	return cands[0], 0
 }
 
-// pickPort maps the candidate next hops to an output port, applying the
-// adaptive policy: below the occupancy threshold the deterministic first
-// candidate wins; above it, the candidate with the most downstream credits
-// (i.e. the lightest port counter) is chosen.
-func (s *Sim) pickPort(r *router, p *packet, cands []int) int {
+// overThreshold reports whether output port's queue on the given VC is at
+// or over the adaptive occupancy threshold.
+func (s *Sim) overThreshold(r *router, port, vc int) bool {
+	occupied := s.cfg.BufFlits - int(r.ovcs[port*s.cfg.VCs+vc].cred)
+	return float64(occupied) >= s.cfg.AdaptiveThreshold*float64(s.cfg.BufFlits)
+}
+
+// pickPort maps the candidate next hops to an output port (rcNoPort when
+// none is a link). Without adaptive it is the deterministic choice, the
+// first candidate; with it, the paper's policy: below the occupancy
+// threshold the deterministic port wins, at or above it the candidate with
+// the most downstream credits (i.e. the lightest port counter) is chosen.
+func (s *Sim) pickPort(r *router, p *packet, cands []int, adaptive bool) int {
 	first := s.portOf(r, cands[0])
 	if first < 0 {
 		// The algorithm proposed a non-link (stale tables mid-reconfig);
@@ -1161,16 +1198,10 @@ func (s *Sim) pickPort(r *router, p *packet, cands []int) int {
 				return pt
 			}
 		}
-		return -2
+		return rcNoPort
 	}
-	adaptive := s.cfg.Adaptive == AdaptiveEveryHop ||
-		(s.cfg.Adaptive == AdaptiveFirstHop && r.id == p.src)
-	if !adaptive || len(cands) == 1 {
+	if !adaptive || len(cands) == 1 || !s.overThreshold(r, first, p.advc) {
 		return first
-	}
-	occupied := s.cfg.BufFlits - int(r.ovcs[first*s.cfg.VCs+p.advc].cred)
-	if float64(occupied) < s.cfg.AdaptiveThreshold*float64(s.cfg.BufFlits) {
-		return first // deterministic port below threshold: keep it
 	}
 	best, bestCred := first, r.ovcs[first*s.cfg.VCs+p.advc].cred
 	for _, c := range cands[1:] {
@@ -1549,9 +1580,12 @@ func (s *Sim) ResetStats() {
 func (s *Sim) SetEscapeRoute(f func(cur, dst int) (next int, escVC int)) {
 	s.cfg.EscapeRoute = f
 	// Reconfiguration swaps the escape route exactly when the routing
-	// tables have just mutated (GateOn/GateOff), so the candidate cache
-	// flushes here.
-	s.InvalidateRoutes()
+	// tables have just mutated (GateOn/GateOff), so the cached outcomes are
+	// stale. The old cache may be shared with simulators that must not see
+	// it change under them: detach to a fresh private one.
+	if s.rc != nil {
+		s.rc = NewRouteCache(s.rc.n)
+	}
 }
 
 // SetRate swaps the synthetic injection rate mid-run, keeping the

@@ -1,0 +1,213 @@
+package netsim
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/routing"
+	"repro/internal/topology"
+	"repro/internal/traffic"
+)
+
+// TestRouteCacheEncoding pins the byte packing: every outcome round-trips,
+// neighbors in one word do not disturb each other, and a repeated fill is a
+// no-op.
+func TestRouteCacheEncoding(t *testing.T) {
+	c := NewRouteCache(5)
+	for cur := 0; cur < 5; cur++ {
+		for dst := 0; dst < 5; dst++ {
+			if got := c.get(cur, dst); got != rcEmpty {
+				t.Fatalf("fresh cache holds %d at (%d,%d)", got, cur, dst)
+			}
+		}
+	}
+	want := map[[2]int]int{{0, 0}: rcNoPort, {0, 1}: rcNoRoute, {0, 2}: 0, {0, 3}: rcMaxPort, {4, 4}: 7}
+	for k, v := range want {
+		c.put(k[0], k[1], v)
+		c.put(k[0], k[1], v)
+	}
+	for cur := 0; cur < 5; cur++ {
+		for dst := 0; dst < 5; dst++ {
+			w, ok := want[[2]int{cur, dst}]
+			if !ok {
+				w = rcEmpty
+			}
+			if got := c.get(cur, dst); got != w {
+				t.Errorf("(%d,%d) = %d, want %d", cur, dst, got, w)
+			}
+		}
+	}
+	c.Reset()
+	if got := c.get(0, 3); got != rcEmpty {
+		t.Errorf("after Reset (0,3) = %d", got)
+	}
+	if NewRouteCache(1<<12+1) != nil {
+		t.Error("cache allocated past the 16M-pair bound")
+	}
+	var none *RouteCache
+	none.Reset() // a network without a cache resets nothing
+}
+
+// routeCacheDesigns builds the three routing families the cache meets: the
+// reconfigurable String Figure and its S2 ancestor (adaptive first hop, the
+// cache serves every hop) and the flattened butterfly (adaptive at every
+// hop: the simulator must ignore a cache it is handed).
+func routeCacheDesigns(t *testing.T) map[string]Config {
+	t.Helper()
+	const n = 32
+	sf, err := topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 3, Shortcuts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := topology.NewS2(n, 4, 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := topology.NewFlattenedButterfly(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := fb.Graph()
+	out := make([][]int, fb.Routers())
+	for v := range out {
+		out[v] = g.UniqueOutNeighbors(v)
+	}
+	return map[string]Config{
+		"sf": SFConfig(sf, 7),
+		"s2": SFConfig(s2, 7),
+		"fb": {Out: out, Alg: &routing.ButterflyRouter{B: fb}, EscapeVCs: 1, VCs: 3,
+			Adaptive: AdaptiveEveryHop, Seed: 7},
+	}
+}
+
+// cacheRun is one simulation's observable output plus the witness counter.
+type cacheRun struct {
+	res   Results
+	snaps []Snapshot
+	over  int64
+}
+
+// runCached drives a fixed loaded-then-drained scenario over cfg. The load
+// is well past saturation, so injection-port queues sit at or over the
+// adaptive threshold and first hops take the full-candidate branch.
+func runCached(t *testing.T, cfg Config) cacheRun {
+	t.Helper()
+	var out cacheRun
+	cfg.SnapshotEvery = 64
+	cfg.OnSnapshot = func(sn Snapshot) { out.snaps = append(out.snaps, sn) }
+	s, err := New(cfg)
+	if err != nil {
+		t.Error(err)
+		return out
+	}
+	pat, err := traffic.NewPattern("uniform", len(cfg.Out))
+	if err != nil {
+		t.Error(err)
+		return out
+	}
+	s.SetPattern(0.4, pat)
+	s.Run(200)
+	s.ResetStats()
+	s.Run(500)
+	s.SetPattern(0, pat)
+	s.Run(300)
+	out.res, out.over = s.Results(), s.overThresholdHops
+	return out
+}
+
+func (a cacheRun) equal(b cacheRun) bool {
+	return reflect.DeepEqual(a.res, b.res) && reflect.DeepEqual(a.snaps, b.snaps)
+}
+
+// TestSharedRouteCacheIdentity is the sharing contract at the simulator
+// boundary: for each routing family, a run on a shared cache — cold, then
+// warm from the previous run, then racing three other simulators on one
+// cold cache — is indistinguishable from a run on a private cache and from
+// the reference core, which never reads a cache. The over-threshold branch
+// must have fired, or the test proved nothing about adaptive first hops.
+func TestSharedRouteCacheIdentity(t *testing.T) {
+	for name, cfg := range routeCacheDesigns(t) {
+		private := runCached(t, cfg)
+		if private.over == 0 {
+			t.Errorf("%s: no adaptive hop found its port over the threshold; raise the load", name)
+		}
+		ref := cfg
+		ref.ReferenceCore = true
+		if got := runCached(t, ref); !got.equal(private) {
+			t.Errorf("%s: private-cache run diverges from the reference core", name)
+		} else if got.over != private.over {
+			t.Errorf("%s: over-threshold hops %d on the reference core, %d on the event core", name, got.over, private.over)
+		}
+
+		shared := cfg
+		shared.Routes = NewRouteCache(len(cfg.Out))
+		for _, phase := range []string{"cold", "warm"} {
+			if got := runCached(t, shared); !got.equal(private) || got.over != private.over {
+				t.Errorf("%s: %s shared-cache run diverges from the private-cache run", name, phase)
+			}
+		}
+		filled := 0
+		for i := range shared.Routes.words {
+			if shared.Routes.words[i].Load() != 0 {
+				filled++
+			}
+		}
+		if wantFill := cfg.Adaptive != AdaptiveEveryHop; (filled > 0) != wantFill {
+			t.Errorf("%s: shared cache has %d filled words, want filled=%v", name, filled, wantFill)
+		}
+
+		shared.Routes = NewRouteCache(len(cfg.Out))
+		runs := make([]cacheRun, 4)
+		var wg sync.WaitGroup
+		for i := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runs[i] = runCached(t, shared)
+			}()
+		}
+		wg.Wait()
+		for i, got := range runs {
+			if !got.equal(private) {
+				t.Errorf("%s: concurrent shared-cache run %d diverges from the private-cache run", name, i)
+			}
+		}
+	}
+}
+
+// TestSetEscapeRouteDetaches pins the reconfiguration side of sharing: a
+// simulator whose tables changed under it leaves the shared cache alone —
+// other simulators may still be running on it — and continues on a fresh
+// private one.
+func TestSetEscapeRouteDetaches(t *testing.T) {
+	cfg := routeCacheDesigns(t)["sf"]
+	cfg.Routes = NewRouteCache(len(cfg.Out))
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := traffic.NewPattern("uniform", len(cfg.Out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetPattern(0.1, pat)
+	s.Run(300)
+	before := make([]uint32, len(cfg.Routes.words))
+	for i := range before {
+		before[i] = cfg.Routes.words[i].Load()
+	}
+	s.SetEscapeRoute(cfg.EscapeRoute)
+	if s.rc == cfg.Routes {
+		t.Fatal("SetEscapeRoute kept the shared cache")
+	}
+	s.Run(300)
+	for i := range before {
+		if got := cfg.Routes.words[i].Load(); got != before[i] {
+			t.Fatalf("shared cache word %d changed from %#x to %#x after the simulator detached", i, before[i], got)
+		}
+	}
+	if _, err := New(Config{Out: cfg.Out[:8], Alg: cfg.Alg, Routes: cfg.Routes}); err == nil {
+		t.Error("New accepted a route cache built for another network size")
+	}
+}

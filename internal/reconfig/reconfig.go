@@ -69,11 +69,9 @@ func New(sf *topology.StringFigure) *Network {
 		}
 	}
 	n.out = n.deriveAdjacency()
-	n.Router = routing.NewGreediest(sf, 0)
-	// The freshly built router tables already match the full-scale
-	// adjacency; recompute anyway so that dedup rules agree byte-for-byte
-	// with later incremental updates.
-	n.Router.Tables = routing.BuildTables(sf.Cfg.N, n.out)
+	// Tables come from the derived adjacency, not sf.OutNeighbors(), so
+	// that dedup rules agree byte-for-byte with later incremental updates.
+	n.Router = routing.NewGreediestOver(sf, 0, n.out)
 	return n
 }
 

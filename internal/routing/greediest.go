@@ -36,14 +36,19 @@ type Greediest struct {
 // neighbor as two-hop entries. bits selects coordinate quantization
 // (0 = exact).
 func NewGreediest(sf *topology.StringFigure, bits int) *Greediest {
-	g := &Greediest{
+	return NewGreediestOver(sf, bits, sf.OutNeighbors())
+}
+
+// NewGreediestOver builds the greediest router with tables for the given
+// active out-adjacency — the reconfiguration engine's entry point, whose
+// adjacency follows the alive mask rather than the full-scale design.
+func NewGreediestOver(sf *topology.StringFigure, bits int, out [][]int) *Greediest {
+	return &Greediest{
 		Coords:    NewCoordinates(sf.Coord, bits),
 		Metric:    MetricFor(sf.Cfg.Bidirectional),
+		Tables:    BuildTables(sf.Cfg.N, out),
 		Lookahead: true,
 	}
-	out := sf.OutNeighbors()
-	g.Tables = BuildTables(sf.Cfg.N, out)
-	return g
 }
 
 // BuildTables constructs per-node routing tables from an out-neighbor

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -230,5 +231,51 @@ func TestRouteSelfIsTrivial(t *testing.T) {
 	path, err := g.Route(3, 3)
 	if err != nil || len(path) != 1 || path[0] != 3 {
 		t.Fatalf("Route(3,3) = %v, %v; want [3]", path, err)
+	}
+}
+
+// TestCoordinatesMatchPerCallFormula pins the quantize-once, node-major
+// layout to the definition it replaced: At is floor(x*2^bits)/2^bits of the
+// topology's coordinate (x itself at bits 0), and MD is the minimum over
+// spaces of the metric's distance between those values — bit for bit, for
+// both metrics.
+func TestCoordinatesMatchPerCallFormula(t *testing.T) {
+	sf, err := topology.NewStringFigure(topology.Config{N: 48, Ports: 6, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bits := range []int{0, 7, 12} {
+		c := NewCoordinates(sf.Coord, bits)
+		at := func(s, v int) float64 {
+			x := sf.Coord[s][v]
+			if bits > 0 {
+				scale := math.Pow(2, float64(bits))
+				return math.Floor(x*scale) / scale
+			}
+			return x
+		}
+		for _, m := range []Metric{Symmetric, Clockwise} {
+			for u := 0; u < 48; u++ {
+				for v := 0; v < 48; v++ {
+					want := math.Inf(1)
+					for s := 0; s < c.Spaces(); s++ {
+						if c.At(s, u) != at(s, u) {
+							t.Fatalf("bits %d: At(%d,%d) = %v, want %v", bits, s, u, c.At(s, u), at(s, u))
+						}
+						d := topology.CircularDistance(at(s, u), at(s, v))
+						if m == Clockwise {
+							d = topology.ClockwiseDistance(at(s, u), at(s, v))
+						}
+						if d != c.Distance(m, s, u, v) {
+							t.Fatalf("bits %d %v: Distance(%d,%d,%d) = %v, want %v", bits, m, s, u, v, c.Distance(m, s, u, v), d)
+						}
+						want = math.Min(want, d)
+					}
+					if got := c.MD(m, u, v); got != want {
+						t.Fatalf("bits %d %v: MD(%d,%d) = %v, want %v", bits, m, u, v, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -39,21 +39,36 @@ func MetricFor(bidirectional bool) Metric {
 
 // Coordinates is a read-only view of per-space virtual coordinates, with
 // optional fixed-point quantization emulating the 7-bit coordinate fields of
-// the hardware routing table.
+// the hardware routing table. Quantization is applied once, at construction:
+// q holds the coordinates exactly as the router sees them, node-major, so
+// the distance between two nodes reads two contiguous rows.
 type Coordinates struct {
 	spaces int
-	coord  [][]float64 // [space][node]
-	scale  float64     // 0 = exact; else 2^bits
+	q      []float64 // q[v*spaces+s]: node v's quantized coordinate in space s
 }
 
-// NewCoordinates wraps a topology's coordinate arrays. bits selects the
-// quantization width (0 = exact float coordinates; the paper's hardware
-// stores 7 bits, which only disambiguates networks up to ~128 nodes — see
-// EXPERIMENTS.md).
+// NewCoordinates snapshots a topology's coordinate arrays ([space][node]).
+// bits selects the quantization width (0 = exact float coordinates; the
+// paper's hardware stores 7 bits, which only disambiguates networks up to
+// ~128 nodes — see EXPERIMENTS.md).
 func NewCoordinates(coord [][]float64, bits int) *Coordinates {
-	c := &Coordinates{spaces: len(coord), coord: coord}
+	c := &Coordinates{spaces: len(coord)}
+	if c.spaces == 0 {
+		return c
+	}
+	scale := 0.0
 	if bits > 0 {
-		c.scale = math.Pow(2, float64(bits))
+		scale = math.Pow(2, float64(bits))
+	}
+	n := len(coord[0])
+	c.q = make([]float64, n*c.spaces)
+	for s, row := range coord {
+		for v, x := range row {
+			if scale > 0 {
+				x = math.Floor(x*scale) / scale
+			}
+			c.q[v*c.spaces+s] = x
+		}
 	}
 	return c
 }
@@ -62,13 +77,7 @@ func NewCoordinates(coord [][]float64, bits int) *Coordinates {
 func (c *Coordinates) Spaces() int { return c.spaces }
 
 // At returns node v's (possibly quantized) coordinate in space s.
-func (c *Coordinates) At(s, v int) float64 {
-	x := c.coord[s][v]
-	if c.scale > 0 {
-		return math.Floor(x*c.scale) / c.scale
-	}
-	return x
-}
+func (c *Coordinates) At(s, v int) float64 { return c.q[v*c.spaces+s] }
 
 // Distance returns the metric distance from u to v in space s.
 func (c *Coordinates) Distance(m Metric, s, u, v int) float64 {
@@ -82,9 +91,20 @@ func (c *Coordinates) Distance(m Metric, s, u, v int) float64 {
 // MD returns the minimum distance from u to v across all spaces — the MD
 // function of Section III-B (or its clockwise analog).
 func (c *Coordinates) MD(m Metric, u, v int) float64 {
+	ru := c.q[u*c.spaces : (u+1)*c.spaces]
+	rv := c.q[v*c.spaces : (v+1)*c.spaces]
+	rv = rv[:len(ru)]
 	md := math.Inf(1)
-	for s := 0; s < c.spaces; s++ {
-		if d := c.Distance(m, s, u, v); d < md {
+	if m == Clockwise {
+		for s, cu := range ru {
+			if d := topology.ClockwiseDistance(cu, rv[s]); d < md {
+				md = d
+			}
+		}
+		return md
+	}
+	for s, cu := range ru {
+		if d := topology.CircularDistance(cu, rv[s]); d < md {
 			md = d
 		}
 	}

@@ -1,0 +1,129 @@
+package stringfigure
+
+import (
+	"bytes"
+	"encoding/json"
+	"sync"
+	"testing"
+)
+
+// These tests pin the route cache a Network shares across its gate-free
+// sessions (Network.routes): whatever the cache holds — nothing, the fills
+// of earlier sessions, the racing fills of concurrent ones — a session's
+// bytes are those of the same session on a freshly built network, and every
+// path that mutates the routing tables ends the cache's epoch.
+
+// routeCacheCfg loads the network enough that packets queue at their
+// sources: first hops meet ports over the adaptive threshold, so both the
+// cached and the full-candidate branch of the first-hop decision run.
+var routeCacheCfg = SessionConfig{Rate: 0.15, Warmup: 200, Measure: 800, Seed: 5,
+	FlowBuckets: 4, TraceSampleEvery: 16}
+
+// sessionBytes runs one session with a telemetry sink and returns the JSON
+// of its Result and snapshot stream. It reports errors with t.Error so it
+// can run off the test goroutine.
+func sessionBytes(t *testing.T, net *Network, cfg SessionConfig) []byte {
+	t.Helper()
+	var out sessionOutput
+	cfg = cfg.WithTelemetry(256, func(s TelemetrySnapshot) { out.Snaps = append(out.Snaps, s) })
+	res, err := net.NewSession(cfg).Run(SyntheticWorkload{Pattern: "uniform"})
+	if err != nil {
+		t.Errorf("session: %v", err)
+		return nil
+	}
+	out.Result = res
+	b, err := json.Marshal(out)
+	if err != nil {
+		t.Errorf("marshal: %v", err)
+	}
+	return b
+}
+
+// TestRouteCacheInvalidation walks one network through every table
+// mutation — GateOff, GateOn, SetMounted, and a gate-rig (ChurnTrace)
+// session, which mutates and restores the tables inside the run — with a
+// gate-free session after each, and compares every session with the same
+// one on a network built fresh and put into the same state, whose cache is
+// empty. A mutation that left the cache standing would serve the old
+// topology's ports.
+func TestRouteCacheInvalidation(t *testing.T) {
+	const nodes = 32
+	mounted := make([]bool, nodes)
+	for i := range mounted {
+		mounted[i] = i != 3 && i != 4 && i != 20
+	}
+	churn := routeCacheCfg
+	churn.Scenario = []ScenarioSpec{ChurnTrace(GateEvent{Cycle: 300, Node: 8, On: false})}
+
+	steps := []struct {
+		name   string
+		mutate func(*Network) error // applied to the long-lived network before the session
+		state  func(*Network) error // brings a fresh network to the same state
+		cfg    SessionConfig
+	}{
+		{"cold", nil, nil, routeCacheCfg},
+		{"warm", nil, nil, routeCacheCfg},
+		{"gate-off", func(n *Network) error { return n.GateOff(5) },
+			func(n *Network) error { return n.GateOff(5) }, routeCacheCfg},
+		{"gate-on", func(n *Network) error { return n.GateOn(5) }, nil, routeCacheCfg},
+		{"set-mounted", func(n *Network) error { return n.SetMounted(mounted) },
+			func(n *Network) error { return n.SetMounted(mounted) }, routeCacheCfg},
+		{"gate-rig", nil, func(n *Network) error { return n.SetMounted(mounted) }, churn},
+		{"after-gate-rig", nil, func(n *Network) error { return n.SetMounted(mounted) }, routeCacheCfg},
+	}
+	net := mustNet(t, "sf", nodes)
+	for _, st := range steps {
+		if st.mutate != nil {
+			if err := st.mutate(net); err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+		}
+		got := sessionBytes(t, net, st.cfg)
+		fresh := mustNet(t, "sf", nodes)
+		if st.state != nil {
+			if err := st.state(fresh); err != nil {
+				t.Fatalf("%s: fresh network: %v", st.name, err)
+			}
+		}
+		want := sessionBytes(t, fresh, st.cfg)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: session on the long-lived network differs from a fresh network in the same state\nlong-lived: %s\nfresh:      %s",
+				st.name, clip(got), clip(want))
+		}
+	}
+}
+
+// TestConcurrentSessionsShareColdRouteCache runs distinct gate-free
+// sessions concurrently on one network whose cache starts empty, so their
+// fills race, and requires each to equal its serial run on a fresh network.
+// It runs under -race in CI.
+func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
+	for _, design := range []string{"sf", "s2", "fb"} {
+		cfgs := make([]SessionConfig, 6)
+		want := make([][]byte, len(cfgs))
+		for i := range cfgs {
+			cfgs[i] = routeCacheCfg
+			cfgs[i].Seed = int64(100 + i)
+			cfgs[i].Rate = 0.05 * float64(1+i%3)
+			cfgs[i].ReferenceCore = i == len(cfgs)-1 // one session that never touches the cache
+			want[i] = sessionBytes(t, mustNet(t, design, 32), cfgs[i])
+		}
+		net := mustNet(t, design, 32)
+		got := make([][]byte, len(cfgs))
+		var wg sync.WaitGroup
+		for i := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = sessionBytes(t, net, cfgs[i])
+			}()
+		}
+		wg.Wait()
+		for i := range cfgs {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s session %d: concurrent run on a shared cold cache differs from its serial run\nconcurrent: %s\nserial:     %s",
+					design, i, clip(got[i]), clip(want[i]))
+			}
+		}
+	}
+}

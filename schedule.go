@@ -84,8 +84,10 @@ func drive(ctx context.Context, st stepper, end int64, acts []action) error {
 // returns the release function. Reconfiguration is part of a gated run,
 // so it is exclusive: the write lock, plus the gateRig that executes the
 // schedule, whose release restores the starting alive mask however the
-// run ended. A gate-free run — plain, rate-modulated, a regeneration
-// phase — shares the network under the read lock and gets a nil rig.
+// run ended and resets the shared route cache (the run mutated the tables
+// gate-free sessions route by). A gate-free run — plain, rate-modulated,
+// a regeneration phase — shares the network under the read lock and gets
+// a nil rig.
 func (n *Network) lockRun(gates []scenario.GateEvent, rec *scenarioRecorder) (*gateRig, func(), error) {
 	if len(gates) == 0 {
 		n.mu.RLock()
@@ -102,6 +104,7 @@ func (n *Network) lockRun(gates []scenario.GateEvent, rec *scenarioRecorder) (*g
 	}
 	return rig, func() {
 		rig.restore()
+		n.routes.Reset()
 		n.mu.Unlock()
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/design"
+	"repro/internal/netsim"
 	"repro/internal/reconfig"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -27,12 +28,23 @@ type Network struct {
 	// mu serializes reconfiguration (write side) against concurrent
 	// sessions and topology queries (read side).
 	mu sync.RWMutex
+
+	// routes is the route cache every gate-free session of this network
+	// simulates on (nil for designs whose routing is adaptive at every
+	// hop). Its entries are functions of the routing tables and the active
+	// adjacency, so it lives for one table epoch: sessions fill it under
+	// mu's read side, and whatever mutates the tables holds the write side
+	// and ends the epoch with routes.Reset — no session is reading then.
+	routes *netsim.RouteCache
 }
 
 func newNetwork(d *design.Design) *Network {
 	n := &Network{d: d}
 	if d.Reconfigurable {
 		n.net = reconfig.New(d.SF)
+	}
+	if d.SF != nil {
+		n.routes = netsim.NewRouteCache(d.Routers)
 	}
 	return n
 }
@@ -169,6 +181,7 @@ func (n *Network) GateOff(v int) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer n.routes.Reset()
 	return n.net.GateOff(v)
 }
 
@@ -182,6 +195,7 @@ func (n *Network) GateOn(v int) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer n.routes.Reset()
 	return n.net.GateOn(v)
 }
 
@@ -193,6 +207,7 @@ func (n *Network) SetMounted(mounted []bool) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer n.routes.Reset()
 	return n.net.SetAlive(mounted)
 }
 
