@@ -206,19 +206,6 @@ func TestSweepReportsPointErrors(t *testing.T) {
 	}
 }
 
-func TestSimulatePatternKeepsZeroSemantics(t *testing.T) {
-	// The compatibility wrapper must not let SessionConfig defaults leak
-	// in: rate 0 means no injection, warmup 0 means measure from cycle 0.
-	net, _ := New(WithNodes(16), WithSeed(1))
-	res, err := net.SimulatePattern("uniform", 0, 0, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Injected != 0 || res.Delivered != 0 {
-		t.Errorf("rate 0 injected traffic: %+v", res)
-	}
-}
-
 func TestConcurrentSessionsWithReconfig(t *testing.T) {
 	// One network, many sessions in flight, reconfiguration interleaved:
 	// must not race or deadlock (run under -race in CI).

@@ -175,7 +175,7 @@ func ServeWorker(ctx context.Context, addr string, o WorkerOptions) error {
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
-	cache := &netCache{nets: make(map[string]*Network)}
+	cache := &netCache{nets: make(map[netKey]*netEntry)}
 	if o.Metrics != nil {
 		cache.observe = o.Metrics.Observe
 	}
@@ -224,8 +224,15 @@ func ServeWorker(ctx context.Context, addr string, o WorkerOptions) error {
 // snapshots whether or not the coordinator asked for them forwarded.
 type netCache struct {
 	mu      sync.Mutex
-	nets    map[string]*Network
+	nets    map[netKey]*netEntry
 	observe func(TelemetrySnapshot)
+}
+
+// netEntry is one cached network; once makes its build single-flight.
+type netEntry struct {
+	once sync.Once
+	net  *Network
+	err  error
 }
 
 // cacheCap bounds the worker's resident networks; a coordinator cycling
@@ -233,25 +240,25 @@ type netCache struct {
 // network per design x scale) evicts everything and rebuilds on demand.
 const cacheCap = 8
 
+// get returns the network the spec builds, building it at most once while
+// it stays cached: the first jobs of a sweep all miss at once, and they
+// must share one Network — one design, one table set, one RouteCache —
+// rather than each run on a private build. A failed build stays cached
+// too: builds are pure, so it would fail the same way again.
 func (c *netCache) get(spec networkSpec) (*Network, error) {
 	key := spec.key()
 	c.mu.Lock()
-	if n, ok := c.nets[key]; ok {
-		c.mu.Unlock()
-		return n, nil
+	e := c.nets[key]
+	if e == nil {
+		if len(c.nets) >= cacheCap {
+			c.nets = make(map[netKey]*netEntry)
+		}
+		e = &netEntry{}
+		c.nets[key] = e
 	}
 	c.mu.Unlock()
-	n, err := spec.build()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if len(c.nets) >= cacheCap {
-		c.nets = make(map[string]*Network)
-	}
-	c.nets[key] = n
-	c.mu.Unlock()
-	return n, nil
+	e.once.Do(func() { e.net, e.err = spec.build() })
+	return e.net, e.err
 }
 
 // runJob is the worker-side executor: decode the job, rebuild (or reuse)
@@ -273,7 +280,7 @@ func (c *netCache) runJob(ctx context.Context, payload []byte, emit func([]byte)
 	if err != nil {
 		return nil, err
 	}
-	cfg := job.Cfg.cfg()
+	cfg := job.Cfg
 	var flush func()
 	if localSink := c.observe; job.Telemetry && emit != nil || localSink != nil {
 		// One point's snapshots are produced sequentially on its simulating

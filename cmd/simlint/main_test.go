@@ -82,7 +82,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	const (
 		nondetDir   = "testdata/src/nondet"
 		maporderDir = "testdata/src/maporder"
-		wireDir     = "testdata/src/wireparity"
 		dispatchDir = "testdata/src/msgdispatch"
 	)
 	cases := []struct {
@@ -99,19 +98,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			name: "map-range-order",
 			dir:  maporderDir,
 			cfg:  gateConfig{targets: []target{{dir: maporderDir, maporder: true}}},
-		},
-		{
-			name: "wire-parity",
-			dir:  wireDir,
-			cfg: gateConfig{
-				targets: []target{{dir: wireDir}},
-				mirrors: []mirrorContract{
-					{pkg: wireDir, src: "Config", mirror: "wireConfig",
-						handled: map[string][]string{"Label": {"Name"}}},
-					{pkg: wireDir, src: "Snapshot", mirror: "wireBatch"},
-				},
-				schemas: []jsonSchemaContract{{pkg: wireDir, typ: "Spec"}},
-			},
 		},
 		{
 			name: "msg-exhaustive",
@@ -158,26 +144,25 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 // silently checking nothing.
 func TestContractDriftIsLoud(t *testing.T) {
 	rep := &lintutil.Report{}
+	dispatch := dispatchContract{
+		pkg: "testdata/src/nondet", enumType: "msgType",
+		constPrefix: "msg", frameType: "frame", discField: "Type",
+		sides: map[string]string{"a.go": "a", "b.go": "b"},
+	}
+	unloaded := dispatch
+	unloaded.pkg = "no/such/pkg"
 	cfg := gateConfig{
-		targets: []target{{dir: "testdata/src/wireparity"}},
-		mirrors: []mirrorContract{
-			{pkg: "testdata/src/wireparity", src: "Vanished", mirror: "wireConfig"},
-			{pkg: "no/such/pkg", src: "Config", mirror: "wireConfig"},
-		},
-		dispatch: []dispatchContract{{
-			pkg: "testdata/src/wireparity", enumType: "msgType",
-			constPrefix: "msg", frameType: "frame", discField: "Type",
-			sides: map[string]string{"a.go": "a", "b.go": "b"},
-		}},
+		targets:  []target{{dir: "testdata/src/nondet"}},
+		dispatch: []dispatchContract{dispatch, unloaded},
 	}
 	if _, err := runGate(cfg, rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Len() != 3 {
+	if rep.Len() != 2 {
 		for _, f := range rep.Findings() {
 			t.Logf("finding: %s", f)
 		}
-		t.Fatalf("want 3 contract-drift findings, got %d", rep.Len())
+		t.Fatalf("want 2 contract-drift findings, got %d", rep.Len())
 	}
 }
 
@@ -195,8 +180,8 @@ func TestRealTreeIsClean(t *testing.T) {
 		t.Errorf("finding: %s", f)
 	}
 	// The surface must be non-trivial, or the gate is silently checking
-	// nothing (e.g. a renamed struct dropped the wire contract).
-	if stats.packages < 8 || stats.wireFields < 40 || stats.msgConsts < 9 {
+	// nothing (e.g. a renamed type dropped the protocol contract).
+	if stats.packages < 8 || stats.msgConsts < 9 {
 		t.Errorf("gate surface shrank: %+v", stats)
 	}
 }

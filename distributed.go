@@ -57,7 +57,7 @@ func (n *Network) SweepDistributedContext(ctx context.Context, cfg SessionConfig
 			localIdx = append(localIdx, i)
 			continue
 		}
-		b, err := encodeWire(wireJob{Spec: spec, Cfg: cfgToWire(cfg), Index: i, Point: wp, Telemetry: telemetry})
+		b, err := encodeWire(wireJob{Spec: spec, Cfg: cfg, Index: i, Point: wp, Telemetry: telemetry})
 		if err != nil {
 			localIdx = append(localIdx, i)
 			continue

@@ -62,7 +62,8 @@ func main() {
 	fmt.Printf("verified %d routes on the gated network\n", checked)
 
 	// Traffic still flows on the reduced network.
-	res, err := net.SimulateUniform(0.05, 800, 2500)
+	res, err := net.NewSession(stringfigure.SessionConfig{Rate: 0.05, Warmup: 800, Measure: 2500, Seed: 8}).
+		Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,7 +57,8 @@ func main() {
 	}
 
 	fmt.Println()
-	sat, err := net.SaturationRate()
+	sat, err := net.Saturation(stringfigure.SyntheticWorkload{Pattern: "uniform"},
+		stringfigure.SessionConfig{Seed: 4}, stringfigure.SaturationConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,6 +21,9 @@ var ErrUnknownKind = errors.New("design: unknown design kind")
 // Design is one evaluated network design: a deterministic topology build
 // with everything a simulation session needs to treat it like any other.
 type Design struct {
+	// Spec is the build input in normal form (Kind named, the sf/s2 port
+	// count resolved): Build(d.Spec) reproduces the design.
+	Spec Spec
 	Name string
 	// Seed is the topology build seed; equal Specs reproduce identical
 	// designs.
@@ -86,20 +89,33 @@ func BuildKind(kind string, n int, seed int64) (*Design, error) {
 // Build constructs the design selected by the spec. Equal specs build
 // identical designs.
 func Build(spec Spec) (*Design, error) {
-	kind := spec.Kind
-	if kind == "" {
-		kind = "sf"
+	if spec.Kind == "" {
+		spec.Kind = "sf"
 	}
-	if kind != "sf" && (spec.Unidirectional || spec.NoShortcuts) {
-		return nil, fmt.Errorf("design: wire-variant options apply to the sf design only, not %q", kind)
+	if spec.Kind != "sf" && (spec.Unidirectional || spec.NoShortcuts) {
+		return nil, fmt.Errorf("design: wire-variant options apply to the sf design only, not %q", spec.Kind)
 	}
-	switch kind {
+	switch spec.Kind {
 	case "dm", "odm", "fb", "afb":
 		if spec.Ports != 0 {
-			return nil, fmt.Errorf("design: %s has a fixed port layout; Ports override unsupported", kind)
+			return nil, fmt.Errorf("design: %s has a fixed port layout; Ports override unsupported", spec.Kind)
+		}
+	case "s2", "sf":
+		if spec.Ports == 0 {
+			spec.Ports = topology.PortsForN(spec.N)
 		}
 	}
-	switch kind {
+	d, err := buildKind(spec)
+	if err != nil {
+		return nil, err
+	}
+	d.Spec = spec
+	return d, nil
+}
+
+// buildKind constructs the design a normalized spec selects.
+func buildKind(spec Spec) (*Design, error) {
+	switch spec.Kind {
 	case "dm":
 		return buildMesh(spec.N, 1, spec.Seed)
 	case "odm":
@@ -113,23 +129,15 @@ func Build(spec Spec) (*Design, error) {
 	case "afb":
 		return buildButterfly(spec.N, true, spec.Seed)
 	case "s2":
-		ports := spec.Ports
-		if ports == 0 {
-			ports = topology.PortsForN(spec.N)
-		}
-		sf, err := topology.NewS2(spec.N, ports, spec.Seed, true)
+		sf, err := topology.NewS2(spec.N, spec.Ports, spec.Seed, true)
 		if err != nil {
 			return nil, err
 		}
 		return fromSF("s2", spec.Seed, sf), nil
 	case "sf":
-		ports := spec.Ports
-		if ports == 0 {
-			ports = topology.PortsForN(spec.N)
-		}
 		sf, err := topology.NewStringFigure(topology.Config{
 			N:             spec.N,
-			Ports:         ports,
+			Ports:         spec.Ports,
 			Seed:          spec.Seed,
 			Bidirectional: !spec.Unidirectional,
 			Shortcuts:     !spec.NoShortcuts,
@@ -139,13 +147,23 @@ func Build(spec Spec) (*Design, error) {
 		}
 		return fromSF("sf", spec.Seed, sf), nil
 	}
-	return nil, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownKind, kind, Names)
+	return nil, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownKind, spec.Kind, Names)
 }
 
 // FromSF wraps an existing String Figure topology (e.g. one reloaded from a
-// saved design artifact) as an sf design.
+// saved design artifact) as an sf design. It is the one place a Spec is
+// derived from a topology rather than recorded from the build.
 func FromSF(sf *topology.StringFigure) *Design {
-	return fromSF("sf", sf.Cfg.Seed, sf)
+	d := fromSF("sf", sf.Cfg.Seed, sf)
+	d.Spec = Spec{
+		Kind:           "sf",
+		N:              sf.Cfg.N,
+		Ports:          sf.Cfg.Ports,
+		Seed:           sf.Cfg.Seed,
+		Unidirectional: !sf.Cfg.Bidirectional,
+		NoShortcuts:    !sf.Cfg.Shortcuts,
+	}
+	return d
 }
 
 // identity is the node→router map for non-concentrated designs.

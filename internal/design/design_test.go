@@ -92,9 +92,14 @@ func TestDeterministicRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		b, err := BuildKind(kind, 64, 7)
+		// The recorded spec is the build input in normal form: it
+		// reproduces the design and records itself again.
+		b, err := Build(a.Spec)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
+		}
+		if a.Spec.Kind != kind || b.Spec != a.Spec {
+			t.Fatalf("%s: recorded spec %+v rebuilds as %+v", kind, a.Spec, b.Spec)
 		}
 		if len(a.Out) != len(b.Out) {
 			t.Fatalf("%s: router counts differ", kind)

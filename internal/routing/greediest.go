@@ -185,11 +185,6 @@ func (g *Greediest) VirtualChannel(src, dst int) int {
 	return 1
 }
 
-// AdaptiveSet returns every candidate (strictly improving neighbors) from
-// cur toward dst — the set W of Section III-B from which the adaptive
-// first-hop policy picks the least-loaded port.
-func (g *Greediest) AdaptiveSet(cur, dst int) []int { return g.Candidates(cur, dst) }
-
 // ZeroLoadPathLength returns the hop count of the deterministic greedy route
 // and whether routing succeeded.
 func (g *Greediest) ZeroLoadPathLength(src, dst int) (int, bool) {

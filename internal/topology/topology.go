@@ -380,19 +380,6 @@ func (sf *StringFigure) MinCircularDistance(u, v int) float64 {
 	return md
 }
 
-// MinClockwiseDistance returns min over spaces of the clockwise arc from u
-// to v, the MD variant for uni-directional builds.
-func (sf *StringFigure) MinClockwiseDistance(u, v int) float64 {
-	md := math.Inf(1)
-	for s := 0; s < sf.Spaces; s++ {
-		d := ClockwiseDistance(sf.Coord[s][u], sf.Coord[s][v])
-		if d < md {
-			md = d
-		}
-	}
-	return md
-}
-
 // BaseLinks returns the active wires of the full-scale network: rings plus
 // extra pairing links. Shortcuts are excluded (they are switched in only
 // after down-scaling).
@@ -478,17 +465,6 @@ func (sf *StringFigure) Predecessor(s, v int, alive []bool) int {
 		}
 	}
 	return -1
-}
-
-// ShortcutFor returns the planned shortcut wire from u covering the given
-// Space-0 clockwise hop count, if one exists.
-func (sf *StringFigure) ShortcutFor(u, hops int) (Link, bool) {
-	for _, l := range sf.Shortcuts {
-		if l.From == u && l.Hops == hops {
-			return l, true
-		}
-	}
-	return Link{}, false
 }
 
 // SortLinks orders links deterministically (by From, To, Space), for stable

@@ -66,30 +66,10 @@ type flowStat struct {
 	latencyNs float64
 }
 
-// MetricsOption configures ServeMetrics.
-type MetricsOption func(*metricsOptions)
-
-type metricsOptions struct {
-	latencyBuckets []int
-}
-
-// defaultLatencyBuckets are the interval-latency histogram bounds used
-// when WithTelemetryBuckets is not given: doubling from 25 ns to 12.8 us,
-// bracketing the paper's zero-load-to-saturation latency range.
+// defaultLatencyBuckets are the interval-latency histogram bounds:
+// doubling from 25 ns to 12.8 us, bracketing the paper's
+// zero-load-to-saturation latency range.
 var defaultLatencyBuckets = []int{25, 50, 100, 200, 400, 800, 1600, 3200, 6400, 12800}
-
-// WithTelemetryBuckets overrides the upper bounds (in nanoseconds, sorted
-// ascending; +Inf is implicit) of the stringfigure_interval_latency_ns
-// histogram. Use it when a deployment's latency range sits outside the
-// defaults — e.g. coarse buckets for saturated-network soak tests, fine
-// ones for zero-load studies. Empty or nil keeps the defaults.
-func WithTelemetryBuckets(boundsNs []int) MetricsOption {
-	return func(o *metricsOptions) {
-		if len(boundsNs) > 0 {
-			o.latencyBuckets = append([]int(nil), boundsNs...)
-		}
-	}
-}
 
 // ServeMetrics starts a Prometheus-text /metrics HTTP endpoint on addr
 // ("host:port"; ":0" picks a free port, read it back with Addr). The
@@ -97,11 +77,7 @@ func WithTelemetryBuckets(boundsNs []int) MetricsOption {
 // chain it into a session or sweep config with SessionConfig.WithMetrics,
 // attach a cluster with WatchCluster, or hand it to a worker via
 // WorkerOptions.Metrics. Close it when done.
-func ServeMetrics(addr string, opts ...MetricsOption) (*MetricsServer, error) {
-	o := metricsOptions{latencyBuckets: defaultLatencyBuckets}
-	for _, opt := range opts {
-		opt(&o)
-	}
+func ServeMetrics(addr string) (*MetricsServer, error) {
 	reg := metrics.NewRegistry()
 	m := &MetricsServer{
 		reg: reg,
@@ -119,7 +95,7 @@ func ServeMetrics(addr string, opts ...MetricsOption) (*MetricsServer, error) {
 			"Network flit occupancy at the last observed interval."),
 		latency: reg.Histogram("stringfigure_interval_latency_ns",
 			"Per-interval average packet latency in nanoseconds.",
-			o.latencyBuckets),
+			defaultLatencyBuckets),
 		flows:   make(map[[2]int]*flowStat),
 		links:   make(map[[2]int]int64),
 		routers: make(map[int]int64),
@@ -313,8 +289,8 @@ func (m *MetricsServer) WatchCluster(c *Cluster) {
 // it by chaining the returned server into sweep configs with
 // SessionConfig.WithMetrics — with telemetry-enabled distributed sweeps,
 // remote workers' forwarded snapshots land in the same counters.
-func (c *Cluster) ServeMetrics(addr string, opts ...MetricsOption) (*MetricsServer, error) {
-	m, err := ServeMetrics(addr, opts...)
+func (c *Cluster) ServeMetrics(addr string) (*MetricsServer, error) {
+	m, err := ServeMetrics(addr)
 	if err != nil {
 		return nil, err
 	}

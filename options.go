@@ -7,15 +7,11 @@ import (
 	"repro/internal/design"
 )
 
-// options is the value New's functional options fill in.
+// options is the value New's functional options fill in: the design's
+// build parameters and the cluster to attach.
 type options struct {
-	design         string
-	nodes          int
-	ports          int
-	seed           int64
-	unidirectional bool
-	noShortcuts    bool
-	cluster        *Cluster
+	spec    design.Spec
+	cluster *Cluster
 }
 
 // Option configures New.
@@ -26,29 +22,29 @@ type Option func(*options)
 // butterflies — the six designs of the paper's headline comparisons. Every
 // design runs through the same Session/Sweep machinery; only the String
 // Figure family supports reconfiguration (GateOff/GateOn/SetMounted).
-func WithDesign(name string) Option { return func(o *options) { o.design = name } }
+func WithDesign(name string) Option { return func(o *options) { o.spec.Kind = name } }
 
 // WithNodes sets the number of memory nodes (required; any value >= 2 — the
 // paper evaluates up to 1296).
-func WithNodes(n int) Option { return func(o *options) { o.nodes = n } }
+func WithNodes(n int) Option { return func(o *options) { o.spec.N = n } }
 
 // WithPorts overrides the router port count for the sf/s2 designs (0 keeps
 // the paper's default for the scale: 4 up to 128 nodes, 8 beyond). The mesh
 // and butterfly designs have fixed port layouts.
-func WithPorts(p int) Option { return func(o *options) { o.ports = p } }
+func WithPorts(p int) Option { return func(o *options) { o.spec.Ports = p } }
 
 // WithSeed sets the topology seed; equal seeds reproduce identical networks.
-func WithSeed(s int64) Option { return func(o *options) { o.seed = s } }
+func WithSeed(s int64) Option { return func(o *options) { o.spec.Seed = s } }
 
 // Unidirectional selects the strict uni-directional wire variant (the
 // Section IV ablation: one wire per port half, clockwise-distance routing;
 // sf design only). The default is the bidirectional S2-style construction
 // the paper's performance results correspond to.
-func Unidirectional() Option { return func(o *options) { o.unidirectional = true } }
+func Unidirectional() Option { return func(o *options) { o.spec.Unidirectional = true } }
 
 // NoShortcuts disables the pre-provisioned shortcut wires (S2-ideal style,
 // no elastic down-scaling support; sf design only).
-func NoShortcuts() Option { return func(o *options) { o.noShortcuts = true } }
+func NoShortcuts() Option { return func(o *options) { o.spec.NoShortcuts = true } }
 
 // WithCluster attaches a distributed-execution cluster (NewCluster) to
 // the network: SweepDistributed and SaturationDistributed shard points
@@ -73,20 +69,13 @@ func New(opts ...Option) (*Network, error) {
 
 // build deploys the network the options describe.
 func (o options) build() (*Network, error) {
-	if o.nodes == 0 {
+	if o.spec.N == 0 {
 		return nil, fmt.Errorf("stringfigure: node count required (use WithNodes)")
 	}
-	d, err := design.Build(design.Spec{
-		Kind:           o.design,
-		N:              o.nodes,
-		Ports:          o.ports,
-		Seed:           o.seed,
-		Unidirectional: o.unidirectional,
-		NoShortcuts:    o.noShortcuts,
-	})
+	d, err := design.Build(o.spec)
 	if err != nil {
 		if errors.Is(err, design.ErrUnknownKind) {
-			return nil, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownDesign, o.design, design.Names)
+			return nil, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownDesign, o.spec.Kind, design.Names)
 		}
 		return nil, err
 	}

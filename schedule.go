@@ -337,13 +337,12 @@ func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName strin
 
 	// Regenerate: same design family and ports, Drop fewer nodes, a seed
 	// derived deterministically from the original build.
-	sp := n.spec()
-	sp.Nodes -= rg.Drop
+	sp := n.d.Spec
+	sp.N -= rg.Drop
 	sp.Seed += 1 + int64(rg.Drop)
-	sp.Alive = nil
-	n2, err := sp.build()
+	n2, err := options{spec: sp}.build()
 	if err != nil {
-		return Result{}, fmt.Errorf("%w: regenerating s2 at %d nodes: %v", ErrScenario, sp.Nodes, err)
+		return Result{}, fmt.Errorf("%w: regenerating s2 at %d nodes: %v", ErrScenario, sp.N, err)
 	}
 	patB, err := traffic.NewPattern(patName, n2.Nodes())
 	if err != nil {

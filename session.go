@@ -90,8 +90,12 @@ type SessionConfig struct {
 	ReferenceCore bool
 
 	// onTelemetry, when set (WithTelemetry, RunTelemetry), receives the
-	// interval snapshots. Unexported: it never travels over the sweep wire
-	// protocol — remote workers report progress frames instead.
+	// interval snapshots. Unexported so that it stays off the sweep wire:
+	// a SessionConfig travels to remote workers as itself and gob skips
+	// unexported fields, which is the sanctioned way to keep a value local
+	// (wireJob.Telemetry asks the worker to attach its own forwarding sink).
+	// Every exported field must survive gob — TestWireRoundTripByReflection
+	// fails, naming the field, for one that does not.
 	onTelemetry func(TelemetrySnapshot)
 }
 

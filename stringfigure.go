@@ -291,59 +291,6 @@ func (n *Network) PathLengths(maxSources int) PathStats {
 	return PathStats{Mean: st.Mean, P10: st.P10, P90: st.P90, Diameter: st.Diameter}
 }
 
-// TrafficResults summarizes one synthetic-traffic simulation — the
-// pre-Session result shape, kept for compatibility. New code should use
-// Session.Run, which returns the unified Result.
-type TrafficResults struct {
-	Injected        int64
-	Delivered       int64
-	AvgLatencyNs    float64
-	AvgHops         float64
-	P90LatencyNs    float64
-	ThroughputFPC   float64 // delivered flits per node per cycle
-	NetworkEnergyPJ float64
-	Deadlocked      bool
-}
-
-// SimulatePattern runs the flit-level simulator with a Table III traffic
-// pattern ("uniform", "tornado", "hotspot", "opposite", "neighbor",
-// "complement", "partition2") at the given injection rate. It is a thin
-// wrapper over the Session engine that keeps the historical argument
-// semantics verbatim: rate 0 injects nothing and warmup 0 measures from
-// cycle 0 (SessionConfig would fill defaults for those).
-func (n *Network) SimulatePattern(pattern string, rate float64, warmup, measure int64) (TrafficResults, error) {
-	res, err := (SyntheticWorkload{Pattern: pattern}).runRaw(n, SessionConfig{
-		Rate: rate, Warmup: warmup, Measure: measure, PacketFlits: 1,
-		Seed: n.d.Seed + 1,
-	})
-	if err != nil {
-		return TrafficResults{}, err
-	}
-	return TrafficResults{
-		Injected:        res.Injected,
-		Delivered:       res.Delivered,
-		AvgLatencyNs:    res.AvgLatencyNs,
-		AvgHops:         res.AvgHops,
-		P90LatencyNs:    res.P90LatencyNs,
-		ThroughputFPC:   res.ThroughputFPC,
-		NetworkEnergyPJ: res.NetworkEnergyPJ,
-		Deadlocked:      res.Deadlocked,
-	}, nil
-}
-
-// SimulateUniform runs uniform random traffic (the most common benchmark).
-func (n *Network) SimulateUniform(rate float64, warmup, measure int64) (TrafficResults, error) {
-	return n.SimulatePattern("uniform", rate, warmup, measure)
-}
-
-// SaturationRate returns the highest sustained injection rate (Figure 10's
-// metric) under uniform traffic, found by the parallel Sweep-based
-// bracketing search with default budgets.
-func (n *Network) SaturationRate() (float64, error) {
-	return n.Saturation(SyntheticWorkload{Pattern: "uniform"},
-		SessionConfig{Seed: n.d.Seed + 1}, SaturationConfig{})
-}
-
 // Save persists the topology design (coordinates and wire lists) as JSON —
 // the design-reuse artifact of Section III-C: one generated design deploys
 // across product configurations via SetMounted. Only the String Figure

@@ -108,10 +108,10 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := net.Route(10, 5); !errors.Is(err, ErrNodeDead) {
 		t.Errorf("route to dead node err = %v, want ErrNodeDead", err)
 	}
-	if _, err := net.SimulatePattern("bogus", 0.1, 10, 10); !errors.Is(err, ErrUnknownPattern) {
+	sess := net.NewSession(SessionConfig{Ops: 200})
+	if _, err := sess.Run(SyntheticWorkload{Pattern: "bogus"}); !errors.Is(err, ErrUnknownPattern) {
 		t.Errorf("bogus pattern err = %v, want ErrUnknownPattern", err)
 	}
-	sess := net.NewSession(SessionConfig{Ops: 200})
 	if _, err := sess.Run(TraceWorkload{Workload: "bogus"}); !errors.Is(err, ErrUnknownPattern) {
 		t.Errorf("bogus workload err = %v, want ErrUnknownPattern", err)
 	}
@@ -170,7 +170,8 @@ func TestPathLengths(t *testing.T) {
 
 func TestSimulateUniform(t *testing.T) {
 	net, _ := New(WithNodes(32), WithSeed(4))
-	res, err := net.SimulateUniform(0.05, 400, 1200)
+	res, err := net.NewSession(SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1200, Seed: 5}).
+		Run(SyntheticWorkload{Pattern: "uniform"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,8 @@ func TestSimulateAfterGating(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := net.SimulatePattern("uniform", 0.05, 400, 1200)
+	res, err := net.NewSession(SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1200, Seed: 6}).
+		Run(SyntheticWorkload{Pattern: "uniform"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestSaturationRateSmall(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	net, _ := New(WithNodes(16), WithSeed(1))
-	sat, err := net.SaturationRate()
+	sat, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, SessionConfig{Seed: 2}, SaturationConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +245,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	if reopened.Nodes() != 36 || reopened.Ports() != orig.Ports() {
 		t.Errorf("reopened network differs: %d nodes %d ports", reopened.Nodes(), reopened.Ports())
+	}
+	// The build spec derived from the loaded topology is the one the
+	// original build recorded, so a reopened network rebuilds remotely.
+	if reopened.d.Spec != orig.d.Spec {
+		t.Errorf("reopened build spec %+v, want %+v", reopened.d.Spec, orig.d.Spec)
 	}
 	// Routing behaves identically.
 	p1, err1 := orig.Route(2, 30)

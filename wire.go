@@ -6,43 +6,37 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+
+	"repro/internal/design"
 )
 
-// This file is the payload codec of distributed sweep execution: the
-// serializable forms of a network spec, a sweep point and a session
-// result that travel between the coordinator (Network.SweepDistributed)
-// and remote workers (ServeWorker / cmd/sfworker) inside internal/dist
-// frames. Everything is plain gob of exported fields, so local and
-// remote runs see bit-identical float64 values.
+// This file is the payload codec of distributed sweep execution: what
+// travels between the coordinator (Network.SweepDistributed) and remote
+// workers (ServeWorker / cmd/sfworker) inside internal/dist frames.
+// Everything is plain gob of exported fields, so local and remote runs
+// see bit-identical float64 values. SessionConfig, design.Spec, Result
+// and TelemetrySnapshot cross as themselves; only what gob cannot carry
+// has a wire form here (a Point's Workload interface, a Result's error).
+// TestWireRoundTripByReflection is the contract: it fills every exported
+// field of what travels and fails, naming the field, for any that comes
+// back zeroed — so an exported func or interface field is caught there,
+// and an unexported field is the sanctioned way to keep a value off the
+// wire (gob skips it, as it does SessionConfig.onTelemetry).
 
 // networkSpec is everything a worker needs to rebuild a Network: the
-// deterministic design-build inputs plus the alive mask of the
-// coordinator's network at sweep time. Design builds are pure functions
-// of the spec (equal specs build identical designs), so rebuilding
-// remotely reproduces the coordinator's topology exactly; a gated
-// network is reproduced via SetMounted with the snapshotted mask.
+// design's build spec plus the alive mask of the coordinator's network at
+// sweep time. Design builds are pure functions of the spec (equal specs
+// build identical designs), so rebuilding remotely reproduces the
+// coordinator's topology exactly; a gated network is reproduced via
+// SetMounted with the snapshotted mask.
 type networkSpec struct {
-	Design         string
-	Nodes          int
-	Ports          int
-	Seed           int64
-	Unidirectional bool
-	NoShortcuts    bool
-	Alive          []bool // nil when every node is powered on
+	design.Spec
+	Alive []bool // nil when every node is powered on
 }
 
 // spec snapshots the network's rebuild inputs.
 func (n *Network) spec() networkSpec {
-	s := networkSpec{Design: n.d.Name, Nodes: n.d.N, Seed: n.d.Seed}
-	if n.d.SF != nil {
-		s.Ports = n.d.SF.Cfg.Ports
-		// The wire-variant flags only exist for the sf design; s2 encodes
-		// its no-shortcut bidirectional build in the kind itself.
-		if n.d.Name == "sf" {
-			s.Unidirectional = !n.d.SF.Cfg.Bidirectional
-			s.NoShortcuts = !n.d.SF.Cfg.Shortcuts
-		}
-	}
+	s := networkSpec{Spec: n.d.Spec}
 	if n.net != nil {
 		n.mu.RLock()
 		alive := n.net.AliveSlice()
@@ -59,8 +53,7 @@ func (n *Network) spec() networkSpec {
 
 // build deploys the spec into a fresh Network.
 func (s networkSpec) build() (*Network, error) {
-	net, err := options{design: s.Design, nodes: s.Nodes, ports: s.Ports, seed: s.Seed,
-		unidirectional: s.Unidirectional, noShortcuts: s.NoShortcuts}.build()
+	net, err := options{spec: s.Spec}.build()
 	if err != nil {
 		return nil, err
 	}
@@ -72,21 +65,21 @@ func (s networkSpec) build() (*Network, error) {
 	return net, nil
 }
 
-// key is a canonical cache key for worker-side network reuse.
-func (s networkSpec) key() string {
-	alive := ""
-	if s.Alive != nil {
-		mask := make([]byte, len(s.Alive))
-		for i, a := range s.Alive {
-			mask[i] = '0'
-			if a {
-				mask[i] = '1'
-			}
+// netKey is a networkSpec in comparable form, the worker's cache key.
+type netKey struct {
+	design.Spec
+	alive string
+}
+
+func (s networkSpec) key() netKey {
+	mask := make([]byte, len(s.Alive))
+	for i, a := range s.Alive {
+		mask[i] = '0'
+		if a {
+			mask[i] = '1'
 		}
-		alive = string(mask)
 	}
-	return fmt.Sprintf("%s/%d/%d/%d/%t/%t/%s",
-		s.Design, s.Nodes, s.Ports, s.Seed, s.Unidirectional, s.NoShortcuts, alive)
+	return netKey{Spec: s.Spec, alive: string(mask)}
 }
 
 // Wire workload kinds. FuncWorkload carries arbitrary Go functions and
@@ -128,75 +121,6 @@ func (wp wirePoint) point() (Point, error) {
 	return Point{}, fmt.Errorf("stringfigure: unknown wire workload kind %q", wp.Kind)
 }
 
-// wireSessionConfig is SessionConfig in serializable form: an explicit
-// field-for-field mirror rather than the struct itself, so that adding a
-// public knob without plumbing it over the wire is a visible gap here —
-// the simlint wire-parity gate diffs the two structs and fails the build
-// until the new field appears in the mirror and in both conversions.
-// The unexported onTelemetry sink deliberately has no counterpart: sinks
-// cannot travel, wireJob.Telemetry stands in for them.
-type wireSessionConfig struct {
-	Rate              float64
-	Warmup, Measure   int64
-	PacketFlits       int
-	AdaptiveThreshold float64
-	Seed              int64
-	Ops               int
-	Sockets           int
-	Window            int
-	Threads           int
-	MaxCycles         int64
-	TelemetryEvery    int64
-	FlowBuckets       int
-	TraceSampleEvery  int64
-	Scenario          []ScenarioSpec
-	ReferenceCore     bool
-}
-
-// cfgToWire converts a session config for transport.
-func cfgToWire(c SessionConfig) wireSessionConfig {
-	return wireSessionConfig{
-		Rate:              c.Rate,
-		Warmup:            c.Warmup,
-		Measure:           c.Measure,
-		PacketFlits:       c.PacketFlits,
-		AdaptiveThreshold: c.AdaptiveThreshold,
-		Seed:              c.Seed,
-		Ops:               c.Ops,
-		Sockets:           c.Sockets,
-		Window:            c.Window,
-		Threads:           c.Threads,
-		MaxCycles:         c.MaxCycles,
-		TelemetryEvery:    c.TelemetryEvery,
-		FlowBuckets:       c.FlowBuckets,
-		TraceSampleEvery:  c.TraceSampleEvery,
-		Scenario:          c.Scenario,
-		ReferenceCore:     c.ReferenceCore,
-	}
-}
-
-// cfg reconstructs the session config on the worker.
-func (w wireSessionConfig) cfg() SessionConfig {
-	return SessionConfig{
-		Rate:              w.Rate,
-		Warmup:            w.Warmup,
-		Measure:           w.Measure,
-		PacketFlits:       w.PacketFlits,
-		AdaptiveThreshold: w.AdaptiveThreshold,
-		Seed:              w.Seed,
-		Ops:               w.Ops,
-		Sockets:           w.Sockets,
-		Window:            w.Window,
-		Threads:           w.Threads,
-		MaxCycles:         w.MaxCycles,
-		TelemetryEvery:    w.TelemetryEvery,
-		FlowBuckets:       w.FlowBuckets,
-		TraceSampleEvery:  w.TraceSampleEvery,
-		Scenario:          w.Scenario,
-		ReferenceCore:     w.ReferenceCore,
-	}
-}
-
 // wireJob is one dispatched sweep point: the network to rebuild, the
 // sweep's base session config, and the point with its global index (the
 // PointSeed input, so remote seeds match the in-process pool exactly).
@@ -206,7 +130,7 @@ func (w wireSessionConfig) cfg() SessionConfig {
 // which is determinism-neutral: Results are bit-identical either way).
 type wireJob struct {
 	Spec      networkSpec
-	Cfg       wireSessionConfig
+	Cfg       SessionConfig
 	Index     int
 	Point     wirePoint
 	Telemetry bool

@@ -1,17 +1,19 @@
 package stringfigure
 
-// Reflection-based wire round-trip audit: every exported field of the
-// structs that travel to remote workers is filled with a distinctive
-// non-zero value, pushed through the real conversion + gob codec path,
-// and must come back non-zero and equal. Unlike the hand-written codec
-// tests, this one discovers fields — add a knob to SessionConfig and
-// forget the cfgToWire plumbing, and the field comes back zeroed here
-// even if the simlint mirror was updated.
+// Reflection-based wire round-trip audit, the one guard of the wire
+// contract: every exported field of the structs that travel to remote
+// workers is filled with a distinctive non-zero value, pushed through the
+// real conversion + gob codec path, and must come back non-zero and equal.
+// It discovers fields, so a new knob is audited with no edit here: plain
+// data passes, and a func or interface field — which gob drops — fails by
+// name. The same walk checks the public JSON schemas' field names.
 
 import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -67,39 +69,102 @@ func fillValue(v reflect.Value, c *int) {
 	}
 }
 
-// requireNoZeroedFields fails for every exported zero field of a struct,
-// naming it — the signature of a conversion that dropped the field.
-func requireNoZeroedFields(t *testing.T, label string, v reflect.Value) {
+// zeroedFields returns the path of every exported field under v (through
+// nested structs, pointers and slice elements) that is zero — after a
+// fillValue and a trip over the wire, the signature of a field the codec
+// drops. Func and non-error interface fields are never filled, so they are
+// reported too: gob cannot carry them.
+func zeroedFields(label string, v reflect.Value) []string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return zeroedFields(label, v.Elem())
+		}
+	case reflect.Slice:
+		var out []string
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, zeroedFields(fmt.Sprintf("%s[%d]", label, i), v.Index(i))...)
+		}
+		return out
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if name := label + "." + f.Name; v.Field(i).IsZero() {
+				out = append(out, name)
+			} else {
+				out = append(out, zeroedFields(name, v.Field(i))...)
+			}
+		}
+		return out
+	}
+	return nil
+}
+
+// requireRoundTrip fails for every field of got that came back zeroed,
+// naming it, and for any other difference from what was sent.
+func requireRoundTrip(t *testing.T, label string, got, want any) {
 	t.Helper()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Type().Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		if v.Field(i).IsZero() {
-			t.Errorf("%s.%s came back zeroed — the wire conversion drops it", label, f.Name)
-		}
+	for _, f := range zeroedFields(label, reflect.ValueOf(got)) {
+		t.Errorf("%s came back zeroed — it does not survive the wire", f)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s round-trip:\ngot  %+v\nwant %+v", label, got, want)
 	}
 }
 
+// snakeCase is the sanctioned shape of a JSON field name.
+var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+
+// untaggedJSONFields returns the path of every exported field under t
+// (through nested structs, pointers and slices) without an explicit
+// snake_case json name; `json:"-"` excludes a field from the schema.
+func untaggedJSONFields(label string, t reflect.Type) []string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice:
+		return untaggedJSONFields(label, t.Elem())
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			switch {
+			case name == "-":
+			case !snakeCase.MatchString(name):
+				out = append(out, label+"."+f.Name)
+			default:
+				out = append(out, untaggedJSONFields(label+"."+f.Name, f.Type)...)
+			}
+		}
+		return out
+	}
+	return nil
+}
+
 func TestWireRoundTripByReflection(t *testing.T) {
+	// SessionConfig travels inside a wireJob, and the struct that travels
+	// is the struct that is audited: a whole job, filled SessionConfig and
+	// networkSpec (alive mask included), through the codec ServeWorker and
+	// SweepDistributed use.
 	t.Run("SessionConfig", func(t *testing.T) {
-		var cfg SessionConfig
+		var job wireJob
 		c := 0
-		fillValue(reflect.ValueOf(&cfg).Elem(), &c)
-		b, err := encodeWire(cfgToWire(cfg))
+		fillValue(reflect.ValueOf(&job).Elem(), &c)
+		b, err := encodeWire(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wc wireSessionConfig
-		if err := decodeWire(b, &wc); err != nil {
+		var got wireJob
+		if err := decodeWire(b, &got); err != nil {
 			t.Fatal(err)
 		}
-		got := wc.cfg()
-		requireNoZeroedFields(t, "SessionConfig", reflect.ValueOf(got))
-		if !reflect.DeepEqual(got, cfg) {
-			t.Errorf("SessionConfig round-trip:\ngot  %+v\nwant %+v", got, cfg)
-		}
+		requireRoundTrip(t, "wireJob", got, job)
 	})
 
 	t.Run("Point", func(t *testing.T) {
@@ -125,10 +190,7 @@ func TestWireRoundTripByReflection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireNoZeroedFields(t, "Point", reflect.ValueOf(got))
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("Point round-trip:\ngot  %+v\nwant %+v", got, p)
-		}
+		requireRoundTrip(t, "Point", got, p)
 	})
 
 	t.Run("Result", func(t *testing.T) {
@@ -143,11 +205,7 @@ func TestWireRoundTripByReflection(t *testing.T) {
 		if err := decodeWire(b, &wr); err != nil {
 			t.Fatal(err)
 		}
-		got := wr.result()
-		requireNoZeroedFields(t, "Result", reflect.ValueOf(got))
-		if !reflect.DeepEqual(got, res) {
-			t.Errorf("Result round-trip:\ngot  %+v\nwant %+v", got, res)
-		}
+		requireRoundTrip(t, "Result", wr.result(), res)
 	})
 
 	t.Run("TelemetrySnapshot", func(t *testing.T) {
@@ -165,10 +223,51 @@ func TestWireRoundTripByReflection(t *testing.T) {
 		if len(batch.Snaps) != 1 {
 			t.Fatalf("batch came back with %d snapshots, want 1", len(batch.Snaps))
 		}
-		got := batch.Snaps[0]
-		requireNoZeroedFields(t, "TelemetrySnapshot", reflect.ValueOf(got))
-		if !reflect.DeepEqual(got, snap) {
-			t.Errorf("TelemetrySnapshot round-trip:\ngot  %+v\nwant %+v", got, snap)
+		requireRoundTrip(t, "TelemetrySnapshot", batch.Snaps[0], snap)
+	})
+
+	// The HTTP job schema and the NDJSON stream name every field
+	// explicitly, so a Go rename never renames a public JSON key.
+	t.Run("JSON tags", func(t *testing.T) {
+		for _, v := range []any{JobSpec{}, ScenarioSpec{}, GateEvent{}, ScenarioEvent{}} {
+			typ := reflect.TypeOf(v)
+			for _, f := range untaggedJSONFields(typ.Name(), typ) {
+				t.Errorf("%s has no explicit snake_case json name", f)
+			}
+		}
+	})
+
+	// The guard fires: what gob cannot carry, and what a schema forgot to
+	// name, is reported by field name.
+	t.Run("guard fires", func(t *testing.T) {
+		type hostile struct {
+			Knob   int `json:"knob"`
+			Hook   func()
+			Source Workload `json:"workLoad"`
+			Nested []struct {
+				Kept    int `json:"kept"`
+				Dropped int `json:"-"`
+				Bare    int
+			} `json:"nested"`
+			hidden func()
+		}
+		var sent hostile
+		c := 0
+		fillValue(reflect.ValueOf(&sent).Elem(), &c)
+		sent.hidden = func() {}
+		b, err := encodeWire(sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got hostile
+		if err := decodeWire(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		if zeroed, want := zeroedFields("hostile", reflect.ValueOf(got)), []string{"hostile.Hook", "hostile.Source"}; !reflect.DeepEqual(zeroed, want) {
+			t.Errorf("zeroed fields: got %v, want %v", zeroed, want)
+		}
+		if bad, want := untaggedJSONFields("hostile", reflect.TypeOf(got)), []string{"hostile.Hook", "hostile.Source", "hostile.Nested.Bare"}; !reflect.DeepEqual(bad, want) {
+			t.Errorf("untagged JSON fields: got %v, want %v", bad, want)
 		}
 	})
 }

@@ -1,6 +1,6 @@
 package stringfigure
 
-// Wire-codec tests: the serializable forms of SessionConfig, Point and
+// Wire-codec tests: SessionConfig and the serializable forms of Point and
 // Result must round-trip bit-exactly, because distributed sweeps promise
 // Results identical to in-process runs. Internal test package — the wire
 // structs are deliberately unexported.
@@ -9,7 +9,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/design"
 )
 
 func TestWireSessionConfigRoundTrip(t *testing.T) {
@@ -18,8 +21,8 @@ func TestWireSessionConfigRoundTrip(t *testing.T) {
 		AdaptiveThreshold: 0.62, Seed: -991,
 		Ops: 777, Sockets: 3, Window: 9, Threads: 5, MaxCycles: 123456789,
 	}
-	job := wireJob{Cfg: cfgToWire(cfg), Index: 41,
-		Spec:  networkSpec{Design: "sf", Nodes: 64, Ports: 4, Seed: 7},
+	job := wireJob{Cfg: cfg, Index: 41,
+		Spec:  networkSpec{Spec: design.Spec{Kind: "sf", N: 64, Ports: 4, Seed: 7}},
 		Point: wirePoint{Kind: wireSynthetic, Name: "uniform", Rate: 0.37}}
 	b, err := encodeWire(job)
 	if err != nil {
@@ -32,8 +35,8 @@ func TestWireSessionConfigRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, job) {
 		t.Errorf("wireJob round-trip:\ngot  %+v\nwant %+v", got, job)
 	}
-	if back := got.Cfg.cfg(); !reflect.DeepEqual(back, cfg) {
-		t.Errorf("SessionConfig through the mirror:\ngot  %+v\nwant %+v", back, cfg)
+	if !reflect.DeepEqual(got.Cfg, cfg) {
+		t.Errorf("SessionConfig over the wire:\ngot  %+v\nwant %+v", got.Cfg, cfg)
 	}
 }
 
@@ -168,5 +171,41 @@ func TestNetworkSpecRebuild(t *testing.T) {
 		if _, err := spec.build(); err != nil {
 			t.Errorf("%s: spec rebuild failed: %v", kind, err)
 		}
+	}
+}
+
+func TestNetCacheBuildsOncePerSpec(t *testing.T) {
+	// The first Parallel jobs of a sweep all miss the worker's cache at
+	// once; they must end up on one Network (one table set, one shared
+	// route cache), not on a private build each.
+	cache := &netCache{nets: make(map[netKey]*netEntry)}
+	spec := networkSpec{Spec: design.Spec{Kind: "sf", N: 64, Seed: 7}}
+	nets := make([]*Network, 8)
+	var wg sync.WaitGroup
+	for i := range nets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			n, err := cache.get(spec)
+			if err != nil {
+				t.Error(err)
+			}
+			nets[i] = n
+		}(i)
+	}
+	wg.Wait()
+	for i, n := range nets {
+		if n == nil || n != nets[0] {
+			t.Fatalf("get %d returned network %p, get 0 returned %p", i, n, nets[0])
+		}
+	}
+	// A different spec (here: a gated copy) is a different network.
+	gated := spec
+	gated.Alive = make([]bool, 64)
+	for i := range gated.Alive {
+		gated.Alive[i] = i != 5
+	}
+	if n, err := cache.get(gated); err != nil || n == nets[0] || n.Alive(5) {
+		t.Fatalf("gated spec: network %p (ungated %p), err %v", n, nets[0], err)
 	}
 }

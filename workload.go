@@ -40,17 +40,6 @@ func (w SyntheticWorkload) run(ctx context.Context, s *Session) (Result, error) 
 	return s.net.runSynthetic(ctx, s.cfg, w.Pattern, pat)
 }
 
-// runRaw runs the pattern with a verbatim (unfilled) configuration — the
-// engine behind the historical SimulatePattern semantics, where rate 0
-// injects nothing and warmup 0 measures from cycle 0.
-func (w SyntheticWorkload) runRaw(n *Network, cfg SessionConfig) (Result, error) {
-	pat, err := traffic.NewPattern(w.Pattern, n.Nodes())
-	if err != nil {
-		return Result{}, fmt.Errorf("%w: %v", ErrUnknownPattern, err)
-	}
-	return n.runSynthetic(context.Background(), cfg, w.Pattern, pat)
-}
-
 // Patterns lists the supported SyntheticWorkload pattern names in Table III
 // order.
 func Patterns() []string { return append([]string(nil), traffic.PatternNames...) }
