@@ -94,42 +94,18 @@ func (c *Cluster) Close() error { return c.co.Close() }
 // wire protocol's progress frames: a worker sends one on every sweep-point
 // start and completion, so a coordinator driving a long distributed sweep
 // can surface per-worker liveness and throughput instead of going dark
-// until results arrive.
-type WorkerProgress struct {
-	// Worker is the coordinator-assigned worker id (stable for the
-	// connection's lifetime).
-	Worker int
-	// Capacity is the worker's concurrent-session slot count; Active is
-	// how many sweep points it is running right now.
-	Capacity int
-	Active   int
-	// Completed counts sweep points the worker finished since connecting;
-	// the delta between two polls over their wall-clock gap is the
-	// worker's throughput.
-	Completed int64
-	// LastReport is when the worker last reported (zero until its first
-	// point starts).
-	LastReport time.Time
-}
+// until results arrive. Worker is the coordinator-assigned id, Capacity the
+// worker's concurrent-session slots, Active the sweep points it is running
+// right now, Completed the points finished since it connected (the delta
+// between two polls over their wall-clock gap is its throughput) and
+// LastReport when it last reported (zero until its first point starts).
+type WorkerProgress = dist.WorkerProgress
 
 // Progress returns the latest progress report of every connected worker,
 // ordered by worker id. Poll it while a SweepDistributed or
 // SaturationDistributed drains to display live cluster state — `sfexp
 // -listen -telemetry` writes these as NDJSON progress records.
-func (c *Cluster) Progress() []WorkerProgress {
-	ps := c.co.Progress()
-	out := make([]WorkerProgress, len(ps))
-	for i, p := range ps {
-		out[i] = WorkerProgress{
-			Worker:     p.Worker,
-			Capacity:   p.Capacity,
-			Active:     p.Active,
-			Completed:  p.Completed,
-			LastReport: p.LastReport,
-		}
-	}
-	return out
-}
+func (c *Cluster) Progress() []WorkerProgress { return c.co.Progress() }
 
 // WorkerOptions configures ServeWorker.
 type WorkerOptions struct {

@@ -36,10 +36,11 @@ import (
 // fails the gate.
 var hotFuncs = map[string]bool{
 	// cycle phases
-	"step": true, "deliverLinkFlits": true, "deliverLinkFlitsRef": true,
-	"wakeLink": true, "deliverFlit": true, "inject": true, "injGap": true,
-	"drainSourceQueue": true, "routeHeads": true, "routeUnit": true,
-	"routeFront": true, "arbitrate": true, "arbitrateSlot": true,
+	"step": true, "stepRef": true, "deliverLinkFlits": true,
+	"deliverLinkFlitsRef": true, "wakeLink": true, "deliverFlit": true,
+	"inject": true, "injGap": true, "drainSourceQueue": true,
+	"routeHeads": true, "routeUnit": true, "routeFront": true,
+	"arbitrate": true, "arbitrateSlot": true, "forward": true,
 	"scanSlot": true, "scanSlotRef": true, "pickPort": true,
 	"overThreshold": true,
 	// routing helpers (get/put are the route cache's lookup and fill)

@@ -58,11 +58,16 @@ func distTestPoints(nodes int) []Point {
 		[]float64{0.03, 0.06, 0.09, 0.12, 0.15, 0.18})
 	points = append(points, Point{Workload: TraceWorkload{Workload: "grep"}})
 	points = append(points, Point{Workload: SyntheticWorkload{Pattern: "tornado"}, Rate: 0.08, Seed: 4242})
-	points = append(points, Point{Workload: FuncWorkload{
+	return append(points, ringPoint(nodes))
+}
+
+// ringPoint is a point only the coordinator can run: a FuncWorkload carries
+// code, so it never travels to a worker.
+func ringPoint(nodes int) Point {
+	return Point{Workload: FuncWorkload{
 		Label: "ring",
 		Dest:  func(src int, rng *rand.Rand) (int, bool) { return (src + 1) % nodes, true },
-	}, Rate: 0.05})
-	return points
+	}, Rate: 0.05}
 }
 
 var distTestCfg = SessionConfig{Warmup: 300, Measure: 900,
@@ -227,6 +232,9 @@ func TestDistributedSweepContextCancel(t *testing.T) {
 	}
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"},
 		[]float64{0.05, 0.1, 0.15, 0.2})
+	// One point that cannot travel: it stays on the coordinator's pool and
+	// must report the cancellation like the remote ones.
+	points = append(points, ringPoint(32))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res := net.SweepDistributedAllContext(ctx,

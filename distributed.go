@@ -31,14 +31,20 @@ func (n *Network) SweepDistributed(cfg SessionConfig, points []Point) <-chan Res
 // cancellation: on cancel, unfinished points are emitted with Err set to
 // ctx.Err() and remote workers abort their in-flight sessions.
 func (n *Network) SweepDistributedContext(ctx context.Context, cfg SessionConfig, points []Point) <-chan Result {
-	c := n.cluster
+	return n.sweep(ctx, cfg, points, 0, n.cluster)
+}
+
+// dispatchRemote is the cluster leg of a sweep: it encodes the points that
+// can travel, hands them to c's workers, streams each outcome into its slot
+// as it completes, and returns the indices of the points that stay local —
+// every point when no cluster is attached or no worker is connected.
+func (n *Network) dispatchRemote(ctx context.Context, c *Cluster, cfg SessionConfig, points []Point, slots []chan Result) (localIdx []int) {
 	if c == nil || c.Workers() == 0 {
-		return n.SweepContext(ctx, cfg, points, 0)
-	}
-	out := make(chan Result, len(points))
-	slots := make([]chan Result, len(points))
-	for i := range slots {
-		slots[i] = make(chan Result, 1)
+		localIdx = make([]int, len(points))
+		for i := range localIdx {
+			localIdx[i] = i
+		}
+		return localIdx
 	}
 	spec := n.spec()
 
@@ -49,7 +55,7 @@ func (n *Network) SweepDistributedContext(ctx context.Context, cfg SessionConfig
 	// one merged stream on cfg's sink, each snapshot stamped with its
 	// point index, in per-point emission order.
 	telemetry := cfg.onTelemetry != nil
-	var remoteIdx, localIdx []int
+	var remoteIdx []int
 	var payloads [][]byte
 	for i, p := range points {
 		wp, ok := pointToWire(p)
@@ -65,18 +71,6 @@ func (n *Network) SweepDistributedContext(ctx context.Context, cfg SessionConfig
 		remoteIdx = append(remoteIdx, i)
 		payloads = append(payloads, b)
 	}
-
-	// Local points run in-process, concurrently with the remote stream.
-	go func() {
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for _, i := range localIdx {
-			sem <- struct{}{}
-			go func(i int) {
-				defer func() { <-sem }()
-				slots[i] <- n.runPoint(ctx, cfg, points[i], i)
-			}(i)
-		}
-	}()
 
 	// Remote points stream back in completion order; slots reorder them.
 	go func() {
@@ -114,16 +108,7 @@ func (n *Network) SweepDistributedContext(ctx context.Context, cfg SessionConfig
 			slots[i] <- n.outcomeResult(o, cfg, points[i], i)
 		}
 	}()
-
-	// Ordered emitter. out is buffered one slot per point, so the stream
-	// completes even if the consumer abandons it (no goroutine leak).
-	go func() {
-		defer close(out)
-		for i := range points {
-			out <- <-slots[i]
-		}
-	}()
-	return out
+	return localIdx
 }
 
 // SweepDistributedAll runs SweepDistributed and collects the streamed

@@ -370,10 +370,16 @@ func (c *Coordinator) noteProgress(w *remote, f *frame) {
 }
 
 // WorkerProgress is one worker's latest progress report, stamped with its
-// coordinator-assigned id and report time.
+// coordinator-assigned id and report time (the root package's
+// WorkerProgress is an alias of this type).
 type WorkerProgress struct {
+	// Worker is the coordinator-assigned worker id (stable for the
+	// connection's lifetime).
 	Worker int
+	// Progress is the report itself: Capacity, Active and Completed.
 	Progress
+	// LastReport is when the worker last reported (zero until its first
+	// point starts).
 	LastReport time.Time
 }
 

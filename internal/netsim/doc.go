@@ -18,4 +18,11 @@
 // routing.Algorithm for next-hop candidates, a virtual-channel policy, an
 // escape routing function, and a per-link latency function, so String
 // Figure and every baseline run on the same machinery.
+//
+// Two cores advance that machinery, chosen once per cycle in step: the
+// event-driven core (netsim.go, events.go) follows a wake calendar, a router
+// worklist and per-router bitmasks; the reference core (reference.go,
+// Config.ReferenceCore) scans everything and is the oracle the cross-core
+// determinism suites byte-diff against. They share every state transition
+// and own only their scans (see ARCHITECTURE.md, "Hot loop").
 package netsim

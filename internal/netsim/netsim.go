@@ -89,13 +89,15 @@ type Config struct {
 	// on/off leaves results bit-identical. 0 disables; tracing needs an
 	// OnSnapshot probe to drain the buffer and is otherwise ignored.
 	TraceSampleEvery int64
-	// ReferenceCore selects the full-scan simulation core: every router is
-	// visited every cycle, candidate next hops come from the allocating
-	// routing.Algorithm.Candidates path, and occupancy is counted by
-	// walking every queue. It is the seed-equivalent slow path kept for
-	// differential testing — the cross-core determinism suite byte-diffs
-	// its Results and Snapshots against the event-driven core, which must
-	// match bit for bit.
+	// ReferenceCore selects the full-scan simulation core (reference.go):
+	// every router is visited every cycle, candidate next hops come from
+	// the allocating routing.Algorithm.Candidates path with no route cache,
+	// and occupancy is counted by walking every queue. It is the
+	// seed-equivalent slow path kept for differential testing — the
+	// cross-core determinism suite byte-diffs its Results and Snapshots
+	// against the event-driven core, which must match bit for bit. The
+	// core is chosen once, in step; the two share every state transition
+	// and own only their scans.
 	ReferenceCore bool
 	// Routes, when set, is a route cache shared with other simulators built
 	// over the same Alg and Out (see RouteCache); nil gives the simulator a
@@ -383,17 +385,11 @@ type Sim struct {
 	portStamp  []int32
 	portVal    []int32
 
-	// Candidate memo of the batched routing pass: one routing-metric
-	// evaluation per (router pass, destination) instead of one per flit.
-	// Valid for a single (router, cycle); gate schedules mutate routing
-	// tables only between Run slices, which is always a cycle boundary.
-	memoRouter int
-	memoCycle  int64
-	memoKeys   []int32
-	memoOffs   []int32
-	memoBuf    []int
-	rsc        routing.Scratch
-	balg       routing.BufferedAlgorithm // non-nil when Alg supports batching
+	// balg is the event core's allocation-free candidate path (rsc is its
+	// scratch): non-nil when Alg supports it; nil on the reference core,
+	// which then takes the allocating Alg.Candidates.
+	rsc  routing.Scratch
+	balg routing.BufferedAlgorithm
 
 	// rc is the event core's route cache (Config.Routes, or a private
 	// instance): the table-deterministic outcome per (cur, dst). nil on the
@@ -428,7 +424,6 @@ func New(cfg Config) (*Sim, error) {
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		portRouter: -1,
-		memoRouter: -1,
 	}
 	if cfg.Routes != nil && cfg.Routes.n != n {
 		return nil, fmt.Errorf("netsim: route cache built for %d routers, network has %d", cfg.Routes.n, n)
@@ -437,9 +432,14 @@ func New(cfg Config) (*Sim, error) {
 	for _, row := range cfg.Out {
 		maxPorts = max(maxPorts, len(row))
 	}
-	if !cfg.ReferenceCore && cfg.Adaptive != AdaptiveEveryHop && maxPorts <= rcMaxPort+1 {
-		if s.rc = cfg.Routes; s.rc == nil {
-			s.rc = NewRouteCache(n)
+	if !cfg.ReferenceCore {
+		// The event core's routing accelerators; the reference core keeps
+		// both nil and so routes every head through Alg.Candidates.
+		s.balg, _ = cfg.Alg.(routing.BufferedAlgorithm)
+		if cfg.Adaptive != AdaptiveEveryHop && maxPorts <= rcMaxPort+1 {
+			if s.rc = cfg.Routes; s.rc == nil {
+				s.rc = NewRouteCache(n)
+			}
 		}
 	}
 	s.routers = make([]*router, n)
@@ -560,9 +560,6 @@ func New(cfg Config) (*Sim, error) {
 	for i := range s.portStamp {
 		s.portStamp[i] = -1
 	}
-	if ba, ok := cfg.Alg.(routing.BufferedAlgorithm); ok {
-		s.balg = ba
-	}
 	s.res.MinInjectLatency = -1
 	return s, nil
 }
@@ -606,27 +603,18 @@ func (s *Sim) Run(cycles int64) {
 	}
 }
 
-// step advances one network cycle. The event-driven core only touches
-// routers on the active worklist and links on the wake calendar; the
-// reference core scans everything. Both cores share every data structure
-// and state transition, so their per-cycle evolution is bit-identical —
-// the phase structure (deliver, inject, drain all, then route+arbitrate in
+// step advances one network cycle, and is the one place the core is
+// chosen. The event-driven core only touches routers on the active worklist
+// and links on the wake calendar; the reference core (stepRef, reference.go)
+// scans everything. Both cores share every data structure and state
+// transition — deliverFlit, drainSourceQueue, routeUnit, forward — and own
+// only their scans, so their per-cycle evolution is bit-identical: the
+// phase structure (deliver, inject, drain all, then route+arbitrate in
 // ascending router order) is what the determinism contract pins, and it is
 // preserved exactly (see ARCHITECTURE.md, "Hot loop").
 func (s *Sim) step() {
 	if s.cfg.ReferenceCore {
-		s.deliverLinkFlitsRef()
-		s.inject()
-		for _, r := range s.routers {
-			s.drainSourceQueue(r)
-		}
-		for _, r := range s.routers {
-			if r.queued == 0 {
-				continue
-			}
-			s.routeHeads(r)
-			s.arbitrate(r)
-		}
+		s.stepRef()
 	} else {
 		s.deliverLinkFlits()
 		s.inject()
@@ -686,7 +674,10 @@ func (s *Sim) wakeLink(link int32) {
 	q := &r.links[p]
 	moved := 0
 	for q.Len() > 0 && q.front().arrive <= s.cycle {
-		s.deliverFlit(r, p, q.popFront().f)
+		f := q.popFront().f
+		if dn, unit := s.deliverFlit(r, p, f); dn != nil && !s.routeFront(dn, unit, f) {
+			dn.attnSet(unit)
+		}
 		moved++
 	}
 	if q.Len() > 0 {
@@ -714,25 +705,12 @@ func (s *Sim) scheduleWake(arrive int64, link int32) {
 	}
 }
 
-// deliverLinkFlitsRef is the reference core's full-scan delivery pass.
-func (s *Sim) deliverLinkFlitsRef() {
-	for _, r := range s.routers {
-		for p := range r.links {
-			q := &r.links[p]
-			moved := 0
-			for q.Len() > 0 && q.front().arrive <= s.cycle {
-				s.deliverFlit(r, p, q.popFront().f)
-				moved++
-			}
-			if moved > 0 {
-				s.lastMove = s.cycle
-			}
-		}
-	}
-}
-
-// deliverFlit lands one flit from r's output port p downstream.
-func (s *Sim) deliverFlit(r *router, p int, f flit) {
+// deliverFlit lands one flit from r's output port p downstream. When the
+// flit became the front of a unit that holds no route, it returns that
+// router and unit (nil, -1 otherwise): the event core resolves the route on
+// the spot or flags the unit for its route pass; the reference scan visits
+// every occupied unit anyway.
+func (s *Sim) deliverFlit(r *router, p int, f flit) (*router, int) {
 	dn := s.routers[r.outNbr[p]]
 	if s.tr != nil && f.head {
 		s.traceEvent(f.pkt, TraceHop, dn.id)
@@ -743,29 +721,31 @@ func (s *Sim) deliverFlit(r *router, p int, f flit) {
 	iu.q.push(f)
 	dn.queued++
 	s.active.set(dn.id)
-	if wasEmpty {
-		dn.unitFilled(unit)
-		if iu.route >= 0 {
-			dn.candSet(iu.route, unit)
-		} else if !s.routeFront(dn, iu, unit, f) {
-			dn.attnSet(unit)
-		}
+	if !wasEmpty {
+		return nil, -1
 	}
+	dn.unitFilled(unit)
+	if iu.route >= 0 {
+		dn.candSet(iu.route, unit)
+		return nil, -1
+	}
+	return dn, unit
 }
 
-// routeFront tries to resolve the route of a head flit that just became
-// the front of an input unit, straight from the route cache —
-// the event core's shortcut past the attention pass. Deliveries all happen
-// before any router's route pass, and the outcomes served here (ejection,
-// cached table-deterministic ports) depend on no dynamic state, so
-// assigning them during delivery is indistinguishable from routeUnit
-// assigning them later the same cycle. Any case this cannot decide
-// identically — escape traffic, cache misses, drop outcomes —
-// is declined, leaving the unit on the attention path for routeUnit.
-func (s *Sim) routeFront(r *router, iu *inputUnit, unit int, f flit) bool {
-	if s.cfg.ReferenceCore || !f.head || f.pkt.escaped {
+// routeFront tries to resolve the route of a flit that just became the
+// front of an unrouted input unit (see deliverFlit), straight from the
+// route cache — the event core's shortcut past the attention pass.
+// Deliveries all happen before any router's route pass, and the outcomes
+// served here (ejection, cached table-deterministic ports) depend on no
+// dynamic state, so assigning them during delivery is indistinguishable
+// from routeUnit assigning them later the same cycle. Any case this cannot
+// decide identically — escape traffic, cache misses, drop outcomes — is
+// declined, leaving the unit on the attention path for routeUnit.
+func (s *Sim) routeFront(r *router, unit int, f flit) bool {
+	if !f.head || f.pkt.escaped {
 		return false
 	}
+	iu := &r.in[unit]
 	if f.pkt.dst == r.id {
 		eject := len(r.outNbr)
 		iu.route = eject
@@ -953,30 +933,14 @@ func (s *Sim) drainSourceQueue(r *router) {
 	}
 }
 
-// candidates resolves the adaptive next-hop candidates for cur toward dst.
-// The event core batches: one metric evaluation per (router pass,
-// destination) through the memo; the reference core (or a non-batching
-// algorithm) calls the allocating per-flit path the seed used.
+// candidates resolves the adaptive next-hop candidates for cur toward dst:
+// allocation-free through balg where New installed it, else the allocating
+// per-flit path the seed used. The result is valid until the next call.
 func (s *Sim) candidates(cur, dst int) []int {
-	if s.cfg.ReferenceCore || s.balg == nil {
+	if s.balg == nil {
 		return s.cfg.Alg.Candidates(cur, dst)
 	}
-	if s.memoRouter != cur || s.memoCycle != s.cycle {
-		s.memoRouter, s.memoCycle = cur, s.cycle
-		s.memoKeys = s.memoKeys[:0]
-		s.memoBuf = s.memoBuf[:0]
-		s.memoOffs = append(s.memoOffs[:0], 0)
-	}
-	for i, k := range s.memoKeys {
-		if int(k) == dst {
-			return s.memoBuf[s.memoOffs[i]:s.memoOffs[i+1]]
-		}
-	}
-	cands := s.balg.CandidatesInto(&s.rsc, cur, dst)
-	s.memoBuf = append(s.memoBuf, cands...)
-	s.memoKeys = append(s.memoKeys, int32(dst))
-	s.memoOffs = append(s.memoOffs, int32(len(s.memoBuf)))
-	return s.memoBuf[s.memoOffs[len(s.memoOffs)-2]:]
+	return s.balg.CandidatesInto(&s.rsc, cur, dst)
 }
 
 // portOf resolves which output port of r (if any) leads to node, stamping
@@ -999,25 +963,17 @@ func (s *Sim) portOf(r *router, node int) int {
 	return int(s.portVal[node])
 }
 
-// routeHeads assigns an output route and next-hop VC to every input unit
-// whose head flit starts a packet, and diverts starved heads to the escape
-// subnetwork for one hop (Duato's protocol: adaptive channels whenever
-// possible, escape as the always-available drainage; packets return to
-// adaptive routing at the next router).
+// routeHeads is the event core's route pass: it assigns an output route and
+// next-hop VC to every input unit whose head flit starts a packet, and
+// diverts starved heads to the escape subnetwork for one hop (Duato's
+// protocol: adaptive channels whenever possible, escape as the
+// always-available drainage; packets return to adaptive routing at the next
+// router). It visits only units needing route attention, ascending — the
+// same order the reference scan produces over the same units (all other
+// occupied units make routeUnit a no-op). routeUnit mutates at most the
+// visited unit's own bit, so iterating a snapshot of each word is safe.
 func (s *Sim) routeHeads(r *router) {
 	eject := len(r.outNbr) // virtual ejection port index
-	if s.cfg.ReferenceCore {
-		for i := range r.in {
-			if r.in[i].q.Len() > 0 {
-				s.routeUnit(r, i, eject)
-			}
-		}
-		return
-	}
-	// Event core: visit only units needing route attention, ascending — the
-	// same order the reference scan produces over the same units (all other
-	// occupied units make routeUnit a no-op). routeUnit mutates at most the
-	// visited unit's own bit, so iterating a snapshot of each word is safe.
 	for wi, w := range r.attn {
 		for w != 0 {
 			i := wi<<6 + bits.TrailingZeros64(w)
@@ -1264,29 +1220,19 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 	}
 }
 
-// arbitrate grants each output virtual channel to at most one input unit
-// per cycle, with per-packet channel ownership (wormhole discipline: once a
-// head flit claims an output VC, body flits of other packets cannot
-// interleave until the tail releases it) and round-robin fairness among
-// competing units. Each output port forwards at most one flit per cycle.
+// arbitrate is the event core's switch allocation: it grants each output
+// virtual channel to at most one input unit per cycle, with per-packet
+// channel ownership (wormhole discipline: once a head flit claims an output
+// VC, body flits of other packets cannot interleave until the tail releases
+// it) and round-robin fairness among competing units. Each output port
+// forwards at most LinkWidth flits per cycle. It visits only outputs some
+// unit is routed to and that are not parked, ascending — the reference scan
+// grants nothing on the others. Arbitration mutates candOuts/parked only
+// for the output being arbitrated, so snapshot words are safe to iterate.
 func (s *Sim) arbitrate(r *router) {
 	nUnits := len(r.in)
 	eject := len(r.outNbr)
 	vcs := s.cfg.VCs
-	if s.cfg.ReferenceCore {
-		for out := 0; out <= eject; out++ {
-			for slot := 0; slot < s.cfg.LinkWidth; slot++ {
-				if !s.arbitrateSlot(r, out, nUnits, eject, vcs) {
-					break // no grant at this slot: later ones cannot grant either
-				}
-			}
-		}
-		return
-	}
-	// Event core: visit only outputs some unit is routed to and that are
-	// not parked, ascending — the reference scan grants nothing on the
-	// others. Arbitration mutates candOuts/parked only for the output being
-	// arbitrated, so snapshot words are safe to iterate.
 	for wi := range r.candOuts {
 		w := r.candOuts[wi] &^ r.parked[wi]
 		for w != 0 {
@@ -1306,31 +1252,6 @@ func (s *Sim) arbitrate(r *router) {
 			}
 		}
 	}
-}
-
-// scanSlotRef is the reference core's grant scan: walk every input unit in
-// round-robin order from rr[out], note blocked routed heads, and return the
-// first grantable unit (the seed's exact loop).
-func (s *Sim) scanSlotRef(r *router, out, nUnits, eject, vcs int) int {
-	for k := 0; k < nUnits; k++ {
-		i := (r.rr[out] + k) % nUnits
-		iu := &r.in[i]
-		if iu.q.Len() == 0 || iu.route != out {
-			continue
-		}
-		vc := iu.outVC
-		o := &r.ovcs[out*vcs+vc]
-		if o.owner >= 0 && int(o.owner) != i {
-			s.noteBlocked(r, iu, i)
-			continue // another packet holds this output VC
-		}
-		if out < eject && o.cred <= 0 {
-			s.noteBlocked(r, iu, i)
-			continue // no downstream space
-		}
-		return i
-	}
-	return -1
 }
 
 // scanSlot is the event core's grant scan: identical semantics to
@@ -1399,18 +1320,26 @@ func (s *Sim) scanSlot(r *router, out, nUnits, eject, vcs int) int {
 	return -1
 }
 
-// arbitrateSlot performs one grant on one output port and reports whether
-// a flit was forwarded.
+// arbitrateSlot performs one event-core grant on one output port and reports
+// whether a flit was forwarded. A flit that landed on an empty delay line is
+// the line's new head, so its wake is armed here.
 func (s *Sim) arbitrateSlot(r *router, out, nUnits, eject, vcs int) bool {
-	var granted int
-	if s.cfg.ReferenceCore {
-		granted = s.scanSlotRef(r, out, nUnits, eject, vcs)
-	} else {
-		granted = s.scanSlot(r, out, nUnits, eject, vcs)
-	}
+	granted := s.scanSlot(r, out, nUnits, eject, vcs)
 	if granted < 0 {
 		return false
 	}
+	s.forward(r, out, granted, nUnits, eject, vcs)
+	if out < eject && r.links[out].Len() == 1 {
+		s.scheduleWake(r.links[out].front().arrive, r.linkBase+int32(out))
+	}
+	return true
+}
+
+// forward moves the front flit of the granted input unit through output
+// port out — the state transition both cores' grant scans end in: advance
+// the round-robin pointer, release or claim the output VC, return a credit
+// upstream, then eject the flit or put it on the link.
+func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 	if granted+1 == nUnits {
 		r.rr[out] = 0
 	} else {
@@ -1463,18 +1392,13 @@ func (s *Sim) arbitrateSlot(r *router, out, nUnits, eject, vcs int) bool {
 		if p.left == 0 {
 			s.freePacket(p)
 		}
-		return true
+		return
 	}
 	// Send over the link on the outgoing VC.
 	r.ovcs[out*vcs+outVC].cred--
 	f.vc = outVC
 	lat := int64(s.linkLatency(r.id, r.outNbr[out]))
-	lq := &r.links[out]
-	wasEmpty := lq.Len() == 0
-	lq.push(inflight{f: f, arrive: s.cycle + lat})
-	if wasEmpty && !s.cfg.ReferenceCore {
-		s.scheduleWake(s.cycle+lat, r.linkBase+int32(out))
-	}
+	r.links[out].push(inflight{f: f, arrive: s.cycle + lat})
 	s.res.FlitHops++
 	if s.fl != nil {
 		s.fl.links[r.linkBase+int32(out)]++
@@ -1482,7 +1406,6 @@ func (s *Sim) arbitrateSlot(r *router, out, nUnits, eject, vcs int) bool {
 	if f.head {
 		f.pkt.hops++
 	}
-	return true
 }
 
 // noteBlocked bumps the starvation counter of a unit whose head flit is
@@ -1531,20 +1454,10 @@ func (s *Sim) recordDelivery(p *packet) {
 // the determinism suite cross-check the counter through Results and
 // Snapshot occupancy fields.
 func (s *Sim) inFlight() int {
-	if !s.cfg.ReferenceCore {
-		return s.flitsIn
+	if s.cfg.ReferenceCore {
+		return s.countInFlight()
 	}
-	total := 0
-	for _, r := range s.routers {
-		total += r.srcQ.Len()
-		for i := range r.in {
-			total += r.in[i].q.Len()
-		}
-		for p := range r.links {
-			total += r.links[p].Len()
-		}
-	}
-	return total
+	return s.flitsIn
 }
 
 // Cycle returns the current cycle count.

@@ -81,11 +81,13 @@ func routeCacheDesigns(t *testing.T) map[string]Config {
 	}
 }
 
-// cacheRun is one simulation's observable output plus the witness counter.
+// cacheRun is one simulation's observable output plus the witness counter
+// and the simulator itself, for tests that inspect its internals.
 type cacheRun struct {
 	res   Results
 	snaps []Snapshot
 	over  int64
+	sim   *Sim
 }
 
 // runCached drives a fixed loaded-then-drained scenario over cfg. The load
@@ -112,12 +114,23 @@ func runCached(t *testing.T, cfg Config) cacheRun {
 	s.Run(500)
 	s.SetPattern(0, pat)
 	s.Run(300)
-	out.res, out.over = s.Results(), s.overThresholdHops
+	out.res, out.over, out.sim = s.Results(), s.overThresholdHops, s
 	return out
 }
 
 func (a cacheRun) equal(b cacheRun) bool {
 	return reflect.DeepEqual(a.res, b.res) && reflect.DeepEqual(a.snaps, b.snaps)
+}
+
+// filledWords counts the cache words holding at least one outcome.
+func filledWords(c *RouteCache) int {
+	filled := 0
+	for i := range c.words {
+		if c.words[i].Load() != 0 {
+			filled++
+		}
+	}
+	return filled
 }
 
 // TestSharedRouteCacheIdentity is the sharing contract at the simulator
@@ -134,10 +147,14 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 		}
 		ref := cfg
 		ref.ReferenceCore = true
+		ref.Routes = NewRouteCache(len(cfg.Out))
 		if got := runCached(t, ref); !got.equal(private) {
 			t.Errorf("%s: private-cache run diverges from the reference core", name)
 		} else if got.over != private.over {
 			t.Errorf("%s: over-threshold hops %d on the reference core, %d on the event core", name, got.over, private.over)
+		}
+		if filled := filledWords(ref.Routes); filled != 0 {
+			t.Errorf("%s: the reference core filled %d words of the cache it was handed", name, filled)
 		}
 
 		shared := cfg
@@ -147,12 +164,7 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 				t.Errorf("%s: %s shared-cache run diverges from the private-cache run", name, phase)
 			}
 		}
-		filled := 0
-		for i := range shared.Routes.words {
-			if shared.Routes.words[i].Load() != 0 {
-				filled++
-			}
-		}
+		filled := filledWords(shared.Routes)
 		if wantFill := cfg.Adaptive != AdaptiveEveryHop; (filled > 0) != wantFill {
 			t.Errorf("%s: shared cache has %d filled words, want filled=%v", name, filled, wantFill)
 		}
@@ -173,6 +185,39 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 				t.Errorf("%s: concurrent shared-cache run %d diverges from the private-cache run", name, i)
 			}
 		}
+	}
+}
+
+// TestReferenceCoreLeavesEventStateUntouched checks the oracle's
+// independence instead of reading it off the source: after a loaded
+// reference-core run — one router's links slow enough that the event core
+// would have used the overflow heap — the wake calendar is as New left it
+// and neither routing accelerator was installed.
+func TestReferenceCoreLeavesEventStateUntouched(t *testing.T) {
+	cfg := routeCacheDesigns(t)["sf"]
+	cfg.ReferenceCore = true
+	cfg.Routes = NewRouteCache(len(cfg.Out))
+	cfg.LinkLatency = func(u, v int) int {
+		if u == 0 {
+			return wheelSize + 8
+		}
+		return DefaultLinkLatency
+	}
+	run := runCached(t, cfg)
+	if run.sim == nil || run.res.Delivered == 0 {
+		t.Fatalf("reference run delivered nothing: %+v", run.res)
+	}
+	s := run.sim
+	for i := range s.wheel {
+		if s.wheel[i].head != -1 {
+			t.Errorf("wheel bucket %d armed for link %d", i, s.wheel[i].head)
+		}
+	}
+	if len(s.events) != 0 {
+		t.Errorf("overflow heap holds %d wakes", len(s.events))
+	}
+	if s.rc != nil || s.balg != nil {
+		t.Errorf("routing accelerators installed: rc=%v balg=%v", s.rc != nil, s.balg != nil)
 	}
 }
 

@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -155,7 +156,7 @@ func (n *Network) AdjacencyFor(alive []bool) [][]int {
 		for w := range outSet[v] {
 			nbrs = append(nbrs, w)
 		}
-		sortInts(nbrs)
+		slices.Sort(nbrs)
 		out[v] = nbrs
 	}
 	return out
@@ -266,7 +267,7 @@ func (n *Network) applyReconfig(v int) {
 				}
 			}
 		}
-		n.rebuildTable(u)
+		n.Router.Tables[u] = routing.BuildTable(u, n.out)
 	}
 	n.Stats.TablesRebuilt += len(affected)
 
@@ -324,22 +325,6 @@ func (n *Network) affectedRouters(changed map[int]bool, oldOut, newOut [][]int) 
 	return affected
 }
 
-// rebuildTable reconstructs router u's table from the active adjacency.
-func (n *Network) rebuildTable(u int) {
-	t := routing.NewTable(u)
-	for _, w := range n.out[u] {
-		t.Add(w, -1, false)
-	}
-	for _, w := range n.out[u] {
-		for _, x := range n.out[w] {
-			if x != u && x != w {
-				t.Add(x, w, true)
-			}
-		}
-	}
-	n.Router.Tables[u] = t
-}
-
 // rebuildAll recomputes adjacency and all tables (bulk static path).
 func (n *Network) rebuildAll() {
 	n.Stats.Reconfigs++
@@ -379,12 +364,4 @@ func diffAdjacency(oldOut, newOut [][]int) (disabled, enabled [][2]int) {
 		}
 	}
 	return disabled, enabled
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -52,25 +52,31 @@ func NewGreediestOver(sf *topology.StringFigure, bits int, out [][]int) *Greedie
 }
 
 // BuildTables constructs per-node routing tables from an out-neighbor
-// adjacency: one-hop entries for every out-neighbor, two-hop entries for
-// each neighbor's out-neighbors (excluding the node itself).
+// adjacency (see BuildTable).
 func BuildTables(n int, out [][]int) []*Table {
 	tables := make([]*Table, n)
-	for v := 0; v < n; v++ {
-		t := NewTable(v)
-		for _, w := range out[v] {
-			t.Add(w, -1, false)
-		}
-		for _, w := range out[v] {
-			for _, x := range out[w] {
-				if x != v && x != w {
-					t.Add(x, w, true)
-				}
-			}
-		}
-		tables[v] = t
+	for v := range tables {
+		tables[v] = BuildTable(v, out)
 	}
 	return tables
+}
+
+// BuildTable constructs node v's routing table from an out-neighbor
+// adjacency: one-hop entries for every out-neighbor, two-hop entries for
+// each neighbor's out-neighbors (excluding the node itself).
+func BuildTable(v int, out [][]int) *Table {
+	t := NewTable(v)
+	for _, w := range out[v] {
+		t.Add(w, -1, false)
+	}
+	for _, w := range out[v] {
+		for _, x := range out[w] {
+			if x != v && x != w {
+				t.Add(x, w, true)
+			}
+		}
+	}
+	return t
 }
 
 // Name implements Algorithm.

@@ -26,7 +26,7 @@ import (
 
 // Scenario kinds, the Spec.Kind vocabulary.
 const (
-	// KindChurnTrace replays an explicit list of gate events (Spec.Events).
+	// KindChurnTrace replays an explicit list of gate events (Spec.Gates).
 	KindChurnTrace = "churn-trace"
 	// KindChurn generates continuous bounded hotplug churn: every Every
 	// cycles a seeded-random alive node is gated off until MaxDown nodes
@@ -50,12 +50,13 @@ const (
 	KindRegenS2 = "regen-s2"
 )
 
-// GateEvent gates one node off or back on at an absolute network cycle.
-// It is the internal twin of the root package's GateEvent.
+// GateEvent gates one node off or back on at an absolute network cycle
+// (the root package's GateEvent is an alias of this type and carries the
+// timing contract).
 type GateEvent struct {
-	Cycle int64
-	Node  int
-	On    bool
+	Cycle int64 `json:"cycle"`
+	Node  int   `json:"node"`
+	On    bool  `json:"on"` // false gates the node off, true powers it back on
 }
 
 // RateEvent rescales the synthetic injection rate at an absolute network
@@ -74,49 +75,58 @@ type Regen struct {
 	Outage int64
 }
 
-// Spec is one declarative scenario. Kind selects the generator; the
-// remaining fields parameterize it (each kind reads its own subset, see
-// the Kind constants). Zero Seed derives a deterministic seed from the
-// environment's base seed and the spec's position.
+// Spec is one declarative scenario — the root package's ScenarioSpec is an
+// alias of this type, and its constructors (ChurnTrace, Churn, FailureStorm,
+// DiurnalRate, BurstyRate, RegenerateS2) fill the relevant fields. Kind
+// selects the generator; each kind reads its own field subset (see the Kind
+// constants). The struct serializes to snake_case JSON (the jobsvc JobSpec
+// form) and rides the distributed sweep wire unchanged.
 type Spec struct {
-	Kind string
-	Seed int64
+	// Kind selects the scenario generator (the Kind* constants).
+	Kind string `json:"kind"`
+	// Seed drives the spec's own randomness; 0 derives a deterministic
+	// seed from the environment's base seed and the spec's position.
+	Seed int64 `json:"seed,omitempty"`
 
-	// Start and Stop bound the scenario's active window in absolute
-	// network cycles (Stop <= 0 means the end of the run).
-	Start, Stop int64
+	// Start and Stop bound the active window in absolute network cycles
+	// (Stop <= 0 means the end of the run).
+	Start int64 `json:"start,omitempty"`
+	Stop  int64 `json:"stop,omitempty"`
 
-	// Events is the explicit gate trace (KindChurnTrace).
-	Events []GateEvent
+	// Gates is the explicit gate trace (KindChurnTrace).
+	Gates []GateEvent `json:"gates,omitempty"`
 
-	// Every is the churn tick (KindChurn) or mean burst gap (KindBurst).
-	Every int64
+	// Every is the churn tick (KindChurn) or the mean burst gap
+	// (KindBurst), in cycles.
+	Every int64 `json:"every,omitempty"`
 	// MaxDown bounds concurrently gated-off nodes (KindChurn, default 1).
-	MaxDown int
+	MaxDown int `json:"max_down,omitempty"`
 
 	// Center and Radius select the storm region (KindStorm): alive nodes
 	// within circular id-distance Radius of Center. A negative Center
 	// draws a seeded-random center.
-	Center, Radius int
+	Center int `json:"center,omitempty"`
+	Radius int `json:"radius,omitempty"`
 	// Recover schedules the storm's gate-ons Recover cycles after Start
 	// (0 leaves the region down for the rest of the run).
-	Recover int64
+	Recover int64 `json:"recover,omitempty"`
 
 	// Period and Depth shape the diurnal sine (KindDiurnal): the rate
 	// scale swings in [1-Depth, 1+Depth] over Period cycles.
-	Period int64
-	Depth  float64
+	Period int64   `json:"period,omitempty"`
+	Depth  float64 `json:"depth,omitempty"`
 
 	// Factor and Length shape bursts (KindBurst): the rate scales by
 	// Factor for Length cycles per burst.
-	Factor float64
-	Length int64
+	Factor float64 `json:"factor,omitempty"`
+	Length int64   `json:"length,omitempty"`
 
 	// Drop and Outage parameterize the S2 regeneration (KindRegenS2):
-	// rebuild at Drop fewer nodes, injection off for Outage cycles
-	// (0 defaults to the minimum reconfiguration interval).
-	Drop   int
-	Outage int64
+	// rebuild the topology at Drop fewer nodes at Start, with injection
+	// silenced for Outage cycles (0 defaults to the minimum
+	// reconfiguration interval).
+	Drop   int   `json:"drop,omitempty"`
+	Outage int64 `json:"outage,omitempty"`
 }
 
 // Env is the compilation environment: the network and run the schedule
@@ -216,12 +226,12 @@ func Compile(specs []Spec, env Env) (Schedule, error) {
 		}
 		switch sp.Kind {
 		case KindChurnTrace:
-			for _, ev := range sp.Events {
+			for _, ev := range sp.Gates {
 				if ev.Cycle < 0 || ev.Node < 0 || ev.Node >= env.Nodes {
 					return sch, fmt.Errorf("scenario: churn-trace event %+v out of range (N=%d)", ev, env.Nodes)
 				}
 			}
-			raw = append(raw, sp.Events...)
+			raw = append(raw, sp.Gates...)
 		case KindChurn:
 			evs, err := genChurn(sp, env, start, seed)
 			if err != nil {

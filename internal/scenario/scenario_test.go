@@ -27,7 +27,7 @@ func randomSpecs(rng *rand.Rand, env Env) []Spec {
 					On:    rng.Intn(2) == 0,
 				})
 			}
-			specs = append(specs, Spec{Kind: KindChurnTrace, Events: evs})
+			specs = append(specs, Spec{Kind: KindChurnTrace, Gates: evs})
 		case 1:
 			specs = append(specs, Spec{
 				Kind:    KindChurn,
@@ -211,7 +211,7 @@ func TestCompileRejects(t *testing.T) {
 		specs []Spec
 	}{
 		{"unknown kind", []Spec{{Kind: "tsunami"}}},
-		{"trace event out of range", []Spec{{Kind: KindChurnTrace, Events: []GateEvent{{Cycle: 10, Node: 99}}}}},
+		{"trace event out of range", []Spec{{Kind: KindChurnTrace, Gates: []GateEvent{{Cycle: 10, Node: 99}}}}},
 		{"churn without tick", []Spec{{Kind: KindChurn}}},
 		{"storm center out of range", []Spec{{Kind: KindStorm, Center: 16, Radius: 1}}},
 		{"diurnal depth out of range", []Spec{{Kind: KindDiurnal, Period: 100, Depth: 1.5}}},

@@ -40,54 +40,7 @@ const (
 // the constructors). Invalid specs surface as ErrScenario when the run
 // starts. The struct serializes to snake_case JSON (the jobsvc JobSpec
 // form) and rides the distributed sweep wire unchanged.
-type ScenarioSpec struct {
-	// Kind selects the scenario generator (the Scenario* constants).
-	Kind string `json:"kind"`
-	// Seed drives the spec's own randomness; 0 derives a deterministic
-	// seed from the session seed and the spec's position.
-	Seed int64 `json:"seed,omitempty"`
-
-	// Start and Stop bound the active window in absolute network cycles
-	// (Stop <= 0 means the end of the run).
-	Start int64 `json:"start,omitempty"`
-	Stop  int64 `json:"stop,omitempty"`
-
-	// Gates is the explicit gate trace (ScenarioChurnTrace).
-	Gates []GateEvent `json:"gates,omitempty"`
-
-	// Every is the churn tick (ScenarioChurn) or the mean burst gap
-	// (ScenarioBurst), in cycles.
-	Every int64 `json:"every,omitempty"`
-	// MaxDown bounds concurrently gated-off nodes (ScenarioChurn,
-	// default 1).
-	MaxDown int `json:"max_down,omitempty"`
-
-	// Center and Radius select the storm region (ScenarioStorm): alive
-	// nodes within circular id-distance Radius of Center. A negative
-	// Center draws a seeded-random center.
-	Center int `json:"center,omitempty"`
-	Radius int `json:"radius,omitempty"`
-	// Recover schedules the storm's gate-ons Recover cycles after Start
-	// (0 leaves the region down for the rest of the run).
-	Recover int64 `json:"recover,omitempty"`
-
-	// Period and Depth shape the diurnal sine (ScenarioDiurnal): the
-	// rate scale swings in [1-Depth, 1+Depth] over Period cycles.
-	Period int64   `json:"period,omitempty"`
-	Depth  float64 `json:"depth,omitempty"`
-
-	// Factor and Length shape bursts (ScenarioBurst): the rate scales by
-	// Factor for Length cycles per burst.
-	Factor float64 `json:"factor,omitempty"`
-	Length int64   `json:"length,omitempty"`
-
-	// Drop and Outage parameterize the S2 regeneration (ScenarioRegenS2):
-	// rebuild the topology at Drop fewer nodes at Start, with injection
-	// silenced for Outage cycles (0 defaults to the minimum
-	// reconfiguration interval).
-	Drop   int   `json:"drop,omitempty"`
-	Outage int64 `json:"outage,omitempty"`
-}
+type ScenarioSpec = scenario.Spec
 
 // ChurnTrace replays an explicit gate-event list — the way to schedule
 // hand-written mid-run reconfiguration: each event gates a node off or
@@ -194,31 +147,6 @@ func (r *scenarioRecorder) wrap(cfg SessionConfig, offset int64) SessionConfig {
 	return cfg
 }
 
-// specToInternal lowers the public spec into the scenario package's form.
-func specToInternal(sp ScenarioSpec) scenario.Spec {
-	isp := scenario.Spec{
-		Kind:    sp.Kind,
-		Seed:    sp.Seed,
-		Start:   sp.Start,
-		Stop:    sp.Stop,
-		Every:   sp.Every,
-		MaxDown: sp.MaxDown,
-		Center:  sp.Center,
-		Radius:  sp.Radius,
-		Recover: sp.Recover,
-		Period:  sp.Period,
-		Depth:   sp.Depth,
-		Factor:  sp.Factor,
-		Length:  sp.Length,
-		Drop:    sp.Drop,
-		Outage:  sp.Outage,
-	}
-	for _, g := range sp.Gates {
-		isp.Events = append(isp.Events, scenario.GateEvent(g))
-	}
-	return isp
-}
-
 // scenarioEnv is what scenarios compile against: the node count, the
 // Section VI timing in cycles, the starting alive mask (nil = all alive)
 // and the seed specs without their own derive from. resolveSchedule sets
@@ -262,11 +190,7 @@ func resolveSchedule(cfg SessionConfig, env scenario.Env, closedLoop bool) (scen
 	if closedLoop {
 		env.Total = cfg.MaxCycles
 	}
-	specs := make([]scenario.Spec, len(cfg.Scenario))
-	for i, sp := range cfg.Scenario {
-		specs[i] = specToInternal(sp)
-	}
-	sch, err := scenario.Compile(specs, env)
+	sch, err := scenario.Compile(cfg.Scenario, env)
 	if err != nil {
 		return scenario.Schedule{}, fmt.Errorf("%w: %v", ErrScenario, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 )
 
 // Point is one sweep coordinate: a workload at an injection rate. Rate is
@@ -60,12 +59,14 @@ func (n *Network) Sweep(cfg SessionConfig, points []Point, workers int) <-chan R
 // points are emitted immediately with Err set to ctx.Err(), so the stream
 // still delivers exactly one Result per point.
 func (n *Network) SweepContext(ctx context.Context, cfg SessionConfig, points []Point, workers int) <-chan Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
+	return n.sweep(ctx, cfg, points, workers, nil)
+}
+
+// sweep is the one sweep executor: a result slot per point, the cluster leg
+// (dispatchRemote; a no-op without connected workers) for the points that
+// can travel, a worker pool for the ones that stay, and an emitter that
+// streams the slots in point order.
+func (n *Network) sweep(ctx context.Context, cfg SessionConfig, points []Point, workers int, c *Cluster) <-chan Result {
 	// out is buffered one slot per point: the emitter below can always
 	// finish even if the consumer abandons the stream after cancellation,
 	// so a half-read sweep cannot strand the emitter goroutine.
@@ -74,19 +75,21 @@ func (n *Network) SweepContext(ctx context.Context, cfg SessionConfig, points []
 	for i := range slots {
 		slots[i] = make(chan Result, 1)
 	}
+	local := n.dispatchRemote(ctx, c, cfg, points, slots)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	for w := 0; w < min(workers, len(local)); w++ {
 		go func() {
-			defer wg.Done()
 			for i := range jobs {
 				slots[i] <- n.runPoint(ctx, cfg, points[i], i)
 			}
 		}()
 	}
 	go func() {
-		for i := range points {
+		defer close(jobs)
+		for _, i := range local {
 			select {
 			case jobs <- i:
 			case <-ctx.Done():
@@ -95,8 +98,6 @@ func (n *Network) SweepContext(ctx context.Context, cfg SessionConfig, points []
 				slots[i] <- n.errResult(cfg, points[i], i, ctx.Err())
 			}
 		}
-		close(jobs)
-		wg.Wait()
 	}()
 	// Emit in point order as results land; a slow early point buffers at
 	// most one result per later point (slots are 1-deep).

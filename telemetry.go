@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 )
 
 // TelemetrySnapshot is one live interval record streamed out of a running
@@ -124,11 +125,7 @@ type PacketTraceEvent struct {
 // deferred to the earliest legal cycle, preserving order. An epoch deferred
 // past the end of the run never fires — the starting alive mask is restored
 // on exit either way.
-type GateEvent struct {
-	Cycle int64 `json:"cycle"`
-	Node  int   `json:"node"`
-	On    bool  `json:"on"` // false gates the node off, true powers it back on
-}
+type GateEvent = scenario.GateEvent
 
 // WithTelemetry returns a copy of the config with a live snapshot sink
 // attached: every run under the returned config emits a TelemetrySnapshot to
