@@ -1,0 +1,90 @@
+package stringfigure_test
+
+// Exact allocation counts for the netsim core. Go reports a benchmark's
+// allocs/op as total allocations divided by b.N in integer arithmetic, so
+// "0 allocs/op" only proves fewer than one allocation per cycle. These
+// tests count the allocations of whole windows instead, over the
+// benchmarks' own configurations (netsimStepConfig, netsimStepSim): a
+// per-cycle allocation reads at least 2000 in the steady-state window,
+// while the one-off high-water growth a warm network may still do
+// (stats.Histogram.Observe reaching a new latency, the packet pool or its
+// free list growing) stays within the budget.
+
+import (
+	"fmt"
+	"testing"
+)
+
+// steadyStateAllocBudget is the high-water allowance of one 2000-cycle
+// window after warm-up. Measured in cycles 3000–5000: at most 2 at every
+// grid point.
+const steadyStateAllocBudget = 4
+
+// TestNetsimSteadyStateAllocs counts every heap allocation of cycles
+// 3000–5000 at each point of the netsim benchmark grid, plus the
+// flow-accounting and rate-scenario variants.
+func TestNetsimSteadyStateAllocs(t *testing.T) {
+	type point struct {
+		name        string
+		n           int
+		rate        float64
+		session     bool
+		flowBuckets int
+		scenario    bool
+	}
+	var points []point
+	for _, g := range netsimStepGrid {
+		points = append(points, point{name: fmt.Sprintf("N%d_%s", g.n, g.load), n: g.n, rate: g.rate, session: g.session})
+	}
+	points = append(points,
+		point{name: "Flow_N64_light", n: 64, rate: 0.01, flowBuckets: 4},
+		point{name: "Scenario_N64_light", n: 64, rate: 0.01, scenario: true})
+	for _, p := range points {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := netsimStepConfig(t, p.n, p.session)
+			cfg.FlowBuckets = p.flowBuckets
+			sim := netsimStepSim(t, cfg, p.rate)
+			sim.Run(1000)
+			window := func() {
+				for i := 0; i < 2000; i++ {
+					if p.scenario {
+						scenarioTick(sim, i, p.rate)
+					}
+					sim.Run(1)
+				}
+			}
+			// AllocsPerRun runs the window once uncounted (cycles
+			// 1000–3000, completing the benchmarks' 3000-cycle warm-up),
+			// then counts one run exactly: cycles 3000–5000.
+			allocs := testing.AllocsPerRun(1, window)
+			if sim.Results().Deadlocked {
+				t.Fatal("deadlocked")
+			}
+			t.Logf("%v allocations in cycles 3000-5000", allocs)
+			if allocs > steadyStateAllocBudget {
+				t.Errorf("%v heap allocations in cycles 3000-5000, budget %d: the steady-state core allocates (a per-cycle allocation reads >= 2000)",
+					allocs, steadyStateAllocBudget)
+			}
+		})
+	}
+}
+
+// TestNetsimColdSimAllocs counts a sweep point's cold start: construction
+// of a fresh loaded N=256 simulator over shared routing tables, then 1000
+// cycles of growth to the working set (3 383 allocations when the ceiling
+// was set).
+func TestNetsimColdSimAllocs(t *testing.T) {
+	const ceiling = 6000
+	cfg := netsimStepConfig(t, 256, true)
+	allocs := testing.AllocsPerRun(1, func() {
+		sim := netsimStepSim(t, cfg, 0.20)
+		sim.Run(1000)
+		if sim.Results().Deadlocked {
+			t.Fatal("deadlocked")
+		}
+	})
+	t.Logf("%v allocations", allocs)
+	if allocs > ceiling {
+		t.Errorf("cold N256_loaded simulator: %v allocations over 1000 cycles, ceiling %d", allocs, ceiling)
+	}
+}

@@ -370,8 +370,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 // default packets; session selects what the session layer runs instead —
 // the paper's topology (topology.NewPaperSF: PortsForN ports,
 // bi-directional) and one-flit request packets.
-func netsimStepConfig(b *testing.B, n int, session bool) netsim.Config {
-	b.Helper()
+func netsimStepConfig(tb testing.TB, n int, session bool) netsim.Config {
+	tb.Helper()
 	build := func() (*topology.StringFigure, error) {
 		return topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 1, Shortcuts: true})
 	}
@@ -380,7 +380,7 @@ func netsimStepConfig(b *testing.B, n int, session bool) netsim.Config {
 	}
 	sf, err := build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := netsim.SFConfig(sf, 1)
 	if session {
@@ -391,15 +391,15 @@ func netsimStepConfig(b *testing.B, n int, session bool) netsim.Config {
 
 // netsimStepSim builds a fresh simulator over cfg under uniform traffic at
 // the given injection rate.
-func netsimStepSim(b *testing.B, cfg netsim.Config, rate float64) *netsim.Sim {
-	b.Helper()
+func netsimStepSim(tb testing.TB, cfg netsim.Config, rate float64) *netsim.Sim {
+	tb.Helper()
 	sim, err := netsim.New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pat, err := traffic.NewPattern("uniform", len(cfg.Out))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sim.SetPattern(rate, pat)
 	return sim
@@ -408,12 +408,12 @@ func netsimStepSim(b *testing.B, cfg netsim.Config, rate float64) *netsim.Sim {
 // netsimStepBench drives the raw simulator one cycle per benchmark op.
 // Warmup fills the network to its steady state (queues at their high-water
 // marks, the packet pool primed, flow histograms at their latency
-// high-water, the route cache warm), after which the core must run without
-// heap allocations — allocs/op is reported and gated at 0 by
-// bench_baseline.json, and cycles/s is the perf-trajectory headline.
-// flowBuckets > 0 enables per-flow accounting (the BenchmarkNetsimStepFlow
-// variant), pinning the accounting-on overhead next to the
-// observability-off ceiling.
+// high-water, the route cache warm), after which the core runs without
+// per-cycle heap allocations — TestNetsimSteadyStateAllocs holds the exact
+// count of the cycles after the same warm-up, and cycles/s is the
+// perf-trajectory headline. flowBuckets > 0 enables per-flow accounting
+// (the BenchmarkNetsimStepFlow variant), pinning the accounting-on overhead
+// next to the observability-off ceiling.
 func netsimStepBench(b *testing.B, n int, rate float64, session, reference bool, flowBuckets int) {
 	b.Helper()
 	cfg := netsimStepConfig(b, n, session)
@@ -444,8 +444,8 @@ func netsimStepBench(b *testing.B, n int, rate float64, session, reference bool,
 // run in, configured the way sessions run it (see netsimStepConfig): rate
 // 0.20, sfperf's synth-loaded-n256 — every router busy every cycle, near
 // but under saturation. All three reach a stable in-flight population,
-// which allocs/op needs to be meaningful (an ever-growing source-queue
-// backlog allocates forever on any core).
+// which an allocation count needs to be meaningful (an ever-growing
+// source-queue backlog allocates forever on any core).
 var netsimStepGrid = []struct {
 	n       int
 	load    string
@@ -458,8 +458,7 @@ var netsimStepGrid = []struct {
 }
 
 // BenchmarkNetsimStep is the netsim hot-loop benchmark grid: cycles/s and
-// allocs/op at N=64/256/1024 from near-idle to loaded. benchgate holds
-// cycles/s above the bench_baseline.json floors and allocs/op at 0.
+// allocs/op at N=64/256/1024 from near-idle to loaded.
 func BenchmarkNetsimStep(b *testing.B) {
 	for _, g := range netsimStepGrid {
 		b.Run(fmt.Sprintf("N%d_%s", g.n, g.load), func(b *testing.B) {
@@ -471,10 +470,10 @@ func BenchmarkNetsimStep(b *testing.B) {
 // BenchmarkNetsimStepCold is the loaded N=256 point the way a sweep point
 // runs it: each op builds a fresh simulator over shared routing tables —
 // empty queues, empty packet pool, cold private route cache — and runs 1000
-// cycles with no warm-up. The warm grid cannot see what this gates:
+// cycles with no warm-up. The warm grid cannot see what this measures:
 // construction, growth to the working set (allocs/op is the whole
-// session's, held under a ceiling) and the price of every cold routing
-// decision.
+// session's; TestNetsimColdSimAllocs holds it under a ceiling) and the
+// price of every cold routing decision.
 func BenchmarkNetsimStepCold(b *testing.B) {
 	b.Run("N256_loaded", func(b *testing.B) {
 		const cycles = 1000
@@ -494,10 +493,10 @@ func BenchmarkNetsimStepCold(b *testing.B) {
 
 // BenchmarkNetsimStepFlow is the N=64 light-load grid point with per-flow
 // accounting enabled (4×4 src/dst buckets, the sfexp default): the delta
-// against NetsimStep/N64_light is the observability overhead, and the
-// allocs/op ceiling pins the accounting path allocation-free in steady
-// state — the flow histograms live in a pre-carved arena that reaches its
-// latency high-water mark during warmup.
+// against NetsimStep/N64_light is the observability overhead. The
+// accounting path stays allocation-free in steady state — the flow
+// histograms live in a pre-carved arena that reaches its latency high-water
+// mark during warmup — which TestNetsimSteadyStateAllocs counts.
 func BenchmarkNetsimStepFlow(b *testing.B) {
 	b.Run("N64_light", func(b *testing.B) {
 		netsimStepBench(b, 64, 0.01, false, false, 4)
@@ -505,12 +504,11 @@ func BenchmarkNetsimStepFlow(b *testing.B) {
 }
 
 // BenchmarkNetsimStepScenario is the N=64 light-load grid point with a rate
-// schedule armed: every 1024 cycles the injection rate re-sets, alternating
-// ±25% around the grid rate — the way a compiled diurnal or bursty scenario
-// drives the core between Run slices. SetRate only restarts the geometric
-// skip-sampling trial, so the scheduled path must hold the same 0 allocs/op
-// ceiling as the unscheduled core; the cycles/s delta against
-// NetsimStep/N64_light is the cost of arming a scenario at all.
+// schedule armed (scenarioTick). SetRate only restarts the geometric
+// skip-sampling trial, so the scheduled path must stay as allocation-free as
+// the unscheduled core (TestNetsimSteadyStateAllocs counts both); the
+// cycles/s delta against NetsimStep/N64_light is the cost of arming a
+// scenario at all.
 func BenchmarkNetsimStepScenario(b *testing.B) {
 	b.Run("N64_light", func(b *testing.B) {
 		const rate = 0.01
@@ -522,13 +520,7 @@ func BenchmarkNetsimStepScenario(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if i%1024 == 0 {
-				if i%2048 == 0 {
-					sim.SetRate(rate * 0.75)
-				} else {
-					sim.SetRate(rate * 1.25)
-				}
-			}
+			scenarioTick(sim, i, rate)
 			sim.Run(1)
 		}
 		b.StopTimer()
@@ -539,12 +531,26 @@ func BenchmarkNetsimStepScenario(b *testing.B) {
 	})
 }
 
+// scenarioTick applies the rate schedule of the scenario grid point before
+// cycle i: every 1024 cycles the injection rate re-sets, alternating ±25%
+// around the grid rate — the way a compiled diurnal or bursty scenario
+// drives the core between Run slices.
+func scenarioTick(sim *netsim.Sim, i int, rate float64) {
+	if i%1024 == 0 {
+		if i%2048 == 0 {
+			sim.SetRate(rate * 0.75)
+		} else {
+			sim.SetRate(rate * 1.25)
+		}
+	}
+}
+
 // BenchmarkNetsimStepRef runs the same N=1024 low-load point on the
 // reference full-scan core: the ratio of NetsimStep/N1024_low to this
 // number is the event-scheduling speedup (same injection scheme, same
-// memory layout, full per-router scan instead of worklists) recorded in
-// every BENCH_*.json. The pre-PR core was slower still — it also paid
-// per-node injection draws and per-cycle allocations.
+// memory layout, full per-router scan instead of worklists). The
+// pre-rewrite core was slower still — it also paid per-node injection
+// draws and per-cycle allocations.
 func BenchmarkNetsimStepRef(b *testing.B) {
 	b.Run("N1024_low", func(b *testing.B) {
 		netsimStepBench(b, 1024, 0.0003, false, true, 0)

@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"repro/internal/lintutil"
 )
 
 // The map-range-order analyzer flags `for range` over a map in
@@ -36,7 +34,7 @@ const orderedMarker = "//simlint:ordered"
 
 // checkMapOrder reports order-sensitive map ranges in p. include filters
 // by file base name (nil checks every file).
-func checkMapOrder(p *lintutil.Package, include func(file string) bool, rep *lintutil.Report) {
+func checkMapOrder(p *Package, include func(file string) bool, rep *Report) {
 	for _, f := range p.Files {
 		if include != nil && !include(p.Filename(f.Pos())) {
 			continue
@@ -121,7 +119,7 @@ func enclosingFunc(stack []ast.Node) ast.Node {
 
 // orderInsensitive reports whether every statement of the range body is
 // commutative under reordering (or a collect feeding a later sort).
-func orderInsensitive(p *lintutil.Package, rs *ast.RangeStmt, fn ast.Node) bool {
+func orderInsensitive(p *Package, rs *ast.RangeStmt, fn ast.Node) bool {
 	var collected []types.Object
 	for _, stmt := range rs.Body.List {
 		switch s := stmt.(type) {
@@ -153,7 +151,7 @@ func orderInsensitive(p *lintutil.Package, rs *ast.RangeStmt, fn ast.Node) bool 
 // returns the objects of slices collected via append (which must be
 // sorted after the loop) and whether the statement is order-insensitive
 // at all.
-func assignAllowed(p *lintutil.Package, s *ast.AssignStmt) ([]types.Object, bool) {
+func assignAllowed(p *Package, s *ast.AssignStmt) ([]types.Object, bool) {
 	switch s.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
 		// Commutative only over integers: float addition rounds in
@@ -208,7 +206,7 @@ func isIntegral(t types.Type) bool {
 }
 
 // isMapWrite reports whether lhs indexes a map.
-func isMapWrite(p *lintutil.Package, lhs ast.Expr) bool {
+func isMapWrite(p *Package, lhs ast.Expr) bool {
 	ix, ok := lhs.(*ast.IndexExpr)
 	if !ok {
 		return false
@@ -223,7 +221,7 @@ func isMapWrite(p *lintutil.Package, lhs ast.Expr) bool {
 
 // isSelfAppend reports whether rhs is append(lhs, ...) with lhs a plain
 // identifier — the collect half of collect-then-sort.
-func isSelfAppend(p *lintutil.Package, lhs, rhs ast.Expr) bool {
+func isSelfAppend(p *Package, lhs, rhs ast.Expr) bool {
 	id, ok := lhs.(*ast.Ident)
 	if !ok {
 		return false
@@ -238,7 +236,7 @@ func isSelfAppend(p *lintutil.Package, lhs, rhs ast.Expr) bool {
 
 // isSelfMinMax reports whether rhs is min(...)/max(...) with lhs among
 // the arguments.
-func isSelfMinMax(p *lintutil.Package, lhs, rhs ast.Expr) bool {
+func isSelfMinMax(p *Package, lhs, rhs ast.Expr) bool {
 	id, ok := lhs.(*ast.Ident)
 	if !ok {
 		return false
@@ -256,7 +254,7 @@ func isSelfMinMax(p *lintutil.Package, lhs, rhs ast.Expr) bool {
 }
 
 // isBuiltinCall reports whether e is a call to the named builtin.
-func isBuiltinCall(p *lintutil.Package, e ast.Expr, name string) bool {
+func isBuiltinCall(p *Package, e ast.Expr, name string) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false
@@ -270,7 +268,7 @@ func isBuiltinCall(p *lintutil.Package, e ast.Expr, name string) bool {
 }
 
 // sameObject reports whether two identifiers resolve to one object.
-func sameObject(p *lintutil.Package, a, b *ast.Ident) bool {
+func sameObject(p *Package, a, b *ast.Ident) bool {
 	ao := p.Info.Uses[a]
 	if ao == nil {
 		ao = p.Info.Defs[a]
@@ -295,7 +293,7 @@ var sortFuncs = map[string]map[string]bool{
 
 // sortedAfter reports whether obj (a slice collected inside rs) is
 // passed to a sort call after the range statement, inside fn.
-func sortedAfter(p *lintutil.Package, fn ast.Node, rs *ast.RangeStmt, obj types.Object) bool {
+func sortedAfter(p *Package, fn ast.Node, rs *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(fn, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

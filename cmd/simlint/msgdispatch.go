@@ -6,8 +6,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/lintutil"
 )
 
 // The msg-exhaustive analyzer proves the dist protocol's dispatch
@@ -41,10 +39,10 @@ type dispatchContract struct {
 
 // checkMsgDispatch verifies one protocol package and returns the number
 // of frame constants checked.
-func checkMsgDispatch(pkgs map[string]*lintutil.Package, c dispatchContract, rep *lintutil.Report) int {
+func checkMsgDispatch(pkgs map[string]*Package, c dispatchContract, rep *Report) int {
 	p := pkgs[c.pkg]
 	if p == nil {
-		rep.AddNoPos("msg-exhaustive", "contract names package %q, which was not loaded", c.pkg)
+		rep.AddAt(token.Position{}, "msg-exhaustive", "contract names package %q, which was not loaded", c.pkg)
 		return 0
 	}
 
@@ -68,7 +66,7 @@ func checkMsgDispatch(pkgs map[string]*lintutil.Package, c dispatchContract, rep
 		ordered = append(ordered, obj)
 	}
 	if len(ordered) == 0 {
-		rep.AddNoPos("msg-exhaustive", "no %s* constants of type %s found in %s — contract drift?", c.constPrefix, c.enumType, c.pkg)
+		rep.AddAt(token.Position{}, "msg-exhaustive", "no %s* constants of type %s found in %s — contract drift?", c.constPrefix, c.enumType, c.pkg)
 		return 0
 	}
 

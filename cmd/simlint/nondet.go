@@ -3,8 +3,6 @@ package main
 import (
 	"go/ast"
 	"go/types"
-
-	"repro/internal/lintutil"
 )
 
 // The nondet-source analyzer forbids ambient inputs in determinism-
@@ -54,7 +52,7 @@ func nondetWhy(pkg, fn string) string {
 // include filters by file base name (nil checks every file); it lets the
 // root package exempt scrape-time exposition code (metrics.go) whose
 // wall-clock use is observational, not result-bearing.
-func checkNondet(p *lintutil.Package, include func(file string) bool, rep *lintutil.Report) {
+func checkNondet(p *Package, include func(file string) bool, rep *Report) {
 	for _, f := range p.Files {
 		if include != nil && !include(p.Filename(f.Pos())) {
 			continue

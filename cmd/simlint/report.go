@@ -1,4 +1,4 @@
-package lintutil
+package main
 
 import (
 	"fmt"
@@ -33,24 +33,19 @@ type Report struct {
 
 // Add records one finding at pos (resolved through fset).
 func (r *Report) Add(fset *token.FileSet, pos token.Pos, analyzer, format string, args ...any) {
+	r.AddAt(fset.Position(pos), analyzer, format, args...)
+}
+
+// AddAt records one finding at an already resolved position. The zero
+// Position records a finding with no source anchor (e.g. a gate
+// configuration naming a package or function that no longer exists).
+func (r *Report) AddAt(pos token.Position, analyzer, format string, args ...any) {
 	r.findings = append(r.findings, Finding{
-		Position: fset.Position(pos),
+		Position: pos,
 		Analyzer: analyzer,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
-
-// AddNoPos records one finding that has no source anchor (e.g. a gate
-// configuration naming a package that no longer exists).
-func (r *Report) AddNoPos(analyzer, format string, args ...any) {
-	r.findings = append(r.findings, Finding{
-		Analyzer: analyzer,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Len returns the number of findings recorded so far.
-func (r *Report) Len() int { return len(r.findings) }
 
 // Findings returns the recorded findings sorted by file, line and
 // analyzer, so gate output is stable across runs regardless of analyzer

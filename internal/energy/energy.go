@@ -17,12 +17,6 @@ type Model struct {
 	dramPJ    float64
 }
 
-// AddFlitHops books network energy for the given number of flit link
-// traversals at the reference radix (8-port routers).
-func (m *Model) AddFlitHops(flitHops int64) {
-	m.networkPJ += float64(flitHops) * FlitBits * NetworkPJPerBitHop
-}
-
 // PJPerBitHopForRadix returns the per-bit-per-hop energy for routers of the
 // given port count. The Table I figure (5 pJ/bit/hop) is calibrated to the
 // String Figure 8-port router; crossbar and arbitration energy grow roughly
@@ -49,11 +43,6 @@ func (m *Model) AddDRAMAccesses(accesses int64) {
 	m.dramPJ += float64(accesses) * CacheLineBits * DRAMPJPerBit
 }
 
-// AddDRAMBits books DRAM energy for an explicit bit count.
-func (m *Model) AddDRAMBits(bits int64) {
-	m.dramPJ += float64(bits) * DRAMPJPerBit
-}
-
 // NetworkPJ returns accumulated network energy in pJ.
 func (m *Model) NetworkPJ() float64 { return m.networkPJ }
 
@@ -63,12 +52,6 @@ func (m *Model) DRAMPJ() float64 { return m.dramPJ }
 // TotalPJ returns total dynamic energy in pJ.
 func (m *Model) TotalPJ() float64 { return m.networkPJ + m.dramPJ }
 
-// TotalUJ returns total dynamic energy in microjoules.
-func (m *Model) TotalUJ() float64 { return m.TotalPJ() / 1e6 }
-
 // EDP returns the energy-delay product given an execution time in
 // nanoseconds: pJ x ns (lower is better), the Figure 9(b) metric.
 func (m *Model) EDP(delayNs float64) float64 { return m.TotalPJ() * delayNs }
-
-// PacketBits returns the wire bits of a packet with the given flit count.
-func PacketBits(flits int) int64 { return int64(flits) * FlitBits }

@@ -7,7 +7,7 @@ import (
 
 func TestNetworkEnergy(t *testing.T) {
 	var m Model
-	m.AddFlitHops(10)
+	m.AddFlitHopsRadix(10, 8) // the reference radix
 	want := 10.0 * 128 * 5
 	if got := m.NetworkPJ(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("NetworkPJ = %v, want %v", got, want)
@@ -24,31 +24,17 @@ func TestDRAMEnergy(t *testing.T) {
 	if got := m.DRAMPJ(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("DRAMPJ = %v, want %v", got, want)
 	}
-	m.AddDRAMBits(100)
-	want += 100 * 12
-	if got := m.DRAMPJ(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("DRAMPJ after bits = %v, want %v", got, want)
-	}
 }
 
 func TestTotalsAndEDP(t *testing.T) {
 	var m Model
-	m.AddFlitHops(1)
+	m.AddFlitHopsRadix(1, 8)
 	m.AddDRAMAccesses(1)
 	total := 128*5.0 + 512*12.0
 	if got := m.TotalPJ(); math.Abs(got-total) > 1e-9 {
 		t.Errorf("TotalPJ = %v, want %v", got, total)
 	}
-	if got := m.TotalUJ(); math.Abs(got-total/1e6) > 1e-15 {
-		t.Errorf("TotalUJ = %v", got)
-	}
 	if got := m.EDP(10); math.Abs(got-total*10) > 1e-9 {
 		t.Errorf("EDP = %v, want %v", got, total*10)
-	}
-}
-
-func TestPacketBits(t *testing.T) {
-	if got := PacketBits(5); got != 640 {
-		t.Errorf("PacketBits(5) = %d, want 640", got)
 	}
 }

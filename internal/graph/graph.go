@@ -277,27 +277,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// RemoveNode deletes all edges incident to u (u keeps its index so node IDs
-// stay stable across reconfiguration).
-func (g *Graph) RemoveNode(u int) {
-	if u < 0 || u >= g.n {
-		return
-	}
-	g.adj[u] = nil
-	for v := range g.adj {
-		if v == u {
-			continue
-		}
-		kept := g.adj[v][:0]
-		for _, e := range g.adj[v] {
-			if e.To != u {
-				kept = append(kept, e)
-			}
-		}
-		g.adj[v] = kept
-	}
-}
-
 // InducedSubgraph returns the subgraph over the nodes where alive[i] is true,
 // keeping original node indices (dead nodes become isolated).
 func (g *Graph) InducedSubgraph(alive []bool) *Graph {

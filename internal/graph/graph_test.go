@@ -148,24 +148,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestRemoveNode(t *testing.T) {
-	g := ring(5)
-	g.RemoveNode(2)
-	if g.OutDegree(2) != 0 {
-		t.Error("removed node still has out edges")
-	}
-	for v := 0; v < 5; v++ {
-		if g.HasEdge(v, 2) {
-			t.Errorf("node %d still points at removed node", v)
-		}
-	}
-	// Remaining ring fragment 3-4-0-1 stays connected through the long way.
-	dist := g.BFS(3)
-	if dist[1] != 3 {
-		t.Errorf("dist 3->1 = %d, want 3", dist[1])
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := ring(6)
 	alive := []bool{true, true, true, true, false, true}

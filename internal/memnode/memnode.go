@@ -119,15 +119,6 @@ func (n *Node) Access(now int64, addr uint64, isWrite bool) int64 {
 	return done
 }
 
-// RowHitRate returns the fraction of accesses that hit the open row.
-func (n *Node) RowHitRate() float64 {
-	total := n.RowHits + n.RowMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(n.RowHits) / float64(total)
-}
-
 // AddressMap distributes physical addresses across memory nodes. The paper
 // distributes data "among the memory nodes based on their physical address";
 // we interleave at page granularity so consecutive pages land on different
@@ -179,13 +170,4 @@ func NewPool(n int) (*Pool, error) {
 func (p *Pool) Access(now int64, addr uint64, isWrite bool) (node int, done int64) {
 	v := p.Map.NodeOf(addr)
 	return v, p.Nodes[v].Access(now, addr, isWrite)
-}
-
-// TotalAccesses sums reads+writes over all nodes.
-func (p *Pool) TotalAccesses() int64 {
-	var total int64
-	for _, n := range p.Nodes {
-		total += n.Reads + n.Writes
-	}
-	return total
 }

@@ -126,27 +126,10 @@ func TestPool(t *testing.T) {
 	if done <= 0 {
 		t.Errorf("done = %d, want > 0", done)
 	}
-	if p.TotalAccesses() != 1 {
-		t.Errorf("TotalAccesses = %d, want 1", p.TotalAccesses())
-	}
 	if p.Map.CapacityBytes() != 4*NodeCapacityBytes {
 		t.Errorf("capacity = %d", p.Map.CapacityBytes())
 	}
 	if p.Nodes[1].Writes != 1 {
 		t.Errorf("write not recorded on node 1")
-	}
-}
-
-func TestRowHitRate(t *testing.T) {
-	n, _ := NewNode(0, 16, PaperTiming())
-	if n.RowHitRate() != 0 {
-		t.Error("empty node should report 0 hit rate")
-	}
-	now := int64(0)
-	for i := 0; i < 10; i++ {
-		now = n.Access(now, uint64(i*64)<<4, false) // spread across banks
-	}
-	if n.RowHitRate() < 0 || n.RowHitRate() > 1 {
-		t.Errorf("hit rate out of range: %v", n.RowHitRate())
 	}
 }

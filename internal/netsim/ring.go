@@ -55,8 +55,7 @@ func (q *ring[T]) truncate(k int) {
 // grow doubles the backing array. It is deliberately a separate, never
 // inlined function: growth happens only until a queue reaches its
 // steady-state high-water mark, and keeping the allocation out of push
-// lets the escape-analysis gate (cmd/allocheck) pin the hot path
-// allocation-free.
+// lets cmd/simlint's hot-escape analyzer pin ring.push allocation-free.
 //
 //go:noinline
 func (q *ring[T]) grow() {

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -33,13 +32,6 @@ func (s *Summary) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// AddN records the same observation n times.
-func (s *Summary) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		s.Add(x)
-	}
 }
 
 // Merge folds another summary into s.
@@ -84,9 +76,6 @@ func (s *Summary) Variance() float64 {
 	}
 	return s.m2 / float64(s.n)
 }
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // DeltaSince returns the summary of the observations recorded between prev
 // (an earlier snapshot of this summary — Summary is a value type, so a plain
@@ -276,31 +265,6 @@ func (h *Histogram) DeltaSince(prev *Histogram) Histogram {
 		d.ObserveN(v, c)
 	}
 	return d
-}
-
-// Quantile computes the q-th quantile (0..1) of a float64 sample by sorting a
-// copy. It returns 0 for an empty sample.
-func Quantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	c := make([]float64, len(sample))
-	copy(c, sample)
-	sort.Float64s(c)
-	if q <= 0 {
-		return c[0]
-	}
-	if q >= 1 {
-		return c[len(c)-1]
-	}
-	pos := q * float64(len(c)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := pos - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
 }
 
 // Mean returns the arithmetic mean of the sample, or 0 when empty.

@@ -453,20 +453,6 @@ func (sf *StringFigure) Successor(s, v int, alive []bool) int {
 	return -1
 }
 
-// Predecessor returns the clockwise predecessor of node v in space s among
-// alive nodes, or -1 if none exists.
-func (sf *StringFigure) Predecessor(s, v int, alive []bool) int {
-	n := sf.Cfg.N
-	r := sf.Rank[s][v]
-	for step := 1; step < n; step++ {
-		w := sf.Order[s][((r-step)%n+n)%n]
-		if alive == nil || alive[w] {
-			return w
-		}
-	}
-	return -1
-}
-
 // SortLinks orders links deterministically (by From, To, Space), for stable
 // output in tools and tests.
 func SortLinks(links []Link) {

@@ -125,18 +125,6 @@ func TestRingLinksFormCyclePerSpace(t *testing.T) {
 	}
 }
 
-func TestSuccessorPredecessorInverse(t *testing.T) {
-	sf := mustSF(t, Config{N: 21, Ports: 8, Seed: 11})
-	for s := 0; s < sf.Spaces; s++ {
-		for v := 0; v < 21; v++ {
-			succ := sf.Successor(s, v, nil)
-			if sf.Predecessor(s, succ, nil) != v {
-				t.Fatalf("space %d: Predecessor(Successor(%d)) != %d", s, v, v)
-			}
-		}
-	}
-}
-
 func TestSuccessorSkipsDeadNodes(t *testing.T) {
 	sf := mustSF(t, Config{N: 10, Ports: 4, Seed: 2})
 	alive := make([]bool, 10)

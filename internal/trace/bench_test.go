@@ -6,9 +6,25 @@ import (
 	"repro/internal/memnode"
 )
 
-// BenchmarkTraceGenerate times the uncached kernel per Table IV workload at
-// the benchmark's session shape (N=128, 400 ops): warm-up dominates, so
-// ns/access is the cache model plus the workload's access generator.
+// generateOnce synthesizes one uncached trace of the named workload at the
+// benchmark's session shape (N=128, 400 ops) and returns the cache-model
+// accesses it cost.
+func generateOnce(tb testing.TB, m memnode.AddressMap, name string) int64 {
+	tb.Helper()
+	w, err := NewWorkload(name, m.CapacityBytes(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := Generate(w, m, 400, 101)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return WarmupAccesses + tr.RawAccesses
+}
+
+// BenchmarkTraceGenerate times the uncached kernel per Table IV workload:
+// warm-up dominates, so ns/access is the cache model plus the workload's
+// access generator.
 func BenchmarkTraceGenerate(b *testing.B) {
 	m := memnode.NewAddressMap(128)
 	for _, name := range WorkloadNames {
@@ -16,17 +32,24 @@ func BenchmarkTraceGenerate(b *testing.B) {
 			b.ReportAllocs()
 			var accesses int64
 			for i := 0; i < b.N; i++ {
-				w, err := NewWorkload(name, m.CapacityBytes(), 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr, err := Generate(w, m, 400, 101)
-				if err != nil {
-					b.Fatal(err)
-				}
-				accesses += WarmupAccesses + tr.RawAccesses
+				accesses += generateOnce(b, m, name)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
 		})
+	}
+}
+
+// TestGenerateAllocs counts one synthesis exactly: a trace is a handful of
+// flat arrays, not an allocation per cache set or per access (9–14
+// allocations per workload when the ceiling was set, 9–16 under -race).
+func TestGenerateAllocs(t *testing.T) {
+	const ceiling = 32
+	m := memnode.NewAddressMap(128)
+	for _, name := range WorkloadNames {
+		allocs := testing.AllocsPerRun(1, func() { generateOnce(t, m, name) })
+		t.Logf("%s: %v allocations", name, allocs)
+		if allocs > ceiling {
+			t.Errorf("%s: %v allocations to synthesize one trace, ceiling %d", name, allocs, ceiling)
+		}
 	}
 }

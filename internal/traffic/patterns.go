@@ -84,13 +84,6 @@ func NewPattern(name string, n int) (Pattern, error) {
 	}
 }
 
-// HotspotAt returns a hotspot pattern aimed at an arbitrary node.
-func HotspotAt(n, target int) Pattern {
-	return func(src int, rng *rand.Rand) (int, bool) {
-		return target, src != target
-	}
-}
-
 // Subset restricts injection to the given source nodes (the paper's
 // processor-placement study injects from corner nodes, subsets, or all
 // nodes). Other sources never inject.

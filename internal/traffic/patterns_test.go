@@ -84,10 +84,6 @@ func TestHotspotTargets(t *testing.T) {
 	if _, ok := p(0, rng); ok {
 		t.Error("hotspot from the hotspot itself should be skipped")
 	}
-	at := HotspotAt(32, 7)
-	if d, ok := at(3, rng); !ok || d != 7 {
-		t.Errorf("HotspotAt(7) from 3 = %d,%v", d, ok)
-	}
 }
 
 func TestPartition2StaysInHalf(t *testing.T) {

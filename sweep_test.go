@@ -7,8 +7,12 @@ package stringfigure
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSaturatedAtRequiresInjections(t *testing.T) {
@@ -113,5 +117,48 @@ func TestSweepPointRateAuthoritative(t *testing.T) {
 	}
 	if res[2].Rate != 0 {
 		t.Errorf("canceled trace point reports rate %v, want 0", res[2].Rate)
+	}
+}
+
+// TestSweepRunsPointsConcurrently pins the worker pool without timing:
+// each of four points blocks in its first Dest call until all four sessions
+// have entered one, which only a pool running the four points at once can
+// satisfy. A serialized pool fails at the deadline instead of hanging.
+func TestSweepRunsPointsConcurrently(t *testing.T) {
+	const workers = 4
+	net, err := New(WithNodes(16), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entered sync.WaitGroup
+	entered.Add(workers)
+	all := make(chan struct{})
+	go func() { entered.Wait(); close(all) }()
+	expired := make(chan struct{})
+	deadline := time.AfterFunc(30*time.Second, func() { close(expired) })
+	defer deadline.Stop()
+	var serialized atomic.Bool
+	points := make([]Point, workers)
+	for i := range points {
+		var first sync.Once
+		points[i] = Point{Rate: 0.05, Workload: FuncWorkload{Dest: func(src int, _ *rand.Rand) (int, bool) {
+			first.Do(func() {
+				entered.Done()
+				select {
+				case <-all:
+				case <-expired:
+					serialized.Store(true)
+				}
+			})
+			return (src + 1) % 16, true
+		}}}
+	}
+	for res := range net.Sweep(SessionConfig{Warmup: 10, Measure: 50, Seed: 1}, points, workers) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if serialized.Load() {
+		t.Fatalf("Sweep with %d workers never had its %d points in flight at once", workers, workers)
 	}
 }
