@@ -14,9 +14,9 @@ import (
 // Cluster is the coordinator side of distributed sweep execution: it
 // listens for sfworker processes (cmd/sfworker, or ServeWorker embedded
 // elsewhere) and shards sweep points over them. Attach one to a network
-// with WithCluster and run through Network.SweepDistributed /
-// SaturationDistributed; with no workers connected those methods fall
-// back to the in-process pool, so a cluster is always safe to attach.
+// with WithCluster and that network's Sweep and Saturation run on it; with
+// no workers connected they use the in-process pool, so a cluster is
+// always safe to attach.
 //
 // One cluster serves many networks and many concurrent sweeps. Workers
 // may join and leave at any time: joining workers pick up pending points
@@ -102,8 +102,8 @@ func (c *Cluster) Close() error { return c.co.Close() }
 type WorkerProgress = dist.WorkerProgress
 
 // Progress returns the latest progress report of every connected worker,
-// ordered by worker id. Poll it while a SweepDistributed or
-// SaturationDistributed drains to display live cluster state — `sfexp
+// ordered by worker id. Poll it while a sweep or saturation search on a
+// cluster-attached network drains to display live cluster state — `sfexp
 // -listen -telemetry` writes these as NDJSON progress records.
 func (c *Cluster) Progress() []WorkerProgress { return c.co.Progress() }
 

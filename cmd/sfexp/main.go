@@ -433,8 +433,8 @@ func main() {
 			fmt.Sprintf("Public-API rate sweep: sf N=%d uniform, %s", n, pool),
 			"rate_pct", "lat_ns", "p90_ns", "thru_fpc", "net_nJ")
 		var sweepErr error
-		for res := range net.SweepDistributed(cfg,
-			stringfigure.RateSweep(stringfigure.SyntheticWorkload{Pattern: "uniform"}, rates)) {
+		for res := range net.Sweep(cfg,
+			stringfigure.RateSweep(stringfigure.SyntheticWorkload{Pattern: "uniform"}, rates), 0) {
 			if res.Err != nil {
 				if sweepErr == nil {
 					sweepErr = res.Err

@@ -182,8 +182,7 @@ func TestCrossCoreSweepAndSaturation(t *testing.T) {
 			net := mustNet(t, d, 16)
 			base := SessionConfig{Warmup: 200, Measure: 800, Seed: 3}
 			coreDiff(t, d, func(cfg SessionConfig) any {
-				rate, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, cfg,
-					SaturationConfig{Step: 0.1, MaxRate: 0.5, Workers: 2})
+				rate, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, cfg, 0.1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,10 +2,10 @@ package stringfigure_test
 
 // Distributed-execution API tests: a loopback cluster with in-process
 // ServeWorker goroutines stands in for a real multi-machine deployment.
-// The headline property under test is the determinism contract —
-// SweepDistributed and SaturationDistributed produce bit-identical
-// Results to the in-process pool for a fixed seed, at any worker count —
-// plus the in-process fallback and the emitter-leak fix.
+// The headline property under test is the determinism contract — Sweep
+// and Saturation on a cluster-attached network produce bit-identical
+// Results to a bare network's in-process pool for a fixed seed, at any
+// worker count — plus the in-process fallback and the emitter-leak fix.
 
 import (
 	"context"
@@ -92,7 +92,7 @@ func TestDistributedSweepBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := net.SweepDistributedAll(distTestCfg, points)
+		got := net.SweepAll(distTestCfg, points, 0)
 		if len(got) != len(want) {
 			t.Fatalf("%d workers: %d results, want %d", workers, len(got), len(want))
 		}
@@ -147,7 +147,7 @@ func TestDistributedSweepGatedNetwork(t *testing.T) {
 	if err := net.SetMounted(mask); err != nil {
 		t.Fatal(err)
 	}
-	got := net.SweepDistributedAll(distTestCfg, points)
+	got := net.SweepAll(distTestCfg, points, 0)
 	for i := range want {
 		if want[i].Err != nil || got[i].Err != nil {
 			t.Fatalf("point %d errored: %v / %v", i, want[i].Err, got[i].Err)
@@ -165,8 +165,7 @@ func TestDistributedSaturationMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	scfg := SessionConfig{Warmup: 300, Measure: 900, Seed: 2}
-	sat := SaturationConfig{Step: 0.1}
-	want, err := reference.Saturation(SyntheticWorkload{Pattern: "uniform"}, scfg, sat)
+	want, err := reference.Saturation(SyntheticWorkload{Pattern: "uniform"}, scfg, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestDistributedSaturationMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := net.SaturationDistributed(SyntheticWorkload{Pattern: "uniform"}, scfg, sat)
+	got, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, scfg, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestDistributedFallsBackWithoutWorkers(t *testing.T) {
 	}
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.05, 0.1})
 	cfg := SessionConfig{Warmup: 200, Measure: 600, Seed: 1}
-	got := net.SweepDistributedAll(cfg, points)
+	got := net.SweepAll(cfg, points, 0)
 	want := bare.SweepAll(cfg, points, 0)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("workerless fallback differs:\n%+v\n%+v", got, want)
@@ -237,8 +236,8 @@ func TestDistributedSweepContextCancel(t *testing.T) {
 	points = append(points, ringPoint(32))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := net.SweepDistributedAllContext(ctx,
-		SessionConfig{Warmup: 50_000, Measure: 50_000, Seed: 1}, points)
+	res := net.SweepAllContext(ctx,
+		SessionConfig{Warmup: 50_000, Measure: 50_000, Seed: 1}, points, 0)
 	if len(res) != len(points) {
 		t.Fatalf("canceled distributed sweep returned %d results, want %d", len(res), len(points))
 	}
@@ -284,7 +283,9 @@ func TestSweepAbandonAfterCancelDoesNotLeak(t *testing.T) {
 func TestDistributedSweepReportsProgress(t *testing.T) {
 	// Long-running distributed sweeps must not go dark: workers report a
 	// progress frame on every point start and completion, and the cluster
-	// surfaces the latest per-worker state.
+	// surfaces the latest per-worker state. The sweep is a plain SweepAll,
+	// so this is also the witness that the one front door dispatches to the
+	// attached cluster.
 	c := startCluster(t, 2, 2)
 	net, err := New(WithNodes(32), WithSeed(6), WithCluster(c))
 	if err != nil {
@@ -293,7 +294,7 @@ func TestDistributedSweepReportsProgress(t *testing.T) {
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"},
 		[]float64{0.02, 0.05, 0.08, 0.11, 0.14, 0.17})
 	cfg := SessionConfig{Warmup: 200, Measure: 600, Seed: 1}
-	for _, r := range net.SweepDistributedAll(cfg, points) {
+	for _, r := range net.SweepAll(cfg, points, 0) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -356,7 +357,7 @@ func TestTraceGatedWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := net.SweepDistributedAll(cfg, points)
+		got := net.SweepAll(cfg, points, 0)
 		if len(got) != len(want) {
 			t.Fatalf("%d workers: %d results, want %d", workers, len(got), len(want))
 		}

@@ -71,7 +71,7 @@ func TestDistributedSweepForwardsTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newCollectSink()
-	got := net.SweepDistributedAll(cfg.WithTelemetry(200, sink.observe), points)
+	got := net.SweepAll(cfg.WithTelemetry(200, sink.observe), points, 0)
 
 	if len(got) != len(want) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
@@ -180,7 +180,7 @@ func TestDistributedTelemetryWorkerLoss(t *testing.T) {
 			killOnce.Do(cancelA)
 		}
 	}
-	got := net.SweepDistributedAll(cfg.WithTelemetry(100, kill), points)
+	got := net.SweepAll(cfg.WithTelemetry(100, kill), points, 0)
 
 	for i := range want {
 		if got[i].Err != nil {

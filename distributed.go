@@ -4,41 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/dist"
 )
 
-// SweepDistributed is Sweep fanned over the network's attached cluster
-// (WithCluster): points shard across remote workers, each of which
-// rebuilds this network from its serialized spec and runs the point with
-// the same PointSeed-derived session seed as the in-process pool — so
-// for a fixed base seed the streamed Results are bit-identical to
-// Sweep's, at any worker count. With no cluster attached or no workers
-// connected it falls back to the in-process pool.
-//
-// Points whose workloads cannot be serialized (FuncWorkload and external
-// Workload implementations) run in-process on the coordinator,
-// interleaved with the remote points. Points in flight on a worker that
-// disconnects are requeued onto surviving workers; a point repeatedly
-// lost this way fails with ErrWorkerLost in its Result, and points
-// orphaned by Cluster.Close fail with ErrClusterClosed.
-func (n *Network) SweepDistributed(cfg SessionConfig, points []Point) <-chan Result {
-	return n.SweepDistributedContext(context.Background(), cfg, points)
-}
-
-// SweepDistributedContext is SweepDistributed with cooperative
-// cancellation: on cancel, unfinished points are emitted with Err set to
-// ctx.Err() and remote workers abort their in-flight sessions.
-func (n *Network) SweepDistributedContext(ctx context.Context, cfg SessionConfig, points []Point) <-chan Result {
-	return n.sweep(ctx, cfg, points, 0, n.cluster)
-}
-
 // dispatchRemote is the cluster leg of a sweep: it encodes the points that
-// can travel, hands them to c's workers, streams each outcome into its slot
-// as it completes, and returns the indices of the points that stay local —
-// every point when no cluster is attached or no worker is connected.
-func (n *Network) dispatchRemote(ctx context.Context, c *Cluster, cfg SessionConfig, points []Point, slots []chan Result) (localIdx []int) {
+// can travel, hands them to the attached cluster's workers, streams each
+// outcome into its slot as it completes, and returns the indices of the
+// points that stay local — every point when no cluster is attached or no
+// worker is connected.
+//
+// Each worker rebuilds this network from its serialized spec and runs the
+// point through runPoint with the same PointSeed-derived session seed as
+// the in-process pool, so remote Results are bit-identical to local ones.
+// Points whose workloads cannot be serialized (FuncWorkload and external
+// Workload implementations) stay local. Points in flight on a worker that
+// disconnects are requeued onto surviving workers; a point repeatedly lost
+// this way fails with ErrWorkerLost in its Result, and points orphaned by
+// Cluster.Close fail with ErrClusterClosed.
+func (n *Network) dispatchRemote(ctx context.Context, cfg SessionConfig, points []Point, slots []chan Result) (localIdx []int) {
+	c := n.cluster
 	if c == nil || c.Workers() == 0 {
 		localIdx = make([]int, len(points))
 		for i := range localIdx {
@@ -111,48 +96,11 @@ func (n *Network) dispatchRemote(ctx context.Context, c *Cluster, cfg SessionCon
 	return localIdx
 }
 
-// SweepDistributedAll runs SweepDistributed and collects the streamed
-// results into a slice indexed like points.
+// SweepDistributedAll is SweepAll(cfg, points, 0).
+//
+// Deprecated: use SweepAll; every sweep runs on the attached cluster.
 func (n *Network) SweepDistributedAll(cfg SessionConfig, points []Point) []Result {
-	return n.SweepDistributedAllContext(context.Background(), cfg, points)
-}
-
-// SweepDistributedAllContext is SweepDistributedAll with cooperative
-// cancellation.
-func (n *Network) SweepDistributedAllContext(ctx context.Context, cfg SessionConfig, points []Point) []Result {
-	results := make([]Result, 0, len(points))
-	for r := range n.SweepDistributedContext(ctx, cfg, points) {
-		results = append(results, r)
-	}
-	return results
-}
-
-// SaturationDistributed is Saturation with its candidate-rate waves
-// fanned over the attached cluster instead of the in-process pool. Wave
-// width defaults to the cluster's total slot capacity (at least
-// GOMAXPROCS); because every candidate rate derives its seed from its
-// global rate index, the reported saturation rate is bit-identical to
-// Saturation's for a fixed seed regardless of wave width, worker count
-// or membership changes. With no cluster or no workers it degrades to
-// the in-process search.
-func (n *Network) SaturationDistributed(w Workload, cfg SessionConfig, sc SaturationConfig) (float64, error) {
-	return n.SaturationDistributedContext(context.Background(), w, cfg, sc)
-}
-
-// SaturationDistributedContext is SaturationDistributed with cooperative
-// cancellation.
-func (n *Network) SaturationDistributedContext(ctx context.Context, w Workload, cfg SessionConfig, sc SaturationConfig) (float64, error) {
-	if sc.Workers <= 0 {
-		if c := n.cluster; c != nil {
-			if cap := c.Capacity(); cap > runtime.GOMAXPROCS(0) {
-				sc.Workers = cap
-			}
-		}
-	}
-	return n.saturationSearch(ctx, w, cfg, sc,
-		func(ctx context.Context, cfg SessionConfig, points []Point) []Result {
-			return n.SweepDistributedAllContext(ctx, cfg, points)
-		})
+	return n.SweepAll(cfg, points, 0)
 }
 
 // errResult shapes a point's failure Result exactly like a successful run

@@ -34,7 +34,7 @@
 // serialize against in-flight runs.
 //
 // Sweeps also run cluster-wide: attach a Cluster (NewCluster, WithCluster)
-// and SweepDistributed/SaturationDistributed shard points over remote
+// and the same Sweep and Saturation calls shard points over remote
 // sfworker processes (cmd/sfworker, ServeWorker) with bit-identical
 // results — the execution layer behind the paper's thousand-node scales.
 //
@@ -48,8 +48,9 @@
 // per-worker cluster liveness) as a Prometheus-text /metrics endpoint:
 //
 //	m, err := stringfigure.ServeMetrics(":9090")
+//	m.WatchCluster(cluster)
 //	cfg = cfg.WithTelemetry(1000, sink).WithMetrics(m)
-//	for r := range net.SweepDistributed(cfg, points) { ... }
+//	for r := range net.Sweep(cfg, points, 0) { ... }
 //
 // Telemetry never perturbs results: Results are bit-identical with
 // telemetry on or off, at any worker count.

@@ -3,8 +3,8 @@
 // The program stands up a loopback cluster (coordinator plus two embedded
 // workers — the same wire protocol a multi-machine deployment speaks),
 // starts a Prometheus-text /metrics endpoint wired to the cluster, and
-// runs a telemetry-enabled rate sweep through SweepDistributed. Remote
-// workers batch their interval snapshots into wire frames; the
+// runs a telemetry-enabled rate sweep on the cluster-attached network.
+// Remote workers batch their interval snapshots into wire frames; the
 // coordinator demultiplexes them by point index and merges them with any
 // locally-run points into the one sink attached with WithTelemetry —
 // which here both prints per-point progress and feeds the /metrics
@@ -51,12 +51,13 @@ func main() {
 	}
 	fmt.Printf("cluster up: %d workers, %d slots\n", cluster.Workers(), cluster.Capacity())
 
-	// A /metrics endpoint pre-wired to the cluster's worker liveness.
-	metrics, err := cluster.ServeMetrics("127.0.0.1:0")
+	// A /metrics endpoint that also reports the cluster's worker liveness.
+	metrics, err := stringfigure.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer metrics.Close()
+	metrics.WatchCluster(cluster)
 	fmt.Printf("metrics at http://%s/metrics\n\n", metrics.Addr())
 
 	net, err := stringfigure.New(stringfigure.WithNodes(nodes),
@@ -82,7 +83,7 @@ func main() {
 		WithMetrics(metrics)
 
 	fmt.Printf("%5s  %9s  %9s  %9s  %s\n", "rate", "lat_ns", "p90_ns", "thru_fpc", "snapshots")
-	for res := range net.SweepDistributed(cfg, points) {
+	for res := range net.Sweep(cfg, points, 0) {
 		if res.Err != nil {
 			log.Fatal(res.Err)
 		}

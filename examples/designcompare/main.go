@@ -35,8 +35,7 @@ func main() {
 		// Saturation rate via the parallel bracketing search (Figure 10).
 		sat, err := net.Saturation(
 			stringfigure.SyntheticWorkload{Pattern: "uniform"},
-			stringfigure.SessionConfig{Warmup: 600, Measure: 1500, Seed: *seed},
-			stringfigure.SaturationConfig{Step: 0.1})
+			stringfigure.SessionConfig{Warmup: 600, Measure: 1500, Seed: *seed}, 0.1)
 		if err != nil {
 			log.Fatalf("%s saturation: %v", kind, err)
 		}

@@ -2,9 +2,9 @@
 // one machine: it starts a coordinator (stringfigure.NewCluster), embeds
 // two workers over loopback TCP (stringfigure.ServeWorker — in production
 // these are cmd/sfworker processes on other machines), fans a rate sweep
-// across them with Network.SweepDistributed, and then proves the
-// determinism contract by re-running the same sweep in-process and
-// comparing every Result field bit for bit.
+// across them by attaching the cluster to the network, and then proves
+// the determinism contract by re-running the same sweep on a network
+// built without the cluster and comparing every Result field bit for bit.
 package main
 
 import (
@@ -55,7 +55,8 @@ func main() {
 	fmt.Printf("%d workers connected (%d slots)\n", cluster.Workers(), cluster.Capacity())
 
 	// 3. A distributed rate sweep (the Figure 11 shape). WithCluster
-	// attaches the cluster; SweepDistributed shards the points over it.
+	// attaches the cluster, and the network's Sweep shards the points
+	// over it.
 	net, err := stringfigure.New(
 		stringfigure.WithNodes(64),
 		stringfigure.WithSeed(42),
@@ -70,7 +71,7 @@ func main() {
 		[]float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30})
 
 	fmt.Println("\nrate%   lat_ns   p90_ns   thru_fpc")
-	distributed := net.SweepDistributedAll(cfg, points)
+	distributed := net.SweepAll(cfg, points, 0)
 	for _, r := range distributed {
 		if r.Err != nil {
 			log.Fatalf("rate %.2f: %v", r.Rate, r.Err)
@@ -79,9 +80,14 @@ func main() {
 			r.Rate*100, r.AvgLatencyNs, r.P90LatencyNs, r.ThroughputFPC)
 	}
 
-	// 4. Determinism: the in-process pool must produce bit-identical
-	// Results — distribution changes wall-clock time, never numbers.
-	local := net.SweepAll(cfg, points, 0)
+	// 4. Determinism: the same network built without the cluster runs the
+	// sweep on the in-process pool and must produce bit-identical Results
+	// — distribution changes wall-clock time, never numbers.
+	bare, err := stringfigure.New(stringfigure.WithNodes(64), stringfigure.WithSeed(42))
+	if err != nil {
+		log.Fatal(err)
+	}
+	local := bare.SweepAll(cfg, points, 0)
 	for i := range local {
 		if !reflect.DeepEqual(local[i], distributed[i]) {
 			log.Fatalf("point %d differs between local and distributed runs:\n%+v\n%+v",
@@ -91,10 +97,9 @@ func main() {
 	fmt.Println("\ndistributed results are bit-identical to the in-process pool ✓")
 
 	// A saturation search fans its candidate waves the same way.
-	sat, err := net.SaturationDistributed(
+	sat, err := net.Saturation(
 		stringfigure.SyntheticWorkload{Pattern: "uniform"},
-		stringfigure.SessionConfig{Warmup: 500, Measure: 1500, Seed: 7},
-		stringfigure.SaturationConfig{Step: 0.1})
+		stringfigure.SessionConfig{Warmup: 500, Measure: 1500, Seed: 7}, 0.1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func main() {
 
 	fmt.Println()
 	sat, err := net.Saturation(stringfigure.SyntheticWorkload{Pattern: "uniform"},
-		stringfigure.SessionConfig{Seed: 4}, stringfigure.SaturationConfig{})
+		stringfigure.SessionConfig{Seed: 4}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func AblationUniBidi(scales []int, sc SimScale, seed int64) (*stats.Series, erro
 			sat, err := net.Saturation(
 				stringfigure.SyntheticWorkload{Pattern: "uniform"},
 				stringfigure.SessionConfig{Warmup: sc.Warmup, Measure: sc.Measure, Seed: seed},
-				stringfigure.SaturationConfig{Step: sc.Step})
+				sc.Step)
 			if err != nil {
 				return nil, err
 			}

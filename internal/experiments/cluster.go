@@ -4,10 +4,10 @@ import stringfigure "repro"
 
 // cluster, when set via UseCluster, is attached to every network the
 // experiment harness builds, so the sweep- and saturation-heavy figures
-// (8/10/11/12) fan their points across remote sfworker processes. The
-// distributed paths are bit-identical to in-process execution and fall
-// back to it while the cluster has no workers, so the experiments call
-// them unconditionally.
+// (8/10/11/12) fan their points across remote sfworker processes through
+// the same Sweep and Saturation calls. Results are bit-identical to
+// in-process execution, which is what runs while the cluster has no
+// workers.
 var cluster *stringfigure.Cluster
 
 // UseCluster routes the harness's sweeps and saturation searches through

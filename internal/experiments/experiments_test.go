@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	stringfigure "repro"
 	"repro/internal/design"
 )
 
@@ -191,6 +192,47 @@ func TestWorkloadRunQuick(t *testing.T) {
 	}
 	if res.IPC <= 0 || res.TotalEnergyPJ <= 0 {
 		t.Errorf("bad results: %+v", res)
+	}
+}
+
+// TestFig12MatchesRunWorkload pins Figure 12's sweeps to the standalone
+// sessions they stand for: every normalized cell is the ratio of the
+// matching RunWorkload results. Seed 1 rides the Point.Seed override;
+// seed 0 cannot, and goes through the PointSeed inverse instead.
+func TestFig12MatchesRunWorkload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("co-simulation sweep")
+	}
+	workloads := []string{"grep", "redis"}
+	for _, seed := range []int64{0, 1} {
+		wc := WorkloadConfig{N: 16, Ops: 300, Sockets: 2, Window: 8, MaxCycles: 5_000_000, Seed: seed}
+		throughput, energy, err := Fig12(workloads, wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := map[string]map[string]stringfigure.Result{}
+		for _, kind := range Fig12Designs {
+			runs[kind] = map[string]stringfigure.Result{}
+			for _, wl := range workloads {
+				if runs[kind][wl], err = RunWorkload(kind, wl, wc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for row, wl := range workloads {
+			for col, kind := range []string{"odm", "afb", "s2", "sf"} {
+				want := runs[kind][wl].IPC / runs["dm"][wl].IPC
+				if got := throughput.Rows[row][col]; got != want {
+					t.Errorf("seed %d, %s throughput of %s = %v, want RunWorkload ratio %v", seed, wl, kind, got, want)
+				}
+			}
+			for col, kind := range []string{"dm", "odm", "s2", "sf"} {
+				want := runs[kind][wl].TotalEnergyPJ / runs["afb"][wl].TotalEnergyPJ
+				if got := energy.Rows[row][col]; got != want {
+					t.Errorf("seed %d, %s energy of %s = %v, want RunWorkload ratio %v", seed, wl, kind, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -66,14 +66,13 @@ func Fig10(scales []int, patterns []string, sc SimScale, seed int64) ([]*stats.S
 				if err != nil {
 					return nil, err
 				}
-				// SaturationDistributed fans candidate waves across the
-				// harness cluster when workers are connected and is the
-				// plain in-process search otherwise — bit-identical either
-				// way.
-				sat, err := net.SaturationDistributed(
+				// The search fans candidate waves across the harness
+				// cluster when workers are connected and runs in-process
+				// otherwise — bit-identical either way.
+				sat, err := net.Saturation(
 					stringfigure.SyntheticWorkload{Pattern: pname},
 					stringfigure.SessionConfig{Warmup: sc.Warmup, Measure: sc.Measure, Seed: seed},
-					stringfigure.SaturationConfig{Step: sc.Step})
+					sc.Step)
 				if err != nil {
 					return nil, err
 				}
@@ -111,7 +110,7 @@ func Fig11(n int, pattern string, rates []float64, sc SimScale, seed int64) (*st
 			return nil, err
 		}
 		col := make([]float64, len(rates))
-		for i, res := range net.SweepDistributedAll(cfg, points) {
+		for i, res := range net.SweepAll(cfg, points, 0) {
 			if res.Err != nil {
 				return nil, res.Err
 			}

@@ -74,11 +74,11 @@ var Fig12Designs = []string{"dm", "odm", "afb", "s2", "sf"}
 // DM (a), and dynamic memory energy normalized to AFB (b). It returns the
 // two series plus the geomean rows the paper quotes.
 //
-// Each design's workload grid runs as one sweep through the distributed
-// front door, so with a cluster configured (UseCluster) the Table IV
-// workloads fan across machines. Every cell pins its session seed to
-// wc.Seed via the Point.Seed override — the exact session RunWorkload
-// executes — so the figure's numbers are independent of the fan-out.
+// Each design's workload grid runs as one sweep, so with a cluster
+// configured (UseCluster) the Table IV workloads fan across machines.
+// Every cell pins its session seed to wc.Seed via the Point.Seed override
+// — the exact session RunWorkload executes — so the figure's numbers are
+// independent of the fan-out.
 func Fig12(workloads []string, wc WorkloadConfig) (throughput, energy *stats.Series, err error) {
 	if len(workloads) == 0 {
 		workloads = trace.WorkloadNames
@@ -118,29 +118,16 @@ func Fig12(workloads []string, wc WorkloadConfig) (throughput, energy *stats.Ser
 		}
 		var results []stringfigure.Result
 		if wc.Seed != 0 {
-			results = net.SweepDistributedAll(cfg, points)
-		} else if base := cfg.Seed - stringfigure.PointSeed(0, 0); stringfigure.PointSeed(base, 0) == cfg.Seed {
+			results = net.SweepAll(cfg, points, 0)
+		} else {
 			// A zero seed cannot ride the Point.Seed override (0 means
 			// "derive"); pin each cell's session seed through the PointSeed
-			// inverse instead, one point per sweep. The derivation is affine
-			// in the base seed, so base = want - PointSeed(0, 0) inverts it;
-			// the guard proves it against the exported function rather than
-			// assuming its constants.
+			// inverse instead, one point per sweep. PointSeed is affine in
+			// its base, so base = -PointSeed(0, 0) gives PointSeed(base, 0) = 0.
 			baseCfg := cfg
-			baseCfg.Seed = base
+			baseCfg.Seed = -stringfigure.PointSeed(0, 0)
 			for _, p := range points {
-				p.Seed = 0
-				results = append(results, net.SweepDistributedAll(baseCfg, []stringfigure.Point{p})...)
-			}
-		} else {
-			// PointSeed is no longer invertible from here: run the cells as
-			// plain sessions, exactly as RunWorkload would.
-			for _, wl := range workloads {
-				r, err := RunWorkload(kind, wl, wc)
-				if err != nil {
-					return nil, nil, err
-				}
-				results = append(results, r)
+				results = append(results, net.SweepAll(baseCfg, []stringfigure.Point{p}, 0)...)
 			}
 		}
 		m := make(map[string]cell, len(workloads))

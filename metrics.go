@@ -284,20 +284,6 @@ func (m *MetricsServer) WatchCluster(c *Cluster) {
 			}))
 }
 
-// ServeMetrics starts a /metrics endpoint on addr pre-wired to this
-// cluster's worker liveness (WatchCluster). Route simulation counters into
-// it by chaining the returned server into sweep configs with
-// SessionConfig.WithMetrics — with telemetry-enabled distributed sweeps,
-// remote workers' forwarded snapshots land in the same counters.
-func (c *Cluster) ServeMetrics(addr string) (*MetricsServer, error) {
-	m, err := ServeMetrics(addr)
-	if err != nil {
-		return nil, err
-	}
-	m.WatchCluster(c)
-	return m, nil
-}
-
 // WithMetrics returns a copy of the config that additionally feeds every
 // interval snapshot into the metrics server, preserving any sink already
 // attached with WithTelemetry (the existing sink runs first). Snapshot

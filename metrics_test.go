@@ -131,11 +131,12 @@ func TestMetricsEndpointScrape(t *testing.T) {
 // in the same counters a local run feeds.
 func TestClusterMetricsExportWorkers(t *testing.T) {
 	c := startCluster(t, 2, 2)
-	m, err := c.ServeMetrics("127.0.0.1:0")
+	m, err := ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	m.WatchCluster(c)
 
 	net, err := New(WithNodes(32), WithSeed(8), WithCluster(c))
 	if err != nil {
@@ -144,7 +145,7 @@ func TestClusterMetricsExportWorkers(t *testing.T) {
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.05, 0.1, 0.15})
 	cfg := SessionConfig{Warmup: 400, Measure: 1600, Seed: 1}.WithMetrics(m)
 	cfg.TelemetryEvery = 200
-	for _, r := range net.SweepDistributedAll(cfg, points) {
+	for _, r := range net.SweepAll(cfg, points, 0) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

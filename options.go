@@ -47,8 +47,8 @@ func Unidirectional() Option { return func(o *options) { o.spec.Unidirectional =
 func NoShortcuts() Option { return func(o *options) { o.spec.NoShortcuts = true } }
 
 // WithCluster attaches a distributed-execution cluster (NewCluster) to
-// the network: SweepDistributed and SaturationDistributed shard points
-// over its workers, falling back to the in-process pool while no workers
+// the network: its Sweep and Saturation calls shard points over the
+// cluster's workers, falling back to the in-process pool while no workers
 // are connected. Many networks may share one cluster.
 func WithCluster(c *Cluster) Option { return func(o *options) { o.cluster = c } }
 

@@ -7,99 +7,66 @@ import (
 	"repro/internal/netsim"
 )
 
-// SaturationConfig controls the parallel bracketing search for a workload's
-// saturation injection rate (Figure 10's metric). The zero value uses the
-// paper's budgets.
-type SaturationConfig struct {
-	// Step is the injection-rate granularity of the search (default 0.05).
-	Step float64
-	// MaxRate bounds the search (default 1.0 packet/router/cycle).
-	MaxRate float64
-	// LatencyCapNs declares saturation when mean packet latency exceeds it
-	// (default 400 network cycles).
-	LatencyCapNs float64
-	// MinDelivered declares saturation when the delivered fraction of the
-	// measured window drops below it (default 0.75).
-	MinDelivered float64
-	// Workers is the candidate-rate fan-out per search wave (<= 0 uses
-	// GOMAXPROCS). The result is bit-identical for any worker count: every
-	// candidate rate derives its seed from its global rate index, and the
-	// reported rate is always the one just below the lowest failing rate.
-	Workers int
-}
-
-func (c *SaturationConfig) fill() {
-	if c.Step <= 0 {
-		c.Step = 0.05
-	}
-	if c.MaxRate <= 0 || c.MaxRate > 1 {
-		c.MaxRate = 1
-	}
-	if c.LatencyCapNs <= 0 {
-		c.LatencyCapNs = 400 * netsim.CycleNs
-	}
-	if c.MinDelivered <= 0 {
-		c.MinDelivered = 0.75
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-}
+// The saturation criteria (Figure 10's metric): a candidate rate is
+// saturated once mean packet latency exceeds satLatencyCapNs or the
+// delivered fraction of the measured window drops below satMinDelivered.
+// The search offers at most satMaxRate packets/router/cycle.
+const (
+	satLatencyCapNs = 400 * netsim.CycleNs
+	satMinDelivered = 0.75
+	satMaxRate      = 1.0
+)
 
 // Saturation finds the highest injection rate the network sustains under
 // the workload: mean latency under the cap, no deadlock, and deliveries
-// tracking injections. Candidate rates fan out across the Sweep worker pool
-// in waves (a parallel bracketing of the saturation point), replacing the
-// serial rate-by-rate loop the experiments used before.
-func (n *Network) Saturation(w Workload, cfg SessionConfig, sc SaturationConfig) (float64, error) {
-	return n.SaturationContext(context.Background(), w, cfg, sc)
+// tracking injections. Candidate rates step * 1, step * 2, ... (step <= 0
+// uses 0.05) fan out through Sweep in waves — a parallel bracketing of the
+// saturation point. A wave is GOMAXPROCS candidates wide, or the attached
+// cluster's total slot capacity when that is larger.
+func (n *Network) Saturation(w Workload, cfg SessionConfig, step float64) (float64, error) {
+	return n.SaturationContext(context.Background(), w, cfg, step)
 }
 
 // SaturationContext is Saturation with cooperative cancellation.
 //
-// Determinism: candidate rate i (1-based) is Step*i and runs with
+// Determinism: candidate rate i (1-based) is step*i and runs with
 // PointSeed(cfg.Seed, i-1), independent of wave boundaries, worker count or
-// scheduling; the search returns Step*(f-1) where f is the lowest failing
-// rate index. Both are invariant across worker counts, so a fixed seed
-// yields bit-identical saturation rates at any parallelism.
-func (n *Network) SaturationContext(ctx context.Context, w Workload, cfg SessionConfig, sc SaturationConfig) (float64, error) {
-	return n.saturationSearch(ctx, w, cfg, sc,
-		func(ctx context.Context, cfg SessionConfig, points []Point) []Result {
-			return n.SweepAllContext(ctx, cfg, points, sc.Workers)
-		})
+// scheduling; the search returns step*(f-1) where f is the lowest failing
+// rate index. Both are invariant across wave widths, so a fixed seed yields
+// bit-identical saturation rates with or without a cluster.
+func (n *Network) SaturationContext(ctx context.Context, w Workload, cfg SessionConfig, step float64) (float64, error) {
+	width := runtime.GOMAXPROCS(0)
+	if n.cluster != nil {
+		width = max(width, n.cluster.Capacity())
+	}
+	return n.saturationSearch(ctx, w, cfg, step, width)
 }
 
-// saturationSearch is the engine behind Saturation and
-// SaturationDistributed: a bracketing search whose candidate-rate waves
-// fan out through the supplied sweep function (the in-process pool or a
-// cluster).
-func (n *Network) saturationSearch(ctx context.Context, w Workload, cfg SessionConfig, sc SaturationConfig,
-	sweep func(ctx context.Context, cfg SessionConfig, points []Point) []Result) (float64, error) {
-	sc.fill()
+// saturationSearch is the bracketing search behind SaturationContext, with
+// width candidate rates per wave.
+func (n *Network) saturationSearch(ctx context.Context, w Workload, cfg SessionConfig, step float64, width int) (float64, error) {
+	if step <= 0 {
+		step = 0.05
+	}
 	cfg.fill()
-	steps := int(sc.MaxRate/sc.Step + 1e-9)
+	steps := int(satMaxRate/step + 1e-9)
 	sat := 0.0
-	for g := 0; g < steps; g += sc.Workers {
-		hi := g + sc.Workers
-		if hi > steps {
-			hi = steps
-		}
+	for g := 0; g < steps; g += width {
+		hi := min(g+width, steps)
 		rates := make([]float64, 0, hi-g)
 		for i := g; i < hi; i++ {
-			rates = append(rates, sc.Step*float64(i+1))
+			rates = append(rates, step*float64(i+1))
 		}
-		// Offset the wave's base seed so each candidate's per-point seed
-		// matches its global rate index: with PointSeed(b, j) = b +
-		// (j+1)*1_000_003, local point j of this wave draws
-		// PointSeed(cfg.Seed, g+j) exactly.
+		// Shift the wave's base seed so local point j draws the seed of
+		// global rate index g+j: PointSeed is affine in its base, so base
+		// PointSeed(cfg.Seed, g-1) gives PointSeed(cfg.Seed, g+j) exactly.
 		wc := cfg
-		wc.Seed = cfg.Seed + int64(g)*1_000_003
-		results := sweep(ctx, wc, RateSweep(w, rates))
-		for _, res := range results {
+		wc.Seed = PointSeed(cfg.Seed, g-1)
+		for _, res := range n.SweepAllContext(ctx, wc, RateSweep(w, rates), 0) {
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			if saturatedAt(res, sc) {
+			if saturatedAt(res) {
 				return sat, nil
 			}
 			sat = res.Rate
@@ -113,17 +80,17 @@ func (n *Network) saturationSearch(ctx context.Context, w Workload, cfg SessionC
 // actually offered: a measurement window too short for any injection at a
 // very low rate is an empty sample, not a saturated network (treating it as
 // one would truncate the bracketing search at rate 0).
-func saturatedAt(res Result, sc SaturationConfig) bool {
+func saturatedAt(res Result) bool {
 	if res.Deadlocked {
 		return true
 	}
 	if res.Injected > 0 && res.Delivered == 0 {
 		return true
 	}
-	if res.AvgLatencyNs > sc.LatencyCapNs {
+	if res.AvgLatencyNs > satLatencyCapNs {
 		return true
 	}
 	// Compare deliveries against the steady-state offered load.
 	return res.Injected > 0 &&
-		float64(res.Delivered)/float64(res.Injected) < sc.MinDelivered
+		float64(res.Delivered)/float64(res.Injected) < satMinDelivered
 }

@@ -427,7 +427,7 @@ func (e *sweepExecutor) Run(ctx context.Context, raw json.RawMessage, pending []
 	}
 	var firstErr error
 	k := 0
-	for res := range net.SweepDistributedContext(ctx, cfg, points) {
+	for res := range net.SweepContext(ctx, cfg, points, 0) {
 		i := pending[k]
 		k++
 		if res.Err != nil {

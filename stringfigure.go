@@ -21,8 +21,8 @@ type Network struct {
 	// net is the reconfiguration engine, non-nil only for designs built on
 	// a String Figure topology (sf, s2 and their wire variants).
 	net *reconfig.Network
-	// cluster, when attached via WithCluster, backs SweepDistributed and
-	// SaturationDistributed; nil keeps every run in-process.
+	// cluster, when attached via WithCluster, runs every sweep point that
+	// can travel; nil keeps every run in-process.
 	cluster *Cluster
 
 	// mu serializes reconfiguration (write side) against concurrent

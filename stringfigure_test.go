@@ -221,7 +221,7 @@ func TestSaturationRateSmall(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	net, _ := New(WithNodes(16), WithSeed(1))
-	sat, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, SessionConfig{Seed: 2}, SaturationConfig{})
+	sat, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, SessionConfig{Seed: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

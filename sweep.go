@@ -34,39 +34,38 @@ func RateSweep(w Workload, rates []float64) []Point {
 	return pts
 }
 
-// Sweep fans the points across a worker pool and streams one Result per
-// point, in point order, over the returned channel. workers <= 0 uses
-// GOMAXPROCS. Each point runs in its own Session with a seed derived
-// deterministically from cfg.Seed and the point index, so results are
-// bit-identical regardless of worker count or scheduling. A point that
-// fails yields a Result whose Err field is set (and whose Workload/Rate
-// still identify the point). The stream buffers one Result per point, so
-// abandoning it mid-stream wastes no goroutine — the pool always drains
-// and exits on its own.
+// Sweep fans the points out and streams one Result per point, in point
+// order, over the returned channel. Each point runs in its own Session with
+// a seed derived deterministically from cfg.Seed and the point index, so
+// results are bit-identical regardless of where or in what order points
+// run. A point that fails yields a Result whose Err field is set (and whose
+// Workload/Rate still identify the point). The stream buffers one Result
+// per point, so abandoning it mid-stream wastes no goroutine — the sweep
+// always drains and exits on its own.
+//
+// Where points run is the network's decision: with a cluster attached
+// (WithCluster) and workers connected, every point that can travel shards
+// across the remote workers; the rest — FuncWorkload points, or everything
+// while no worker is connected — run on an in-process pool of workers
+// goroutines (workers <= 0 uses GOMAXPROCS).
 //
 // Sessions take the network's read lock, so a sweep runs fully in parallel
 // with itself and with other sweeps; reconfiguration calls issued while a
 // sweep is draining serialize against the in-flight runs.
-//
-// SweepDistributed fans the same points over a cluster of remote workers
-// instead (see WithCluster), with identical results.
 func (n *Network) Sweep(cfg SessionConfig, points []Point, workers int) <-chan Result {
 	return n.SweepContext(context.Background(), cfg, points, workers)
 }
 
 // SweepContext is Sweep with cooperative cancellation: once ctx is
-// canceled, in-flight points abort at their next cycle chunk and undispatched
-// points are emitted immediately with Err set to ctx.Err(), so the stream
-// still delivers exactly one Result per point.
+// canceled, in-flight points abort at their next cycle chunk (remote
+// workers abort theirs too) and undispatched points are emitted immediately
+// with Err set to ctx.Err(), so the stream still delivers exactly one
+// Result per point.
 func (n *Network) SweepContext(ctx context.Context, cfg SessionConfig, points []Point, workers int) <-chan Result {
-	return n.sweep(ctx, cfg, points, workers, nil)
-}
-
-// sweep is the one sweep executor: a result slot per point, the cluster leg
-// (dispatchRemote; a no-op without connected workers) for the points that
-// can travel, a worker pool for the ones that stay, and an emitter that
-// streams the slots in point order.
-func (n *Network) sweep(ctx context.Context, cfg SessionConfig, points []Point, workers int, c *Cluster) <-chan Result {
+	// The one sweep executor: a result slot per point, the cluster leg
+	// (dispatchRemote) for the points that can travel, a worker pool for
+	// the ones that stay, and an emitter that streams the slots in order.
+	//
 	// out is buffered one slot per point: the emitter below can always
 	// finish even if the consumer abandons the stream after cancellation,
 	// so a half-read sweep cannot strand the emitter goroutine.
@@ -75,7 +74,7 @@ func (n *Network) sweep(ctx context.Context, cfg SessionConfig, points []Point, 
 	for i := range slots {
 		slots[i] = make(chan Result, 1)
 	}
-	local := n.dispatchRemote(ctx, c, cfg, points, slots)
+	local := n.dispatchRemote(ctx, cfg, points, slots)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -110,11 +109,10 @@ func (n *Network) sweep(ctx context.Context, cfg SessionConfig, points []Point, 
 	return out
 }
 
-// runPoint executes one sweep point (global index i) exactly as the
-// in-process pool does: derive the per-point seed, apply the point's
-// rate, run one session. Remote workers (ServeWorker) call the same
-// function, which is what makes distributed sweeps bit-identical to
-// local ones.
+// runPoint executes one sweep point (global index i): derive the per-point
+// seed, apply the point's rate, run one session. The in-process pool and
+// remote workers (ServeWorker) call the same function, which is what makes
+// a point's Result independent of where it ran.
 func (n *Network) runPoint(ctx context.Context, cfg SessionConfig, p Point, i int) Result {
 	pc := cfg
 	pc.Seed = pointSeedOf(cfg, p, i)

@@ -3,10 +3,12 @@ package stringfigure
 // Regression tests for the sweep/saturation correctness pass: the rate a
 // point effectively runs at is authoritative in every streamed Result, and
 // an empty measurement window (no injections) is never mistaken for
-// saturation. Internal test package: saturatedAt is deliberately unexported.
+// saturation. Internal test package: saturatedAt and saturationSearch (with
+// its explicit wave width) are deliberately unexported.
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -16,24 +18,22 @@ import (
 )
 
 func TestSaturatedAtRequiresInjections(t *testing.T) {
-	var sc SaturationConfig
-	sc.fill()
 	// An empty window — nothing offered, nothing delivered — is not a
 	// saturated network (pre-fix this returned true and truncated every
 	// low-rate bracketing search at rate 0).
-	if saturatedAt(Result{Injected: 0, Delivered: 0}, sc) {
+	if saturatedAt(Result{Injected: 0, Delivered: 0}) {
 		t.Error("empty window (no injections) treated as saturation")
 	}
-	if !saturatedAt(Result{Injected: 10, Delivered: 0}, sc) {
+	if !saturatedAt(Result{Injected: 10, Delivered: 0}) {
 		t.Error("zero deliveries under offered load must saturate")
 	}
-	if !saturatedAt(Result{Deadlocked: true}, sc) {
+	if !saturatedAt(Result{Deadlocked: true}) {
 		t.Error("deadlock must saturate")
 	}
-	if !saturatedAt(Result{Injected: 100, Delivered: 60, AvgLatencyNs: 1}, sc) {
-		t.Error("delivered fraction below MinDelivered must saturate")
+	if !saturatedAt(Result{Injected: 100, Delivered: 60, AvgLatencyNs: 1}) {
+		t.Error("delivered fraction below satMinDelivered must saturate")
 	}
-	if saturatedAt(Result{Injected: 100, Delivered: 99, AvgLatencyNs: 1}, sc) {
+	if saturatedAt(Result{Injected: 100, Delivered: 99, AvgLatencyNs: 1}) {
 		t.Error("healthy point reported as saturated")
 	}
 }
@@ -48,13 +48,57 @@ func TestSaturationSurvivesTinyMeasureWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SessionConfig{Warmup: 50, Measure: 1, Seed: 1}
-	sat, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, cfg,
-		SaturationConfig{Step: 0.05, Workers: 4})
+	sat, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, cfg, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sat <= 0 {
 		t.Errorf("saturation = %v with a 1-cycle window, want > 0 (empty windows are not saturation)", sat)
+	}
+}
+
+// TestSaturationWorkerInvariance runs the bracketing search at wave widths
+// 1 and 3. Candidate rate step*(i+1) must run with PointSeed(cfg.Seed, i)
+// whichever wave it lands in — read off each candidate's telemetry stamps —
+// so the saturation rate is bit-identical at any width.
+func TestSaturationWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	const step, seed = 0.1, 5
+	for _, kind := range []string{"sf", "dm"} {
+		net, err := New(WithDesign(kind), WithNodes(16), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		for _, width := range []int{1, 3} {
+			var mu sync.Mutex
+			seeds := make([]int64, int(satMaxRate/step))
+			cfg := SessionConfig{Warmup: 400, Measure: 1000, Seed: seed}.WithTelemetry(700, func(s TelemetrySnapshot) {
+				mu.Lock()
+				seeds[int(math.Round(s.Rate/step))-1] = s.Seed
+				mu.Unlock()
+			})
+			sat, err := net.saturationSearch(context.Background(), SyntheticWorkload{Pattern: "uniform"}, cfg, step, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sat <= 0 || sat > 1 {
+				t.Errorf("%s saturation = %v at wave width %d", kind, sat, width)
+			}
+			// Every candidate up to the first failing one ran.
+			for i, s := range seeds[:min(int(math.Round(sat/step))+1, len(seeds))] {
+				if want := PointSeed(seed, i); s != want {
+					t.Errorf("%s width %d: candidate %d ran with seed %d, want PointSeed(%d, %d) = %d",
+						kind, width, i, s, seed, i, want)
+				}
+			}
+			got = append(got, sat)
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s saturation differs across wave widths: %v vs %v", kind, got[0], got[1])
+		}
 	}
 }
 

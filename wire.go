@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the payload codec of distributed sweep execution: what
-// travels between the coordinator (Network.SweepDistributed) and remote
+// travels between the coordinator (a cluster-attached Network.Sweep) and remote
 // workers (ServeWorker / cmd/sfworker) inside internal/dist frames.
 // Everything is plain gob of exported fields, so local and remote runs
 // see bit-identical float64 values. SessionConfig, design.Spec, Result
@@ -83,7 +83,7 @@ func (s networkSpec) key() netKey {
 }
 
 // Wire workload kinds. FuncWorkload carries arbitrary Go functions and
-// cannot travel; SweepDistributed runs such points in-process instead.
+// cannot travel; a sweep runs such points in-process instead.
 const (
 	wireSynthetic = "synthetic"
 	wireTrace     = "trace"

@@ -151,7 +151,7 @@ func TestWireRoundTripByReflection(t *testing.T) {
 	// SessionConfig travels inside a wireJob, and the struct that travels
 	// is the struct that is audited: a whole job, filled SessionConfig and
 	// networkSpec (alive mask included), through the codec ServeWorker and
-	// SweepDistributed use.
+	// a cluster-attached Sweep use.
 	t.Run("SessionConfig", func(t *testing.T) {
 		var job wireJob
 		c := 0
