@@ -91,9 +91,11 @@ var netsimHot = []string{
 	"Sim.drainSourceQueue", "Sim.routeHeads", "Sim.routeUnit", "Sim.routeFront",
 	"Sim.arbitrate", "Sim.arbitrateSlot", "Sim.forward", "Sim.scanSlot",
 	"Sim.scanSlotRef", "Sim.pickPort", "Sim.overThreshold",
-	// routing helpers (get/put are the route cache's lookup and fill)
+	// routing helpers (get/put are the route cache's lookup and fill,
+	// missed its per-destination miss count, fillColumn its column fill)
 	"Sim.candidates", "Sim.portOf", "Sim.noteBlocked", "Sim.assignEscape",
-	"Sim.escapeHop", "RouteCache.get", "RouteCache.put",
+	"Sim.escapeHop", "RouteCache.get", "RouteCache.put", "RouteCache.missed",
+	"Sim.fillColumn",
 	// packet and queue plumbing
 	"Sim.enqueuePacket", "Sim.enqueueSized", "Sim.purgeHeadPacket",
 	"Sim.allocPacket", "Sim.freePacket", "Sim.recordDelivery", "Sim.scheduleWake",

@@ -25,4 +25,11 @@
 // Config.ReferenceCore) scans everything and is the oracle the cross-core
 // determinism suites byte-diff against. They share every state transition
 // and own only their scans (see ARCHITECTURE.md, "Hot loop").
+//
+// The event core takes every table-deterministic routing decision from a
+// RouteCache, one entry per (router, destination) pair, shared by the
+// simulators of one network. A miss is resolved for its pair until its
+// destination has missed often enough to pay for a whole column, which a
+// greediest router then fills from one MD column (Sim.fillColumn,
+// routing.Greediest.FirstHopColumn); see ARCHITECTURE.md, "Route cache".
 package netsim

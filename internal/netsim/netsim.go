@@ -396,6 +396,10 @@ type Sim struct {
 	// reference core and under AdaptiveEveryHop, where no hop is
 	// table-deterministic, and on networks too large for the table.
 	rc *RouteCache
+	// galg is Alg when it is a greediest router over this network's routers
+	// and rc is set: the column kernel behind fillColumn. nil otherwise, and
+	// every miss is then resolved for its own pair.
+	galg *routing.Greediest
 	// overThresholdHops counts adaptive-hop decisions that found the
 	// deterministic port at or over AdaptiveThreshold and evaluated the
 	// full candidate set (the tests' witness that the branch ran).
@@ -442,21 +446,45 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
+	if s.rc != nil {
+		if g, ok := cfg.Alg.(*routing.Greediest); ok && len(g.Tables) == n {
+			s.galg = g
+		}
+	}
 	s.routers = make([]*router, n)
 	rarena := make([]router, n) // contiguous router structs: s.routers[v] derefs stay in cache
+	// The port tables are carved from four arenas sized by the adjacency: a
+	// router has one output port per out-neighbor and one input port per
+	// in-neighbor, plus the injection port.
+	edges := 0
+	inDeg := make([]int, n)
+	for _, row := range cfg.Out {
+		edges += len(row)
+		for _, w := range row {
+			inDeg[w]++
+		}
+	}
+	outNbrA, downA := make([]int, edges), make([]int32, edges)
+	inUpA, upOutA := make([]int, edges+n), make([]int32, edges+n)
 	for v := 0; v < n; v++ {
 		r := &rarena[v]
 		r.id = v
-		r.outNbr = append(r.outNbr, cfg.Out[v]...)
+		k, m := len(cfg.Out[v]), inDeg[v]+1
+		r.outNbr, outNbrA = outNbrA[:k:k], outNbrA[k:]
+		copy(r.outNbr, cfg.Out[v])
+		r.downInPort, downA = downA[:k:k], downA[k:]
+		r.inUp, inUpA = inUpA[:0:m], inUpA[m:]
+		r.upOutPort, upOutA = upOutA[:0:m], upOutA[m:]
 		s.routers[v] = r
 	}
 	// Wire input ports from the out-adjacency; record the dense port
-	// tables for both directions of every link as we go.
+	// tables for both directions of every link as we go (the appends stay
+	// within the carved capacity).
 	for v := 0; v < n; v++ {
 		r := s.routers[v]
 		for p, w := range cfg.Out[v] {
 			rw := s.routers[w]
-			r.downInPort = append(r.downInPort, int32(len(rw.inUp)))
+			r.downInPort[p] = int32(len(rw.inUp))
 			rw.inUp = append(rw.inUp, v)
 			rw.upOutPort = append(rw.upOutPort, int32(p))
 		}
@@ -1028,15 +1056,21 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 	}
 	// The deterministic outcome — the first candidate's port, or a no-route
 	// verdict — is a pure function of the tables, served from the route
-	// cache at every hop and computed (and recorded) on a miss. At an
-	// adaptive hop the paper's policy keeps that port unless its queue is
-	// at or over the threshold, so only then is the full candidate set
-	// evaluated against credit state; that result is never cached.
+	// cache at every hop and computed (and recorded) on a miss — for the
+	// pair alone, or for the destination's whole column once it has missed
+	// often enough. At an adaptive hop the paper's policy keeps that port
+	// unless its queue is at or over the threshold, so only then is the
+	// full candidate set evaluated against credit state; that result is
+	// never cached.
 	adaptive := s.cfg.Adaptive == AdaptiveEveryHop ||
 		(s.cfg.Adaptive == AdaptiveFirstHop && r.id == f.pkt.src)
 	outcome := rcEmpty
 	if s.rc != nil {
 		outcome = s.rc.get(r.id, f.pkt.dst)
+		if outcome == rcEmpty && s.galg != nil && s.rc.missed(f.pkt.dst) {
+			s.fillColumn(f.pkt.dst)
+			outcome = s.rc.get(r.id, f.pkt.dst)
+		}
 	}
 	var cands []int
 	if outcome == rcEmpty {
@@ -1082,6 +1116,30 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 		s.purgeHeadPacket(r, i)
 		s.res.Dropped++
 	}
+}
+
+// fillColumn records every router's table-deterministic outcome toward dst
+// from one greediest column: the first hop's port, rcNoRoute where there is
+// no first hop, and — where the first hop is not a link of the router
+// (stale tables mid-reconfiguration) — the per-pair path's own answer. Each
+// entry is the value a per-pair miss would store, written by the same
+// atomic OR, and entries already filled are skipped, so a fill racing
+// other simulators' fills (column or pair) changes nothing they can see.
+func (s *Sim) fillColumn(dst int) {
+	for cur, w := range s.galg.FirstHopColumn(&s.rsc, dst) {
+		if cur == dst || s.rc.get(cur, dst) != rcEmpty {
+			continue
+		}
+		r := s.routers[cur]
+		outcome := rcNoRoute
+		if w >= 0 {
+			if outcome = s.portOf(r, int(w)); outcome < 0 {
+				outcome = s.pickPort(r, nil, s.candidates(cur, dst), false)
+			}
+		}
+		s.rc.put(cur, dst, outcome)
+	}
+	s.rc.fills.Add(1)
 }
 
 // assignEscape commits the packet to the escape subnetwork and routes its

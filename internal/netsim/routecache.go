@@ -24,10 +24,36 @@ const (
 // reader sees either a miss (and computes the same value itself) or the
 // value — simulation results cannot depend on who filled what, or when.
 // Entries are one byte, zero = empty, packed four to an atomic word.
+//
+// Each destination also counts its misses. A miss is resolved for its own
+// pair until its destination has missed N/colFillDiv times; that miss
+// fills the destination's whole column instead (see Sim.fillColumn). The
+// counts decide when work happens, never what an entry holds.
 type RouteCache struct {
 	n     int
 	words []atomic.Uint32
+	// misses[dst] counts this epoch's misses toward dst; the one that
+	// reaches fillAt fills dst's column. fills counts column fills. Both
+	// are test witnesses of the rule, read by nothing on the result path.
+	misses []atomic.Uint32
+	fillAt uint32
+	fills  atomic.Int64
 }
+
+// colFillDiv sets the column-fill threshold at N/colFillDiv misses per
+// destination: ski rental between renting (resolving one pair) and buying
+// (the whole column). Measured at N=1024 on a 2-vCPU x86-64 VM (go1.24),
+// a pair costs ≈1.24 µs (Greediest.CandidatesInto on random pairs) and a
+// column ≈115–135 µs (FirstHopColumn on random destinations: N MDs plus a
+// table-view scan per router). A column costs N routers' scans where a pair
+// costs one router's, so it is worth ≈N/10 pair misses at every scale, and
+// waiting for that many keeps every regime within about twice the cost of
+// the better choice: a destination that stops missing early never pays for
+// a column, and one that keeps missing stops paying per pair. On the same
+// host, filling on the first miss made the first session on a fresh N=1024
+// idle network ≈175 ms, against ≈65 ms renting forever and ≈45 ms under
+// this rule.
+const colFillDiv = 10
 
 // rcBias maps an outcome to its stored byte: rcNoPort -> 1, rcNoRoute -> 2,
 // port p -> p+3; 0 stays free for "empty".
@@ -44,14 +70,32 @@ func NewRouteCache(routers int) *RouteCache {
 	if routers*routers > 1<<24 {
 		return nil
 	}
-	return &RouteCache{n: routers, words: make([]atomic.Uint32, (routers*routers+3)/4)}
+	return &RouteCache{
+		n:      routers,
+		words:  make([]atomic.Uint32, (routers*routers+3)/4),
+		misses: make([]atomic.Uint32, routers),
+		fillAt: uint32(max(1, routers/colFillDiv)),
+	}
 }
 
-// Reset empties the cache. The caller guarantees no simulator is using it.
+// Reset empties the cache and its counters. The caller guarantees no
+// simulator is using it.
 func (c *RouteCache) Reset() {
 	if c != nil {
 		clear(c.words)
+		clear(c.misses)
+		c.fills.Store(0)
 	}
+}
+
+// Counts reports the epoch's misses (over all destinations) and column
+// fills. They are test witnesses of the fill rule: no Result, telemetry
+// field or wire message carries them.
+func (c *RouteCache) Counts() (misses, fills int64) {
+	for i := range c.misses {
+		misses += int64(c.misses[i].Load())
+	}
+	return misses, c.fills.Load()
 }
 
 // get returns the cached outcome for (cur, dst), rcEmpty on a miss.
@@ -65,4 +109,11 @@ func (c *RouteCache) get(cur, dst int) int {
 func (c *RouteCache) put(cur, dst, outcome int) {
 	i := cur*c.n + dst
 	c.words[i>>2].Or(uint32(outcome+rcBias) << (uint(i&3) * 8))
+}
+
+// missed counts a miss toward dst and reports whether it is the one that
+// should fill dst's column. Exactly one miss per destination and epoch
+// reaches the threshold, however many simulators share the cache.
+func (c *RouteCache) missed(dst int) bool {
+	return c.misses[dst].Add(1) == c.fillAt
 }

@@ -133,12 +133,91 @@ func filledWords(c *RouteCache) int {
 	return filled
 }
 
+// checkFillWitness checks the column-fill rule on a cache after some runs:
+// exactly one fill per destination whose misses reached the threshold, each
+// such column filled for every router, and — when one simulator at a time
+// used the cache — no miss on a filled column, so no count past the
+// threshold.
+func checkFillWitness(t *testing.T, name string, c *RouteCache, exclusive bool) {
+	t.Helper()
+	crossed := int64(0)
+	for dst := range c.misses {
+		m := c.misses[dst].Load()
+		if m < c.fillAt {
+			continue
+		}
+		crossed++
+		if exclusive && m > c.fillAt {
+			t.Errorf("%s: destination %d missed %d times, %d after its column was filled", name, dst, m, m-c.fillAt)
+		}
+		for cur := 0; cur < c.n; cur++ {
+			if cur != dst && c.get(cur, dst) == rcEmpty {
+				t.Errorf("%s: destination %d crossed the threshold but (%d, %d) is empty", name, dst, cur, dst)
+				break
+			}
+		}
+	}
+	if _, fills := c.Counts(); fills != crossed {
+		t.Errorf("%s: %d column fills for %d destinations over the threshold", name, fills, crossed)
+	}
+}
+
+// TestColumnFillCounts pins the route cache's work for fixed seeds the way
+// the allocation tests pin allocations: one simulator on a private cache
+// makes exactly these misses and column fills. A loaded N=32 run fills
+// every column; in a light N=256 run 78 of 256 destinations reach their
+// threshold and the rest keep resolving pair by pair. A count that moves is
+// either a deliberate change of the fill rule or a bug. Reset clears both
+// counters.
+func TestColumnFillCounts(t *testing.T) {
+	paper, err := topology.NewPaperSF(256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light := SFConfig(paper, 1)
+	cases := []struct {
+		name          string
+		cfg           Config
+		rate          float64
+		cycles        int64
+		misses, fills int64
+	}{
+		{"sf-n32-loaded", routeCacheDesigns(t)["sf"], 0.4, 1000, 96, 32},
+		{"sf-n256-light", light, 0.004, 2000, 5117, 78},
+	}
+	for _, c := range cases {
+		c.cfg.Routes = NewRouteCache(len(c.cfg.Out))
+		s, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat, err := traffic.NewPattern("uniform", len(c.cfg.Out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetPattern(c.rate, pat)
+		s.Run(c.cycles)
+		misses, fills := c.cfg.Routes.Counts()
+		t.Logf("%s: %d misses, %d column fills", c.name, misses, fills)
+		if misses != c.misses || fills != c.fills {
+			t.Errorf("%s: %d misses and %d column fills, pinned %d and %d", c.name, misses, fills, c.misses, c.fills)
+		}
+		checkFillWitness(t, c.name, c.cfg.Routes, true)
+		c.cfg.Routes.Reset()
+		if misses, fills := c.cfg.Routes.Counts(); misses != 0 || fills != 0 {
+			t.Errorf("%s: Reset left %d misses and %d fills", c.name, misses, fills)
+		}
+	}
+}
+
 // TestSharedRouteCacheIdentity is the sharing contract at the simulator
 // boundary: for each routing family, a run on a shared cache — cold, then
 // warm from the previous run, then racing three other simulators on one
-// cold cache — is indistinguishable from a run on a private cache and from
-// the reference core, which never reads a cache. The over-threshold branch
-// must have fired, or the test proved nothing about adaptive first hops.
+// cold cache over freshly built tables, whose compact views they race to
+// build as well — is indistinguishable from a run on a private cache and
+// from the reference core, which never reads a cache. The over-threshold
+// branch must have fired, or the test proved nothing about adaptive first
+// hops.
 func TestSharedRouteCacheIdentity(t *testing.T) {
 	for name, cfg := range routeCacheDesigns(t) {
 		private := runCached(t, cfg)
@@ -169,6 +248,7 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 			t.Errorf("%s: shared cache has %d filled words, want filled=%v", name, filled, wantFill)
 		}
 
+		shared = routeCacheDesigns(t)[name]
 		shared.Routes = NewRouteCache(len(cfg.Out))
 		runs := make([]cacheRun, 4)
 		var wg sync.WaitGroup
@@ -185,6 +265,12 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 				t.Errorf("%s: concurrent shared-cache run %d diverges from the private-cache run", name, i)
 			}
 		}
+		// The four runs missed toward the same destinations at once; each
+		// column still filled once.
+		checkFillWitness(t, name+" concurrent", shared.Routes, false)
+		if _, fills := shared.Routes.Counts(); (fills > 0) != (cfg.Adaptive != AdaptiveEveryHop) {
+			t.Errorf("%s: %d column fills on the concurrently shared cache", name, fills)
+		}
 	}
 }
 
@@ -192,7 +278,7 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 // independence instead of reading it off the source: after a loaded
 // reference-core run — one router's links slow enough that the event core
 // would have used the overflow heap — the wake calendar is as New left it
-// and neither routing accelerator was installed.
+// and no routing accelerator was installed.
 func TestReferenceCoreLeavesEventStateUntouched(t *testing.T) {
 	cfg := routeCacheDesigns(t)["sf"]
 	cfg.ReferenceCore = true
@@ -216,8 +302,8 @@ func TestReferenceCoreLeavesEventStateUntouched(t *testing.T) {
 	if len(s.events) != 0 {
 		t.Errorf("overflow heap holds %d wakes", len(s.events))
 	}
-	if s.rc != nil || s.balg != nil {
-		t.Errorf("routing accelerators installed: rc=%v balg=%v", s.rc != nil, s.balg != nil)
+	if s.rc != nil || s.balg != nil || s.galg != nil {
+		t.Errorf("routing accelerators installed: rc=%v balg=%v galg=%v", s.rc != nil, s.balg != nil, s.galg != nil)
 	}
 }
 

@@ -10,6 +10,10 @@ import "slices"
 type Scratch struct {
 	cands []scratchCand
 	out   []int
+	// The column kernel's buffers (see Greediest.FirstHopColumn).
+	md    []float64
+	col   []int32
+	views []*tableView
 }
 
 type scratchCand struct {
@@ -114,6 +118,77 @@ func (g *Greediest) CandidatesInto(sc *Scratch, cur, dst int) []int {
 	}
 	sc.out = out
 	return out
+}
+
+// FirstHopColumn resolves every router's deterministic first hop toward
+// dst at once: col[cur] is CandidatesInto(sc, cur, dst)[0], or -1 where that
+// list is empty (cur == dst included). Greediest routing reads dst only
+// through MD(·, dst), so a column costs one MD per node plus table-view
+// loads, where N separate CandidatesInto calls evaluate ~37 MDs each.
+//
+// Setting md[dst] = -1 gives both of CandidatesInto's destination rules with
+// no branch: a one-hop dst strictly improves and is the unique minimum of
+// (score, md), and a dst two hops away scores its via -1. The argmin of
+// (lookahead score, own MD, node) over the strictly improving one-hop
+// neighbors is the head of CandidatesInto's sorted list, so no sort runs.
+// The result is valid until the next call with the same Scratch.
+func (g *Greediest) FirstHopColumn(sc *Scratch, dst int) []int32 {
+	n := len(g.Tables)
+	md := slices.Grow(sc.md[:0], n)[:n]
+	for x := range md {
+		md[x] = g.Coords.MD(g.Metric, x, dst)
+	}
+	md[dst] = -1
+	col := slices.Grow(sc.col[:0], n)[:n]
+	for cur, v := range g.loadViews(sc) {
+		best, bestScore, bestMD := int32(-1), 0.0, 0.0
+		curMD := md[cur]
+		for i, w := range v.one {
+			wMD := md[w]
+			if !(wMD < curMD) {
+				continue
+			}
+			score := wMD
+			if g.Lookahead {
+				for _, x := range v.group(i) {
+					score = min(score, md[x])
+				}
+			}
+			if best < 0 || score < bestScore ||
+				score == bestScore && (wMD < bestMD || wMD == bestMD && w < best) {
+				best, bestScore, bestMD = w, score, wMD
+			}
+		}
+		col[cur] = best
+	}
+	sc.md, sc.col = md, col
+	return col
+}
+
+// loadViews returns every table's compact view, building the missing ones
+// into one slab: the first column of a table epoch pays two allocations, not
+// two per table.
+func (g *Greediest) loadViews(sc *Scratch) []*tableView {
+	views := slices.Grow(sc.views[:0], len(g.Tables))[:len(g.Tables)]
+	missing, size := 0, 0
+	for i, t := range g.Tables {
+		if views[i] = t.view.Load(); views[i] == nil {
+			missing++
+			size += t.viewSize()
+		}
+	}
+	if missing > 0 {
+		slab, buf := make([]tableView, missing), make([]int32, size)
+		for i, t := range g.Tables {
+			if views[i] == nil {
+				views[i], slab = &slab[0], slab[1:]
+				buf = t.buildView(views[i], buf)
+				t.view.Store(views[i])
+			}
+		}
+	}
+	sc.views = views
+	return views
 }
 
 // CandidatesInto implements BufferedAlgorithm.

@@ -4,4 +4,10 @@
 // blocking/valid/hop bits (Section IV, Figure 6(b)), adaptive first-hop
 // selection driven by port-load counters, and the baseline routing schemes
 // (XY + adaptive for meshes, minimal + adaptive for flattened butterflies).
+//
+// Greediest routing reads a destination only through MD(·, dst), so besides
+// the per-pair candidate list (CandidatesInto) it offers a column kernel,
+// Greediest.FirstHopColumn: every router's first hop toward one destination
+// from one MD evaluation per node, over a compact per-table copy of the
+// usable entries that every Table mutator drops.
 package routing

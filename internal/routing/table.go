@@ -2,7 +2,9 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Entry is one routing-table row, mirroring the hardware layout of Figure
@@ -27,6 +29,11 @@ type Table struct {
 	Node    int
 	entries []Entry
 	index   map[tableKey]int
+	// view is the compact read-side copy of the usable entries the column
+	// kernel scans (see Greediest.FirstHopColumn), built on first use. Every
+	// mutator drops it; simulators running concurrently over unchanged
+	// tables may each rebuild it, and racing stores publish equal values.
+	view atomic.Pointer[tableView]
 }
 
 type tableKey struct {
@@ -34,13 +41,82 @@ type tableKey struct {
 	via  int
 }
 
+// tableView lists a table's usable entries as int32 node numbers: the
+// distinct one-hop neighbors in entry order, and the two-hop neighbors
+// reached through one[i] in two[ends[i-1]:ends[i]] (ends[-1] = 0). Two-hop
+// entries whose via is not a usable one-hop neighbor are left out: greediest
+// routing never reads them.
+type tableView struct {
+	one, ends, two []int32
+}
+
+// group returns the two-hop neighbors reached through one[i].
+func (v *tableView) group(i int) []int32 {
+	lo := int32(0)
+	if i > 0 {
+		lo = v.ends[i-1]
+	}
+	return v.two[lo:v.ends[i]]
+}
+
 // NewTable creates an empty routing table for the given router.
 func NewTable(node int) *Table {
 	return &Table{Node: node, index: make(map[tableKey]int)}
 }
 
+// dropView forgets the compact view after a mutation. Mutations happen while
+// no simulator reads the table, so the common case — a table being built,
+// which never had a view — costs a load and no atomic write.
+func (t *Table) dropView() {
+	if t.view.Load() != nil {
+		t.view.Store(nil)
+	}
+}
+
+// viewSize bounds the int32s buildView carves for t: a node per usable
+// entry, plus a group end per one-hop one.
+func (t *Table) viewSize() int {
+	n := 0
+	for i := range t.entries {
+		if e := &t.entries[i]; e.Valid && !e.Blocked {
+			n++
+			if !e.TwoHop {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// buildView fills v from t's usable entries, carving its slices from buf,
+// and returns what is left of buf.
+func (t *Table) buildView(v *tableView, buf []int32) []int32 {
+	one := buf[:0]
+	for i := range t.entries {
+		// A node listed twice as one-hop (possible after Promote) is one
+		// candidate, scored through its first listing, as CandidatesInto does.
+		if e := &t.entries[i]; !e.TwoHop && e.Valid && !e.Blocked && !slices.Contains(one, int32(e.Node)) {
+			one = append(one, int32(e.Node))
+		}
+	}
+	v.one, buf = one[:len(one):len(one)], buf[len(one):]
+	v.ends, buf = buf[:len(one):len(one)], buf[len(one):]
+	two := buf[:0]
+	for i, w := range v.one {
+		for j := range t.entries {
+			if e := &t.entries[j]; e.TwoHop && e.Valid && !e.Blocked && int32(e.Via) == w {
+				two = append(two, int32(e.Node))
+			}
+		}
+		v.ends[i] = int32(len(two))
+	}
+	v.two, buf = two[:len(two):len(two)], buf[len(two):]
+	return buf
+}
+
 // Add inserts or re-validates an entry. One-hop entries use via = -1.
 func (t *Table) Add(node, via int, twoHop bool) {
+	t.dropView()
 	k := tableKey{node: node, via: via}
 	if i, ok := t.index[k]; ok {
 		t.entries[i].Valid = true
@@ -89,6 +165,7 @@ func (t *Table) visitTwoHop(fn func(node, via int)) {
 
 // setBlockedWhere sets the blocking bit on entries selected by match.
 func (t *Table) setBlockedWhere(match func(Entry) bool, blocked bool) int {
+	t.dropView()
 	n := 0
 	for i := range t.entries {
 		if match(t.entries[i]) {
@@ -114,6 +191,7 @@ func (t *Table) Unblock(node int) int {
 // Invalidate clears the valid bit on entries referring to node (as target or
 // via) — used when a neighbor is power-gated off.
 func (t *Table) Invalidate(node int) int {
+	t.dropView()
 	n := 0
 	for i := range t.entries {
 		if t.entries[i].Node == node || t.entries[i].Via == node {
@@ -129,6 +207,7 @@ func (t *Table) Invalidate(node int) int {
 // flip of Section III-C. It returns false if no entry for node exists, in
 // which case the caller adds a fresh entry instead.
 func (t *Table) Promote(node int) bool {
+	t.dropView()
 	for i := range t.entries {
 		if t.entries[i].Node == node && t.entries[i].TwoHop {
 			oldVia := t.entries[i].Via

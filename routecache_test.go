@@ -96,7 +96,10 @@ func TestRouteCacheInvalidation(t *testing.T) {
 // TestConcurrentSessionsShareColdRouteCache runs distinct gate-free
 // sessions concurrently on one network whose cache starts empty, so their
 // fills race, and requires each to equal its serial run on a fresh network.
-// It runs under -race in CI.
+// Uniform traffic sends every session toward every destination, so the
+// sessions' misses add up on the same per-destination counters and cross
+// each column-fill threshold together; the counters must show every column
+// filled exactly once. It runs under -race in CI.
 func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
 	for _, design := range []string{"sf", "s2", "fb"} {
 		cfgs := make([]SessionConfig, 6)
@@ -124,6 +127,12 @@ func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
 				t.Errorf("%s session %d: concurrent run on a shared cold cache differs from its serial run\nconcurrent: %s\nserial:     %s",
 					design, i, clip(got[i]), clip(want[i]))
 			}
+		}
+		if design == "fb" {
+			continue // adaptive at every hop: the network has no cache
+		}
+		if misses, fills := net.routes.Counts(); fills != 32 {
+			t.Errorf("%s: %d column fills after %d misses on the shared cache, want one per destination (32)", design, fills, misses)
 		}
 	}
 }
