@@ -14,9 +14,11 @@ import (
 // Cluster is the coordinator side of distributed sweep execution: it
 // listens for sfworker processes (cmd/sfworker, or ServeWorker embedded
 // elsewhere) and shards sweep points over them. Attach one to a network
-// with WithCluster and that network's Sweep and Saturation run on it; with
-// no workers connected they use the in-process pool, so a cluster is
-// always safe to attach.
+// with WithCluster and that network's Sweep and Saturation run on it. The
+// cluster only transports: points no worker can take — all of them while
+// none is connected, the unfinished rest once the last one is lost — go
+// back to the sweep's in-process pool, so a cluster is always safe to
+// attach.
 //
 // One cluster serves many networks and many concurrent sweeps. Workers
 // may join and leave at any time: joining workers pick up pending points
@@ -127,10 +129,9 @@ type WorkerOptions struct {
 	// Reconnect keeps the worker in service across connection loss and
 	// coordinator restarts: after an abnormal disconnect it redials with
 	// exponential backoff (for up to DialRetry per attempt round, default
-	// 15s when unset), presenting the last coordinator session token so
-	// restarts are distinguishable from network blips. An orderly
-	// coordinator shutdown (goodbye) or an auth rejection still ends
-	// service — only unexpected losses retry.
+	// 15s when unset) and registers afresh; the network cache survives. An
+	// orderly coordinator shutdown (goodbye) or an auth rejection still
+	// ends service — only unexpected losses retry.
 	Reconnect bool
 }
 
@@ -155,30 +156,13 @@ func ServeWorker(ctx context.Context, addr string, o WorkerOptions) error {
 	if o.Metrics != nil {
 		cache.observe = o.Metrics.Observe
 	}
-	// The session token survives reconnects: presenting the previous
-	// coordinator session in the next hello tells the coordinator (and
-	// this worker's logs) whether it is rejoining the same instance after
-	// a network blip or a freshly restarted one.
-	var mu sync.Mutex
-	var session string
 	retry := o.DialRetry
-	for attempt := 0; ; attempt++ {
-		if o.Reconnect && attempt > 0 && retry <= 0 {
-			retry = 15 * time.Second
-		}
+	for {
 		conn, err := dist.Dial(ctx, addr, retry)
 		if err != nil {
 			return fmt.Errorf("stringfigure: worker dial %s: %w", addr, err)
 		}
-		mu.Lock()
-		cfg := dist.Config{Token: o.Token, Session: session}
-		mu.Unlock()
-		cfg.OnWelcome = func(s string, worker int) {
-			mu.Lock()
-			session = s
-			mu.Unlock()
-		}
-		err = dist.Serve(ctx, conn, o.Parallel, cache.runJob, cfg)
+		err = dist.Serve(ctx, conn, o.Parallel, cache.runJob, dist.Config{Token: o.Token})
 		switch {
 		case err == nil:
 			return nil // orderly coordinator shutdown
@@ -190,6 +174,9 @@ func ServeWorker(ctx context.Context, addr string, o WorkerOptions) error {
 			return err
 		}
 		// Abnormal loss with Reconnect on: go around and redial.
+		if retry <= 0 {
+			retry = 15 * time.Second
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,10 +203,74 @@ func TestDistributedFallsBackWithoutWorkers(t *testing.T) {
 	}
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.05, 0.1})
 	cfg := SessionConfig{Warmup: 200, Measure: 600, Seed: 1}
-	got := net.SweepAll(cfg, points, 0)
+	// A sweep stuck waiting for a worker ends at the deadline with errored
+	// Results instead of hanging the test binary.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	got := net.SweepAllContext(ctx, cfg, points, 0)
 	want := bare.SweepAll(cfg, points, 0)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("workerless fallback differs:\n%+v\n%+v", got, want)
+	}
+}
+
+// TestDistributedSweepSurvivesTotalWorkerLoss loses the only worker while
+// it holds the first point and the other two wait: the cluster hands all
+// three back and the sweep's own pool runs them, bit-identical to a sweep
+// with no cluster at all.
+func TestDistributedSweepSurvivesTotalWorkerLoss(t *testing.T) {
+	const nodes = 32
+	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.04, 0.07, 0.1})
+	// Long points: the first is still running when the kill, triggered by
+	// its first snapshot, reaches the worker.
+	cfg := SessionConfig{Warmup: 1000, Measure: 200000, Seed: 5}
+	reference, err := New(WithNodes(nodes), WithSeed(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reference.SweepAll(cfg, points, 0)
+
+	c, err := NewCluster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeWorker(ctx, c.Addr(), WorkerOptions{Parallel: 1, DialRetry: 5 * time.Second})
+	}()
+	wctx, wcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer wcancel()
+	if err := c.WaitForWorkers(wctx, 1); err != nil {
+		t.Fatalf("worker never joined: %v", err)
+	}
+
+	net, err := New(WithNodes(nodes), WithSeed(8), WithCluster(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var killed atomic.Bool
+	kill := func(TelemetrySnapshot) {
+		if killed.CompareAndSwap(false, true) {
+			cancel()
+		}
+	}
+	got := net.SweepAll(cfg.WithTelemetry(100, kill), points, 0)
+	if !killed.Load() {
+		t.Fatal("no snapshot arrived; the worker was never lost")
+	}
+	if err := <-served; !errors.Is(err, context.Canceled) {
+		t.Errorf("ServeWorker after cancel = %v, want context.Canceled", err)
+	}
+	for i := range want {
+		if got[i].Err != nil {
+			t.Fatalf("point %d errored after total worker loss: %v", i, got[i].Err)
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("point %d differs:\nlocal: %+v\ndist:  %+v", i, want[i], got[i])
+		}
 	}
 }
 

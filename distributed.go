@@ -9,10 +9,13 @@ import (
 )
 
 // dispatchRemote is the cluster leg of a sweep: it encodes the points that
-// can travel, hands them to the attached cluster's workers, streams each
-// outcome into its slot as it completes, and returns the indices of the
-// points that stay local — every point when no cluster is attached or no
-// worker is connected.
+// can travel, hands them to the attached cluster's workers and streams each
+// outcome into its slot as it completes. Every point that stays local comes
+// out of the returned channel, which closes once no more can: the points
+// that cannot travel, every point when no cluster is attached or no worker
+// is connected (ErrNoWorkers), and each point handed back because its
+// workers were all lost mid-sweep. The sweep's pool runs those; it is the
+// one in-process executor.
 //
 // Each worker rebuilds this network from its serialized spec and runs the
 // point through runPoint with the same PointSeed-derived session seed as
@@ -22,14 +25,15 @@ import (
 // disconnects are requeued onto surviving workers; a point repeatedly lost
 // this way fails with ErrWorkerLost in its Result, and points orphaned by
 // Cluster.Close fail with ErrClusterClosed.
-func (n *Network) dispatchRemote(ctx context.Context, cfg SessionConfig, points []Point, slots []chan Result) (localIdx []int) {
+func (n *Network) dispatchRemote(ctx context.Context, cfg SessionConfig, points []Point, slots []chan Result) <-chan int {
+	local := make(chan int, len(points))
 	c := n.cluster
-	if c == nil || c.Workers() == 0 {
-		localIdx = make([]int, len(points))
-		for i := range localIdx {
-			localIdx[i] = i
+	if c == nil {
+		for i := range points {
+			local <- i
 		}
-		return localIdx
+		close(local)
+		return local
 	}
 	spec := n.spec()
 
@@ -45,12 +49,12 @@ func (n *Network) dispatchRemote(ctx context.Context, cfg SessionConfig, points 
 	for i, p := range points {
 		wp, ok := pointToWire(p)
 		if !ok {
-			localIdx = append(localIdx, i)
+			local <- i
 			continue
 		}
 		b, err := encodeWire(wireJob{Spec: spec, Cfg: cfg, Index: i, Point: wp, Telemetry: telemetry})
 		if err != nil {
-			localIdx = append(localIdx, i)
+			local <- i
 			continue
 		}
 		remoteIdx = append(remoteIdx, i)
@@ -59,10 +63,7 @@ func (n *Network) dispatchRemote(ctx context.Context, cfg SessionConfig, points 
 
 	// Remote points stream back in completion order; slots reorder them.
 	go func() {
-		local := func(lctx context.Context, id int) ([]byte, error) {
-			i := remoteIdx[id]
-			return encodeWire(resultToWire(n.runPoint(lctx, cfg, points[i], i)))
-		}
+		defer close(local)
 		// Forwarded snapshot batches unpack straight into the sweep's sink.
 		// The records were stamped (workload, seed, point index) by the
 		// worker's session layer — runPoint runs the same stamping code
@@ -80,20 +81,27 @@ func (n *Network) dispatchRemote(ctx context.Context, cfg SessionConfig, points 
 				}
 			}
 		}
-		outcomes, err := c.co.RunStream(ctx, payloads, local, onSnapshot)
+		outcomes, err := c.co.Run(ctx, payloads, onSnapshot)
 		if err != nil {
-			err = mapClusterErr(err)
-			for _, i := range remoteIdx {
-				slots[i] <- n.errResult(cfg, points[i], i, err)
+			// Refused whole (no worker connected, or the cluster closed):
+			// every point settles with that error.
+			refused := make(chan dist.Outcome, len(payloads))
+			for id := range payloads {
+				refused <- dist.Outcome{ID: id, Err: err}
 			}
-			return
+			close(refused)
+			outcomes = refused
 		}
 		for o := range outcomes {
 			i := remoteIdx[o.ID]
+			if errors.Is(o.Err, dist.ErrNoWorkers) {
+				local <- i
+				continue
+			}
 			slots[i] <- n.outcomeResult(o, cfg, points[i], i)
 		}
 	}()
-	return localIdx
+	return local
 }
 
 // SweepDistributedAll is SweepAll(cfg, points, 0).

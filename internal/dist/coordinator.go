@@ -2,13 +2,10 @@ package dist
 
 import (
 	"context"
-	"crypto/rand"
 	"crypto/subtle"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -16,28 +13,27 @@ import (
 
 // Outcome is the terminal state of one task: its payload-encoded result,
 // or the error that ended it (worker-side execution failure, requeue
-// exhaustion, context cancellation, coordinator shutdown).
+// exhaustion, context cancellation, coordinator shutdown, ErrNoWorkers).
 type Outcome struct {
 	ID      int
 	Payload []byte
 	Err     error
 }
 
-// LocalRunner executes task id in-process. A run falls back to it when no
-// workers are connected (all lost mid-run, or none had joined yet), so a
-// distributed run always makes progress. nil disables the fallback: tasks
-// then wait for a worker or fail on run cancellation.
-type LocalRunner func(ctx context.Context, id int) ([]byte, error)
+// maxRequeues bounds how often one task is redistributed after worker
+// losses before it fails with ErrWorkerLost.
+const maxRequeues = 3
 
 // Coordinator accepts worker connections and shards task payloads over
 // them. One coordinator serves many sequential or concurrent runs (a
 // saturation search issues one run per candidate wave), and workers may
 // join or leave at any time: joining workers pick up pending tasks of
-// active runs, and tasks in flight on a lost worker are requeued.
+// active runs, and tasks in flight on a lost worker are requeued. A task
+// no worker can take goes back to the caller (ErrNoWorkers): the
+// coordinator only transports, it never executes.
 type Coordinator struct {
-	cfg     Config
-	ln      net.Listener
-	session string // random per-instance token, sent in every welcome
+	cfg Config
+	ln  net.Listener
 
 	mu      sync.Mutex
 	closed  bool
@@ -60,7 +56,6 @@ func Listen(addr string, cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		ln:      ln,
-		session: newSessionToken(),
 		workers: make(map[int]*remote),
 		runs:    make(map[int]*run),
 		change:  make(chan struct{}),
@@ -68,19 +63,6 @@ func Listen(addr string, cfg Config) (*Coordinator, error) {
 	go c.accept()
 	return c, nil
 }
-
-// newSessionToken mints the coordinator's per-instance session token. It
-// identifies one coordinator lifetime to reconnecting workers; collisions
-// only ever cost a misleading restart log line.
-func newSessionToken() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
-}
-
-// Session returns the coordinator's per-instance session token — the
-// value workers receive in their welcome frame.
-func (c *Coordinator) Session() string { return c.session }
 
 // Addr returns the coordinator's listen address.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
@@ -160,8 +142,7 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// bump wakes WaitWorkers and run pumps after a registry change. Callers
-// hold c.mu.
+// bump wakes WaitWorkers after a registry change. Callers hold c.mu.
 func (c *Coordinator) bump() {
 	close(c.change)
 	c.change = make(chan struct{})
@@ -246,13 +227,6 @@ func (c *Coordinator) handle(conn net.Conn) {
 	c.bump()
 	c.mu.Unlock()
 
-	// Complete the handshake: the welcome carries this coordinator
-	// instance's session token, which a reconnecting worker compares
-	// against the one it last served to tell a restart from a blip.
-	if w.send(&frame{Type: msgWelcome, ID: w.id, Session: c.session}, c.cfg.HeartbeatTimeout) != nil {
-		c.drop(w)
-		return
-	}
 	c.cfg.logf("dist: worker %d joined from %s (capacity %d)", w.id, conn.RemoteAddr(), w.capacity)
 
 	// A joining worker immediately pumps every active run.
@@ -347,8 +321,7 @@ func (c *Coordinator) deliverSnapshot(f *frame) {
 	r.mu.Unlock()
 }
 
-// noteProgress records a worker's progress report and forwards it to the
-// configured callback. Reports from concurrent worker goroutines can reach
+// noteProgress records a worker's progress report for Progress. Reports from concurrent worker goroutines can reach
 // the socket out of order; generation order is recoverable because the
 // worker builds frames under its job lock — Completed only grows, and
 // between two completions Active only grows — so a frame older on both
@@ -364,9 +337,6 @@ func (c *Coordinator) noteProgress(w *remote, f *frame) {
 	w.progress = p
 	w.progressAt = time.Now()
 	w.pmu.Unlock()
-	if c.cfg.OnProgress != nil {
-		c.cfg.OnProgress(w.id, p)
-	}
 }
 
 // WorkerProgress is one worker's latest progress report, stamped with its
@@ -407,18 +377,24 @@ func (c *Coordinator) Progress() []WorkerProgress {
 	return out
 }
 
-// drop unregisters a lost worker and requeues its in-flight tasks.
+// drop unregisters a lost worker and requeues its in-flight tasks. The
+// drop that removes the last worker also drains every active run's pending
+// queue into ErrNoWorkers outcomes. It does so under c.mu, the lock every
+// enqueue checks for live workers under, so no task id can be queued after
+// the drain and left with no one to take it.
 func (c *Coordinator) drop(w *remote) {
 	w.conn.Close()
 	c.mu.Lock()
 	delete(c.workers, w.id)
-	active := make([]*run, 0, len(c.runs))
-	for _, r := range c.runs {
-		active = append(active, r)
-	}
 	runsByID := make(map[int]*run, len(c.runs))
+	var orphans [][2]int // {run, task} drained from pending
 	for id, r := range c.runs {
 		runsByID[id] = r
+		if len(c.workers) == 0 {
+			for _, task := range r.drain() {
+				orphans = append(orphans, [2]int{id, task})
+			}
+		}
 	}
 	c.bump()
 	c.mu.Unlock()
@@ -432,14 +408,13 @@ func (c *Coordinator) drop(w *remote) {
 	w.inflight = nil // pumps racing a send now requeue themselves
 	w.imu.Unlock()
 	c.cfg.logf("dist: worker %d lost, requeueing %d in-flight tasks", w.id, len(keys))
+	for _, k := range orphans {
+		runsByID[k[0]].complete(k[1], nil, ErrNoWorkers)
+	}
 	for _, k := range keys {
 		if r := runsByID[k[0]]; r != nil {
 			r.requeue(k[1])
 		}
-	}
-	// Nudge local pumps: they may now be the only executor left.
-	for _, r := range active {
-		r.nudge()
 	}
 }
 
@@ -449,12 +424,10 @@ type run struct {
 	c     *Coordinator
 	ctx   context.Context
 	tasks [][]byte
-	local LocalRunner
 	snap  func(id int, snapshot []byte)
 
-	out     chan Outcome  // buffered len(tasks): completes never block
-	pending chan int      // undispatched task ids, buffered len(tasks)
-	wake    chan struct{} // nudges the local-fallback pump
+	out     chan Outcome // buffered len(tasks): completes never block
+	pending chan int     // undispatched task ids, buffered len(tasks)
 
 	mu        sync.Mutex
 	delivered []bool
@@ -466,33 +439,29 @@ type run struct {
 }
 
 // Run distributes one batch of task payloads and streams exactly one
-// Outcome per task, in completion order (consumers reorder by ID). The
-// channel closes after the last outcome. Cancellation of ctx fails every
-// unfinished task with ctx.Err() immediately and tells workers to abort.
-func (c *Coordinator) Run(ctx context.Context, tasks [][]byte, local LocalRunner) (<-chan Outcome, error) {
-	return c.RunStream(ctx, tasks, local, nil)
-}
-
-// RunStream is Run with a mid-task snapshot stream: every snapshot blob a
-// worker emits for task id (RunFunc's emit callback) is handed to
-// onSnapshot as it arrives, before the task's Outcome. onSnapshot runs on
-// the receiving worker's connection goroutine — keep it fast, and make it
-// safe for concurrent use (different workers' connections call it
-// concurrently). Snapshots of one task arrive in emission order; a task
-// requeued after a worker loss restarts its stream from the beginning on
-// the new worker. Tasks executed by the local fallback runner bypass the
-// wire and therefore this callback — the embedding layer observes those
-// directly. nil onSnapshot behaves exactly like Run.
-func (c *Coordinator) RunStream(ctx context.Context, tasks [][]byte, local LocalRunner, onSnapshot func(id int, snapshot []byte)) (<-chan Outcome, error) {
+// Outcome per task, in completion order (consumers reorder by ID); the
+// channel closes after the last. Cancellation of ctx fails every unfinished
+// task with ctx.Err() immediately and tells workers to abort. With no worker
+// connected Run returns ErrNoWorkers; a task left without one mid-run
+// completes with ErrNoWorkers, unexecuted, for the caller to run itself.
+//
+// onSnapshot (nil drops them) receives every snapshot blob a worker emits
+// for task id (RunFunc's emit), in emission order and before the task's
+// Outcome, on that worker's connection goroutine: keep it fast and safe for
+// concurrent use. A task requeued after a worker loss restarts its stream.
+func (c *Coordinator) Run(ctx context.Context, tasks [][]byte, onSnapshot func(id int, snapshot []byte)) (<-chan Outcome, error) {
 	if len(tasks) == 0 {
 		out := make(chan Outcome)
 		close(out)
 		return out, nil
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
+	}
+	if len(c.workers) == 0 {
+		return nil, ErrNoWorkers
 	}
 	c.runSeq++
 	r := &run{
@@ -500,31 +469,21 @@ func (c *Coordinator) RunStream(ctx context.Context, tasks [][]byte, local Local
 		c:         c,
 		ctx:       ctx,
 		tasks:     tasks,
-		local:     local,
 		snap:      onSnapshot,
 		out:       make(chan Outcome, len(tasks)),
 		pending:   make(chan int, len(tasks)),
-		wake:      make(chan struct{}, 1),
 		delivered: make([]bool, len(tasks)),
 		requeues:  make([]int, len(tasks)),
 		remaining: len(tasks),
 		done:      make(chan struct{}),
 	}
 	c.runs[r.id] = r
-	workers := make([]*remote, 0, len(c.workers))
-	for _, w := range c.workers {
-		workers = append(workers, w)
-	}
-	c.mu.Unlock()
-
+	// Queued under c.mu: a drop of the last worker drains all of them.
 	for i := range tasks {
 		r.pending <- i
 	}
-	for _, w := range workers {
+	for _, w := range c.workers {
 		go r.pump(w)
-	}
-	if local != nil {
-		go r.localPump()
 	}
 	go r.watchCtx()
 	return r.out, nil
@@ -569,8 +528,7 @@ func (r *run) fail(err error) {
 }
 
 // requeue puts a task lost with its worker back into the pending queue,
-// or fails it once its requeue budget is spent. The pending channel holds
-// each task id at most once, so the len(tasks)-deep buffer never blocks.
+// or fails it once its requeue budget is spent.
 func (r *run) requeue(id int) {
 	r.mu.Lock()
 	if r.delivered[id] {
@@ -578,7 +536,7 @@ func (r *run) requeue(id int) {
 		return
 	}
 	r.requeues[id]++
-	exhausted := r.requeues[id] > r.c.cfg.MaxRequeues
+	exhausted := r.requeues[id] > maxRequeues
 	r.mu.Unlock()
 	if exhausted {
 		r.c.cfg.logf("dist: task %d of run %d abandoned after %d dispatch attempts", id, r.id, r.requeues[id])
@@ -586,15 +544,35 @@ func (r *run) requeue(id int) {
 			ErrWorkerLost, id, r.requeues[id]))
 		return
 	}
-	r.pending <- id
-	r.nudge()
+	r.enqueue(id)
 }
 
-// nudge wakes the local-fallback pump.
-func (r *run) nudge() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
+// enqueue is the one way a task id returns to the pending queue: there
+// while some worker is connected to take it, handed back to the caller as
+// ErrNoWorkers otherwise. The check and the push happen together under c.mu
+// (see drop). The pending channel holds each task id at most once, so the
+// len(tasks)-deep buffer never blocks.
+func (r *run) enqueue(id int) {
+	r.c.mu.Lock()
+	if len(r.c.workers) > 0 {
+		r.pending <- id
+		r.c.mu.Unlock()
+		return
+	}
+	r.c.mu.Unlock()
+	r.complete(id, nil, ErrNoWorkers)
+}
+
+// drain empties the pending queue without blocking: the lost worker's own
+// pumps may still be taking ids, and each of those returns through enqueue.
+func (r *run) drain() (ids []int) {
+	for {
+		select {
+		case id := <-r.pending:
+			ids = append(ids, id)
+		default:
+			return ids
+		}
 	}
 }
 
@@ -631,7 +609,7 @@ func (r *run) pump(w *remote) {
 			select {
 			case w.sem <- struct{}{}:
 			default:
-				r.pending <- id
+				r.enqueue(id)
 				continue
 			}
 		case <-w.dead:
@@ -672,37 +650,6 @@ func (r *run) pump(w *remote) {
 				r.requeue(id)
 			}
 			return
-		}
-	}
-}
-
-// localPump executes pending tasks in-process, but only while no workers
-// are connected — the degraded mode that keeps a run moving after total
-// worker loss (or a start-time race where the last worker left between
-// the caller's check and Run).
-func (r *run) localPump() {
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for {
-		if r.c.Workers() == 0 {
-			select {
-			case id := <-r.pending:
-				sem <- struct{}{}
-				go func(id int) {
-					defer func() { <-sem }()
-					payload, err := r.local(r.ctx, id)
-					r.complete(id, payload, err)
-				}(id)
-				continue
-			case <-r.done:
-				return
-			default:
-			}
-		}
-		select {
-		case <-r.done:
-			return
-		case <-r.wake:
-		case <-time.After(r.c.cfg.HeartbeatInterval):
 		}
 	}
 }

@@ -187,9 +187,9 @@ func TestWorkerLossRequeues(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Worker A runs alone and self-destructs on the poison task (the first
-	// task dispatched); every task, poison included, must then complete
-	// through worker B, which joins only after A is gone.
+	// Worker A runs alone and takes the poison task (the first task
+	// dispatched); worker B joins while A holds it, then A crashes. Every
+	// task, poison included, must complete through worker B.
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	connA, err := Dial(ctxA, c.Addr(), time.Second)
@@ -197,11 +197,14 @@ func TestWorkerLossRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	var poisoned atomic.Bool
+	holding, crash := make(chan struct{}), make(chan struct{})
 	doneA := make(chan struct{})
 	go func() {
 		defer close(doneA)
 		Serve(ctxA, connA, 1, func(ctx context.Context, p []byte, _ func([]byte)) ([]byte, error) {
 			if string(p) == "poison" && poisoned.CompareAndSwap(false, true) {
+				close(holding)
+				<-crash
 				connA.Close() // simulate a crash mid-task
 				<-ctx.Done()
 				return nil, ctx.Err()
@@ -218,18 +221,15 @@ func TestWorkerLossRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for A's crash to be noticed before B joins.
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Workers() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker A's loss never detected")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	<-holding
 	stopB := startWorker(t, c, 1, func(ctx context.Context, p []byte, _ func([]byte)) ([]byte, error) {
 		return append([]byte("B:"), p...), nil
 	})
 	defer stopB()
+	if err := c.WaitWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	close(crash)
 
 	res := collect(t, out, len(tasks))
 	if res[0].Err != nil {
@@ -248,15 +248,20 @@ func TestWorkerLossRequeues(t *testing.T) {
 	}
 }
 
-func TestTotalLossFallsBackToLocal(t *testing.T) {
+func TestTotalLossReturnsTasksToCaller(t *testing.T) {
 	cfg := testCfg()
 	c, err := Listen("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// One worker that dies on its first task; the rest of the batch must
-	// complete through the local runner.
+	// No worker at all: the batch is refused whole.
+	if _, err := c.Run(context.Background(), [][]byte{[]byte("x")}, nil); !errors.Is(err, ErrNoWorkers) {
+		t.Fatalf("Run with no workers: err = %v, want ErrNoWorkers", err)
+	}
+
+	// One worker that dies on its first task: that task (in flight) and
+	// the rest of the batch (pending) must all come back unexecuted.
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	connA, err := Dial(ctxA, c.Addr(), time.Second)
@@ -277,20 +282,13 @@ func TestTotalLossFallsBackToLocal(t *testing.T) {
 	}
 
 	tasks := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	local := func(ctx context.Context, id int) ([]byte, error) {
-		return append([]byte("local:"), tasks[id]...), nil
-	}
-	out, err := c.Run(context.Background(), tasks, local)
+	out, err := c.Run(context.Background(), tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range collect(t, out, len(tasks)) {
-		if o.Err != nil {
-			t.Fatalf("task %d: %v", o.ID, o.Err)
-		}
-		want := "local:" + string(tasks[o.ID])
-		if string(o.Payload) != want {
-			t.Errorf("task %d payload = %q, want %q", o.ID, o.Payload, want)
+		if !errors.Is(o.Err, ErrNoWorkers) || o.Payload != nil {
+			t.Errorf("task %d: outcome %+v, want ErrNoWorkers and no payload", o.ID, o)
 		}
 	}
 }
@@ -508,17 +506,9 @@ func TestDialRetryCoversLateCoordinator(t *testing.T) {
 
 func TestWorkerProgressFrames(t *testing.T) {
 	// Workers report progress on every task start and completion; the
-	// coordinator surfaces the latest report per worker (poll) and fires
-	// the OnProgress callback (push), so a long run is never dark.
-	var callbacks atomic.Int32
-	cfg := testCfg()
-	cfg.OnProgress = func(worker int, p Progress) {
-		if worker <= 0 || p.Capacity != 2 || p.Completed < 0 {
-			t.Errorf("bad progress report: worker=%d %+v", worker, p)
-		}
-		callbacks.Add(1)
-	}
-	c, err := Listen("127.0.0.1:0", cfg)
+	// coordinator surfaces the latest report per worker, so a long run is
+	// never dark.
+	c, err := Listen("127.0.0.1:0", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,12 +549,10 @@ func TestWorkerProgressFrames(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	if ps[0].Worker <= 0 || ps[0].Capacity != 2 {
+		t.Errorf("final progress misattributed: %+v", ps[0])
+	}
 	if ps[0].LastReport.IsZero() {
 		t.Error("progress report carries no timestamp")
-	}
-	// One start + one completion report per task, minus any dropped as
-	// stale under concurrent sends: well over one callback per task.
-	if n := callbacks.Load(); n < tasks {
-		t.Errorf("OnProgress fired %d times for %d tasks", n, tasks)
 	}
 }

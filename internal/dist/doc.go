@@ -1,7 +1,9 @@
 // Package dist implements the transport behind distributed sweep
 // execution: a TCP coordinator that shards opaque task payloads over
 // remote workers and streams their outcomes back, with heartbeats and
-// requeue-on-worker-loss fault tolerance.
+// requeue-on-worker-loss fault tolerance. It only transports: a task no
+// worker can take goes back to the caller as ErrNoWorkers, and the caller
+// runs it on its own pool.
 //
 // The package is deliberately payload-agnostic — tasks and results travel
 // as []byte blobs produced by the embedding layer (the root stringfigure

@@ -44,28 +44,16 @@ const (
 	// when its outcome arrives; coordinators that predate the frame ignore
 	// it.
 	msgSnapshot
-	// msgWelcome is the coordinator's reply to an accepted hello: it
-	// carries the coordinator's session token (Session, one random value
-	// per coordinator instance) and the worker's assigned id (ID). A
-	// reconnecting worker presents the last session it served in its
-	// hello; a welcome with a different token tells it the coordinator was
-	// restarted — in-flight work from the old session was requeued or
-	// replayed from the checkpoint journal, so the worker just keeps
-	// draining. A hello with a bad auth token is answered with a goodbye
-	// whose Err is set (see ErrUnauthorized) instead of a welcome.
-	msgWelcome
 )
 
 // frame is the single envelope every wire message travels in. Fields are
 // a union over the message types: Run/ID identify a task (msgJob,
 // msgResult, msgSnapshot, msgCancel), Capacity rides on msgHello and
 // msgProgress, Active/Completed ride on msgProgress, Token carries the
-// worker's auth secret on msgHello, Session carries the coordinator
-// session token on msgWelcome (and the worker's last-seen session on
-// msgHello), Payload carries the task, result or snapshot blob, and Err
-// transfers a worker-side execution error — or the coordinator's
-// rejection reason on a msgGoodbye — as text (typed errors do not
-// survive the wire).
+// worker's auth secret on msgHello, Payload carries the task, result or
+// snapshot blob, and Err transfers a worker-side execution error — or the
+// coordinator's rejection reason on a msgGoodbye — as text (typed errors
+// do not survive the wire).
 type frame struct {
 	Type      msgType
 	Run       int
@@ -74,7 +62,6 @@ type frame struct {
 	Active    int
 	Completed int64
 	Token     string
-	Session   string
 	Payload   []byte
 	Err       string
 }
@@ -101,36 +88,12 @@ type Config struct {
 	// HeartbeatTimeout is how long a silent peer stays trusted before it
 	// is declared lost (default 4x the interval).
 	HeartbeatTimeout time.Duration
-	// MaxRequeues bounds how often one task is redistributed after
-	// worker losses before it fails with ErrWorkerLost (default 3).
-	MaxRequeues int
 	// Token is the shared secret authenticating the worker socket. A
 	// coordinator with a token rejects hellos that do not present it
 	// (the worker's Serve returns ErrUnauthorized); an empty token
 	// accepts every connection. Workers send Config.Token in their
 	// hello.
 	Token string
-	// Session is the worker's last-seen coordinator session token
-	// (msgWelcome), presented in its hello on reconnect so both sides
-	// can tell a coordinator restart from a network blip. Informational:
-	// registration proceeds identically either way.
-	Session string
-	// SnapshotQueue bounds the worker's snapshot-forwarding buffer, in
-	// frames (default 256). Snapshot sends are decoupled from the
-	// simulating goroutine through this queue; when a slow or stalled
-	// coordinator lets it fill, the oldest frames are dropped so dense
-	// telemetry can never wedge a worker. Results are never queued or
-	// dropped.
-	SnapshotQueue int
-	// OnProgress, when set on a coordinator, receives every worker
-	// progress report as it arrives (called from the worker's connection
-	// goroutine; keep it fast and do not block). Coordinator.Progress
-	// offers the same data as a poll.
-	OnProgress func(worker int, p Progress)
-	// OnWelcome, when set on a worker, receives the coordinator's
-	// session token and this worker's assigned id right after the
-	// handshake. Reconnect loops use it to detect coordinator restarts.
-	OnWelcome func(session string, worker int)
 	// Logf, when set, receives the transport's operational log lines —
 	// worker joins and losses, auth rejections, task requeues. nil is
 	// silent (the historical behavior). Called from connection
@@ -152,19 +115,19 @@ func (c *Config) fill() {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 4 * c.HeartbeatInterval
 	}
-	if c.MaxRequeues <= 0 {
-		c.MaxRequeues = 3
-	}
-	if c.SnapshotQueue <= 0 {
-		c.SnapshotQueue = 256
-	}
 }
 
-// Sentinel errors of the transport layer. The root package wraps them in
-// its public ErrWorkerLost/ErrClusterClosed sentinels.
+// Sentinel errors of the transport layer. The root package wraps
+// ErrWorkerLost and ErrClosed in its public ErrWorkerLost/ErrClusterClosed
+// sentinels, and runs ErrNoWorkers tasks on its own pool.
 var (
 	// ErrClosed reports an operation on a closed coordinator.
 	ErrClosed = errors.New("dist: coordinator closed")
+	// ErrNoWorkers reports that no worker is connected to take a task: Run
+	// returns it when a batch arrives with none, and a task left without
+	// one mid-run (the last worker was lost) completes with it. The task
+	// is handed back unexecuted; the caller runs it itself.
+	ErrNoWorkers = errors.New("dist: no workers connected")
 	// ErrWorkerLost reports a task abandoned after exhausting its requeue
 	// budget across repeated worker losses.
 	ErrWorkerLost = errors.New("dist: worker lost")

@@ -15,9 +15,9 @@ import (
 //
 // emit streams one mid-task snapshot blob back to the coordinator
 // (msgSnapshot), tagged with the task's identity; the coordinator hands
-// it to the RunStream snapshot callback. Sends are best-effort and
-// decoupled from the caller through a bounded queue (Config.SnapshotQueue)
-// that drops its oldest frames under backpressure, so a slow coordinator
+// it to Run's snapshot callback. Sends are best-effort and decoupled from
+// the caller through a bounded queue (snapshotQueue frames) that drops its
+// oldest frames under backpressure, so a slow coordinator
 // can never wedge a dense telemetry run; the queue is flushed before the
 // task's result frame, so every snapshot that survives the queue is
 // ordered before the task's outcome. Tasks without telemetry simply never
@@ -56,11 +56,17 @@ func Dial(ctx context.Context, addr string, retry time.Duration) (net.Conn, erro
 	}
 }
 
+// snapshotQueue bounds the worker's snapshot-forwarding buffer, in frames.
+// When a slow or stalled coordinator lets it fill, the oldest frames are
+// dropped so dense telemetry can never wedge a worker. Results are never
+// queued or dropped.
+const snapshotQueue = 256
+
 // snapQueue is the worker's bounded snapshot-forwarding buffer: emits
 // enqueue here and a single forwarder goroutine drains to the connection,
 // so the simulating goroutine never blocks on a slow coordinator. When
 // the queue is full the OLDEST frame is dropped (the newest state is the
-// one worth keeping for live telemetry); Dropped counts the losses.
+// one worth keeping for live telemetry).
 type snapQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -68,7 +74,6 @@ type snapQueue struct {
 	cap     int
 	closed  bool
 	sending bool // forwarder is mid-send; flush waits for it too
-	dropped int64
 }
 
 func newSnapQueue(cap int) *snapQueue {
@@ -83,7 +88,6 @@ func (s *snapQueue) push(f *frame) {
 	if !s.closed {
 		if len(s.q) >= s.cap {
 			s.q = s.q[1:]
-			s.dropped++
 		}
 		s.q = append(s.q, f)
 	}
@@ -156,7 +160,7 @@ func Serve(parent context.Context, conn net.Conn, capacity int, run RunFunc, cfg
 		conn.SetWriteDeadline(time.Now().Add(cfg.HeartbeatTimeout))
 		return writeFrame(conn, f)
 	}
-	if err := send(&frame{Type: msgHello, Capacity: capacity, Token: cfg.Token, Session: cfg.Session}); err != nil {
+	if err := send(&frame{Type: msgHello, Capacity: capacity, Token: cfg.Token}); err != nil {
 		return err
 	}
 
@@ -185,7 +189,7 @@ func Serve(parent context.Context, conn net.Conn, capacity int, run RunFunc, cfg
 	// by one forwarder goroutine, decoupling the simulating task bodies
 	// from the connection: a coordinator too slow to read telemetry costs
 	// dropped snapshots, never a wedged worker.
-	snaps := newSnapQueue(cfg.SnapshotQueue)
+	snaps := newSnapQueue(snapshotQueue)
 	defer snaps.close()
 	go func() {
 		for {
@@ -231,10 +235,6 @@ func Serve(parent context.Context, conn net.Conn, capacity int, run RunFunc, cfg
 			return fmt.Errorf("dist: connection to coordinator lost: %w", err)
 		}
 		switch f.Type {
-		case msgWelcome:
-			if cfg.OnWelcome != nil {
-				cfg.OnWelcome(f.Session, f.ID)
-			}
 		case msgGoodbye:
 			cancel()
 			jobs.Wait()

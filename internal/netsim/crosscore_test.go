@@ -78,22 +78,21 @@ func TestCrossCoreSyntheticSF(t *testing.T) {
 	}
 }
 
-// TestCrossCoreTraceAndClosedLoop pins bit-identity under trace-driven
-// injection plus an OnDelivered closed loop (the memory co-simulation
+// TestCrossCoreTraceAndClosedLoop pins bit-identity under scripted
+// injection (Inject between Run slices) plus an OnDelivered closed loop (the memory co-simulation
 // pattern: callbacks inject responses mid-phase).
 func TestCrossCoreTraceAndClosedLoop(t *testing.T) {
 	sf, err := topology.NewStringFigure(topology.Config{N: 24, Ports: 4, Seed: 11, Shortcuts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []TraceEvent
+	var script []injection
 	for c := int64(0); c < 400; c += 3 {
-		events = append(events, TraceEvent{Cycle: c, Src: int(c) % 24, Dst: int(c*7+5) % 24})
+		script = append(script, injection{c, int(c) % 24, int(c*7+5) % 24})
 	}
 	cfg := SFConfig(sf, 5)
 	base := cfg
 	checkCores(t, base, func(s *Sim) {
-		s.SetTrace(events)
 		// Closed loop: every delivery to an even node triggers a response.
 		s.SetEscapeRoute(cfg.EscapeRoute)
 		responded := 0
@@ -103,7 +102,7 @@ func TestCrossCoreTraceAndClosedLoop(t *testing.T) {
 				s.Inject(dst, src, 2, tag+1)
 			}
 		}
-		s.Run(2000)
+		runScript(t, s, script, 2000)
 	})
 }
 

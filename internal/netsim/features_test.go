@@ -35,12 +35,11 @@ func TestLinkWidthIncreasesThroughput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var evs []TraceEvent
+		var script []injection
 		for c := int64(0); c < 200; c++ {
-			evs = append(evs, TraceEvent{Cycle: c, Src: 0, Dst: 1})
+			script = append(script, injection{c, 0, 1})
 		}
-		s.SetTrace(evs)
-		s.Run(3000)
+		runScript(t, s, script, 3000)
 		return s.Results()
 	}
 	narrow := run(1)
@@ -152,8 +151,7 @@ func TestMinInjectLatencyTracked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetTrace([]TraceEvent{{Cycle: 0, Src: 0, Dst: 1}})
-	s.Run(50)
+	runScript(t, s, []injection{{0, 0, 1}}, 50)
 	res := s.Results()
 	if res.MinInjectLatency <= 0 {
 		t.Errorf("MinInjectLatency = %d, want > 0", res.MinInjectLatency)
@@ -169,12 +167,11 @@ func TestThroughputMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evs []TraceEvent
+	var script []injection
 	for c := int64(0); c < 100; c++ {
-		evs = append(evs, TraceEvent{Cycle: c, Src: 0, Dst: 1})
+		script = append(script, injection{c, 0, 1})
 	}
-	s.SetTrace(evs)
-	s.Run(400)
+	runScript(t, s, script, 400)
 	res := s.Results()
 	want := float64(res.FlitsDelivered) / float64(res.Cycles) / 2
 	if got := res.ThroughputFlitsPerNodeCycle(); got != want {

@@ -327,8 +327,6 @@ type Sim struct {
 
 	res      Results
 	lastMove int64
-	trace    []TraceEvent
-	tracePos int
 
 	// Synthetic injection state: the Bernoulli(injRate) trial sequence
 	// over (cycle, node) pairs is realized by geometric skip-sampling —
@@ -409,13 +407,6 @@ type Sim struct {
 	// candidate's starvation counter is live (adaptive VC, head at front):
 	// such an output must keep being rescanned every cycle and cannot park.
 	scanSawLive bool
-}
-
-// TraceEvent is one trace-driven packet injection.
-type TraceEvent struct {
-	Cycle int64
-	Src   int
-	Dst   int
 }
 
 // New builds a simulator for the given configuration.
@@ -605,12 +596,6 @@ func (s *Sim) SetPattern(rate float64, pattern func(src int, rng *rand.Rand) (in
 	s.injSkip = -1
 }
 
-// SetTrace installs trace-driven injection. Events must be sorted by cycle.
-func (s *Sim) SetTrace(events []TraceEvent) {
-	s.trace = events
-	s.tracePos = 0
-}
-
 // linkLatency returns the traversal latency for u->v.
 func (s *Sim) linkLatency(u, v int) int {
 	if s.cfg.LinkLatency == nil {
@@ -797,41 +782,34 @@ func (s *Sim) routeFront(r *router, unit int, f flit) bool {
 	return true
 }
 
-// inject enqueues new packets into source queues. Synthetic injection
-// walks the cycle's n Bernoulli trials (node order) by geometric gaps: the
-// draw sequence — one gap draw per success, then the pattern's own draws —
-// is identical in both cores, which keeps cross-core bit-identity, and the
-// idle case costs one counter decrement instead of n RNG draws.
+// inject enqueues the cycle's synthetic packets into source queues (clients
+// add their own through Inject between Run slices). It walks the cycle's n
+// Bernoulli trials (node order) by geometric gaps: the draw sequence — one
+// gap draw per success, then the pattern's own draws — is identical in both
+// cores, which keeps cross-core bit-identity, and the idle case costs one
+// counter decrement instead of n RNG draws.
 func (s *Sim) inject() {
-	if s.injPattern != nil && s.injRate > 0 {
-		n := int64(len(s.routers))
-		if s.injSkip < 0 {
-			s.injSkip = s.injGap()
-		}
-		v := int64(0)
-		for {
-			if s.injSkip >= n-v {
-				s.injSkip -= n - v
-				break
-			}
-			v += s.injSkip
-			src := int(v)
-			if dst, ok := s.injPattern(src, s.rng); ok && dst != src &&
-				dst >= 0 && dst < len(s.routers) {
-				s.enqueuePacket(s.routers[src], src, dst)
-			}
-			s.injSkip = s.injGap()
-			v++
-		}
+	if s.injPattern == nil || s.injRate <= 0 {
+		return
 	}
-	for s.tracePos < len(s.trace) && s.trace[s.tracePos].Cycle <= s.cycle {
-		ev := s.trace[s.tracePos]
-		s.tracePos++
-		if ev.Src == ev.Dst || ev.Src < 0 || ev.Src >= len(s.routers) ||
-			ev.Dst < 0 || ev.Dst >= len(s.routers) {
-			continue
+	n := int64(len(s.routers))
+	if s.injSkip < 0 {
+		s.injSkip = s.injGap()
+	}
+	v := int64(0)
+	for {
+		if s.injSkip >= n-v {
+			s.injSkip -= n - v
+			break
 		}
-		s.enqueuePacket(s.routers[ev.Src], ev.Src, ev.Dst)
+		v += s.injSkip
+		src := int(v)
+		if dst, ok := s.injPattern(src, s.rng); ok && dst != src &&
+			dst >= 0 && dst < len(s.routers) {
+			s.enqueuePacket(s.routers[src], src, dst)
+		}
+		s.injSkip = s.injGap()
+		v++
 	}
 }
 

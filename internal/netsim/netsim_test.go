@@ -41,10 +41,31 @@ func sfSim(t *testing.T, n, ports int, seed int64) (*topology.StringFigure, *Sim
 	return sf, s
 }
 
+// injection is one scripted packet: src sends a default-sized packet to dst
+// at cycle.
+type injection struct {
+	cycle    int64
+	src, dst int
+}
+
+// runScript injects each scripted packet through Sim.Inject once the
+// simulator reaches its cycle (script sorted by cycle), then runs on until
+// cycles have passed in all.
+func runScript(t *testing.T, s *Sim, script []injection, cycles int64) {
+	t.Helper()
+	end := s.Cycle() + cycles
+	for _, ev := range script {
+		s.Run(ev.cycle - s.Cycle())
+		if err := s.Inject(ev.src, ev.dst, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run(end - s.Cycle())
+}
+
 func TestSinglePacketLatency(t *testing.T) {
 	s := lineSim(t, Config{PacketFlits: 4, Seed: 1})
-	s.SetTrace([]TraceEvent{{Cycle: 0, Src: 0, Dst: 2}})
-	s.Run(100)
+	runScript(t, s, []injection{{0, 0, 2}}, 100)
 	res := s.Results()
 	if res.Delivered != 1 {
 		t.Fatalf("Delivered = %d, want 1", res.Delivered)
@@ -69,15 +90,18 @@ func TestSinglePacketLatency(t *testing.T) {
 	}
 }
 
-func TestSelfAndInvalidTraceEventsSkipped(t *testing.T) {
+func TestInjectRejectsSelfAndInvalid(t *testing.T) {
 	s := lineSim(t, Config{Seed: 1})
-	s.SetTrace([]TraceEvent{
-		{Cycle: 0, Src: 1, Dst: 1},  // self
-		{Cycle: 0, Src: -1, Dst: 2}, // bad src
-		{Cycle: 0, Src: 0, Dst: 99}, // bad dst
-		{Cycle: 1, Src: 0, Dst: 1},  // valid
-	})
-	s.Run(50)
+	for _, bad := range []injection{
+		{0, 1, 1},  // self
+		{0, -1, 2}, // bad src
+		{0, 0, 99}, // bad dst
+	} {
+		if err := s.Inject(bad.src, bad.dst, 0, 0); err == nil {
+			t.Errorf("Inject(%d, %d) accepted", bad.src, bad.dst)
+		}
+	}
+	runScript(t, s, []injection{{1, 0, 1}}, 50)
 	res := s.Results()
 	if res.Injected != 1 || res.Delivered != 1 {
 		t.Errorf("Injected/Delivered = %d/%d, want 1/1", res.Injected, res.Delivered)
@@ -188,12 +212,11 @@ func TestVCOwnershipNoInterleaving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evs []TraceEvent
+	var script []injection
 	for c := int64(0); c < 50; c++ {
-		evs = append(evs, TraceEvent{Cycle: c, Src: 0, Dst: 3}, TraceEvent{Cycle: c, Src: 1, Dst: 3})
+		script = append(script, injection{c, 0, 3}, injection{c, 1, 3})
 	}
-	s.SetTrace(evs)
-	s.Run(5000)
+	runScript(t, s, script, 5000)
 	res := s.Results()
 	if res.Delivered != 100 {
 		t.Errorf("Delivered = %d, want 100", res.Delivered)
@@ -275,8 +298,7 @@ func TestLinkLatencyFunction(t *testing.T) {
 		LinkLatency: func(u, v int) int { calls++; return 10 },
 		Seed:        1,
 	})
-	s.SetTrace([]TraceEvent{{Cycle: 0, Src: 0, Dst: 2}})
-	s.Run(200)
+	runScript(t, s, []injection{{0, 0, 2}}, 200)
 	res := s.Results()
 	if res.Delivered != 1 {
 		t.Fatalf("Delivered = %d, want 1", res.Delivered)

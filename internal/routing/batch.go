@@ -27,8 +27,12 @@ type scratchCand struct {
 // into buffers owned by sc. The returned slice is valid only until the next
 // CandidatesInto call with the same Scratch, and must not be modified by the
 // caller (table-driven algorithms may return their precomputed rows
-// directly). Every algorithm in this package implements it; Candidates is a
-// thin wrapper so the candidate ordering has a single source of truth.
+// directly). Every algorithm in this package implements it. The mesh,
+// butterfly and table routers derive both lists from one source; Greediest
+// does not: its Candidates is a separate allocating implementation (a map
+// and sort.Slice) that the reference core routes by, so the
+// TestFirstHopColumn tests hold Candidates, CandidatesInto and
+// FirstHopColumn equal on every pair they build.
 type BufferedAlgorithm interface {
 	Algorithm
 	CandidatesInto(sc *Scratch, cur, dst int) []int

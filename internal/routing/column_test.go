@@ -3,15 +3,17 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
 )
 
-// columnDiff compares FirstHopColumn against the head of CandidatesInto for
-// every (cur, dst) pair of g. It returns the first mismatch, if any, and
-// how many pairs CandidatesInto decided by the node tie-break alone (its
-// two best candidates tie on both score and MD).
+// columnDiff compares, for every (cur, dst) pair of g, the full
+// Candidates and CandidatesInto lists against each other and
+// FirstHopColumn against their head. It returns the first mismatch, if
+// any, and how many pairs CandidatesInto decided by the node tie-break
+// alone (its two best candidates tie on both score and MD).
 func columnDiff(g *Greediest) (mismatch string, nodeTies int) {
 	var col, pair Scratch
 	n := len(g.Tables)
@@ -26,7 +28,12 @@ func columnDiff(g *Greediest) (mismatch string, nodeTies int) {
 			if len(c) > 1 && pair.cands[0].score == pair.cands[1].score && pair.cands[0].md == pair.cands[1].md {
 				nodeTies++
 			}
-			if got[cur] != want && mismatch == "" {
+			if mismatch != "" {
+				continue
+			}
+			if full := g.Candidates(cur, dst); !slices.Equal(full, c) {
+				mismatch = fmt.Sprintf("Candidates(%d, %d) = %v, CandidatesInto = %v", cur, dst, full, c)
+			} else if got[cur] != want {
 				mismatch = fmt.Sprintf("FirstHopColumn(dst %d)[%d] = %d, CandidatesInto(%d, %d) = %v", dst, cur, got[cur], cur, dst, c)
 			}
 		}

@@ -48,8 +48,9 @@ func NoShortcuts() Option { return func(o *options) { o.spec.NoShortcuts = true 
 
 // WithCluster attaches a distributed-execution cluster (NewCluster) to
 // the network: its Sweep and Saturation calls shard points over the
-// cluster's workers, falling back to the in-process pool while no workers
-// are connected. Many networks may share one cluster.
+// cluster's workers. Points no worker can take — every point while none is
+// connected, the unfinished rest after the last one is lost — run on the
+// sweep's in-process pool. Many networks may share one cluster.
 func WithCluster(c *Cluster) Option { return func(o *options) { o.cluster = c } }
 
 // Designs lists the supported design names in Figure 8 order.

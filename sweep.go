@@ -45,9 +45,10 @@ func RateSweep(w Workload, rates []float64) []Point {
 //
 // Where points run is the network's decision: with a cluster attached
 // (WithCluster) and workers connected, every point that can travel shards
-// across the remote workers; the rest — FuncWorkload points, or everything
-// while no worker is connected — run on an in-process pool of workers
-// goroutines (workers <= 0 uses GOMAXPROCS).
+// across the remote workers; the rest — FuncWorkload points, everything
+// while no worker is connected, and the points still unfinished when the
+// last worker is lost — run on an in-process pool of workers goroutines
+// (workers <= 0 uses GOMAXPROCS).
 //
 // Sessions take the network's read lock, so a sweep runs fully in parallel
 // with itself and with other sweeps; reconfiguration calls issued while a
@@ -64,7 +65,8 @@ func (n *Network) Sweep(cfg SessionConfig, points []Point, workers int) <-chan R
 func (n *Network) SweepContext(ctx context.Context, cfg SessionConfig, points []Point, workers int) <-chan Result {
 	// The one sweep executor: a result slot per point, the cluster leg
 	// (dispatchRemote) for the points that can travel, a worker pool for
-	// the ones that stay, and an emitter that streams the slots in order.
+	// the ones it hands back, and an emitter that streams the slots in
+	// order.
 	//
 	// out is buffered one slot per point: the emitter below can always
 	// finish even if the consumer abandons the stream after cancellation,
@@ -79,7 +81,7 @@ func (n *Network) SweepContext(ctx context.Context, cfg SessionConfig, points []
 		workers = runtime.GOMAXPROCS(0)
 	}
 	jobs := make(chan int)
-	for w := 0; w < min(workers, len(local)); w++ {
+	for w := 0; w < min(workers, len(points)); w++ {
 		go func() {
 			for i := range jobs {
 				slots[i] <- n.runPoint(ctx, cfg, points[i], i)
@@ -88,7 +90,7 @@ func (n *Network) SweepContext(ctx context.Context, cfg SessionConfig, points []
 	}
 	go func() {
 		defer close(jobs)
-		for _, i := range local {
+		for i := range local {
 			select {
 			case jobs <- i:
 			case <-ctx.Done():
