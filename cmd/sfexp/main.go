@@ -427,7 +427,7 @@ func main() {
 			cfg = cfg.WithTelemetry(0, tw.interval)
 		}
 		if ms != nil {
-			cfg = cfg.WithMetrics(ms)
+			cfg = cfg.WithTelemetry(0, ms.Observe)
 		}
 		s := stats.NewSeries(
 			fmt.Sprintf("Public-API rate sweep: sf N=%d uniform, %s", n, pool),

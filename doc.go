@@ -38,18 +38,21 @@
 // sfworker processes (cmd/sfworker, ServeWorker) with bit-identical
 // results — the execution layer behind the paper's thousand-node scales.
 //
-// Running simulations are observable while they run. Session.RunTelemetry
-// and SessionConfig.WithTelemetry stream TelemetrySnapshot interval
-// records out of live sessions and sweeps — including distributed sweeps,
-// whose remote workers forward their snapshots over the wire so the
-// merged stream looks exactly like a local run's — and SessionConfig.Scenario
-// (ChurnTrace for an explicit gate list) schedules mid-run reconfiguration
-// so the paper's Section VI transients appear in that stream. ServeMetrics exposes the same stream (plus
-// per-worker cluster liveness) as a Prometheus-text /metrics endpoint:
+// Running simulations are observable while they run. SessionConfig.WithTelemetry
+// attaches a sink that receives TelemetrySnapshot interval records out of
+// live sessions and sweeps — including distributed sweeps, whose remote
+// workers forward their snapshots over the wire so the merged stream looks
+// exactly like a local run's. Sinks compose: each WithTelemetry adds one,
+// and every sink sees every snapshot in attachment order.
+// SessionConfig.Scenario (ChurnTrace for an explicit gate list) schedules
+// mid-run reconfiguration so the paper's Section VI transients appear in
+// that stream. ServeMetrics exposes the same stream (plus per-worker
+// cluster liveness) as a Prometheus-text /metrics endpoint, fed by its
+// Observe sink:
 //
 //	m, err := stringfigure.ServeMetrics(":9090")
 //	m.WatchCluster(cluster)
-//	cfg = cfg.WithTelemetry(1000, sink).WithMetrics(m)
+//	cfg = cfg.WithTelemetry(1000, sink).WithTelemetry(0, m.Observe)
 //	for r := range net.Sweep(cfg, points, 0) { ... }
 //
 // Telemetry never perturbs results: Results are bit-identical with

@@ -68,7 +68,8 @@ func main() {
 
 	// Telemetry-enabled distributed sweep: the sink sees every point's
 	// interval snapshots — forwarded over the wire for remote points —
-	// and WithMetrics chains the same stream into the /metrics counters.
+	// and a second WithTelemetry sink feeds the same stream into the
+	// /metrics counters.
 	var mu sync.Mutex
 	intervals := make(map[int]int)
 	sink := func(t stringfigure.TelemetrySnapshot) {
@@ -80,7 +81,7 @@ func main() {
 	points := stringfigure.RateSweep(stringfigure.SyntheticWorkload{Pattern: "uniform"}, rates)
 	cfg := stringfigure.SessionConfig{Warmup: 2000, Measure: 18000, Seed: 1}.
 		WithTelemetry(1000, sink).
-		WithMetrics(metrics)
+		WithTelemetry(0, metrics.Observe)
 
 	fmt.Printf("%5s  %9s  %9s  %9s  %s\n", "rate", "lat_ns", "p90_ns", "thru_fpc", "snapshots")
 	for res := range net.Sweep(cfg, points, 0) {

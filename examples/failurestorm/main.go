@@ -20,7 +20,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -88,9 +87,7 @@ func main() {
 	darkNow := map[int]bool{}
 	everDark := map[int]bool{}
 	var applied []stringfigure.ScenarioEvent
-	snaps, done := net.NewSession(cfg).RunTelemetry(context.Background(),
-		stringfigure.SyntheticWorkload{Pattern: "uniform"})
-	for s := range snaps {
+	cfg = cfg.WithTelemetry(0, func(s stringfigure.TelemetrySnapshot) {
 		for _, ev := range s.Scenario {
 			applied = append(applied, ev)
 			switch ev.Kind {
@@ -113,10 +110,10 @@ func main() {
 		for _, f := range s.Flows {
 			ph.add(f)
 		}
-	}
-	res := <-done
-	if res.Err != nil {
-		log.Fatal(res.Err)
+	})
+	res, err := net.NewSession(cfg).Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	region := make([]int, 0, len(everDark))

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -94,9 +93,7 @@ func main() {
 	fmt.Printf("gating nodes 16..31 (groups 2-3) off at cycle %d, on at %d\n\n", gateOff, gateOn)
 
 	var before, transient, settled phase
-	snaps, done := net.NewSession(cfg).RunTelemetry(context.Background(),
-		stringfigure.SyntheticWorkload{Pattern: "uniform"})
-	for s := range snaps {
+	cfg = cfg.WithTelemetry(0, func(s stringfigure.TelemetrySnapshot) {
 		var ph *phase
 		switch {
 		case s.Cycle <= gateOff:
@@ -106,15 +103,15 @@ func main() {
 		case s.Cycle <= gateOn:
 			ph = &settled
 		default:
-			continue // recovery after gate-on: livetelemetry's territory
+			return // recovery after gate-on: livetelemetry's territory
 		}
 		for _, f := range s.Flows {
 			ph.add(f)
 		}
-	}
-	res := <-done
-	if res.Err != nil {
-		log.Fatal(res.Err)
+	})
+	res, err := net.NewSession(cfg).Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	heatmap("transient (first ~30us after gate-off), latency delta vs healthy baseline:",

@@ -1,14 +1,13 @@
 // Livetelemetry: watch a reconfiguration transient as it happens. A gate
 // schedule powers a quadrant of the network off mid-run and back on later;
-// Session.RunTelemetry streams interval snapshots out of the live
-// simulation, showing the latency spike while the healed shortcut links
+// a WithTelemetry sink prints interval snapshots as the live simulation
+// emits them, showing the latency spike while the healed shortcut links
 // wake up (the paper's 5 us link wake latency, Section VI), the settled
 // gated steady state, the second spike at power-on, and the recovery —
 // the time-resolved version of the paper's elasticity story.
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -54,9 +53,8 @@ func main() {
 	fmt.Printf("%7s  %9s  %9s  %6s  %5s  %5s  %8s  latency\n",
 		"cycle", "avg_ns", "p90_ns", "deliv", "esc", "drop", "inflight")
 
-	snaps, done := net.NewSession(cfg).RunTelemetry(context.Background(),
-		stringfigure.SyntheticWorkload{Pattern: "uniform"})
-	for s := range snaps {
+	// The sink runs on the simulating goroutine as each interval closes.
+	cfg = cfg.WithTelemetry(0, func(s stringfigure.TelemetrySnapshot) {
 		// A log-ish bar so the spike-and-recovery shape is visible in a
 		// terminal: one # per factor-of-two above the 20 ns baseline.
 		bars := 0
@@ -73,10 +71,10 @@ func main() {
 		fmt.Printf("%7d  %9.1f  %9.1f  %6d  %5d  %5d  %8d  %s%s\n",
 			s.Cycle, s.AvgLatencyNs, s.P90LatencyNs, s.Delivered,
 			s.Escaped, s.Dropped, s.InFlight, strings.Repeat("#", bars), mark)
-	}
-	res := <-done
-	if res.Err != nil {
-		log.Fatal(res.Err)
+	})
+	res, err := net.NewSession(cfg).Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("\nfinal: %d delivered / %d injected, avg %.1f ns, %d escapes, deadlocked=%v\n",

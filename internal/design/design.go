@@ -258,8 +258,7 @@ func buildMesh(n, width int, seed int64) (*Design, error) {
 			return netsim.Config{
 				Out:       out,
 				Alg:       alg,
-				EscapeVCs: 1, // XY first candidate is the escape route
-				VCs:       3,
+				EscapeVCs: 1,     // XY first candidate is the escape route
 				LinkWidth: width, // ODM widened channels (1 for DM)
 				Adaptive:  netsim.AdaptiveEveryHop,
 				Seed:      simSeed,
@@ -307,7 +306,6 @@ func buildButterfly(n int, partitioned bool, seed int64) (*Design, error) {
 				Out:       out,
 				Alg:       alg,
 				EscapeVCs: 1, // dimension-ordered first candidate escapes
-				VCs:       3,
 				Adaptive:  netsim.AdaptiveEveryHop,
 				Seed:      simSeed,
 			}

@@ -28,7 +28,6 @@ type cpu struct {
 	readyAt int64
 	// totalInstr is the last op's absolute instruction ID (for IPC).
 	totalInstr int64
-	doneAt     int64 // cycle when the trace fully completed (-1 while running)
 }
 
 // System is the co-simulation driver.
@@ -98,7 +97,7 @@ func Build(netCfg netsim.Config, pool *memnode.Pool, cpuNodes []int, window int,
 		if node < 0 || node >= len(pool.Nodes) {
 			return nil, fmt.Errorf("memsys: CPU %d attached to invalid node %d", i, node)
 		}
-		sys.cpus = append(sys.cpus, &cpu{node: node, ops: traces[i], doneAt: -1})
+		sys.cpus = append(sys.cpus, &cpu{node: node, ops: traces[i]})
 	}
 	return sys, nil
 }
@@ -229,9 +228,6 @@ func (s *System) issueReady(now int64) {
 				delete(s.readAddr, tag)
 			}
 			s.completeIssue(c, op)
-		}
-		if c.pos >= len(c.ops) && c.outstanding == 0 && c.doneAt < 0 {
-			c.doneAt = now
 		}
 	}
 }

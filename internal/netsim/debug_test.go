@@ -40,11 +40,11 @@ func TestDebugStuckState(t *testing.T) {
 				break
 			}
 			f := *iu.q.front()
-			port := i / s.cfg.VCs
-			vc := i % s.cfg.VCs
+			port := i / s.vcs
+			vc := i % s.vcs
 			var creditStr string
 			if iu.route >= 0 && iu.route < len(r.outNbr) {
-				o := r.ovcs[iu.route*s.cfg.VCs+iu.outVC]
+				o := r.ovcs[iu.route*s.vcs+iu.outVC]
 				creditStr = fmt.Sprintf("credits[route][outVC]=%d owner=%d",
 					o.cred, o.owner)
 			}

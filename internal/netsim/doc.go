@@ -32,4 +32,9 @@
 // destination has missed often enough to pay for a whole column, which a
 // greediest router then fills from one MD column (Sim.fillColumn,
 // routing.Greediest.FirstHopColumn); see ARCHITECTURE.md, "Route cache".
+//
+// The interval probe (Config.SnapshotEvery, Config.OnSnapshot) emits
+// Snapshot, the repository's one telemetry record: the root package's
+// TelemetrySnapshot and its parts are aliases, so the nanosecond units and
+// JSON names of live telemetry are defined here and nowhere else.
 package netsim

@@ -47,7 +47,6 @@ func SFPolicy(g *routing.Greediest, seed int64) Config {
 		Alg:       g,
 		VCPolicy:  g.VirtualChannel,
 		EscapeVCs: 2,
-		VCs:       4,
 		Adaptive:  AdaptiveFirstHop,
 		Seed:      seed,
 	}

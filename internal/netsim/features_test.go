@@ -108,23 +108,6 @@ func TestInjectDefaultsFlits(t *testing.T) {
 	}
 }
 
-func TestEscapePatienceConfigurable(t *testing.T) {
-	cfg := Config{Out: chainOut(2), Alg: routing.NewTableRouter("pair", chainOut(2))}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.EscapePatience != 64 {
-		t.Errorf("default patience = %d, want 64", cfg.EscapePatience)
-	}
-	cfg2 := Config{Out: chainOut(2), Alg: cfg.Alg, EscapePatience: 7}
-	if err := cfg2.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg2.EscapePatience != 7 {
-		t.Errorf("explicit patience overridden: %d", cfg2.EscapePatience)
-	}
-}
-
 func TestEscapeActivatesUnderContention(t *testing.T) {
 	// A tiny SF network hammered with adversarial load must record escape
 	// activity (the safety valve engages) and still deliver.

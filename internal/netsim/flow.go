@@ -55,44 +55,62 @@ func (k TraceKind) String() string {
 	return "unknown"
 }
 
-// TraceRecord is one sampled packet-lifecycle event. Hops is the hop count
-// completed at the event; Latency is set on deliver/drop (cycles since
-// injection, inclusive).
-type TraceRecord struct {
-	Packet  int64
-	Src     int
-	Dst     int
-	Kind    TraceKind
-	Cycle   int64
-	Node    int
-	Hops    int
-	Latency int64
+// traceRecord is one buffered sampled packet-lifecycle event. Hops is the
+// hop count completed at the event; latency is set on deliver/drop (cycles
+// since injection, inclusive).
+type traceRecord struct {
+	packet  int64
+	src     int
+	dst     int
+	kind    TraceKind
+	cycle   int64
+	node    int
+	hops    int
+	latency int64
 }
 
-// FlowDelta is one (src bucket, dst bucket) flow's interval traffic:
-// deliveries attributed by the packet's injection source and destination,
-// folded into Config.FlowBuckets node groups.
-type FlowDelta struct {
-	SrcBucket        int
-	DstBucket        int
-	Delivered        int64
-	AvgLatencyCycles float64
-	P90LatencyCycles int
-	AvgHops          float64
+// PacketTraceEvent is one sampled packet-lifecycle record: Event is one of
+// "inject", "hop", "escape", "drop", "deliver" (TraceKind.String); Node is
+// where it happened; LatencyNs is set on deliver/drop. Sampled packets (1 in
+// Config.TraceSampleEvery by packet id) record every event, so a packet's
+// full itinerary reconstructs by grouping records on Packet.
+type PacketTraceEvent struct {
+	Packet    int64   `json:"packet"`
+	Src       int     `json:"src"`
+	Dst       int     `json:"dst"`
+	Event     string  `json:"event"`
+	Cycle     int64   `json:"cycle"`
+	Node      int     `json:"node"`
+	Hops      int     `json:"hops,omitempty"`
+	LatencyNs float64 `json:"latency_ns,omitempty"`
 }
 
-// LinkDelta is one directed link's interval utilization (flits sent).
-type LinkDelta struct {
-	From  int
-	To    int
-	Flits int64
+// FlowSample is one (src bucket, dst bucket) flow's interval delta: the
+// deliveries attributed to packets injected in the source bucket toward the
+// destination bucket (nodes folded into Config.FlowBuckets groups), with
+// their latency and hop aggregates.
+type FlowSample struct {
+	SrcBucket    int     `json:"src_bucket"`
+	DstBucket    int     `json:"dst_bucket"`
+	Delivered    int64   `json:"delivered"`
+	AvgLatencyNs float64 `json:"avg_latency_ns"`
+	P90LatencyNs float64 `json:"p90_latency_ns"`
+	AvgHops      float64 `json:"avg_hops"`
 }
 
-// RouterDelta is one router's interval utilization: flits forwarded through
-// its crossbar (link sends and ejections).
-type RouterDelta struct {
-	Node  int
-	Flits int64
+// LinkSample is one directed link's interval utilization (flits sent) —
+// the heatmap primitive.
+type LinkSample struct {
+	From  int   `json:"from"`
+	To    int   `json:"to"`
+	Flits int64 `json:"flits"`
+}
+
+// RouterSample is one router's interval utilization: flits forwarded
+// through its crossbar (link sends and ejections).
+type RouterSample struct {
+	Node  int   `json:"node"`
+	Flits int64 `json:"flits"`
 }
 
 // flowCell accumulates one (src bucket, dst bucket) flow over the current
@@ -183,24 +201,24 @@ func (fa *flowAcct) reset() {
 	}
 }
 
-// emitFlowDeltas drains the interval's flow/link/router counters into the
+// emitFlowSamples drains the interval's flow/link/router counters into the
 // snapshot (zero cells are skipped) and zeroes them for the next interval.
 // Iteration is in index order on both cores, and the per-cell aggregates are
 // pure functions of the counts, so cross-core snapshots match bit for bit.
-func (s *Sim) emitFlowDeltas(snap *Snapshot) {
+func (s *Sim) emitFlowSamples(snap *Snapshot) {
 	fa := s.fl
 	for i := range fa.cells {
 		c := &fa.cells[i]
 		if c.delivered == 0 {
 			continue
 		}
-		snap.Flows = append(snap.Flows, FlowDelta{
-			SrcBucket:        i / fa.buckets,
-			DstBucket:        i % fa.buckets,
-			Delivered:        c.delivered,
-			AvgLatencyCycles: c.latency.Mean(),
-			P90LatencyCycles: c.latency.Percentile(0.90),
-			AvgHops:          c.hops.Mean(),
+		snap.Flows = append(snap.Flows, FlowSample{
+			SrcBucket:    i / fa.buckets,
+			DstBucket:    i % fa.buckets,
+			Delivered:    c.delivered,
+			AvgLatencyNs: c.latency.Mean() * CycleNs,
+			P90LatencyNs: float64(c.latency.Percentile(0.90)) * CycleNs,
+			AvgHops:      c.hops.Mean(),
 		})
 		c.delivered = 0
 		c.latency.Reset()
@@ -212,7 +230,7 @@ func (s *Sim) emitFlowDeltas(snap *Snapshot) {
 		}
 		at := s.linkAt[l]
 		r := s.routers[at.rtr]
-		snap.Links = append(snap.Links, LinkDelta{
+		snap.Links = append(snap.Links, LinkSample{
 			From: r.id, To: r.outNbr[at.port], Flits: flits,
 		})
 		fa.links[l] = 0
@@ -221,7 +239,7 @@ func (s *Sim) emitFlowDeltas(snap *Snapshot) {
 		if flits == 0 {
 			continue
 		}
-		snap.Routers = append(snap.Routers, RouterDelta{Node: v, Flits: flits})
+		snap.Routers = append(snap.Routers, RouterSample{Node: v, Flits: flits})
 		fa.rtrs[v] = 0
 	}
 }
@@ -231,7 +249,7 @@ func (s *Sim) emitFlowDeltas(snap *Snapshot) {
 // buffer at one interval's records.
 type traceAcct struct {
 	every int64
-	buf   []TraceRecord
+	buf   []traceRecord
 }
 
 // traceEvent records one lifecycle event if the packet is sampled
@@ -242,12 +260,12 @@ func (s *Sim) traceEvent(p *packet, kind TraceKind, node int) {
 	if p.id%t.every != 0 {
 		return
 	}
-	rec := TraceRecord{
-		Packet: p.id, Src: p.src, Dst: p.dst,
-		Kind: kind, Cycle: s.cycle, Node: node, Hops: p.hops,
+	rec := traceRecord{
+		packet: p.id, src: p.src, dst: p.dst,
+		kind: kind, cycle: s.cycle, node: node, hops: p.hops,
 	}
 	if kind == TraceDeliver || kind == TraceDrop {
-		rec.Latency = s.cycle - p.injected + 1
+		rec.latency = s.cycle - p.injected + 1
 	}
 	if len(t.buf) == cap(t.buf) {
 		t.grow()
@@ -265,13 +283,13 @@ func (t *traceAcct) grow() {
 	if size == 0 {
 		size = 256
 	}
-	nb := make([]TraceRecord, len(t.buf), size)
+	nb := make([]traceRecord, len(t.buf), size)
 	copy(nb, t.buf)
 	t.buf = nb
 }
 
 // emitTrace flushes the interval's sampled records into the snapshot,
-// sorted by (Packet, Cycle, Kind). The two cores append records in
+// sorted by (packet, cycle, kind). The two cores append records in
 // different orders — the event core delivers in wake-calendar order, the
 // reference core in router scan order — but the record *set* is identical
 // and the sort key is unique per record (a packet reaches at most one
@@ -284,14 +302,21 @@ func (s *Sim) emitTrace(snap *Snapshot) {
 	}
 	sort.Slice(t.buf, func(i, j int) bool {
 		a, b := &t.buf[i], &t.buf[j]
-		if a.Packet != b.Packet {
-			return a.Packet < b.Packet
+		if a.packet != b.packet {
+			return a.packet < b.packet
 		}
-		if a.Cycle != b.Cycle {
-			return a.Cycle < b.Cycle
+		if a.cycle != b.cycle {
+			return a.cycle < b.cycle
 		}
-		return a.Kind < b.Kind
+		return a.kind < b.kind
 	})
-	snap.Trace = append([]TraceRecord(nil), t.buf...)
+	snap.Trace = make([]PacketTraceEvent, len(t.buf))
+	for i, r := range t.buf {
+		snap.Trace[i] = PacketTraceEvent{
+			Packet: r.packet, Src: r.src, Dst: r.dst, Event: r.kind.String(),
+			Cycle: r.cycle, Node: r.node, Hops: r.hops,
+			LatencyNs: float64(r.latency) * CycleNs,
+		}
+	}
 	t.buf = t.buf[:0]
 }

@@ -32,10 +32,9 @@ type Config struct {
 	// VCPolicy picks the packet's adaptive virtual channel (an index into
 	// the adaptive VC range) at injection; nil round-robins.
 	VCPolicy func(src, dst int) int
-	// VCs is the total number of virtual channels including escape VCs.
-	VCs int
 	// EscapeVCs is the number of reserved escape channels (default 1; the
-	// String Figure ring escape needs 2 for its dateline).
+	// String Figure ring escape needs 2 for its dateline). Every router
+	// carries adaptiveVCs more above them.
 	EscapeVCs int
 	// EscapeRoute returns the escape next hop and escape VC (0-based
 	// within the escape range) from cur toward dst. nil falls back to the
@@ -43,11 +42,6 @@ type Config struct {
 	// sound when that first candidate is itself deadlock-free (XY meshes,
 	// dimension-ordered butterflies).
 	EscapeRoute func(cur, dst int) (next int, escVC int)
-	// EscapePatience is how many consecutive blocked cycles a routed head
-	// flit tolerates before diverting to the escape subnetwork.
-	EscapePatience int
-	// BufFlits is the per-VC input buffer depth in flits.
-	BufFlits int
 	// LinkWidth is the flit bandwidth of each link per cycle (default 1).
 	// The optimized distributed mesh (ODM) uses it to model the widened
 	// channels that match String Figure's bisection bandwidth.
@@ -116,6 +110,16 @@ const DefaultLinkLatency = 2
 // CycleNs is the network clock period in nanoseconds (312.5 MHz).
 const CycleNs = 3.2
 
+// Router microarchitecture shared by every design: the paper's two adaptive
+// virtual channels above the escape channels, 8-flit input buffers per VC,
+// and the consecutive blocked cycles a routed adaptive head flit tolerates
+// before diverting to the escape subnetwork.
+const (
+	adaptiveVCs    = 2
+	bufFlits       = 8
+	escapePatience = 64
+)
+
 func (c *Config) fill() error {
 	if len(c.Out) < 2 {
 		return fmt.Errorf("netsim: need at least 2 routers")
@@ -125,15 +129,6 @@ func (c *Config) fill() error {
 	}
 	if c.EscapeVCs <= 0 {
 		c.EscapeVCs = 1
-	}
-	if c.VCs <= c.EscapeVCs {
-		c.VCs = c.EscapeVCs + 2 // the paper's two adaptive channels
-	}
-	if c.EscapePatience <= 0 {
-		c.EscapePatience = 64
-	}
-	if c.BufFlits <= 0 {
-		c.BufFlits = 8
 	}
 	if c.LinkWidth <= 0 {
 		c.LinkWidth = 1
@@ -320,6 +315,7 @@ func (r *router) candClear(out, i int) {
 // Sim is one simulation instance.
 type Sim struct {
 	cfg     Config
+	vcs     int // virtual channels per port: EscapeVCs + adaptiveVCs
 	routers []*router
 	rng     *rand.Rand
 	cycle   int64
@@ -417,6 +413,7 @@ func New(cfg Config) (*Sim, error) {
 	n := len(cfg.Out)
 	s := &Sim{
 		cfg:        cfg,
+		vcs:        cfg.EscapeVCs + adaptiveVCs,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		portRouter: -1,
 	}
@@ -489,14 +486,14 @@ func New(cfg Config) (*Sim, error) {
 	for _, r := range s.routers {
 		r.inUp = append(r.inUp, -1) // injection port
 		r.upOutPort = append(r.upOutPort, -1)
-		nin := len(r.inUp) * cfg.VCs
+		nin := len(r.inUp) * s.vcs
 		w := (nin + 63) / 64
 		nout := len(r.outNbr)
 		totIn += nin
 		totW += w
 		totCand += (nout + 1) * w
 		totOut64 += (nout + 1 + 63) / 64
-		totOvc += (nout + 1) * cfg.VCs
+		totOvc += (nout + 1) * s.vcs
 		totLinks += nout
 		totRR += nout + 1
 	}
@@ -509,11 +506,11 @@ func New(cfg Config) (*Sim, error) {
 	linkA := make([]ring[inflight], totLinks)
 	rrA := make([]int, totRR)
 	// Pre-seed the ring buffers too: input units at their credit-capped
-	// high-water mark (BufFlits rounded up to the ring's power-of-two), link
+	// high-water mark (bufFlits rounded up to the ring's power-of-two), link
 	// delay lines at a small default. Queues that outgrow the seed (deep
 	// delay lines under gating wake charges) fall back to ring.grow.
 	fcap := 1
-	for fcap < cfg.BufFlits {
+	for fcap < bufFlits {
 		fcap <<= 1
 	}
 	flitA := make([]flit, totIn*fcap)
@@ -526,13 +523,13 @@ func New(cfg Config) (*Sim, error) {
 	}
 	links := 0
 	for _, r := range s.routers {
-		nin := len(r.inUp) * cfg.VCs
+		nin := len(r.inUp) * s.vcs
 		nout := len(r.outNbr)
 		r.in, inA = inA[:nin:nin], inA[nin:]
 		for i := range r.in {
 			r.in[i].route = -1
-			r.in[i].port = int32(i / cfg.VCs)
-			r.in[i].vc = int32(i % cfg.VCs)
+			r.in[i].port = int32(i / s.vcs)
+			r.in[i].vc = int32(i % s.vcs)
 			r.in[i].q.buf, flitA = flitA[:fcap:fcap], flitA[fcap:]
 		}
 		r.srcQ.buf, srcA = srcA[:srcQSeed:srcQSeed], srcA[srcQSeed:]
@@ -549,11 +546,11 @@ func New(cfg Config) (*Sim, error) {
 		r.candOuts = carve((nout+1+63)/64, &maskA)
 		r.parked = carve((nout+1+63)/64, &maskA)
 		r.cand = carve((nout+1)*r.candW, &maskA)
-		r.ovcs, ovcA = ovcA[:(nout+1)*cfg.VCs:(nout+1)*cfg.VCs], ovcA[(nout+1)*cfg.VCs:]
+		r.ovcs, ovcA = ovcA[:(nout+1)*s.vcs:(nout+1)*s.vcs], ovcA[(nout+1)*s.vcs:]
 		for i := range r.ovcs {
 			r.ovcs[i].owner = -1
-			if i < nout*cfg.VCs {
-				r.ovcs[i].cred = int32(cfg.BufFlits)
+			if i < nout*s.vcs {
+				r.ovcs[i].cred = int32(bufFlits)
 			}
 		}
 	}
@@ -571,7 +568,7 @@ func New(cfg Config) (*Sim, error) {
 		s.fl = newFlowAcct(cfg.FlowBuckets, n, links)
 	}
 	if cfg.TraceSampleEvery > 0 && cfg.OnSnapshot != nil && cfg.SnapshotEvery > 0 {
-		s.tr = &traceAcct{every: cfg.TraceSampleEvery, buf: make([]TraceRecord, 0, 256)}
+		s.tr = &traceAcct{every: cfg.TraceSampleEvery, buf: make([]traceRecord, 0, 256)}
 	}
 	s.active = newActiveSet(n)
 	s.portStamp = make([]int32, n)
@@ -728,7 +725,7 @@ func (s *Sim) deliverFlit(r *router, p int, f flit) (*router, int) {
 	if s.tr != nil && f.head {
 		s.traceEvent(f.pkt, TraceHop, dn.id)
 	}
-	unit := int(r.downInPort[p])*s.cfg.VCs + f.vc
+	unit := int(r.downInPort[p])*s.vcs + f.vc
 	iu := &dn.in[unit]
 	wasEmpty := iu.q.Len() == 0
 	iu.q.push(f)
@@ -824,17 +821,16 @@ func (s *Sim) injGap() int64 {
 }
 
 // adaptiveVC maps the policy's choice into the adaptive VC index range
-// [EscapeVCs, VCs).
+// [EscapeVCs, EscapeVCs+adaptiveVCs).
 func (s *Sim) adaptiveVC(src, dst int) int {
-	span := s.cfg.VCs - s.cfg.EscapeVCs
 	var pick int
 	if s.cfg.VCPolicy != nil {
-		pick = s.cfg.VCPolicy(src, dst) % span
+		pick = s.cfg.VCPolicy(src, dst) % adaptiveVCs
 		if pick < 0 {
-			pick += span
+			pick += adaptiveVCs
 		}
 	} else {
-		pick = int(s.nextID) % span
+		pick = int(s.nextID) % adaptiveVCs
 	}
 	return s.cfg.EscapeVCs + pick
 }
@@ -919,9 +915,9 @@ func (s *Sim) drainSourceQueue(r *router) {
 	injPort := len(r.inUp) - 1
 	for r.srcQ.Len() > 0 {
 		f := r.srcQ.front()
-		unit := injPort*s.cfg.VCs + f.vc
+		unit := injPort*s.vcs + f.vc
 		iu := &r.in[unit]
-		if iu.q.Len() >= s.cfg.BufFlits {
+		if iu.q.Len() >= bufFlits {
 			break
 		}
 		if iu.q.Len() == 0 {
@@ -998,7 +994,7 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 		// Divert a starved routed head to the escape subnetwork (only
 		// heads can be re-routed; bodies follow the committed path). A
 		// failed diversion keeps the existing adaptive route.
-		if f.head && iu.route != eject && iu.blocked >= s.cfg.EscapePatience &&
+		if f.head && iu.route != eject && iu.blocked >= escapePatience &&
 			iu.outVC >= s.cfg.EscapeVCs {
 			s.assignEscape(r, iu, i, f.pkt)
 		}
@@ -1171,8 +1167,8 @@ func (s *Sim) escapeHop(cur, dst int) (int, int) {
 // overThreshold reports whether output port's queue on the given VC is at
 // or over the adaptive occupancy threshold.
 func (s *Sim) overThreshold(r *router, port, vc int) bool {
-	occupied := s.cfg.BufFlits - int(r.ovcs[port*s.cfg.VCs+vc].cred)
-	return float64(occupied) >= s.cfg.AdaptiveThreshold*float64(s.cfg.BufFlits)
+	occupied := bufFlits - int(r.ovcs[port*s.vcs+vc].cred)
+	return float64(occupied) >= s.cfg.AdaptiveThreshold*float64(bufFlits)
 }
 
 // pickPort maps the candidate next hops to an output port (rcNoPort when
@@ -1195,13 +1191,13 @@ func (s *Sim) pickPort(r *router, p *packet, cands []int, adaptive bool) int {
 	if !adaptive || len(cands) == 1 || !s.overThreshold(r, first, p.advc) {
 		return first
 	}
-	best, bestCred := first, r.ovcs[first*s.cfg.VCs+p.advc].cred
+	best, bestCred := first, r.ovcs[first*s.vcs+p.advc].cred
 	for _, c := range cands[1:] {
 		pt := s.portOf(r, c)
 		if pt < 0 {
 			continue
 		}
-		if cr := r.ovcs[pt*s.cfg.VCs+p.advc].cred; cr > bestCred {
+		if cr := r.ovcs[pt*s.vcs+p.advc].cred; cr > bestCred {
 			best, bestCred = pt, cr
 		}
 	}
@@ -1217,7 +1213,7 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 		return
 	}
 	p := iu.q.front().pkt
-	vc := unit % s.cfg.VCs
+	vc := unit % s.vcs
 	kept := 0
 	purged := 0
 	n := iu.q.Len()
@@ -1245,10 +1241,10 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 	}
 	iu.route = -1
 	iu.blocked = 0
-	if up := r.inUp[unit/s.cfg.VCs]; up >= 0 && purged > 0 {
+	if up := r.inUp[unit/s.vcs]; up >= 0 && purged > 0 {
 		ur := s.routers[up]
-		upOut := int(r.upOutPort[unit/s.cfg.VCs])
-		ur.ovcs[upOut*s.cfg.VCs+vc].cred += int32(purged)
+		upOut := int(r.upOutPort[unit/s.vcs])
+		ur.ovcs[upOut*s.vcs+vc].cred += int32(purged)
 		ur.unpark(upOut) // new credits: the upstream output may grant again
 	}
 	if p.left == 0 {
@@ -1268,7 +1264,7 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 func (s *Sim) arbitrate(r *router) {
 	nUnits := len(r.in)
 	eject := len(r.outNbr)
-	vcs := s.cfg.VCs
+	vcs := s.vcs
 	for wi := range r.candOuts {
 		w := r.candOuts[wi] &^ r.parked[wi]
 		for w != 0 {
@@ -1456,7 +1452,7 @@ func (s *Sim) noteBlocked(r *router, iu *inputUnit, i int) {
 			// A live counter: it feeds the escape-diversion check, so its
 			// output cannot be parked (skipped scans would miss increments).
 			s.scanSawLive = true
-			if iu.blocked >= s.cfg.EscapePatience {
+			if iu.blocked >= escapePatience {
 				r.attnSet(i)
 			}
 		}

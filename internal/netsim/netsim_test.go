@@ -325,11 +325,21 @@ func TestConfigDefaults(t *testing.T) {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.EscapeVCs != 1 || cfg.VCs != 3 {
-		t.Errorf("defaults EscapeVCs=%d VCs=%d, want 1/3", cfg.EscapeVCs, cfg.VCs)
+	if cfg.EscapeVCs != 1 || cfg.PacketFlits != 5 {
+		t.Errorf("defaults EscapeVCs=%d PacketFlits=%d, want 1/5", cfg.EscapeVCs, cfg.PacketFlits)
 	}
-	if cfg.PacketFlits != 5 || cfg.BufFlits != 8 {
-		t.Errorf("defaults PacketFlits=%d BufFlits=%d, want 5/8", cfg.PacketFlits, cfg.BufFlits)
+	// The router microarchitecture is fixed: two adaptive VCs above the
+	// escape VCs, 8-flit buffers, 64 blocked cycles before escaping.
+	if adaptiveVCs != 2 || bufFlits != 8 || escapePatience != 64 {
+		t.Errorf("constants adaptiveVCs=%d bufFlits=%d escapePatience=%d, want 2/8/64",
+			adaptiveVCs, bufFlits, escapePatience)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.vcs != 3 {
+		t.Errorf("derived VCs = %d, want 3 (1 escape + 2 adaptive)", s.vcs)
 	}
 	if cfg.AdaptiveThreshold != 0.5 {
 		t.Errorf("default threshold %v, want 0.5", cfg.AdaptiveThreshold)

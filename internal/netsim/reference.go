@@ -15,7 +15,7 @@ func (s *Sim) stepRef() {
 	for _, r := range s.routers {
 		s.drainSourceQueue(r)
 	}
-	vcs := s.cfg.VCs
+	vcs := s.vcs
 	for _, r := range s.routers {
 		if r.queued == 0 {
 			continue

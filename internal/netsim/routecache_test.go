@@ -76,7 +76,7 @@ func routeCacheDesigns(t *testing.T) map[string]Config {
 	return map[string]Config{
 		"sf": SFConfig(sf, 7),
 		"s2": SFConfig(s2, 7),
-		"fb": {Out: out, Alg: &routing.ButterflyRouter{B: fb}, EscapeVCs: 1, VCs: 3,
+		"fb": {Out: out, Alg: &routing.ButterflyRouter{B: fb}, EscapeVCs: 1,
 			Adaptive: AdaptiveEveryHop, Seed: 7},
 	}
 }

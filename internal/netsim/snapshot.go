@@ -1,41 +1,59 @@
 package netsim
 
 import (
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
 // Snapshot is one interval telemetry record: the traffic observed since the
 // previous snapshot (or since the last ResetStats), not cumulative totals.
 // Emission reads accumulated counters only — it cannot perturb simulation
-// state or determinism.
+// state or determinism. The root package's TelemetrySnapshot is an alias of
+// this type: the simulator fills the interval fields in nanoseconds, and the
+// session layer stamps the run identity (Workload, Rate, Seed, Point),
+// OutstandingReads and Scenario. The field set is the NDJSON schema written
+// by `sfexp -telemetry`.
 type Snapshot struct {
-	// Cycle is the absolute simulation cycle at emission; IntervalCycles is
-	// the window length this snapshot covers (shorter than SnapshotEvery
-	// only for the first snapshot after a mid-interval ResetStats).
-	Cycle          int64
-	IntervalCycles int64
+	// Workload, Rate and Seed identify the run; Rate is 0 for closed-loop
+	// (trace-driven) runs. Point is the sweep point index when the snapshot
+	// was streamed out of a Sweep, -1 for standalone sessions.
+	Workload string  `json:"workload"`
+	Rate     float64 `json:"rate"`
+	Seed     int64   `json:"seed"`
+	Point    int     `json:"point"`
 
-	Injected  int64 // packets offered to source queues this interval
-	Delivered int64 // packets fully ejected this interval
-	Escaped   int64 // escape-subnetwork diversions this interval
-	Dropped   int64 // packets dropped as unroutable this interval
+	// Cycle is the absolute network cycle at emission; IntervalCycles is
+	// the window this snapshot covers (shorter than SnapshotEvery only for
+	// the first snapshot after a mid-interval ResetStats).
+	Cycle          int64 `json:"cycle"`
+	IntervalCycles int64 `json:"interval_cycles"`
 
-	AvgLatencyCycles float64 // mean packet latency over the interval's deliveries
-	P90LatencyCycles int     // latency P90 over the interval's deliveries
-	ThroughputFPC    float64 // delivered flits per node per interval cycle
+	Injected      int64   `json:"injected"`       // packets offered to source queues
+	Delivered     int64   `json:"delivered"`      // packets fully ejected
+	AvgLatencyNs  float64 `json:"avg_latency_ns"` // mean over the interval's deliveries
+	P90LatencyNs  float64 `json:"p90_latency_ns"` // P90 over the interval's deliveries
+	ThroughputFPC float64 `json:"throughput_fpc"` // delivered flits per node per cycle
+	Escaped       int64   `json:"escaped"`        // escape-subnetwork diversions
+	Dropped       int64   `json:"dropped"`        // packets dropped as unroutable
 
-	InFlight int // flits inside the network at emission (occupancy)
+	// InFlight is the flit occupancy of the network at emission;
+	// OutstandingReads is the memory-side read occupancy (trace runs only).
+	InFlight         int `json:"in_flight"`
+	OutstandingReads int `json:"outstanding_reads,omitempty"`
 
-	// Flow attribution (nil unless Config.FlowBuckets > 0): the interval's
-	// per-flow delivery deltas plus per-link and per-router utilization,
-	// zero entries omitted. See flow.go.
-	Flows   []FlowDelta
-	Links   []LinkDelta
-	Routers []RouterDelta
+	// Flow attribution (Config.FlowBuckets > 0 only): the interval's
+	// per-flow deltas and per-link/per-router utilization, zero entries
+	// omitted (see flow.go). Trace holds the interval's sampled
+	// packet-lifecycle events (Config.TraceSampleEvery > 0 only), sorted by
+	// (packet, cycle, event order).
+	Flows   []FlowSample       `json:"flows,omitempty"`
+	Links   []LinkSample       `json:"links,omitempty"`
+	Routers []RouterSample     `json:"routers,omitempty"`
+	Trace   []PacketTraceEvent `json:"trace,omitempty"`
 
-	// Trace holds the interval's sampled packet-lifecycle records, sorted
-	// by (packet, cycle, kind) — nil unless Config.TraceSampleEvery > 0.
-	Trace []TraceRecord
+	// Scenario holds the scenario events (gate transitions, rate changes,
+	// regenerations) the session applied since the previous snapshot.
+	Scenario []scenario.Event `json:"scenario,omitempty"`
 }
 
 // snapBase is the counter baseline of the current interval.
@@ -63,16 +81,16 @@ func (s *Sim) emitSnapshot() {
 		InFlight:       s.inFlight(),
 	}
 	if snap.Delivered > 0 {
-		snap.AvgLatencyCycles = (s.res.LatencySum - b.latencySum) / float64(snap.Delivered)
+		snap.AvgLatencyNs = (s.res.LatencySum - b.latencySum) / float64(snap.Delivered) * CycleNs
 		delta := s.res.LatencyHist.DeltaSince(&b.latencyHist)
-		snap.P90LatencyCycles = delta.Percentile(0.90)
+		snap.P90LatencyNs = float64(delta.Percentile(0.90)) * CycleNs
 	}
 	if snap.IntervalCycles > 0 && len(s.routers) > 0 {
 		snap.ThroughputFPC = float64(s.res.FlitsDelivered-b.flitsDelivered) /
 			float64(snap.IntervalCycles) / float64(len(s.routers))
 	}
 	if s.fl != nil {
-		s.emitFlowDeltas(&snap)
+		s.emitFlowSamples(&snap)
 	}
 	if s.tr != nil {
 		s.emitTrace(&snap)

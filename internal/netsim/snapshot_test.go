@@ -44,10 +44,10 @@ func TestSnapshotCadenceAndDeltas(t *testing.T) {
 			injected += sn.Injected
 			delivered += sn.Delivered
 		}
-		if sn.Delivered > 0 && (sn.AvgLatencyCycles <= 0 || sn.P90LatencyCycles <= 0) {
+		if sn.Delivered > 0 && (sn.AvgLatencyNs <= 0 || sn.P90LatencyNs <= 0) {
 			t.Errorf("snapshot %d has deliveries but zero latency: %+v", i, sn)
 		}
-		if sn.Delivered > 0 && float64(sn.P90LatencyCycles) < sn.AvgLatencyCycles/4 {
+		if sn.Delivered > 0 && sn.P90LatencyNs < sn.AvgLatencyNs/4 {
 			t.Errorf("snapshot %d P90 implausibly below mean: %+v", i, sn)
 		}
 	}

@@ -75,6 +75,31 @@ type Regen struct {
 	Outage int64
 }
 
+// Event is one scenario action a session applied, as stamped into a
+// telemetry snapshot (the root package's ScenarioEvent is an alias of this
+// type): Kind is EventGateOff or EventGateOn (Node set), EventRate (Rate
+// set to the new effective injection rate), or EventRegen (Node set to the
+// regenerated topology's node count). Cycle is the absolute network cycle
+// the action applied at.
+type Event struct {
+	Cycle int64   `json:"cycle"`
+	Kind  string  `json:"kind"`
+	Node  int     `json:"node,omitempty"`
+	Rate  float64 `json:"rate,omitempty"`
+}
+
+// Event kinds, the Event.Kind vocabulary.
+const (
+	// EventGateOff records a node gated off.
+	EventGateOff = "gate-off"
+	// EventGateOn records a node powered back on.
+	EventGateOn = "gate-on"
+	// EventRate records an injection-rate change.
+	EventRate = "rate"
+	// EventRegen records an S2 topology regeneration.
+	EventRegen = "regen"
+)
+
 // Spec is one declarative scenario — the root package's ScenarioSpec is an
 // alias of this type, and its constructors (ChurnTrace, Churn, FailureStorm,
 // DiurnalRate, BurstyRate, RegenerateS2) fill the relevant fields. Kind

@@ -12,9 +12,9 @@ import (
 // MetricsServer exposes live simulation telemetry as a Prometheus-text
 // /metrics endpoint, with no external dependencies. It is fed from the
 // same TelemetrySnapshot stream the rest of the telemetry layer uses:
-// attach it to any session or sweep with SessionConfig.WithMetrics (it
-// composes with an existing WithTelemetry sink), or let a worker process
-// feed it via WorkerOptions.Metrics. Cluster-side worker liveness is read
+// attach Observe to any session or sweep as a sink,
+// `cfg.WithTelemetry(0, m.Observe)` (sinks compose, so it runs beside any
+// other), or let a worker process feed it via WorkerOptions.Metrics. Cluster-side worker liveness is read
 // at scrape time from an attached Cluster (WatchCluster), so the endpoint
 // also answers "is the fleet alive" during a long distributed sweep.
 //
@@ -51,19 +51,13 @@ type MetricsServer struct {
 	latency   *metrics.Histogram
 
 	// Flow-attribution series, populated only when snapshots carry flow
-	// samples (SessionConfig.FlowBuckets > 0). Cumulative counters keyed by
-	// bucket pair / link / router; rendered as labeled samples at scrape.
-	mu      sync.Mutex
-	flows   map[[2]int]*flowStat
-	links   map[[2]int]int64
-	routers map[int]int64
-}
-
-// flowStat is one flow bucket pair's exported state: cumulative deliveries
-// plus the latest interval's average latency.
-type flowStat struct {
-	delivered int64
-	latencyNs float64
+	// samples (SessionConfig.FlowBuckets > 0): per-flow deliveries and
+	// per-link / per-router flits summed over intervals, and each flow's
+	// latest interval latency. Keyed (src, dst) bucket pair, (from, to)
+	// link or (node, 0); rendered as labeled samples in key order at scrape.
+	mu                         sync.Mutex
+	flowDelivered, flowLatency map[[2]int]float64
+	links, routers             map[[2]int]float64
 }
 
 // defaultLatencyBuckets are the interval-latency histogram bounds:
@@ -74,8 +68,8 @@ var defaultLatencyBuckets = []int{25, 50, 100, 200, 400, 800, 1600, 3200, 6400, 
 // ServeMetrics starts a Prometheus-text /metrics HTTP endpoint on addr
 // ("host:port"; ":0" picks a free port, read it back with Addr). The
 // returned server reports nothing until telemetry is routed into it —
-// chain it into a session or sweep config with SessionConfig.WithMetrics,
-// attach a cluster with WatchCluster, or hand it to a worker via
+// attach Observe to a session or sweep config with WithTelemetry, attach a
+// cluster with WatchCluster, or hand it to a worker via
 // WorkerOptions.Metrics. Close it when done.
 func ServeMetrics(addr string) (*MetricsServer, error) {
 	reg := metrics.NewRegistry()
@@ -96,28 +90,26 @@ func ServeMetrics(addr string) (*MetricsServer, error) {
 		latency: reg.Histogram("stringfigure_interval_latency_ns",
 			"Per-interval average packet latency in nanoseconds.",
 			defaultLatencyBuckets),
-		flows:   make(map[[2]int]*flowStat),
-		links:   make(map[[2]int]int64),
-		routers: make(map[int]int64),
+		flowDelivered: make(map[[2]int]float64),
+		flowLatency:   make(map[[2]int]float64),
+		links:         make(map[[2]int]float64),
+		routers:       make(map[[2]int]float64),
 	}
-	reg.GaugeFunc("stringfigure_flow_delivered_total",
+	pair := func(a, b string) func([2]int) string {
+		return func(k [2]int) string { return fmt.Sprintf(`{%s="%d",%s="%d"}`, a, k[0], b, k[1]) }
+	}
+	m.labeled("stringfigure_flow_delivered_total",
 		"Packets delivered per (src bucket, dst bucket) flow, summed over intervals.",
-		func() []metrics.Sample {
-			return m.flowSamples(func(fs *flowStat) float64 { return float64(fs.delivered) },
-				"stringfigure_flow_delivered_total")
-		})
-	reg.GaugeFunc("stringfigure_flow_latency_ns",
+		m.flowDelivered, pair("src", "dst"))
+	m.labeled("stringfigure_flow_latency_ns",
 		"Average packet latency per flow over the last observed interval.",
-		func() []metrics.Sample {
-			return m.flowSamples(func(fs *flowStat) float64 { return fs.latencyNs },
-				"stringfigure_flow_latency_ns")
-		})
-	reg.GaugeFunc("stringfigure_link_flits_total",
+		m.flowLatency, pair("src", "dst"))
+	m.labeled("stringfigure_link_flits_total",
 		"Flits forwarded per directed link, summed over intervals.",
-		m.linkSamples)
-	reg.GaugeFunc("stringfigure_router_flits_total",
+		m.links, pair("from", "to"))
+	m.labeled("stringfigure_router_flits_total",
 		"Flits forwarded through each router's crossbar, summed over intervals.",
-		m.routerSamples)
+		m.routers, func(k [2]int) string { return fmt.Sprintf(`{node="%d"}`, k[0]) })
 	srv, err := metrics.Serve(addr, reg)
 	if err != nil {
 		return nil, fmt.Errorf("stringfigure: metrics listen: %w", err)
@@ -133,10 +125,10 @@ func (m *MetricsServer) Addr() string { return m.srv.Addr() }
 // server keep updating its registry harmlessly.
 func (m *MetricsServer) Close() error { return m.srv.Close() }
 
-// Observe folds one interval snapshot into the exported counters. It is a
-// valid WithTelemetry sink (safe for concurrent use) and is what
-// SessionConfig.WithMetrics chains in; call it directly when managing
-// sinks by hand.
+// Observe folds one interval snapshot into the exported counters. It is
+// the server's telemetry sink: attach it with
+// `cfg.WithTelemetry(0, m.Observe)`, or call it from a sink of your own.
+// Safe for concurrent use.
 func (m *MetricsServer) Observe(t TelemetrySnapshot) {
 	m.snapshots.Add(1)
 	m.injected.Add(float64(t.Injected))
@@ -154,87 +146,39 @@ func (m *MetricsServer) Observe(t TelemetrySnapshot) {
 	defer m.mu.Unlock()
 	for _, f := range t.Flows {
 		k := [2]int{f.SrcBucket, f.DstBucket}
-		fs := m.flows[k]
-		if fs == nil {
-			fs = &flowStat{}
-			m.flows[k] = fs
-		}
-		fs.delivered += f.Delivered
-		fs.latencyNs = f.AvgLatencyNs
+		m.flowDelivered[k] += float64(f.Delivered)
+		m.flowLatency[k] = f.AvgLatencyNs
 	}
 	for _, l := range t.Links {
-		m.links[[2]int{l.From, l.To}] += l.Flits
+		m.links[[2]int{l.From, l.To}] += float64(l.Flits)
 	}
 	for _, r := range t.Routers {
-		m.routers[r.Node] += r.Flits
+		m.routers[[2]int{r.Node, 0}] += float64(r.Flits)
 	}
 }
 
-// flowSamples renders the flow map as labeled samples in bucket order.
-func (m *MetricsServer) flowSamples(v func(*flowStat) float64, name string) []metrics.Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([][2]int, 0, len(m.flows))
-	for k := range m.flows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+// labeled registers one labeled family over a series map: at scrape, every
+// key renders as name+labels(key) in key order.
+func (m *MetricsServer) labeled(name, help string, series map[[2]int]float64, labels func([2]int) string) {
+	m.reg.GaugeFunc(name, help, func() []metrics.Sample {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		keys := make([][2]int, 0, len(series))
+		for k := range series {
+			keys = append(keys, k)
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]metrics.Sample, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, metrics.Sample{
-			Name:  fmt.Sprintf("%s{src=\"%d\",dst=\"%d\"}", name, k[0], k[1]),
-			Value: v(m.flows[k]),
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i][0] != keys[j][0] {
+				return keys[i][0] < keys[j][0]
+			}
+			return keys[i][1] < keys[j][1]
 		})
-	}
-	return out
-}
-
-// linkSamples renders the link utilization map in (from, to) order.
-func (m *MetricsServer) linkSamples() []metrics.Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([][2]int, 0, len(m.links))
-	for k := range m.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+		out := make([]metrics.Sample, len(keys))
+		for i, k := range keys {
+			out[i] = metrics.Sample{Name: name + labels(k), Value: series[k]}
 		}
-		return keys[i][1] < keys[j][1]
+		return out
 	})
-	out := make([]metrics.Sample, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, metrics.Sample{
-			Name:  fmt.Sprintf("stringfigure_link_flits_total{from=\"%d\",to=\"%d\"}", k[0], k[1]),
-			Value: float64(m.links[k]),
-		})
-	}
-	return out
-}
-
-// routerSamples renders the router utilization map in node order.
-func (m *MetricsServer) routerSamples() []metrics.Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]int, 0, len(m.routers))
-	for k := range m.routers {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]metrics.Sample, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, metrics.Sample{
-			Name:  fmt.Sprintf("stringfigure_router_flits_total{node=\"%d\"}", k),
-			Value: float64(m.routers[k]),
-		})
-	}
-	return out
 }
 
 // WatchCluster exposes the cluster's per-worker liveness at scrape time:
@@ -282,20 +226,4 @@ func (m *MetricsServer) WatchCluster(c *Cluster) {
 				}
 				return time.Since(p.LastReport).Seconds()
 			}))
-}
-
-// WithMetrics returns a copy of the config that additionally feeds every
-// interval snapshot into the metrics server, preserving any sink already
-// attached with WithTelemetry (the existing sink runs first). Snapshot
-// cadence follows TelemetryEvery exactly as for any other sink, and
-// attaching metrics never perturbs simulation results.
-func (c SessionConfig) WithMetrics(m *MetricsServer) SessionConfig {
-	prev := c.onTelemetry
-	c.onTelemetry = func(t TelemetrySnapshot) {
-		if prev != nil {
-			prev(t)
-		}
-		m.Observe(t)
-	}
-	return c
 }

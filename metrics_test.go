@@ -84,8 +84,7 @@ func TestMetricsEndpointScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SessionConfig{Rate: 0.1, Warmup: 500, Measure: 2000, Seed: 1,
-		TelemetryEvery: 250}.WithMetrics(m)
+	cfg := SessionConfig{Rate: 0.1, Warmup: 500, Measure: 2000, Seed: 1}.WithTelemetry(250, m.Observe)
 	if _, err := net.NewSession(cfg).Run(SyntheticWorkload{Pattern: "uniform"}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +124,95 @@ func TestMetricsEndpointScrape(t *testing.T) {
 	}
 }
 
+// TestMetricsLabeledFamilies pins the labeled flow/link/router families:
+// a FlowBuckets run into a metrics server exposes each family, its samples
+// sorted by label, and the per-label values equal what the feeding sink
+// sums beside Observe (flows, links, routers) or last saw (flow latency).
+func TestMetricsLabeledFamilies(t *testing.T) {
+	m, err := ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	net, err := New(WithNodes(32), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	cfg := SessionConfig{Rate: 0.1, Warmup: 500, Measure: 2000, Seed: 1, FlowBuckets: 4}
+	cfg = cfg.WithTelemetry(250, func(s TelemetrySnapshot) {
+		m.Observe(s)
+		for _, f := range s.Flows {
+			want[fmt.Sprintf(`stringfigure_flow_delivered_total{src="%d",dst="%d"}`, f.SrcBucket, f.DstBucket)] += float64(f.Delivered)
+			want[fmt.Sprintf(`stringfigure_flow_latency_ns{src="%d",dst="%d"}`, f.SrcBucket, f.DstBucket)] = f.AvgLatencyNs
+		}
+		for _, l := range s.Links {
+			want[fmt.Sprintf(`stringfigure_link_flits_total{from="%d",to="%d"}`, l.From, l.To)] += float64(l.Flits)
+		}
+		for _, r := range s.Routers {
+			want[fmt.Sprintf(`stringfigure_router_flits_total{node="%d"}`, r.Node)] += float64(r.Flits)
+		}
+	})
+	if _, err := net.NewSession(cfg).Run(SyntheticWorkload{Pattern: "uniform"}); err != nil {
+		t.Fatal(err)
+	}
+
+	page := scrape(t, m)
+	samples := parseExposition(t, page)
+	label := regexp.MustCompile(`^([a-z_]+)\{(.*)\} `)
+	num := regexp.MustCompile(`"(\d+)"`)
+	last := map[string][]int{} // family -> previous sample's label values
+	seen := map[string]int{}
+	for _, line := range strings.Split(page, "\n") {
+		g := label.FindStringSubmatch(line)
+		if g == nil || strings.HasPrefix(g[1], "stringfigure_interval_latency") {
+			continue
+		}
+		var key []int
+		for _, n := range num.FindAllStringSubmatch(g[2], -1) {
+			v, _ := strconv.Atoi(n[1])
+			key = append(key, v)
+		}
+		if prev, ok := last[g[1]]; ok && !lessInts(prev, key) {
+			t.Errorf("%s: label %v not after %v", g[1], key, prev)
+		}
+		last[g[1]] = key
+		seen[g[1]]++
+	}
+	for _, fam := range []string{"stringfigure_flow_delivered_total", "stringfigure_flow_latency_ns",
+		"stringfigure_link_flits_total", "stringfigure_router_flits_total"} {
+		if seen[fam] == 0 {
+			t.Errorf("family %s missing", fam)
+		}
+	}
+	if seen["stringfigure_flow_delivered_total"] > 16 {
+		t.Errorf("%d flow samples from 4 buckets", seen["stringfigure_flow_delivered_total"])
+	}
+	for name, v := range want {
+		if got, ok := samples[name]; !ok || got != v {
+			t.Errorf("%s = %v (present %v), sink says %v", name, got, ok, v)
+		}
+	}
+	for name := range samples {
+		if strings.Contains(name, "{") && !strings.HasPrefix(name, "stringfigure_interval_latency") {
+			if _, ok := want[name]; !ok {
+				t.Errorf("%s exposed but never observed by the sink", name)
+			}
+		}
+	}
+}
+
+// lessInts orders label tuples lexicographically.
+func lessInts(a, b []int) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}
+
 // TestClusterMetricsExportWorkers scrapes a cluster-watching endpoint
 // during a distributed sweep epilogue: worker liveness gauges appear with
 // per-worker labels, and the forwarded telemetry of remote points lands
@@ -143,8 +231,7 @@ func TestClusterMetricsExportWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.05, 0.1, 0.15})
-	cfg := SessionConfig{Warmup: 400, Measure: 1600, Seed: 1}.WithMetrics(m)
-	cfg.TelemetryEvery = 200
+	cfg := SessionConfig{Warmup: 400, Measure: 1600, Seed: 1}.WithTelemetry(200, m.Observe)
 	for _, r := range net.SweepAll(cfg, points, 0) {
 		if r.Err != nil {
 			t.Fatal(r.Err)

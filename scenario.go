@@ -100,20 +100,7 @@ func RegenerateS2(at int64, drop int, outage int64) ScenarioSpec {
 // "rate" (Rate set to the new effective injection rate), or "regen" (Node
 // set to the regenerated topology's node count). Cycle is the absolute
 // network cycle the action applied at.
-type ScenarioEvent struct {
-	Cycle int64   `json:"cycle"`
-	Kind  string  `json:"kind"`
-	Node  int     `json:"node,omitempty"`
-	Rate  float64 `json:"rate,omitempty"`
-}
-
-// ScenarioEvent kinds.
-const (
-	scenarioEvGateOff = "gate-off"
-	scenarioEvGateOn  = "gate-on"
-	scenarioEvRate    = "rate"
-	scenarioEvRegen   = "regen"
-)
+type ScenarioEvent = scenario.Event
 
 // scenarioRecorder stamps applied scenario events onto the telemetry
 // stream: executors add events as they apply them (on the simulating

@@ -289,11 +289,11 @@ func (r *gateRig) apply(idx int) error {
 			}
 		}
 	}
-	kind := scenarioEvGateOff
+	kind := scenario.EventGateOff
 	if ev.On {
-		kind = scenarioEvGateOn
+		kind = scenario.EventGateOn
 	}
-	r.rec.add(ScenarioEvent{Cycle: ev.Cycle, Kind: kind, Node: ev.Node})
+	r.rec.add(scenario.Event{Cycle: ev.Cycle, Kind: kind, Node: ev.Node})
 	return nil
 }
 
@@ -348,7 +348,7 @@ func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName strin
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownPattern, err)
 	}
-	rec.add(ScenarioEvent{Cycle: R, Kind: scenarioEvRegen, Node: n2.Nodes()})
+	rec.add(scenario.Event{Cycle: R, Kind: scenario.EventRegen, Node: n2.Nodes()})
 
 	// Phase B starts silent and returns to the configured rate when the
 	// outage ends (never, if the outage outlasts the run).

@@ -51,8 +51,8 @@ type SessionConfig struct {
 	MaxCycles int64
 
 	// TelemetryEvery is the interval, in network cycles, between the live
-	// snapshots streamed by Session.RunTelemetry or a WithTelemetry sink
-	// (default 1000). It has no effect until a sink is attached.
+	// snapshots delivered to WithTelemetry sinks (default 1000). It has no
+	// effect until a sink is attached.
 	TelemetryEvery int64
 	// FlowBuckets enables flow-level attribution on the telemetry stream:
 	// nodes fold into this many src/dst buckets (clamped to the node
@@ -89,8 +89,8 @@ type SessionConfig struct {
 	// false outside of tests.
 	ReferenceCore bool
 
-	// onTelemetry, when set (WithTelemetry, RunTelemetry), receives the
-	// interval snapshots. Unexported so that it stays off the sweep wire:
+	// onTelemetry, when set (WithTelemetry), receives the interval
+	// snapshots. Unexported so that it stays off the sweep wire:
 	// a SessionConfig travels to remote workers as itself and gob skips
 	// unexported fields, which is the sanctioned way to keep a value local
 	// (wireJob.Telemetry asks the worker to attach its own forwarding sink).
@@ -336,7 +336,7 @@ func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, pat traffi
 		acts = append(acts, action{ev.Cycle, func() error {
 			rate := cfg.Rate * ev.Scale
 			sim.SetRate(rate)
-			rec.add(ScenarioEvent{Cycle: ev.Cycle + offset, Kind: scenarioEvRate, Rate: rate})
+			rec.add(scenario.Event{Cycle: ev.Cycle + offset, Kind: scenario.EventRate, Rate: rate})
 			return nil
 		}})
 	}

@@ -1,10 +1,11 @@
 package stringfigure_test
 
-// Live-telemetry tests: RunTelemetry streams interval snapshots without
-// perturbing results (bit-identical final Results with and without a sink),
-// sweeps stamp point indices onto concurrent streams, and a mid-run gate
-// schedule produces the paper's reconfiguration transient — P90 latency
-// rises after GateOff and recovers after GateOn — visible in the stream.
+// Live-telemetry tests: a WithTelemetry sink receives interval snapshots
+// without perturbing results (bit-identical final Results with and without
+// a sink), chained sinks compose, sweeps stamp point indices onto
+// concurrent streams, and a mid-run gate schedule produces the paper's
+// reconfiguration transient — P90 latency rises after GateOff and recovers
+// after GateOn — visible in the stream.
 
 import (
 	"context"
@@ -16,21 +17,18 @@ import (
 	. "repro"
 )
 
-func TestRunTelemetryStreamsSnapshots(t *testing.T) {
+func TestSessionTelemetryStreamsSnapshots(t *testing.T) {
 	net, err := New(WithNodes(32), WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := SessionConfig{Rate: 0.1, Warmup: 1000, Measure: 4000, Seed: 2}
-	snaps, done := net.NewSession(cfg).RunTelemetry(context.Background(),
-		SyntheticWorkload{Pattern: "uniform"})
 	var got []TelemetrySnapshot
-	for s := range snaps {
+	res, err := net.NewSession(cfg.WithTelemetry(0, func(s TelemetrySnapshot) {
 		got = append(got, s)
-	}
-	res := <-done
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	})).Run(SyntheticWorkload{Pattern: "uniform"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// 5000 cycles at the default 1000-cycle interval: 5 snapshots, of which
 	// the 4000-cycle measured window contributes at least 2.
@@ -66,22 +64,19 @@ func TestRunTelemetryStreamsSnapshots(t *testing.T) {
 	}
 }
 
-func TestRunTelemetryTraceWorkload(t *testing.T) {
+func TestSessionTelemetryTraceWorkload(t *testing.T) {
 	net, err := New(WithNodes(16), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := SessionConfig{Ops: 400, Sockets: 2, Window: 8, MaxCycles: 10_000_000,
 		Seed: 1, TelemetryEvery: 500}
-	snaps, done := net.NewSession(cfg).RunTelemetry(context.Background(),
-		TraceWorkload{Workload: "grep"})
 	var got []TelemetrySnapshot
-	for s := range snaps {
+	res, err := net.NewSession(cfg.WithTelemetry(0, func(s TelemetrySnapshot) {
 		got = append(got, s)
-	}
-	res := <-done
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	})).Run(TraceWorkload{Workload: "grep"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) == 0 {
 		t.Fatal("trace run emitted no snapshots")
@@ -104,6 +99,41 @@ func TestRunTelemetryTraceWorkload(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, plain) {
 		t.Errorf("telemetry perturbed the trace run:\nwith:    %+v\nwithout: %+v", res, plain)
+	}
+}
+
+// TestWithTelemetrySinksCompose: a second WithTelemetry adds a sink rather
+// than replacing the first. Both see the identical snapshot sequence, the
+// earlier-attached sink first, and the cadence is the last non-zero every.
+func TestWithTelemetrySinksCompose(t *testing.T) {
+	net, err := New(WithNodes(16), WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	var first, second []TelemetrySnapshot
+	cfg := SessionConfig{Rate: 0.1, Warmup: 250, Measure: 1250, Seed: 5, FlowBuckets: 2}.
+		WithTelemetry(250, func(s TelemetrySnapshot) {
+			order = append(order, "first")
+			first = append(first, s)
+		}).
+		WithTelemetry(0, func(s TelemetrySnapshot) {
+			order = append(order, "second")
+			second = append(second, s)
+		})
+	if _, err := net.NewSession(cfg).Run(SyntheticWorkload{Pattern: "uniform"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 6 {
+		t.Fatalf("first sink saw %d snapshots, want 6 (1500 cycles / 250)", len(first))
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("sinks saw different streams:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+	for i := 0; i < len(order); i += 2 {
+		if order[i] != "first" || order[i+1] != "second" {
+			t.Fatalf("call order %v, want first then second per snapshot", order)
+		}
 	}
 }
 
@@ -161,17 +191,14 @@ func TestGatingTransientTelemetry(t *testing.T) {
 	for _, v := range quadrant {
 		gates = append(gates, GateEvent{Cycle: gateOn, Node: v, On: true})
 	}
-	cfg := SessionConfig{Rate: 0.1, Warmup: 1000, Measure: 47000, Seed: 3,
-		TelemetryEvery: 500, Scenario: []ScenarioSpec{ChurnTrace(gates...)}}
-	snaps, done := net.NewSession(cfg).RunTelemetry(context.Background(),
-		SyntheticWorkload{Pattern: "uniform"})
 	var collected []TelemetrySnapshot
-	for s := range snaps {
+	cfg := SessionConfig{Rate: 0.1, Warmup: 1000, Measure: 47000, Seed: 3,
+		Scenario: []ScenarioSpec{ChurnTrace(gates...)}}.WithTelemetry(500, func(s TelemetrySnapshot) {
 		collected = append(collected, s)
-	}
-	res := <-done
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	})
+	res, err := net.NewSession(cfg).Run(SyntheticWorkload{Pattern: "uniform"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	maxP90 := func(lo, hi int64) float64 {
 		max := 0.0
