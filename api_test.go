@@ -224,6 +224,18 @@ func TestConcurrentSessionsWithReconfig(t *testing.T) {
 			}
 		}(int64(g + 1))
 	}
+	// Route and MD read the router reconfiguration edits in place.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := net.Route(0, 20); err != nil {
+				t.Errorf("route: %v", err)
+				return
+			}
+			net.MD(0, 20)
+		}
+	}()
 	for i := 0; i < 6; i++ {
 		v := 3 + i
 		if err := net.GateOff(v); err != nil {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	. "repro"
+	"repro/internal/design"
 	"repro/internal/experiments"
 	"repro/internal/netsim"
 	"repro/internal/topology"
@@ -382,7 +383,7 @@ func netsimStepConfig(tb testing.TB, n int, session bool) netsim.Config {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := netsim.SFConfig(sf, 1)
+	cfg := design.FromSF(sf).NetCfg(1)
 	if session {
 		cfg.PacketFlits = 1
 	}

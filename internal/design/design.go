@@ -24,10 +24,6 @@ type Design struct {
 	// Spec is the build input in normal form (Kind named, the sf/s2 port
 	// count resolved): Build(d.Spec) reproduces the design.
 	Spec Spec
-	Name string
-	// Seed is the topology build seed; equal Specs reproduce identical
-	// designs.
-	Seed int64
 	N    int // memory nodes
 	// Routers is the network router count (differs from N for the
 	// concentrated FB/AFB designs, which host several memory nodes per
@@ -39,10 +35,11 @@ type Design struct {
 	// family (p+4 bidirectional with shortcuts, p/2+2 uni-directional), the
 	// plain port count elsewhere. Every router's out-degree stays within it.
 	PortBudget int
-	// Out is the router-level out-adjacency.
+	// Out is the router-level out-adjacency at full scale.
 	Out   [][]int
 	Graph *graph.Graph
-	// Alg supplies candidate next hops at router granularity.
+	// Alg supplies candidate next hops at router granularity. It is the
+	// network's one router: on sf, reconfiguration edits its tables in place.
 	Alg routing.Algorithm
 	// NodeRouter maps a memory node to its hosting router.
 	NodeRouter func(node int) int
@@ -50,7 +47,8 @@ type Design struct {
 	// of NodeRouter; empty for routers that host no memory at small N).
 	RouterNodes [][]int
 	// NetCfg builds a simulator configuration with the design's routing,
-	// VC and escape policies.
+	// VC and escape policies; sessions replace its full-scale Out and
+	// EscapeRoute on a reconfigured network.
 	NetCfg func(seed int64) netsim.Config
 	// SF holds the String Figure topology for the SF/S2 designs (nil
 	// otherwise), used by reconfiguration and serialization.
@@ -117,23 +115,25 @@ func Build(spec Spec) (*Design, error) {
 func buildKind(spec Spec) (*Design, error) {
 	switch spec.Kind {
 	case "dm":
-		return buildMesh(spec.N, 1, spec.Seed)
+		return buildMesh(spec.N, 1)
 	case "odm":
 		width, err := ODMWidth(spec.N, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
-		return buildMesh(spec.N, width, spec.Seed)
+		return buildMesh(spec.N, width)
 	case "fb":
-		return buildButterfly(spec.N, false, spec.Seed)
+		return buildButterfly(spec.N, false)
 	case "afb":
-		return buildButterfly(spec.N, true, spec.Seed)
+		return buildButterfly(spec.N, true)
 	case "s2":
 		sf, err := topology.NewS2(spec.N, spec.Ports, spec.Seed, true)
 		if err != nil {
 			return nil, err
 		}
-		return fromSF("s2", spec.Seed, sf), nil
+		d := fromSF(sf)
+		d.Reconfigurable = false
+		return d, nil
 	case "sf":
 		sf, err := topology.NewStringFigure(topology.Config{
 			N:             spec.N,
@@ -145,7 +145,7 @@ func buildKind(spec Spec) (*Design, error) {
 		if err != nil {
 			return nil, err
 		}
-		return fromSF("sf", spec.Seed, sf), nil
+		return fromSF(sf), nil
 	}
 	return nil, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownKind, spec.Kind, Names)
 }
@@ -154,7 +154,7 @@ func buildKind(spec Spec) (*Design, error) {
 // saved design artifact) as an sf design. It is the one place a Spec is
 // derived from a topology rather than recorded from the build.
 func FromSF(sf *topology.StringFigure) *Design {
-	d := fromSF("sf", sf.Cfg.Seed, sf)
+	d := fromSF(sf)
 	d.Spec = Spec{
 		Kind:           "sf",
 		N:              sf.Cfg.N,
@@ -179,16 +179,15 @@ func routerNodes(n, routers int, nodeRouter func(int) int) [][]int {
 	return hosted
 }
 
-func fromSF(name string, seed int64, sf *topology.StringFigure) *Design {
+// fromSF builds the reconfigurable design over a String Figure topology.
+func fromSF(sf *topology.StringFigure) *Design {
 	g := sf.Graph()
-	// One router, adjacency and escape function per design: all three are
-	// read-only, so every session's configuration shares them.
+	// One router, adjacency and escape function per design, shared by every
+	// session's configuration (only reconfiguration edits the router).
 	out := sf.OutNeighbors()
 	alg := routing.NewGreediestOver(sf, 0, out)
 	escape := netsim.RingEscape(sf, nil)
 	d := &Design{
-		Name:       name,
-		Seed:       seed,
 		N:          sf.Cfg.N,
 		Routers:    sf.Cfg.N,
 		Ports:      sf.Cfg.Ports,
@@ -204,7 +203,7 @@ func fromSF(name string, seed int64, sf *topology.StringFigure) *Design {
 			return cfg
 		},
 		SF:             sf,
-		Reconfigurable: name == "sf",
+		Reconfigurable: true,
 	}
 	d.RouterNodes = routerNodes(d.N, d.Routers, d.NodeRouter)
 	return d
@@ -228,7 +227,7 @@ func sfPortBudget(sf *topology.StringFigure) int {
 	return budget
 }
 
-func buildMesh(n, width int, seed int64) (*Design, error) {
+func buildMesh(n, width int) (*Design, error) {
 	m, err := topology.NewODM(n, width)
 	if err != nil {
 		return nil, err
@@ -238,14 +237,8 @@ func buildMesh(n, width int, seed int64) (*Design, error) {
 	for v := 0; v < n; v++ {
 		out[v] = g.UniqueOutNeighbors(v)
 	}
-	name := "dm"
-	if width > 1 {
-		name = "odm"
-	}
 	alg := &routing.MeshRouter{Mesh: m}
 	d := &Design{
-		Name:       name,
-		Seed:       seed,
 		N:          n,
 		Routers:    n,
 		Ports:      m.Ports(),
@@ -269,7 +262,7 @@ func buildMesh(n, width int, seed int64) (*Design, error) {
 	return d, nil
 }
 
-func buildButterfly(n int, partitioned bool, seed int64) (*Design, error) {
+func buildButterfly(n int, partitioned bool) (*Design, error) {
 	var b *topology.Butterfly
 	var err error
 	if partitioned {
@@ -285,14 +278,8 @@ func buildButterfly(n int, partitioned bool, seed int64) (*Design, error) {
 	for v := 0; v < b.Routers(); v++ {
 		out[v] = g.UniqueOutNeighbors(v)
 	}
-	name := "fb"
-	if partitioned {
-		name = "afb"
-	}
 	alg := &routing.ButterflyRouter{B: b}
 	d := &Design{
-		Name:       name,
-		Seed:       seed,
 		N:          n,
 		Routers:    b.Routers(),
 		Ports:      b.Ports(),

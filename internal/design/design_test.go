@@ -12,8 +12,8 @@ func TestBuildAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if d.Name != kind {
-			t.Errorf("%s: Name = %q", kind, d.Name)
+		if d.Spec.Kind != kind {
+			t.Errorf("%s: Spec.Kind = %q", kind, d.Spec.Kind)
 		}
 		if d.N != n {
 			t.Errorf("%s: N = %d, want %d", kind, d.N, n)
@@ -71,7 +71,7 @@ func TestBuildOptionValidation(t *testing.T) {
 		t.Error("NoShortcuts on s2 should fail")
 	}
 	d, err := Build(Spec{N: 16, Seed: 1}) // empty kind defaults to sf
-	if err != nil || d.Name != "sf" {
+	if err != nil || d.Spec.Kind != "sf" {
 		t.Fatalf("default kind: %v, %v", d, err)
 	}
 }

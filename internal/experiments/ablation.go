@@ -67,7 +67,7 @@ func AblationLookahead(scales []int, seed int64) (*stats.Series, error) {
 			return nil, err
 		}
 		with := routing.NewGreediest(sf, 0)
-		without := routing.NewGreediest(sf, 0)
+		without := *with // the same tables, read without the two-hop entries
 		without.Lookahead = false
 		rng := rand.New(rand.NewSource(seed))
 		var sumW, sumWo, pairs int

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math/rand"
 
+	"repro/internal/design"
 	"repro/internal/netsim"
 	"repro/internal/placement"
 	"repro/internal/routing"
@@ -20,7 +21,8 @@ func ProcessorPlacement(n int, rate float64, sc SimScale, seed int64) (*stats.Se
 	if err != nil {
 		return nil, err
 	}
-	grid := placement.Place(sf.Graph(), seed, 2)
+	d := design.FromSF(sf)
+	grid := placement.Place(d.Graph, seed, 2)
 
 	// Attachment arrangements.
 	corners := cornersOf(grid)
@@ -49,7 +51,7 @@ func ProcessorPlacement(n int, rate float64, sc SimScale, seed int64) (*stats.Se
 		return nil, err
 	}
 	for _, a := range arrangements {
-		cfg := netsim.SFConfig(sf, seed)
+		cfg := d.NetCfg(seed)
 		cfg.PacketFlits = 1
 		cfg.LinkLatency = grid.LinkLatency(netsim.DefaultLinkLatency)
 		sim, err := netsim.New(cfg)
@@ -163,14 +165,14 @@ func MetaCubeStudy(n int, cubeSizes []int, rate float64, sc SimScale, seed int64
 	if err != nil {
 		return nil, err
 	}
-	g := sf.Graph()
-	grid := placement.Place(g, seed, 2)
+	d := design.FromSF(sf)
+	grid := placement.Place(d.Graph, seed, 2)
 	uniform, err := traffic.NewPattern("uniform", n)
 	if err != nil {
 		return nil, err
 	}
 	runWith := func(linkLat func(u, v int) int) (float64, error) {
-		cfg := netsim.SFConfig(sf, seed)
+		cfg := d.NetCfg(seed)
 		cfg.PacketFlits = 1
 		cfg.LinkLatency = linkLat
 		sim, err := netsim.New(cfg)

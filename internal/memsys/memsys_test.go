@@ -3,8 +3,8 @@ package memsys
 import (
 	"testing"
 
+	"repro/internal/design"
 	"repro/internal/memnode"
-	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -22,7 +22,7 @@ func buildSmall(t *testing.T, traces [][]trace.Op, window int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(netsim.SFConfig(sf, 7), pool, []int{0, 8}, window, traces)
+	sys, err := Build(design.FromSF(sf).NetCfg(7), pool, []int{0, 8}, window, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestBuildValidation(t *testing.T) {
 		N: 16, Ports: 4, Seed: 3, Shortcuts: true, Bidirectional: true,
 	})
 	pool, _ := memnode.NewPool(16)
-	cfg := netsim.SFConfig(sf, 7)
+	cfg := design.FromSF(sf).NetCfg(7)
 	if _, err := Build(cfg, pool, nil, 8, nil); err == nil {
 		t.Error("no CPUs should fail")
 	}

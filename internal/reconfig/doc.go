@@ -4,7 +4,9 @@
 // and reduction for design reuse. It owns the dynamic state of a deployed
 // network — which nodes are alive and which wires are switched in — and
 // drives the four-step atomic reconfiguration protocol against the routing
-// tables:
+// tables. A network has one router: Adopt takes over the router its design
+// already built (New builds a private one), and the protocol edits that
+// router's tables in place:
 //
 //  1. block the routing-table entries that refer to the affected node,
 //  2. disable/enable links (ring healing through shortcut wires and the

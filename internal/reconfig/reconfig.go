@@ -41,7 +41,7 @@ type Stats struct {
 // Network is a deployed String Figure network with elastic scale.
 type Network struct {
 	SF     *topology.StringFigure
-	Router *routing.Greediest
+	Router *routing.Greediest // edited in place by every reconfiguration
 	Timing Timing
 	Stats  Stats
 
@@ -52,12 +52,24 @@ type Network struct {
 	shortcutSet map[[2]int]bool
 }
 
-// New deploys a String Figure network at full scale.
+// New deploys a String Figure network at full scale with a router of its
+// own.
 func New(sf *topology.StringFigure) *Network {
+	out := sf.OutNeighbors()
+	return Adopt(sf, out, routing.NewGreediestOver(sf, 0, out))
+}
+
+// Adopt deploys a String Figure network at full scale around the router a
+// design already built over out, sf's full-scale adjacency (OutNeighbors,
+// which equals AdjacencyFor with every node alive). Reconfiguration edits
+// router's tables in place: other readers of router serialize against it.
+func Adopt(sf *topology.StringFigure, out [][]int, router *routing.Greediest) *Network {
 	n := &Network{
 		SF:          sf,
+		Router:      router,
 		Timing:      DefaultTiming(),
 		alive:       make([]bool, sf.Cfg.N),
+		out:         out,
 		shortcutSet: make(map[[2]int]bool),
 	}
 	for i := range n.alive {
@@ -69,10 +81,6 @@ func New(sf *topology.StringFigure) *Network {
 			n.shortcutSet[[2]int{l.To, l.From}] = true
 		}
 	}
-	n.out = n.deriveAdjacency()
-	// Tables come from the derived adjacency, not sf.OutNeighbors(), so
-	// that dedup rules agree byte-for-byte with later incremental updates.
-	n.Router = routing.NewGreediestOver(sf, 0, n.out)
 	return n
 }
 
@@ -106,10 +114,6 @@ func (n *Network) Graph() *graph.Graph {
 	}
 	return g
 }
-
-// deriveAdjacency computes the active out-adjacency from the design and the
-// current alive mask.
-func (n *Network) deriveAdjacency() [][]int { return n.AdjacencyFor(n.alive) }
 
 // AdjacencyFor computes the out-adjacency the network would activate under
 // the given alive mask, without changing any state: every alive node links
@@ -228,7 +232,7 @@ func (n *Network) applyReconfig(v int) {
 
 	// Step 2: enable/disable links.
 	oldOut := n.out
-	newOut := n.deriveAdjacency()
+	newOut := n.AdjacencyFor(n.alive)
 	disabled, enabled := diffAdjacency(oldOut, newOut)
 	n.Stats.LinksDisabled += len(disabled)
 	n.Stats.LinksEnabled += len(enabled)
@@ -328,7 +332,7 @@ func (n *Network) affectedRouters(changed map[int]bool, oldOut, newOut [][]int) 
 // rebuildAll recomputes adjacency and all tables (bulk static path).
 func (n *Network) rebuildAll() {
 	n.Stats.Reconfigs++
-	n.out = n.deriveAdjacency()
+	n.out = n.AdjacencyFor(n.alive)
 	n.Router.Tables = routing.BuildTables(n.SF.Cfg.N, n.out)
 	n.Stats.TablesRebuilt += n.AliveCount()
 }

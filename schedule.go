@@ -94,7 +94,7 @@ func (n *Network) lockRun(gates []scenario.GateEvent, rec *scenarioRecorder) (*g
 		return nil, n.mu.RUnlock, nil
 	}
 	if n.net == nil {
-		return nil, nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
+		return nil, nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Spec.Kind)
 	}
 	n.mu.Lock()
 	rig, err := n.newGateRig(gates, rec)
@@ -320,9 +320,9 @@ func (r *gateRig) restore() {
 // String Figure storm is measured by.
 func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName string,
 	pat traffic.Pattern, rg *scenario.Regen) (Result, error) {
-	if n.d.Name != "s2" {
+	if n.d.Spec.Kind != "s2" {
 		return Result{}, fmt.Errorf("%w: regen-s2 on design %q (the regeneration baseline rebuilds an s2 topology; reconfigurable designs gate nodes in place instead)",
-			ErrScenario, n.d.Name)
+			ErrScenario, n.d.Spec.Kind)
 	}
 	if patName == "" {
 		return Result{}, fmt.Errorf("%w: regen-s2 needs a named synthetic pattern (traffic re-derives on the regenerated topology)", ErrScenario)

@@ -121,6 +121,8 @@ const (
 	// maxJobNodes is the largest scale shown feasible (the N=4096 design
 	// and routing-table builds of the event-core work).
 	maxJobNodes = 4096
+	// maxJobPorts is twice the paper's largest router (PortsForN's 8).
+	maxJobPorts = 16
 	// maxJobPoints bounds the rate axis (one sweep point and one journal
 	// record per entry).
 	maxJobPoints = 4096
@@ -151,6 +153,7 @@ func (e *JobLimitError) Error() string {
 func (js JobSpec) checkBounds() error {
 	limits := []JobLimitError{
 		{"nodes", int64(js.Nodes), maxJobNodes},
+		{"ports", int64(js.Ports), maxJobPorts},
 		{"rates (points)", int64(len(js.Rates)), maxJobPoints},
 		// Each window alone first, so the sum below cannot overflow.
 		{"warmup", js.Warmup, maxJobCycles},

@@ -378,6 +378,7 @@ func TestServiceRejectsOversizedJobs(t *testing.T) {
 	}{
 		{"nodes", JobSpec{Nodes: 100_000_000}},
 		{"nodes", JobSpec{Nodes: maxJobNodes + 1}},
+		{"ports", JobSpec{Nodes: 16, Ports: maxJobPorts + 1}},
 		{"rates (points)", JobSpec{Nodes: 16, Rates: make([]float64, maxJobPoints+1)}},
 		{"warmup", JobSpec{Nodes: 16, Warmup: 1 << 62, Measure: 1 << 62}},
 		{"measure", JobSpec{Nodes: 16, Measure: maxJobCycles + 1}},
@@ -396,7 +397,7 @@ func TestServiceRejectsOversizedJobs(t *testing.T) {
 		t.Errorf("%d oversized jobs were journaled", len(jobs))
 	}
 	// At the bounds a spec is still legal (checked without running it).
-	edge := JobSpec{Nodes: maxJobNodes, Rates: make([]float64, maxJobPoints),
+	edge := JobSpec{Nodes: maxJobNodes, Ports: maxJobPorts, Rates: make([]float64, maxJobPoints),
 		Warmup: maxJobCycles / 2, Measure: maxJobCycles / 2, Ops: 1 << 20}
 	if err := edge.validate(); err != nil {
 		t.Errorf("spec at the bounds rejected: %v", err)

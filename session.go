@@ -231,23 +231,21 @@ type Result struct {
 // simConfig assembles a simulator configuration for the network's current
 // active state or, under a gate rig, for the union of the wires every
 // phase of the schedule activates (with the escape routes of the starting
-// mask). A gate-free run simulates on the network's shared route cache; a
-// rig mutates the tables mid-run and routes over its own adjacency, so its
-// simulator keeps a private one. Callers hold n.mu through lockRun.
+// mask); the policy is always the design's. A gate-free run simulates on
+// the network's shared route cache; a rig mutates the tables mid-run and
+// routes over its own adjacency, so its simulator keeps a private one.
+// Callers hold n.mu through lockRun.
 func (n *Network) simConfig(cfg SessionConfig, rig *gateRig) netsim.Config {
-	var sc netsim.Config
+	sc := n.d.NetCfg(cfg.Seed)
 	switch {
 	case rig != nil:
-		sc = netsim.SFPolicy(n.net.Router, cfg.Seed)
 		sc.Out = rig.out
 		sc.EscapeRoute = rig.escapeFor(rig.start)
 	case n.net != nil:
-		sc = netsim.SFPolicy(n.net.Router, cfg.Seed)
 		sc.Out = n.net.OutNeighbors()
 		sc.EscapeRoute = netsim.RingEscape(n.d.SF, n.net.AliveSlice())
 		sc.Routes = n.routes
 	default:
-		sc = n.d.NetCfg(cfg.Seed)
 		sc.Routes = n.routes
 	}
 	if cfg.AdaptiveThreshold > 0 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/design"
 	"repro/internal/netsim"
 	"repro/internal/reconfig"
+	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -17,9 +18,10 @@ import (
 // session runs may be used from multiple goroutines; reconfiguration
 // serializes against them.
 type Network struct {
+	// d.Alg is the one router every routing read goes through.
 	d *design.Design
-	// net is the reconfiguration engine, non-nil only for designs built on
-	// a String Figure topology (sf, s2 and their wire variants).
+	// net is the reconfiguration engine, non-nil only for the sf design
+	// (and its wire variants); it adopts d.Alg and edits its tables.
 	net *reconfig.Network
 	// cluster, when attached via WithCluster, runs every sweep point that
 	// can travel; nil keeps every run in-process.
@@ -41,7 +43,7 @@ type Network struct {
 func newNetwork(d *design.Design) *Network {
 	n := &Network{d: d}
 	if d.Reconfigurable {
-		n.net = reconfig.New(d.SF)
+		n.net = reconfig.Adopt(d.SF, d.Out, d.Alg.(*routing.Greediest))
 	}
 	if d.SF != nil {
 		n.routes = netsim.NewRouteCache(d.Routers)
@@ -50,7 +52,7 @@ func newNetwork(d *design.Design) *Network {
 }
 
 // Design returns the design name ("dm", "odm", "fb", "afb", "s2" or "sf").
-func (n *Network) Design() string { return n.d.Name }
+func (n *Network) Design() string { return n.d.Spec.Kind }
 
 // Nodes returns the designed memory-node count.
 func (n *Network) Nodes() int { return n.d.N }
@@ -122,27 +124,19 @@ func (n *Network) OutNeighbors(v int) []int {
 
 // Route returns the design's deterministic routing path between the routers
 // of memory nodes src and dst, including both endpoints (for every design
-// except FB/AFB, routers and nodes coincide). It reports ErrOutOfRange for
-// invalid indices, ErrNodeDead when either endpoint is powered off, and
+// except FB/AFB, routers and nodes coincide): the first candidate of the
+// design's router at every hop. It reports ErrOutOfRange for invalid
+// indices, ErrNodeDead when either endpoint is powered off, and
 // ErrNotRoutable when forwarding fails (possible only mid-reconfiguration).
 func (n *Network) Route(src, dst int) ([]int, error) {
 	if src < 0 || src >= n.d.N || dst < 0 || dst >= n.d.N {
 		return nil, fmt.Errorf("%w: route %d -> %d on %d nodes", ErrOutOfRange, src, dst, n.d.N)
 	}
-	if n.net != nil {
-		n.mu.RLock()
-		defer n.mu.RUnlock()
-		if !n.net.Alive(src) || !n.net.Alive(dst) {
-			return nil, fmt.Errorf("%w: route %d -> %d", ErrNodeDead, src, dst)
-		}
-		path, err := n.net.Router.Route(src, dst)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNotRoutable, err)
-		}
-		return path, nil
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if n.net != nil && (!n.net.Alive(src) || !n.net.Alive(dst)) {
+		return nil, fmt.Errorf("%w: route %d -> %d", ErrNodeDead, src, dst)
 	}
-	// Baseline designs: follow the deterministic first candidate of the
-	// design's routing algorithm at router granularity.
 	cur, dstR := n.d.NodeRouter(src), n.d.NodeRouter(dst)
 	path := []int{cur}
 	for cur != dstR {
@@ -157,16 +151,15 @@ func (n *Network) Route(src, dst int) ([]int, error) {
 }
 
 // MD returns the minimum circular distance between two nodes, the metric
-// greediest routing descends. Out-of-range indices and coordinate-free
-// designs return 0.
+// greediest routing descends (clockwise-only on the uni-directional sf
+// variant). Out-of-range indices and designs without greediest routing
+// return 0.
 func (n *Network) MD(u, v int) float64 {
-	if n.d.SF == nil || u < 0 || u >= n.d.N || v < 0 || v >= n.d.N {
+	g, ok := n.d.Alg.(*routing.Greediest)
+	if !ok || u < 0 || u >= n.d.N || v < 0 || v >= n.d.N {
 		return 0
 	}
-	if n.net != nil {
-		return n.net.Router.MD(u, v)
-	}
-	return n.d.SF.MinCircularDistance(u, v)
+	return g.MD(u, v)
 }
 
 // GateOff powers a node down using the four-step reconfiguration protocol;
@@ -174,7 +167,7 @@ func (n *Network) MD(u, v int) float64 {
 // reports ErrNotReconfigurable on the baseline designs.
 func (n *Network) GateOff(v int) error {
 	if n.net == nil {
-		return fmt.Errorf("%w: gate off on %s", ErrNotReconfigurable, n.d.Name)
+		return fmt.Errorf("%w: gate off on %s", ErrNotReconfigurable, n.d.Spec.Kind)
 	}
 	if v < 0 || v >= n.d.N {
 		return fmt.Errorf("%w: gate off %d on %d nodes", ErrOutOfRange, v, n.d.N)
@@ -188,7 +181,7 @@ func (n *Network) GateOff(v int) error {
 // GateOn powers a node back up.
 func (n *Network) GateOn(v int) error {
 	if n.net == nil {
-		return fmt.Errorf("%w: gate on on %s", ErrNotReconfigurable, n.d.Name)
+		return fmt.Errorf("%w: gate on on %s", ErrNotReconfigurable, n.d.Spec.Kind)
 	}
 	if v < 0 || v >= n.d.N {
 		return fmt.Errorf("%w: gate on %d on %d nodes", ErrOutOfRange, v, n.d.N)
@@ -203,7 +196,7 @@ func (n *Network) GateOn(v int) error {
 // path for design reuse.
 func (n *Network) SetMounted(mounted []bool) error {
 	if n.net == nil {
-		return fmt.Errorf("%w: set mounted on %s", ErrNotReconfigurable, n.d.Name)
+		return fmt.Errorf("%w: set mounted on %s", ErrNotReconfigurable, n.d.Spec.Kind)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -297,7 +290,7 @@ func (n *Network) PathLengths(maxSources int) PathStats {
 // family serializes.
 func (n *Network) Save(w io.Writer) error {
 	if n.d.SF == nil {
-		return fmt.Errorf("stringfigure: design %q has no serializable topology", n.d.Name)
+		return fmt.Errorf("stringfigure: design %q has no serializable topology", n.d.Spec.Kind)
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()

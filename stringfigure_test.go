@@ -3,6 +3,7 @@ package stringfigure
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -49,6 +50,25 @@ func TestRouteAndMD(t *testing.T) {
 			t.Fatalf("MD did not decrease at %d", v)
 		}
 		prev = cur
+	}
+}
+
+// TestMDIsMinCircularDistance: MD asks the design's router, whose metric on
+// s2 and the bidirectional sf design is the topology's minimum circular
+// distance, bit for bit.
+func TestMDIsMinCircularDistance(t *testing.T) {
+	for _, kind := range []string{"s2", "sf"} {
+		net, err := New(WithDesign(kind), WithNodes(61), WithSeed(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < 61; u++ {
+			for v := 0; v < 61; v++ {
+				if got, want := net.MD(u, v), net.d.SF.MinCircularDistance(u, v); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: MD(%d,%d) = %v, MinCircularDistance %v", kind, u, v, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -120,6 +140,32 @@ func TestTypedErrors(t *testing.T) {
 	net.net.Router.Tables[10] = routing.NewTable(10)
 	if _, err := net.Route(10, 20); !errors.Is(err, ErrNotRoutable) {
 		t.Errorf("unroutable err = %v, want ErrNotRoutable", err)
+	}
+}
+
+// TestOneRouterPerNetwork: an sf network builds its routing tables once —
+// the reconfiguration engine adopts the design's router, so Route, MD and
+// every session read the tables reconfiguration edits. Opening a saved
+// design deploys the same way.
+func TestOneRouterPerNetwork(t *testing.T) {
+	for _, opts := range [][]Option{nil, {Unidirectional()}, {NoShortcuts()}} {
+		net, err := New(append(opts, WithNodes(32), WithSeed(3))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := net.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Open(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []*Network{net, opened} {
+			if g, ok := n.d.Alg.(*routing.Greediest); !ok || g != n.net.Router {
+				t.Errorf("%+v: design router %p, reconfiguration router %p", n.d.Spec, n.d.Alg, n.net.Router)
+			}
+		}
 	}
 }
 
