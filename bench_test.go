@@ -565,8 +565,9 @@ func BenchmarkNetsimStepRef(b *testing.B) {
 var traceSessionColdSeed int64 = 1 << 20
 
 // BenchmarkTraceSession measures one closed-loop Figure 12 co-simulation
-// through the public API. cold draws a fresh seed per iteration, so every
-// trace is synthesized (cache-model kernel + DRAM-timed replay); warm
+// through the public API at the session default of 4 sockets. cold draws a
+// fresh seed per iteration, so all four traces are synthesized (in parallel
+// on the process's synthesis slots) before the DRAM-timed replay; warm
 // repeats one seed, so after the first iteration the traces come from the
 // process-wide store and what remains is the remap and the replay — the
 // cost of the second to fifth design of a Figure 12 row.
@@ -576,7 +577,7 @@ func BenchmarkTraceSession(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func(b *testing.B, seed func() int64) {
-		cfg := SessionConfig{Ops: 800, Sockets: 2, Window: 8, Threads: 4, MaxCycles: 20_000_000}
+		cfg := SessionConfig{Ops: 800, Sockets: 4, Window: 8, Threads: 4, MaxCycles: 20_000_000}
 		for i := 0; i < b.N; i++ {
 			cfg.Seed = seed()
 			res, err := net.NewSession(cfg).Run(TraceWorkload{Workload: "grep"})

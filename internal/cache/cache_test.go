@@ -341,6 +341,62 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNew dirties a hierarchy with one random stream, resets
+// it, and then replays a second stream through it and through a fresh New
+// of the same geometry: every Result and all six counters must agree. A
+// quarter of both streams hits an L1-sized hot span, so any line a Reset
+// left behind in any level changes a HitLevel.
+func TestResetMatchesNew(t *testing.T) {
+	for _, g := range geometries {
+		n := 20_000
+		if g.name == "paper" {
+			n = 400_000 // enough to leave dirty lines in most L3 sets
+		}
+		if testing.Short() {
+			n /= 10
+		}
+		stream := func(seed int64) []access {
+			rng := rand.New(rand.NewSource(seed))
+			s := make([]access, n)
+			for i := range s {
+				span := int64(4 * g.l3Size)
+				if rng.Intn(4) == 0 {
+					span = int64(g.l1Size)
+				}
+				s[i] = access{uint64(rng.Int63n(span)), rng.Intn(3) == 0}
+			}
+			return s
+		}
+		t.Run(g.name, func(t *testing.T) {
+			reused := New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
+			for _, a := range stream(1) {
+				at := Read
+				if a.write {
+					at = Write
+				}
+				reused.Access(a.addr, at)
+			}
+			reused.Reset()
+			fresh := New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
+			for i, a := range stream(2) {
+				at := Read
+				if a.write {
+					at = Write
+				}
+				if got, want := reused.Access(a.addr, at), fresh.Access(a.addr, at); got != want {
+					t.Fatalf("access %d (addr %#x write %v): reset hierarchy %+v, fresh %+v",
+						i, a.addr, a.write, got, want)
+				}
+			}
+			got := [6]int64{reused.Accesses, reused.HitsL1, reused.HitsL2, reused.HitsL3, reused.Misses, reused.Writeback}
+			want := [6]int64{fresh.Accesses, fresh.HitsL1, fresh.HitsL2, fresh.HitsL3, fresh.Misses, fresh.Writeback}
+			if got != want {
+				t.Fatalf("counters (accesses, L1, L2, L3, misses, writebacks) %v after Reset, fresh %v", got, want)
+			}
+		})
+	}
+}
+
 // FuzzHierarchyDifferential decodes the input into accesses — three bytes
 // each: a set-local line index, a set selector, a write flag — over the
 // odd-sized geometry, where a few hundred bytes already evict from L3.

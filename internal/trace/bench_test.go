@@ -42,14 +42,31 @@ func BenchmarkTraceGenerate(b *testing.B) {
 // TestGenerateAllocs counts one synthesis exactly: a trace is a handful of
 // flat arrays, not an allocation per cache set or per access (9–14
 // allocations per workload when the ceiling was set, 9–16 under -race).
+// Shared's synthesis through a warm slot reuses the slot's hierarchy, so it
+// must make at least 3 fewer: it allocates no Hierarchy and none of its
+// three levels (4 objects, leaving room for one stray runtime allocation,
+// which two measured runs average away).
 func TestGenerateAllocs(t *testing.T) {
 	const ceiling = 32
 	m := memnode.NewAddressMap(128)
 	for _, name := range WorkloadNames {
 		allocs := testing.AllocsPerRun(1, func() { generateOnce(t, m, name) })
-		t.Logf("%s: %v allocations", name, allocs)
+		slotted := testing.AllocsPerRun(2, func() {
+			w, err := NewWorkload(name, m.CapacityBytes(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := synthesizeOnSlot(w, m, 400, 101); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocations, %v through a warm slot", name, allocs, slotted)
 		if allocs > ceiling {
 			t.Errorf("%s: %v allocations to synthesize one trace, ceiling %d", name, allocs, ceiling)
+		}
+		if slotted > allocs-3 {
+			t.Errorf("%s: a warm-slot synthesis makes %v allocations, Generate %v; want at least 3 fewer",
+				name, slotted, allocs)
 		}
 	}
 }

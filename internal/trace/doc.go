@@ -12,6 +12,12 @@
 // particular not of the network design that will replay it. Shared puts
 // that kernel behind a process-wide, bounded store keyed by exactly those
 // arguments, so the designs of one Figure 12 row synthesize each trace
-// once. Traces from Shared are read-only; golden digests in the tests pin
-// Generate's output to history.
+// once. Shared runs each synthesis on one of runtime.GOMAXPROCS(0)
+// process-wide synthesis slots (the count is read at first use): callers
+// with distinct keys synthesize in parallel up to that bound, and each slot
+// keeps one paper cache hierarchy that it Resets between syntheses, so at
+// most that many 4.3 MB hierarchies ever exist. Generate allocates its own
+// hierarchy and never takes a slot. Traces from Shared are read-only;
+// golden digests in the tests pin Generate's output, and Shared's on a
+// reused slot, to history.
 package trace

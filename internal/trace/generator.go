@@ -49,13 +49,18 @@ const WarmupAccesses = 700_000
 // collects 100,000) by running the workload model through a fresh paper
 // cache hierarchy and mapping line addresses to memory nodes. Collection
 // starts after WarmupAccesses raw accesses. Generate is the pure, uncached
-// kernel: every call synthesizes, and the caller owns the result. Sessions
-// go through Shared.
+// kernel: every call synthesizes on a hierarchy of its own, and the caller
+// owns the result. Sessions go through Shared.
 func Generate(w Workload, m memnode.AddressMap, ops int, seed int64) (*Trace, error) {
+	return generate(cache.NewPaperHierarchy(), w, m, ops, seed)
+}
+
+// generate is Generate on a caller-supplied paper hierarchy, which must be
+// fresh or Reset.
+func generate(h *cache.Hierarchy, w Workload, m memnode.AddressMap, ops int, seed int64) (*Trace, error) {
 	if ops <= 0 {
 		return nil, fmt.Errorf("trace: ops must be positive, got %d", ops)
 	}
-	h := cache.NewPaperHierarchy()
 	rng := rand.New(rand.NewSource(seed))
 	tr := &Trace{Workload: w.Name(), Ops: make([]Op, 0, ops)}
 	var instr int64

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"container/list"
+	"runtime"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/memnode"
 )
 
@@ -44,12 +46,74 @@ var sharedStore struct {
 	syntheses int64
 }
 
+// slots bounds the syntheses in flight across the process to one per
+// GOMAXPROCS, read at first use, and gives each slot a reusable paper
+// hierarchy: at most that many 4.3 MB hierarchies ever exist, allocated
+// when a slot first finds none idle and Reset between syntheses after that.
+var slots struct {
+	once sync.Once
+	sem  chan struct{} // one token per slot in use
+	mu   sync.Mutex
+	idle []*cache.Hierarchy // hierarchies of free slots, most recently freed last
+}
+
+// synthesize is the kernel Shared runs on a slot; tests wrap it to watch
+// the slots.
+var synthesize = generate
+
+// slotCount is the number of synthesis slots, fixed at first use.
+func slotCount() int {
+	slots.once.Do(func() { slots.sem = make(chan struct{}, runtime.GOMAXPROCS(0)) })
+	return cap(slots.sem)
+}
+
+// takeSlot blocks until a slot is free and returns its hierarchy, empty.
+// The most recently freed hierarchy is reused first, so callers that never
+// overlap share one hierarchy.
+func takeSlot() *cache.Hierarchy {
+	slotCount()
+	slots.sem <- struct{}{}
+	slots.mu.Lock()
+	var h *cache.Hierarchy
+	if n := len(slots.idle); n > 0 {
+		h = slots.idle[n-1]
+		slots.idle = slots.idle[:n-1]
+	}
+	slots.mu.Unlock()
+	if h == nil {
+		return cache.NewPaperHierarchy()
+	}
+	h.Reset()
+	return h
+}
+
+// giveSlot frees the slot that holds h.
+func giveSlot(h *cache.Hierarchy) {
+	slots.mu.Lock()
+	slots.idle = append(slots.idle, h)
+	slots.mu.Unlock()
+	<-slots.sem
+}
+
+// synthesizeOnSlot is Generate on a free slot's hierarchy.
+func synthesizeOnSlot(w Workload, m memnode.AddressMap, ops int, seed int64) (*Trace, error) {
+	h := takeSlot()
+	defer giveSlot(h)
+	return synthesize(h, w, m, ops, seed)
+}
+
 // Shared returns the trace Generate(NewWorkload(name, m.CapacityBytes(),
 // wseed), m, ops, gseed) would, synthesizing it at most once per process
 // while it stays retained: concurrent callers with one key wait for a
 // single synthesis, and finished traces are kept, least recently used
 // evicted first, under SharedOpsBound ops in total. A trace larger than
 // the bound is returned but not kept, and neither is a failure.
+//
+// A synthesis runs on one of the process's synthesis slots (one per
+// GOMAXPROCS at first use), so callers with distinct keys synthesize in
+// parallel up to that bound and queue beyond it; a caller waiting for
+// another's in-flight synthesis of its key holds no slot. Each slot reuses
+// one cache hierarchy, and every trace is byte for byte Generate's.
 //
 // The returned trace is shared: callers must treat it, and its Ops, as
 // read-only.
@@ -76,7 +140,7 @@ func Shared(name string, m memnode.AddressMap, ops int, wseed, gseed int64) (*Tr
 	if w, err := NewWorkload(name, m.CapacityBytes(), wseed); err != nil {
 		e.err = err
 	} else {
-		e.tr, e.err = Generate(w, m, ops, gseed)
+		e.tr, e.err = synthesizeOnSlot(w, m, ops, gseed)
 	}
 
 	s.mu.Lock()

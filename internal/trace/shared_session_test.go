@@ -1,8 +1,12 @@
 package trace_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	stringfigure "repro"
 	"repro/internal/trace"
@@ -55,5 +59,60 @@ func TestSessionResultIndependentOfStore(t *testing.T) {
 			t.Errorf("%s after %s filled the store: result differs from its cold run\ncold %s\ngot  %s",
 				order[1], order[0], cold[order[1]], got)
 		}
+	}
+}
+
+// TestCancelDuringSynthesis cancels a cold 4-socket session about 5 ms in,
+// while its sockets' traces are being synthesized in parallel. The run must
+// return context.Canceled, no socket worker may outlive it, the store may
+// hold only whole traces, and a rerun must be byte-identical to a cold run.
+func TestCancelDuringSynthesis(t *testing.T) {
+	net, err := stringfigure.New(stringfigure.WithNodes(64), stringfigure.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stringfigure.SessionConfig{Ops: 400, Sockets: 4, Window: 8, Threads: 4, Seed: 11}
+	run := func(ctx context.Context) (string, error) {
+		res, err := net.NewSession(cfg).RunContext(ctx, stringfigure.TraceWorkload{Workload: "kmeans"})
+		if err != nil {
+			return "", err
+		}
+		enc, err := json.Marshal(res)
+		return string(enc), err
+	}
+	trace.ResetSharedForTest()
+	cold, err := run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	trace.ResetSharedForTest()
+	goroutines := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(5*time.Millisecond, cancel)
+	_, err = run(ctx)
+	timer.Stop()
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled 5 ms in: err = %v, want context.Canceled", err)
+	}
+	// A finished goroutine may still be counted for a moment after its
+	// deferred Done ran.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the cancelled run, %d before", n, goroutines)
+	}
+	if err := trace.CheckSharedWholeForTest(); err != nil {
+		t.Errorf("after the cancelled run: %v", err)
+	}
+
+	rerun, err := run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rerun != cold {
+		t.Errorf("rerun after a cancelled session differs from the cold run\ncold  %s\nrerun %s", cold, rerun)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/memnode"
 )
 
@@ -25,6 +26,145 @@ func sharedState() (entries, listed, retained int, syntheses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries), s.lru.Len(), s.retained, s.syntheses
+}
+
+// watchSlots wraps the slot kernel for the rest of the test: enter sees each
+// synthesis's hierarchy before the kernel runs on it, leave after.
+func watchSlots(t *testing.T, enter, leave func(h *cache.Hierarchy)) {
+	t.Helper()
+	t.Cleanup(func() { synthesize = generate })
+	synthesize = func(h *cache.Hierarchy, w Workload, m memnode.AddressMap, ops int, seed int64) (*Trace, error) {
+		enter(h)
+		defer leave(h)
+		return generate(h, w, m, ops, seed)
+	}
+}
+
+// counters are a hierarchy's six counters.
+func counters(h *cache.Hierarchy) [6]int64 {
+	return [6]int64{h.Accesses, h.HitsL1, h.HitsL2, h.HitsL3, h.Misses, h.Writeback}
+}
+
+// TestSharedGoldenOnReusedSlot pushes the golden table through Shared back
+// to back on one goroutine, so every synthesis after the first runs on the
+// hierarchy the previous one dirtied: each must start with zeroed counters
+// and reproduce its golden digest.
+func TestSharedGoldenOnReusedSlot(t *testing.T) {
+	resetShared()
+	used := map[*cache.Hierarchy]bool{}
+	watchSlots(t, func(h *cache.Hierarchy) {
+		used[h] = true
+		if c := counters(h); c != ([6]int64{}) {
+			t.Errorf("a synthesis started on a hierarchy with counters %v", c)
+		}
+	}, func(*cache.Hierarchy) {})
+	m := memnode.NewAddressMap(128)
+	for _, g := range goldenTraces {
+		tr, err := Shared(g.workload, m, g.ops, 1, 101)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", g.workload, g.ops, err)
+		}
+		if got := traceDigest(tr); got != g.digest {
+			t.Errorf("%s ops=%d through Shared: digest %s, golden %s", g.workload, g.ops, got, g.digest)
+		}
+	}
+	if _, _, _, syntheses := sharedState(); syntheses != int64(len(goldenTraces)) || len(used) != 1 {
+		t.Errorf("%d golden rows made %d syntheses on %d hierarchies; want %d on 1",
+			len(goldenTraces), syntheses, len(used), len(goldenTraces))
+	}
+}
+
+// TestSharedBoundsConcurrentSyntheses starts 3 callers per slot on distinct
+// keys plus 8 on one key: no more syntheses than slots may be in flight at
+// once, no hierarchy may serve two at once, at most one hierarchy per slot
+// may exist, the shared key must still synthesize once, and every trace
+// must be the uncached kernel's.
+func TestSharedBoundsConcurrentSyntheses(t *testing.T) {
+	resetShared()
+	bound := slotCount()
+	var mu sync.Mutex
+	busy := map[*cache.Hierarchy]bool{}
+	inFlight, peak := 0, 0
+	watchSlots(t, func(h *cache.Hierarchy) {
+		mu.Lock()
+		defer mu.Unlock()
+		if busy[h] {
+			t.Error("two syntheses ran on one hierarchy at once")
+		}
+		busy[h] = true
+		inFlight++
+		peak = max(peak, inFlight)
+	}, func(h *cache.Hierarchy) {
+		mu.Lock()
+		defer mu.Unlock()
+		delete(busy, h)
+		inFlight--
+	})
+
+	m := memnode.NewAddressMap(128)
+	type call struct {
+		name         string
+		wseed, gseed int64
+	}
+	var calls []call
+	for i := 0; i < 3*bound; i++ {
+		calls = append(calls, call{WorkloadNames[i%len(WorkloadNames)], int64(1 + i), int64(101 + i)})
+	}
+	const sameKey = 8
+	for range sameKey {
+		calls = append(calls, call{"grep", 99, 999})
+	}
+	got := make([]*Trace, len(calls))
+	var wg sync.WaitGroup
+	for i, c := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := Shared(c.name, m, 400, c.wseed, c.gseed)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = tr
+		}()
+	}
+	wg.Wait()
+
+	if peak > bound || peak < 1 {
+		t.Errorf("%d syntheses in flight at peak with %d slots", peak, bound)
+	}
+	if _, _, _, syntheses := sharedState(); syntheses != int64(3*bound+1) {
+		t.Errorf("%d distinct keys and %d callers of one key made %d syntheses, want %d",
+			3*bound, sameKey, syntheses, 3*bound+1)
+	}
+	for i := len(calls) - sameKey; i < len(calls); i++ {
+		if got[i] != got[len(calls)-sameKey] {
+			t.Errorf("caller %d of the shared key got another trace", i)
+		}
+	}
+	for i, c := range calls[:3*bound+1] {
+		w, err := NewWorkload(c.name, m.CapacityBytes(), c.wseed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Generate(w, m, 400, c.gseed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] == nil || traceDigest(got[i]) != traceDigest(want) {
+			t.Errorf("%s (seeds %d, %d): Shared under contention differs from NewWorkload+Generate",
+				c.name, c.wseed, c.gseed)
+		}
+	}
+	if idle := idleHierarchies(); idle > bound {
+		t.Errorf("%d hierarchies exist for %d slots", idle, bound)
+	}
+}
+
+// idleHierarchies counts the hierarchies the free slots hold.
+func idleHierarchies() int {
+	slots.mu.Lock()
+	defer slots.mu.Unlock()
+	return len(slots.idle)
 }
 
 func TestSharedSingleFlight(t *testing.T) {

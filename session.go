@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/energy"
 	"repro/internal/memnode"
@@ -516,34 +519,61 @@ func (n *Network) buildTraceParts(ctx context.Context, cfg SessionConfig, worklo
 	}
 	amap := memnode.NewAddressMap(len(aliveNodes))
 	traces := make([][]trace.Op, sockets)
+	errs := make([]error, sockets)
 	threads := int64(cfg.Threads)
-	for i := range traces {
-		// A cold trace costs hundreds of thousands of cache-model accesses;
-		// honor cancellation between sockets too.
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	// A cold trace costs hundreds of thousands of cache-model accesses, so
+	// min(sockets, GOMAXPROCS) workers take sockets in turn (trace.Shared
+	// bounds the syntheses in flight process-wide) and each writes only its
+	// own traces[i] and errs[i]. A worker honors cancellation before every
+	// socket it takes and stops at its first error.
+	var next atomic.Int64
+	worker := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= sockets {
+				return
+			}
+			if errs[i] = ctx.Err(); errs[i] != nil {
+				return
+			}
+			// The trace depends on the workload, the alive-node count, Ops and
+			// the seeds but not on the design, so it comes from the
+			// process-wide store and is read-only here: sessions on other
+			// designs, possibly running now, replay the same ops.
+			tr, err := trace.Shared(workload, amap, cfg.Ops, cfg.Seed+int64(i), cfg.Seed+int64(100+i))
+			if errors.Is(err, trace.ErrUnknownWorkload) {
+				err = fmt.Errorf("%w: %v", ErrUnknownPattern, err)
+			}
+			if errs[i] = err; err != nil {
+				return
+			}
+			// This design's view goes into a fresh slice: ops address alive
+			// memory nodes and the network sees their routers; instruction
+			// gaps compress by the per-socket thread count.
+			ops := make([]trace.Op, len(tr.Ops))
+			for k, op := range tr.Ops {
+				op.Node = n.d.NodeRouter(aliveNodes[op.Node])
+				op.Instr /= threads
+				ops[k] = op
+			}
+			traces[i] = ops
 		}
-		// The trace depends on the workload, the alive-node count, Ops and
-		// the seeds but not on the design, so it comes from the process-wide
-		// store and is read-only here: sessions on other designs, possibly
-		// running now, replay the same ops.
-		tr, err := trace.Shared(workload, amap, cfg.Ops, cfg.Seed+int64(i), cfg.Seed+int64(100+i))
-		if errors.Is(err, trace.ErrUnknownWorkload) {
-			return nil, fmt.Errorf("%w: %v", ErrUnknownPattern, err)
-		}
+	}
+	var wg sync.WaitGroup
+	for range min(sockets, runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
+	wg.Wait()
+	// The lowest failing socket's error, as a serial loop would return.
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		// This design's view goes into a fresh slice: ops address alive
-		// memory nodes and the network sees their routers; instruction gaps
-		// compress by the per-socket thread count.
-		ops := make([]trace.Op, len(tr.Ops))
-		for k, op := range tr.Ops {
-			op.Node = n.d.NodeRouter(aliveNodes[op.Node])
-			op.Instr /= threads
-			ops[k] = op
-		}
-		traces[i] = ops
 	}
 	return &traceParts{pool: pool, cpuNodes: cpuNodes, traces: traces}, nil
 }
