@@ -100,10 +100,7 @@ func TestTraceWorkloadEndToEnd(t *testing.T) {
 		t.Errorf("energy split inconsistent: %+v", res)
 	}
 
-	ref, err := experiments.RunWorkload("sf", "grep", experiments.WorkloadConfig{
-		N: n, Ops: 800, Sockets: 2, Window: 8, Threads: 4,
-		MaxCycles: 10_000_000, Seed: seed,
-	})
+	ref, err := experiments.RunWorkload("sf", "grep", n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

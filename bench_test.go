@@ -5,9 +5,9 @@ package stringfigure_test
 // internal/experiments and reports the headline numbers as custom metrics,
 // so `go test -bench=. -benchmem` reproduces the paper end to end. The
 // experiments use reduced-but-representative scales so the full suite
-// finishes in minutes; cmd/sfexp runs the full-scale versions, and
-// EXPERIMENTS.md records a complete run. External test package (dot-
-// imported): the experiments layer consumes the public API.
+// finishes in minutes; cmd/sfexp runs the full-scale versions. External
+// test package (dot-imported): the experiments layer consumes the public
+// API.
 
 import (
 	"fmt"
@@ -22,6 +22,10 @@ import (
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
+
+// quickBudget is sfexp -quick's synthetic budget: 600 warm-up and 1500
+// measured cycles per point (saturation searched in 10% steps).
+var quickBudget = SessionConfig{Warmup: 600, Measure: 1500, Seed: 1}
 
 // BenchmarkFig5_PathLengthComparison regenerates Figure 5: average shortest
 // path length of Jellyfish, S2 and String Figure random topologies. The
@@ -69,8 +73,7 @@ func BenchmarkFig9b_PowerGatingEDP(b *testing.B) {
 // rates across designs under uniform random traffic.
 func BenchmarkFig10_Saturation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig10([]int{64}, []string{"uniform"},
-			experiments.QuickSimScale(), 1)
+		series, err := experiments.Fig10([]int{64}, []string{"uniform"}, quickBudget, 0.10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,8 +87,7 @@ func BenchmarkFig10_Saturation(b *testing.B) {
 // panels (hotspot and tornado traffic).
 func BenchmarkFig10_SaturationHotspotTornado(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig10([]int{64}, []string{"hotspot", "tornado"},
-			experiments.QuickSimScale(), 1)
+		series, err := experiments.Fig10([]int{64}, []string{"hotspot", "tornado"}, quickBudget, 0.10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,8 +100,7 @@ func BenchmarkFig10_SaturationHotspotTornado(b *testing.B) {
 // injection rate per design.
 func BenchmarkFig11_LatencyCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig11(64, "uniform", []float64{0.05, 0.20, 0.40},
-			experiments.QuickSimScale(), 1)
+		s, err := experiments.Fig11(64, "uniform", []float64{0.05, 0.20, 0.40}, quickBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,12 +112,9 @@ func BenchmarkFig11_LatencyCurves(b *testing.B) {
 // BenchmarkFig12a_WorkloadThroughput regenerates Figure 12(a): normalized
 // workload throughput versus DM, on a representative workload subset.
 func BenchmarkFig12a_WorkloadThroughput(b *testing.B) {
-	wc := experiments.WorkloadConfig{
-		N: 64, Ops: 1200, Sockets: 4, Window: 16, Threads: 4,
-		MaxCycles: 20_000_000, Seed: 1,
-	}
+	cfg := SessionConfig{Ops: 1200, Sockets: 4, Window: 16, Threads: 4, MaxCycles: 20_000_000, Seed: 1}
 	for i := 0; i < b.N; i++ {
-		t, _, err := experiments.Fig12([]string{"grep", "redis"}, wc)
+		t, _, err := experiments.Fig12([]string{"grep", "redis"}, 64, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,12 +126,9 @@ func BenchmarkFig12a_WorkloadThroughput(b *testing.B) {
 // BenchmarkFig12b_WorkloadEnergy regenerates Figure 12(b): normalized
 // dynamic memory energy versus AFB.
 func BenchmarkFig12b_WorkloadEnergy(b *testing.B) {
-	wc := experiments.WorkloadConfig{
-		N: 64, Ops: 1200, Sockets: 4, Window: 16, Threads: 4,
-		MaxCycles: 20_000_000, Seed: 1,
-	}
+	cfg := SessionConfig{Ops: 1200, Sockets: 4, Window: 16, Threads: 4, MaxCycles: 20_000_000, Seed: 1}
 	for i := 0; i < b.N; i++ {
-		_, e, err := experiments.Fig12([]string{"grep", "redis"}, wc)
+		_, e, err := experiments.Fig12([]string{"grep", "redis"}, 64, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +173,7 @@ func BenchmarkBisection(b *testing.B) {
 // sensitivity study.
 func BenchmarkAblationUniBidi(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.AblationUniBidi([]int{64}, experiments.QuickSimScale(), 1)
+		s, err := experiments.AblationUniBidi([]int{64}, quickBudget, 0.10)
 		if err != nil {
 			b.Fatal(err)
 		}

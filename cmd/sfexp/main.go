@@ -1,11 +1,22 @@
 // Command sfexp regenerates the paper's tables and figures. Each experiment
 // prints one or more aligned text tables (stats.Series) whose rows are the
-// paper's data points; EXPERIMENTS.md records a full run against the
-// published results.
+// paper's data points; ARCHITECTURE.md maps each package to the paper
+// section it reproduces.
 //
 // Usage:
 //
-//	sfexp -exp fig5|fig9a|fig9b|fig10|fig11|fig12a|fig12b|table2|bisect|sweep|ablate|all [-quick]
+//	sfexp -exp fig5|fig9a|table2|bisect|fig10|fig11|fig12a|fig12b|fig9b|placement|sweep|ablate|all [-quick] [-seed 1]
+//	sfexp -exp run [-design sf] [-scale 64] [-pattern uniform] [-rate 0.2] [-quick] [-seed 1]
+//	sfexp -exp topo [-design sf] [-scale 64] [-format summary|links|dot] [-seed 1]
+//
+// -exp all runs every figure id in the order above. Two ids print one
+// piece of the work instead and run only by name: run simulates one
+// synthetic session on any design (dm, odm, fb, afb, s2, sf) through the
+// public Session API and prints its latency, throughput and energy; topo
+// prints the String Figure topology of the sf or s2 design — a summary,
+// every wire, or a Graphviz DOT rendering. For both, -scale is the node
+// count (0 means 64), and run measures the preset's windows: 1500 warm-up
+// and 4000 measured cycles, 600 and 1500 with -quick.
 //
 // With -telemetry FILE, experiments that run through the public Session/
 // Sweep layer (currently -exp sweep) additionally stream live NDJSON
@@ -39,6 +50,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 
@@ -137,10 +149,14 @@ func (w *telemetryWriter) close() error {
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id (fig5, fig9a, fig9b, fig10, fig11, fig12a, fig12b, table2, bisect, sweep, placement, ablate, all)")
+		exp         = flag.String("exp", "all", "experiment id (fig5, fig9a, fig9b, fig10, fig11, fig12a, fig12b, table2, bisect, sweep, placement, ablate, all; run, topo)")
 		quick       = flag.Bool("quick", false, "reduced simulation budget for smoke runs")
-		scale       = flag.Int("scale", 0, "restrict the fig10/fig11 network size to one N (0 = figure defaults)")
+		scale       = flag.Int("scale", 0, "restrict the fig10/fig11 network size to one N (0 = figure defaults); with -exp run/topo, the node count (0 = 64)")
 		seed        = flag.Int64("seed", 1, "seed")
+		designName  = flag.String("design", "sf", "with -exp run/topo: design (dm, odm, fb, afb, s2, sf; topo needs sf or s2)")
+		patternName = flag.String("pattern", "uniform", "with -exp run: traffic pattern (Table III)")
+		rate        = flag.Float64("rate", 0.2, "with -exp run: injection rate (packets/router/cycle)")
+		format      = flag.String("format", "summary", "with -exp topo: output as summary, links or dot")
 		listen      = flag.String("listen", "", "run as a distributed-sweep coordinator on this address (host:port); cmd/sfworker processes dial it and figure sweeps fan across them")
 		workers     = flag.Int("workers", 0, "with -listen: wait for this many workers to connect before running (0 = start immediately, workers may join mid-run)")
 		telemetry   = flag.String("telemetry", "", "stream live NDJSON telemetry (interval snapshots, sampled packet traces; with -listen also per-worker progress) to this file")
@@ -270,31 +286,43 @@ func main() {
 		}
 	}
 
-	sc := experiments.DefaultSimScale()
-	wc := experiments.DefaultWorkloadConfig()
+	// One budget per mode: the session config every simulated experiment
+	// shares, seeded from -seed, with the trace-driven figures' network
+	// size and the saturation search's rate step beside it.
+	traceN, step := 256, 0.05
+	cfg := stringfigure.SessionConfig{Warmup: 1500, Measure: 4000,
+		Ops: 2500, Sockets: 4, Window: 16, Threads: 4, MaxCycles: 40_000_000, Seed: *seed}
 	fig5Seeds, fig5Sources := 5, 0
 	fig9aSources := 0
 	fig9bOps := 2000
 	fig10Scales := experiments.Fig10Scales
 	fig11N := 64
 	if *quick {
-		sc = experiments.QuickSimScale()
-		wc = experiments.WorkloadConfig{N: 32, Ops: 1000, Sockets: 2, Window: 8, MaxCycles: 10_000_000, Seed: *seed}
+		traceN, step = 32, 0.10
+		cfg = stringfigure.SessionConfig{Warmup: 600, Measure: 1500,
+			Ops: 1000, Sockets: 2, Window: 8, Threads: 1, MaxCycles: 10_000_000, Seed: *seed}
 		fig5Seeds, fig5Sources = 2, 48
 		fig9aSources = 48
 		fig9bOps = 600
 		fig10Scales = []int{16, 64}
 		fig11N = 32
 	}
+	singleN := 64
 	if *scale > 0 {
 		fig10Scales = []int{*scale}
 		fig11N = *scale
+		singleN = *scale
 	}
 
+	// -exp all runs every figure id; run and topo run only by name.
+	var ids []string
+	ran := false
 	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
+		ids = append(ids, name)
+		if *exp != name && (*exp != "all" || name == "run" || name == "topo") {
 			return
 		}
+		ran = true
 		start := time.Now()
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "sfexp %s: %v\n", name, err)
@@ -343,7 +371,7 @@ func main() {
 		return err
 	})
 	run("fig10", func() error {
-		series, err := experiments.Fig10(fig10Scales, nil, sc, *seed)
+		series, err := experiments.Fig10(fig10Scales, nil, cfg, step)
 		if err == nil {
 			print(series...)
 		}
@@ -351,7 +379,7 @@ func main() {
 	})
 	run("fig11", func() error {
 		for _, pattern := range []string{"uniform", "tornado", "hotspot"} {
-			s, err := experiments.Fig11(fig11N, pattern, nil, sc, *seed)
+			s, err := experiments.Fig11(fig11N, pattern, nil, cfg)
 			if err != nil {
 				return err
 			}
@@ -359,29 +387,38 @@ func main() {
 		}
 		return nil
 	})
+	// fig12a and fig12b print the two tables of one Figure 12 computation,
+	// so -exp all runs its trace sessions once.
+	var fig12T, fig12E *stats.Series
+	fig12 := func() (err error) {
+		if fig12T == nil {
+			fig12T, fig12E, err = experiments.Fig12(trace.WorkloadNames, traceN, cfg)
+		}
+		return err
+	}
 	run("fig12a", func() error {
-		t, _, err := experiments.Fig12(trace.WorkloadNames, wc)
+		err := fig12()
 		if err == nil {
-			print(t)
+			print(fig12T)
 		}
 		return err
 	})
 	run("fig12b", func() error {
-		_, e, err := experiments.Fig12(trace.WorkloadNames, wc)
+		err := fig12()
 		if err == nil {
-			print(e)
+			print(fig12E)
 		}
 		return err
 	})
 	run("fig9b", func() error {
-		s, err := experiments.Fig9b(wc.N, nil, nil, fig9bOps, *seed)
+		s, err := experiments.Fig9b(traceN, nil, nil, fig9bOps, *seed)
 		if err == nil {
 			print(s)
 		}
 		return err
 	})
 	run("placement", func() error {
-		s, err := experiments.ProcessorPlacement(64, 0.1, sc, *seed)
+		s, err := experiments.ProcessorPlacement(64, 0.1, cfg)
 		if err != nil {
 			return err
 		}
@@ -389,7 +426,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		m, err := experiments.MetaCubeStudy(128, nil, 0.05, sc, *seed)
+		m, err := experiments.MetaCubeStudy(128, nil, 0.05, cfg)
 		if err != nil {
 			return err
 		}
@@ -412,14 +449,11 @@ func main() {
 			return err
 		}
 		rates := []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50}
-		cfg := stringfigure.SessionConfig{Warmup: sc.Warmup, Measure: sc.Measure, Seed: *seed, Scenario: scenario}
+		cfg := cfg
+		cfg.Scenario = scenario
 		if tw != nil || ms != nil {
 			// Several interval records per point, even at -quick budgets.
-			every := (sc.Warmup + sc.Measure) / 8
-			if every < 1 {
-				every = 1
-			}
-			cfg.TelemetryEvery = every
+			cfg.TelemetryEvery = max((cfg.Warmup+cfg.Measure)/8, 1)
 			cfg.FlowBuckets = *flowBuckets
 		}
 		if tw != nil {
@@ -451,7 +485,7 @@ func main() {
 		return nil
 	})
 	run("ablate", func() error {
-		a, err := experiments.AblationUniBidi(nil, sc, *seed)
+		a, err := experiments.AblationUniBidi(nil, cfg, step)
 		if err != nil {
 			return err
 		}
@@ -463,11 +497,24 @@ func main() {
 		if err != nil {
 			return err
 		}
-		d, err := experiments.AblationAdaptiveThreshold(64, 0.3, nil, sc, *seed)
+		d, err := experiments.AblationAdaptiveThreshold(64, 0.3, nil, cfg)
 		if err != nil {
 			return err
 		}
 		print(a, b, c, d)
 		return nil
 	})
+	run("run", func() error {
+		cfg := cfg
+		cfg.Rate = *rate
+		return runSession(*designName, singleN, *patternName, cfg)
+	})
+	run("topo", func() error {
+		return printTopology(*designName, singleN, *seed, *format)
+	})
+
+	if !ran {
+		fmt.Fprintf(os.Stderr, "sfexp: unknown experiment %q (want all, %s)\n", *exp, strings.Join(ids, ", "))
+		os.Exit(1)
+	}
 }

@@ -1,59 +1,38 @@
-// Command sfgen generates a String Figure topology and prints its
-// structure: virtual-space coordinates, ring/extra/shortcut wires, degree
-// and path-length statistics, or a Graphviz DOT rendering.
-//
-// Usage:
-//
-//	sfgen -n 64 [-ports 8] [-seed 1] [-uni] [-noshortcuts] [-format summary|links|dot]
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 
+	"repro/internal/design"
 	"repro/internal/topology"
 )
 
-func main() {
-	var (
-		n           = flag.Int("n", 64, "number of memory nodes")
-		ports       = flag.Int("ports", 0, "router ports (0 = paper default for the scale)")
-		seed        = flag.Int64("seed", 1, "topology seed")
-		uni         = flag.Bool("uni", false, "strict uni-directional wires (ablation variant)")
-		noShortcuts = flag.Bool("noshortcuts", false, "disable shortcut wires (S2-style)")
-		format      = flag.String("format", "summary", "output: summary, links, or dot")
-	)
-	flag.Parse()
+// errNoTopology reports a design built without a String Figure topology
+// (the mesh and butterfly baselines).
+var errNoTopology = errors.New("no String Figure topology (want sf or s2)")
 
-	p := *ports
-	if p == 0 {
-		p = topology.PortsForN(*n)
+// printTopology builds the named design at n nodes and prints its String
+// Figure topology in one format: summary (virtual spaces, wire counts,
+// degree and path-length statistics), links (every wire) or dot (Graphviz).
+func printTopology(designName string, n int, seed int64, format string) error {
+	printers := map[string]func(*topology.StringFigure){
+		"summary": printSummary, "links": printLinks, "dot": printDot,
 	}
-	sf, err := topology.NewStringFigure(topology.Config{
-		N:             *n,
-		Ports:         p,
-		Seed:          *seed,
-		Bidirectional: !*uni,
-		Shortcuts:     !*noShortcuts,
-	})
+	printSF, ok := printers[format]
+	if !ok {
+		return fmt.Errorf("unknown format %q (want summary, links or dot)", format)
+	}
+	d, err := design.Build(design.Spec{Kind: designName, N: n, Seed: seed})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfgen:", err)
-		os.Exit(1)
+		return err
 	}
-
-	switch *format {
-	case "summary":
-		printSummary(sf)
-	case "links":
-		printLinks(sf)
-	case "dot":
-		printDot(sf)
-	default:
-		fmt.Fprintf(os.Stderr, "sfgen: unknown format %q\n", *format)
-		os.Exit(1)
+	if d.SF == nil {
+		return fmt.Errorf("design %q: %w", designName, errNoTopology)
 	}
+	printSF(d.SF)
+	return nil
 }
 
 func printSummary(sf *topology.StringFigure) {

@@ -14,8 +14,8 @@ import (
 // injection rate for the strict uni-directional variant (one wire per port
 // half, clockwise metric) against the bidirectional default, at equal port
 // count — both through the public API's wire-variant options and parallel
-// saturation search.
-func AblationUniBidi(scales []int, sc SimScale, seed int64) (*stats.Series, error) {
+// saturation search (cfg's windows and seed, rate resolution step).
+func AblationUniBidi(scales []int, cfg stringfigure.SessionConfig, step float64) (*stats.Series, error) {
 	if len(scales) == 0 {
 		scales = []int{32, 64, 128, 256}
 	}
@@ -26,7 +26,7 @@ func AblationUniBidi(scales []int, sc SimScale, seed int64) (*stats.Series, erro
 		var sats []float64
 		for _, bidi := range []bool{false, true} {
 			opts := []stringfigure.Option{
-				stringfigure.WithNodes(n), stringfigure.WithSeed(seed),
+				stringfigure.WithNodes(n), stringfigure.WithSeed(cfg.Seed),
 			}
 			if !bidi {
 				opts = append(opts, stringfigure.Unidirectional())
@@ -36,10 +36,7 @@ func AblationUniBidi(scales []int, sc SimScale, seed int64) (*stats.Series, erro
 				return nil, err
 			}
 			row = append(row, net.PathLengths(min(n, 64)).Mean)
-			sat, err := net.Saturation(
-				stringfigure.SyntheticWorkload{Pattern: "uniform"},
-				stringfigure.SessionConfig{Warmup: sc.Warmup, Measure: sc.Measure, Seed: seed},
-				sc.Step)
+			sat, err := net.Saturation(stringfigure.SyntheticWorkload{Pattern: "uniform"}, cfg, step)
 			if err != nil {
 				return nil, err
 			}
@@ -146,22 +143,21 @@ func AblationShortcuts(n int, gateFracs []float64, seed int64) (*stats.Series, e
 
 // AblationAdaptiveThreshold sweeps the adaptive-routing queue threshold
 // (the paper's user-defined 50% default) at a fixed load and reports mean
-// latency, through the public session knob.
-func AblationAdaptiveThreshold(n int, rate float64, thresholds []float64, sc SimScale, seed int64) (*stats.Series, error) {
+// latency, through the public session knob, with cfg's windows and seed.
+func AblationAdaptiveThreshold(n int, rate float64, thresholds []float64, cfg stringfigure.SessionConfig) (*stats.Series, error) {
 	if len(thresholds) == 0 {
 		thresholds = []float64{0.125, 0.25, 0.5, 0.75, 1.0}
 	}
-	net, err := buildNet("sf", n, seed)
+	net, err := buildNet("sf", n, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	cfg.Rate = rate
 	s := stats.NewSeries("Ablation: adaptive threshold sweep (uniform traffic)",
 		"threshold_pct", "latency_ns")
 	for _, th := range thresholds {
-		res, err := net.NewSession(stringfigure.SessionConfig{
-			Rate: rate, Warmup: sc.Warmup, Measure: sc.Measure,
-			AdaptiveThreshold: th, Seed: seed,
-		}).Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
+		cfg.AdaptiveThreshold = th
+		res, err := net.NewSession(cfg).Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
 		if err != nil {
 			return nil, err
 		}

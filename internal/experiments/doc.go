@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI) as a thin consumer of the public stringfigure API
 // and the internal/design layer. Each experiment returns stats.Series
-// values that cmd/sfexp prints and bench_test.go exercises; EXPERIMENTS.md
-// records the measured outputs against the paper's.
+// values that cmd/sfexp prints and bench_test.go exercises; ARCHITECTURE.md's
+// package-to-paper map names the figure each one reproduces.
 package experiments

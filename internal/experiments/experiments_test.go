@@ -8,6 +8,12 @@ import (
 	"repro/internal/design"
 )
 
+// quick is the reduced simulation budget of sfexp -quick: 600 warm-up and
+// 1500 measured cycles per point, saturation searched in 10% steps.
+var quick = stringfigure.SessionConfig{Warmup: 600, Measure: 1500, Seed: 1}
+
+const quickStep = 0.10
+
 func TestFig5Shape(t *testing.T) {
 	s, err := Fig5([]int{50, 100}, 2, 25)
 	if err != nil {
@@ -74,7 +80,7 @@ func TestFig10Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	series, err := Fig10([]int{16}, []string{"uniform"}, QuickSimScale(), 1)
+	series, err := Fig10([]int{16}, []string{"uniform"}, quick, quickStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestFig11Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	s, err := Fig11(16, "uniform", []float64{0.05, 0.2}, QuickSimScale(), 1)
+	s, err := Fig11(16, "uniform", []float64{0.05, 0.2}, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +191,8 @@ func TestWorkloadRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("co-simulation")
 	}
-	wc := WorkloadConfig{N: 16, Ops: 400, Sockets: 2, Window: 8, MaxCycles: 5_000_000, Seed: 1}
-	res, err := RunWorkload("sf", "grep", wc)
+	cfg := stringfigure.SessionConfig{Ops: 400, Sockets: 2, Window: 8, Threads: 1, MaxCycles: 5_000_000, Seed: 1}
+	res, err := RunWorkload("sf", "grep", 16, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +211,8 @@ func TestFig12MatchesRunWorkload(t *testing.T) {
 	}
 	workloads := []string{"grep", "redis"}
 	for _, seed := range []int64{0, 1} {
-		wc := WorkloadConfig{N: 16, Ops: 300, Sockets: 2, Window: 8, MaxCycles: 5_000_000, Seed: seed}
-		throughput, energy, err := Fig12(workloads, wc)
+		cfg := stringfigure.SessionConfig{Ops: 300, Sockets: 2, Window: 8, Threads: 1, MaxCycles: 5_000_000, Seed: seed}
+		throughput, energy, err := Fig12(workloads, 16, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +220,7 @@ func TestFig12MatchesRunWorkload(t *testing.T) {
 		for _, kind := range Fig12Designs {
 			runs[kind] = map[string]stringfigure.Result{}
 			for _, wl := range workloads {
-				if runs[kind][wl], err = RunWorkload(kind, wl, wc); err != nil {
+				if runs[kind][wl], err = RunWorkload(kind, wl, 16, cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -259,7 +265,7 @@ func TestProcessorPlacement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	s, err := ProcessorPlacement(32, 0.1, QuickSimScale(), 1)
+	s, err := ProcessorPlacement(32, 0.1, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +306,7 @@ func TestMetaCubeStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	s, err := MetaCubeStudy(64, []int{8, 32}, 0.05, QuickSimScale(), 1)
+	s, err := MetaCubeStudy(64, []int{8, 32}, 0.05, quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math/rand"
 
+	stringfigure "repro"
 	"repro/internal/design"
 	"repro/internal/netsim"
 	"repro/internal/placement"
@@ -16,7 +17,9 @@ import (
 // memory traffic injected from different processor attachment points —
 // corner nodes, a subset (one per quadrant), random nodes, or all nodes —
 // with uniform-random destinations, reporting mean latency per arrangement.
-func ProcessorPlacement(n int, rate float64, sc SimScale, seed int64) (*stats.Series, error) {
+// Each run measures cfg's windows as given (no session defaults apply).
+func ProcessorPlacement(n int, rate float64, cfg stringfigure.SessionConfig) (*stats.Series, error) {
+	seed := cfg.Seed
 	sf, err := topology.NewPaperSF(n, seed)
 	if err != nil {
 		return nil, err
@@ -51,10 +54,10 @@ func ProcessorPlacement(n int, rate float64, sc SimScale, seed int64) (*stats.Se
 		return nil, err
 	}
 	for _, a := range arrangements {
-		cfg := d.NetCfg(seed)
-		cfg.PacketFlits = 1
-		cfg.LinkLatency = grid.LinkLatency(netsim.DefaultLinkLatency)
-		sim, err := netsim.New(cfg)
+		nc := d.NetCfg(seed)
+		nc.PacketFlits = 1
+		nc.LinkLatency = grid.LinkLatency(netsim.DefaultLinkLatency)
+		sim, err := netsim.New(nc)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +69,7 @@ func ProcessorPlacement(n int, rate float64, sc SimScale, seed int64) (*stats.Se
 		}
 		pat := traffic.Subset(uniform, a.sources)
 		sim.SetPattern(perSource, func(src int, r *rand.Rand) (int, bool) { return pat(src, r) })
-		res := sim.RunMeasured(sc.Warmup, sc.Measure)
+		res := sim.RunMeasured(cfg.Warmup, cfg.Measure)
 		frac := res.DeliveredFraction()
 		lat := res.AvgLatencyNs()
 		if res.Deadlocked {
@@ -156,11 +159,12 @@ func QuantizationStudy(n int, bitWidths []int, trials int, seed int64) (*stats.S
 // cluster the network into interposer MetaCubes of varying sizes and report
 // the fraction of links that stay on-interposer, the mean uniform-traffic
 // latency under the MetaCube wire model, and the same latency under a flat
-// 2D-grid placement.
-func MetaCubeStudy(n int, cubeSizes []int, rate float64, sc SimScale, seed int64) (*stats.Series, error) {
+// 2D-grid placement. Each run measures cfg's windows as given.
+func MetaCubeStudy(n int, cubeSizes []int, rate float64, cfg stringfigure.SessionConfig) (*stats.Series, error) {
 	if len(cubeSizes) == 0 {
 		cubeSizes = []int{8, 16, 32}
 	}
+	seed := cfg.Seed
 	sf, err := topology.NewPaperSF(n, seed)
 	if err != nil {
 		return nil, err
@@ -172,15 +176,15 @@ func MetaCubeStudy(n int, cubeSizes []int, rate float64, sc SimScale, seed int64
 		return nil, err
 	}
 	runWith := func(linkLat func(u, v int) int) (float64, error) {
-		cfg := d.NetCfg(seed)
-		cfg.PacketFlits = 1
-		cfg.LinkLatency = linkLat
-		sim, err := netsim.New(cfg)
+		nc := d.NetCfg(seed)
+		nc.PacketFlits = 1
+		nc.LinkLatency = linkLat
+		sim, err := netsim.New(nc)
 		if err != nil {
 			return 0, err
 		}
 		sim.SetPattern(rate, func(src int, r *rand.Rand) (int, bool) { return uniform(src, r) })
-		res := sim.RunMeasured(sc.Warmup, sc.Measure)
+		res := sim.RunMeasured(cfg.Warmup, cfg.Measure)
 		if res.Deadlocked || res.Delivered == 0 {
 			return 0, nil
 		}

@@ -8,24 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// SimScale controls simulation effort (cycles per point) so the full sweep
-// stays tractable; 1.0 is the default budget.
-type SimScale struct {
-	Warmup  int64
-	Measure int64
-	Step    float64
-}
-
-// DefaultSimScale is the budget used by cmd/sfexp.
-func DefaultSimScale() SimScale {
-	return SimScale{Warmup: 1500, Measure: 4000, Step: 0.05}
-}
-
-// QuickSimScale is a reduced budget for benchmarks and tests.
-func QuickSimScale() SimScale {
-	return SimScale{Warmup: 600, Measure: 1500, Step: 0.10}
-}
-
 // buildNet deploys one named design through the public front door,
 // attached to the harness cluster when one is configured (UseCluster).
 func buildNet(kind string, n int, seed int64) (*stringfigure.Network, error) {
@@ -43,8 +25,10 @@ var Fig10Patterns = []string{"uniform", "hotspot", "tornado"}
 // across network sizes, for the uniform random, hotspot and tornado
 // patterns. Saturation comes from the public parallel bracketing search,
 // which fans candidate rates across the Sweep worker pool — the result is
-// bit-identical for a fixed seed at any worker count.
-func Fig10(scales []int, patterns []string, sc SimScale, seed int64) ([]*stats.Series, error) {
+// bit-identical for a fixed seed at any worker count. cfg supplies each
+// candidate's warm-up and measurement windows and the seed; step is the
+// search's rate resolution.
+func Fig10(scales []int, patterns []string, cfg stringfigure.SessionConfig, step float64) ([]*stats.Series, error) {
 	if len(scales) == 0 {
 		scales = Fig10Scales
 	}
@@ -62,17 +46,14 @@ func Fig10(scales []int, patterns []string, sc SimScale, seed int64) ([]*stats.S
 					row = append(row, 0)
 					continue
 				}
-				net, err := buildNet(kind, n, seed)
+				net, err := buildNet(kind, n, cfg.Seed)
 				if err != nil {
 					return nil, err
 				}
 				// The search fans candidate waves across the harness
 				// cluster when workers are connected and runs in-process
 				// otherwise — bit-identical either way.
-				sat, err := net.Saturation(
-					stringfigure.SyntheticWorkload{Pattern: pname},
-					stringfigure.SessionConfig{Warmup: sc.Warmup, Measure: sc.Measure, Seed: seed},
-					sc.Step)
+				sat, err := net.Saturation(stringfigure.SyntheticWorkload{Pattern: pname}, cfg, step)
 				if err != nil {
 					return nil, err
 				}
@@ -91,21 +72,20 @@ var Fig11Rates = []float64{0.05, 0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80}
 // Fig11 reproduces Figure 11: average packet latency (ns) versus injection
 // rate for one traffic pattern across designs, at a fixed network size.
 // Each design's rate axis runs as one parallel Sweep through the public
-// API.
-func Fig11(n int, pattern string, rates []float64, sc SimScale, seed int64) (*stats.Series, error) {
+// API; the rate axis overrides cfg.Rate.
+func Fig11(n int, pattern string, rates []float64, cfg stringfigure.SessionConfig) (*stats.Series, error) {
 	if len(rates) == 0 {
 		rates = Fig11Rates
 	}
 	s := stats.NewSeries("Figure 11: avg packet latency (ns), "+pattern+" traffic, N="+strconv.Itoa(n),
 		"inj_rate_pct", "dm", "odm", "fb", "afb", "s2", "sf")
-	cfg := stringfigure.SessionConfig{Warmup: sc.Warmup, Measure: sc.Measure, Seed: seed}
 	points := stringfigure.RateSweep(stringfigure.SyntheticWorkload{Pattern: pattern}, rates)
 	latencies := make(map[string][]float64, len(design.Names))
 	for _, kind := range design.Names {
 		if !design.Supports(kind, n) {
 			continue
 		}
-		net, err := buildNet(kind, n, seed)
+		net, err := buildNet(kind, n, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -6,34 +6,6 @@ import (
 	"repro/internal/trace"
 )
 
-// WorkloadConfig parameterizes the Figure 12 trace-driven runs.
-type WorkloadConfig struct {
-	// N is the memory network size (paper: 1024, down-scaled from 1296).
-	N int
-	// Ops is the trace length per socket (paper: 100 000 total).
-	Ops int
-	// Sockets is the CPU-socket count (paper: 4).
-	Sockets int
-	// Window is the per-socket outstanding-read budget.
-	Window int
-	// Threads models the cores/threads per socket: the workload's
-	// instruction gaps are divided by it, so larger values make the run
-	// bandwidth-bound (the paper's Spark/Redis/Memcached sockets run many
-	// worker threads; see DESIGN.md).
-	Threads int
-	// MaxCycles bounds each run.
-	MaxCycles int64
-	Seed      int64
-}
-
-// DefaultWorkloadConfig mirrors the paper's setup at a reduced scale so a
-// full Figure 12 sweep finishes in minutes: 256 nodes instead of the
-// paper's 1024 (the orderings match at both scales; EXPERIMENTS.md records
-// a 1024-node run) and 2 500-op traces per socket instead of 25 000.
-func DefaultWorkloadConfig() WorkloadConfig {
-	return WorkloadConfig{N: 256, Ops: 2500, Sockets: 4, Window: 16, Threads: 4, MaxCycles: 40_000_000, Seed: 1}
-}
-
 // cpuNodesFor spreads the sockets across the network (the paper attaches
 // processors to edge nodes; any subset is legal — Section IV).
 func cpuNodesFor(sockets, routers int) []int {
@@ -44,26 +16,15 @@ func cpuNodesFor(sockets, routers int) []int {
 	return nodes
 }
 
-// RunWorkload trace-drives one workload on one design through the public
-// Session API and returns the unified co-simulation result.
-func RunWorkload(kind, workload string, wc WorkloadConfig) (stringfigure.Result, error) {
-	net, err := buildNet(kind, wc.N, wc.Seed)
+// RunWorkload trace-drives one workload on one design of n nodes through
+// the public Session API and returns the unified co-simulation result. The
+// topology and the session share cfg.Seed.
+func RunWorkload(kind, workload string, n int, cfg stringfigure.SessionConfig) (stringfigure.Result, error) {
+	net, err := buildNet(kind, n, cfg.Seed)
 	if err != nil {
 		return stringfigure.Result{}, err
 	}
-	threads := wc.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	sess := net.NewSession(stringfigure.SessionConfig{
-		Ops:       wc.Ops,
-		Sockets:   wc.Sockets,
-		Window:    wc.Window,
-		Threads:   threads,
-		MaxCycles: wc.MaxCycles,
-		Seed:      wc.Seed,
-	})
-	return sess.Run(stringfigure.TraceWorkload{Workload: workload})
+	return net.NewSession(cfg).Run(stringfigure.TraceWorkload{Workload: workload})
 }
 
 // Fig12Designs are the designs of Figure 12 (DM is the normalization
@@ -76,10 +37,10 @@ var Fig12Designs = []string{"dm", "odm", "afb", "s2", "sf"}
 //
 // Each design's workload grid runs as one sweep, so with a cluster
 // configured (UseCluster) the Table IV workloads fan across machines.
-// Every cell pins its session seed to wc.Seed via the Point.Seed override
+// Every cell pins its session seed to cfg.Seed via the Point.Seed override
 // — the exact session RunWorkload executes — so the figure's numbers are
 // independent of the fan-out.
-func Fig12(workloads []string, wc WorkloadConfig) (throughput, energy *stats.Series, err error) {
+func Fig12(workloads []string, n int, cfg stringfigure.SessionConfig) (throughput, energy *stats.Series, err error) {
 	if len(workloads) == 0 {
 		workloads = trace.WorkloadNames
 	}
@@ -91,33 +52,21 @@ func Fig12(workloads []string, wc WorkloadConfig) (throughput, energy *stats.Ser
 		ipc float64
 		pj  float64
 	}
-	threads := wc.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	cfg := stringfigure.SessionConfig{
-		Ops:       wc.Ops,
-		Sockets:   wc.Sockets,
-		Window:    wc.Window,
-		Threads:   threads,
-		MaxCycles: wc.MaxCycles,
-		Seed:      wc.Seed,
-	}
 	points := make([]stringfigure.Point, len(workloads))
 	for i, wl := range workloads {
 		points[i] = stringfigure.Point{
 			Workload: stringfigure.TraceWorkload{Workload: wl},
-			Seed:     wc.Seed,
+			Seed:     cfg.Seed,
 		}
 	}
 	cells := make(map[string]map[string]cell, len(Fig12Designs))
 	for _, kind := range Fig12Designs {
-		net, err := buildNet(kind, wc.N, wc.Seed)
+		net, err := buildNet(kind, n, cfg.Seed)
 		if err != nil {
 			return nil, nil, err
 		}
 		var results []stringfigure.Result
-		if wc.Seed != 0 {
+		if cfg.Seed != 0 {
 			results = net.SweepAll(cfg, points, 0)
 		} else {
 			// A zero seed cannot ride the Point.Seed override (0 means

@@ -11,8 +11,8 @@
 // Space-0 ring with a dateline VC split for String Figure; dimension-order
 // for meshes and butterflies). The paper's two-VC coordinate-direction
 // scheme is preserved as the adaptive-VC assignment policy; used alone it
-// deadlocks under greedy MD routing (see EXPERIMENTS.md), which is why the
-// escape subnetwork exists.
+// deadlocks under greedy MD routing, which is why the escape subnetwork
+// exists.
 //
 // The simulator is topology-agnostic: it consumes an out-adjacency, a
 // routing.Algorithm for next-hop candidates, a virtual-channel policy, an

@@ -204,7 +204,8 @@ func TestQuantizedCoordinatesSmallNetwork(t *testing.T) {
 func TestQuantizationCollapsesLargeNetwork(t *testing.T) {
 	// Documented limitation: at N >> 2^7 quantized coordinates cannot
 	// distinguish ring neighbors, so strict-decrease routing must fail for
-	// some pair. This test pins the behaviour EXPERIMENTS.md describes.
+	// some pair. experiments.QuantizationStudy (sfexp -exp placement)
+	// measures the delivered fraction per coordinate width.
 	sf, err := topology.NewStringFigure(topology.Config{N: 600, Ports: 8, Seed: 4})
 	if err != nil {
 		t.Fatal(err)

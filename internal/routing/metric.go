@@ -50,7 +50,7 @@ type Coordinates struct {
 // NewCoordinates snapshots a topology's coordinate arrays ([space][node]).
 // bits selects the quantization width (0 = exact float coordinates; the
 // paper's hardware stores 7 bits, which only disambiguates networks up to
-// ~128 nodes — see EXPERIMENTS.md).
+// ~128 nodes — TestQuantizationCollapsesLargeNetwork pins the collapse).
 func NewCoordinates(coord [][]float64, bits int) *Coordinates {
 	c := &Coordinates{spaces: len(coord)}
 	if c.spaces == 0 {

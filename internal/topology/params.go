@@ -33,8 +33,8 @@ func NewS2(n, ports int, seed int64, bidirectional bool) (*StringFigure, error) 
 // bidirectional ring adjacency (the S2-style construction the paper builds
 // on, giving each node degree p). The strict uni-directional variant — one
 // wire per port half, out-degree p/2, clockwise-distance routing — is kept
-// as an ablation via Config.Bidirectional=false; see EXPERIMENTS.md for the
-// measured gap between the two.
+// as an ablation via Config.Bidirectional=false; experiments.AblationUniBidi
+// (sfexp -exp ablate) measures the gap between the two.
 func NewPaperSF(n int, seed int64) (*StringFigure, error) {
 	return NewStringFigure(Config{
 		N:             n,

@@ -1,8 +1,8 @@
 // Package trace synthesizes the real-workload memory traces of Table IV.
 // The paper collects Pin traces of Spark jobs, PageRank, Redis, Memcached,
 // matrix multiplication and k-means on real hardware; this reproduction
-// models each workload's characteristic memory access pattern directly (the
-// substitution is documented in DESIGN.md), filters the raw stream through
+// models each workload's characteristic memory access pattern directly
+// instead, filters the raw stream through
 // the paper's cache hierarchy (internal/cache), and emits the post-L3
 // stream of memory-network operations with instruction-ID timestamps, 100k
 // operations per trace as in Section V.
