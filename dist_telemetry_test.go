@@ -45,9 +45,10 @@ func (c *collectSink) snaps(point int) []TelemetrySnapshot {
 // TestDistributedSweepForwardsTelemetry is the tentpole acceptance test:
 // a telemetry-enabled sweep over a 2-worker loopback cluster delivers
 // every point's interval snapshots to the caller's sink — including the
-// FuncWorkload point that can only run locally — ordered per point and
-// correctly stamped, while the final Results stay bit-identical to the
-// same sweep run in-process without telemetry.
+// FuncWorkload point that can only run locally — ordered per point,
+// correctly stamped and equal to the stream the same sweep emits
+// in-process, while the final Results stay bit-identical to the same
+// sweep run in-process without telemetry.
 func TestDistributedSweepForwardsTelemetry(t *testing.T) {
 	const nodes = 32
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"},
@@ -64,6 +65,8 @@ func TestDistributedSweepForwardsTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := reference.SweepAll(cfg, points, 0) // no telemetry, in-process
+	local := newCollectSink()
+	reference.SweepAll(cfg.WithTelemetry(200, local.observe), points, 0)
 
 	c := startCluster(t, 2, 2)
 	net, err := New(WithNodes(nodes), WithSeed(2), WithCluster(c))
@@ -90,6 +93,12 @@ func TestDistributedSweepForwardsTelemetry(t *testing.T) {
 		if len(snaps) == 0 {
 			t.Errorf("point %d (%s): no snapshots forwarded", i, p.Workload.Name())
 			continue
+		}
+		// Content: the forwarded stream is the in-process stream, record
+		// for record.
+		if ls := local.snaps(i); !reflect.DeepEqual(snaps, ls) {
+			t.Errorf("point %d (%s): %d forwarded snapshots differ from the %d an in-process sweep emits",
+				i, p.Workload.Name(), len(snaps), len(ls))
 		}
 		// Ordered per point: cycles strictly increase within one attempt.
 		for k := 1; k < len(snaps); k++ {

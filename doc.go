@@ -59,6 +59,7 @@
 // telemetry on or off, at any worker count.
 //
 // See ARCHITECTURE.md for the layer map and the determinism invariants,
-// the examples/ directory for runnable programs, and cmd/sfexp for the
-// experiment harness that regenerates the paper's figures.
+// the package's Example functions for runnable programs (go test runs
+// them and checks their output), and cmd/sfexp for the experiment harness
+// that regenerates the paper's figures.
 package stringfigure

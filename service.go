@@ -246,25 +246,10 @@ type Service struct {
 }
 
 // JobStatus is one job's status snapshot, as returned by SubmitJob/Job
-// and serialized by the HTTP API. States: "queued", "running", "done",
-// "failed", "canceled".
-type JobStatus struct {
-	ID        string          `json:"id"`
-	Tenant    string          `json:"tenant"`
-	Priority  int             `json:"priority"`
-	Spec      json.RawMessage `json:"spec"`
-	Points    int             `json:"points"`
-	Completed int             `json:"completed"`
-	State     string          `json:"state"`
-	Error     string          `json:"error,omitempty"`
-}
-
-func statusOf(j jobsvc.Job) JobStatus {
-	return JobStatus{
-		ID: j.ID, Tenant: j.Tenant, Priority: j.Priority, Spec: j.Spec,
-		Points: j.Points, Completed: j.Completed, State: string(j.State), Error: j.Error,
-	}
-}
+// and serialized by the HTTP API: the job service's own record. States:
+// "queued", "running", "done", "failed", "canceled". Submitted is the
+// submission time; Finished is set once the job settles.
+type JobStatus = jobsvc.Job
 
 // ErrUnknownJob reports a job id the service does not know.
 var ErrUnknownJob = errors.New("stringfigure: unknown job")
@@ -302,30 +287,18 @@ func (s *Service) SubmitJob(tenant string, priority int, spec JobSpec) (JobStatu
 	if err != nil {
 		return JobStatus{}, err
 	}
-	j, err := s.svc.Submit(tenant, priority, raw)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return statusOf(j), nil
+	return s.svc.Submit(tenant, priority, raw)
 }
 
 // Job returns one job's status.
 func (s *Service) Job(id string) (JobStatus, error) {
 	j, err := s.svc.Get(id)
-	if err != nil {
-		return JobStatus{}, mapJobErr(err)
-	}
-	return statusOf(j), nil
+	return j, mapJobErr(err)
 }
 
 // Jobs lists every job in submission order.
 func (s *Service) Jobs() []JobStatus {
-	js := s.svc.List()
-	out := make([]JobStatus, len(js))
-	for i, j := range js {
-		out[i] = statusOf(j)
-	}
-	return out
+	return s.svc.List()
 }
 
 // CancelJob cancels a job (queued jobs immediately; running jobs abort at
