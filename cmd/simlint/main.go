@@ -101,10 +101,10 @@ var netsimHot = []string{
 	"Sim.allocPacket", "Sim.freePacket", "Sim.recordDelivery", "Sim.scheduleWake",
 	// ring ops, and the wake calendar's overflow heap (its far wakes are
 	// rare, but they run inside step like every other wake)
-	"ring.Len", "ring.push", "ring.front", "ring.at", "ring.popFront",
+	"ring.Len", "ring.full", "ring.push", "ring.front", "ring.at", "ring.popFront",
 	"ring.truncate", "eventHeap.push", "eventHeap.pop",
 	// worklist ops
-	"activeSet.set", "activeSet.clear", "activeSet.forEach",
+	"activeSet.set", "activeSet.clear", "activeSet.none", "activeSet.forEach",
 	// router bitmask helpers
 	"router.candSet", "router.candClear", "router.attnSet", "router.attnClear",
 	"router.unitFilled", "router.unitEmptied", "router.park", "router.unpark",

@@ -1,0 +1,74 @@
+package stringfigure_test
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+
+	"repro/internal/netsim"
+)
+
+// The golden engine counts pin the simulator's own work the way the golden
+// digests pin its answers: every netsim.EngineStats counter is a pure
+// function of configuration and seed, so a change that moves one — more
+// route-cache misses, a pool that grows more often, fewer empty cycles —
+// shows as an exact diff of testdata/golden_engine_counts.json, where a
+// wall-clock move on a shared host would be noise. Rewrite the table only
+// on purpose:
+//
+//	go test -run TestGoldenEngineCounts -update .
+var updateEngineCounts = flag.Bool("update", false,
+	"rewrite testdata/golden_engine_counts.json from the current code")
+
+const (
+	goldenEngineCountsFile = "testdata/golden_engine_counts.json"
+	// engineCountCycles is the run length of every grid point: long enough
+	// for the loaded points to fill their pools, rings and columns, short
+	// enough for CI's -race run.
+	engineCountCycles = 1000
+)
+
+// TestGoldenEngineCounts runs each BenchmarkNetsimStep grid point cold for
+// engineCountCycles cycles on a private route cache and compares its
+// EngineStats with the committed table.
+func TestGoldenEngineCounts(t *testing.T) {
+	got := map[string]netsim.EngineStats{}
+	for _, g := range netsimStepGrid {
+		sim := netsimStepSim(t, netsimStepConfig(t, g.n, g.session), g.rate)
+		sim.Run(engineCountCycles)
+		if sim.Results().Deadlocked {
+			t.Fatalf("N%d_%s deadlocked", g.n, g.load)
+		}
+		got[fmt.Sprintf("N%d_%s", g.n, g.load)] = sim.Stats()
+	}
+	if *updateEngineCounts {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenEngineCountsFile, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d points)", goldenEngineCountsFile, len(got))
+		return
+	}
+	var want map[string]netsim.EngineStats
+	b, err := os.ReadFile(goldenEngineCountsFile)
+	if err == nil {
+		err = json.Unmarshal(b, &want)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s holds %d points, the grid has %d", goldenEngineCountsFile, len(want), len(got))
+	}
+	for name, st := range got {
+		if !reflect.DeepEqual(st, want[name]) {
+			t.Errorf("%s engine counts moved:\ngot:  %+v\nwant: %+v", name, st, want[name])
+		}
+	}
+}

@@ -8,41 +8,49 @@ import (
 	"repro/internal/traffic"
 )
 
-// runBothCores runs the same scenario on the event-driven and reference
-// cores and returns their results and snapshot streams.
-func runBothCores(t *testing.T, cfg Config, drive func(s *Sim)) (evRes, refRes Results, evSnaps, refSnaps []Snapshot) {
-	t.Helper()
-	run := func(ref bool) (Results, []Snapshot) {
-		c := cfg
-		c.ReferenceCore = ref
-		var snaps []Snapshot
-		c.SnapshotEvery = 64
-		c.OnSnapshot = func(sn Snapshot) { snaps = append(snaps, sn) }
-		s, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive(s)
-		return s.Results(), snaps
-	}
-	evRes, evSnaps = run(false)
-	refRes, refSnaps = run(true)
-	return
+// coreRun is one core's output for a scenario: its results, its snapshot
+// stream and the engine counters of the transitions both cores share.
+type coreRun struct {
+	res    Results
+	snaps  []Snapshot
+	shared EngineStats
 }
 
-// checkCores fails the test unless both cores produced identical results
-// and snapshot streams.
+// runCore runs the scenario on one core.
+func runCore(t *testing.T, cfg Config, ref bool, drive func(s *Sim)) coreRun {
+	t.Helper()
+	var out coreRun
+	cfg.ReferenceCore = ref
+	cfg.SnapshotEvery = 64
+	cfg.OnSnapshot = func(sn Snapshot) { out.snaps = append(out.snaps, sn) }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(s)
+	st := s.Stats()
+	out.res = s.Results()
+	out.shared = EngineStats{PoolGrowths: st.PoolGrowths, PoolHighWater: st.PoolHighWater,
+		SrcQGrowths: st.SrcQGrowths, LinkGrowths: st.LinkGrowths, EscapeTransitions: st.EscapeTransitions}
+	return out
+}
+
+// checkCores fails the test unless both cores produced identical results,
+// snapshot streams and shared-transition engine counts.
 func checkCores(t *testing.T, cfg Config, drive func(s *Sim)) {
 	t.Helper()
-	evRes, refRes, evSnaps, refSnaps := runBothCores(t, cfg, drive)
-	if !reflect.DeepEqual(evRes, refRes) {
-		t.Errorf("results diverge:\nevent: %+v\nref:   %+v", evRes, refRes)
+	ev, ref := runCore(t, cfg, false, drive), runCore(t, cfg, true, drive)
+	if !reflect.DeepEqual(ev.res, ref.res) {
+		t.Errorf("results diverge:\nevent: %+v\nref:   %+v", ev.res, ref.res)
 	}
-	if !reflect.DeepEqual(evSnaps, refSnaps) {
-		t.Errorf("snapshot streams diverge: %d vs %d snapshots", len(evSnaps), len(refSnaps))
-		for i := 0; i < len(evSnaps) && i < len(refSnaps); i++ {
-			if !reflect.DeepEqual(evSnaps[i], refSnaps[i]) {
-				t.Errorf("first divergent snapshot %d:\nevent: %+v\nref:   %+v", i, evSnaps[i], refSnaps[i])
+	if ev.shared != ref.shared {
+		t.Errorf("shared engine counts diverge:\nevent: %+v\nref:   %+v", ev.shared, ref.shared)
+	}
+	if !reflect.DeepEqual(ev.snaps, ref.snaps) {
+		t.Errorf("snapshot streams diverge: %d vs %d snapshots", len(ev.snaps), len(ref.snaps))
+		for i := 0; i < len(ev.snaps) && i < len(ref.snaps); i++ {
+			if !reflect.DeepEqual(ev.snaps[i], ref.snaps[i]) {
+				t.Errorf("first divergent snapshot %d:\nevent: %+v\nref:   %+v", i, ev.snaps[i], ref.snaps[i])
 				break
 			}
 		}

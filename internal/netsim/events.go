@@ -102,6 +102,16 @@ func newActiveSet(n int) activeSet {
 func (a *activeSet) set(v int)   { a.words[v>>6] |= 1 << (uint(v) & 63) }
 func (a *activeSet) clear(v int) { a.words[v>>6] &^= 1 << (uint(v) & 63) }
 
+// none reports whether no router is on the worklist.
+func (a *activeSet) none() bool {
+	for _, w := range a.words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // forEach visits set routers in ascending order. A bit set during iteration
 // behind the cursor (or within the already-snapshotted word) is picked up
 // next cycle; that matches the full scan, because the only mid-pass

@@ -394,10 +394,8 @@ type Sim struct {
 	// and rc is set: the column kernel behind fillColumn. nil otherwise, and
 	// every miss is then resolved for its own pair.
 	galg *routing.Greediest
-	// overThresholdHops counts adaptive-hop decisions that found the
-	// deterministic port at or over AdaptiveThreshold and evaluated the
-	// full candidate set (the tests' witness that the branch ran).
-	overThresholdHops int64
+	// st is the engine's own work record (see EngineStats).
+	st EngineStats
 
 	// scanSawLive is set by noteBlocked during a grant scan when a blocked
 	// candidate's starvation counter is live (adaptive VC, head at front):
@@ -628,6 +626,9 @@ func (s *Sim) step() {
 	} else {
 		s.deliverLinkFlits()
 		s.inject()
+		if s.active.none() {
+			s.st.EmptyCycles++
+		}
 		s.active.forEach(func(v int) {
 			s.drainSourceQueue(s.routers[v])
 		})
@@ -661,6 +662,7 @@ func (s *Sim) step() {
 func (s *Sim) deliverLinkFlits() {
 	for len(s.events) > 0 && s.events[0].arrive <= s.cycle {
 		s.wakeLink(s.events.pop().link)
+		s.st.HeapWakes++
 	}
 	// Detach this cycle's bucket before walking it: wakeLink re-arms the
 	// link it serves, always for a later cycle and hence another bucket,
@@ -671,6 +673,7 @@ func (s *Sim) deliverLinkFlits() {
 	for link >= 0 {
 		next := s.wakeNext[link]
 		s.wakeLink(link)
+		s.st.WheelWakes++
 		link = next
 	}
 }
@@ -772,6 +775,7 @@ func (s *Sim) routeFront(r *router, unit int, f flit) bool {
 	if outcome < 0 {
 		return false
 	}
+	s.st.RouteHits++
 	iu.route = outcome
 	iu.outVC = f.pkt.advc
 	iu.blocked = 0
@@ -845,6 +849,9 @@ func (s *Sim) allocPacket() *packet {
 	p := s.pool[n-1]
 	s.pool[n-1] = nil
 	s.pool = s.pool[:n-1]
+	if live := int64(s.pooled - len(s.pool)); live > s.st.PoolHighWater {
+		s.st.PoolHighWater = live
+	}
 	return p
 }
 
@@ -859,6 +866,7 @@ func (s *Sim) allocPacket() *packet {
 func (s *Sim) growPool() {
 	slab := make([]packet, min(max(poolSeed, s.pooled), poolSlabMax))
 	s.pooled += len(slab)
+	s.st.PoolGrowths++
 	for i := range slab {
 		s.pool = append(s.pool, &slab[i])
 	}
@@ -890,6 +898,9 @@ func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
 		s.traceEvent(p, TraceInject, src)
 	}
 	for i := 0; i < flits; i++ {
+		if r.srcQ.full() {
+			s.st.SrcQGrowths++
+		}
 		r.srcQ.push(flit{pkt: p, vc: p.advc, head: i == 0, tail: i == flits-1})
 	}
 	s.active.set(r.id)
@@ -1041,13 +1052,18 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 	outcome := rcEmpty
 	if s.rc != nil {
 		outcome = s.rc.get(r.id, f.pkt.dst)
-		if outcome == rcEmpty && s.galg != nil && s.rc.missed(f.pkt.dst) {
+		if outcome != rcEmpty {
+			s.st.RouteHits++
+		} else if s.galg != nil && s.rc.missed(f.pkt.dst) {
 			s.fillColumn(f.pkt.dst)
 			outcome = s.rc.get(r.id, f.pkt.dst)
 		}
 	}
 	var cands []int
 	if outcome == rcEmpty {
+		if s.rc != nil {
+			s.st.RouteMisses++
+		}
 		cands = s.candidates(r.id, f.pkt.dst)
 		if len(cands) == 0 {
 			outcome = rcNoRoute
@@ -1062,7 +1078,7 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 		if cands == nil {
 			cands = s.candidates(r.id, f.pkt.dst)
 		}
-		s.overThresholdHops++
+		s.st.OverThreshold++
 		outcome = s.pickPort(r, f.pkt, cands, true)
 	}
 	switch {
@@ -1114,6 +1130,7 @@ func (s *Sim) fillColumn(dst int) {
 		s.rc.put(cur, dst, outcome)
 	}
 	s.rc.fills.Add(1)
+	s.st.ColumnFills++
 }
 
 // assignEscape commits the packet to the escape subnetwork and routes its
@@ -1130,6 +1147,7 @@ func (s *Sim) assignEscape(r *router, iu *inputUnit, unit int, p *packet) bool {
 	if !p.escaped {
 		p.escaped = true
 		s.res.Escaped++
+		s.st.EscapeTransitions++
 		if s.tr != nil {
 			s.traceEvent(p, TraceEscape, r.id)
 		}
@@ -1430,6 +1448,9 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 	r.ovcs[out*vcs+outVC].cred--
 	f.vc = outVC
 	lat := int64(s.linkLatency(r.id, r.outNbr[out]))
+	if r.links[out].full() {
+		s.st.LinkGrowths++
+	}
 	r.links[out].push(inflight{f: f, arrive: s.cycle + lat})
 	s.res.FlitHops++
 	if s.fl != nil {

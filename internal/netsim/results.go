@@ -63,3 +63,43 @@ func (s *Sim) RunMeasured(warmup, measure int64) Results {
 	s.Run(measure)
 	return s.Results()
 }
+
+// EngineStats counts the simulator's own work — what the engine did to
+// produce a run's Results, not what the simulated network did. Every count
+// is a pure function of the configuration and seed (given a private
+// RouteCache; a shared one moves the route-cache counts between its
+// simulators), covers the simulator's whole life (ResetStats leaves it
+// alone), and appears on no Result, Snapshot or wire message, so keeping
+// it costs the results nothing.
+//
+// The route-cache and calendar counts are the event core's; a
+// reference-core run leaves them zero. The packet, ring and escape counts
+// come from transitions the two cores share, so they agree across cores.
+type EngineStats struct {
+	// RouteHits counts routing decisions served by a filled route-cache
+	// entry; RouteMisses counts empty entries resolved for their own
+	// (router, destination) pair; ColumnFills counts empty entries
+	// resolved by filling the destination's whole column instead.
+	RouteHits, RouteMisses, ColumnFills int64
+	// OverThreshold counts adaptive hops that found the deterministic port
+	// at or over Config.AdaptiveThreshold and evaluated every candidate.
+	OverThreshold int64
+	// WheelWakes and HeapWakes count link wakes served by the timing wheel
+	// and by the overflow heap of the wake calendar.
+	WheelWakes, HeapWakes int64
+	// PoolGrowths counts growths of the packet pool; PoolHighWater is the
+	// largest number of packets in flight at once.
+	PoolGrowths, PoolHighWater int64
+	// SrcQGrowths and LinkGrowths count ring growths of the source queues
+	// and of the link delay lines.
+	SrcQGrowths, LinkGrowths int64
+	// EscapeTransitions counts packets committed to the escape subnetwork.
+	EscapeTransitions int64
+	// EmptyCycles counts event-core cycles with no router on the worklist
+	// once delivery and injection are done: nothing routes, arbitrates or
+	// moves, so next-event time skipping could have jumped them.
+	EmptyCycles int64
+}
+
+// Stats returns the engine counters accumulated since New.
+func (s *Sim) Stats() EngineStats { return s.st }

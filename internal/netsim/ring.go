@@ -15,6 +15,9 @@ type ring[T any] struct {
 // Len returns the number of queued elements.
 func (q *ring[T]) Len() int { return q.n }
 
+// full reports whether the next push grows the backing array.
+func (q *ring[T]) full() bool { return q.n == len(q.buf) }
+
 // push appends v at the tail.
 func (q *ring[T]) push(v T) {
 	if q.n == len(q.buf) {

@@ -114,7 +114,7 @@ func runCached(t *testing.T, cfg Config) cacheRun {
 	s.Run(500)
 	s.SetPattern(0, pat)
 	s.Run(300)
-	out.res, out.over, out.sim = s.Results(), s.overThresholdHops, s
+	out.res, out.over, out.sim = s.Results(), s.Stats().OverThreshold, s
 	return out
 }
 
