@@ -98,11 +98,15 @@ var netsimHot = []string{
 	"Sim.fillColumn",
 	// packet and queue plumbing
 	"Sim.enqueuePacket", "Sim.enqueueSized", "Sim.purgeHeadPacket",
-	"Sim.allocPacket", "Sim.freePacket", "Sim.recordDelivery", "Sim.scheduleWake",
+	"Sim.pkt", "Sim.allocPacket", "Sim.freePacket", "Sim.recordDelivery",
+	"Sim.scheduleWake",
 	// ring ops, and the wake calendar's overflow heap (its far wakes are
 	// rare, but they run inside step like every other wake)
-	"ring.Len", "ring.full", "ring.push", "ring.front", "ring.at", "ring.popFront",
-	"ring.truncate", "eventHeap.push", "eventHeap.pop",
+	"ring.Len", "ring.full", "ring.push", "ring.front", "ring.popFront",
+	"eventHeap.push", "eventHeap.pop",
+	// input units' inline buffers
+	"inputUnit.Len", "inputUnit.push", "inputUnit.front", "inputUnit.at",
+	"inputUnit.popFront", "inputUnit.truncate",
 	// worklist ops
 	"activeSet.set", "activeSet.clear", "activeSet.none", "activeSet.forEach",
 	// router bitmask helpers

@@ -32,25 +32,26 @@ func TestDebugStuckState(t *testing.T) {
 	for _, r := range s.routers {
 		for i := range r.in {
 			iu := &r.in[i]
-			if iu.q.Len() == 0 {
+			if iu.Len() == 0 {
 				continue
 			}
 			count++
 			if count > 12 {
 				break
 			}
-			f := *iu.q.front()
+			f := *iu.front()
+			p := s.pkt(f.pkt)
 			port := i / s.vcs
 			vc := i % s.vcs
 			var creditStr string
-			if iu.route >= 0 && iu.route < len(r.outNbr) {
-				o := r.ovcs[iu.route*s.vcs+iu.outVC]
+			if iu.route >= 0 && int(iu.route) < len(r.outNbr) {
+				o := r.ovcs[int(iu.route)*s.vcs+int(iu.outVC)]
 				creditStr = fmt.Sprintf("credits[route][outVC]=%d owner=%d",
 					o.cred, o.owner)
 			}
 			t.Logf("router %d inPort %d (up=%d) vc %d: qlen=%d route=%d outVC=%d blocked=%d head=%v tail=%v pkt(src=%d dst=%d advc=%d) %s",
-				r.id, port, r.inUp[port], vc, iu.q.Len(), iu.route, iu.outVC, iu.blocked,
-				f.head, f.tail, f.pkt.src, f.pkt.dst, f.pkt.advc, creditStr)
+				r.id, port, r.inUp[port], vc, iu.Len(), iu.route, iu.outVC, iu.blocked,
+				f.head, f.tail, p.src, p.dst, p.advc, creditStr)
 		}
 		if r.srcQ.Len() > 0 {
 			t.Logf("router %d srcQ len=%d", r.id, r.srcQ.Len())

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/routing"
 )
@@ -153,8 +154,9 @@ const (
 	srcQSeed    = 8
 )
 
-// packet is one in-flight packet. Packets are pooled: a packet returns to
-// the free list when its last flit retires (ejects or is purged), so
+// packet is one in-flight packet. Packets live in the Sim's packet arena
+// and are named by their index there (a handle); a packet's handle returns
+// to the free list when its last flit retires (ejects or is purged), so
 // steady-state injection allocates nothing.
 type packet struct {
 	id       int64
@@ -173,26 +175,79 @@ type packet struct {
 	escaped bool
 }
 
-// flit is one flow-control unit; vc is the virtual channel of the buffer it
-// currently occupies (escape packets change VC hop by hop).
+// flit is one flow-control unit: its packet's handle in the packet arena
+// (see Sim.pkt), the virtual channel of the buffer it currently occupies
+// (escape packets change VC hop by hop) and its place in the packet. It is
+// 8 bytes and holds no pointer, so the buffers that carry flits are
+// invisible to the garbage collector.
 type flit struct {
-	pkt  *packet
-	vc   int
+	pkt  int32
+	vc   uint8
 	head bool
 	tail bool
 }
 
 // inputUnit is one (input port, VC) buffer with its current route state.
+// The buffer is inline: credit-based flow control never admits more than
+// bufFlits flits into a unit (the upstream output spends a credit per flit
+// sent and gets it back only when the flit leaves), so a fixed ring of that
+// size is exact, and a push onto a full unit is a protocol bug, not a
+// reason to grow. The route state comes first, so it shares a cache line
+// with the front of the ring; the whole unit is 88 bytes.
 type inputUnit struct {
-	q       ring[flit]
-	route   int   // assigned output port, -1 when the head packet is unrouted
-	outVC   int   // VC on the next link, set with route
-	blocked int   // consecutive cycles the routed head flit failed to move
+	head, n uint8 // ring cursor and occupancy of buf
+	route   int32 // assigned output port, -1 when the head packet is unrouted
+	outVC   int32 // VC on the next link, set with route
+	blocked int32 // consecutive cycles the routed head flit failed to move
 	port    int32 // this unit's input port (unit index / VCs, precomputed)
 	vc      int32 // this unit's buffer VC (unit index % VCs, precomputed)
+	buf     [bufFlits]flit
 }
 
-// inflight is a flit traversing a link.
+// The inline ring indexes by masking, so bufFlits must be a power of two.
+var _ [-(bufFlits & (bufFlits - 1))]struct{}
+
+// Len returns the number of buffered flits.
+func (u *inputUnit) Len() int { return int(u.n) }
+
+// push appends f at the tail. Credits cap a unit at bufFlits, so a push
+// onto a full unit means the credit protocol was broken: it panics rather
+// than corrupt the ring.
+func (u *inputUnit) push(f flit) {
+	if u.n == bufFlits {
+		creditViolation()
+	}
+	u.buf[(u.head+u.n)&(bufFlits-1)] = f
+	u.n++
+}
+
+// creditViolation is push's failure path, out of line so its panic value
+// stays out of the hot functions' escape analysis.
+//
+//go:noinline
+func creditViolation() {
+	panic("netsim: flit pushed onto a full input unit (credit protocol violated)")
+}
+
+// front returns a pointer to the front flit. The unit must be nonempty.
+func (u *inputUnit) front() *flit { return &u.buf[u.head] }
+
+// at returns a pointer to the i-th flit from the front (0 = front).
+func (u *inputUnit) at(i int) *flit { return &u.buf[(int(u.head)+i)&(bufFlits-1)] }
+
+// popFront removes and returns the front flit.
+func (u *inputUnit) popFront() flit {
+	f := u.buf[u.head]
+	u.head = (u.head + 1) & (bufFlits - 1)
+	u.n--
+	return f
+}
+
+// truncate keeps the first k flits (packet purging compacts survivors to
+// the front and then truncates).
+func (u *inputUnit) truncate(k int) { u.n = uint8(k) }
+
+// inflight is a flit traversing a link (16 bytes, pointer-free).
 type inflight struct {
 	f      flit
 	arrive int64
@@ -365,10 +420,13 @@ type Sim struct {
 	// is how the determinism suite cross-checks the counter.
 	flitsIn int
 
-	// pool is the packet free list; pooled counts the packets ever
-	// allocated into it (see growPool).
-	pool   []*packet
-	pooled int
+	// pkts is the packet arena and free the handles of its unused slots
+	// (see growPool). The arena can move when it grows, and a delivery
+	// callback can make it grow (OnDelivered -> Inject), so code that calls
+	// out of the simulator names packets by handle across the call, never by
+	// a *packet taken before it.
+	pkts []packet
+	free []int32
 
 	// portStamp/portVal implement the neighbor-to-output-port lookup
 	// without per-router maps: portOf stamps the current router's
@@ -503,15 +561,10 @@ func New(cfg Config) (*Sim, error) {
 	ovcA := make([]ovc, totOvc)
 	linkA := make([]ring[inflight], totLinks)
 	rrA := make([]int, totRR)
-	// Pre-seed the ring buffers too: input units at their credit-capped
-	// high-water mark (bufFlits rounded up to the ring's power-of-two), link
-	// delay lines at a small default. Queues that outgrow the seed (deep
-	// delay lines under gating wake charges) fall back to ring.grow.
-	fcap := 1
-	for fcap < bufFlits {
-		fcap <<= 1
-	}
-	flitA := make([]flit, totIn*fcap)
+	// Pre-seed the ring buffers too (input units carry theirs inline): link
+	// delay lines at a small default and source queues at srcQSeed. Queues
+	// that outgrow the seed (deep delay lines under gating wake charges,
+	// source-queue backlogs) fall back to ring.grow.
 	infA := make([]inflight, totLinks*4)
 	srcA := make([]flit, n*srcQSeed)
 	carve := func(n int, a *[]uint64) []uint64 {
@@ -528,7 +581,6 @@ func New(cfg Config) (*Sim, error) {
 			r.in[i].route = -1
 			r.in[i].port = int32(i / s.vcs)
 			r.in[i].vc = int32(i % s.vcs)
-			r.in[i].q.buf, flitA = flitA[:fcap:fcap], flitA[fcap:]
 		}
 		r.srcQ.buf, srcA = srcA[:srcQSeed:srcQSeed], srcA[srcQSeed:]
 		r.links, linkA = linkA[:nout:nout], linkA[nout:]
@@ -726,12 +778,12 @@ func (s *Sim) scheduleWake(arrive int64, link int32) {
 func (s *Sim) deliverFlit(r *router, p int, f flit) (*router, int) {
 	dn := s.routers[r.outNbr[p]]
 	if s.tr != nil && f.head {
-		s.traceEvent(f.pkt, TraceHop, dn.id)
+		s.traceEvent(s.pkt(f.pkt), TraceHop, dn.id)
 	}
-	unit := int(r.downInPort[p])*s.vcs + f.vc
+	unit := int(r.downInPort[p])*s.vcs + int(f.vc)
 	iu := &dn.in[unit]
-	wasEmpty := iu.q.Len() == 0
-	iu.q.push(f)
+	wasEmpty := iu.n == 0
+	iu.push(f)
 	dn.queued++
 	s.active.set(dn.id)
 	if !wasEmpty {
@@ -739,7 +791,7 @@ func (s *Sim) deliverFlit(r *router, p int, f flit) (*router, int) {
 	}
 	dn.unitFilled(unit)
 	if iu.route >= 0 {
-		dn.candSet(iu.route, unit)
+		dn.candSet(int(iu.route), unit)
 		return nil, -1
 	}
 	return dn, unit
@@ -755,14 +807,18 @@ func (s *Sim) deliverFlit(r *router, p int, f flit) (*router, int) {
 // decide identically — escape traffic, cache misses, drop outcomes — is
 // declined, leaving the unit on the attention path for routeUnit.
 func (s *Sim) routeFront(r *router, unit int, f flit) bool {
-	if !f.head || f.pkt.escaped {
+	if !f.head {
+		return false
+	}
+	p := s.pkt(f.pkt)
+	if p.escaped {
 		return false
 	}
 	iu := &r.in[unit]
-	if f.pkt.dst == r.id {
+	if p.dst == r.id {
 		eject := len(r.outNbr)
-		iu.route = eject
-		iu.outVC = f.vc
+		iu.route = int32(eject)
+		iu.outVC = int32(f.vc)
 		r.candSet(eject, unit)
 		return true
 	}
@@ -771,13 +827,13 @@ func (s *Sim) routeFront(r *router, unit int, f flit) bool {
 	if s.rc == nil {
 		return false
 	}
-	outcome := s.rc.get(r.id, f.pkt.dst)
+	outcome := s.rc.get(r.id, p.dst)
 	if outcome < 0 {
 		return false
 	}
 	s.st.RouteHits++
-	iu.route = outcome
-	iu.outVC = f.pkt.advc
+	iu.route = int32(outcome)
+	iu.outVC = int32(p.advc)
 	iu.blocked = 0
 	r.candSet(outcome, unit)
 	return true
@@ -839,48 +895,56 @@ func (s *Sim) adaptiveVC(src, dst int) int {
 	return s.cfg.EscapeVCs + pick
 }
 
-// allocPacket takes a packet from the pool, growing the pool when it is
-// dry (growth toward the steady-state in-flight high-water mark).
-func (s *Sim) allocPacket() *packet {
-	if len(s.pool) == 0 {
+// pkt returns the packet a handle names. The pointer is valid only until
+// the arena next grows: do not hold it across anything that can inject.
+func (s *Sim) pkt(h int32) *packet { return &s.pkts[h] }
+
+// allocPacket takes a packet handle from the free list, growing the arena
+// when it is dry (growth toward the steady-state in-flight high-water mark).
+func (s *Sim) allocPacket() int32 {
+	if len(s.free) == 0 {
 		s.growPool()
 	}
-	n := len(s.pool)
-	p := s.pool[n-1]
-	s.pool[n-1] = nil
-	s.pool = s.pool[:n-1]
-	if live := int64(s.pooled - len(s.pool)); live > s.st.PoolHighWater {
+	n := len(s.free)
+	h := s.free[n-1]
+	s.free = s.free[:n-1]
+	if live := int64(len(s.pkts) - n + 1); live > s.st.PoolHighWater {
 		s.st.PoolHighWater = live
 	}
-	return p
+	return h
 }
 
 // growPool is the pool-miss slow path, kept out of the hot functions so the
-// escape-analysis gate can pin them allocation-free. It adds one slab as
-// large as the population so far, within [poolSeed, poolSlabMax]: reaching
-// a modest high-water mark costs O(log) allocations instead of one per
-// packet, while a backlog that keeps growing (a run past saturation) is
-// never over-provisioned by more than one bounded slab.
+// escape-analysis gate can pin them allocation-free. It appends one slab to
+// the arena as large as the population so far, within [poolSeed,
+// poolSlabMax]: reaching a modest high-water mark costs O(log) growths
+// instead of one per packet, while a backlog that keeps growing (a run past
+// saturation) is never over-provisioned by more than one bounded slab. The
+// free list is sized for the whole arena here, so freePacket never grows it.
+// The new handles go on the free list highest first, so packets allocated
+// in a row sit next to each other.
 //
 //go:noinline
 func (s *Sim) growPool() {
-	slab := make([]packet, min(max(poolSeed, s.pooled), poolSlabMax))
-	s.pooled += len(slab)
-	s.st.PoolGrowths++
-	for i := range slab {
-		s.pool = append(s.pool, &slab[i])
+	base := len(s.pkts)
+	s.pkts = append(s.pkts, make([]packet, min(max(poolSeed, base), poolSlabMax))...)
+	s.free = slices.Grow(s.free, len(s.pkts))
+	for h := len(s.pkts) - 1; h >= base; h-- {
+		s.free = append(s.free, int32(h))
 	}
+	s.st.PoolGrowths++
 }
 
-// freePacket returns a fully retired packet to the pool.
-func (s *Sim) freePacket(p *packet) { s.pool = append(s.pool, p) }
+// freePacket returns a fully retired packet's handle to the free list.
+func (s *Sim) freePacket(h int32) { s.free = append(s.free, h) }
 
 func (s *Sim) enqueuePacket(r *router, src, dst int) {
 	s.enqueueSized(r, src, dst, s.cfg.PacketFlits, 0)
 }
 
 func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
-	p := s.allocPacket()
+	h := s.allocPacket()
+	p := s.pkt(h)
 	*p = packet{
 		id:       s.nextID,
 		tag:      tag,
@@ -901,7 +965,7 @@ func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
 		if r.srcQ.full() {
 			s.st.SrcQGrowths++
 		}
-		r.srcQ.push(flit{pkt: p, vc: p.advc, head: i == 0, tail: i == flits-1})
+		r.srcQ.push(flit{pkt: h, vc: uint8(p.advc), head: i == 0, tail: i == flits-1})
 	}
 	s.active.set(r.id)
 }
@@ -926,20 +990,20 @@ func (s *Sim) drainSourceQueue(r *router) {
 	injPort := len(r.inUp) - 1
 	for r.srcQ.Len() > 0 {
 		f := r.srcQ.front()
-		unit := injPort*s.vcs + f.vc
+		unit := injPort*s.vcs + int(f.vc)
 		iu := &r.in[unit]
-		if iu.q.Len() >= bufFlits {
+		if iu.n >= bufFlits {
 			break
 		}
-		if iu.q.Len() == 0 {
+		if iu.n == 0 {
 			r.unitFilled(unit)
 			if iu.route >= 0 {
-				r.candSet(iu.route, unit)
+				r.candSet(int(iu.route), unit)
 			} else {
 				r.attnSet(unit)
 			}
 		}
-		iu.q.push(*f)
+		iu.push(*f)
 		r.srcQ.popFront()
 		r.queued++
 		s.lastMove = s.cycle
@@ -1000,14 +1064,14 @@ func (s *Sim) routeHeads(r *router) {
 // body of both cores' route passes).
 func (s *Sim) routeUnit(r *router, i, eject int) {
 	iu := &r.in[i]
-	f := iu.q.front()
+	f := iu.front()
 	if iu.route >= 0 {
 		// Divert a starved routed head to the escape subnetwork (only
 		// heads can be re-routed; bodies follow the committed path). A
 		// failed diversion keeps the existing adaptive route.
-		if f.head && iu.route != eject && iu.blocked >= escapePatience &&
-			iu.outVC >= s.cfg.EscapeVCs {
-			s.assignEscape(r, iu, i, f.pkt)
+		if f.head && int(iu.route) != eject && iu.blocked >= escapePatience &&
+			int(iu.outVC) >= s.cfg.EscapeVCs {
+			s.assignEscape(r, iu, i, s.pkt(f.pkt))
 		}
 		return
 	}
@@ -1017,22 +1081,23 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 		s.purgeHeadPacket(r, i)
 		return
 	}
-	if f.pkt.dst == r.id {
-		iu.route = eject
-		iu.outVC = f.vc
+	p := s.pkt(f.pkt)
+	if p.dst == r.id {
+		iu.route = int32(eject)
+		iu.outVC = int32(f.vc)
 		r.candSet(eject, i)
 		r.attnClear(i)
 		return
 	}
-	if f.pkt.escaped {
+	if p.escaped {
 		// Committed to the escape subnetwork for the rest of the trip.
 		// An escape hop that stops resolving (the destination or the
 		// current node left the escape ring mid-reconfiguration) makes
 		// the packet permanently undeliverable: drop it rather than
 		// let it clog the escape channels forever.
-		if !s.assignEscape(r, iu, i, f.pkt) {
+		if !s.assignEscape(r, iu, i, p) {
 			if s.tr != nil {
-				s.traceEvent(f.pkt, TraceDrop, r.id)
+				s.traceEvent(p, TraceDrop, r.id)
 			}
 			s.purgeHeadPacket(r, i)
 			s.res.Dropped++
@@ -1048,15 +1113,15 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 	// full candidate set evaluated against credit state; that result is
 	// never cached.
 	adaptive := s.cfg.Adaptive == AdaptiveEveryHop ||
-		(s.cfg.Adaptive == AdaptiveFirstHop && r.id == f.pkt.src)
+		(s.cfg.Adaptive == AdaptiveFirstHop && r.id == p.src)
 	outcome := rcEmpty
 	if s.rc != nil {
-		outcome = s.rc.get(r.id, f.pkt.dst)
+		outcome = s.rc.get(r.id, p.dst)
 		if outcome != rcEmpty {
 			s.st.RouteHits++
-		} else if s.galg != nil && s.rc.missed(f.pkt.dst) {
-			s.fillColumn(f.pkt.dst)
-			outcome = s.rc.get(r.id, f.pkt.dst)
+		} else if s.galg != nil && s.rc.missed(p.dst) {
+			s.fillColumn(p.dst)
+			outcome = s.rc.get(r.id, p.dst)
 		}
 	}
 	var cands []int
@@ -1064,44 +1129,44 @@ func (s *Sim) routeUnit(r *router, i, eject int) {
 		if s.rc != nil {
 			s.st.RouteMisses++
 		}
-		cands = s.candidates(r.id, f.pkt.dst)
+		cands = s.candidates(r.id, p.dst)
 		if len(cands) == 0 {
 			outcome = rcNoRoute
 		} else {
-			outcome = s.pickPort(r, f.pkt, cands, false)
+			outcome = s.pickPort(r, p, cands, false)
 		}
 		if s.rc != nil {
-			s.rc.put(r.id, f.pkt.dst, outcome)
+			s.rc.put(r.id, p.dst, outcome)
 		}
 	}
-	if adaptive && outcome >= 0 && s.overThreshold(r, outcome, f.pkt.advc) {
+	if adaptive && outcome >= 0 && s.overThreshold(r, outcome, p.advc) {
 		if cands == nil {
-			cands = s.candidates(r.id, f.pkt.dst)
+			cands = s.candidates(r.id, p.dst)
 		}
 		s.st.OverThreshold++
-		outcome = s.pickPort(r, f.pkt, cands, true)
+		outcome = s.pickPort(r, p, cands, true)
 	}
 	switch {
 	case outcome >= 0:
-		iu.route = outcome
-		iu.outVC = f.pkt.advc
+		iu.route = int32(outcome)
+		iu.outVC = int32(p.advc)
 		iu.blocked = 0
 		r.candSet(outcome, i)
 		r.attnClear(i)
 	case outcome == rcNoRoute:
 		// Unroutable on the adaptive network: try escape before
 		// dropping (reconfiguration windows).
-		if s.cfg.EscapeRoute != nil && s.assignEscape(r, iu, i, f.pkt) {
+		if s.cfg.EscapeRoute != nil && s.assignEscape(r, iu, i, p) {
 			return
 		}
 		if s.tr != nil {
-			s.traceEvent(f.pkt, TraceDrop, r.id)
+			s.traceEvent(p, TraceDrop, r.id)
 		}
 		s.purgeHeadPacket(r, i)
 		s.res.Dropped++
 	default: // rcNoPort
 		if s.tr != nil {
-			s.traceEvent(f.pkt, TraceDrop, r.id)
+			s.traceEvent(p, TraceDrop, r.id)
 		}
 		s.purgeHeadPacket(r, i)
 		s.res.Dropped++
@@ -1153,10 +1218,10 @@ func (s *Sim) assignEscape(r *router, iu *inputUnit, unit int, p *packet) bool {
 		}
 	}
 	if iu.route >= 0 {
-		r.candClear(iu.route, unit) // diversion: release the old output
+		r.candClear(int(iu.route), unit) // diversion: release the old output
 	}
-	iu.route = port
-	iu.outVC = escVC
+	iu.route = int32(port)
+	iu.outVC = int32(escVC)
 	iu.blocked = 0
 	r.candSet(port, unit)
 	r.attnClear(unit)
@@ -1227,29 +1292,30 @@ func (s *Sim) pickPort(r *router, p *packet, cands []int, adaptive bool) int {
 // credit counters. Callers account the drop.
 func (s *Sim) purgeHeadPacket(r *router, unit int) {
 	iu := &r.in[unit]
-	if iu.q.Len() == 0 {
+	if iu.n == 0 {
 		return
 	}
-	p := iu.q.front().pkt
+	h := iu.front().pkt
 	vc := unit % s.vcs
 	kept := 0
 	purged := 0
-	n := iu.q.Len()
+	n := iu.Len()
 	for i := 0; i < n; i++ {
-		f := *iu.q.at(i)
-		if f.pkt != p {
-			*iu.q.at(kept) = f
+		f := *iu.at(i)
+		if f.pkt != h {
+			*iu.at(kept) = f
 			kept++
 		} else {
 			purged++
 		}
 	}
-	iu.q.truncate(kept)
+	iu.truncate(kept)
 	r.queued -= purged
 	s.flitsIn -= purged
+	p := s.pkt(h)
 	p.left -= purged
 	if iu.route >= 0 {
-		r.candClear(iu.route, unit)
+		r.candClear(int(iu.route), unit)
 	}
 	if kept == 0 {
 		r.unitEmptied(unit)
@@ -1266,7 +1332,7 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 		ur.unpark(upOut) // new credits: the upstream output may grant again
 	}
 	if p.left == 0 {
-		s.freePacket(p)
+		s.freePacket(h)
 	}
 }
 
@@ -1320,8 +1386,7 @@ func (s *Sim) scanSlot(r *router, out, nUnits, eject, vcs int) int {
 			}
 			i := bits.TrailingZeros64(w)
 			iu := &r.in[i]
-			vc := iu.outVC
-			o := &r.ovcs[out*vcs+vc]
+			o := &r.ovcs[out*vcs+int(iu.outVC)]
 			if o.owner >= 0 && int(o.owner) != i {
 				s.noteBlocked(r, iu, i)
 				return -1
@@ -1349,8 +1414,7 @@ func (s *Sim) scanSlot(r *router, out, nUnits, eject, vcs int) int {
 				i := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
 				iu := &r.in[i]
-				vc := iu.outVC
-				o := &r.ovcs[out*vcs+vc]
+				o := &r.ovcs[out*vcs+int(iu.outVC)]
 				if o.owner >= 0 && int(o.owner) != i {
 					s.noteBlocked(r, iu, i)
 					continue // another packet holds this output VC
@@ -1396,8 +1460,8 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 		r.rr[out] = granted + 1
 	}
 	iu := &r.in[granted]
-	f := iu.q.popFront()
-	if iu.q.Len() == 0 {
+	f := iu.popFront()
+	if iu.n == 0 {
 		r.unitEmptied(granted)
 		r.candClear(out, granted)
 		r.attnClear(granted)
@@ -1413,7 +1477,7 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 	if s.fl != nil {
 		s.fl.rtrs[r.id]++
 	}
-	outVC := iu.outVC
+	outVC := int(iu.outVC)
 	if f.head {
 		r.ovcs[out*vcs+outVC].owner = int32(granted)
 	}
@@ -1434,19 +1498,22 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 	if out == eject {
 		s.res.FlitsDelivered++
 		s.flitsIn--
-		p := f.pkt
+		p := s.pkt(f.pkt)
 		p.left--
+		left := p.left
 		if f.tail {
+			// OnDelivered may Inject, growing the arena under p: nothing
+			// after this call reads p, and the free goes by handle.
 			s.recordDelivery(p)
 		}
-		if p.left == 0 {
-			s.freePacket(p)
+		if left == 0 {
+			s.freePacket(f.pkt)
 		}
 		return
 	}
 	// Send over the link on the outgoing VC.
 	r.ovcs[out*vcs+outVC].cred--
-	f.vc = outVC
+	f.vc = uint8(outVC)
 	lat := int64(s.linkLatency(r.id, r.outNbr[out]))
 	if r.links[out].full() {
 		s.st.LinkGrowths++
@@ -1457,7 +1524,7 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 		s.fl.links[r.linkBase+int32(out)]++
 	}
 	if f.head {
-		f.pkt.hops++
+		s.pkt(f.pkt).hops++
 	}
 }
 
@@ -1467,9 +1534,9 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 // threshold (a superset of the divertible units: routeUnit rechecks the
 // full condition).
 func (s *Sim) noteBlocked(r *router, iu *inputUnit, i int) {
-	if iu.q.Len() > 0 && iu.q.front().head {
+	if iu.n > 0 && iu.front().head {
 		iu.blocked++
-		if iu.outVC >= s.cfg.EscapeVCs {
+		if int(iu.outVC) >= s.cfg.EscapeVCs {
 			// A live counter: it feeds the escape-diversion check, so its
 			// output cannot be parked (skipped scans would miss increments).
 			s.scanSawLive = true
@@ -1480,7 +1547,8 @@ func (s *Sim) noteBlocked(r *router, iu *inputUnit, i int) {
 	}
 }
 
-// recordDelivery books a completed packet.
+// recordDelivery books a completed packet. The OnDelivered callback comes
+// last: it may Inject and so move the packet arena, leaving p stale.
 func (s *Sim) recordDelivery(p *packet) {
 	lat := s.cycle - p.injected + 1
 	s.res.Delivered++

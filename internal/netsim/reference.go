@@ -23,7 +23,7 @@ func (s *Sim) stepRef() {
 		nUnits := len(r.in)
 		eject := len(r.outNbr) // virtual ejection port index
 		for i := range r.in {
-			if r.in[i].q.Len() > 0 {
+			if r.in[i].n > 0 {
 				s.routeUnit(r, i, eject)
 			}
 		}
@@ -60,10 +60,10 @@ func (s *Sim) scanSlotRef(r *router, out, nUnits, eject, vcs int) int {
 	for k := 0; k < nUnits; k++ {
 		i := (r.rr[out] + k) % nUnits
 		iu := &r.in[i]
-		if iu.q.Len() == 0 || iu.route != out {
+		if iu.n == 0 || int(iu.route) != out {
 			continue
 		}
-		o := &r.ovcs[out*vcs+iu.outVC]
+		o := &r.ovcs[out*vcs+int(iu.outVC)]
 		if o.owner >= 0 && int(o.owner) != i {
 			s.noteBlocked(r, iu, i)
 			continue // another packet holds this output VC
@@ -85,7 +85,7 @@ func (s *Sim) countInFlight() int {
 	for _, r := range s.routers {
 		total += r.srcQ.Len()
 		for i := range r.in {
-			total += r.in[i].q.Len()
+			total += r.in[i].Len()
 		}
 		for p := range r.links {
 			total += r.links[p].Len()

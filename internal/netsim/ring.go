@@ -1,11 +1,13 @@
 package netsim
 
 // ring is a growable circular queue with a power-of-two backing array. The
-// hot loop uses it for source queues, input-unit buffers and link delay
-// lines: the old `q = append(q, v)` / `q = q[1:]` representation leaks
-// capacity off the front, so every queue reallocated continuously under
-// steady-state traffic. A ring reaches its high-water capacity once and then
-// pushes and pops without touching the allocator.
+// hot loop uses it for the queues credits do not bound — source queues and
+// link delay lines (input units carry a fixed ring inline): the old
+// `q = append(q, v)` / `q = q[1:]` representation leaks capacity off the
+// front, so every queue reallocated continuously under steady-state
+// traffic. A ring reaches its high-water capacity once and then pushes and
+// pops without touching the allocator. Its elements (flits, inflight
+// records) hold no pointers, so popped slots are left as they are.
 type ring[T any] struct {
 	buf  []T
 	head int
@@ -31,28 +33,12 @@ func (q *ring[T]) push(v T) {
 // the next push. The queue must be nonempty.
 func (q *ring[T]) front() *T { return &q.buf[q.head] }
 
-// at returns a pointer to the i-th element from the head (0 = front).
-func (q *ring[T]) at(i int) *T { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-// popFront removes and returns the head element. The vacated slot is zeroed
-// so pooled packets are not pinned through stale flit references.
+// popFront removes and returns the head element.
 func (q *ring[T]) popFront() T {
 	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return v
-}
-
-// truncate keeps the first k elements and zeroes the dropped tail (packet
-// purging compacts survivors to the front and then truncates).
-func (q *ring[T]) truncate(k int) {
-	var zero T
-	for i := k; i < q.n; i++ {
-		q.buf[(q.head+i)&(len(q.buf)-1)] = zero
-	}
-	q.n = k
 }
 
 // grow doubles the backing array. It is deliberately a separate, never
