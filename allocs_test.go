@@ -7,8 +7,8 @@ package stringfigure_test
 // benchmarks' own configurations (netsimStepConfig, netsimStepSim): a
 // per-cycle allocation reads at least 2000 in the steady-state window,
 // while the one-off high-water growth a warm network may still do
-// (stats.Histogram.Observe reaching a new latency, or the packet arena
-// growing: one allocation for the arena and one for its free list) stays
+// (stats.Histogram.Observe reaching a new latency, or the packet pool
+// growing: one allocation for the slab and one for its free list) stays
 // within the budget.
 
 import (
@@ -18,7 +18,7 @@ import (
 
 // steadyStateAllocBudget is the high-water allowance of one 2000-cycle
 // window after warm-up. Measured in cycles 3000–5000: 1 at N64_low and the
-// scenario point (a histogram growth), 2 at N256_light (one packet-arena
+// scenario point (a histogram growth), 2 at N256_light (one packet-pool
 // growth), 0 elsewhere.
 const steadyStateAllocBudget = 4
 
@@ -74,12 +74,11 @@ func TestNetsimSteadyStateAllocs(t *testing.T) {
 // TestNetsimColdSimAllocs counts a sweep point's cold start: construction
 // of a fresh loaded N=256 simulator over shared routing tables, then 1000
 // cycles of growth to the working set. It read 3 383 while New appended
-// each router's port tables separately, and 62 once they were carved from
-// four arenas; with the input-unit buffers inline (no flit arena) and the
-// packet arena grown by slab append, the whole cold start is 56
-// allocations (an occasional run reads 58).
+// each router's port tables separately; with every table carved from
+// arenas and the input-unit buffers inline, the whole cold start is 57
+// allocations (an occasional run reads 59).
 func TestNetsimColdSimAllocs(t *testing.T) {
-	const ceiling = 66
+	const ceiling = 67
 	cfg := netsimStepConfig(t, 256, true)
 	allocs := testing.AllocsPerRun(1, func() {
 		sim := netsimStepSim(t, cfg, 0.20)

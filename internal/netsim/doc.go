@@ -27,12 +27,11 @@
 // and own only their scans (see ARCHITECTURE.md, "Hot loop").
 //
 // The per-flit state holds no pointer: a flit is 8 bytes naming its packet
-// by handle in the Sim's slab-grown packet arena, and each input unit
-// carries a fixed inline ring of bufFlits flits, which credit-based flow
-// control makes exact (a push onto a full unit panics). A packet pointer
-// is never held across a call that can inject, because injection can move
-// the arena. Sim.Stats reports the engine's own work (EngineStats), off
-// every Result. See ARCHITECTURE.md, "Data layout".
+// by handle in the Sim's packet slabs, and each input unit carries a fixed
+// inline ring of bufFlits flits, which credit-based flow control makes
+// exact (a push onto a full unit panics). Sim.Stats reports the engine's
+// own work (EngineStats), off every Result. See ARCHITECTURE.md, "Data
+// layout".
 //
 // The event core takes every table-deterministic routing decision from a
 // RouteCache, one entry per (router, destination) pair, shared by the

@@ -29,8 +29,9 @@ func hasPointers(t reflect.Type) bool {
 
 // TestFlitLayoutIsPointerFree pins the per-flit data layout: flits,
 // delay-line records, input units (with their inline buffers) and packets
-// hold no pointers, so the GC never scans the arenas they live in, and
-// each stays within its size (a unit fits in two 64-byte cache lines).
+// hold no pointers, so the GC never scans the arenas and slabs they live
+// in, and each stays within its size (a unit fits in two 64-byte cache
+// lines).
 func TestFlitLayoutIsPointerFree(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -54,15 +55,14 @@ func TestFlitLayoutIsPointerFree(t *testing.T) {
 	}
 }
 
-// TestPacketArenaGrowsInCallback is the regression test for the packet
-// handle hazard: an OnDelivered callback that injects can grow the packet
-// arena while forward is ejecting the delivered packet, so any *packet
-// taken before the callback points into the old arena afterwards. Every
-// delivery here injects three responses, starting from a cold pool, so the
-// arena grows inside callbacks again and again; both cores must still agree
-// byte for byte, deliver everything, and end with every handle back on the
-// free list.
-func TestPacketArenaGrowsInCallback(t *testing.T) {
+// TestPacketPoolGrowsInCallback covers the packet pool growing in the
+// middle of a delivery: an OnDelivered callback that injects can grow the
+// pool while forward is ejecting the delivered packet, which still holds
+// its slot until the callback returns. Every delivery here injects three
+// responses, starting from a cold pool, so the pool grows inside callbacks
+// again and again; both cores must still agree byte for byte, deliver
+// everything, and end with every handle back on the free list.
+func TestPacketPoolGrowsInCallback(t *testing.T) {
 	const n = 24
 	sf, err := topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 11, Shortcuts: true})
 	if err != nil {
@@ -92,14 +92,14 @@ func TestPacketArenaGrowsInCallback(t *testing.T) {
 		runScript(t, s, script, 20000)
 		res := s.Results()
 		if grewInside < 3 {
-			t.Errorf("the packet arena grew inside %d callbacks, want at least 3: the hazard is not exercised", grewInside)
+			t.Errorf("the packet pool grew inside %d callbacks, want at least 3", grewInside)
 		}
 		if res.InFlight != 0 || res.Delivered != res.Injected {
 			t.Errorf("closed loop did not drain: injected %d, delivered %d, %d flits in flight",
 				res.Injected, res.Delivered, res.InFlight)
 		}
-		if len(s.free) != len(s.pkts) {
-			t.Errorf("%d of %d packet handles never returned to the free list", len(s.pkts)-len(s.free), len(s.pkts))
+		if len(s.free) != s.pooled {
+			t.Errorf("%d of %d packet handles never returned to the free list", s.pooled-len(s.free), s.pooled)
 		}
 	})
 }

@@ -147,16 +147,18 @@ func (c *Config) fill() error {
 // point runs in — reaches its working set without a burst of small
 // allocations: the packet pool's first slab (see growPool), and each
 // router's source queue, carved from one arena at New (a ring, so a power
-// of two).
+// of two). A packet handle is its slab's index shifted past slabBits, plus
+// its slot in the slab, so no slab outgrows poolSlabMax.
 const (
 	poolSeed    = 64
-	poolSlabMax = 4096
+	slabBits    = 12
+	poolSlabMax = 1 << slabBits
 	srcQSeed    = 8
 )
 
-// packet is one in-flight packet. Packets live in the Sim's packet arena
-// and are named by their index there (a handle); a packet's handle returns
-// to the free list when its last flit retires (ejects or is purged), so
+// packet is one in-flight packet. Packets live in the Sim's packet slabs
+// and are named by handle (see Sim.pkt); a packet's handle returns to the
+// free list when its last flit retires (ejects or is purged), so
 // steady-state injection allocates nothing.
 type packet struct {
 	id       int64
@@ -175,8 +177,7 @@ type packet struct {
 	escaped bool
 }
 
-// flit is one flow-control unit: its packet's handle in the packet arena
-// (see Sim.pkt), the virtual channel of the buffer it currently occupies
+// flit is one flow-control unit: its packet's handle (see Sim.pkt), the virtual channel of the buffer it currently occupies
 // (escape packets change VC hop by hop) and its place in the packet. It is
 // 8 bytes and holds no pointer, so the buffers that carry flits are
 // invisible to the garbage collector.
@@ -420,13 +421,11 @@ type Sim struct {
 	// is how the determinism suite cross-checks the counter.
 	flitsIn int
 
-	// pkts is the packet arena and free the handles of its unused slots
-	// (see growPool). The arena can move when it grows, and a delivery
-	// callback can make it grow (OnDelivered -> Inject), so code that calls
-	// out of the simulator names packets by handle across the call, never by
-	// a *packet taken before it.
-	pkts []packet
-	free []int32
+	// slabs hold every packet, free the handles of the unused slots and
+	// pooled the slot count (see growPool).
+	slabs  [][]packet
+	free   []int32
+	pooled int
 
 	// portStamp/portVal implement the neighbor-to-output-port lookup
 	// without per-router maps: portOf stamps the current router's
@@ -621,6 +620,9 @@ func New(cfg Config) (*Sim, error) {
 		s.tr = &traceAcct{every: cfg.TraceSampleEvery, buf: make([]traceRecord, 0, 256)}
 	}
 	s.active = newActiveSet(n)
+	// Room for the first eight slabs (8 192 packets) before the slab list
+	// itself has to grow.
+	s.slabs = make([][]packet, 0, 8)
 	s.portStamp = make([]int32, n)
 	s.portVal = make([]int32, n)
 	for i := range s.portStamp {
@@ -895,11 +897,12 @@ func (s *Sim) adaptiveVC(src, dst int) int {
 	return s.cfg.EscapeVCs + pick
 }
 
-// pkt returns the packet a handle names. The pointer is valid only until
-// the arena next grows: do not hold it across anything that can inject.
-func (s *Sim) pkt(h int32) *packet { return &s.pkts[h] }
+// pkt returns the packet a handle names. Slabs never move once allocated,
+// so the pointer stays valid while the packet lives, even across a
+// delivery callback that injects and so grows the pool.
+func (s *Sim) pkt(h int32) *packet { return &s.slabs[h>>slabBits][h&(poolSlabMax-1)] }
 
-// allocPacket takes a packet handle from the free list, growing the arena
+// allocPacket takes a packet handle from the free list, growing the pool
 // when it is dry (growth toward the steady-state in-flight high-water mark).
 func (s *Sim) allocPacket() int32 {
 	if len(s.free) == 0 {
@@ -908,29 +911,33 @@ func (s *Sim) allocPacket() int32 {
 	n := len(s.free)
 	h := s.free[n-1]
 	s.free = s.free[:n-1]
-	if live := int64(len(s.pkts) - n + 1); live > s.st.PoolHighWater {
+	if live := int64(s.pooled - n + 1); live > s.st.PoolHighWater {
 		s.st.PoolHighWater = live
 	}
 	return h
 }
 
 // growPool is the pool-miss slow path, kept out of the hot functions so the
-// escape-analysis gate can pin them allocation-free. It appends one slab to
-// the arena as large as the population so far, within [poolSeed,
-// poolSlabMax]: reaching a modest high-water mark costs O(log) growths
-// instead of one per packet, while a backlog that keeps growing (a run past
-// saturation) is never over-provisioned by more than one bounded slab. The
-// free list is sized for the whole arena here, so freePacket never grows it.
-// The new handles go on the free list highest first, so packets allocated
-// in a row sit next to each other.
+// escape-analysis gate can pin them allocation-free. It appends one slab as
+// large as the population so far, within [poolSeed, poolSlabMax]: reaching
+// a modest high-water mark costs O(log) growths instead of one per packet,
+// while a backlog that keeps growing (a run past saturation) is never
+// over-provisioned by more than one bounded slab. Slabs are never copied: a
+// single array grown by append would leave each old copy as garbage, which
+// past saturation, where the population keeps growing, raised a quick
+// Figure 10 run's peak RSS by half. The free list is sized for every slot here, so
+// freePacket never grows it, and the new handles go on it highest first,
+// so packets allocated in a row sit next to each other.
 //
 //go:noinline
 func (s *Sim) growPool() {
-	base := len(s.pkts)
-	s.pkts = append(s.pkts, make([]packet, min(max(poolSeed, base), poolSlabMax))...)
-	s.free = slices.Grow(s.free, len(s.pkts))
-	for h := len(s.pkts) - 1; h >= base; h-- {
-		s.free = append(s.free, int32(h))
+	size := min(max(poolSeed, s.pooled), poolSlabMax)
+	slab := int32(len(s.slabs)) << slabBits
+	s.slabs = append(s.slabs, make([]packet, size))
+	s.pooled += size
+	s.free = slices.Grow(s.free, s.pooled)
+	for i := int32(size) - 1; i >= 0; i-- {
+		s.free = append(s.free, slab|i)
 	}
 	s.st.PoolGrowths++
 }
@@ -1500,13 +1507,10 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 		s.flitsIn--
 		p := s.pkt(f.pkt)
 		p.left--
-		left := p.left
 		if f.tail {
-			// OnDelivered may Inject, growing the arena under p: nothing
-			// after this call reads p, and the free goes by handle.
 			s.recordDelivery(p)
 		}
-		if left == 0 {
+		if p.left == 0 {
 			s.freePacket(f.pkt)
 		}
 		return
@@ -1547,8 +1551,7 @@ func (s *Sim) noteBlocked(r *router, iu *inputUnit, i int) {
 	}
 }
 
-// recordDelivery books a completed packet. The OnDelivered callback comes
-// last: it may Inject and so move the packet arena, leaving p stale.
+// recordDelivery books a completed packet.
 func (s *Sim) recordDelivery(p *packet) {
 	lat := s.cycle - p.injected + 1
 	s.res.Delivered++
