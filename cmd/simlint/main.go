@@ -108,7 +108,7 @@ var netsimHot = []string{
 	"inputUnit.Len", "inputUnit.push", "inputUnit.front", "inputUnit.at",
 	"inputUnit.popFront", "inputUnit.truncate",
 	// worklist ops
-	"activeSet.set", "activeSet.clear", "activeSet.none", "activeSet.forEach",
+	"activeSet.set", "activeSet.clear", "activeSet.forEach",
 	// router bitmask helpers
 	"router.candSet", "router.candClear", "router.attnSet", "router.attnClear",
 	"router.unitFilled", "router.unitEmptied", "router.park", "router.unpark",

@@ -102,28 +102,22 @@ func newActiveSet(n int) activeSet {
 func (a *activeSet) set(v int)   { a.words[v>>6] |= 1 << (uint(v) & 63) }
 func (a *activeSet) clear(v int) { a.words[v>>6] &^= 1 << (uint(v) & 63) }
 
-// none reports whether no router is on the worklist.
-func (a *activeSet) none() bool {
-	for _, w := range a.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // forEach visits set routers in ascending order. A bit set during iteration
 // behind the cursor (or within the already-snapshotted word) is picked up
 // next cycle; that matches the full scan, because the only mid-pass
 // activation — an OnDelivered callback injecting into a source queue — feeds
 // a queue whose drain phase has already run this cycle in the full scan too.
-func (a *activeSet) forEach(fn func(v int)) {
+// It reports whether it visited any router.
+func (a *activeSet) forEach(fn func(v int)) bool {
+	visited := false
 	for wi := range a.words {
 		w := a.words[wi]
+		visited = visited || w != 0
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
 			fn(wi<<6 | b)
 		}
 	}
+	return visited
 }

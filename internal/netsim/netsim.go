@@ -680,12 +680,11 @@ func (s *Sim) step() {
 	} else {
 		s.deliverLinkFlits()
 		s.inject()
-		if s.active.none() {
+		if !s.active.forEach(func(v int) {
+			s.drainSourceQueue(s.routers[v])
+		}) {
 			s.st.EmptyCycles++
 		}
-		s.active.forEach(func(v int) {
-			s.drainSourceQueue(s.routers[v])
-		})
 		s.active.forEach(func(v int) {
 			r := s.routers[v]
 			if r.queued > 0 {
@@ -925,9 +924,9 @@ func (s *Sim) allocPacket() int32 {
 // over-provisioned by more than one bounded slab. Slabs are never copied: a
 // single array grown by append would leave each old copy as garbage, which
 // past saturation, where the population keeps growing, raised a quick
-// Figure 10 run's peak RSS by half. The free list is sized for every slot here, so
-// freePacket never grows it, and the new handles go on it highest first,
-// so packets allocated in a row sit next to each other.
+// Figure 10 run's peak RSS by half. The free list is sized for every slot
+// here, so freePacket never grows it, and the new handles go on it highest
+// first, so packets allocated in a row sit next to each other.
 //
 //go:noinline
 func (s *Sim) growPool() {
