@@ -22,7 +22,7 @@ func (q *ring[T]) full() bool { return q.n == len(q.buf) }
 
 // push appends v at the tail.
 func (q *ring[T]) push(v T) {
-	if q.n == len(q.buf) {
+	if q.full() {
 		q.grow()
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
