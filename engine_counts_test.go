@@ -29,7 +29,37 @@ const (
 	// for the loaded points to fill their pools, rings and columns, short
 	// enough for CI's -race run.
 	engineCountCycles = 1000
+	// The N64_wake point: a gate-off's ring healing at wakeAt charges
+	// every link out of wakeRouter the Section VI wake time (5 µs, 1 562
+	// cycles at 3.2 ns), far past the wake wheel's span, so those flits
+	// arrive through the overflow heap. The run goes on for
+	// engineCountCycles past the deadline.
+	wakeAt     = 200
+	wakeRouter = 21
+	wakeCycles = 1562
 )
+
+// wakeEngineCounts runs the N64_wake point: N=64 at rate 0.04, cold, with
+// the wake charge applied at wakeAt the way a gate schedule applies it.
+func wakeEngineCounts(t *testing.T) netsim.EngineStats {
+	sim := netsimStepSim(t, netsimStepConfig(t, 64, false), 0.04)
+	sim.Run(wakeAt)
+	until := sim.Cycle() + wakeCycles
+	sim.SetLinkLatency(func(u, v int) int {
+		l := netsim.DefaultLinkLatency
+		if u == wakeRouter {
+			if d := until - sim.Cycle(); d > 0 {
+				l += int(d)
+			}
+		}
+		return l
+	})
+	sim.Run(wakeCycles + engineCountCycles)
+	if sim.Results().Deadlocked {
+		t.Fatal("N64_wake deadlocked")
+	}
+	return sim.Stats()
+}
 
 // TestGoldenEngineCounts runs each BenchmarkNetsimStep grid point cold for
 // engineCountCycles cycles on a private route cache and compares its
@@ -44,6 +74,7 @@ func TestGoldenEngineCounts(t *testing.T) {
 		}
 		got[fmt.Sprintf("N%d_%s", g.n, g.load)] = sim.Stats()
 	}
+	got["N64_wake"] = wakeEngineCounts(t)
 	if *updateEngineCounts {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
