@@ -42,18 +42,14 @@ const (
 // wakeEngineCounts runs the N64_wake point: N=64 at rate 0.04, cold, with
 // the wake charge applied at wakeAt the way a gate schedule applies it.
 func wakeEngineCounts(t *testing.T) netsim.EngineStats {
-	sim := netsimStepSim(t, netsimStepConfig(t, 64, false), 0.04)
+	cfg := netsimStepConfig(t, 64, false)
+	sim := netsimStepSim(t, cfg, 0.04)
 	sim.Run(wakeAt)
-	until := sim.Cycle() + wakeCycles
-	sim.SetLinkLatency(func(u, v int) int {
-		l := netsim.DefaultLinkLatency
-		if u == wakeRouter {
-			if d := until - sim.Cycle(); d > 0 {
-				l += int(d)
-			}
+	for _, v := range cfg.Out[wakeRouter] {
+		if err := sim.SetLinkWake(wakeRouter, v, sim.Cycle()+wakeCycles); err != nil {
+			t.Fatal(err)
 		}
-		return l
-	})
+	}
 	sim.Run(wakeCycles + engineCountCycles)
 	if sim.Results().Deadlocked {
 		t.Fatal("N64_wake deadlocked")

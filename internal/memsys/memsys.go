@@ -331,7 +331,7 @@ func (s *System) Results() Results {
 // Sim exposes the underlying network simulator for callers that drive
 // the co-simulation themselves — sessions read the cycle counter between
 // Run slices, and gate-scheduled ones need the mid-run hooks
-// (SetEscapeRoute, SetLinkLatency). Mutate it only between slices, on the
+// (SetEscapeRoute, SetLinkWake). Mutate it only between slices, on the
 // simulating goroutine.
 func (s *System) Sim() *netsim.Sim { return s.net }
 

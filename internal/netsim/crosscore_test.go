@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -186,7 +187,7 @@ func TestCrossCoreFlowTelemetry(t *testing.T) {
 
 // TestCrossCoreMidRunHooks pins bit-identity while the mid-run hooks used
 // by gate schedules fire: routing-table mutation between Run slices, link
-// latency swaps (wake charging), and escape-route swaps.
+// wake deadlines (wake charging), and escape-route swaps.
 func TestCrossCoreMidRunHooks(t *testing.T) {
 	sf, err := topology.NewStringFigure(topology.Config{N: 24, Ports: 4, Seed: 9, Shortcuts: true})
 	if err != nil {
@@ -200,19 +201,94 @@ func TestCrossCoreMidRunHooks(t *testing.T) {
 	checkCores(t, cfg, func(s *Sim) {
 		s.SetPattern(0.15, pat)
 		s.Run(300)
-		// Charge extra latency on every link out of node 0 with a fixed
-		// deadline, as reconfiguration wake charging does.
+		// Charge every link into or out of node 0 one wake deadline, as
+		// reconfiguration wake charging does.
 		deadline := s.Cycle() + 40
-		s.SetLinkLatency(func(u, v int) int {
-			if u == 0 || v == 0 {
-				if rem := deadline - s.Cycle(); rem > DefaultLinkLatency {
-					return int(rem)
+		for u, r := range s.routers {
+			for _, v := range r.outNbr {
+				if u == 0 || v == 0 {
+					if err := s.SetLinkWake(u, v, deadline); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			return DefaultLinkLatency
-		})
-		s.Run(200)
-		s.SetLinkLatency(nil)
-		s.Run(500)
+		}
+		s.Run(700)
 	})
+}
+
+// TestLinkWakeKeepsLinksFIFO charges random wake deadlines mid-run — some
+// past the wake wheel's span, some re-charging a link that is still waking,
+// later or earlier than its current deadline — and checks after every
+// cycle that each delay line holds its flits in arrival order with none
+// overdue: every link delivers in send order, each flit on its own arrival
+// cycle. Both cores must agree byte for byte, and a wake request for a
+// pair that is not a link must fail.
+func TestLinkWakeKeepsLinksFIFO(t *testing.T) {
+	const n = 24
+	sf, err := topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 9, Shortcuts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := traffic.NewPattern("uniform", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCores(t, SFConfig(sf, 5), func(s *Sim) {
+		if s.SetLinkWake(0, 0, 10) == nil || s.SetLinkWake(n, 0, 10) == nil {
+			t.Error("SetLinkWake accepted a pair that is not a link")
+		}
+		rng := rand.New(rand.NewSource(3))
+		s.SetPattern(0.1, pat)
+		far, recharged := 0, 0
+		for c := 0; c < 3000; c++ {
+			if c%50 == 0 && c < 2000 {
+				for k := 0; k < 4; k++ {
+					r := s.routers[rng.Intn(n)]
+					p := rng.Intn(len(r.outNbr))
+					until := s.Cycle() + int64(rng.Intn(2*wheelSize))
+					if r.links[p].wake > s.Cycle() {
+						recharged++
+					}
+					if until-s.Cycle() >= wheelSize {
+						far++
+					}
+					if err := s.SetLinkWake(r.id, r.outNbr[p], until); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			s.Run(1)
+			checkLinksFIFO(t, s)
+		}
+		if far == 0 || recharged == 0 {
+			t.Errorf("%d deadlines past the wheel, %d re-charges of a waking link; want some of each", far, recharged)
+		}
+		if !s.cfg.ReferenceCore && s.Stats().HeapWakes == 0 {
+			t.Error("no wake went through the overflow heap")
+		}
+		if s.Results().Delivered == 0 {
+			t.Error("nothing delivered")
+		}
+	})
+}
+
+// checkLinksFIFO fails the test unless every delay line's arrival cycles
+// are nondecreasing from head to tail and none lies in the past.
+func checkLinksFIFO(t *testing.T, s *Sim) {
+	t.Helper()
+	for _, r := range s.routers {
+		for p := range r.links {
+			q := &r.links[p]
+			prev := s.Cycle()
+			for i := 0; i < q.Len(); i++ {
+				a := q.buf[(int(q.head)+i)&(len(q.buf)-1)].arrive
+				if a < prev {
+					t.Fatalf("cycle %d: link %d->%d: flit %d arrives at %d, before %d",
+						s.Cycle(), r.id, r.outNbr[p], i, a, prev)
+				}
+				prev = a
+			}
+		}
+	}
 }

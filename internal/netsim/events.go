@@ -67,12 +67,13 @@ func (h *eventHeap) pop() linkEvent {
 	return top
 }
 
-// wheelSize is the span of the wake calendar's timing wheel. Link latencies
-// are small constants (DefaultLinkLatency, plus modest per-link charges), so
-// nearly every wake lands within the wheel and costs O(1) to schedule and
-// drain; the rare far wake (reconfiguration charges link deadlines tens of
-// thousands of cycles out) overflows into the eventHeap, whose head is
-// checked once per cycle.
+// wheelSize is the span of the wake calendar's timing wheel. Base link
+// latencies are small constants (DefaultLinkLatency, plus modest long-wire
+// extras), so nearly every wake lands within the wheel and costs O(1) to
+// schedule and drain; the rare far wake (a flit sent onto a link still
+// waking after reconfiguration, whose deadline — 1 562 cycles for the
+// Section VI wake time — lies past the span) overflows into the eventHeap,
+// whose head is checked once per cycle.
 const (
 	wheelSize = 256 // power of two
 	wheelMask = wheelSize - 1

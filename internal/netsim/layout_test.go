@@ -28,10 +28,10 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestFlitLayoutIsPointerFree pins the per-flit data layout: flits,
-// delay-line records, input units (with their inline buffers) and packets
+// in-flight records, input units (with their inline buffers) and packets
 // hold no pointers, so the GC never scans the arenas and slabs they live
 // in, and each stays within its size (a unit fits in two 64-byte cache
-// lines).
+// lines, a link's delay line with its cost in 48 bytes).
 func TestFlitLayoutIsPointerFree(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -52,6 +52,11 @@ func TestFlitLayoutIsPointerFree(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(inputUnit{}.buf); got != bufFlits*unsafe.Sizeof(flit{}) {
 		t.Errorf("inline buffer is %d bytes, want bufFlits flits", got)
+	}
+	// A delay line's ring header and its link's cost share one record
+	// (its buffer is a slice, so the record itself is GC-visible).
+	if got := unsafe.Sizeof(delayLine{}); got > 48 {
+		t.Errorf("delayLine is %d bytes, over its 48-byte budget", got)
 	}
 }
 

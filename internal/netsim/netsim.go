@@ -49,8 +49,11 @@ type Config struct {
 	LinkWidth int
 	// PacketFlits is the packet size in flits (header + payload).
 	PacketFlits int
-	// LinkLatency returns the cycle count for traversing link u->v,
-	// including SerDes; nil means DefaultLinkLatency everywhere.
+	// LinkLatency returns the base cycle count for traversing link u->v,
+	// including SerDes; nil means DefaultLinkLatency everywhere. New reads
+	// it once per link (a value below 1 counts as 1) and keeps the result
+	// on the link's delay line, so it must not depend on simulation state;
+	// a waking link's extra cost is a deadline set with Sim.SetLinkWake.
 	LinkLatency func(u, v int) int
 	// Adaptive selects the adaptive-routing policy.
 	Adaptive AdaptiveMode
@@ -254,6 +257,20 @@ type inflight struct {
 	arrive int64
 }
 
+// delayLine is one link: the flits traversing it, in send order, and its
+// traversal cost as data — base, the latency New reads once from
+// Config.LinkLatency, and wake, the cycle a link switched on by
+// reconfiguration finishes waking (0 for a link that never slept; see
+// SetLinkWake). A flit sent at cycle c arrives at base + max(c, wake).
+// Neither term ever decreases, so arrivals on a link are monotone in send
+// order: the line's head is always its earliest arrival, which is what
+// the wake calendar arms. The record is 48 bytes.
+type delayLine struct {
+	ring[inflight]
+	wake int64
+	base int64
+}
+
 // ovc is one output-VC arbitration record (see router.ovcs).
 type ovc struct {
 	owner int32
@@ -286,7 +303,7 @@ type router struct {
 	// in[p*VCs+v] are the input units.
 	in []inputUnit
 	// links[p] is the delay line of output port p.
-	links []ring[inflight]
+	links []delayLine
 	// linkBase is the global link id of output port 0 (ports are numbered
 	// consecutively); the event calendar keys links by linkBase+p.
 	linkBase int32
@@ -558,7 +575,7 @@ func New(cfg Config) (*Sim, error) {
 	// couple of adjacent cache lines.
 	maskA := make([]uint64, 2*totW+2*totOut64+totCand)
 	ovcA := make([]ovc, totOvc)
-	linkA := make([]ring[inflight], totLinks)
+	linkA := make([]delayLine, totLinks)
 	rrA := make([]int, totRR)
 	// Pre-seed the ring buffers too (input units carry theirs inline): link
 	// delay lines at a small default and source queues at srcQSeed. Queues
@@ -583,8 +600,9 @@ func New(cfg Config) (*Sim, error) {
 		}
 		r.srcQ.buf, srcA = srcA[:srcQSeed:srcQSeed], srcA[srcQSeed:]
 		r.links, linkA = linkA[:nout:nout], linkA[nout:]
-		for p := range r.links {
+		for p, w := range r.outNbr {
 			r.links[p].buf, infA = infA[:4:4], infA[4:]
+			r.links[p].base = int64(s.linkLatency(r.id, w))
 		}
 		r.linkBase = int32(links)
 		links += nout
@@ -645,7 +663,8 @@ func (s *Sim) SetPattern(rate float64, pattern func(src int, rng *rand.Rand) (in
 	s.injSkip = -1
 }
 
-// linkLatency returns the traversal latency for u->v.
+// linkLatency returns the base traversal latency of u->v; New stores it on
+// the link's delay line.
 func (s *Sim) linkLatency(u, v int) int {
 	if s.cfg.LinkLatency == nil {
 		return DefaultLinkLatency
@@ -1517,11 +1536,11 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 	// Send over the link on the outgoing VC.
 	r.ovcs[out*vcs+outVC].cred--
 	f.vc = uint8(outVC)
-	lat := int64(s.linkLatency(r.id, r.outNbr[out]))
-	if r.links[out].full() {
+	l := &r.links[out]
+	if l.full() {
 		s.st.LinkGrowths++
 	}
-	r.links[out].push(inflight{f: f, arrive: s.cycle + lat})
+	l.push(inflight{f: f, arrive: l.base + max(s.cycle, l.wake)})
 	s.res.FlitHops++
 	if s.fl != nil {
 		s.fl.links[r.linkBase+int32(out)]++
@@ -1636,15 +1655,23 @@ func (s *Sim) SetRate(rate float64) {
 	s.injSkip = -1
 }
 
-// SetLinkLatency swaps the per-link latency function mid-run. Scheduled
-// reconfiguration uses it to charge the wake-up latency of links that were
-// just switched on: the function may consult Cycle() to make a waking link
-// cost its remaining wake time. Flit arrival order per link stays FIFO as
-// long as the latency of a link never decreases faster than one cycle per
-// cycle (a fixed wake deadline satisfies this). Arrival cycles are fixed
-// when a flit enters a link, so swapping the function never perturbs the
-// wake calendar of flits already in flight. Call it only on the simulating
-// goroutine.
-func (s *Sim) SetLinkLatency(f func(u, v int) int) {
-	s.cfg.LinkLatency = f
+// SetLinkWake charges the link u->v a wake deadline, the way scheduled
+// reconfiguration charges a link it just switched on its remaining wake-up
+// time: a flit sent onto the link before cycle until arrives at until plus
+// the link's base latency. A deadline never moves earlier — an until below
+// the link's current deadline changes nothing — so the link keeps
+// delivering in send order, and flits already on it keep their arrival
+// cycles. It fails when u->v is not a link of the simulated network. Call
+// it only between Run slices on the simulating goroutine.
+func (s *Sim) SetLinkWake(u, v int, until int64) error {
+	p := -1
+	if u >= 0 && u < len(s.routers) {
+		p = s.portOf(s.routers[u], v)
+	}
+	if p < 0 {
+		return fmt.Errorf("netsim: no link %d->%d", u, v)
+	}
+	l := &s.routers[u].links[p]
+	l.wake = max(l.wake, until)
+	return nil
 }

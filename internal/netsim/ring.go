@@ -8,24 +8,26 @@ package netsim
 // traffic. A ring reaches its high-water capacity once and then pushes and
 // pops without touching the allocator. Its elements (flits, inflight
 // records) hold no pointers, so popped slots are left as they are.
+//
+// The cursor and count are 32-bit, so a ring header is 32 bytes and a
+// delay line (a ring plus its link's cost) stays at 48.
 type ring[T any] struct {
-	buf  []T
-	head int
-	n    int
+	buf     []T
+	head, n int32
 }
 
 // Len returns the number of queued elements.
-func (q *ring[T]) Len() int { return q.n }
+func (q *ring[T]) Len() int { return int(q.n) }
 
 // full reports whether the next push grows the backing array.
-func (q *ring[T]) full() bool { return q.n == len(q.buf) }
+func (q *ring[T]) full() bool { return int(q.n) == len(q.buf) }
 
 // push appends v at the tail.
 func (q *ring[T]) push(v T) {
 	if q.full() {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.buf[int(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 }
 
@@ -36,7 +38,7 @@ func (q *ring[T]) front() *T { return &q.buf[q.head] }
 // popFront removes and returns the head element.
 func (q *ring[T]) popFront() T {
 	v := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.head = (q.head + 1) & int32(len(q.buf)-1)
 	q.n--
 	return v
 }
@@ -53,8 +55,8 @@ func (q *ring[T]) grow() {
 		size = 8
 	}
 	nb := make([]T, size)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	for i := 0; i < int(q.n); i++ {
+		nb[i] = q.buf[(int(q.head)+i)&(len(q.buf)-1)]
 	}
 	q.buf = nb
 	q.head = 0

@@ -133,10 +133,10 @@ type gateRig struct {
 	start     []bool
 	aliveNow  []bool
 	everAlive []bool
-	// wake charges links a gate-off switches on (ring healing) their
-	// remaining wake-up latency, keyed by directed link.
+	// wakeCycles is the link wake-up time a gate-off charges, as a wake
+	// deadline on the simulator, to every link it switches on (ring
+	// healing).
 	wakeCycles int64
-	wake       map[[2]int]int64
 	sim        *netsim.Sim
 	rec        *scenarioRecorder
 }
@@ -210,7 +210,6 @@ func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder)
 		aliveNow:   start,
 		everAlive:  ever,
 		wakeCycles: int64(n.net.Timing.LinkWakeNs / netsim.CycleNs),
-		wake:       make(map[[2]int]int64),
 		rec:        rec,
 	}, nil
 }
@@ -232,25 +231,13 @@ func (r *gateRig) escapeFor(alive []bool) func(cur, dst int) (int, int) {
 }
 
 // attach binds the rig to its simulator and returns the schedule as
-// timeline actions. It installs the wake-aware link latency: flits routed
-// onto a still waking link are charged its remaining wake time, which is
-// the mechanism behind the post-gate-off latency transient the telemetry
-// stream watches. A nil rig (gate-free run) attaches nothing — the
-// simulator keeps its nil LinkLatency fast path — and has no actions.
+// timeline actions. A nil rig (gate-free run) attaches nothing and has no
+// actions.
 func (r *gateRig) attach(sim *netsim.Sim) []action {
 	if r == nil {
 		return nil
 	}
 	r.sim = sim
-	sim.SetLinkLatency(func(u, v int) int {
-		l := netsim.DefaultLinkLatency
-		if until, ok := r.wake[[2]int{u, v}]; ok {
-			if d := until - sim.Cycle(); d > 0 {
-				l += int(d)
-			}
-		}
-		return l
-	})
 	acts := make([]action, len(r.events))
 	for i, ev := range r.events {
 		acts[i] = action{ev.Cycle, func() error { return r.apply(i) }}
@@ -259,9 +246,12 @@ func (r *gateRig) attach(sim *netsim.Sim) []action {
 }
 
 // apply executes event idx against the live network and simulator:
-// gate the node, swap the escape routes to the new mask, and start the
-// wake clock on links a gate-off switches on (ring healing) — a gate-on
-// was already deferred past its links' wake by normalization.
+// gate the node, swap the escape routes to the new mask, and set a wake
+// deadline on links a gate-off switches on (ring healing) — a gate-on
+// was already deferred past its links' wake by normalization. Flits
+// routed onto a still waking link arrive only after its deadline, the
+// mechanism behind the post-gate-off latency transient the telemetry
+// stream watches.
 func (r *gateRig) apply(idx int) error {
 	ev := r.events[idx]
 	var err error
@@ -276,6 +266,7 @@ func (r *gateRig) apply(idx int) error {
 	r.aliveNow = r.n.net.AliveSlice()
 	r.sim.SetEscapeRoute(r.escapeFor(r.aliveNow))
 	if !ev.On {
+		until := r.sim.Cycle() + r.wakeCycles
 		old := r.adjs[idx]
 		for u, nbrs := range r.adjs[idx+1] {
 			was := make(map[int]bool, len(old[u]))
@@ -284,7 +275,9 @@ func (r *gateRig) apply(idx int) error {
 			}
 			for _, v := range nbrs {
 				if !was[v] {
-					r.wake[[2]int{u, v}] = r.sim.Cycle() + r.wakeCycles
+					if err := r.sim.SetLinkWake(u, v, until); err != nil {
+						return err
+					}
 				}
 			}
 		}
