@@ -404,6 +404,7 @@ type Sim struct {
 	// node per cycle; both cores share this path, so the draw sequence
 	// stays part of the cross-core determinism contract.
 	injRate    float64
+	injLog     float64 // math.Log(1 - injRate), the gap's denominator
 	injPattern func(src int, rng *rand.Rand) (dst int, ok bool)
 	injSkip    int64
 
@@ -658,9 +659,8 @@ func New(cfg Config) (*Sim, error) {
 // per injection — so at low load the cost of injection scales with traffic,
 // not with network size. Installing a pattern restarts the trial sequence.
 func (s *Sim) SetPattern(rate float64, pattern func(src int, rng *rand.Rand) (int, bool)) {
-	s.injRate = rate
 	s.injPattern = pattern
-	s.injSkip = -1
+	s.SetRate(rate)
 }
 
 // linkLatency returns the base traversal latency of u->v; New stores it on
@@ -897,7 +897,7 @@ func (s *Sim) injGap() int64 {
 		return 0
 	}
 	u := s.rng.Float64()
-	return int64(math.Log(1-u) / math.Log(1-s.injRate))
+	return int64(math.Log(1-u) / s.injLog)
 }
 
 // adaptiveVC maps the policy's choice into the adaptive VC index range
@@ -1652,6 +1652,7 @@ func (s *Sim) SetEscapeRoute(f func(cur, dst int) (next int, escVC int)) {
 // boundary. Call it only between Run slices on the simulating goroutine.
 func (s *Sim) SetRate(rate float64) {
 	s.injRate = rate
+	s.injLog = math.Log(1 - rate)
 	s.injSkip = -1
 }
 
