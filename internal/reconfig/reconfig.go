@@ -345,27 +345,40 @@ func (n *Network) ReconfigLatencyNs(linksDisabled, linksEnabled int) float64 {
 }
 
 // diffAdjacency returns the directed links present in old but not new
-// (disabled) and present in new but not old (enabled).
+// (disabled) and present in new but not old (enabled). Neighbor lists are
+// ascending (AdjacencyFor's order, which the full-scale adjacency Adopt
+// takes equals), so each router is one merge.
 func diffAdjacency(oldOut, newOut [][]int) (disabled, enabled [][2]int) {
 	for u := range oldOut {
-		oldSet := make(map[int]bool, len(oldOut[u]))
-		for _, w := range oldOut[u] {
-			oldSet[w] = true
-		}
-		newSet := make(map[int]bool, len(newOut[u]))
-		for _, w := range newOut[u] {
-			newSet[w] = true
-		}
-		for _, w := range oldOut[u] {
-			if !newSet[w] {
+		MergeSorted(oldOut[u], newOut[u], func(w int, was, is bool) {
+			if !is {
 				disabled = append(disabled, [2]int{u, w})
 			}
-		}
-		for _, w := range newOut[u] {
-			if !oldSet[w] {
+			if !was {
 				enabled = append(enabled, [2]int{u, w})
 			}
-		}
+		})
 	}
 	return disabled, enabled
+}
+
+// MergeSorted walks two ascending lists without duplicates — neighbor
+// lists as AdjacencyFor returns them — in one pass, calling visit once per
+// distinct value in ascending order with whether a and b hold it.
+func MergeSorted(a, b []int, visit func(v int, inA, inB bool)) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && a[i] < b[j]):
+			visit(a[i], true, false)
+			i++
+		case i == len(a) || b[j] < a[i]:
+			visit(b[j], false, true)
+			j++
+		default:
+			visit(a[i], true, true)
+			i++
+			j++
+		}
+	}
 }

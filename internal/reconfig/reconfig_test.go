@@ -295,3 +295,44 @@ func TestElasticDeliveryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMergeSortedMatchesSets checks the one-pass merge behind
+// diffAdjacency and the gate rig against set membership: on random
+// ascending lists, every value of either list is visited once, in
+// ascending order, with the right membership flags.
+func TestMergeSortedMatchesSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	list := func() ([]int, map[int]bool) {
+		var l []int
+		set := map[int]bool{}
+		for v := 0; v < 40; v++ {
+			if rng.Intn(3) == 0 {
+				l = append(l, v)
+				set[v] = true
+			}
+		}
+		return l, set
+	}
+	for trial := 0; trial < 200; trial++ {
+		a, inA := list()
+		b, inB := list()
+		last, seen := -1, 0
+		MergeSorted(a, b, func(v int, ia, ib bool) {
+			if v <= last {
+				t.Fatalf("%v + %v: visited %d after %d", a, b, v, last)
+			}
+			if ia != inA[v] || ib != inB[v] || !(ia || ib) {
+				t.Fatalf("%v + %v: %d flagged (%v, %v)", a, b, v, ia, ib)
+			}
+			last = v
+			seen++
+		})
+		union := map[int]bool{}
+		for _, v := range append(append([]int(nil), a...), b...) {
+			union[v] = true
+		}
+		if seen != len(union) {
+			t.Fatalf("%v + %v: visited %d values, the union has %d", a, b, seen, len(union))
+		}
+	}
+}

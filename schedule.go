@@ -3,9 +3,9 @@ package stringfigure
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/netsim"
+	"repro/internal/reconfig"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
@@ -180,26 +180,14 @@ func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder)
 	}
 
 	adjs := make([][][]int, len(masks))
-	union := make([]map[int]bool, n.d.Routers)
-	for i := range union {
-		union[i] = make(map[int]bool)
-	}
+	out := make([][]int, n.d.Routers)
 	for mi, m := range masks {
 		adjs[mi] = n.net.AdjacencyFor(m)
 		for u, nbrs := range adjs[mi] {
-			for _, v := range nbrs {
-				union[u][v] = true
-			}
+			var union []int
+			reconfig.MergeSorted(out[u], nbrs, func(v int, _, _ bool) { union = append(union, v) })
+			out[u] = union
 		}
-	}
-	out := make([][]int, n.d.Routers)
-	for u, set := range union {
-		nbrs := make([]int, 0, len(set))
-		for v := range set {
-			nbrs = append(nbrs, v)
-		}
-		sort.Ints(nbrs)
-		out[u] = nbrs
 	}
 	return &gateRig{
 		n:          n,
@@ -267,19 +255,15 @@ func (r *gateRig) apply(idx int) error {
 	r.sim.SetEscapeRoute(r.escapeFor(r.aliveNow))
 	if !ev.On {
 		until := r.sim.Cycle() + r.wakeCycles
-		old := r.adjs[idx]
 		for u, nbrs := range r.adjs[idx+1] {
-			was := make(map[int]bool, len(old[u]))
-			for _, v := range old[u] {
-				was[v] = true
-			}
-			for _, v := range nbrs {
-				if !was[v] {
-					if err := r.sim.SetLinkWake(u, v, until); err != nil {
-						return err
-					}
+			reconfig.MergeSorted(r.adjs[idx][u], nbrs, func(v int, was, is bool) {
+				if is && !was && err == nil {
+					err = r.sim.SetLinkWake(u, v, until)
 				}
-			}
+			})
+		}
+		if err != nil {
+			return err
 		}
 	}
 	kind := scenario.EventGateOff
