@@ -17,12 +17,10 @@
 // The simulator is topology-agnostic: it consumes an out-adjacency, a
 // routing.Algorithm for next-hop candidates, a virtual-channel policy, an
 // escape routing function, and a per-link latency function, so String
-// Figure and every baseline run on the same machinery. Links are data: New
-// reads each link's base latency once and keeps it on the link's delay
-// line next to a wake deadline (Sim.SetLinkWake, which power gating sets on
-// the links a gate-off switches on), so a flit sent at cycle c arrives at
-// base + max(c, wake) with no call per flit, and every link delivers in
-// send order.
+// Figure and every baseline run on the same machinery. New reads each
+// link's latency once onto its delay line, beside the wake deadline power
+// gating sets (Sim.SetLinkWake): a flit sent at cycle c arrives at
+// base + max(c, wake), so every link delivers in send order.
 //
 // Two cores advance that machinery, chosen once per cycle in step: the
 // event-driven core (netsim.go, events.go) follows a wake calendar, a router

@@ -50,10 +50,9 @@ type Config struct {
 	// PacketFlits is the packet size in flits (header + payload).
 	PacketFlits int
 	// LinkLatency returns the base cycle count for traversing link u->v,
-	// including SerDes; nil means DefaultLinkLatency everywhere. New reads
-	// it once per link (a value below 1 counts as 1) and keeps the result
-	// on the link's delay line, so it must not depend on simulation state;
-	// a waking link's extra cost is a deadline set with Sim.SetLinkWake.
+	// including SerDes (at least 1); nil means DefaultLinkLatency
+	// everywhere. New reads it once per link; a waking link's extra cost is
+	// a deadline (Sim.SetLinkWake).
 	LinkLatency func(u, v int) int
 	// Adaptive selects the adaptive-routing policy.
 	Adaptive AdaptiveMode
@@ -257,14 +256,11 @@ type inflight struct {
 	arrive int64
 }
 
-// delayLine is one link: the flits traversing it, in send order, and its
-// traversal cost as data — base, the latency New reads once from
-// Config.LinkLatency, and wake, the cycle a link switched on by
-// reconfiguration finishes waking (0 for a link that never slept; see
-// SetLinkWake). A flit sent at cycle c arrives at base + max(c, wake).
-// Neither term ever decreases, so arrivals on a link are monotone in send
-// order: the line's head is always its earliest arrival, which is what
-// the wake calendar arms. The record is 48 bytes.
+// delayLine is one link (48 bytes): its flits in send order, the base
+// latency New reads from Config.LinkLatency, and the wake deadline
+// SetLinkWake sets. A flit sent at cycle c arrives at base + max(c, wake);
+// neither term decreases, so the head is always the line's earliest
+// arrival, the one the wake calendar arms.
 type delayLine struct {
 	ring[inflight]
 	wake int64
@@ -603,7 +599,10 @@ func New(cfg Config) (*Sim, error) {
 		r.links, linkA = linkA[:nout:nout], linkA[nout:]
 		for p, w := range r.outNbr {
 			r.links[p].buf, infA = infA[:4:4], infA[4:]
-			r.links[p].base = int64(s.linkLatency(r.id, w))
+			r.links[p].base = DefaultLinkLatency
+			if cfg.LinkLatency != nil {
+				r.links[p].base = int64(max(1, cfg.LinkLatency(r.id, w)))
+			}
 		}
 		r.linkBase = int32(links)
 		links += nout
@@ -661,19 +660,6 @@ func New(cfg Config) (*Sim, error) {
 func (s *Sim) SetPattern(rate float64, pattern func(src int, rng *rand.Rand) (int, bool)) {
 	s.injPattern = pattern
 	s.SetRate(rate)
-}
-
-// linkLatency returns the base traversal latency of u->v; New stores it on
-// the link's delay line.
-func (s *Sim) linkLatency(u, v int) int {
-	if s.cfg.LinkLatency == nil {
-		return DefaultLinkLatency
-	}
-	l := s.cfg.LinkLatency(u, v)
-	if l < 1 {
-		l = 1
-	}
-	return l
 }
 
 // Run advances the simulation by the given number of cycles.
@@ -1656,23 +1642,17 @@ func (s *Sim) SetRate(rate float64) {
 	s.injSkip = -1
 }
 
-// SetLinkWake charges the link u->v a wake deadline, the way scheduled
-// reconfiguration charges a link it just switched on its remaining wake-up
-// time: a flit sent onto the link before cycle until arrives at until plus
-// the link's base latency. A deadline never moves earlier — an until below
-// the link's current deadline changes nothing — so the link keeps
-// delivering in send order, and flits already on it keep their arrival
-// cycles. It fails when u->v is not a link of the simulated network. Call
-// it only between Run slices on the simulating goroutine.
+// SetLinkWake charges the link u->v a wake deadline, as scheduled
+// reconfiguration charges a link it just switched on: a flit sent onto it
+// before cycle until arrives at until plus the base latency. A deadline
+// never moves earlier, so the link keeps delivering in send order. It
+// fails when u->v is not a link. Call it only between Run slices on the
+// simulating goroutine.
 func (s *Sim) SetLinkWake(u, v int, until int64) error {
-	p := -1
-	if u >= 0 && u < len(s.routers) {
-		p = s.portOf(s.routers[u], v)
-	}
-	if p < 0 {
+	if u < 0 || u >= len(s.routers) || s.portOf(s.routers[u], v) < 0 {
 		return fmt.Errorf("netsim: no link %d->%d", u, v)
 	}
-	l := &s.routers[u].links[p]
+	l := &s.routers[u].links[s.portOf(s.routers[u], v)]
 	l.wake = max(l.wake, until)
 	return nil
 }

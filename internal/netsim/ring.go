@@ -8,9 +8,7 @@ package netsim
 // traffic. A ring reaches its high-water capacity once and then pushes and
 // pops without touching the allocator. Its elements (flits, inflight
 // records) hold no pointers, so popped slots are left as they are.
-//
-// The cursor and count are 32-bit, so a ring header is 32 bytes and a
-// delay line (a ring plus its link's cost) stays at 48.
+// Its 32-bit cursor and count keep a delay line at 48 bytes.
 type ring[T any] struct {
 	buf     []T
 	head, n int32

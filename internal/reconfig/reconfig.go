@@ -230,10 +230,21 @@ func (n *Network) applyReconfig(v int) {
 		}
 	}
 
-	// Step 2: enable/disable links.
+	// Step 2: enable/disable links, one merge per router (neighbor lists
+	// are ascending, as AdjacencyFor returns them).
 	oldOut := n.out
 	newOut := n.AdjacencyFor(n.alive)
-	disabled, enabled := diffAdjacency(oldOut, newOut)
+	var disabled, enabled [][2]int
+	for u := range oldOut {
+		MergeSorted(oldOut[u], newOut[u], func(w int, was, is bool) {
+			if !is {
+				disabled = append(disabled, [2]int{u, w})
+			}
+			if !was {
+				enabled = append(enabled, [2]int{u, w})
+			}
+		})
+	}
 	n.Stats.LinksDisabled += len(disabled)
 	n.Stats.LinksEnabled += len(enabled)
 	for _, l := range enabled {
@@ -344,41 +355,21 @@ func (n *Network) ReconfigLatencyNs(linksDisabled, linksEnabled int) float64 {
 	return float64(linksDisabled)*n.Timing.LinkSleepNs + float64(linksEnabled)*n.Timing.LinkWakeNs
 }
 
-// diffAdjacency returns the directed links present in old but not new
-// (disabled) and present in new but not old (enabled). Neighbor lists are
-// ascending (AdjacencyFor's order, which the full-scale adjacency Adopt
-// takes equals), so each router is one merge.
-func diffAdjacency(oldOut, newOut [][]int) (disabled, enabled [][2]int) {
-	for u := range oldOut {
-		MergeSorted(oldOut[u], newOut[u], func(w int, was, is bool) {
-			if !is {
-				disabled = append(disabled, [2]int{u, w})
-			}
-			if !was {
-				enabled = append(enabled, [2]int{u, w})
-			}
-		})
-	}
-	return disabled, enabled
-}
-
 // MergeSorted walks two ascending lists without duplicates — neighbor
 // lists as AdjacencyFor returns them — in one pass, calling visit once per
 // distinct value in ascending order with whether a and b hold it.
 func MergeSorted(a, b []int, visit func(v int, inA, inB bool)) {
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
+	for len(a) > 0 || len(b) > 0 {
 		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			visit(a[i], true, false)
-			i++
-		case i == len(a) || b[j] < a[i]:
-			visit(b[j], false, true)
-			j++
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			visit(a[0], true, false)
+			a = a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			visit(b[0], false, true)
+			b = b[1:]
 		default:
-			visit(a[i], true, true)
-			i++
-			j++
+			visit(a[0], true, true)
+			a, b = a[1:], b[1:]
 		}
 	}
 }

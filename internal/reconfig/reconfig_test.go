@@ -297,7 +297,7 @@ func TestElasticDeliveryProperty(t *testing.T) {
 }
 
 // TestMergeSortedMatchesSets checks the one-pass merge behind
-// diffAdjacency and the gate rig against set membership: on random
+// reconfiguration's link diff and the gate rig against set membership: on random
 // ascending lists, every value of either list is visited once, in
 // ascending order, with the right membership flags.
 func TestMergeSortedMatchesSets(t *testing.T) {
