@@ -11,7 +11,7 @@ package netsim
 // Its 32-bit cursor and count keep a delay line at 48 bytes.
 type ring[T any] struct {
 	buf     []T
-	head, n int32
+	head, n uint32
 }
 
 // Len returns the number of queued elements.
@@ -36,7 +36,7 @@ func (q *ring[T]) front() *T { return &q.buf[q.head] }
 // popFront removes and returns the head element.
 func (q *ring[T]) popFront() T {
 	v := q.buf[q.head]
-	q.head = (q.head + 1) & int32(len(q.buf)-1)
+	q.head = (q.head + 1) & uint32(len(q.buf)-1)
 	q.n--
 	return v
 }
