@@ -184,7 +184,17 @@ func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder)
 	for mi, m := range masks {
 		adjs[mi] = n.net.AdjacencyFor(m)
 		for u, nbrs := range adjs[mi] {
-			var union []int
+			// A router's union is rebuilt only when a phase adds to it.
+			added := 0
+			reconfig.MergeSorted(out[u], nbrs, func(_ int, had, _ bool) {
+				if !had {
+					added++
+				}
+			})
+			if added == 0 {
+				continue
+			}
+			union := make([]int, 0, len(out[u])+added)
 			reconfig.MergeSorted(out[u], nbrs, func(v int, _, _ bool) { union = append(union, v) })
 			out[u] = union
 		}
