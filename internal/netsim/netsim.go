@@ -1366,14 +1366,20 @@ func (s *Sim) arbitrate(r *router) {
 			out := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			s.scanSawLive = false
+			s.st.GrantScans++
 			if !s.arbitrateSlot(r, out, nUnits, eject, vcs) {
-				if !s.scanSawLive {
+				s.st.FailedScans++
+				if s.scanSawLive {
+					s.st.LiveFailedScans++
+				} else {
 					r.park(out)
 				}
 				continue
 			}
 			for slot := 1; slot < s.cfg.LinkWidth; slot++ {
+				s.st.GrantScans++
 				if !s.arbitrateSlot(r, out, nUnits, eject, vcs) {
+					s.st.FailedScans++
 					break
 				}
 			}

@@ -72,7 +72,7 @@ func (s *Sim) RunMeasured(warmup, measure int64) Results {
 // alone), and appears on no Result, Snapshot or wire message, so keeping
 // it costs the results nothing.
 //
-// The route-cache and calendar counts are the event core's; a
+// The route-cache, calendar and grant-scan counts are the event core's; a
 // reference-core run leaves them zero. The packet, ring and escape counts
 // come from transitions the two cores share, so they agree across cores.
 type EngineStats struct {
@@ -99,6 +99,11 @@ type EngineStats struct {
 	// once delivery and injection are done: nothing routes, arbitrates or
 	// moves, so next-event time skipping could have jumped them.
 	EmptyCycles int64
+	// GrantScans counts the event core's grant scans (one per output and
+	// link slot arbitrated), FailedScans those that granted nothing, and
+	// LiveFailedScans the failed first-slot scans whose output stayed
+	// unparked because a blocked candidate's starvation counter was live.
+	GrantScans, FailedScans, LiveFailedScans int64
 }
 
 // Stats returns the engine counters accumulated since New.
