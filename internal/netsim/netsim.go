@@ -468,6 +468,9 @@ type Sim struct {
 	// st is the engine's own work record (see EngineStats).
 	st EngineStats
 
+	// overCred is the adaptive threshold as a credit bound (overCredit).
+	overCred int32
+
 	// scanSawLive is set by noteBlocked during a grant scan when a blocked
 	// candidate's starvation counter is live (adaptive VC, head at front):
 	// such an output must keep being rescanned every cycle and cannot park.
@@ -485,6 +488,7 @@ func New(cfg Config) (*Sim, error) {
 		vcs:        cfg.EscapeVCs + adaptiveVCs,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		portRouter: -1,
+		overCred:   overCredit(cfg.AdaptiveThreshold),
 	}
 	if cfg.Routes != nil && cfg.Routes.n != n {
 		return nil, fmt.Errorf("netsim: route cache built for %d routers, network has %d", cfg.Routes.n, n)
@@ -1261,8 +1265,21 @@ func (s *Sim) escapeHop(cur, dst int) (int, int) {
 // overThreshold reports whether output port's queue on the given VC is at
 // or over the adaptive occupancy threshold.
 func (s *Sim) overThreshold(r *router, port, vc int) bool {
-	occupied := bufFlits - int(r.ovcs[port*s.vcs+vc].cred)
-	return float64(occupied) >= s.cfg.AdaptiveThreshold*float64(bufFlits)
+	return r.ovcs[port*s.vcs+vc].cred <= s.overCred
+}
+
+// overCredit is the credit bound behind overThreshold: an output VC with
+// cred credits holds k = bufFlits-cred flits, and for an integer k,
+// k >= threshold*bufFlits exactly when k >= its ceiling, so the queue is at
+// or over the threshold exactly when cred <= bufFlits - ceil(threshold *
+// bufFlits). A threshold above 1 (or NaN, or +Inf) can never be reached:
+// the bound is then -1, below every credit count.
+func overCredit(threshold float64) int32 {
+	x := threshold * float64(bufFlits)
+	if !(x <= bufFlits) {
+		return -1
+	}
+	return bufFlits - int32(math.Ceil(x))
 }
 
 // pickPort maps the candidate next hops to an output port (rcNoPort when

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -343,6 +344,24 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if cfg.AdaptiveThreshold != 0.5 {
 		t.Errorf("default threshold %v, want 0.5", cfg.AdaptiveThreshold)
+	}
+}
+
+// TestOverCreditMatchesFloatThreshold holds the integer credit bound equal
+// to the float comparison it replaces, occupied >= threshold*bufFlits, for
+// every credit count: thresholds on and between the bufFlits steps, tiny
+// ones, 1, above 1 and the non-finite values fill leaves in place.
+func TestOverCreditMatchesFloatThreshold(t *testing.T) {
+	thresholds := []float64{1e-300, 0.1, 0.125, 0.2, 0.25, 0.3, 0.5, 0.62, 0.625,
+		0.874999, 0.875, 0.9, 1, 1.0000001, 1.5, 1e300, math.Inf(1), math.NaN()}
+	for _, th := range thresholds {
+		bound := overCredit(th)
+		for cred := int32(0); cred <= bufFlits; cred++ {
+			want := float64(bufFlits-cred) >= th*float64(bufFlits)
+			if got := cred <= bound; got != want {
+				t.Errorf("threshold %v, %d credits: over=%v, float comparison says %v", th, cred, got, want)
+			}
+		}
 	}
 }
 
