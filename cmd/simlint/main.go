@@ -87,7 +87,7 @@ var determinismCritical = map[string]bool{
 var netsimHot = []string{
 	// cycle phases
 	"Sim.step", "Sim.stepRef", "Sim.deliverLinkFlits", "Sim.deliverLinkFlitsRef",
-	"Sim.wakeLink", "Sim.deliverFlit", "Sim.inject", "Sim.injGap",
+	"Sim.land", "Sim.deliverFlit", "Sim.inject", "Sim.injGap",
 	"Sim.drainSourceQueue", "Sim.routeHeads", "Sim.routeUnit", "Sim.routeFront",
 	"Sim.arbitrate", "Sim.arbitrateSlot", "Sim.forward", "Sim.scanSlot",
 	"Sim.scanSlotRef", "Sim.pickPort", "Sim.overThreshold",
@@ -99,11 +99,11 @@ var netsimHot = []string{
 	// packet and queue plumbing
 	"Sim.enqueuePacket", "Sim.enqueueSized", "Sim.purgeHeadPacket",
 	"Sim.pkt", "Sim.allocPacket", "Sim.freePacket", "Sim.recordDelivery",
-	"Sim.scheduleWake",
-	// ring ops, and the wake calendar's overflow heap (its far wakes are
-	// rare, but they run inside step like every other wake)
+	// link sends, the delivery lanes and the far heap (flits sent onto a
+	// waking link are rare, but they run inside step like every other send)
+	"Sim.send", "Sim.sendRef", "farHeap.push", "farHeap.pop", "farRec.less",
+	// ring ops
 	"ring.Len", "ring.full", "ring.push", "ring.front", "ring.popFront",
-	"eventHeap.push", "eventHeap.pop",
 	// input units' inline buffers
 	"inputUnit.Len", "inputUnit.push", "inputUnit.front", "inputUnit.at",
 	"inputUnit.popFront", "inputUnit.truncate",

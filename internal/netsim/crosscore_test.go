@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -32,7 +34,7 @@ func runCore(t *testing.T, cfg Config, ref bool, drive func(s *Sim)) coreRun {
 	st := s.Stats()
 	out.res = s.Results()
 	out.shared = EngineStats{PoolGrowths: st.PoolGrowths, PoolHighWater: st.PoolHighWater,
-		SrcQGrowths: st.SrcQGrowths, LinkGrowths: st.LinkGrowths, EscapeTransitions: st.EscapeTransitions}
+		SrcQGrowths: st.SrcQGrowths, EscapeTransitions: st.EscapeTransitions}
 	return out
 }
 
@@ -217,13 +219,14 @@ func TestCrossCoreMidRunHooks(t *testing.T) {
 	})
 }
 
-// TestLinkWakeKeepsLinksFIFO charges random wake deadlines mid-run — some
-// past the wake wheel's span, some re-charging a link that is still waking,
-// later or earlier than its current deadline — and checks after every
-// cycle that each delay line holds its flits in arrival order with none
-// overdue: every link delivers in send order, each flit on its own arrival
-// cycle. Both cores must agree byte for byte, and a wake request for a
-// pair that is not a link must fail.
+// TestLinkWakeKeepsLinksFIFO charges random wake deadlines mid-run — short
+// ones, whose far flits tie with the link's first lane flits, long ones, and
+// re-charges of a link that is still waking, later or earlier than its
+// current deadline — and checks after every cycle that every link delivers
+// in send order, each flit on its own arrival cycle (checkLinksFIFO), and
+// that every input unit holds whole packets in order (checkUnitsInOrder),
+// which a delivery out of send order breaks. Both cores must agree byte for
+// byte, and a wake request for a pair that is not a link must fail.
 func TestLinkWakeKeepsLinksFIFO(t *testing.T) {
 	const n = 24
 	sf, err := topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 9, Shortcuts: true})
@@ -239,19 +242,19 @@ func TestLinkWakeKeepsLinksFIFO(t *testing.T) {
 			t.Error("SetLinkWake accepted a pair that is not a link")
 		}
 		rng := rand.New(rand.NewSource(3))
-		s.SetPattern(0.1, pat)
-		far, recharged := 0, 0
+		s.SetPattern(0.15, pat)
+		recharged := 0
 		for c := 0; c < 3000; c++ {
-			if c%50 == 0 && c < 2000 {
-				for k := 0; k < 4; k++ {
+			if c%20 == 0 && c < 2000 {
+				for k := 0; k < 6; k++ {
 					r := s.routers[rng.Intn(n)]
 					p := rng.Intn(len(r.outNbr))
-					until := s.Cycle() + int64(rng.Intn(2*wheelSize))
-					if r.links[p].wake > s.Cycle() {
-						recharged++
+					until := s.Cycle() + 1 + int64(rng.Intn(8))
+					if k%2 == 1 {
+						until = s.Cycle() + int64(rng.Intn(512))
 					}
-					if until-s.Cycle() >= wheelSize {
-						far++
+					if s.links[int(r.linkBase)+p].wake > s.Cycle() {
+						recharged++
 					}
 					if err := s.SetLinkWake(r.id, r.outNbr[p], until); err != nil {
 						t.Fatal(err)
@@ -260,12 +263,13 @@ func TestLinkWakeKeepsLinksFIFO(t *testing.T) {
 			}
 			s.Run(1)
 			checkLinksFIFO(t, s)
+			checkUnitsInOrder(t, s)
 		}
-		if far == 0 || recharged == 0 {
-			t.Errorf("%d deadlines past the wheel, %d re-charges of a waking link; want some of each", far, recharged)
+		if recharged == 0 {
+			t.Error("no wake re-charged a link that was still waking")
 		}
-		if !s.cfg.ReferenceCore && s.Stats().HeapWakes == 0 {
-			t.Error("no wake went through the overflow heap")
+		if !s.cfg.ReferenceCore && (s.Stats().FarFlits == 0 || s.Stats().LaneFlits == 0) {
+			t.Errorf("deliveries: %d from lanes, %d from the far heap; want some of each", s.Stats().LaneFlits, s.Stats().FarFlits)
 		}
 		if s.Results().Delivered == 0 {
 			t.Error("nothing delivered")
@@ -273,22 +277,138 @@ func TestLinkWakeKeepsLinksFIFO(t *testing.T) {
 	})
 }
 
-// checkLinksFIFO fails the test unless every delay line's arrival cycles
-// are nondecreasing from head to tail and none lies in the past.
+// linkOf returns the global link a lane or far record travels on.
+func (s *Sim) linkOf(rec laneRec) int {
+	dn := s.routers[rec.dn]
+	port := int(rec.unit) / s.vcs
+	return int(s.routers[dn.inUp[port]].linkBase) + int(dn.upOutPort[port])
+}
+
+// checkLinksFIFO fails the test unless no flit on a link is overdue and the
+// link queues keep each link's flits in send order. On the reference core
+// that is every delay line's arrivals nondecreasing from head to tail. On
+// the event core it is every lane's records in arrival order, each within
+// its link's latency of now, and each link's far records nondecreasing in
+// arrival by send sequence. Lane and far records of one link interleave
+// correctly by construction — a flit sent once the link is awake arrives no
+// earlier than base + wake, and the far heap drains first — which the
+// queues alone cannot show; checkUnitsInOrder sees the delivery order.
 func checkLinksFIFO(t *testing.T, s *Sim) {
 	t.Helper()
-	for _, r := range s.routers {
-		for p := range r.links {
-			q := &r.links[p]
-			prev := s.Cycle()
+	now := s.Cycle()
+	if s.cfg.ReferenceCore {
+		for l := range s.lines {
+			q := &s.lines[l]
+			prev := now
 			for i := 0; i < q.Len(); i++ {
 				a := q.buf[(int(q.head)+i)&(len(q.buf)-1)].arrive
 				if a < prev {
-					t.Fatalf("cycle %d: link %d->%d: flit %d arrives at %d, before %d",
-						s.Cycle(), r.id, r.outNbr[p], i, a, prev)
+					t.Fatalf("cycle %d: link %d: flit %d arrives at %d, before %d", now, l, i, a, prev)
 				}
 				prev = a
 			}
+		}
+		return
+	}
+	for li := range s.lanes {
+		q := &s.lanes[li]
+		prev := now
+		for i := 0; i < q.Len(); i++ {
+			rec := q.buf[(int(q.head)+i)&(len(q.buf)-1)]
+			a := now + int64(int32(rec.arrive-uint32(now)))
+			base := int64(s.links[s.linkOf(rec)].base)
+			if a < prev || a >= now+base {
+				t.Fatalf("cycle %d: lane %d: record %d arrives at %d, want in [%d, %d)", now, li, i, a, prev, now+base)
+			}
+			prev = a
+		}
+	}
+	far := slices.Clone(s.far)
+	slices.SortFunc(far, func(a, b farRec) int { return cmp.Compare(a.seq, b.seq) })
+	last := make(map[int]int64)
+	for _, fr := range far {
+		l := s.linkOf(fr.rec)
+		if fr.arrive < max(now, last[l]) {
+			t.Fatalf("cycle %d: link %d: far record %d arrives at %d, before %d", now, l, fr.seq, fr.arrive, max(now, last[l]))
+		}
+		last[l] = fr.arrive
+	}
+}
+
+// checkUnitsInOrder fails the test unless every input unit holds whole
+// packets in order: after a tail comes a head, after any other flit the
+// next flit of the same packet.
+func checkUnitsInOrder(t *testing.T, s *Sim) {
+	t.Helper()
+	for _, r := range s.routers {
+		for u := range r.in {
+			iu := &r.in[u]
+			for i := 1; i < iu.Len(); i++ {
+				prev, f := iu.at(i-1), iu.at(i)
+				if prev.tail != f.head || (!prev.tail && prev.pkt != f.pkt) {
+					t.Fatalf("cycle %d: router %d unit %d: flit %d (packet %d, head %v) follows packet %d (tail %v)",
+						s.Cycle(), r.id, u, i, f.pkt, f.head, prev.pkt, prev.tail)
+				}
+			}
+		}
+	}
+}
+
+// TestEventCoreConservesFlits checks the event core's incremental
+// occupancy after every cycle of a loaded run and of a gated one (links
+// charged wake deadlines, so flits wait in the far heap): flitsIn must
+// equal the flits in source queues, input units, lanes and the far heap,
+// and no lane may outgrow the size New gave it.
+func TestEventCoreConservesFlits(t *testing.T) {
+	const n = 32
+	sf, err := topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 3, Shortcuts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := traffic.NewPattern("uniform", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gated := range []bool{false, true} {
+		s, err := New(SFConfig(sf, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetPattern(0.3, pat)
+		rng := rand.New(rand.NewSource(5))
+		var sizes []int
+		for li := range s.lanes {
+			sizes = append(sizes, len(s.lanes[li].buf))
+		}
+		for c := 0; c < 1500; c++ {
+			if gated && c%100 == 0 {
+				r := s.routers[rng.Intn(n)]
+				for _, v := range r.outNbr {
+					if err := s.SetLinkWake(r.id, v, s.Cycle()+int64(rng.Intn(300))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			s.Run(1)
+			total := len(s.far)
+			for li := range s.lanes {
+				total += s.lanes[li].Len()
+				if len(s.lanes[li].buf) != sizes[li] {
+					t.Fatalf("gated=%v cycle %d: lane %d grew from %d to %d records", gated, s.Cycle(), li, sizes[li], len(s.lanes[li].buf))
+				}
+			}
+			for _, r := range s.routers {
+				total += r.srcQ.Len()
+				for u := range r.in {
+					total += r.in[u].Len()
+				}
+			}
+			if total != s.flitsIn {
+				t.Fatalf("gated=%v cycle %d: flitsIn %d, queues hold %d", gated, s.Cycle(), s.flitsIn, total)
+			}
+		}
+		if st := s.Stats(); st.LaneFlits == 0 || gated != (st.FarFlits > 0) {
+			t.Errorf("gated=%v: %d lane and %d far deliveries", gated, st.LaneFlits, st.FarFlits)
 		}
 	}
 }

@@ -18,16 +18,18 @@
 // routing.Algorithm for next-hop candidates, a virtual-channel policy, an
 // escape routing function, and a per-link latency function, so String
 // Figure and every baseline run on the same machinery. New reads each
-// link's latency once onto its delay line, beside the wake deadline power
+// link's latency once into a per-link array, beside the wake deadline power
 // gating sets (Sim.SetLinkWake): a flit sent at cycle c arrives at
 // base + max(c, wake), so every link delivers in send order.
 //
 // Two cores advance that machinery, chosen once per cycle in step: the
-// event-driven core (netsim.go, events.go) follows a wake calendar, a router
-// worklist and per-router bitmasks; the reference core (reference.go,
-// Config.ReferenceCore) scans everything and is the oracle the cross-core
-// determinism suites byte-diff against. They share every state transition
-// and own only their scans (see ARCHITECTURE.md, "Hot loop").
+// event-driven core (netsim.go, events.go) carries in-flight flits in one
+// FIFO lane per distinct base latency, plus a far heap for flits sent onto
+// a waking link, and follows a router worklist and per-router bitmasks; the
+// reference core (reference.go, Config.ReferenceCore) keeps a delay line
+// per link, scans everything and is the oracle the cross-core determinism
+// suites byte-diff against. They share every other state transition and
+// own only their scans and link queues (see ARCHITECTURE.md, "Hot loop").
 //
 // The per-flit state holds no pointer: a flit is 8 bytes naming its packet
 // by handle in the Sim's packet slabs, and each input unit carries a fixed

@@ -2,88 +2,64 @@ package netsim
 
 import "math/bits"
 
-// linkEvent is one scheduled wake-up of a link delay line: the cycle at
-// which the line's head flit arrives downstream. The scheduling invariant is
-// exactly one outstanding event per nonempty link — pushed when a flit lands
-// on an empty line, re-armed for the new head after a delivery. Arrival
-// times are fixed at push time, and the head of a line can only change
-// inside event processing, so the armed cycle always equals the head's
-// arrival cycle.
-type linkEvent struct {
-	arrive int64
-	link   int32
+// laneRec is one flit in flight on a link of the event core (16 bytes,
+// pointer-free): the flit, the low 32 bits of its arrival cycle, and the
+// downstream router and input unit it lands in. New rejects networks whose
+// router or per-router unit count does not fit the 16-bit fields.
+type laneRec struct {
+	f      flit
+	arrive uint32
+	dn     uint16
+	unit   uint16
 }
 
-func (e linkEvent) less(o linkEvent) bool {
+// farRec is a flit sent onto a waking link (Sim.SetLinkWake): it arrives at
+// base + wake, not L cycles after the send, so it waits in the far heap
+// instead of a lane. seq is the send order.
+type farRec struct {
+	arrive, seq int64
+	rec         laneRec
+}
+
+func (e *farRec) less(o *farRec) bool {
 	if e.arrive != o.arrive {
 		return e.arrive < o.arrive
 	}
-	return e.link < o.link
+	return e.seq < o.seq
 }
 
-// eventHeap is a binary min-heap of link events ordered by (arrive, link).
-// The link tie-break is not needed for bit-identity — same-cycle deliveries
-// on distinct links commute, because every input unit is fed by exactly one
-// link — but it keeps the pop order reproducible for debugging.
-type eventHeap []linkEvent
+// farHeap is a binary min-heap of far records ordered by (arrive, seq). A
+// link's deadline never moves earlier, so its far records arrive in send
+// order, ties broken by seq; and a flit sent once the link is awake arrives
+// no earlier than base + wake, so draining the far heap before the lanes
+// each cycle keeps every link FIFO.
+type farHeap []farRec
 
-func (h *eventHeap) push(e linkEvent) {
+func (h *farHeap) push(e farRec) {
 	q := append(*h, e)
-	*h = q
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q[i].less(q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
+	for i := len(q) - 1; i > 0 && q[i].less(&q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
 	}
+	*h = q
 }
 
-func (h *eventHeap) pop() linkEvent {
+func (h *farHeap) pop() farRec {
 	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q) && q[l].less(q[small]) {
-			small = l
+	top, n := q[0], len(q)-1
+	q[0], q = q[n], q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && q[c+1].less(&q[c]) {
+			c++
 		}
-		if r < len(q) && q[r].less(q[small]) {
-			small = r
-		}
-		if small == i {
+		if c >= n || !q[c].less(&q[i]) {
 			break
 		}
-		q[i], q[small] = q[small], q[i]
-		i = small
+		q[i], q[c] = q[c], q[i]
+		i = c
 	}
+	*h = q
 	return top
-}
-
-// wheelSize is the span of the wake calendar's timing wheel. Base link
-// latencies are small constants (DefaultLinkLatency, plus modest long-wire
-// extras), so nearly every wake lands within the wheel and costs O(1) to
-// schedule and drain; the rare far wake (a flit sent onto a link still
-// waking after reconfiguration, whose deadline — 1 562 cycles for the
-// Section VI wake time — lies past the span) overflows into the eventHeap,
-// whose head is checked once per cycle.
-const (
-	wheelSize = 256 // power of two
-	wheelMask = wheelSize - 1
-)
-
-// wakeList is one wheel bucket: the first and last link of a FIFO list
-// threaded through Sim.wakeNext. head < 0 marks it empty (tail is then
-// stale).
-type wakeList struct {
-	head, tail int32
 }
 
 // activeSet is the router worklist: a bitmap of routers that may have work

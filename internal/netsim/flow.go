@@ -224,16 +224,14 @@ func (s *Sim) emitFlowSamples(snap *Snapshot) {
 		c.latency.Reset()
 		c.hops.Reset()
 	}
-	for l, flits := range fa.links {
-		if flits == 0 {
-			continue
+	for _, r := range s.routers {
+		for p, w := range r.outNbr {
+			l := int(r.linkBase) + p
+			if flits := fa.links[l]; flits > 0 {
+				snap.Links = append(snap.Links, LinkSample{From: r.id, To: w, Flits: flits})
+				fa.links[l] = 0
+			}
 		}
-		at := s.linkAt[l]
-		r := s.routers[at.rtr]
-		snap.Links = append(snap.Links, LinkSample{
-			From: r.id, To: r.outNbr[at.port], Flits: flits,
-		})
-		fa.links[l] = 0
 	}
 	for v, flits := range fa.rtrs {
 		if flits == 0 {
@@ -290,7 +288,7 @@ func (t *traceAcct) grow() {
 
 // emitTrace flushes the interval's sampled records into the snapshot,
 // sorted by (packet, cycle, kind). The two cores append records in
-// different orders — the event core delivers in wake-calendar order, the
+// different orders — the event core delivers in lane order, the
 // reference core in router scan order — but the record *set* is identical
 // and the sort key is unique per record (a packet reaches at most one
 // lifecycle stage of each kind per cycle), so the sorted sequence is part

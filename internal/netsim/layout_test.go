@@ -27,18 +27,21 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-// TestFlitLayoutIsPointerFree pins the per-flit data layout: flits,
-// in-flight records, input units (with their inline buffers) and packets
-// hold no pointers, so the GC never scans the arenas and slabs they live
-// in, and each stays within its size (a unit fits in two 64-byte cache
-// lines, a link's delay line with its cost in 48 bytes).
+// TestFlitLayoutIsPointerFree pins the per-flit data layout: flits, lane
+// and far records, the reference core's in-flight records, input units
+// (with their inline buffers) and packets hold no pointers, so the GC never
+// scans the arenas and slabs they live in, and each stays within its size
+// (a lane record in 16 bytes, a unit in two 64-byte cache lines).
 func TestFlitLayoutIsPointerFree(t *testing.T) {
 	for _, c := range []struct {
 		v    any
 		size uintptr
 	}{
 		{flit{}, 8},
+		{laneRec{}, 16},
+		{farRec{}, 32},
 		{inflight{}, 16},
+		{linkCost{}, 16},
 		{inputUnit{}, 128},
 		{packet{}, 0}, // pointer-free; its size is not pinned
 	} {
@@ -52,11 +55,6 @@ func TestFlitLayoutIsPointerFree(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(inputUnit{}.buf); got != bufFlits*unsafe.Sizeof(flit{}) {
 		t.Errorf("inline buffer is %d bytes, want bufFlits flits", got)
-	}
-	// A delay line's ring header and its link's cost share one record
-	// (its buffer is a slice, so the record itself is GC-visible).
-	if got := unsafe.Sizeof(delayLine{}); got > 48 {
-		t.Errorf("delayLine is %d bytes, over its 48-byte budget", got)
 	}
 }
 

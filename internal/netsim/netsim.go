@@ -51,8 +51,9 @@ type Config struct {
 	PacketFlits int
 	// LinkLatency returns the base cycle count for traversing link u->v,
 	// including SerDes (at least 1); nil means DefaultLinkLatency
-	// everywhere. New reads it once per link; a waking link's extra cost is
-	// a deadline (Sim.SetLinkWake).
+	// everywhere. New reads it once per link, and the event core gives each
+	// distinct value one delivery lane; a waking link's extra cost is a
+	// deadline (Sim.SetLinkWake).
 	LinkLatency func(u, v int) int
 	// Adaptive selects the adaptive-routing policy.
 	Adaptive AdaptiveMode
@@ -250,33 +251,27 @@ func (u *inputUnit) popFront() flit {
 // the front and then truncates).
 func (u *inputUnit) truncate(k int) { u.n = uint8(k) }
 
-// inflight is a flit traversing a link (16 bytes, pointer-free).
+// inflight is a flit on a reference-core delay line with its arrival cycle
+// (16 bytes, pointer-free).
 type inflight struct {
 	f      flit
 	arrive int64
 }
 
-// delayLine is one link (48 bytes): its flits in send order, the base
-// latency New reads from Config.LinkLatency, and the wake deadline
+// linkCost is one link's traversal cost, read by both cores' sends: the
+// base latency New reads from Config.LinkLatency and the wake deadline
 // SetLinkWake sets. A flit sent at cycle c arrives at base + max(c, wake);
-// neither term decreases, so the head is always the line's earliest
-// arrival, the one the wake calendar arms.
-type delayLine struct {
-	ring[inflight]
-	wake int64
-	base int64
+// neither term decreases, so every link delivers in send order. lane is the
+// event core's lane for base.
+type linkCost struct {
+	wake       int64
+	base, lane int32
 }
 
 // ovc is one output-VC arbitration record (see router.ovcs).
 type ovc struct {
 	owner int32
 	cred  int32
-}
-
-// linkLoc locates a global link index at its owning router (see Sim.linkAt).
-type linkLoc struct {
-	rtr  int32
-	port int32
 }
 
 // router holds the per-node microarchitecture.
@@ -298,10 +293,9 @@ type router struct {
 	downInPort []int32
 	// in[p*VCs+v] are the input units.
 	in []inputUnit
-	// links[p] is the delay line of output port p.
-	links []delayLine
 	// linkBase is the global link id of output port 0 (ports are numbered
-	// consecutively); the event calendar keys links by linkBase+p.
+	// consecutively): Sim.links, Sim.lines and the flow counters index
+	// links by linkBase+p.
 	linkBase int32
 	// rr[p] is the round-robin pointer of output port p over input units.
 	rr []int
@@ -414,21 +408,20 @@ type Sim struct {
 	fl *flowAcct
 	tr *traceAcct
 
-	// active is the worklist of routers with queued or waiting flits. The
-	// wake calendar of pending link arrivals is split between wheel (a
-	// timing wheel of the next wheelSize cycles, O(1) per wake) and events
-	// (the overflow heap for far wakes). A link has at most one wake
-	// outstanding, so a wheel bucket is a FIFO list threaded through
-	// wakeNext (one slot per link) and arming a wake never allocates. All
-	// are maintained only by the event-driven core (the reference core
-	// scans).
-	active   activeSet
-	wheel    [wheelSize]wakeList
-	wakeNext []int32
-	events   eventHeap
-	// linkAt[l] locates global link l: the router owning it and its output
-	// port there, in one record so a wake touches one cache line.
-	linkAt []linkLoc
+	// active is the worklist of routers with queued or waiting flits, and
+	// lanes and far carry the flits in flight on links: one lane per
+	// distinct base latency (see newLanes), and the far heap for flits sent
+	// onto a waking link (farSeq numbers them in send order). All are
+	// maintained only by the event-driven core.
+	active activeSet
+	lanes  []ring[laneRec]
+	far    farHeap
+	farSeq int64
+	// links[l] is global link l's cost, read by both cores; lines[l] is its
+	// delay line on the reference core, which keeps its own per-link
+	// delivery (nil on the event core).
+	links []linkCost
+	lines []ring[inflight]
 
 	// flitsIn tracks network occupancy (source queues + input units +
 	// links) incrementally; the reference core recounts by scanning, which
@@ -525,6 +518,15 @@ func New(cfg Config) (*Sim, error) {
 			inDeg[w]++
 		}
 	}
+	// A lane record names its downstream router and input unit in 16 bits.
+	if n > 1<<16 {
+		return nil, fmt.Errorf("netsim: %d routers, at most %d fit a lane record", n, 1<<16)
+	}
+	for v, d := range inDeg {
+		if (d+1)*s.vcs > 1<<16 {
+			return nil, fmt.Errorf("netsim: router %d has %d input units, at most %d fit a lane record", v, (d+1)*s.vcs, 1<<16)
+		}
+	}
 	outNbrA, downA := make([]int, edges), make([]int32, edges)
 	inUpA, upOutA := make([]int, edges+n), make([]int32, edges+n)
 	for v := 0; v < n; v++ {
@@ -551,11 +553,11 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	// Per-router hot state (input units, candidate bitmasks, output VC
-	// records, link delay-line headers, round-robin cursors) is carved out
+	// records, round-robin cursors) is carved out
 	// of shared arenas rather than allocated per router: the hot loop walks
 	// these structures across many routers per cycle, and scattering them
 	// through the heap makes the walk memory-latency bound at low load.
-	var totIn, totW, totCand, totOut64, totOvc, totLinks, totRR int
+	var totIn, totW, totCand, totOut64, totOvc, totRR int
 	for _, r := range s.routers {
 		r.inUp = append(r.inUp, -1) // injection port
 		r.upOutPort = append(r.upOutPort, -1)
@@ -567,7 +569,6 @@ func New(cfg Config) (*Sim, error) {
 		totCand += (nout + 1) * w
 		totOut64 += (nout + 1 + 63) / 64
 		totOvc += (nout + 1) * s.vcs
-		totLinks += nout
 		totRR += nout + 1
 	}
 	inA := make([]inputUnit, totIn)
@@ -576,14 +577,11 @@ func New(cfg Config) (*Sim, error) {
 	// couple of adjacent cache lines.
 	maskA := make([]uint64, 2*totW+2*totOut64+totCand)
 	ovcA := make([]ovc, totOvc)
-	linkA := make([]delayLine, totLinks)
 	rrA := make([]int, totRR)
-	// Pre-seed the ring buffers too (input units carry theirs inline): link
-	// delay lines at a small default and source queues at srcQSeed. Queues
-	// that outgrow the seed (deep delay lines under gating wake charges,
-	// source-queue backlogs) fall back to ring.grow.
-	infA := make([]inflight, totLinks*4)
+	// Pre-seed the source queues too (input units carry their rings inline);
+	// a backlog that outgrows srcQSeed falls back to ring.grow.
 	srcA := make([]flit, n*srcQSeed)
+	s.links = make([]linkCost, edges)
 	carve := func(n int, a *[]uint64) []uint64 {
 		s := (*a)[:n:n]
 		*a = (*a)[n:]
@@ -600,13 +598,12 @@ func New(cfg Config) (*Sim, error) {
 			r.in[i].vc = int32(i % s.vcs)
 		}
 		r.srcQ.buf, srcA = srcA[:srcQSeed:srcQSeed], srcA[srcQSeed:]
-		r.links, linkA = linkA[:nout:nout], linkA[nout:]
 		for p, w := range r.outNbr {
-			r.links[p].buf, infA = infA[:4:4], infA[4:]
-			r.links[p].base = DefaultLinkLatency
+			base := DefaultLinkLatency
 			if cfg.LinkLatency != nil {
-				r.links[p].base = int64(max(1, cfg.LinkLatency(r.id, w)))
+				base = max(1, cfg.LinkLatency(r.id, w))
 			}
+			s.links[links+p].base = int32(base)
 		}
 		r.linkBase = int32(links)
 		links += nout
@@ -625,15 +622,10 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
-	s.linkAt = make([]linkLoc, links)
-	s.wakeNext = make([]int32, links)
-	for i := range s.wheel {
-		s.wheel[i].head = -1
-	}
-	for _, r := range s.routers {
-		for p := range r.outNbr {
-			s.linkAt[r.linkBase+int32(p)] = linkLoc{rtr: int32(r.id), port: int32(p)}
-		}
+	if cfg.ReferenceCore {
+		s.lines = make([]ring[inflight], links)
+	} else {
+		s.newLanes()
 	}
 	if cfg.FlowBuckets > 0 {
 		s.fl = newFlowAcct(cfg.FlowBuckets, n, links)
@@ -652,6 +644,34 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.res.MinInjectLatency = -1
 	return s, nil
+}
+
+// newLanes gives every distinct base latency L one lane, in ascending
+// order: the FIFO of the flits in flight on every link of latency L. A link
+// that is not waking delivers exactly L cycles after the send, so records
+// enter a lane in arrival order and the due ones are always a prefix. Every
+// record leaves at the start of its arrival cycle, so a push at cycle c
+// finds at most the sends of cycles c-L+1..c in the lane — at most
+// LinkWidth per link and cycle — and the lane is sized from that exact
+// bound, (links of latency L) × L × LinkWidth, rounded up to the ring's
+// power of two: it never grows.
+func (s *Sim) newLanes() {
+	lats := make([]int32, len(s.links))
+	for l := range s.links {
+		lats[l] = s.links[l].base
+	}
+	slices.Sort(lats)
+	lats = slices.Compact(lats)
+	bound := make([]int, len(lats))
+	for l := range s.links {
+		i, _ := slices.BinarySearch(lats, s.links[l].base)
+		s.links[l].lane = int32(i)
+		bound[i] += int(lats[i]) * s.cfg.LinkWidth
+	}
+	s.lanes = make([]ring[laneRec], len(lats))
+	for i, b := range bound {
+		s.lanes[i].buf = make([]laneRec, 1<<bits.Len(uint(b-1)))
+	}
 }
 
 // SetPattern installs a synthetic traffic source: every cycle each node
@@ -676,10 +696,11 @@ func (s *Sim) Run(cycles int64) {
 
 // step advances one network cycle, and is the one place the core is
 // chosen. The event-driven core only touches routers on the active worklist
-// and links on the wake calendar; the reference core (stepRef, reference.go)
-// scans everything. Both cores share every data structure and state
-// transition — deliverFlit, drainSourceQueue, routeUnit, forward — and own
-// only their scans, so their per-cycle evolution is bit-identical: the
+// and flits due off its lanes and far heap; the reference core (stepRef,
+// reference.go) scans everything, its own per-link delay lines included.
+// Both cores share every other data structure and every state transition —
+// deliverFlit, drainSourceQueue, routeUnit, forward — and own only their
+// scans and link queues, so their per-cycle evolution is bit-identical: the
 // phase structure (deliver, inject, drain all, then route+arbitrate in
 // ascending router order) is what the determinism contract pins, and it is
 // preserved exactly (see ARCHITECTURE.md, "Hot loop").
@@ -715,96 +736,84 @@ func (s *Sim) step() {
 	}
 }
 
-// deliverLinkFlits drains due wakes off the wake calendar — the overflow
-// heap first, then this cycle's wheel bucket — and moves the arrived prefix
-// of each woken line into downstream input buffers. Space is guaranteed by
-// the credit protocol. Same-cycle deliveries on distinct links commute —
-// each input unit is fed by exactly one link — so the drain order cannot
-// influence results.
+// deliverLinkFlits moves every flit due this cycle into its downstream
+// input buffer — the far heap's due records first, then each lane's due
+// prefix — routing it on the spot when it fronts an unrouted unit
+// (routeFront) or flagging that unit for the route pass. Space is
+// guaranteed by the credit protocol. Same-cycle deliveries on distinct
+// links commute — each input unit is fed by exactly one link — so only the
+// order within a link matters, and far-before-lanes keeps it (see farHeap).
 func (s *Sim) deliverLinkFlits() {
-	for len(s.events) > 0 && s.events[0].arrive <= s.cycle {
-		s.wakeLink(s.events.pop().link)
-		s.st.HeapWakes++
+	moved := false
+	for len(s.far) > 0 && s.far[0].arrive <= s.cycle {
+		s.land(s.far.pop().rec)
+		s.st.FarFlits++
+		moved = true
 	}
-	// Detach this cycle's bucket before walking it: wakeLink re-arms the
-	// link it serves, always for a later cycle and hence another bucket,
-	// overwriting that link's wakeNext slot.
-	b := &s.wheel[s.cycle&wheelMask]
-	link := b.head
-	b.head = -1
-	for link >= 0 {
-		next := s.wakeNext[link]
-		s.wakeLink(link)
-		s.st.WheelWakes++
-		link = next
-	}
-}
-
-// wakeLink delivers the arrived prefix of one link's delay line and re-arms
-// the line's wake for its new head.
-func (s *Sim) wakeLink(link int32) {
-	at := s.linkAt[link]
-	r := s.routers[at.rtr]
-	p := int(at.port)
-	q := &r.links[p]
-	moved := 0
-	for q.Len() > 0 && q.front().arrive <= s.cycle {
-		f := q.popFront().f
-		if dn, unit := s.deliverFlit(r, p, f); dn != nil && !s.routeFront(dn, unit, f) {
-			dn.attnSet(unit)
+	now := uint32(s.cycle)
+	for li := range s.lanes {
+		q := &s.lanes[li]
+		k := 0
+		for q.Len() > 0 && int32(q.front().arrive-now) <= 0 {
+			s.land(q.popFront())
+			k++
 		}
-		moved++
+		s.st.LaneFlits += int64(k)
+		moved = moved || k > 0
 	}
-	if q.Len() > 0 {
-		s.scheduleWake(q.front().arrive, link)
-	}
-	if moved > 0 {
+	if moved {
 		s.lastMove = s.cycle
 	}
 }
 
-// scheduleWake arms the wake calendar for one link: the timing wheel within
-// its span, the overflow heap beyond it.
-func (s *Sim) scheduleWake(arrive int64, link int32) {
-	if arrive-s.cycle < wheelSize {
-		b := &s.wheel[arrive&wheelMask]
-		s.wakeNext[link] = -1
-		if b.head < 0 {
-			b.head = link
-		} else {
-			s.wakeNext[b.tail] = link
-		}
-		b.tail = link
-	} else {
-		s.events.push(linkEvent{arrive: arrive, link: link})
+// land delivers one lane or far record downstream (see deliverFlit).
+func (s *Sim) land(rec laneRec) {
+	dn := s.routers[rec.dn]
+	unit := int(rec.unit)
+	if s.deliverFlit(dn, unit, rec.f) && !s.routeFront(dn, unit, rec.f) {
+		dn.attnSet(unit)
 	}
 }
 
-// deliverFlit lands one flit from r's output port p downstream. When the
-// flit became the front of a unit that holds no route, it returns that
-// router and unit (nil, -1 otherwise): the event core resolves the route on
-// the spot or flags the unit for its route pass; the reference scan visits
-// every occupied unit anyway.
-func (s *Sim) deliverFlit(r *router, p int, f flit) (*router, int) {
-	dn := s.routers[r.outNbr[p]]
+// send puts a flit forwarded through r's output port out on its link, on
+// the event core: onto the lane of the link's base latency, to arrive base
+// cycles from now, or — while the link is waking — onto the far heap, to
+// arrive at base + wake.
+func (s *Sim) send(r *router, out int, f flit) {
+	k := &s.links[int(r.linkBase)+out]
+	rec := laneRec{f: f, dn: uint16(r.outNbr[out]), unit: uint16(int(r.downInPort[out])*s.vcs + int(f.vc))}
+	if k.wake > s.cycle {
+		s.far.push(farRec{arrive: int64(k.base) + k.wake, seq: s.farSeq, rec: rec})
+		s.farSeq++
+		s.st.FarHighWater = max(s.st.FarHighWater, int64(len(s.far)))
+		return
+	}
+	rec.arrive = uint32(s.cycle + int64(k.base))
+	s.lanes[k.lane].push(rec)
+}
+
+// deliverFlit lands one flit in downstream router dn's input unit. It
+// reports whether the flit became the front of a unit that holds no route:
+// the event core then resolves the route on the spot or flags the unit for
+// its route pass; the reference scan visits every occupied unit anyway.
+func (s *Sim) deliverFlit(dn *router, unit int, f flit) bool {
 	if s.tr != nil && f.head {
 		s.traceEvent(s.pkt(f.pkt), TraceHop, dn.id)
 	}
-	unit := int(r.downInPort[p])*s.vcs + int(f.vc)
 	iu := &dn.in[unit]
 	wasEmpty := iu.n == 0
 	iu.push(f)
 	dn.queued++
 	s.active.set(dn.id)
 	if !wasEmpty {
-		return nil, -1
+		return false
 	}
 	dn.unitFilled(unit)
 	if iu.route >= 0 {
 		dn.candSet(int(iu.route), unit)
-		return nil, -1
+		return false
 	}
-	return dn, unit
+	return true
 }
 
 // routeFront tries to resolve the route of a flit that just became the
@@ -1469,16 +1478,14 @@ func (s *Sim) scanSlot(r *router, out, nUnits, eject, vcs int) int {
 }
 
 // arbitrateSlot performs one event-core grant on one output port and reports
-// whether a flit was forwarded. A flit that landed on an empty delay line is
-// the line's new head, so its wake is armed here.
+// whether a flit was forwarded.
 func (s *Sim) arbitrateSlot(r *router, out, nUnits, eject, vcs int) bool {
 	granted := s.scanSlot(r, out, nUnits, eject, vcs)
 	if granted < 0 {
 		return false
 	}
-	s.forward(r, out, granted, nUnits, eject, vcs)
-	if out < eject && r.links[out].Len() == 1 {
-		s.scheduleWake(r.links[out].front().arrive, r.linkBase+int32(out))
+	if f, onLink := s.forward(r, out, granted, nUnits, eject, vcs); onLink {
+		s.send(r, out, f)
 	}
 	return true
 }
@@ -1486,8 +1493,11 @@ func (s *Sim) arbitrateSlot(r *router, out, nUnits, eject, vcs int) bool {
 // forward moves the front flit of the granted input unit through output
 // port out — the state transition both cores' grant scans end in: advance
 // the round-robin pointer, release or claim the output VC, return a credit
-// upstream, then eject the flit or put it on the link.
-func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
+// upstream, then eject the flit or take a credit for the link. It returns
+// the flit bound for the link, on its outgoing VC, and whether there is
+// one; the caller puts it on the link (send, or the reference core's
+// sendRef), which is the only part of a hop the cores keep apart.
+func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) (flit, bool) {
 	if granted+1 == nUnits {
 		r.rr[out] = 0
 	} else {
@@ -1540,16 +1550,11 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 		if p.left == 0 {
 			s.freePacket(f.pkt)
 		}
-		return
+		return flit{}, false
 	}
 	// Send over the link on the outgoing VC.
 	r.ovcs[out*vcs+outVC].cred--
 	f.vc = uint8(outVC)
-	l := &r.links[out]
-	if l.full() {
-		s.st.LinkGrowths++
-	}
-	l.push(inflight{f: f, arrive: l.base + max(s.cycle, l.wake)})
 	s.res.FlitHops++
 	if s.fl != nil {
 		s.fl.links[r.linkBase+int32(out)]++
@@ -1557,6 +1562,7 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) {
 	if f.head {
 		s.pkt(f.pkt).hops++
 	}
+	return f, true
 }
 
 // noteBlocked bumps the starvation counter of a unit whose head flit is
@@ -1675,7 +1681,7 @@ func (s *Sim) SetLinkWake(u, v int, until int64) error {
 	if u < 0 || u >= len(s.routers) || s.portOf(s.routers[u], v) < 0 {
 		return fmt.Errorf("netsim: no link %d->%d", u, v)
 	}
-	l := &s.routers[u].links[s.portOf(s.routers[u], v)]
-	l.wake = max(l.wake, until)
+	k := &s.links[int(s.routers[u].linkBase)+s.portOf(s.routers[u], v)]
+	k.wake = max(k.wake, until)
 	return nil
 }

@@ -2,10 +2,13 @@ package netsim
 
 // The reference core: the seed-equivalent full scan the cross-core
 // determinism suite byte-diffs the event-driven core against (see
-// Config.ReferenceCore). It keeps no calendar, worklist or cache of its own
-// — every router, link and input unit is visited every cycle — and changes
-// state only through the transitions the event core uses too (deliverFlit,
-// inject, drainSourceQueue, routeUnit, forward).
+// Config.ReferenceCore). It keeps no lane, worklist or cache — every router,
+// link and input unit is visited every cycle — and changes state only
+// through the transitions the event core uses too (deliverFlit, inject,
+// drainSourceQueue, routeUnit, forward), except that it carries flits over
+// links on its own per-link delay lines (Sim.lines), an independent
+// delivery implementation for the cross-core suite to diff the event core's
+// lanes against.
 
 // stepRef is one reference-core cycle: deliver, inject, drain every source
 // queue, then route and arbitrate every router in ascending order.
@@ -33,7 +36,9 @@ func (s *Sim) stepRef() {
 				if granted < 0 {
 					break // no grant at this slot: later ones cannot grant either
 				}
-				s.forward(r, out, granted, nUnits, eject, vcs)
+				if f, onLink := s.forward(r, out, granted, nUnits, eject, vcs); onLink {
+					s.sendRef(r, out, f)
+				}
 			}
 		}
 	}
@@ -43,14 +48,23 @@ func (s *Sim) stepRef() {
 // every link's delay line moves into the downstream input buffer.
 func (s *Sim) deliverLinkFlitsRef() {
 	for _, r := range s.routers {
-		for p := range r.links {
-			q := &r.links[p]
+		for p, w := range r.outNbr {
+			q := &s.lines[int(r.linkBase)+p]
 			for q.Len() > 0 && q.front().arrive <= s.cycle {
-				s.deliverFlit(r, p, q.popFront().f)
+				f := q.popFront().f
+				s.deliverFlit(s.routers[w], int(r.downInPort[p])*s.vcs+int(f.vc), f)
 				s.lastMove = s.cycle
 			}
 		}
 	}
+}
+
+// sendRef puts a flit forwarded through r's output port out on its link's
+// delay line, stamped with its arrival cycle base + max(cycle, wake).
+func (s *Sim) sendRef(r *router, out int, f flit) {
+	l := int(r.linkBase) + out
+	k := &s.links[l]
+	s.lines[l].push(inflight{f: f, arrive: int64(k.base) + max(s.cycle, k.wake)})
 }
 
 // scanSlotRef is the full grant scan: walk every input unit in round-robin
@@ -87,9 +101,9 @@ func (s *Sim) countInFlight() int {
 		for i := range r.in {
 			total += r.in[i].Len()
 		}
-		for p := range r.links {
-			total += r.links[p].Len()
-		}
+	}
+	for l := range s.lines {
+		total += s.lines[l].Len()
 	}
 	return total
 }

@@ -72,9 +72,10 @@ func (s *Sim) RunMeasured(warmup, measure int64) Results {
 // alone), and appears on no Result, Snapshot or wire message, so keeping
 // it costs the results nothing.
 //
-// The route-cache, calendar and grant-scan counts are the event core's; a
-// reference-core run leaves them zero. The packet, ring and escape counts
-// come from transitions the two cores share, so they agree across cores.
+// The route-cache, delivery and grant-scan counts are the event core's; a
+// reference-core run leaves them zero. The packet, source-queue and escape
+// counts come from transitions the two cores share, so they agree across
+// cores.
 type EngineStats struct {
 	// RouteHits counts routing decisions served by a filled route-cache
 	// entry; RouteMisses counts empty entries resolved for their own
@@ -84,15 +85,15 @@ type EngineStats struct {
 	// OverThreshold counts adaptive hops that found the deterministic port
 	// at or over Config.AdaptiveThreshold and evaluated every candidate.
 	OverThreshold int64
-	// WheelWakes and HeapWakes count link wakes served by the timing wheel
-	// and by the overflow heap of the wake calendar.
-	WheelWakes, HeapWakes int64
+	// LaneFlits and FarFlits count link deliveries out of the delivery
+	// lanes and out of the far heap (flits sent onto a waking link);
+	// FarHighWater is the most flits the far heap held at once.
+	LaneFlits, FarFlits, FarHighWater int64
 	// PoolGrowths counts growths of the packet pool; PoolHighWater is the
 	// largest number of packets in flight at once.
 	PoolGrowths, PoolHighWater int64
-	// SrcQGrowths and LinkGrowths count ring growths of the source queues
-	// and of the link delay lines.
-	SrcQGrowths, LinkGrowths int64
+	// SrcQGrowths counts ring growths of the source queues.
+	SrcQGrowths int64
 	// EscapeTransitions counts packets committed to the escape subnetwork.
 	EscapeTransitions int64
 	// EmptyCycles counts event-core cycles with no router on the worklist

@@ -1,14 +1,14 @@
 package netsim
 
 // ring is a growable circular queue with a power-of-two backing array. The
-// hot loop uses it for the queues credits do not bound — source queues and
-// link delay lines (input units carry a fixed ring inline): the old
+// hot loop uses it for the queues nothing bounds — source queues, and the
+// reference core's link delay lines (input units carry a fixed ring inline,
+// and the event core's delivery lanes are sized exactly in New): the old
 // `q = append(q, v)` / `q = q[1:]` representation leaks capacity off the
 // front, so every queue reallocated continuously under steady-state
 // traffic. A ring reaches its high-water capacity once and then pushes and
 // pops without touching the allocator. Its elements (flits, inflight
 // records) hold no pointers, so popped slots are left as they are.
-// Its 32-bit cursor and count keep a delay line at 48 bytes.
 type ring[T any] struct {
 	buf     []T
 	head, n uint32

@@ -276,31 +276,39 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 
 // TestReferenceCoreLeavesEventStateUntouched checks the oracle's
 // independence instead of reading it off the source: after a loaded
-// reference-core run — one router's links slow enough that the event core
-// would have used the overflow heap — the wake calendar is as New left it
-// and no routing accelerator was installed.
+// reference-core run — one router's links slow enough to need a lane of
+// their own on the event core — the lanes and the far heap are empty and no
+// routing accelerator was installed; and the event core, in turn, carries
+// no per-link delay line.
 func TestReferenceCoreLeavesEventStateUntouched(t *testing.T) {
 	cfg := routeCacheDesigns(t)["sf"]
-	cfg.ReferenceCore = true
 	cfg.Routes = NewRouteCache(len(cfg.Out))
 	cfg.LinkLatency = func(u, v int) int {
 		if u == 0 {
-			return wheelSize + 8
+			return 300
 		}
 		return DefaultLinkLatency
 	}
+	ev := runCached(t, cfg)
+	cfg.ReferenceCore = true
 	run := runCached(t, cfg)
-	if run.sim == nil || run.res.Delivered == 0 {
+	if ev.sim == nil || run.sim == nil || run.res.Delivered == 0 {
 		t.Fatalf("reference run delivered nothing: %+v", run.res)
 	}
+	if !ev.equal(run) {
+		t.Error("event and reference core diverge")
+	}
+	if ev.sim.lines != nil || len(ev.sim.lanes) != 2 {
+		t.Errorf("event core: %d per-link delay lines, %d lanes; want none and 2", len(ev.sim.lines), len(ev.sim.lanes))
+	}
 	s := run.sim
-	for i := range s.wheel {
-		if s.wheel[i].head != -1 {
-			t.Errorf("wheel bucket %d armed for link %d", i, s.wheel[i].head)
+	for li := range s.lanes {
+		if s.lanes[li].Len() != 0 {
+			t.Errorf("lane %d holds %d records", li, s.lanes[li].Len())
 		}
 	}
-	if len(s.events) != 0 {
-		t.Errorf("overflow heap holds %d wakes", len(s.events))
+	if len(s.far) != 0 || s.farSeq != 0 {
+		t.Errorf("far heap holds %d records after %d sends", len(s.far), s.farSeq)
 	}
 	if s.rc != nil || s.balg != nil || s.galg != nil {
 		t.Errorf("routing accelerators installed: rc=%v balg=%v galg=%v", s.rc != nil, s.balg != nil, s.galg != nil)
