@@ -93,7 +93,7 @@ var netsimHot = []string{
 	"Sim.scanSlotRef", "Sim.pickPort", "Sim.overThreshold",
 	// routing helpers (get/put are the route cache's lookup and fill,
 	// missed its per-destination miss count, fillColumn its column fill)
-	"Sim.candidates", "Sim.portOf", "Sim.noteBlocked", "Sim.assignEscape",
+	"Sim.candidates", "router.portOf", "Sim.noteBlocked", "Sim.assignEscape",
 	"Sim.escapeHop", "RouteCache.get", "RouteCache.put", "RouteCache.missed",
 	"Sim.fillColumn",
 	// packet and queue plumbing

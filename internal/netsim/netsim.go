@@ -434,15 +434,6 @@ type Sim struct {
 	free   []int32
 	pooled int
 
-	// portStamp/portVal implement the neighbor-to-output-port lookup
-	// without per-router maps: portOf stamps the current router's
-	// neighbors on demand and a stamp hit identifies the port. outNbr is
-	// immutable after New, so stamps of the most recently stamped router
-	// never go stale.
-	portRouter int
-	portStamp  []int32
-	portVal    []int32
-
 	// balg is the event core's allocation-free candidate path (rsc is its
 	// scratch): non-nil when Alg supports it; nil on the reference core,
 	// which then takes the allocating Alg.Candidates.
@@ -477,11 +468,10 @@ func New(cfg Config) (*Sim, error) {
 	}
 	n := len(cfg.Out)
 	s := &Sim{
-		cfg:        cfg,
-		vcs:        cfg.EscapeVCs + adaptiveVCs,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		portRouter: -1,
-		overCred:   overCredit(cfg.AdaptiveThreshold),
+		cfg:      cfg,
+		vcs:      cfg.EscapeVCs + adaptiveVCs,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		overCred: overCredit(cfg.AdaptiveThreshold),
 	}
 	if cfg.Routes != nil && cfg.Routes.n != n {
 		return nil, fmt.Errorf("netsim: route cache built for %d routers, network has %d", cfg.Routes.n, n)
@@ -637,11 +627,6 @@ func New(cfg Config) (*Sim, error) {
 	// Room for the first eight slabs (8 192 packets) before the slab list
 	// itself has to grow.
 	s.slabs = make([][]packet, 0, 8)
-	s.portStamp = make([]int32, n)
-	s.portVal = make([]int32, n)
-	for i := range s.portStamp {
-		s.portStamp[i] = -1
-	}
 	s.res.MinInjectLatency = -1
 	return s, nil
 }
@@ -1044,25 +1029,9 @@ func (s *Sim) candidates(cur, dst int) []int {
 	return s.balg.CandidatesInto(&s.rsc, cur, dst)
 }
 
-// portOf resolves which output port of r (if any) leads to node, stamping
-// r's neighbors into the shared scratch on first use. Returns -1 when node
-// is not a direct neighbor.
-func (s *Sim) portOf(r *router, node int) int {
-	if uint(node) >= uint(len(s.portStamp)) {
-		return -1
-	}
-	if s.portRouter != r.id {
-		s.portRouter = r.id
-		for p, w := range r.outNbr {
-			s.portStamp[w] = int32(r.id)
-			s.portVal[w] = int32(p)
-		}
-	}
-	if s.portStamp[node] != int32(r.id) {
-		return -1
-	}
-	return int(s.portVal[node])
-}
+// portOf resolves which output port of r (if any) leads to node: its
+// index among r's distinct out-neighbors, or -1 when node is not one.
+func (r *router) portOf(node int) int { return slices.Index(r.outNbr, node) }
 
 // routeHeads is the event core's route pass: it assigns an output route and
 // next-hop VC to every input unit whose head flit starts a packet, and
@@ -1212,7 +1181,7 @@ func (s *Sim) fillColumn(dst int) {
 		r := s.routers[cur]
 		outcome := rcNoRoute
 		if w >= 0 {
-			if outcome = s.portOf(r, int(w)); outcome < 0 {
+			if outcome = r.portOf(int(w)); outcome < 0 {
 				outcome = s.pickPort(r, nil, s.candidates(cur, dst), false)
 			}
 		}
@@ -1229,7 +1198,7 @@ func (s *Sim) fillColumn(dst int) {
 // as it was, and the caller decides the packet's fate.
 func (s *Sim) assignEscape(r *router, iu *inputUnit, unit int, p *packet) bool {
 	next, escVC := s.escapeHop(r.id, p.dst)
-	port := s.portOf(r, next)
+	port := r.portOf(next)
 	if port < 0 {
 		return false
 	}
@@ -1297,12 +1266,12 @@ func overCredit(threshold float64) int32 {
 // threshold the deterministic port wins, at or above it the candidate with
 // the most downstream credits (i.e. the lightest port counter) is chosen.
 func (s *Sim) pickPort(r *router, p *packet, cands []int, adaptive bool) int {
-	first := s.portOf(r, cands[0])
+	first := r.portOf(cands[0])
 	if first < 0 {
 		// The algorithm proposed a non-link (stale tables mid-reconfig);
 		// fall back to any candidate that is a port.
 		for _, c := range cands[1:] {
-			if pt := s.portOf(r, c); pt >= 0 {
+			if pt := r.portOf(c); pt >= 0 {
 				return pt
 			}
 		}
@@ -1313,7 +1282,7 @@ func (s *Sim) pickPort(r *router, p *packet, cands []int, adaptive bool) int {
 	}
 	best, bestCred := first, r.ovcs[first*s.vcs+p.advc].cred
 	for _, c := range cands[1:] {
-		pt := s.portOf(r, c)
+		pt := r.portOf(c)
 		if pt < 0 {
 			continue
 		}
@@ -1678,10 +1647,10 @@ func (s *Sim) SetRate(rate float64) {
 // fails when u->v is not a link. Call it only between Run slices on the
 // simulating goroutine.
 func (s *Sim) SetLinkWake(u, v int, until int64) error {
-	if u < 0 || u >= len(s.routers) || s.portOf(s.routers[u], v) < 0 {
+	if u < 0 || u >= len(s.routers) || s.routers[u].portOf(v) < 0 {
 		return fmt.Errorf("netsim: no link %d->%d", u, v)
 	}
-	k := &s.links[int(s.routers[u].linkBase)+s.portOf(s.routers[u], v)]
+	k := &s.links[int(s.routers[u].linkBase)+s.routers[u].portOf(v)]
 	k.wake = max(k.wake, until)
 	return nil
 }
