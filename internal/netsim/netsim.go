@@ -480,21 +480,6 @@ func New(cfg Config) (*Sim, error) {
 	for _, row := range cfg.Out {
 		maxPorts = max(maxPorts, len(row))
 	}
-	if !cfg.ReferenceCore {
-		// The event core's routing accelerators; the reference core keeps
-		// both nil and so routes every head through Alg.Candidates.
-		s.balg, _ = cfg.Alg.(routing.BufferedAlgorithm)
-		if cfg.Adaptive != AdaptiveEveryHop && maxPorts <= rcMaxPort+1 {
-			if s.rc = cfg.Routes; s.rc == nil {
-				s.rc = NewRouteCache(n)
-			}
-		}
-	}
-	if s.rc != nil {
-		if g, ok := cfg.Alg.(*routing.Greediest); ok && len(g.Tables) == n {
-			s.galg = g
-		}
-	}
 	s.routers = make([]*router, n)
 	rarena := make([]router, n) // contiguous router structs: s.routers[v] derefs stay in cache
 	// The port tables are carved from four arenas sized by the adjacency: a
@@ -509,13 +494,8 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	// A lane record names its downstream router and input unit in 16 bits.
-	if n > 1<<16 {
-		return nil, fmt.Errorf("netsim: %d routers, at most %d fit a lane record", n, 1<<16)
-	}
-	for v, d := range inDeg {
-		if (d+1)*s.vcs > 1<<16 {
-			return nil, fmt.Errorf("netsim: router %d has %d input units, at most %d fit a lane record", v, (d+1)*s.vcs, 1<<16)
-		}
+	if units := (slices.Max(inDeg) + 1) * s.vcs; n > 1<<16 || units > 1<<16 {
+		return nil, fmt.Errorf("netsim: %d routers, up to %d input units per router: a lane record holds at most %d of each", n, units, 1<<16)
 	}
 	outNbrA, downA := make([]int, edges), make([]int32, edges)
 	inUpA, upOutA := make([]int, edges+n), make([]int32, edges+n)
@@ -615,7 +595,21 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.ReferenceCore {
 		s.lines = make([]ring[inflight], links)
 	} else {
+		// The event core's delivery lanes and routing accelerators; the
+		// reference core keeps per-link delay lines, leaves both
+		// accelerators nil and so routes every head through Alg.Candidates.
 		s.newLanes()
+		s.balg, _ = cfg.Alg.(routing.BufferedAlgorithm)
+		if cfg.Adaptive != AdaptiveEveryHop && maxPorts <= rcMaxPort+1 {
+			if s.rc = cfg.Routes; s.rc == nil {
+				s.rc = NewRouteCache(n)
+			}
+		}
+	}
+	if s.rc != nil {
+		if g, ok := cfg.Alg.(*routing.Greediest); ok && len(g.Tables) == n {
+			s.galg = g
+		}
 	}
 	if cfg.FlowBuckets > 0 {
 		s.fl = newFlowAcct(cfg.FlowBuckets, n, links)
@@ -729,30 +723,23 @@ func (s *Sim) step() {
 // links commute — each input unit is fed by exactly one link — so only the
 // order within a link matters, and far-before-lanes keeps it (see farHeap).
 func (s *Sim) deliverLinkFlits() {
-	moved := false
 	for len(s.far) > 0 && s.far[0].arrive <= s.cycle {
 		s.land(s.far.pop().rec)
 		s.st.FarFlits++
-		moved = true
 	}
 	now := uint32(s.cycle)
 	for li := range s.lanes {
 		q := &s.lanes[li]
-		k := 0
 		for q.Len() > 0 && int32(q.front().arrive-now) <= 0 {
 			s.land(q.popFront())
-			k++
+			s.st.LaneFlits++
 		}
-		s.st.LaneFlits += int64(k)
-		moved = moved || k > 0
-	}
-	if moved {
-		s.lastMove = s.cycle
 	}
 }
 
 // land delivers one lane or far record downstream (see deliverFlit).
 func (s *Sim) land(rec laneRec) {
+	s.lastMove = s.cycle
 	dn := s.routers[rec.dn]
 	unit := int(rec.unit)
 	if s.deliverFlit(dn, unit, rec.f) && !s.routeFront(dn, unit, rec.f) {
@@ -774,7 +761,21 @@ func (s *Sim) send(r *router, out int, f flit) {
 		return
 	}
 	rec.arrive = uint32(s.cycle + int64(k.base))
-	s.lanes[k.lane].push(rec)
+	// Inline ring.push: New sized the lane so that it is never full.
+	q := &s.lanes[k.lane]
+	if q.full() {
+		laneOverflow()
+	}
+	q.buf[(q.head+q.n)&uint32(len(q.buf)-1)] = rec
+	q.n++
+}
+
+// laneOverflow is send's failure path, out of line so its panic value stays
+// out of the hot functions' escape analysis.
+//
+//go:noinline
+func laneOverflow() {
+	panic("netsim: delivery lane over its sizing bound")
 }
 
 // deliverFlit lands one flit in downstream router dn's input unit. It
