@@ -523,10 +523,10 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	// Per-router hot state (input units, candidate bitmasks, output VC
-	// records, round-robin cursors) is carved out
-	// of shared arenas rather than allocated per router: the hot loop walks
-	// these structures across many routers per cycle, and scattering them
-	// through the heap makes the walk memory-latency bound at low load.
+	// records, round-robin cursors) is carved out of shared arenas rather
+	// than allocated per router: the hot loop walks these structures across
+	// many routers per cycle, and scattering them through the heap makes the
+	// walk memory-latency bound at low load.
 	var totIn, totW, totCand, totOut64, totOvc, totRR int
 	for _, r := range s.routers {
 		r.inUp = append(r.inUp, -1) // injection port
