@@ -364,21 +364,19 @@ func BenchmarkSweepParallel(b *testing.B) {
 // for a String Figure network of n nodes. The historical grid points step
 // the four-port uni-directional wire variant with the simulator's five-flit
 // default packets; session selects what the session layer runs instead —
-// the paper's topology (topology.NewPaperSF: PortsForN ports,
-// bi-directional) and one-flit request packets.
+// the paper's design (design.Spec{N: n}: PortsForN ports, bi-directional)
+// and one-flit request packets.
 func netsimStepConfig(tb testing.TB, n int, session bool) netsim.Config {
 	tb.Helper()
-	build := func() (*topology.StringFigure, error) {
-		return topology.NewStringFigure(topology.Config{N: n, Ports: 4, Seed: 1, Shortcuts: true})
-	}
+	spec := design.Spec{N: n, Ports: 4, Seed: 1, Unidirectional: true}
 	if session {
-		build = func() (*topology.StringFigure, error) { return topology.NewPaperSF(n, 1) }
+		spec = design.Spec{N: n, Seed: 1}
 	}
-	sf, err := build()
+	d, err := design.Build(spec)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := design.FromSF(sf).NetCfg(1)
+	cfg := d.NetCfg(1)
 	if session {
 		cfg.PacketFlits = 1
 	}

@@ -21,8 +21,9 @@ var ErrUnknownKind = errors.New("design: unknown design kind")
 // Design is one evaluated network design: a deterministic topology build
 // with everything a simulation session needs to treat it like any other.
 type Design struct {
-	// Spec is the build input in normal form (Kind named, the sf/s2 port
-	// count resolved): Build(d.Spec) reproduces the design.
+	// Spec is the design's identity: the build input in normal form (Kind
+	// named, the sf/s2 port count resolved). Build(d.Spec) reproduces the
+	// design, so the Spec is all that needs to be stored or sent.
 	Spec Spec
 	N    int // memory nodes
 	// Routers is the network router count (differs from N for the
@@ -51,7 +52,7 @@ type Design struct {
 	// EscapeRoute on a reconfigured network.
 	NetCfg func(seed int64) netsim.Config
 	// SF holds the String Figure topology for the SF/S2 designs (nil
-	// otherwise), used by reconfiguration and serialization.
+	// otherwise), used by reconfiguration.
 	SF *topology.StringFigure
 	// Reconfigurable marks the designs that support elastic power gating
 	// (the sf design only: S2 lacks reconfiguration support by definition —
@@ -79,29 +80,40 @@ type Spec struct {
 	NoShortcuts bool
 }
 
-// BuildKind constructs the named design at scale n with default options.
-func BuildKind(kind string, n int, seed int64) (*Design, error) {
-	return Build(Spec{Kind: kind, N: n, Seed: seed})
-}
-
-// Build constructs the design selected by the spec. Equal specs build
-// identical designs.
-func Build(spec Spec) (*Design, error) {
+// Normalize checks a build spec against the rules Build enforces and returns
+// it in normal form (Kind named, the sf/s2 port count resolved). It builds
+// no topology, so it is cheap at any scale.
+func (spec Spec) Normalize() (Spec, error) {
 	if spec.Kind == "" {
 		spec.Kind = "sf"
 	}
 	if spec.Kind != "sf" && (spec.Unidirectional || spec.NoShortcuts) {
-		return nil, fmt.Errorf("design: wire-variant options apply to the sf design only, not %q", spec.Kind)
+		return spec, fmt.Errorf("design: wire-variant options apply to the sf design only, not %q", spec.Kind)
 	}
 	switch spec.Kind {
 	case "dm", "odm", "fb", "afb":
 		if spec.Ports != 0 {
-			return nil, fmt.Errorf("design: %s has a fixed port layout; Ports override unsupported", spec.Kind)
+			return spec, fmt.Errorf("design: %s has a fixed port layout; Ports override unsupported", spec.Kind)
 		}
 	case "s2", "sf":
 		if spec.Ports == 0 {
 			spec.Ports = topology.PortsForN(spec.N)
 		}
+		if err := (topology.Config{N: spec.N, Ports: spec.Ports}).Validate(); err != nil {
+			return spec, err
+		}
+	default:
+		return spec, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownKind, spec.Kind, Names)
+	}
+	return spec, nil
+}
+
+// Build constructs the design selected by the spec. Equal specs build
+// identical designs.
+func Build(spec Spec) (*Design, error) {
+	spec, err := spec.Normalize()
+	if err != nil {
+		return nil, err
 	}
 	d, err := buildKind(spec)
 	if err != nil {
@@ -122,48 +134,11 @@ func buildKind(spec Spec) (*Design, error) {
 			return nil, err
 		}
 		return buildMesh(spec.N, width)
-	case "fb":
-		return buildButterfly(spec.N, false)
-	case "afb":
-		return buildButterfly(spec.N, true)
-	case "s2":
-		sf, err := topology.NewS2(spec.N, spec.Ports, spec.Seed, true)
-		if err != nil {
-			return nil, err
-		}
-		d := fromSF(sf)
-		d.Reconfigurable = false
-		return d, nil
-	case "sf":
-		sf, err := topology.NewStringFigure(topology.Config{
-			N:             spec.N,
-			Ports:         spec.Ports,
-			Seed:          spec.Seed,
-			Bidirectional: !spec.Unidirectional,
-			Shortcuts:     !spec.NoShortcuts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return fromSF(sf), nil
+	case "fb", "afb":
+		return buildButterfly(spec.N, spec.Kind == "afb")
+	default: // "sf" or "s2", the only other kinds Normalize admits
+		return buildSF(spec)
 	}
-	return nil, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownKind, spec.Kind, Names)
-}
-
-// FromSF wraps an existing String Figure topology (e.g. one reloaded from a
-// saved design artifact) as an sf design. It is the one place a Spec is
-// derived from a topology rather than recorded from the build.
-func FromSF(sf *topology.StringFigure) *Design {
-	d := fromSF(sf)
-	d.Spec = Spec{
-		Kind:           "sf",
-		N:              sf.Cfg.N,
-		Ports:          sf.Cfg.Ports,
-		Seed:           sf.Cfg.Seed,
-		Unidirectional: !sf.Cfg.Bidirectional,
-		NoShortcuts:    !sf.Cfg.Shortcuts,
-	}
-	return d
 }
 
 // identity is the node→router map for non-concentrated designs.
@@ -179,8 +154,19 @@ func routerNodes(n, routers int, nodeRouter func(int) int) [][]int {
 	return hosted
 }
 
-// fromSF builds the reconfigurable design over a String Figure topology.
-func fromSF(sf *topology.StringFigure) *Design {
+// buildSF builds the String Figure design, or the S2 baseline: the same
+// balanced random topology without shortcuts or reconfiguration.
+func buildSF(spec Spec) (*Design, error) {
+	sf, err := topology.NewStringFigure(topology.Config{
+		N:             spec.N,
+		Ports:         spec.Ports,
+		Seed:          spec.Seed,
+		Bidirectional: !spec.Unidirectional,
+		Shortcuts:     spec.Kind == "sf" && !spec.NoShortcuts,
+	})
+	if err != nil {
+		return nil, err
+	}
 	g := sf.Graph()
 	// One router, adjacency and escape function per design, shared by every
 	// session's configuration (only reconfiguration edits the router).
@@ -203,10 +189,10 @@ func fromSF(sf *topology.StringFigure) *Design {
 			return cfg
 		},
 		SF:             sf,
-		Reconfigurable: true,
+		Reconfigurable: spec.Kind == "sf",
 	}
 	d.RouterNodes = routerNodes(d.N, d.Routers, d.NodeRouter)
-	return d
+	return d, nil
 }
 
 // sfPortBudget is the Section IV per-node wiring bound: bidirectional wires

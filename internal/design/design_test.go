@@ -2,13 +2,14 @@ package design
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
 func TestBuildAllKinds(t *testing.T) {
 	for _, kind := range Names {
 		n := 128
-		d, err := BuildKind(kind, n, 1)
+		d, err := Build(Spec{Kind: kind, N: n, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -55,20 +56,21 @@ func TestBuildAllKinds(t *testing.T) {
 			t.Errorf("%s: NetCfg has no routing algorithm", kind)
 		}
 	}
-	if _, err := BuildKind("nope", 16, 1); !errors.Is(err, ErrUnknownKind) {
+	if _, err := Build(Spec{Kind: "nope", N: 16, Seed: 1}); !errors.Is(err, ErrUnknownKind) {
 		t.Errorf("unknown kind error = %v, want ErrUnknownKind", err)
 	}
 }
 
 func TestBuildOptionValidation(t *testing.T) {
-	if _, err := Build(Spec{Kind: "dm", N: 16, Ports: 6}); err == nil {
-		t.Error("Ports override on dm should fail")
-	}
-	if _, err := Build(Spec{Kind: "fb", N: 128, Unidirectional: true}); err == nil {
-		t.Error("Unidirectional on fb should fail")
-	}
-	if _, err := Build(Spec{Kind: "s2", N: 16, NoShortcuts: true}); err == nil {
-		t.Error("NoShortcuts on s2 should fail")
+	for _, bad := range []Spec{
+		{Kind: "dm", N: 16, Ports: 6},              // fixed port layout
+		{Kind: "fb", N: 128, Unidirectional: true}, // wire variants are sf only
+		{Kind: "s2", N: 16, NoShortcuts: true},
+		{N: 16, Ports: 1}, // topology.Config.Validate
+	} {
+		if _, err := Build(bad); err == nil {
+			t.Errorf("Build(%+v) should fail", bad)
+		}
 	}
 	d, err := Build(Spec{N: 16, Seed: 1}) // empty kind defaults to sf
 	if err != nil || d.Spec.Kind != "sf" {
@@ -88,7 +90,7 @@ func TestODMWidthReasonable(t *testing.T) {
 
 func TestDeterministicRebuild(t *testing.T) {
 	for _, kind := range Names {
-		a, err := BuildKind(kind, 64, 7)
+		a, err := Build(Spec{Kind: kind, N: 64, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -101,18 +103,8 @@ func TestDeterministicRebuild(t *testing.T) {
 		if a.Spec.Kind != kind || b.Spec != a.Spec {
 			t.Fatalf("%s: recorded spec %+v rebuilds as %+v", kind, a.Spec, b.Spec)
 		}
-		if len(a.Out) != len(b.Out) {
-			t.Fatalf("%s: router counts differ", kind)
-		}
-		for r := range a.Out {
-			if len(a.Out[r]) != len(b.Out[r]) {
-				t.Fatalf("%s: adjacency differs at router %d", kind, r)
-			}
-			for i := range a.Out[r] {
-				if a.Out[r][i] != b.Out[r][i] {
-					t.Fatalf("%s: adjacency differs at router %d", kind, r)
-				}
-			}
+		if !reflect.DeepEqual(a.Out, b.Out) {
+			t.Fatalf("%s: adjacency differs on rebuild", kind)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func Fig9a(scales []int, sources int, seed int64) (*stats.Series, error) {
 				row = append(row, 0) // unsupported scale, matches "N" in Fig 8
 				continue
 			}
-			d, err := design.BuildKind(kind, n, seed)
+			d, err := design.Build(design.Spec{Kind: kind, N: n, Seed: seed})
 			if err != nil {
 				return nil, err
 			}

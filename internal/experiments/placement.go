@@ -20,11 +20,10 @@ import (
 // Each run measures cfg's windows as given (no session defaults apply).
 func ProcessorPlacement(n int, rate float64, cfg stringfigure.SessionConfig) (*stats.Series, error) {
 	seed := cfg.Seed
-	sf, err := topology.NewPaperSF(n, seed)
+	d, err := design.Build(design.Spec{N: n, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	d := design.FromSF(sf)
 	grid := placement.Place(d.Graph, seed, 2)
 
 	// Attachment arrangements.
@@ -165,11 +164,10 @@ func MetaCubeStudy(n int, cubeSizes []int, rate float64, cfg stringfigure.Sessio
 		cubeSizes = []int{8, 16, 32}
 	}
 	seed := cfg.Seed
-	sf, err := topology.NewPaperSF(n, seed)
+	d, err := design.Build(design.Spec{N: n, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	d := design.FromSF(sf)
 	grid := placement.Place(d.Graph, seed, 2)
 	uniform, err := traffic.NewPattern("uniform", n)
 	if err != nil {
@@ -198,7 +196,7 @@ func MetaCubeStudy(n int, cubeSizes []int, rate float64, cfg stringfigure.Sessio
 		return nil, err
 	}
 	for _, size := range cubeSizes {
-		mc, err := placement.NewMetaCube(sf, size)
+		mc, err := placement.NewMetaCube(d.SF, size)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +205,7 @@ func MetaCubeStudy(n int, cubeSizes []int, rate float64, cfg stringfigure.Sessio
 			return nil, err
 		}
 		s.AddRow(float64(size),
-			100*mc.IntraCubeFraction(sf.BaseLinks()), cubeNs, flatNs)
+			100*mc.IntraCubeFraction(d.SF.BaseLinks()), cubeNs, flatNs)
 	}
 	return s, nil
 }

@@ -26,7 +26,7 @@ func Table2(scales []int) (*stats.Series, error) {
 				row = append(row, 0)
 				continue
 			}
-			d, err := design.BuildKind(kind, n, 1)
+			d, err := design.Build(design.Spec{Kind: kind, N: n, Seed: 1})
 			if err != nil {
 				return nil, err
 			}

@@ -5,16 +5,13 @@ import (
 
 	"repro/internal/design"
 	"repro/internal/memnode"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
 // buildSmall builds a 16-node SF network with the given traces on 2 CPUs.
 func buildSmall(t *testing.T, traces [][]trace.Op, window int) *System {
 	t.Helper()
-	sf, err := topology.NewStringFigure(topology.Config{
-		N: 16, Ports: 4, Seed: 3, Shortcuts: true, Bidirectional: true,
-	})
+	d, err := design.Build(design.Spec{N: 16, Ports: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +19,7 @@ func buildSmall(t *testing.T, traces [][]trace.Op, window int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(design.FromSF(sf).NetCfg(7), pool, []int{0, 8}, window, traces)
+	sys, err := Build(d.NetCfg(7), pool, []int{0, 8}, window, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +69,9 @@ func TestRunToCompletion(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	sf, _ := topology.NewStringFigure(topology.Config{
-		N: 16, Ports: 4, Seed: 3, Shortcuts: true, Bidirectional: true,
-	})
+	d, _ := design.Build(design.Spec{N: 16, Ports: 4, Seed: 3})
 	pool, _ := memnode.NewPool(16)
-	cfg := design.FromSF(sf).NetCfg(7)
+	cfg := d.NetCfg(7)
 	if _, err := Build(cfg, pool, nil, 8, nil); err == nil {
 		t.Error("no CPUs should fail")
 	}

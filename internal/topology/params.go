@@ -15,17 +15,12 @@ func PortsForN(n int) int {
 // support (down-scaling an S2 network requires regenerating it, which is
 // what the experiment harness does).
 func NewS2(n, ports int, seed int64, bidirectional bool) (*StringFigure, error) {
-	sf, err := NewStringFigure(Config{
+	return NewStringFigure(Config{
 		N:             n,
 		Ports:         ports,
 		Seed:          seed,
 		Bidirectional: bidirectional,
-		Shortcuts:     false,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sf, nil
 }
 
 // NewPaperSF builds a String Figure topology with the defaults used for the

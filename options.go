@@ -68,16 +68,26 @@ func New(opts ...Option) (*Network, error) {
 	return o.build()
 }
 
+// check validates the build spec without building anything: New's rules,
+// cheap at any scale, so a job service can apply them at submission.
+func (o options) check() error {
+	if o.spec.N == 0 {
+		return fmt.Errorf("stringfigure: node count required (use WithNodes)")
+	}
+	_, err := o.spec.Normalize()
+	if errors.Is(err, design.ErrUnknownKind) {
+		return fmt.Errorf("%w: %q (want one of %v)", ErrUnknownDesign, o.spec.Kind, design.Names)
+	}
+	return err
+}
+
 // build deploys the network the options describe.
 func (o options) build() (*Network, error) {
-	if o.spec.N == 0 {
-		return nil, fmt.Errorf("stringfigure: node count required (use WithNodes)")
+	if err := o.check(); err != nil {
+		return nil, err
 	}
 	d, err := design.Build(o.spec)
 	if err != nil {
-		if errors.Is(err, design.ErrUnknownKind) {
-			return nil, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownDesign, o.spec.Kind, design.Names)
-		}
 		return nil, err
 	}
 	net := newNetwork(d)

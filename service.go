@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"slices"
 
+	"repro/internal/design"
 	"repro/internal/jobsvc"
 	"repro/internal/reconfig"
 	"repro/internal/trace"
@@ -105,6 +106,11 @@ func (js JobSpec) workload() (Workload, error) {
 	}
 }
 
+// options are the New options of the job's network.
+func (js JobSpec) options() options {
+	return options{spec: design.Spec{Kind: js.Design, N: js.Nodes, Ports: js.Ports, Seed: js.NetSeed}}
+}
+
 // rates resolves the sweep's rate axis (one point per rate).
 func (js JobSpec) rates() []float64 {
 	if len(js.Rates) == 0 {
@@ -182,8 +188,8 @@ func (js JobSpec) validate() error {
 	if err := js.checkBounds(); err != nil {
 		return err
 	}
-	if js.Design != "" && !slices.Contains(Designs(), js.Design) {
-		return fmt.Errorf("%w: %q (want one of %v)", ErrUnknownDesign, js.Design, Designs())
+	if err := js.options().check(); err != nil {
+		return err
 	}
 	if _, err := js.workload(); err != nil {
 		return err
@@ -379,8 +385,9 @@ func (e *sweepExecutor) Run(ctx context.Context, raw json.RawMessage, pending []
 	if err != nil {
 		return err
 	}
-	net, err := New(WithDesign(spec.Design), WithNodes(spec.Nodes), WithPorts(spec.Ports),
-		WithSeed(spec.NetSeed), WithCluster(e.cluster))
+	opts := spec.options()
+	opts.cluster = e.cluster
+	net, err := opts.build()
 	if err != nil {
 		return err
 	}

@@ -404,6 +404,36 @@ func TestServiceRejectsOversizedJobs(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsUnbuildableNetworks: a job whose network New would
+// refuse is rejected at submission with New's own error, not journaled to
+// settle failed at its first run.
+func TestServiceRejectsUnbuildableNetworks(t *testing.T) {
+	s, err := NewService(ServiceConfig{StateDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, js := range []JobSpec{
+		{Design: "dm", Nodes: 16, Ports: 4},
+		{Design: "odm", Nodes: 16, Ports: 4},
+		{Design: "fb", Nodes: 16, Ports: 4},
+		{Nodes: 16, Ports: 1},
+	} {
+		_, newErr := New(WithDesign(js.Design), WithNodes(js.Nodes), WithPorts(js.Ports))
+		if newErr == nil {
+			t.Fatalf("%+v: New accepted the network", js)
+		}
+		// The job service wraps the plan error once.
+		_, err := s.SubmitJob("mallory", 0, js)
+		if planErr := errors.Unwrap(err); planErr == nil || planErr.Error() != newErr.Error() {
+			t.Errorf("%+v: SubmitJob err = %v, want New's %v", js, err, newErr)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d unbuildable jobs were journaled", len(jobs))
+	}
+}
+
 // TestServiceReplayedOversizedJobFails: a job log written before the
 // bounds existed is input too — the replayed poison job settles failed
 // instead of building a 100M-node design.

@@ -2,7 +2,6 @@ package stringfigure
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/design"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/stats"
-	"repro/internal/topology"
 )
 
 // Network is a deployed memory-network design with routing and, for the
@@ -282,28 +280,6 @@ func (n *Network) PathLengths(maxSources int) PathStats {
 	// Sample alive sources only.
 	st := g.InducedSubgraphStats(n.net.AliveSlice(), maxSources)
 	return PathStats{Mean: st.Mean, P10: st.P10, P90: st.P90, Diameter: st.Diameter}
-}
-
-// Save persists the topology design (coordinates and wire lists) as JSON —
-// the design-reuse artifact of Section III-C: one generated design deploys
-// across product configurations via SetMounted. Only the String Figure
-// family serializes.
-func (n *Network) Save(w io.Writer) error {
-	if n.d.SF == nil {
-		return fmt.Errorf("stringfigure: design %q has no serializable topology", n.d.Spec.Kind)
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.d.SF.Save(w)
-}
-
-// Open deploys a previously saved topology design at full scale.
-func Open(r io.Reader) (*Network, error) {
-	sf, err := topology.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return newNetwork(design.FromSF(sf)), nil
 }
 
 // Series re-exports the experiment output table type for tooling built on

@@ -8,6 +8,7 @@ package stringfigure
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -126,51 +127,75 @@ func TestWireResultRoundTrip(t *testing.T) {
 
 func TestNetworkSpecRebuild(t *testing.T) {
 	// A network rebuilt from its spec must expose the identical topology
-	// (the foundation of remote bit-identical execution), including a
-	// snapshotted alive mask applied via SetMounted.
-	net, err := New(WithNodes(48), WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := make([]bool, 48)
-	for i := range mask {
-		mask[i] = true
-	}
-	mask[5], mask[17] = false, false
-	if err := net.SetMounted(mask); err != nil {
-		t.Fatal(err)
-	}
-	spec := net.spec()
-	if spec.Alive == nil {
-		t.Fatal("gated network spec lost its alive mask")
-	}
-	rebuilt, err := spec.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 48; v++ {
-		if net.Alive(v) != rebuilt.Alive(v) {
-			t.Fatalf("node %d liveness differs after rebuild", v)
+	// and routes (the foundation of remote bit-identical execution),
+	// including a snapshotted alive mask applied via SetMounted.
+	const n = 48
+	same := func(t *testing.T, a, b *Network) {
+		t.Helper()
+		for r := 0; r < a.Routers(); r++ {
+			if x, y := a.OutNeighbors(r), b.OutNeighbors(r); !reflect.DeepEqual(x, y) {
+				t.Fatalf("router %d adjacency differs after rebuild:\n%v\n%v", r, x, y)
+			}
 		}
-		a, b := net.OutNeighbors(v), rebuilt.OutNeighbors(v)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("router %d adjacency differs after rebuild:\n%v\n%v", v, a, b)
+		for src := 0; src < n; src++ {
+			if a.Alive(src) != b.Alive(src) {
+				t.Fatalf("node %d liveness differs after rebuild", src)
+			}
+			for dst := 0; dst < n; dst++ {
+				pa, ea := a.Route(src, dst)
+				pb, eb := b.Route(src, dst)
+				if fmt.Sprint(ea) != fmt.Sprint(eb) || !reflect.DeepEqual(pa, pb) {
+					t.Fatalf("route %d -> %d differs after rebuild: %v (%v) vs %v (%v)", src, dst, pa, ea, pb, eb)
+				}
+			}
 		}
 	}
-
-	// Ungated networks serialize without a mask, for every design.
+	variants := map[string][]Option{
+		"sf-unidirectional": {Unidirectional()},
+		"sf-noshortcuts":    {NoShortcuts()},
+	}
 	for _, kind := range Designs() {
-		n2, err := New(WithDesign(kind), WithNodes(16), WithSeed(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := n2.spec()
-		if spec.Alive != nil {
-			t.Errorf("%s: ungated spec carries an alive mask", kind)
-		}
-		if _, err := spec.build(); err != nil {
-			t.Errorf("%s: spec rebuild failed: %v", kind, err)
-		}
+		variants[kind] = []Option{WithDesign(kind)}
+	}
+	for name, opts := range variants {
+		t.Run(name, func(t *testing.T) {
+			net, err := New(append(opts, WithNodes(n), WithSeed(11))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := net.spec()
+			if spec.Alive != nil {
+				t.Error("ungated spec carries an alive mask")
+			}
+			rebuilt, err := spec.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rebuilt.d.Spec != net.d.Spec {
+				t.Fatalf("rebuilt spec %+v, want %+v", rebuilt.d.Spec, net.d.Spec)
+			}
+			same(t, net, rebuilt)
+			if net.net == nil {
+				return // only the sf family reconfigures
+			}
+			// The rebuilt network gates as the original does, and the
+			// gated spec carries the alive mask that reproduces it.
+			for _, v := range []int{5, 17} {
+				if ea, eb := net.GateOff(v), rebuilt.GateOff(v); fmt.Sprint(ea) != fmt.Sprint(eb) {
+					t.Fatalf("GateOff(%d): %v vs %v after rebuild", v, ea, eb)
+				}
+			}
+			same(t, net, rebuilt)
+			spec = net.spec()
+			if spec.Alive == nil {
+				t.Fatal("gated network spec lost its alive mask")
+			}
+			mounted, err := spec.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, net, mounted)
+		})
 	}
 }
 
