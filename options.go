@@ -5,6 +5,9 @@ import (
 	"fmt"
 
 	"repro/internal/design"
+	"repro/internal/netsim"
+	"repro/internal/reconfig"
+	"repro/internal/routing"
 )
 
 // options is the value New's functional options fill in: the design's
@@ -90,7 +93,12 @@ func (o options) build() (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := newNetwork(d)
-	net.cluster = o.cluster
+	net := &Network{d: d, cluster: o.cluster}
+	if d.Reconfigurable {
+		net.net = reconfig.Adopt(d.SF, d.Out, d.Alg.(*routing.Greediest))
+	}
+	if d.SF != nil {
+		net.routes = netsim.NewRouteCache(d.Routers)
+	}
 	return net, nil
 }

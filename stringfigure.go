@@ -38,17 +38,6 @@ type Network struct {
 	routes *netsim.RouteCache
 }
 
-func newNetwork(d *design.Design) *Network {
-	n := &Network{d: d}
-	if d.Reconfigurable {
-		n.net = reconfig.Adopt(d.SF, d.Out, d.Alg.(*routing.Greediest))
-	}
-	if d.SF != nil {
-		n.routes = netsim.NewRouteCache(d.Routers)
-	}
-	return n
-}
-
 // Design returns the design name ("dm", "odm", "fb", "afb", "s2" or "sf").
 func (n *Network) Design() string { return n.d.Spec.Kind }
 

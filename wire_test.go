@@ -144,8 +144,10 @@ func TestNetworkSpecRebuild(t *testing.T) {
 			for dst := 0; dst < n; dst++ {
 				pa, ea := a.Route(src, dst)
 				pb, eb := b.Route(src, dst)
-				if fmt.Sprint(ea) != fmt.Sprint(eb) || !reflect.DeepEqual(pa, pb) {
-					t.Fatalf("route %d -> %d differs after rebuild: %v (%v) vs %v (%v)", src, dst, pa, ea, pb, eb)
+				ma, mb := a.MD(src, dst), b.MD(src, dst)
+				if fmt.Sprint(ea) != fmt.Sprint(eb) || !reflect.DeepEqual(pa, pb) || ma != mb {
+					t.Fatalf("pair %d -> %d differs after rebuild: route %v (%v) vs %v (%v), MD %v vs %v",
+						src, dst, pa, ea, pb, eb, ma, mb)
 				}
 			}
 		}
