@@ -84,12 +84,12 @@ func (a *activeSet) clear(v int) { a.words[v>>6] &^= 1 << (uint(v) & 63) }
 // next cycle; that matches the full scan, because the only mid-pass
 // activation — an OnDelivered callback injecting into a source queue — feeds
 // a queue whose drain phase has already run this cycle in the full scan too.
-// It reports whether it visited any router.
-func (a *activeSet) forEach(fn func(v int)) bool {
-	visited := false
+// It returns the number of routers it visited.
+func (a *activeSet) forEach(fn func(v int)) int64 {
+	visited := int64(0)
 	for wi := range a.words {
 		w := a.words[wi]
-		visited = visited || w != 0
+		visited += int64(bits.OnesCount64(w))
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)

@@ -689,9 +689,11 @@ func (s *Sim) step() {
 	} else {
 		s.deliverLinkFlits()
 		s.inject()
-		if !s.active.forEach(func(v int) {
+		active := s.active.forEach(func(v int) {
 			s.drainSourceQueue(s.routers[v])
-		}) {
+		})
+		s.st.ActiveRouters += active
+		if active == 0 {
 			s.st.EmptyCycles++
 		}
 		s.active.forEach(func(v int) {

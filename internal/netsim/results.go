@@ -105,6 +105,10 @@ type EngineStats struct {
 	// LiveFailedScans the failed first-slot scans whose output stayed
 	// unparked because a blocked candidate's starvation counter was live.
 	GrantScans, FailedScans, LiveFailedScans int64
+	// ActiveRouters sums the worklist's length over event-core cycles,
+	// taken once delivery and injection are done: ActiveRouters / cycles
+	// is the mean worklist occupancy.
+	ActiveRouters int64
 }
 
 // Stats returns the engine counters accumulated since New.
