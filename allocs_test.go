@@ -14,6 +14,8 @@ package stringfigure_test
 import (
 	"fmt"
 	"testing"
+
+	stringfigure "repro"
 )
 
 // steadyStateAllocBudget is the high-water allowance of one 2000-cycle
@@ -90,5 +92,21 @@ func TestNetsimColdSimAllocs(t *testing.T) {
 	t.Logf("%v allocations", allocs)
 	if allocs > ceiling {
 		t.Errorf("cold N256_loaded simulator: %v allocations over 1000 cycles, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestNetworkBuildAllocs counts one paper-scale network build: topology
+// generation, the design's adjacency and routing tables, the escape ring and
+// the Network around them. It reads 33 094 (an occasional run reads 33 098).
+func TestNetworkBuildAllocs(t *testing.T) {
+	const ceiling = 34000
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := stringfigure.New(stringfigure.WithNodes(1024), stringfigure.WithSeed(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v allocations", allocs)
+	if allocs > ceiling {
+		t.Errorf("N=1024 network build: %v allocations, ceiling %d", allocs, ceiling)
 	}
 }

@@ -1,0 +1,5 @@
+package routing
+
+// StorageEntries returns t's entries in storage order, the order buildView
+// and CandidatesInto read them in (Entries sorts its copy).
+func (t *Table) StorageEntries() []Entry { return t.entries }
