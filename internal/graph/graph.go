@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -70,16 +71,12 @@ func (g *Graph) OutDegree(u int) int { return len(g.adj[u]) }
 
 // UniqueOutNeighbors returns the sorted distinct out-neighbors of u.
 func (g *Graph) UniqueOutNeighbors(u int) []int {
-	seen := make(map[int]bool, len(g.adj[u]))
 	var out []int
 	for _, e := range g.adj[u] {
-		if !seen[e.To] {
-			seen[e.To] = true
-			out = append(out, e.To)
-		}
+		out = append(out, e.To)
 	}
 	sort.Ints(out)
-	return out
+	return slices.Compact(out)
 }
 
 // EdgeCount returns the total number of directed edges.

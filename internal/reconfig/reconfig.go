@@ -47,9 +47,10 @@ type Network struct {
 
 	alive []bool
 	out   [][]int // active out-adjacency, derived from SF + alive
-	// shortcutSet indexes the pre-provisioned shortcut wires for healing
+	// base (the full-scale adjacency) and shortcuts (the pre-provisioned
+	// shortcut wires) list each node's wire targets, sorted, for healing
 	// attribution.
-	shortcutSet map[[2]int]bool
+	base, shortcuts [][]int
 }
 
 // New deploys a String Figure network at full scale with a router of its
@@ -65,21 +66,16 @@ func New(sf *topology.StringFigure) *Network {
 // router's tables in place: other readers of router serialize against it.
 func Adopt(sf *topology.StringFigure, out [][]int, router *routing.Greediest) *Network {
 	n := &Network{
-		SF:          sf,
-		Router:      router,
-		Timing:      DefaultTiming(),
-		alive:       make([]bool, sf.Cfg.N),
-		out:         out,
-		shortcutSet: make(map[[2]int]bool),
+		SF:        sf,
+		Router:    router,
+		Timing:    DefaultTiming(),
+		alive:     make([]bool, sf.Cfg.N),
+		out:       out,
+		base:      out,
+		shortcuts: topology.OutLists(sf.Cfg.N, sf.Cfg.Bidirectional, sf.Shortcuts),
 	}
 	for i := range n.alive {
 		n.alive[i] = true
-	}
-	for _, l := range sf.Shortcuts {
-		n.shortcutSet[[2]int{l.From, l.To}] = true
-		if sf.Cfg.Bidirectional {
-			n.shortcutSet[[2]int{l.To, l.From}] = true
-		}
 	}
 	return n
 }
@@ -125,45 +121,23 @@ func (n *Network) Graph() *graph.Graph {
 func (n *Network) AdjacencyFor(alive []bool) [][]int {
 	sf := n.SF
 	N := sf.Cfg.N
-	outSet := make([]map[int]bool, N)
-	for v := 0; v < N; v++ {
-		outSet[v] = make(map[int]bool, sf.Spaces+2)
-	}
-	add := func(u, v int) {
-		if u == v || u < 0 || v < 0 {
-			return
-		}
-		outSet[u][v] = true
-		if sf.Cfg.Bidirectional {
-			outSet[v][u] = true
-		}
-	}
+	wires := make([]topology.Link, 0, sf.Spaces*N+len(sf.Extras))
 	for s := 0; s < sf.Spaces; s++ {
 		for v := 0; v < N; v++ {
 			if !alive[v] {
 				continue
 			}
-			add(v, sf.Successor(s, v, alive))
+			if w := sf.Successor(s, v, alive); w >= 0 {
+				wires = append(wires, topology.Link{From: v, To: w})
+			}
 		}
 	}
 	for _, l := range sf.Extras {
 		if alive[l.From] && alive[l.To] {
-			add(l.From, l.To)
+			wires = append(wires, l)
 		}
 	}
-	out := make([][]int, N)
-	for v := 0; v < N; v++ {
-		if len(outSet[v]) == 0 {
-			continue
-		}
-		nbrs := make([]int, 0, len(outSet[v]))
-		for w := range outSet[v] {
-			nbrs = append(nbrs, w)
-		}
-		slices.Sort(nbrs)
-		out[v] = nbrs
-	}
-	return out
+	return topology.OutLists(N, sf.Cfg.Bidirectional, wires)
 }
 
 // GateOff powers node v down, running the four-step reconfiguration
@@ -231,28 +205,28 @@ func (n *Network) applyReconfig(v int) {
 	}
 
 	// Step 2: enable/disable links, one merge per router (neighbor lists
-	// are ascending, as AdjacencyFor returns them).
+	// are ascending, as AdjacencyFor returns them). Both ends of every
+	// switched link change.
 	oldOut := n.out
 	newOut := n.AdjacencyFor(n.alive)
-	var disabled, enabled [][2]int
+	changed := make([]bool, len(n.alive))
 	for u := range oldOut {
 		MergeSorted(oldOut[u], newOut[u], func(w int, was, is bool) {
-			if !is {
-				disabled = append(disabled, [2]int{u, w})
+			if was == is {
+				return
 			}
-			if !was {
-				enabled = append(enabled, [2]int{u, w})
+			changed[u], changed[w] = true, true
+			if was {
+				n.Stats.LinksDisabled++
+				return
+			}
+			n.Stats.LinksEnabled++
+			if slices.Contains(n.shortcuts[u], w) {
+				n.Stats.HealedByShortcut++
+			} else if !slices.Contains(n.base[u], w) {
+				n.Stats.HealedBySwitch++
 			}
 		})
-	}
-	n.Stats.LinksDisabled += len(disabled)
-	n.Stats.LinksEnabled += len(enabled)
-	for _, l := range enabled {
-		if n.shortcutSet[l] {
-			n.Stats.HealedByShortcut++
-		} else if !n.isBaseLink(l) {
-			n.Stats.HealedBySwitch++
-		}
 	}
 	n.out = newOut
 
@@ -260,17 +234,8 @@ func (n *Network) applyReconfig(v int) {
 	// router whose one- or two-hop neighborhood changed; hardware performs
 	// this as local bit flips (Promote) plus entry validation, which we
 	// count before rebuilding.
-	changed := make(map[int]bool)
-	for _, l := range disabled {
-		changed[l[0]] = true
-		changed[l[1]] = true
-	}
-	for _, l := range enabled {
-		changed[l[0]] = true
-		changed[l[1]] = true
-	}
 	affected := n.affectedRouters(changed, oldOut, newOut)
-	for u := range affected {
+	for _, u := range affected {
 		tb := n.Router.Tables[u]
 		n.Stats.EntriesInvalidated += tb.Invalidate(v)
 		if !n.alive[v] {
@@ -294,47 +259,15 @@ func (n *Network) applyReconfig(v int) {
 	}
 }
 
-// isBaseLink reports whether the directed wire l exists in the full-scale
-// base topology (rings + extras).
-func (n *Network) isBaseLink(l [2]int) bool {
-	for _, b := range n.SF.BaseLinks() {
-		if b.From == l[0] && b.To == l[1] {
-			return true
-		}
-		if n.SF.Cfg.Bidirectional && b.From == l[1] && b.To == l[0] {
-			return true
-		}
-	}
-	return false
-}
-
-// affectedRouters returns the alive routers whose tables are stale: those
-// with changed out-links, or with a neighbor (old or new) whose out-links
-// changed.
-func (n *Network) affectedRouters(changed map[int]bool, oldOut, newOut [][]int) map[int]bool {
-	affected := make(map[int]bool)
+// affectedRouters returns, ascending, the alive routers whose tables are
+// stale: those with changed out-links, or with a neighbor (old or new)
+// whose out-links changed.
+func (n *Network) affectedRouters(changed []bool, oldOut, newOut [][]int) []int {
+	isChanged := func(w int) bool { return changed[w] }
+	var affected []int
 	for u := range n.out {
-		if !n.alive[u] {
-			continue
-		}
-		if changed[u] {
-			affected[u] = true
-			continue
-		}
-		for _, w := range oldOut[u] {
-			if changed[w] {
-				affected[u] = true
-				break
-			}
-		}
-		if affected[u] {
-			continue
-		}
-		for _, w := range newOut[u] {
-			if changed[w] {
-				affected[u] = true
-				break
-			}
+		if n.alive[u] && (changed[u] || slices.ContainsFunc(oldOut[u], isChanged) || slices.ContainsFunc(newOut[u], isChanged)) {
+			affected = append(affected, u)
 		}
 	}
 	return affected

@@ -52,11 +52,26 @@ func NewGreediestOver(sf *topology.StringFigure, bits int, out [][]int) *Greedie
 }
 
 // BuildTables constructs per-node routing tables from an out-neighbor
-// adjacency (see BuildTable).
+// adjacency (see BuildTable). Every table's entries are carved from one
+// arena and clipped to their length, so a later Add reallocates rather
+// than write into the next table's entries.
 func BuildTables(n int, out [][]int) []*Table {
+	size := 0
+	for v := 0; v < n; v++ {
+		size += tableSize(v, out)
+	}
+	arena := make([]Entry, 0, size)
+	structs := make([]Table, n)
 	tables := make([]*Table, n)
 	for v := range tables {
-		tables[v] = BuildTable(v, out)
+		t := &structs[v]
+		t.Node = v
+		t.entries = arena[len(arena):]
+		t.fill(out)
+		k := len(t.entries)
+		t.entries = t.entries[:k:k]
+		arena = arena[:len(arena)+k]
+		tables[v] = t
 	}
 	return tables
 }
@@ -65,7 +80,28 @@ func BuildTables(n int, out [][]int) []*Table {
 // adjacency: one-hop entries for every out-neighbor, two-hop entries for
 // each neighbor's out-neighbors (excluding the node itself).
 func BuildTable(v int, out [][]int) *Table {
-	t := NewTable(v)
+	t := &Table{Node: v, entries: make([]Entry, 0, tableSize(v, out))}
+	t.fill(out)
+	return t
+}
+
+// tableSize counts the entries BuildTable adds for node v.
+func tableSize(v int, out [][]int) int {
+	size := len(out[v])
+	for _, w := range out[v] {
+		for _, x := range out[w] {
+			if x != v && x != w {
+				size++
+			}
+		}
+	}
+	return size
+}
+
+// fill adds t's one-hop entries, then its two-hop entries, in adjacency
+// order.
+func (t *Table) fill(out [][]int) {
+	v := t.Node
 	for _, w := range out[v] {
 		t.Add(w, -1, false)
 	}
@@ -76,7 +112,6 @@ func BuildTable(v int, out [][]int) *Table {
 			}
 		}
 	}
-	return t
 }
 
 // Name implements Algorithm.

@@ -1,9 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -24,21 +24,16 @@ type Entry struct {
 
 // Table is the routing table of one router. Entries are bounded by p(p+1)
 // per Section IV; the table enforces the bound when built through the
-// topology-driven builders and reconfiguration engine.
+// topology-driven builders and reconfiguration engine. The entries are the
+// whole table: at that size a scan finds an entry faster than an index.
 type Table struct {
 	Node    int
 	entries []Entry
-	index   map[tableKey]int
 	// view is the compact read-side copy of the usable entries the column
 	// kernel scans (see Greediest.FirstHopColumn), built on first use. Every
 	// mutator drops it; simulators running concurrently over unchanged
 	// tables may each rebuild it, and racing stores publish equal values.
 	view atomic.Pointer[tableView]
-}
-
-type tableKey struct {
-	node int
-	via  int
 }
 
 // tableView lists a table's usable entries as int32 node numbers: the
@@ -61,7 +56,7 @@ func (v *tableView) group(i int) []int32 {
 
 // NewTable creates an empty routing table for the given router.
 func NewTable(node int) *Table {
-	return &Table{Node: node, index: make(map[tableKey]int)}
+	return &Table{Node: node}
 }
 
 // dropView forgets the compact view after a mutation. Mutations happen while
@@ -114,17 +109,16 @@ func (t *Table) buildView(v *tableView, buf []int32) []int32 {
 	return buf
 }
 
-// Add inserts or re-validates an entry. One-hop entries use via = -1.
+// Add inserts an entry, or re-validates the first one with the same node
+// and via. One-hop entries use via = -1.
 func (t *Table) Add(node, via int, twoHop bool) {
 	t.dropView()
-	k := tableKey{node: node, via: via}
-	if i, ok := t.index[k]; ok {
-		t.entries[i].Valid = true
-		t.entries[i].Blocked = false
-		t.entries[i].TwoHop = twoHop
-		return
+	for i := range t.entries {
+		if e := &t.entries[i]; e.Node == node && e.Via == via {
+			e.Valid, e.Blocked, e.TwoHop = true, false, twoHop
+			return
+		}
 	}
-	t.index[k] = len(t.entries)
 	t.entries = append(t.entries, Entry{Node: node, Via: via, TwoHop: twoHop, Valid: true})
 }
 
@@ -133,13 +127,8 @@ func (t *Table) Len() int { return len(t.entries) }
 
 // Entries returns a copy of the entries, sorted for deterministic output.
 func (t *Table) Entries() []Entry {
-	out := append([]Entry(nil), t.entries...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Via < out[j].Via
-	})
+	out := slices.Clone(t.entries)
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Or(a.Node-b.Node, a.Via-b.Via) })
 	return out
 }
 
@@ -209,14 +198,8 @@ func (t *Table) Invalidate(node int) int {
 func (t *Table) Promote(node int) bool {
 	t.dropView()
 	for i := range t.entries {
-		if t.entries[i].Node == node && t.entries[i].TwoHop {
-			oldVia := t.entries[i].Via
-			t.entries[i].TwoHop = false
-			t.entries[i].Via = -1
-			t.entries[i].Valid = true
-			// Re-index under the one-hop key.
-			delete(t.index, tableKey{node: node, via: oldVia})
-			t.index[tableKey{node: node, via: -1}] = i
+		if e := &t.entries[i]; e.Node == node && e.TwoHop {
+			e.TwoHop, e.Via, e.Valid = false, -1, true
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -114,12 +115,38 @@ func NewStringFigure(cfg Config) (*StringFigure, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sf := &StringFigure{Cfg: cfg, Spaces: cfg.Ports / 2}
 	sf.generateSpaces(rng)
-	sf.generateRings()
-	sf.generateExtras(rng)
+	wired := newWireLists(cfg.N, cfg.Ports+2)
+	sf.generateRings(wired)
+	sf.generateExtras(wired)
 	if cfg.Shortcuts {
-		sf.generateShortcuts()
+		sf.generateShortcuts(wired)
 	}
 	return sf, nil
+}
+
+// wireLists records the wires generated so far as per-node lists of the
+// nodes wired to: wired[u] holds v once a u->v wire exists (and, on
+// bidirectional builds, u's list holds v and v's holds u). A node has at
+// most p+2 wires, so a scan of its list beats hashing the pair.
+type wireLists [][]int
+
+// newWireLists carves n lists of capacity degree from one arena, each
+// clipped so an overfull list reallocates instead of spilling into the next.
+func newWireLists(n, degree int) wireLists {
+	arena := make([]int, n*degree)
+	w := make(wireLists, n)
+	for v := range w {
+		w[v] = arena[v*degree : v*degree : (v+1)*degree]
+	}
+	return w
+}
+
+// addWire records the wire u->v, and v->u too on a bidirectional build.
+func (w wireLists) addWire(u, v int, bidirectional bool) {
+	w[u] = append(w[u], v)
+	if bidirectional {
+		w[v] = append(w[v], u)
+	}
 }
 
 // generateSpaces implements BalancedCoordinateGen: each space gets a uniform
@@ -153,24 +180,18 @@ func (sf *StringFigure) generateSpaces(rng *rand.Rand) {
 // A wire u->v serves as u's out-link and v's in-link; with bidirectional
 // builds the same wire carries both directions. Duplicate successor pairs
 // across spaces are wired once, leaving free ports for generateExtras.
-func (sf *StringFigure) generateRings() {
+func (sf *StringFigure) generateRings(wired wireLists) {
 	n := sf.Cfg.N
-	seen := make(map[[2]int]bool)
 	for s := 0; s < sf.Spaces; s++ {
 		for k := 0; k < n; k++ {
 			u := sf.Order[s][k]
 			v := sf.Order[s][(k+1)%n]
-			key := [2]int{u, v}
-			if sf.Cfg.Bidirectional {
-				// An undirected wire is the same in either orientation.
-				if u > v {
-					key = [2]int{v, u}
-				}
-			}
-			if seen[key] {
+			// A bidirectional wire is recorded in both orientations, so
+			// this also finds an existing v->u wire there.
+			if slices.Contains(wired[u], v) {
 				continue // duplicate adjacency leaves a free port
 			}
-			seen[key] = true
+			wired.addWire(u, v, sf.Cfg.Bidirectional)
 			sf.Rings = append(sf.Rings, Link{From: u, To: v, Space: s, Type: RingLink})
 		}
 	}
@@ -232,16 +253,10 @@ func (sf *StringFigure) freePortCount() (outFree, inFree []int) {
 // with the longest distance (largest minimum circular distance across
 // spaces), per step 4 of the construction algorithm. For uni-directional
 // builds a free out-port pairs with a free in-port; for bidirectional builds
-// two free duplex ports pair.
-func (sf *StringFigure) generateExtras(rng *rand.Rand) {
+// two free duplex ports pair. wired holds the ring wires and gains the
+// extra ones.
+func (sf *StringFigure) generateExtras(wired wireLists) {
 	outFree, inFree := sf.freePortCount()
-	linked := make(map[[2]int]bool)
-	for _, l := range sf.Rings {
-		linked[[2]int{l.From, l.To}] = true
-		if sf.Cfg.Bidirectional {
-			linked[[2]int{l.To, l.From}] = true
-		}
-	}
 	var senders, receivers []int
 	for v := 0; v < sf.Cfg.N; v++ {
 		for i := 0; i < outFree[v]; i++ {
@@ -257,7 +272,7 @@ func (sf *StringFigure) generateExtras(rng *rand.Rand) {
 		bestI, bestJ, bestD := -1, -1, -1.0
 		for i, u := range senders {
 			for j, v := range receivers {
-				if u == v || linked[[2]int{u, v}] {
+				if u == v || slices.Contains(wired[u], v) {
 					continue
 				}
 				if sf.Cfg.Bidirectional && bestI >= 0 && senders[bestI] == v && receivers[bestJ] == u {
@@ -274,10 +289,9 @@ func (sf *StringFigure) generateExtras(rng *rand.Rand) {
 		}
 		u, v := senders[bestI], receivers[bestJ]
 		sf.Extras = append(sf.Extras, Link{From: u, To: v, Space: -1, Type: ExtraLink})
-		linked[[2]int{u, v}] = true
+		wired.addWire(u, v, sf.Cfg.Bidirectional)
 		senders = append(senders[:bestI], senders[bestI+1:]...)
 		if sf.Cfg.Bidirectional {
-			linked[[2]int{v, u}] = true
 			// The duplex wire also consumes v's port from the sender pool
 			// and u's port from the receiver pool.
 			senders = removeOne(senders, v)
@@ -285,7 +299,6 @@ func (sf *StringFigure) generateExtras(rng *rand.Rand) {
 		}
 		receivers = removeOneAt(receivers, bestJ, v)
 	}
-	_ = rng
 }
 
 // removeOne deletes one occurrence of x from xs (no-op when absent).
@@ -312,22 +325,9 @@ func removeOneAt(xs []int, i int, x int) []int {
 // wires to its 2-hop and 4-hop clockwise neighbors in Virtual Space-0, but
 // only toward nodes with a larger node number, bounding the added wires to
 // at most two per node (Figure 3(c)). Wires that duplicate a basic-topology
-// link are skipped.
-func (sf *StringFigure) generateShortcuts() {
+// link (recorded in wired) are skipped.
+func (sf *StringFigure) generateShortcuts(wired wireLists) {
 	n := sf.Cfg.N
-	existing := make(map[[2]int]bool)
-	for _, l := range sf.Rings {
-		existing[[2]int{l.From, l.To}] = true
-		if sf.Cfg.Bidirectional {
-			existing[[2]int{l.To, l.From}] = true
-		}
-	}
-	for _, l := range sf.Extras {
-		existing[[2]int{l.From, l.To}] = true
-		if sf.Cfg.Bidirectional {
-			existing[[2]int{l.To, l.From}] = true
-		}
-	}
 	for u := 0; u < n; u++ {
 		r := sf.Rank[0][u]
 		for _, hops := range []int{2, 4} {
@@ -338,10 +338,10 @@ func (sf *StringFigure) generateShortcuts() {
 			if v <= u {
 				continue // only connect to larger node numbers
 			}
-			if existing[[2]int{u, v}] {
+			if slices.Contains(wired[u], v) {
 				continue // overlaps the basic random topology
 			}
-			existing[[2]int{u, v}] = true
+			wired[u] = append(wired[u], v)
 			sf.Shortcuts = append(sf.Shortcuts, Link{From: u, To: v, Space: 0, Type: ShortcutLink, Hops: hops})
 		}
 	}
@@ -411,10 +411,48 @@ func (sf *StringFigure) Graph() *graph.Graph {
 // OutNeighbors returns, for every node, the sorted distinct targets of its
 // active out-links at full scale.
 func (sf *StringFigure) OutNeighbors() [][]int {
-	g := sf.Graph()
-	out := make([][]int, sf.Cfg.N)
-	for v := 0; v < sf.Cfg.N; v++ {
-		out[v] = g.UniqueOutNeighbors(v)
+	return OutLists(sf.Cfg.N, sf.Cfg.Bidirectional, sf.Rings, sf.Extras)
+}
+
+// OutLists returns, for every node, the sorted distinct targets of the
+// given wires (both ends' on a bidirectional build), nil where there are
+// none. The lists are carved from one arena, each clipped to its length.
+func OutLists(n int, bidirectional bool, links ...[]Link) [][]int {
+	deg := make([]int, n)
+	total := 0
+	for _, ls := range links {
+		for _, l := range ls {
+			deg[l.From]++
+			if bidirectional {
+				deg[l.To]++
+			}
+		}
+		total += len(ls)
+	}
+	if bidirectional {
+		total *= 2
+	}
+	arena := make([]int, 0, total)
+	out := make([][]int, n)
+	for v := range out {
+		out[v] = arena[len(arena):len(arena)]
+		arena = arena[:len(arena)+deg[v]]
+	}
+	for _, ls := range links {
+		for _, l := range ls {
+			out[l.From] = append(out[l.From], l.To)
+			if bidirectional {
+				out[l.To] = append(out[l.To], l.From)
+			}
+		}
+	}
+	for v, nbrs := range out {
+		if len(nbrs) == 0 {
+			out[v] = nil
+			continue
+		}
+		slices.Sort(nbrs)
+		out[v] = slices.Clip(slices.Compact(nbrs))
 	}
 	return out
 }
