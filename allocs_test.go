@@ -100,7 +100,7 @@ func TestNetsimColdSimAllocs(t *testing.T) {
 // the Network around them. It read 33 094 while every routing table kept a
 // hash-map index and topology generation deduplicated wires through maps;
 // with tables carved from one arena and per-node wire lists it reads 5 212
-// (an occasional run reads 5 216), three quarters of them the design
+// (an occasional run reads 5 216), four fifths of them (4 099) the design
 // graph's per-node edge lists.
 func TestNetworkBuildAllocs(t *testing.T) {
 	const ceiling = 5400

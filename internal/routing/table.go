@@ -1,9 +1,9 @@
 package routing
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"sync/atomic"
 )
 
@@ -127,8 +127,13 @@ func (t *Table) Len() int { return len(t.entries) }
 
 // Entries returns a copy of the entries, sorted for deterministic output.
 func (t *Table) Entries() []Entry {
-	out := slices.Clone(t.entries)
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Or(a.Node-b.Node, a.Via-b.Via) })
+	out := append([]Entry(nil), t.entries...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Node != out[j].Node {
+			return out[i].Node < out[j].Node
+		}
+		return out[i].Via < out[j].Via
+	})
 	return out
 }
 

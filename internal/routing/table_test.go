@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +86,33 @@ func TestTablePromote(t *testing.T) {
 	}
 	if tb.Promote(99) {
 		t.Error("Promote of unknown node should return false")
+	}
+}
+
+// TestBuildTablesArenaIsolation adds fresh entries to tables carved from
+// one arena: each lands in its own table, and no neighbouring table's
+// entries move.
+func TestBuildTablesArenaIsolation(t *testing.T) {
+	sf, err := topology.NewStringFigure(topology.Config{N: 32, Ports: 4, Seed: 1, Bidirectional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := BuildTables(32, sf.OutNeighbors())
+	before := make([][]Entry, len(tables))
+	for v, tb := range tables {
+		before[v] = slices.Clone(tb.entries)
+	}
+	for v := 0; v < len(tables); v += 2 {
+		tables[v].Add(99, 98, true)
+	}
+	for v, tb := range tables {
+		want := before[v]
+		if v%2 == 0 {
+			want = append(slices.Clone(want), Entry{Node: 99, Via: 98, TwoHop: true, Valid: true})
+		}
+		if !slices.Equal(tb.entries, want) {
+			t.Fatalf("table %d after the even tables' Add:\ngot  %v\nwant %v", v, tb.entries, want)
+		}
 	}
 }
 
