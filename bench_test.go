@@ -100,10 +100,11 @@ func BenchmarkFig10_SaturationHotspotTornado(b *testing.B) {
 // injection rate per design.
 func BenchmarkFig11_LatencyCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig11(64, "uniform", []float64{0.05, 0.20, 0.40}, quickBudget)
+		series, err := experiments.Fig11(64, []string{"uniform"}, []float64{0.05, 0.20, 0.40}, quickBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
+		s := series[0]
 		b.ReportMetric(s.Rows[0][6], "sf_ns@5pct")
 		b.ReportMetric(s.Rows[2][6], "sf_ns@40pct")
 	}

@@ -378,14 +378,11 @@ func main() {
 		return err
 	})
 	run("fig11", func() error {
-		for _, pattern := range []string{"uniform", "tornado", "hotspot"} {
-			s, err := experiments.Fig11(fig11N, pattern, nil, cfg)
-			if err != nil {
-				return err
-			}
-			print(s)
+		series, err := experiments.Fig11(fig11N, nil, nil, cfg)
+		if err == nil {
+			print(series...)
 		}
-		return nil
+		return err
 	})
 	// fig12a and fig12b print the two tables of one Figure 12 computation,
 	// so -exp all runs its trace sessions once.

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	stringfigure "repro"
 	"repro/internal/design"
+	"repro/internal/stats"
 )
 
 // quick is the reduced simulation budget of sfexp -quick: 600 warm-up and
@@ -104,10 +107,11 @@ func TestFig11Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	s, err := Fig11(16, "uniform", []float64{0.05, 0.2}, quick)
+	series, err := Fig11(16, []string{"uniform"}, []float64{0.05, 0.2}, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := series[0]
 	if len(s.Rows) != 2 {
 		t.Fatalf("rows = %d", len(s.Rows))
 	}
@@ -238,6 +242,86 @@ func TestFig12MatchesRunWorkload(t *testing.T) {
 					t.Errorf("seed %d, %s energy of %s = %v, want RunWorkload ratio %v", seed, wl, kind, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestFigureCellsWorkerInvariance runs Figures 10, 11 and 12 on cell pools
+// of width 1 and 4: every table must print the same, and a grid with
+// failing cells must report the same — lowest-index — error. At width 1
+// the Figure 10 and 11 cells must also equal the serial loops they replace:
+// one Saturation call per cell, one Sweep per (pattern, design) rate axis.
+func TestFigureCellsWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	trace := stringfigure.SessionConfig{Ops: 300, Sockets: 2, Window: 8, Threads: 1, MaxCycles: 5_000_000, Seed: 1}
+	patterns10, rates11 := []string{"uniform", "hotspot"}, []float64{0.05, 0.3, 0.6}
+	var s10, s11 []*stats.Series
+	run := func() (tables []string, errs []error) {
+		add := func(err error, series ...*stats.Series) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range series {
+				tables = append(tables, s.String())
+			}
+		}
+		var err error
+		s10, err = Fig10([]int{16}, patterns10, quick, quickStep)
+		add(err, s10...)
+		s11, err = Fig11(16, nil, rates11, quick)
+		add(err, s11...)
+		tp, en, err := Fig12([]string{"grep", "redis"}, 16, trace)
+		add(err, tp, en)
+		_, err = Fig10([]int{16}, []string{"uniform", "bogus-a", "bogus-b"}, quick, quickStep)
+		errs = append(errs, err)
+		_, err = Fig11(16, []string{"uniform", "bogus-a", "bogus-b"}, []float64{0.05, 0.3}, quick)
+		errs = append(errs, err)
+		return tables, errs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tables1, errs1 := run()
+	for d, kind := range design.Names {
+		if !design.Supports(kind, 16) {
+			continue
+		}
+		net, err := buildNet(kind, 16, quick.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, pattern := range patterns10 {
+			sat, err := net.Saturation(stringfigure.SyntheticWorkload{Pattern: pattern}, quick, quickStep)
+			if got := s10[p].Rows[0][1+d]; err != nil || got != sat*100 {
+				t.Errorf("Figure 10 %s %s = %v, serial search %v (%v)", pattern, kind, got, sat*100, err)
+			}
+		}
+		for p, pattern := range Fig11Patterns {
+			points := stringfigure.RateSweep(stringfigure.SyntheticWorkload{Pattern: pattern}, rates11)
+			for r, res := range net.SweepAll(quick, points, 0) {
+				want := res.AvgLatencyNs
+				if res.Deadlocked || res.Delivered == 0 {
+					want = 0
+				}
+				if got := s11[p].Rows[r][1+d]; res.Err != nil || got != want {
+					t.Errorf("Figure 11 %s %s rate %v = %v, serial sweep %v (%v)", pattern, kind, rates11[r], got, want, res.Err)
+				}
+			}
+		}
+	}
+	runtime.GOMAXPROCS(4)
+	tables4, errs4 := run()
+	for i := range tables1 {
+		if tables1[i] != tables4[i] {
+			t.Errorf("table %d differs between pool widths 1 and 4:\n%s\nvs\n%s", i, tables1[i], tables4[i])
+		}
+	}
+	for i := range errs1 {
+		if !errors.Is(errs1[i], stringfigure.ErrUnknownPattern) || !strings.Contains(errs1[i].Error(), "bogus-a") {
+			t.Errorf("call %d at width 1: err = %v, want the unknown pattern bogus-a", i, errs1[i])
+		}
+		if errs1[i] == nil || errs4[i] == nil || errs1[i].Error() != errs4[i].Error() {
+			t.Errorf("call %d errors differ between pool widths 1 and 4: %v vs %v", i, errs1[i], errs4[i])
 		}
 	}
 }

@@ -35,11 +35,11 @@ var Fig12Designs = []string{"dm", "odm", "afb", "s2", "sf"}
 // DM (a), and dynamic memory energy normalized to AFB (b). It returns the
 // two series plus the geomean rows the paper quotes.
 //
-// Each design's workload grid runs as one sweep, so with a cluster
-// configured (UseCluster) the Table IV workloads fan across machines.
-// Every cell pins its session seed to cfg.Seed via the Point.Seed override
-// — the exact session RunWorkload executes — so the figure's numbers are
-// independent of the fan-out.
+// Every (design, workload) trace session is one figure cell, and the cells
+// run on the harness's cell pool; with a cluster configured (UseCluster)
+// each cell's session can run on a remote worker. Every cell pins its
+// session seed to cfg.Seed — the exact session RunWorkload executes — so
+// the figure's numbers are independent of the fan-out.
 func Fig12(workloads []string, n int, cfg stringfigure.SessionConfig) (throughput, energy *stats.Series, err error) {
 	if len(workloads) == 0 {
 		workloads = trace.WorkloadNames
@@ -52,48 +52,35 @@ func Fig12(workloads []string, n int, cfg stringfigure.SessionConfig) (throughpu
 		ipc float64
 		pj  float64
 	}
-	points := make([]stringfigure.Point, len(workloads))
-	for i, wl := range workloads {
-		points[i] = stringfigure.Point{
-			Workload: stringfigure.TraceWorkload{Workload: wl},
-			Seed:     cfg.Seed,
-		}
-	}
-	cells := make(map[string]map[string]cell, len(Fig12Designs))
-	for _, kind := range Fig12Designs {
-		net, err := buildNet(kind, n, cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		var results []stringfigure.Result
-		if cfg.Seed != 0 {
-			results = net.SweepAll(cfg, points, 0)
-		} else {
-			// A zero seed cannot ride the Point.Seed override (0 means
-			// "derive"); pin each cell's session seed through the PointSeed
-			// inverse instead, one point per sweep. PointSeed is affine in
-			// its base, so base = -PointSeed(0, 0) gives PointSeed(base, 0) = 0.
-			baseCfg := cfg
-			baseCfg.Seed = -stringfigure.PointSeed(0, 0)
-			for _, p := range points {
-				results = append(results, net.SweepAll(baseCfg, []stringfigure.Point{p}, 0)...)
+	// Cell i is (design, workload) in row-major order.
+	net := sharedNets(cfg.Seed)
+	cells, err := runCells(len(Fig12Designs)*len(workloads), nil,
+		func(i int) (cell, error) {
+			nw, err := net(Fig12Designs[i/len(workloads)], n)
+			if err != nil {
+				return cell{}, err
 			}
-		}
-		m := make(map[string]cell, len(workloads))
-		for i, r := range results {
-			if r.Err != nil {
-				return nil, nil, r.Err
+			p := stringfigure.Point{Workload: stringfigure.TraceWorkload{Workload: workloads[i%len(workloads)]}, Seed: cfg.Seed}
+			pc := cfg
+			if cfg.Seed == 0 {
+				// A zero seed cannot ride the Point.Seed override (0 means
+				// "derive"); pin the session seed through the PointSeed
+				// inverse instead. PointSeed is affine in its base, so base
+				// -PointSeed(0, 0) gives PointSeed(base, 0) = 0.
+				pc.Seed = -stringfigure.PointSeed(0, 0)
 			}
-			m[workloads[i]] = cell{ipc: r.IPC, pj: r.TotalEnergyPJ}
-		}
-		cells[kind] = m
+			r := nw.SweepAll(pc, []stringfigure.Point{p}, 1)[0]
+			return cell{ipc: r.IPC, pj: r.TotalEnergyPJ}, r.Err
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	geoT := map[string][]float64{}
 	geoE := map[string][]float64{}
-	for _, wl := range workloads {
+	for w, wl := range workloads {
 		results := map[string]cell{}
-		for _, kind := range Fig12Designs {
-			results[kind] = cells[kind][wl]
+		for d, kind := range Fig12Designs {
+			results[kind] = cells[d*len(workloads)+w]
 		}
 		base := results["dm"].ipc
 		tRow := make([]float64, 0, 4)

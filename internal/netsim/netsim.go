@@ -1370,6 +1370,7 @@ func (s *Sim) arbitrate(r *router) {
 				if s.scanSawLive {
 					s.st.LiveFailedScans++
 				} else {
+					s.st.Parks++
 					r.park(out)
 				}
 				continue

@@ -101,10 +101,13 @@ type EngineStats struct {
 	// moves, so next-event time skipping could have jumped them.
 	EmptyCycles int64
 	// GrantScans counts the event core's grant scans (one per output and
-	// link slot arbitrated), FailedScans those that granted nothing, and
+	// link slot arbitrated), FailedScans those that granted nothing,
 	// LiveFailedScans the failed first-slot scans whose output stayed
-	// unparked because a blocked candidate's starvation counter was live.
-	GrantScans, FailedScans, LiveFailedScans int64
+	// unparked because a blocked candidate's starvation counter was live,
+	// and Parks the failed first-slot scans that parked their output
+	// because none was. Every failed scan is exactly one of a live
+	// failure, a park, or a failure at link slot 1 or later.
+	GrantScans, FailedScans, LiveFailedScans, Parks int64
 	// ActiveRouters sums the worklist's length over event-core cycles,
 	// taken once delivery and injection are done: ActiveRouters / cycles
 	// is the mean worklist occupancy.

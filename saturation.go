@@ -2,6 +2,8 @@ package stringfigure
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/netsim"
@@ -20,9 +22,10 @@ const (
 // Saturation finds the highest injection rate the network sustains under
 // the workload: mean latency under the cap, no deadlock, and deliveries
 // tracking injections. Candidate rates step * 1, step * 2, ... (step <= 0
-// uses 0.05) fan out through Sweep in waves — a parallel bracketing of the
-// saturation point. A wave is GOMAXPROCS candidates wide, or the attached
-// cluster's total slot capacity when that is larger.
+// uses 0.05; a step above 1, NaN or an infinity is an error) fan out
+// through Sweep in waves — a parallel bracketing of the saturation point.
+// A wave is GOMAXPROCS candidates wide, or the attached cluster's total
+// slot capacity when that is larger.
 func (n *Network) Saturation(w Workload, cfg SessionConfig, step float64) (float64, error) {
 	return n.SaturationContext(context.Background(), w, cfg, step)
 }
@@ -45,6 +48,9 @@ func (n *Network) SaturationContext(ctx context.Context, w Workload, cfg Session
 // saturationSearch is the bracketing search behind SaturationContext, with
 // width candidate rates per wave.
 func (n *Network) saturationSearch(ctx context.Context, w Workload, cfg SessionConfig, step float64, width int) (float64, error) {
+	if math.IsNaN(step) || math.IsInf(step, 0) || step > satMaxRate {
+		return 0, fmt.Errorf("stringfigure: saturation step %v is not a rate step: want a finite step at most %v (step <= 0 uses 0.05)", step, satMaxRate)
+	}
 	if step <= 0 {
 		step = 0.05
 	}

@@ -57,6 +57,55 @@ func TestSaturationSurvivesTinyMeasureWindow(t *testing.T) {
 	}
 }
 
+// countingWorkload is uniform synthetic traffic that counts the sessions
+// it runs in.
+type countingWorkload struct{ runs *atomic.Int64 }
+
+func (w countingWorkload) Name() string { return "counting" }
+
+func (w countingWorkload) run(ctx context.Context, s *Session) (Result, error) {
+	w.runs.Add(1)
+	return SyntheticWorkload{Pattern: "uniform"}.run(ctx, s)
+}
+
+// TestSaturationStepValidation pins the search's step contract: a step
+// above satMaxRate, NaN or an infinity is an error returned before any
+// candidate runs (it used to read as "saturates at 0%"), a step of exactly
+// satMaxRate runs its one candidate, and step <= 0 means 0.05.
+func TestSaturationStepValidation(t *testing.T) {
+	net, err := New(WithNodes(16), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SessionConfig{Warmup: 100, Measure: 300, Seed: 1}
+	var runs atomic.Int64
+	w := countingWorkload{&runs}
+	for _, step := range []float64{1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sat, err := net.Saturation(w, cfg, step)
+		if err == nil || sat != 0 {
+			t.Errorf("step %v: Saturation = %v, %v; want 0 and an error", step, sat, err)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("rejected steps ran %d sessions, want 0", n)
+	}
+	if _, err := net.Saturation(w, cfg, satMaxRate); err != nil {
+		t.Errorf("step %v: %v", satMaxRate, err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("step %v ran %d sessions, want 1", satMaxRate, n)
+	}
+	want, err := net.Saturation(w, cfg, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []float64{0, -0.5} {
+		if got, err := net.Saturation(w, cfg, step); err != nil || got != want {
+			t.Errorf("step %v: Saturation = %v, %v; want step 0.05's %v", step, got, err, want)
+		}
+	}
+}
+
 // TestSaturationWorkerInvariance runs the bracketing search at wave widths
 // 1 and 3. Candidate rate step*(i+1) must run with PointSeed(cfg.Seed, i)
 // whichever wave it lands in — read off each candidate's telemetry stamps —
