@@ -34,7 +34,8 @@ func runCore(t *testing.T, cfg Config, ref bool, drive func(s *Sim)) coreRun {
 	st := s.Stats()
 	out.res = s.Results()
 	out.shared = EngineStats{PoolGrowths: st.PoolGrowths, PoolHighWater: st.PoolHighWater,
-		SrcQGrowths: st.SrcQGrowths, EscapeTransitions: st.EscapeTransitions}
+		SrcQGrowths: st.SrcQGrowths, SrcQHighWater: st.SrcQHighWater,
+		EscapeTransitions: st.EscapeTransitions}
 	return out
 }
 

@@ -979,6 +979,7 @@ func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
 		}
 		r.srcQ.push(flit{pkt: h, vc: uint8(p.advc), head: i == 0, tail: i == flits-1})
 	}
+	s.st.SrcQHighWater = max(s.st.SrcQHighWater, int64(r.srcQ.Len()))
 	s.active.set(r.id)
 }
 

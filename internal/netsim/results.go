@@ -92,8 +92,9 @@ type EngineStats struct {
 	// PoolGrowths counts growths of the packet pool; PoolHighWater is the
 	// largest number of packets in flight at once.
 	PoolGrowths, PoolHighWater int64
-	// SrcQGrowths counts ring growths of the source queues.
-	SrcQGrowths int64
+	// SrcQGrowths counts ring growths of the source queues; SrcQHighWater
+	// is the most flits any one source queue held at once.
+	SrcQGrowths, SrcQHighWater int64
 	// EscapeTransitions counts packets committed to the escape subnetwork.
 	EscapeTransitions int64
 	// EmptyCycles counts event-core cycles with no router on the worklist
