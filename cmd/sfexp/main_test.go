@@ -63,6 +63,16 @@ func TestCLI(t *testing.T) {
 		})
 	}
 
+	// A design run below the scales the figures evaluate it at still
+	// prints its result, with one note on stderr.
+	off := []string{"-exp", "run", "-design", "fb", "-scale", "64", "-quick"}
+	stdout, stderr, code := sfexp(off...)
+	const note = "sfexp: note: N=64 is off the paper's axis for fb; the figures evaluate it from N=128\n"
+	if code != 0 || !strings.HasPrefix(stdout, "design=fb N=64 routers=121 ") || stderr != note {
+		t.Errorf("sfexp %s: exit %d, stdout %q, stderr %q; want exit 0, a result and the note %q",
+			strings.Join(off, " "), code, stdout, stderr, note)
+	}
+
 	for _, c := range []struct {
 		args []string
 		want string // in stderr

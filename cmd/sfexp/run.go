@@ -2,8 +2,10 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	stringfigure "repro"
+	"repro/internal/design"
 	"repro/internal/energy"
 )
 
@@ -11,7 +13,8 @@ import (
 // rate) on the named design with n memory nodes and prints its latency,
 // throughput and energy. Every design runs through the public Session API,
 // so all six share the simulator, routing normalization and energy
-// accounting.
+// accounting. A scale at which no figure evaluates the design still runs,
+// with a note on stderr.
 func runSession(designName string, n int, pattern string, cfg stringfigure.SessionConfig) error {
 	net, err := stringfigure.New(
 		stringfigure.WithDesign(designName),
@@ -19,6 +22,17 @@ func runSession(designName string, n int, pattern string, cfg stringfigure.Sessi
 		stringfigure.WithSeed(cfg.Seed))
 	if err != nil {
 		return err
+	}
+	if kind := net.Design(); !design.Supports(kind, n) {
+		from := "no paper scale"
+		for _, s := range design.PaperScales {
+			if design.Supports(kind, s) {
+				from = fmt.Sprintf("N=%d", s)
+				break
+			}
+		}
+		fmt.Fprintf(os.Stderr, "sfexp: note: N=%d is off the paper's axis for %s; the figures evaluate it from %s\n",
+			n, kind, from)
 	}
 	res, err := net.NewSession(cfg).Run(stringfigure.SyntheticWorkload{Pattern: pattern})
 	if err != nil {

@@ -254,6 +254,9 @@ var geometries = []geometry{
 	{"odd-3-5-7", 96 * 64, 3, 640 * 64, 5, 2240 * 64, 7},
 	// Direct-mapped L1 over a fully associative single-set L2 and L3.
 	{"one-set", 8 * 64, 1, 6 * 64, 6, 24 * 64, 24},
+	// L3 with fewer sets (64) than L2 (256): a warm-up unit is one L3 set
+	// and the four L2 sets above it.
+	{"narrow-l3", 16 * 64, 2, 1024 * 64, 4, 2048 * 64, 32},
 }
 
 type access struct {
@@ -261,17 +264,28 @@ type access struct {
 	write bool
 }
 
-// differ replays the stream through both models and compares every Result
-// and, at the end, all six counters.
-func differ(t testing.TB, g geometry, stream []access) {
+func (a access) typ() AccessType {
+	if a.write {
+		return Write
+	}
+	return Read
+}
+
+// differ warms the packed model with the warm stream through Warm and the
+// reference through Access, then replays the stream through both and
+// compares every Result and, at the end, all six counters (Warm counts
+// nothing, so the reference's warm-up counts are dropped).
+func differ(t testing.TB, g geometry, warm, stream []access) {
 	t.Helper()
 	h := New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
 	ref := newRef(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
+	for _, a := range warm {
+		h.Warm(a.addr, a.typ())
+		ref.Access(a.addr, a.typ())
+	}
+	*ref = refHierarchy{l1: ref.l1, l2: ref.l2, l3: ref.l3}
 	for i, a := range stream {
-		at := Read
-		if a.write {
-			at = Write
-		}
+		at := a.typ()
 		got, want := h.Access(a.addr, at), ref.Access(a.addr, at)
 		if got != want {
 			t.Fatalf("%s: access %d (addr %#x write %v): got %+v, reference %+v",
@@ -291,6 +305,53 @@ func (g geometry) l3Sets() uint64 {
 	return uint64(len(newLevel(g.l3Size, g.l3Assoc).ways) / g.l3Assoc)
 }
 
+// testStreams are the access generators the differential and lazy warm-up
+// tests run on every geometry, by name.
+func testStreams(g geometry) map[string]func(rng *rand.Rand, i int) access {
+	stride := g.l3Sets() * LineSize // consecutive lines of one L3 set
+	return map[string]func(rng *rand.Rand, i int) access{
+		// Hot lines (every level hits) mixed with a span several times
+		// the L3, reads and writes.
+		"random": func(rng *rand.Rand, _ int) access {
+			span := int64(4 * g.l3Size)
+			if rng.Intn(4) == 0 {
+				span = int64(g.l1Size)
+			}
+			return access{uint64(rng.Int63n(span)), rng.Intn(3) == 0}
+		},
+		// Every access lands in one set of every level.
+		"single-set": func(rng *rand.Rand, _ int) access {
+			return access{uint64(rng.Intn(3*g.l3Assoc)) * stride, rng.Intn(2) == 0}
+		},
+		"all-writes": func(rng *rand.Rand, _ int) access {
+			return access{uint64(rng.Int63n(int64(2 * g.l3Size))), true}
+		},
+		// assoc+1 lines cycling through one L3 set: LRU's worst case,
+		// every access evicts the line needed next.
+		"cyclic-assoc+1": func(_ *rand.Rand, i int) access {
+			return access{uint64(i%(g.l3Assoc+1)) * stride, i%2 == 0}
+		},
+		// Line 0 packs to the same word as an empty way but for its valid
+		// bit; top-of-range addresses use every tag bit (and are too high
+		// for a warm-up log entry).
+		"edges": func(rng *rand.Rand, _ int) access {
+			edge := [...]uint64{0, 1, LineSize - 1, LineSize, ^uint64(0), ^uint64(0) - stride, 1 << 63}
+			return access{edge[rng.Intn(len(edge))] + uint64(rng.Intn(4))*stride, rng.Intn(2) == 0}
+		},
+	}
+}
+
+// testStream draws n accesses from the named generator, seeded by name and
+// geometry.
+func testStream(g geometry, name string, gen func(*rand.Rand, int) access, n int) []access {
+	rng := rand.New(rand.NewSource(int64(len(name)) + int64(g.l3Assoc)))
+	stream := make([]access, n)
+	for i := range stream {
+		stream[i] = gen(rng, i)
+	}
+	return stream
+}
+
 func TestDifferentialAgainstReference(t *testing.T) {
 	for _, g := range geometries {
 		n := 60_000
@@ -300,52 +361,103 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		if testing.Short() {
 			n /= 10
 		}
-		stride := g.l3Sets() * LineSize // consecutive lines of one L3 set
-		streams := map[string]func(rng *rand.Rand, i int) access{
-			// Hot lines (every level hits) mixed with a span several
-			// times the L3, reads and writes.
-			"random": func(rng *rand.Rand, _ int) access {
-				span := int64(4 * g.l3Size)
-				if rng.Intn(4) == 0 {
-					span = int64(g.l1Size)
-				}
-				return access{uint64(rng.Int63n(span)), rng.Intn(3) == 0}
-			},
-			// Every access lands in one set of every level.
-			"single-set": func(rng *rand.Rand, _ int) access {
-				return access{uint64(rng.Intn(3*g.l3Assoc)) * stride, rng.Intn(2) == 0}
-			},
-			"all-writes": func(rng *rand.Rand, _ int) access {
-				return access{uint64(rng.Int63n(int64(2 * g.l3Size))), true}
-			},
-			// assoc+1 lines cycling through one L3 set: LRU's worst
-			// case, every access evicts the line needed next.
-			"cyclic-assoc+1": func(_ *rand.Rand, i int) access {
-				return access{uint64(i%(g.l3Assoc+1)) * stride, i%2 == 0}
-			},
-			// Line 0 packs to the same word as an empty way but for its
-			// valid bit; top-of-range addresses use every tag bit.
-			"edges": func(rng *rand.Rand, _ int) access {
-				edge := [...]uint64{0, 1, LineSize - 1, LineSize, ^uint64(0), ^uint64(0) - stride, 1 << 63}
-				return access{edge[rng.Intn(len(edge))] + uint64(rng.Intn(4))*stride, rng.Intn(2) == 0}
-			},
-		}
-		for name, gen := range streams {
-			rng := rand.New(rand.NewSource(int64(len(name)) + int64(g.l3Assoc)))
-			stream := make([]access, n)
-			for i := range stream {
-				stream[i] = gen(rng, i)
-			}
-			t.Run(g.name+"/"+name, func(t *testing.T) { differ(t, g, stream) })
+		for name, gen := range testStreams(g) {
+			stream := testStream(g, name, gen, n)
+			t.Run(g.name+"/"+name, func(t *testing.T) { differ(t, g, nil, stream) })
 		}
 	}
 }
 
-// TestResetMatchesNew dirties a hierarchy with one random stream, resets
-// it, and then replays a second stream through it and through a fresh New
-// of the same geometry: every Result and all six counters must agree. A
-// quarter of both streams hits an L1-sized hot span, so any line a Reset
-// left behind in any level changes a HitLevel.
+// liveAll makes every unit live, as an L1 miss in each would.
+func (h *Hierarchy) liveAll() {
+	for u := range h.lz.units {
+		if h.lz.units[u].n != live {
+			h.materialize(uint64(u))
+		}
+	}
+}
+
+// sameWays fails the test unless a and b hold the same ways — tag, dirty
+// bit and LRU position — at every level.
+func sameWays(t *testing.T, a, b *Hierarchy) {
+	t.Helper()
+	for i, l := range [...][2][]uint64{{a.l1.ways, b.l1.ways}, {a.l2.ways, b.l2.ways}, {a.l3.ways, b.l3.ways}} {
+		for j := range l[0] {
+			if l[0][j] != l[1][j] {
+				t.Fatalf("L%d way %d: %#x lazy, %#x eager", i+1, j, l[0][j], l[1][j])
+			}
+		}
+	}
+}
+
+// TestLazyWarmMatchesEager warms the first half of every test stream
+// lazily (Warm) and eagerly (Access, Results dropped). One lazy copy makes
+// every unit live at once and must then hold the eager ways exactly; a
+// second goes live unit by unit as the second half of the stream reaches
+// it. Every second-half Result of both must equal the eager one, and so
+// must all three hierarchies' ways and counters at the end. The paper
+// geometry's random stream logs past the inline capacity of most units,
+// so the overflow arena is replayed too.
+func TestLazyWarmMatchesEager(t *testing.T) {
+	for _, g := range geometries {
+		n := 60_000
+		if g.name == "paper" {
+			n = 3_000_000
+		}
+		if testing.Short() {
+			n /= 10
+		}
+		for name, gen := range testStreams(g) {
+			stream := testStream(g, name, gen, n)
+			t.Run(g.name+"/"+name, func(t *testing.T) {
+				newH := func() *Hierarchy {
+					return New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
+				}
+				eager, forced, onDemand := newH(), newH(), newH()
+				warm, later := stream[:n/2], stream[n/2:]
+				for _, a := range warm {
+					eager.Access(a.addr, a.typ())
+					forced.Warm(a.addr, a.typ())
+					onDemand.Warm(a.addr, a.typ())
+				}
+				eager.Accesses, eager.HitsL1, eager.HitsL2, eager.HitsL3, eager.Misses, eager.Writeback = 0, 0, 0, 0, 0, 0
+				eager.liveAll()
+				forced.liveAll()
+				sameWays(t, forced, eager)
+				for i, a := range later {
+					want := eager.Access(a.addr, a.typ())
+					if got := forced.Access(a.addr, a.typ()); got != want {
+						t.Fatalf("access %d after a forced replay: %+v, eager %+v", i, got, want)
+					}
+					if got := onDemand.Access(a.addr, a.typ()); got != want {
+						t.Fatalf("access %d replaying on demand: %+v, eager %+v", i, got, want)
+					}
+				}
+				onDemand.liveAll()
+				sameWays(t, forced, eager)
+				sameWays(t, onDemand, eager)
+				want := [6]int64{eager.Accesses, eager.HitsL1, eager.HitsL2, eager.HitsL3, eager.Misses, eager.Writeback}
+				for _, h := range []*Hierarchy{forced, onDemand} {
+					if got := [6]int64{h.Accesses, h.HitsL1, h.HitsL2, h.HitsL3, h.Misses, h.Writeback}; got != want {
+						t.Fatalf("counters (accesses, L1, L2, L3, misses, writebacks) %v, eager %v", got, want)
+					}
+				}
+				for _, h := range []*Hierarchy{forced, onDemand} {
+					if h.Replayed != h.Logged {
+						t.Fatalf("%d log entries replayed of %d logged", h.Replayed, h.Logged)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestResetMatchesNew dirties a hierarchy with one random stream (its
+// first half as warm-up), resets it, and then replays a second stream
+// through it and through a fresh New of the same geometry, its first
+// quarter as warm-up: every later Result and all six counters must agree.
+// A quarter of both streams hits an L1-sized hot span, so any line or log
+// entry a Reset left behind in any level changes a HitLevel.
 func TestResetMatchesNew(t *testing.T) {
 	for _, g := range geometries {
 		n := 20_000
@@ -369,19 +481,21 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 		t.Run(g.name, func(t *testing.T) {
 			reused := New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
-			for _, a := range stream(1) {
-				at := Read
-				if a.write {
-					at = Write
+			for i, a := range stream(1) {
+				if i < n/2 {
+					reused.Warm(a.addr, a.typ()) // leaves unit logs, some past their inline capacity
+				} else {
+					reused.Access(a.addr, a.typ())
 				}
-				reused.Access(a.addr, at)
 			}
 			reused.Reset()
 			fresh := New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
 			for i, a := range stream(2) {
-				at := Read
-				if a.write {
-					at = Write
+				at := a.typ()
+				if i < n/4 {
+					reused.Warm(a.addr, at)
+					fresh.Warm(a.addr, at)
+					continue
 				}
 				if got, want := reused.Access(a.addr, at), fresh.Access(a.addr, at); got != want {
 					t.Fatalf("access %d (addr %#x write %v): reset hierarchy %+v, fresh %+v",
@@ -397,21 +511,34 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
-// FuzzHierarchyDifferential decodes the input into accesses — three bytes
-// each: a set-local line index, a set selector, a write flag — over the
-// odd-sized geometry, where a few hundred bytes already evict from L3.
+// FuzzHierarchyDifferential decodes the input into a warm-up length (the
+// first byte: how many of the accesses that follow go through Warm) and
+// accesses — three bytes each: a set-local line index, a set selector, a
+// write flag — over the odd-sized geometry, where a few hundred bytes
+// already evict from L3 and overflow a unit's inline warm-up log.
 func FuzzHierarchyDifferential(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0, 1})                         // write, read, write one line
-	f.Add([]byte{0, 0, 1, 1, 0, 1, 2, 0, 1, 3, 0, 1, 4, 0, 1, 0, 0}) // dirty L1 set overflow, trailing partial
-	cyc := make([]byte, 0, 3*64)
+	f.Add([]byte{1, 0, 0, 1, 0, 0, 0, 0, 0, 1})                         // warm write, read, write one line
+	f.Add([]byte{3, 0, 0, 1, 1, 0, 1, 2, 0, 1, 3, 0, 1, 4, 0, 1, 0, 0}) // dirty L1 set overflow, trailing partial
+	cyc := []byte{32}
 	for i := 0; i < 64; i++ {
 		cyc = append(cyc, byte(i%8), 0, byte(i&1)) // 8 = l3Assoc+1 cyclic over one set
 	}
 	f.Add(cyc)
+	// 150 warm-up misses in one unit fill its 28 inline entries and two
+	// overflow chunks, then 40 accesses replay them.
+	long := []byte{150}
+	for i := 0; i < 190; i++ {
+		long = append(long, byte(i%9), 0, byte(i%5&1))
+	}
+	f.Add(long)
 	g := geometries[1]
 	stride := g.l3Sets() * LineSize
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var nwarm int
+		if len(data) > 0 {
+			nwarm, data = int(data[0]), data[1:]
+		}
 		stream := make([]access, 0, len(data)/3)
 		for ; len(data) >= 3; data = data[3:] {
 			stream = append(stream, access{
@@ -419,6 +546,7 @@ func FuzzHierarchyDifferential(f *testing.F) {
 				write: data[2]&1 == 1,
 			})
 		}
-		differ(t, g, stream)
+		nwarm = min(nwarm, len(stream))
+		differ(t, g, stream[:nwarm], stream[nwarm:])
 	})
 }

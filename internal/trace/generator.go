@@ -70,9 +70,8 @@ func generate(h *cache.Hierarchy, w Workload, m memnode.AddressMap, ops int, see
 		if a.Write {
 			t = cache.Write
 		}
-		h.Access(a.Addr, t)
+		h.Warm(a.Addr, t)
 	}
-	warmAccesses, warmMisses := h.Accesses, h.Misses
 	// Cap raw accesses to avoid infinite loops with degenerate (fully
 	// cache-resident) models.
 	maxRaw := int64(ops) * 10000
@@ -107,9 +106,7 @@ func generate(h *cache.Hierarchy, w Workload, m memnode.AddressMap, ops int, see
 		return nil, fmt.Errorf("trace: workload %s produced only %d/%d memory ops in %d raw accesses",
 			w.Name(), len(tr.Ops), ops, tr.RawAccesses)
 	}
-	if collected := h.Accesses - warmAccesses; collected > 0 {
-		tr.MissRate = float64(h.Misses-warmMisses) / float64(collected)
-	}
+	tr.MissRate = h.MissRate()
 	return tr, nil
 }
 

@@ -1,12 +1,18 @@
 package trace
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
+	"os"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/memnode"
 )
 
@@ -84,5 +90,88 @@ func TestGoldenTraceDigests(t *testing.T) {
 	if len(goldenTraces) != 2*len(WorkloadNames) {
 		t.Errorf("golden table has %d rows, want two per Table IV workload (%d)",
 			len(goldenTraces), 2*len(WorkloadNames))
+	}
+}
+
+// The golden synthesis counts pin the work of a synthesis the way the golden
+// digests pin its output: how many warm-up accesses missed L1 and were
+// logged, how many units the collection made live, how many log entries
+// they replayed through L2 and L3, and how many raw accesses collection
+// took. A change to the warm-up's cost shows as an exact diff of the file.
+// Rewrite it only on purpose:
+//
+//	go test ./internal/trace -run TestGoldenSynthesisCounts -update
+var updateSynthesisCounts = flag.Bool("update", false,
+	"rewrite testdata/golden_synthesis_counts.json from the current code")
+
+const goldenSynthesisCountsFile = "testdata/golden_synthesis_counts.json"
+
+// synthesisCounts is one synthesis's work.
+type synthesisCounts struct {
+	Logged, Materialized, Replayed, RawAccesses int64
+}
+
+// TestGoldenSynthesisCounts synthesizes socket 0's trace (workload seed 1,
+// generator seed 101) of every Table IV workload at two session shapes:
+// N=128 with 400 ops, as in sfperf's trace-loop-n128, and N=32 with 1000
+// ops, as in sfexp -exp fig12a -quick.
+func TestGoldenSynthesisCounts(t *testing.T) {
+	got := map[string]synthesisCounts{}
+	var logged, replayed int64
+	for _, shape := range []struct{ nodes, ops int }{{128, 400}, {32, 1000}} {
+		m := memnode.NewAddressMap(shape.nodes)
+		for _, name := range WorkloadNames {
+			w, err := NewWorkload(name, m.CapacityBytes(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := cache.NewPaperHierarchy()
+			tr, err := generate(h, w, m, shape.ops, 101)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("n%d-ops%d/%s", shape.nodes, shape.ops, name)
+			got[key] = synthesisCounts{h.Logged, h.Materialized, h.Replayed, tr.RawAccesses}
+			logged += h.Logged
+			replayed += h.Replayed
+		}
+	}
+	t.Logf("%d warm-up entries logged, %d replayed (%.1f%%)", logged, replayed, 100*float64(replayed)/float64(logged))
+	out, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, '\n')
+	if *updateSynthesisCounts {
+		if err := os.WriteFile(goldenSynthesisCountsFile, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenSynthesisCountsFile)
+	if err != nil {
+		t.Fatalf("%v (create it with -update)", err)
+	}
+	if bytes.Equal(raw, out) {
+		return
+	}
+	var want map[string]synthesisCounts
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for key, g := range got {
+		if w, ok := want[key]; !ok {
+			t.Errorf("%s: %+v, not in the golden file", key, g)
+		} else if g != w {
+			t.Errorf("%s: %+v, golden %+v", key, g, w)
+		}
+	}
+	for key := range want {
+		if _, ok := got[key]; !ok {
+			t.Errorf("%s: in the golden file, not synthesized", key)
+		}
+	}
+	if !t.Failed() {
+		t.Errorf("%s differs from the current counts only in layout; rewrite it with -update", goldenSynthesisCountsFile)
 	}
 }
