@@ -66,29 +66,12 @@ func (l *level) set(lineAddr uint64) []uint64 {
 	return l.ways[base : base+l.assoc]
 }
 
-// lookup probes the level; on hit the line moves to MRU and dirty is ORed.
-func (l *level) lookup(lineAddr uint64, write bool) bool {
-	s := l.set(lineAddr)
-	key := lineAddr<<2 | wayValid
-	for i, w := range s {
-		if w&^wayDirty == key {
-			if write {
-				w |= wayDirty
-			}
-			copy(s[1:i+1], s[:i])
-			s[0] = w
-			return true
-		}
-	}
-	return false
-}
-
 // touch runs an access through this level alone: a hit moves the line to
-// MRU and ORs dirty in, a miss installs it at MRU over the LRU way. It
-// reports whether the line hit. L1 and L2 go through touch, since an
-// access that misses either is installed there whatever the levels below
-// hold; only L3's evictions reach memory.
-func (l *level) touch(lineAddr uint64, write bool) bool {
+// MRU and ORs dirty in, a miss installs it at MRU over the LRU way and
+// returns that way's line if it was dirty. Every level inserts on its own
+// miss whatever the levels below hold; only L3's dirty evictions reach
+// memory.
+func (l *level) touch(lineAddr uint64, write bool) (hit bool, evicted uint64, wasDirty bool) {
 	s := l.set(lineAddr)
 	key := lineAddr<<2 | wayValid
 	i := 0
@@ -96,8 +79,10 @@ func (l *level) touch(lineAddr uint64, write bool) bool {
 		i++
 	}
 	w := s[i]
-	hit := w&^wayDirty == key
-	if !hit {
+	if hit = w&^wayDirty == key; !hit {
+		if w&(wayValid|wayDirty) == wayValid|wayDirty {
+			evicted, wasDirty = w>>2, true
+		}
 		w = key
 	}
 	if write {
@@ -105,23 +90,7 @@ func (l *level) touch(lineAddr uint64, write bool) bool {
 	}
 	copy(s[1:i+1], s[:i])
 	s[0] = w
-	return hit
-}
-
-// insert installs the line at MRU, returning any evicted dirty line.
-func (l *level) insert(lineAddr uint64, dirty bool) (evicted uint64, wasDirty bool) {
-	s := l.set(lineAddr)
-	last := len(s) - 1
-	if lru := s[last]; lru&(wayValid|wayDirty) == wayValid|wayDirty {
-		evicted, wasDirty = lru>>2, true
-	}
-	copy(s[1:], s[:last])
-	w := lineAddr<<2 | wayValid
-	if dirty {
-		w |= wayDirty
-	}
-	s[0] = w
-	return evicted, wasDirty
+	return hit, evicted, wasDirty
 }
 
 // Hierarchy is the paper's three-level hierarchy. It is not safe for
@@ -227,7 +196,7 @@ func New(l1Size, l1Assoc, l2Size, l2Assoc, l3Size, l3Assoc int) *Hierarchy {
 // Reset empties every level and zeroes every counter, keeping the levels'
 // memory: a reset hierarchy behaves exactly like a fresh one of the same
 // geometry, so a caller that synthesizes trace after trace can reuse one
-// instead of allocating 4.3 MB per paper hierarchy. Only L1 and the unit
+// instead of allocating 4.5 MB per paper hierarchy. Only L1 and the unit
 // logs are cleared; a unit empties its own L2 and L3 sets when it is made
 // live.
 func (h *Hierarchy) Reset() {
@@ -248,25 +217,26 @@ func (h *Hierarchy) Access(addr uint64, t AccessType) Result {
 	h.Accesses++
 	line := addr / LineSize
 	write := t == Write
-	if h.l1.touch(line, write) {
+	if hit, _, _ := h.l1.touch(line, write); hit {
 		h.HitsL1++
 		return Result{HitLevel: 1}
 	}
 	if u := line & h.lz.mask; h.lz.units[u].n != live {
 		h.materialize(u)
 	}
-	if h.l2.touch(line, write) {
+	if hit, _, _ := h.l2.touch(line, write); hit {
 		h.HitsL2++
 		return Result{HitLevel: 2}
 	}
-	if h.l3.lookup(line, write) {
+	hit, evicted, wasDirty := h.l3.touch(line, write)
+	if hit {
 		h.HitsL3++
 		return Result{HitLevel: 3}
 	}
-	// Full miss: fetch from memory; L1 and L2 already hold the line.
+	// Full miss: fetch from memory; every level now holds the line.
 	h.Misses++
 	res := Result{MemRead: true}
-	if evicted, wasDirty := h.l3.insert(line, write); wasDirty {
+	if wasDirty {
 		h.Writeback++
 		res.HasWriteback = true
 		res.WritebackAddr = evicted * LineSize
@@ -285,7 +255,7 @@ func (h *Hierarchy) Access(addr uint64, t AccessType) Result {
 func (h *Hierarchy) Warm(addr uint64, t AccessType) {
 	line := addr / LineSize
 	write := t == Write
-	if h.l1.touch(line, write) {
+	if hit, _, _ := h.l1.touch(line, write); hit {
 		return
 	}
 	u := line & h.lz.mask
@@ -306,7 +276,7 @@ func (h *Hierarchy) Warm(addr uint64, t AccessType) {
 
 // below is the L2/L3 part of an L1 miss, results discarded.
 func (h *Hierarchy) below(line uint64, write bool) {
-	if !h.l2.touch(line, write) {
+	if hit, _, _ := h.l2.touch(line, write); !hit {
 		h.l3.touch(line, write)
 	}
 }

@@ -453,11 +453,11 @@ func TestLazyWarmMatchesEager(t *testing.T) {
 }
 
 // TestResetMatchesNew dirties a hierarchy with one random stream (its
-// first half as warm-up), resets it, and then replays a second stream
-// through it and through a fresh New of the same geometry, its first
-// quarter as warm-up: every later Result and all six counters must agree.
-// A quarter of both streams hits an L1-sized hot span, so any line or log
-// entry a Reset left behind in any level changes a HitLevel.
+// first half as warm-up, so units keep logs, some past their inline
+// capacity), resets it, and then replays a second stream through it and
+// through a fresh New of the same geometry: every Result and all six
+// counters must agree. A quarter of both streams hits an L1-sized hot
+// span, so any line or log entry a Reset left behind changes a HitLevel.
 func TestResetMatchesNew(t *testing.T) {
 	for _, g := range geometries {
 		n := 20_000
@@ -483,7 +483,7 @@ func TestResetMatchesNew(t *testing.T) {
 			reused := New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
 			for i, a := range stream(1) {
 				if i < n/2 {
-					reused.Warm(a.addr, a.typ()) // leaves unit logs, some past their inline capacity
+					reused.Warm(a.addr, a.typ())
 				} else {
 					reused.Access(a.addr, a.typ())
 				}
@@ -492,11 +492,6 @@ func TestResetMatchesNew(t *testing.T) {
 			fresh := New(g.l1Size, g.l1Assoc, g.l2Size, g.l2Assoc, g.l3Size, g.l3Assoc)
 			for i, a := range stream(2) {
 				at := a.typ()
-				if i < n/4 {
-					reused.Warm(a.addr, at)
-					fresh.Warm(a.addr, at)
-					continue
-				}
 				if got, want := reused.Access(a.addr, at), fresh.Access(a.addr, at); got != want {
 					t.Fatalf("access %d (addr %#x write %v): reset hierarchy %+v, fresh %+v",
 						i, a.addr, a.write, got, want)

@@ -12,4 +12,17 @@
 // hierarchy answers every access exactly as a fresh one would. The
 // layout it replaced (three slices per set) lives on in the package's tests
 // as the reference model every access is compared against.
+//
+// Hierarchy.Warm is Access for warm-up accesses whose Results nobody
+// reads, and it runs lazily. The L1 part runs at once; the L2/L3 part of
+// each L1 miss is appended to the log of its unit, the lines that share
+// one L2 set and the L3 sets under it (or one L3 set and the L2 sets over
+// it, where L3 has fewer sets). The first Access that misses L1 in a unit
+// replays the unit's log, in order, through that unit's sets; a unit no
+// Access reaches is never simulated. The state is exactly the eager one,
+// since L1 inserts on every L1 miss and L2 on every L2 miss whatever the
+// levels below hold. Until it is replayed a log lives in its unit's own
+// idle L3 ways, two packed 32-bit entries to a way, and spills to a small
+// overflow arena, so the lazy state adds no per-set allocation. Reset
+// clears only L1 and the logs.
 package cache

@@ -16,7 +16,7 @@
 // process-wide synthesis slots (the count is read at first use): callers
 // with distinct keys synthesize in parallel up to that bound, and each slot
 // keeps one paper cache hierarchy that it Resets between syntheses, so at
-// most that many 4.3 MB hierarchies ever exist. Generate allocates its own
+// most that many 4.5 MB hierarchies ever exist. Generate allocates its own
 // hierarchy and never takes a slot. Traces from Shared are read-only;
 // golden digests in the tests pin Generate's output, and Shared's on a
 // reused slot, to history.

@@ -48,7 +48,7 @@ var sharedStore struct {
 
 // slots bounds the syntheses in flight across the process to one per
 // GOMAXPROCS, read at first use, and gives each slot a reusable paper
-// hierarchy: at most that many 4.3 MB hierarchies ever exist, allocated
+// hierarchy: at most that many 4.5 MB hierarchies ever exist, allocated
 // when a slot first finds none idle and Reset between syntheses after that.
 var slots struct {
 	once sync.Once
