@@ -92,19 +92,18 @@ func (c *Cluster) WaitForWorkers(ctx context.Context, n int) error {
 // with ErrClusterClosed.
 func (c *Cluster) Close() error { return c.co.Close() }
 
-// WorkerProgress is one worker's live execution state as reported over the
-// wire protocol's progress frames: a worker sends one on every sweep-point
-// start and completion, so a coordinator driving a long distributed sweep
-// can surface per-worker liveness and throughput instead of going dark
-// until results arrive. Worker is the coordinator-assigned id, Capacity the
-// worker's concurrent-session slots, Active the sweep points it is running
-// right now, Completed the points finished since it connected (the delta
-// between two polls over their wall-clock gap is its throughput) and
-// LastReport when it last reported (zero until its first point starts).
+// WorkerProgress is one worker's live execution state from the
+// coordinator's own dispatch records. Worker is the coordinator-assigned
+// id, Capacity the worker's concurrent-session slots, Active the sweep
+// points dispatched to it and not yet answered, Completed the points it
+// returned since it connected (the delta between two polls over their
+// wall-clock gap is its throughput) and LastReport the time of its last
+// dispatch or result (zero until the first). The counters are exact once
+// a sweep returns.
 type WorkerProgress = dist.WorkerProgress
 
-// Progress returns the latest progress report of every connected worker,
-// ordered by worker id. Poll it while a sweep or saturation search on a
+// Progress returns the progress of every connected worker, ordered by
+// worker id. Poll it while a sweep or saturation search on a
 // cluster-attached network drains to display live cluster state — `sfexp
 // -listen -telemetry` writes these as NDJSON progress records.
 func (c *Cluster) Progress() []WorkerProgress { return c.co.Progress() }

@@ -116,7 +116,7 @@ func (w *telemetryWriter) interval(s stringfigure.TelemetrySnapshot) {
 	}
 }
 
-// progress writes one record per worker report.
+// progress writes one record per connected worker.
 func (w *telemetryWriter) progress(ps []stringfigure.WorkerProgress) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

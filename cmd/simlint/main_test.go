@@ -222,7 +222,7 @@ func TestRealTreeIsClean(t *testing.T) {
 	if what := stats.empty(); what != "" {
 		t.Errorf("gate checked 0 %s: %+v", what, stats)
 	}
-	if stats.packages < 20 || stats.msgConsts < 8 {
+	if stats.packages < 20 || stats.msgConsts < 7 {
 		t.Errorf("gate surface shrank: %+v", stats)
 	}
 	t.Logf("surface: %+v", stats)

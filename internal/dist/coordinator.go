@@ -80,7 +80,7 @@ func (c *Coordinator) Capacity() int {
 	defer c.mu.Unlock()
 	total := 0
 	for _, w := range c.workers {
-		total += w.capacity
+		total += cap(w.sem)
 	}
 	return total
 }
@@ -161,20 +161,17 @@ func (c *Coordinator) accept() {
 
 // remote is one connected worker.
 type remote struct {
-	id       int
-	conn     net.Conn
-	capacity int
-	sem      chan struct{} // occupied task slots
-	dead     chan struct{} // closed when the worker is lost
+	id   int
+	conn net.Conn
+	sem  chan struct{} // occupied task slots; cap is the hello capacity
+	dead chan struct{} // closed when the worker is lost
 
 	wmu sync.Mutex // serializes frame writes
 
-	imu      sync.Mutex
-	inflight map[[2]int]struct{} // {run, task} dispatched and unanswered
-
-	pmu        sync.Mutex
-	progress   Progress
-	progressAt time.Time
+	imu       sync.Mutex
+	inflight  map[[2]int]struct{} // {run, task} dispatched and unanswered
+	completed int64               // results of tasks dispatched here
+	lastAt    time.Time           // last dispatch or result
 }
 
 func (w *remote) send(f *frame, timeout time.Duration) error {
@@ -206,7 +203,6 @@ func (c *Coordinator) handle(conn net.Conn) {
 	}
 	w := &remote{
 		conn:     conn,
-		capacity: hello.Capacity,
 		sem:      make(chan struct{}, hello.Capacity),
 		dead:     make(chan struct{}),
 		inflight: make(map[[2]int]struct{}),
@@ -227,7 +223,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 	c.bump()
 	c.mu.Unlock()
 
-	c.cfg.logf("dist: worker %d joined from %s (capacity %d)", w.id, conn.RemoteAddr(), w.capacity)
+	c.cfg.logf("dist: worker %d joined from %s (capacity %d)", w.id, conn.RemoteAddr(), cap(w.sem))
 
 	// A joining worker immediately pumps every active run.
 	for _, r := range active {
@@ -264,20 +260,24 @@ func (c *Coordinator) handle(conn net.Conn) {
 			c.deliver(w, f)
 		case msgSnapshot:
 			c.deliverSnapshot(f)
-		case msgProgress:
-			c.noteProgress(w, f)
 		}
 	}
 	close(hbStop)
 	c.drop(w)
 }
 
-// deliver routes one worker result to its run and releases the slot.
+// deliver routes one worker result to its run and releases the slot. The
+// worker's progress books are updated before the outcome is sent, so
+// Progress is exact once a run's last outcome has arrived.
 func (c *Coordinator) deliver(w *remote, f *frame) {
 	key := [2]int{f.Run, f.ID}
 	w.imu.Lock()
 	_, mine := w.inflight[key]
-	delete(w.inflight, key)
+	if mine {
+		delete(w.inflight, key)
+		w.completed++
+		w.lastAt = time.Now()
+	}
 	w.imu.Unlock()
 	if mine {
 		<-w.sem
@@ -321,58 +321,34 @@ func (c *Coordinator) deliverSnapshot(f *frame) {
 	r.mu.Unlock()
 }
 
-// noteProgress records a worker's progress report for Progress. Reports from concurrent worker goroutines can reach
-// the socket out of order; generation order is recoverable because the
-// worker builds frames under its job lock — Completed only grows, and
-// between two completions Active only grows — so a frame older on both
-// axes is stale and rejected.
-func (c *Coordinator) noteProgress(w *remote, f *frame) {
-	p := Progress{Capacity: f.Capacity, Active: f.Active, Completed: f.Completed}
-	w.pmu.Lock()
-	if f.Completed < w.progress.Completed ||
-		(f.Completed == w.progress.Completed && f.Active < w.progress.Active) {
-		w.pmu.Unlock()
-		return
-	}
-	w.progress = p
-	w.progressAt = time.Now()
-	w.pmu.Unlock()
-}
-
-// WorkerProgress is one worker's latest progress report, stamped with its
-// coordinator-assigned id and report time (the root package's
-// WorkerProgress is an alias of this type).
+// WorkerProgress is one worker's progress, stamped with its
+// coordinator-assigned id and the time of its last dispatch or result (the
+// root package's WorkerProgress is an alias of this type).
 type WorkerProgress struct {
 	// Worker is the coordinator-assigned worker id (stable for the
 	// connection's lifetime).
 	Worker int
-	// Progress is the report itself: Capacity, Active and Completed.
+	// Progress holds Capacity, Active and Completed.
 	Progress
-	// LastReport is when the worker last reported (zero until its first
-	// point starts).
+	// LastReport is the time of the worker's last dispatch or result
+	// (zero until its first task is dispatched).
 	LastReport time.Time
 }
 
-// Progress returns the latest progress report of every connected worker,
-// ordered by worker id. Workers that have not reported yet appear with
-// their hello capacity and a zero LastReport.
+// Progress returns the progress of every connected worker, ordered by
+// worker id, from the coordinator's own dispatch records: Capacity from the
+// hello, Active the dispatched and unanswered tasks, Completed the results
+// returned. A worker with no task dispatched yet has a zero LastReport.
 func (c *Coordinator) Progress() []WorkerProgress {
 	c.mu.Lock()
-	workers := make([]*remote, 0, len(c.workers))
+	out := make([]WorkerProgress, 0, len(c.workers))
 	for _, w := range c.workers {
-		workers = append(workers, w)
+		w.imu.Lock()
+		p := Progress{Capacity: cap(w.sem), Active: len(w.inflight), Completed: w.completed}
+		out = append(out, WorkerProgress{Worker: w.id, Progress: p, LastReport: w.lastAt})
+		w.imu.Unlock()
 	}
 	c.mu.Unlock()
-	out := make([]WorkerProgress, 0, len(workers))
-	for _, w := range workers {
-		w.pmu.Lock()
-		p, at := w.progress, w.progressAt
-		w.pmu.Unlock()
-		if p.Capacity == 0 {
-			p.Capacity = w.capacity
-		}
-		out = append(out, WorkerProgress{Worker: w.id, Progress: p, LastReport: at})
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
@@ -635,6 +611,7 @@ func (r *run) pump(w *remote) {
 			return
 		}
 		w.inflight[key] = struct{}{}
+		w.lastAt = time.Now()
 		w.imu.Unlock()
 		if err := w.send(&frame{Type: msgJob, Run: r.id, ID: id, Payload: r.tasks[id]},
 			r.c.cfg.HeartbeatTimeout); err != nil {

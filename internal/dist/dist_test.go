@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -26,7 +28,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: msgResult, Run: 3, ID: 17, Payload: []byte{0, 1, 2}, Err: "boom"},
 		{Type: msgHeartbeat},
 		{Type: msgCancel, Run: 9},
-		{Type: msgProgress, Capacity: 4, Active: 2, Completed: 31},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -42,6 +43,16 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("frame round-trip: got %+v, want %+v", got, want)
 		}
+	}
+}
+
+// TestFrameWireValues pins every frame type's number on the wire: a
+// renumbered constant would make old and new peers misread each other.
+// Type 7 (the retired worker progress report) stays reserved.
+func TestFrameWireValues(t *testing.T) {
+	got := []msgType{msgHello, msgJob, msgResult, msgHeartbeat, msgCancel, msgGoodbye, msgSnapshot}
+	if want := []msgType{1, 2, 3, 4, 5, 6, 8}; !reflect.DeepEqual(got, want) {
+		t.Errorf("hello..goodbye, snapshot = %v, want %v", got, want)
 	}
 }
 
@@ -504,16 +515,22 @@ func TestDialRetryCoversLateCoordinator(t *testing.T) {
 	res.conn.Close()
 }
 
-func TestWorkerProgressFrames(t *testing.T) {
-	// Workers report progress on every task start and completion; the
-	// coordinator surfaces the latest report per worker, so a long run is
-	// never dark.
+func TestProgressFromDispatchRecords(t *testing.T) {
+	// The coordinator keeps each worker's progress from its own dispatch
+	// records, updated before a result's outcome is sent: right after a
+	// run's last outcome the counters are exact, with no polling. Each task
+	// also reads Progress while it runs, concurrently with other results.
 	c, err := Listen("127.0.0.1:0", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	stop := startWorker(t, c, 2, echoUpper)
+	stop := startWorker(t, c, 2, func(ctx context.Context, p []byte, emit func([]byte)) ([]byte, error) {
+		if ps := c.Progress(); len(ps) != 1 || ps[0].Active < 1 || ps[0].LastReport.IsZero() {
+			return nil, fmt.Errorf("progress while a task runs: %+v", ps)
+		}
+		return echoUpper(ctx, p, emit)
+	})
 	defer stop()
 	if err := c.WaitWorkers(context.Background(), 1); err != nil {
 		t.Fatal(err)
@@ -521,7 +538,7 @@ func TestWorkerProgressFrames(t *testing.T) {
 
 	// Before any run, Progress lists the worker with its hello capacity.
 	ps := c.Progress()
-	if len(ps) != 1 || ps[0].Capacity != 2 || ps[0].Completed != 0 {
+	if len(ps) != 1 || ps[0].Capacity != 2 || ps[0].Completed != 0 || !ps[0].LastReport.IsZero() {
 		t.Fatalf("initial progress wrong: %+v", ps)
 	}
 
@@ -534,25 +551,80 @@ func TestWorkerProgressFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect(t, out, tasks)
+	for _, o := range collect(t, out, tasks) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+	}
 
-	// The final completion report may trail the last result frame; poll
-	// briefly until the counters converge.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		ps = c.Progress()
-		if len(ps) == 1 && ps[0].Completed == tasks && ps[0].Active == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker progress never converged: %+v", ps)
-		}
-		time.Sleep(10 * time.Millisecond)
+	ps = c.Progress()
+	if len(ps) != 1 || ps[0].Completed != tasks || ps[0].Active != 0 || ps[0].LastReport.IsZero() {
+		t.Fatalf("progress after the last outcome: %+v", ps)
 	}
 	if ps[0].Worker <= 0 || ps[0].Capacity != 2 {
 		t.Errorf("final progress misattributed: %+v", ps[0])
 	}
-	if ps[0].LastReport.IsZero() {
-		t.Error("progress report carries no timestamp")
+}
+
+func TestOldWorkerProgressFramesIgnored(t *testing.T) {
+	// A hand-rolled worker speaks the protocol as an old sfworker did,
+	// sending a type-7 progress report (Active/Completed fields included)
+	// before and after every task. The coordinator must keep it registered
+	// and complete its runs. The worker sends no heartbeats, so the
+	// coordinator waits longer for it.
+	cfg := testCfg()
+	cfg.HeartbeatTimeout = time.Minute
+	c, err := Listen("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, err := Dial(context.Background(), c.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, &frame{Type: msgHello, Capacity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		var completed int64
+		progress := func() {
+			var body bytes.Buffer
+			gob.NewEncoder(&body).Encode(struct {
+				Type             msgType
+				Capacity, Active int
+				Completed        int64
+			}{7, 1, 0, completed})
+			binary.Write(conn, binary.BigEndian, uint32(body.Len()))
+			conn.Write(body.Bytes())
+		}
+		for {
+			f, err := readFrame(conn)
+			if err != nil {
+				return
+			}
+			if f.Type == msgJob {
+				progress()
+				writeFrame(conn, &frame{Type: msgResult, Run: f.Run, ID: f.ID, Payload: bytes.ToUpper(f.Payload)})
+				completed++
+				progress()
+			}
+		}
+	}()
+	if err := c.WaitWorkers(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run(context.Background(), [][]byte{[]byte("a"), []byte("b"), []byte("c")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range collect(t, out, 3) {
+		if o.Err != nil || string(o.Payload) != strings.ToUpper(string(rune('a'+o.ID))) {
+			t.Fatalf("outcome %+v", o)
+		}
+	}
+	if ps := c.Progress(); len(ps) != 1 || ps[0].Completed != 3 || ps[0].Active != 0 {
+		t.Fatalf("old worker not kept registered with its results counted: %+v", ps)
 	}
 }

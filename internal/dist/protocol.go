@@ -27,14 +27,10 @@ const (
 	// workers distinguish it (clean exit) from a crash or partition
 	// (error, so supervisors restart them).
 	msgGoodbye
-	// msgProgress is the worker's live execution report, sent whenever a
-	// task starts or completes: how many tasks are running and how many
-	// have finished since the worker connected. Coordinators surface it so
-	// long-running distributed sweeps show per-worker liveness and
-	// throughput instead of going dark between results. Coordinators that
-	// predate the frame ignore it (the read itself still counts as
-	// liveness).
-	msgProgress
+	// Type 7 is reserved: old workers send it as a progress report, which
+	// coordinators ignore (per-worker progress comes from their own
+	// dispatch records; the read itself still counts as liveness).
+	_
 	// msgSnapshot carries one mid-task telemetry blob from worker to
 	// coordinator, tagged with the task's Run/ID so the coordinator can
 	// demultiplex concurrent tasks. Like the task payloads themselves the
@@ -48,34 +44,31 @@ const (
 
 // frame is the single envelope every wire message travels in. Fields are
 // a union over the message types: Run/ID identify a task (msgJob,
-// msgResult, msgSnapshot, msgCancel), Capacity rides on msgHello and
-// msgProgress, Active/Completed ride on msgProgress, Token carries the
-// worker's auth secret on msgHello, Payload carries the task, result or
-// snapshot blob, and Err transfers a worker-side execution error — or the
-// coordinator's rejection reason on a msgGoodbye — as text (typed errors
-// do not survive the wire).
+// msgResult, msgSnapshot, msgCancel), Capacity rides on msgHello, Token
+// carries the worker's auth secret on msgHello, Payload carries the task,
+// result or snapshot blob, and Err transfers a worker-side execution
+// error — or the coordinator's rejection reason on a msgGoodbye — as text
+// (typed errors do not survive the wire).
 type frame struct {
-	Type      msgType
-	Run       int
-	ID        int
-	Capacity  int
-	Active    int
-	Completed int64
-	Token     string
-	Payload   []byte
-	Err       string
+	Type     msgType
+	Run      int
+	ID       int
+	Capacity int
+	Token    string
+	Payload  []byte
+	Err      string
 }
 
-// Progress is one worker's self-reported execution state, updated on every
-// task start and completion.
+// Progress is one worker's execution state as the coordinator's dispatch
+// records give it.
 type Progress struct {
 	// Capacity is the worker's concurrent-task slot count (from its hello).
 	Capacity int
-	// Active is the number of tasks running on the worker right now.
+	// Active counts tasks dispatched to the worker and not yet answered.
 	Active int
-	// Completed counts tasks finished since the worker connected; the
-	// delta between two reports over their wall-clock gap is the worker's
-	// throughput.
+	// Completed counts results the worker returned since it connected;
+	// the delta between two polls over their wall-clock gap is the
+	// worker's throughput.
 	Completed int64
 }
 

@@ -208,19 +208,6 @@ func Serve(parent context.Context, conn net.Conn, capacity int, run RunFunc, cfg
 	cancels := make(map[[2]int]context.CancelFunc)
 	var jobs sync.WaitGroup
 
-	// Progress reporting: a frame on every job start and completion keeps
-	// the coordinator's per-worker view live. Counters are guarded by jmu;
-	// the send is best-effort (a failed send surfaces on the next result
-	// or heartbeat write anyway).
-	var active int
-	var completed int64
-	reportProgress := func() {
-		jmu.Lock()
-		f := &frame{Type: msgProgress, Capacity: capacity, Active: active, Completed: completed}
-		jmu.Unlock()
-		send(f)
-	}
-
 	for {
 		conn.SetReadDeadline(time.Now().Add(cfg.HeartbeatTimeout))
 		f, err := readFrame(conn)
@@ -261,9 +248,7 @@ func Serve(parent context.Context, conn net.Conn, capacity int, run RunFunc, cfg
 			jctx, jcancel := context.WithCancel(ctx)
 			jmu.Lock()
 			cancels[key] = jcancel
-			active++
 			jmu.Unlock()
-			reportProgress()
 			jobs.Add(1)
 			go func(f *frame) {
 				defer jobs.Done()
@@ -276,8 +261,6 @@ func Serve(parent context.Context, conn net.Conn, capacity int, run RunFunc, cfg
 				payload, err := run(jctx, f.Payload, emit)
 				jmu.Lock()
 				delete(cancels, key)
-				active--
-				completed++
 				jmu.Unlock()
 				jcancel()
 				if ctx.Err() != nil {
@@ -299,9 +282,7 @@ func Serve(parent context.Context, conn net.Conn, capacity int, run RunFunc, cfg
 				snaps.flush()
 				if send(res) != nil {
 					conn.Close() // result lost; force reconnect semantics
-					return
 				}
-				reportProgress()
 			}(f)
 		}
 	}

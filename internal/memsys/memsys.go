@@ -42,9 +42,7 @@ type System struct {
 	Ports int
 
 	pendingResp []pendingResp
-	readCPU     map[int64]int    // outstanding read tag -> cpu index
-	readAddr    map[int64]uint64 // outstanding read tag -> line address
-	readIssue   map[int64]int64  // outstanding read tag -> issue cycle
+	reads       map[int64]outstandingRead // by read tag, from issue to retire
 	nextTag     int64
 
 	// Stats
@@ -53,6 +51,14 @@ type System struct {
 	ReadsComplete  int64
 	DRAMAccesses   int64
 	ReadLatencySum int64 // total issue-to-retire cycles over completed reads
+}
+
+// outstandingRead is one issued read: its socket, line address and issue
+// cycle.
+type outstandingRead struct {
+	cpu    int
+	addr   uint64
+	issued int64
 }
 
 type pendingResp struct {
@@ -81,11 +87,9 @@ func Build(netCfg netsim.Config, pool *memnode.Pool, cpuNodes []int, window int,
 		window = 8
 	}
 	sys := &System{
-		pool:      pool,
-		window:    window,
-		readCPU:   make(map[int64]int),
-		readAddr:  make(map[int64]uint64),
-		readIssue: make(map[int64]int64),
+		pool:   pool,
+		window: window,
+		reads:  make(map[int64]outstandingRead),
 	}
 	netCfg.OnDelivered = sys.onDelivered
 	net, err := netsim.New(netCfg)
@@ -118,33 +122,28 @@ func (s *System) onDelivered(src, dst int, tag int64) {
 			return
 		}
 		// Read request: service DRAM, schedule the data response.
-		ci, ok := s.readCPU[tag]
+		rd, ok := s.reads[tag]
 		if !ok {
 			return
 		}
-		addr := s.readAddr[tag]
-		delete(s.readAddr, tag)
-		done := s.pool.Nodes[dst].Access(now, addr, false)
+		done := s.pool.Nodes[dst].Access(now, rd.addr, false)
 		s.DRAMAccesses++
 		s.pendingResp = append(s.pendingResp, pendingResp{
 			readyAt: done,
 			memNode: dst,
-			cpuNode: s.cpus[ci].node,
+			cpuNode: s.cpus[rd.cpu].node,
 			tag:     -tag,
 		})
 		return
 	}
 	// Data response back at the socket: retire the read.
-	ci, ok := s.readCPU[-tag]
+	rd, ok := s.reads[-tag]
 	if !ok {
 		return
 	}
-	delete(s.readCPU, -tag)
-	if issued, ok := s.readIssue[-tag]; ok {
-		s.ReadLatencySum += now - issued
-		delete(s.readIssue, -tag)
-	}
-	s.cpus[ci].outstanding--
+	delete(s.reads, -tag)
+	s.ReadLatencySum += now - rd.issued
+	s.cpus[rd.cpu].outstanding--
 	s.ReadsComplete++
 }
 
@@ -207,7 +206,7 @@ func (s *System) issueReady(now int64) {
 			}
 			if op.Write {
 				// Posted write: odd tag, fire and forget.
-				tag := s.allocTag(true, i)
+				tag := s.allocTag(true)
 				if s.net.Inject(c.node, op.Node, DataFlits, tag) == nil {
 					s.WritesIssued++
 				}
@@ -217,15 +216,11 @@ func (s *System) issueReady(now int64) {
 			if c.outstanding >= s.window {
 				break // window stall: replay pauses until a read returns
 			}
-			tag := s.allocTag(false, i)
-			s.readAddr[tag] = op.Addr
+			tag := s.allocTag(false)
 			if s.net.Inject(c.node, op.Node, ReqFlits, tag) == nil {
 				s.ReadsIssued++
-				s.readIssue[tag] = now
+				s.reads[tag] = outstandingRead{cpu: i, addr: op.Addr, issued: now}
 				c.outstanding++
-			} else {
-				delete(s.readCPU, tag)
-				delete(s.readAddr, tag)
 			}
 			s.completeIssue(c, op)
 		}
@@ -258,10 +253,9 @@ func (s *System) injectResponses(now int64) {
 		if err := s.net.Inject(pr.memNode, pr.cpuNode, DataFlits, pr.tag); err != nil {
 			// Cannot happen on a valid configuration; retire directly so
 			// the run terminates.
-			if ci, ok := s.readCPU[-pr.tag]; ok {
-				delete(s.readCPU, -pr.tag)
-				delete(s.readIssue, -pr.tag)
-				s.cpus[ci].outstanding--
+			if rd, ok := s.reads[-pr.tag]; ok {
+				delete(s.reads, -pr.tag)
+				s.cpus[rd.cpu].outstanding--
 			}
 		}
 	}
@@ -269,14 +263,12 @@ func (s *System) injectResponses(now int64) {
 }
 
 // allocTag allocates a correlation tag: odd tags are posted writes, even
-// tags reads (registered for response routing).
-func (s *System) allocTag(write bool, cpuIdx int) int64 {
+// tags reads.
+func (s *System) allocTag(write bool) int64 {
 	s.nextTag += 2
 	tag := s.nextTag
 	if write {
 		tag++
-	} else {
-		s.readCPU[tag] = cpuIdx
 	}
 	return tag
 }

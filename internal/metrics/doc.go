@@ -8,5 +8,5 @@
 // and cumulative-bucket histograms backed by stats.Histogram — so the
 // binaries stay free of external dependencies. The root stringfigure
 // package wires a registry to the TelemetrySnapshot stream and to cluster
-// progress frames and serves it at /metrics (see stringfigure.ServeMetrics).
+// progress and serves it at /metrics (see stringfigure.ServeMetrics).
 package metrics

@@ -30,10 +30,10 @@ import (
 //	link_flits_total{from,to}        per-link flits forwarded (heatmap source)
 //	router_flits_total{node}         per-router crossbar flits forwarded
 //	workers                          connected cluster workers
-//	worker_active{worker=...}        per-worker in-flight sweep points
+//	worker_active{worker=...}        per-worker dispatched, unanswered points
 //	worker_capacity{worker=...}      per-worker concurrent-session slots
-//	worker_completed{worker=...}     per-worker finished sweep points
-//	worker_report_age_seconds{...}   seconds since the worker last reported
+//	worker_completed{worker=...}     per-worker returned sweep points
+//	worker_report_age_seconds{...}   seconds since the last dispatch or result
 //
 // Counters aggregate across every run that feeds the server; scrape-side
 // rate() turns them into live throughput. All methods are safe for
@@ -183,7 +183,7 @@ func (m *MetricsServer) labeled(name, help string, series map[[2]int]float64, la
 
 // WatchCluster exposes the cluster's per-worker liveness at scrape time:
 // worker count, per-worker capacity, in-flight and completed points, and
-// the age of each worker's last progress report. The cluster is polled on
+// the age of each worker's last dispatch or result. The cluster is polled on
 // every scrape (Cluster.Progress), so no goroutine runs between scrapes.
 // Watching a second cluster replaces the first.
 func (m *MetricsServer) WatchCluster(c *Cluster) {
@@ -210,15 +210,15 @@ func (m *MetricsServer) WatchCluster(c *Cluster) {
 		perWorker("stringfigure_worker_capacity",
 			func(p WorkerProgress) float64 { return float64(p.Capacity) }))
 	m.reg.GaugeFunc("stringfigure_worker_active",
-		"Per-worker sweep points running right now.",
+		"Per-worker sweep points dispatched and not yet answered.",
 		perWorker("stringfigure_worker_active",
 			func(p WorkerProgress) float64 { return float64(p.Active) }))
 	m.reg.GaugeFunc("stringfigure_worker_completed",
-		"Per-worker sweep points finished since the worker connected.",
+		"Per-worker sweep points returned since the worker connected.",
 		perWorker("stringfigure_worker_completed",
 			func(p WorkerProgress) float64 { return float64(p.Completed) }))
 	m.reg.GaugeFunc("stringfigure_worker_report_age_seconds",
-		"Seconds since each worker's last progress report (-1 before the first).",
+		"Seconds since each worker's last dispatch or result (-1 before the first).",
 		perWorker("stringfigure_worker_report_age_seconds",
 			func(p WorkerProgress) float64 {
 				if p.LastReport.IsZero() {

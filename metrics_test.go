@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	. "repro"
 )
@@ -238,26 +237,18 @@ func TestClusterMetricsExportWorkers(t *testing.T) {
 		}
 	}
 
-	// The last progress frame may trail its result frame; scrape until the
-	// completion counters converge.
-	var samples map[string]float64
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		samples = parseExposition(t, scrape(t, m))
-		var completed float64
-		for name, v := range samples {
-			if strings.HasPrefix(name, "stringfigure_worker_completed{") {
-				completed += v
-			}
+	// The coordinator counts each result before delivering it, so the
+	// completion counters are exact as soon as the sweep returns.
+	samples := parseExposition(t, scrape(t, m))
+	var completed float64
+	for name, v := range samples {
+		if strings.HasPrefix(name, "stringfigure_worker_completed{") {
+			completed += v
 		}
-		if samples["stringfigure_workers"] == 2 && completed == float64(len(points)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker gauges never converged: workers=%v completed=%v",
-				samples["stringfigure_workers"], completed)
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if samples["stringfigure_workers"] != 2 || completed != float64(len(points)) {
+		t.Fatalf("worker gauges after the sweep: workers=%v completed=%v",
+			samples["stringfigure_workers"], completed)
 	}
 	for name, v := range samples {
 		if strings.HasPrefix(name, "stringfigure_worker_capacity{") && v != 2 {
