@@ -20,8 +20,10 @@ import (
 // on purpose:
 //
 //	go test -run TestGoldenEngineCounts -update .
-var updateEngineCounts = flag.Bool("update", false,
-	"rewrite testdata/golden_engine_counts.json from the current code")
+//
+// The same flag rewrites the /metrics golden page (TestMetricsExpositionGolden).
+var update = flag.Bool("update", false,
+	"rewrite the testdata goldens of the tests selected by -run from the current code")
 
 const (
 	goldenEngineCountsFile = "testdata/golden_engine_counts.json"
@@ -71,7 +73,7 @@ func TestGoldenEngineCounts(t *testing.T) {
 		got[fmt.Sprintf("N%d_%s", g.n, g.load)] = sim.Stats()
 	}
 	got["N64_wake"] = wakeEngineCounts(t)
-	if *updateEngineCounts {
+	if *update {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -120,6 +121,69 @@ func TestMetricsEndpointScrape(t *testing.T) {
 	}
 	if sum := samples["stringfigure_interval_latency_ns_sum"]; sum <= 0 {
 		t.Errorf("latency histogram sum = %v, want > 0", sum)
+	}
+}
+
+// goldenMetricsPage is the exposition page TestMetricsExpositionGolden
+// renders; rewrite it only on purpose, with
+// `go test -run TestMetricsExpositionGolden -update .`.
+const goldenMetricsPage = "testdata/golden_metrics_page.txt"
+
+// TestMetricsExpositionGolden pins the whole /metrics page byte for byte:
+// every family's HELP and TYPE lines, registration order, sample order and
+// number formatting. A fixed snapshot sequence feeds Observe — a latency
+// past the top bucket, one on a bound, a fractional one, an interval with
+// no deliveries, a negative delta and flow/link/router samples — and the
+// server watches a cluster with no workers and an empty job service.
+func TestMetricsExpositionGolden(t *testing.T) {
+	m, err := ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	c, err := NewCluster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m.WatchCluster(c)
+	svc, err := NewService(ServiceConfig{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	m.WatchService(svc)
+
+	for _, s := range []TelemetrySnapshot{
+		{Injected: 100, Delivered: 90, AvgLatencyNs: 37.25, Escaped: 2, Dropped: 1, InFlight: 12,
+			Flows: []FlowSample{{SrcBucket: 1, DstBucket: 0, Delivered: 50, AvgLatencyNs: 44},
+				{SrcBucket: 0, DstBucket: 1, Delivered: 40, AvgLatencyNs: 30.5}},
+			Links:   []LinkSample{{From: 2, To: 3, Flits: 5}, {From: 0, To: 1, Flits: 7}},
+			Routers: []RouterSample{{Node: 3, Flits: 4}, {Node: 0, Flits: 9}}},
+		{Injected: 5, InFlight: 3}, // no deliveries: no latency observation
+		{Injected: 10, Delivered: 8, AvgLatencyNs: 20000.5, InFlight: 7,
+			Flows:   []FlowSample{{SrcBucket: 0, DstBucket: 1, Delivered: 8, AvgLatencyNs: 19999}},
+			Links:   []LinkSample{{From: 0, To: 1, Flits: 2}},
+			Routers: []RouterSample{{Node: 0, Flits: 2}}},
+		{Injected: -3, Delivered: 4, AvgLatencyNs: 25, Escaped: -1, InFlight: 0},
+		{Delivered: 1, AvgLatencyNs: 25.9, InFlight: 1},
+	} {
+		m.Observe(s)
+	}
+
+	page := scrape(t, m)
+	if *update {
+		if err := os.WriteFile(goldenMetricsPage, []byte(page), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenMetricsPage)
+	if err != nil {
+		t.Fatalf("%v (create it with -update)", err)
+	}
+	if page != string(want) {
+		t.Errorf("/metrics page differs from %s:\ngot:\n%s\nwant:\n%s", goldenMetricsPage, page, want)
 	}
 }
 
