@@ -17,7 +17,7 @@ import (
 //
 //   - Collect-then-sort: the body only appends keys/values to slices,
 //     and each collected slice is passed to a sort call later in the
-//     same function (the flowSamples/linkSamples pattern in metrics.go).
+//     same function (the labeled-family pattern in metrics.go).
 //
 //   - Order-insensitive reduction: every statement is a commutative
 //     integer accumulation (x++/x--, x += / -= / |= / &= / ^= on integer

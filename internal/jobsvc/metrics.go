@@ -7,30 +7,30 @@ import (
 	"repro/internal/metrics"
 )
 
-// RegisterMetrics exposes the service's per-tenant health on reg as
-// callback gauge families, read off the live job table at scrape time:
+// RegisterMetrics exposes the service's per-tenant health on reg as gauge
+// families, read off the live job table at scrape time:
 //
 //	sfserve_queue_depth{tenant="..."}      queued jobs per tenant
 //	sfserve_jobs_running{tenant="..."}     running jobs per tenant
 //	sfserve_jobs_total                     jobs known to the service
 //	sfserve_points_completed{tenant="..."} points checkpointed this process
 func (s *Service) RegisterMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc("sfserve_queue_depth",
-		"Queued jobs per tenant.",
+	reg.Register("sfserve_queue_depth",
+		"Queued jobs per tenant.", "gauge",
 		func() []metrics.Sample { return s.tenantStateSamples("sfserve_queue_depth", StateQueued) })
-	reg.GaugeFunc("sfserve_jobs_running",
-		"Running jobs per tenant.",
+	reg.Register("sfserve_jobs_running",
+		"Running jobs per tenant.", "gauge",
 		func() []metrics.Sample { return s.tenantStateSamples("sfserve_jobs_running", StateRunning) })
-	reg.GaugeFunc("sfserve_jobs_total",
-		"Jobs known to the service in any state.",
+	reg.Register("sfserve_jobs_total",
+		"Jobs known to the service in any state.", "gauge",
 		func() []metrics.Sample {
 			s.mu.Lock()
 			n := len(s.jobs)
 			s.mu.Unlock()
 			return []metrics.Sample{{Name: "sfserve_jobs_total", Value: float64(n)}}
 		})
-	reg.GaugeFunc("sfserve_points_completed",
-		"Sweep points checkpointed per tenant since this process started.",
+	reg.Register("sfserve_points_completed",
+		"Sweep points checkpointed per tenant since this process started.", "gauge",
 		func() []metrics.Sample {
 			s.mu.Lock()
 			out := make([]metrics.Sample, 0, len(s.served))

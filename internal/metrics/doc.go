@@ -1,12 +1,14 @@
 // Package metrics is a dependency-free Prometheus-text exporter for the
-// String Figure reproduction: a registry of counters, gauges and
-// histograms rendered in the text exposition format (version 0.0.4) that
-// Prometheus, VictoriaMetrics and friends scrape.
+// String Figure reproduction: a registry of metric families rendered in
+// the text exposition format (version 0.0.4) that Prometheus,
+// VictoriaMetrics and friends scrape.
 //
-// The package deliberately implements only what the simulation's live
-// telemetry needs — monotonic counters, last-value and callback gauges,
-// and cumulative-bucket histograms backed by stats.Histogram — so the
-// binaries stay free of external dependencies. The root stringfigure
-// package wires a registry to the TelemetrySnapshot stream and to cluster
-// progress and serves it at /metrics (see stringfigure.ServeMetrics).
+// A family is one thing: a name, help text, a Prometheus type and a
+// callback that returns its samples, read at every scrape
+// (Registry.Register). The values stay with their owners — the root
+// package's MetricsServer folds telemetry snapshots into plain fields,
+// the cluster keeps its dispatch records and the job service its job
+// table — so nothing is pushed between scrapes. Buckets renders a
+// histogram family from per-bucket counts. The root stringfigure package
+// serves a registry at /metrics (see stringfigure.ServeMetrics).
 package metrics

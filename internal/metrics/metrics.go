@@ -4,100 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/stats"
 )
-
-// Counter is a monotonically increasing metric. The zero value is unusable;
-// obtain counters from Registry.Counter.
-type Counter struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Add increases the counter by d. Negative deltas are ignored — a counter
-// never goes down (Prometheus rate() treats decreases as resets).
-func (c *Counter) Add(d float64) {
-	if d <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.v += d
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
-// Gauge is a metric that can go up and down (an instantaneous level).
-// Obtain gauges from Registry.Gauge.
-type Gauge struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// Add shifts the gauge by d (negative deltas allowed).
-func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	g.v += d
-	g.mu.Unlock()
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-// Histogram is a Prometheus histogram: cumulative counts of observations
-// at or below each bucket upper bound, plus a running sum and total count.
-// Observations accumulate in an integer-bucketed stats.Histogram (the same
-// primitive the simulator's latency statistics use), and the exposition
-// buckets are cut from it at scrape time with stats.Histogram.CountLE.
-// Values past the largest configured bound are clamped into one overflow
-// bucket before they reach the accumulator — only the +Inf bucket can see
-// them, and `_sum` is tracked separately on the raw values — so memory
-// stays O(largest bound) no matter how pathological the observations get
-// (a saturated network reports interval latencies orders of magnitude
-// past the top bucket, for the whole life of the process).
-type Histogram struct {
-	mu     sync.Mutex
-	h      stats.Histogram
-	bounds []int // sorted upper bounds; +Inf is implicit
-	clamp  int   // largest bound + 1: the overflow bucket
-	sum    float64
-	total  int64
-}
-
-// Observe records one observation. Values are rounded down to integers
-// for bucketing (the accumulator is integer-bucketed); negative values
-// clamp to 0; the `_sum` series keeps the raw value.
-func (h *Histogram) Observe(v float64) {
-	iv := int(v)
-	h.mu.Lock()
-	h.sum += v
-	h.total++
-	if iv > h.clamp {
-		iv = h.clamp
-	}
-	h.h.Observe(iv)
-	h.mu.Unlock()
-}
 
 // Sample is one rendered exposition line: a metric name (with any label
 // set already formatted into it) and its value.
@@ -108,141 +17,79 @@ type Sample struct {
 	Value float64
 }
 
-// metric is one registered family with its metadata and value source.
-type metric struct {
-	name    string
-	help    string
-	typ     string // "counter", "gauge", "histogram"
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() []Sample
+// family is one registered metric family: its metadata and the callback
+// that reads its samples.
+type family struct {
+	name, help, typ string
+	fn              func() []Sample
 }
 
-// Registry holds a set of named metrics and renders them as one text
-// exposition page. All methods are safe for concurrent use; registering
-// the same name twice returns the existing metric (mismatched types
-// panic — that is a programming error, caught in tests).
+// Registry holds a set of metric families and renders them as one text
+// exposition page. Every family is a callback read at scrape time, so the
+// values stay with their owners and nothing is pushed between scrapes.
+// All methods are safe for concurrent use.
 type Registry struct {
-	mu      sync.Mutex
-	metrics map[string]*metric
-	order   []string
+	mu   sync.Mutex
+	fams []family // registration order
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) register(name, help, typ string) *metric {
+// Register adds the family name with its help text and Prometheus type
+// ("counter", "gauge" or "histogram"). fn is invoked at every scrape and
+// may return any number of samples, labeled or not (including zero).
+// Re-registering a name replaces the family in place.
+func (r *Registry) Register(name, help, typ string, fn func() []Sample) {
+	f := family{name: name, help: help, typ: typ, fn: fn}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		if m.typ != typ {
-			panic(fmt.Sprintf("metrics: %s re-registered as %s (was %s)", name, typ, m.typ))
+	for i := range r.fams {
+		if r.fams[i].name == name {
+			r.fams[i] = f
+			return
 		}
-		return m
 	}
-	m := &metric{name: name, help: help, typ: typ}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
-	return m
+	r.fams = append(r.fams, f)
 }
 
-// Counter returns the counter registered under name, creating it with the
-// given help text on first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	m := r.register(name, help, "counter")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.counter == nil {
-		m.counter = &Counter{}
+// Buckets renders a Prometheus histogram's samples: the cumulative
+// `_bucket{le=...}` series over bounds and +Inf, then `_sum` and `_count`.
+// counts[i] holds the observations that fell in bucket i (above
+// bounds[i-1], at or below bounds[i]) and counts[len(bounds)] those past
+// the largest bound; sum is the raw sum of the observations.
+func Buckets(name string, bounds []int, counts []int64, sum float64) []Sample {
+	out := make([]Sample, 0, len(bounds)+3)
+	var cum int64
+	for i, b := range bounds {
+		cum += counts[i]
+		out = append(out, Sample{Name: fmt.Sprintf("%s_bucket{le=\"%d\"}", name, b), Value: float64(cum)})
 	}
-	return m.counter
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	m := r.register(name, help, "gauge")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.gauge == nil {
-		m.gauge = &Gauge{}
-	}
-	return m.gauge
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the given bucket upper bounds (sorted ascending; +Inf is implicit) on
-// first use.
-func (r *Registry) Histogram(name, help string, bounds []int) *Histogram {
-	m := r.register(name, help, "histogram")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.hist == nil {
-		b := append([]int(nil), bounds...)
-		sort.Ints(b)
-		clamp := 0
-		if len(b) > 0 {
-			clamp = b[len(b)-1] + 1
-		}
-		m.hist = &Histogram{bounds: b, clamp: clamp}
-	}
-	return m.hist
-}
-
-// GaugeFunc registers a callback gauge family: fn is invoked at scrape
-// time and may return any number of labeled samples (including zero).
-// Use it for state that lives elsewhere and would be stale if pushed —
-// per-worker cluster liveness is read straight off the worker registry
-// this way. Re-registering a name replaces the callback.
-func (r *Registry) GaugeFunc(name, help string, fn func() []Sample) {
-	m := r.register(name, help, "gauge")
-	r.mu.Lock()
-	m.fn = fn
-	r.mu.Unlock()
+	cum += counts[len(bounds)]
+	return append(out,
+		Sample{Name: name + `_bucket{le="+Inf"}`, Value: float64(cum)},
+		Sample{Name: name + "_sum", Value: sum},
+		Sample{Name: name + "_count", Value: float64(cum)})
 }
 
 // WriteTo renders the registry as one Prometheus text exposition page:
 // families in registration order, each with # HELP and # TYPE headers.
 // It implements io.WriterTo so an HTTP handler can stream it.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	// Copy the family descriptors under the lock (the struct holds only
-	// pointers and strings), so a scrape never races a registration.
+	// Copy the family list under the lock, so a scrape never races a
+	// registration and callbacks run without it.
 	r.mu.Lock()
-	fams := make([]metric, 0, len(r.order))
-	for _, name := range r.order {
-		fams = append(fams, *r.metrics[name])
-	}
+	fams := append([]family(nil), r.fams...)
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for i := range fams {
-		m := &fams[i]
-		if m.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", m.name, m.help)
+	for _, f := range fams {
+		if f.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.typ)
-		switch {
-		case m.counter != nil:
-			writeSample(&b, m.name, m.counter.Value())
-		case m.hist != nil:
-			m.hist.mu.Lock()
-			total := m.hist.total
-			sum := m.hist.sum
-			for _, bound := range m.hist.bounds {
-				fmt.Fprintf(&b, "%s_bucket{le=\"%d\"} %d\n", m.name, bound, m.hist.h.CountLE(bound))
-			}
-			m.hist.mu.Unlock()
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, total)
-			writeSample(&b, m.name+"_sum", sum)
-			fmt.Fprintf(&b, "%s_count %d\n", m.name, total)
-		case m.fn != nil:
-			for _, s := range m.fn() {
-				writeSample(&b, s.Name, s.Value)
-			}
-		case m.gauge != nil:
-			writeSample(&b, m.name, m.gauge.Value())
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
+		for _, s := range f.fn() {
+			writeSample(&b, s.Name, s.Value)
 		}
 	}
 	n, err := io.WriteString(w, b.String())

@@ -5,58 +5,60 @@ import (
 	"testing"
 )
 
-// TestHistogramClampBoundsMemory pins the overflow behavior: observations
-// far past the largest bound land only in the +Inf bucket, the raw values
-// stay in _sum, and the accumulator never grows past the clamp bucket —
-// a saturated network reporting 10^7 ns interval latencies for hours must
-// not grow the registry without bound.
-func TestHistogramClampBoundsMemory(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", "help.", []int{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(12_345_678) // pathological overflow
-	if h.h.Max() > 101 {
-		t.Errorf("accumulator grew to %d buckets; overflow must clamp at largest bound + 1", h.h.Max())
-	}
+// render returns the registry's exposition page.
+func render(t *testing.T, r *Registry) string {
+	t.Helper()
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	page := b.String()
-	for _, want := range []string{
-		`lat_bucket{le="10"} 1`,
-		`lat_bucket{le="100"} 2`,
-		`lat_bucket{le="+Inf"} 3`,
-		`lat_sum 12345733`,
-		`lat_count 3`,
-	} {
-		if !strings.Contains(page, want+"\n") {
-			t.Errorf("exposition missing %q:\n%s", want, page)
-		}
+	return b.String()
+}
+
+// TestHistogramClampBoundsMemory pins the histogram exposition's overflow
+// slot: observations past the largest bound count only in the +Inf bucket
+// and _count, their raw values stay in _sum, and the bucket counts are a
+// fixed array however far past the top bound a saturated network's
+// interval latencies land.
+func TestHistogramClampBoundsMemory(t *testing.T) {
+	r := NewRegistry()
+	r.Register("lat", "help.", "histogram", func() []Sample {
+		// Observed 5, 50 and 12 345 678 against bounds 10 and 100.
+		return Buckets("lat", []int{10, 100}, []int64{1, 1, 1}, 12_345_733)
+	})
+	want := "# HELP lat help.\n# TYPE lat histogram\n" +
+		`lat_bucket{le="10"} 1` + "\n" +
+		`lat_bucket{le="100"} 2` + "\n" +
+		`lat_bucket{le="+Inf"} 3` + "\n" +
+		"lat_sum 12345733\nlat_count 3\n"
+	if page := render(t, r); page != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", page, want)
 	}
 }
 
-// TestRegistryRendering covers the remaining family kinds in one page.
+// TestRegistryRendering covers the family page: registration order, HELP
+// and TYPE headers, integral and fractional values, a family with no
+// samples, and re-registration replacing a family in place.
 func TestRegistryRendering(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "a counter.").Add(3)
-	r.Gauge("g", "a gauge.").Set(-2.5)
-	r.GaugeFunc("w", "labeled.", func() []Sample {
-		return []Sample{{Name: `w{id="1"}`, Value: 7}}
+	r.Register("c_total", "a counter.", "counter", func() []Sample {
+		return []Sample{{Name: "c_total", Value: 3}}
 	})
-	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	page := b.String()
-	for _, want := range []string{
-		"# TYPE c_total counter", "c_total 3",
-		"# TYPE g gauge", "g -2.5",
-		`w{id="1"} 7`,
-	} {
-		if !strings.Contains(page, want+"\n") {
-			t.Errorf("exposition missing %q:\n%s", want, page)
-		}
+	r.Register("g", "a gauge.", "gauge", func() []Sample {
+		return []Sample{{Name: "g", Value: 1}}
+	})
+	r.Register("w", "labeled.", "gauge", func() []Sample {
+		return []Sample{{Name: `w{id="1"}`, Value: 7}, {Name: `w{id="2"}`, Value: 0.5}}
+	})
+	r.Register("empty", "", "gauge", func() []Sample { return nil })
+	r.Register("g", "a gauge.", "gauge", func() []Sample {
+		return []Sample{{Name: "g", Value: -2.5}}
+	})
+	want := "# HELP c_total a counter.\n# TYPE c_total counter\nc_total 3\n" +
+		"# HELP g a gauge.\n# TYPE g gauge\ng -2.5\n" +
+		"# HELP w labeled.\n# TYPE w gauge\n" + `w{id="1"} 7` + "\n" + `w{id="2"} 0.5` + "\n" +
+		"# TYPE empty gauge\n"
+	if page := render(t, r); page != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", page, want)
 	}
 }

@@ -11,15 +11,6 @@ import (
 // textContentType is the Prometheus text exposition content type.
 const textContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// Handler returns an http.Handler that serves the registry's exposition
-// page — mount it yourself if the process already runs an HTTP server.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", textContentType)
-		r.WriteTo(w)
-	})
-}
-
 // Server is a minimal standalone HTTP server exposing one registry at
 // /metrics (and the same page at /, so `curl host:port` works too), plus
 // the runtime profiling surface at /debug/pprof/ — every binary that
@@ -40,9 +31,13 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	page := func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", textContentType)
+		reg.WriteTo(w)
+	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/", reg.Handler())
+	mux.HandleFunc("/metrics", page)
+	mux.HandleFunc("/", page)
 	// net/http/pprof registers on http.DefaultServeMux only; mount its
 	// handlers explicitly so the profiling surface rides this mux (the
 	// more specific /debug/pprof/ pattern wins over the / metrics page).

@@ -187,26 +187,8 @@ func (h *Histogram) Percentile(p float64) int {
 	return v
 }
 
-// CountLE returns how many recorded observations are <= v — the
-// cumulative-bucket query behind Prometheus-style histogram exposition
-// (internal/metrics renders each `le` bucket with it). v < 0 counts
-// nothing; v past the largest bucket counts everything.
-func (h *Histogram) CountLE(v int) int64 {
-	if v < 0 {
-		return 0
-	}
-	if v >= len(h.counts)-1 {
-		return h.total
-	}
-	var cum int64
-	for i := 0; i <= v; i++ {
-		cum += h.counts[i]
-	}
-	return cum
-}
-
-// Sum returns the sum of all recorded values (each value weighted by its
-// observation count) — the `_sum` series of a Prometheus histogram.
+// Sum returns the sum of all recorded values, each value weighted by its
+// observation count.
 func (h *Histogram) Sum() float64 {
 	var sum float64
 	for v, c := range h.counts {

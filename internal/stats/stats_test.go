@@ -292,25 +292,16 @@ func TestSeriesUnlabeledOmitsLabelColumn(t *testing.T) {
 	}
 }
 
-func TestHistogramCountLEAndSum(t *testing.T) {
+func TestHistogramSum(t *testing.T) {
 	var h Histogram
 	h.ObserveN(2, 3)  // three 2s
 	h.Observe(5)      // one 5
 	h.ObserveN(10, 2) // two 10s
-	cases := []struct {
-		v    int
-		want int64
-	}{{-1, 0}, {0, 0}, {1, 0}, {2, 3}, {4, 3}, {5, 4}, {9, 4}, {10, 6}, {1000, 6}}
-	for _, c := range cases {
-		if got := h.CountLE(c.v); got != c.want {
-			t.Errorf("CountLE(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
 	if got, want := h.Sum(), float64(3*2+5+2*10); got != want {
 		t.Errorf("Sum() = %v, want %v", got, want)
 	}
 	var empty Histogram
-	if empty.CountLE(7) != 0 || empty.Sum() != 0 {
-		t.Errorf("empty histogram: CountLE=%d Sum=%v, want 0, 0", empty.CountLE(7), empty.Sum())
+	if empty.Sum() != 0 {
+		t.Errorf("empty histogram: Sum=%v, want 0", empty.Sum())
 	}
 }

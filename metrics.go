@@ -42,20 +42,21 @@ type MetricsServer struct {
 	reg *metrics.Registry
 	srv *metrics.Server
 
-	snapshots *metrics.Counter
-	injected  *metrics.Counter
-	delivered *metrics.Counter
-	escaped   *metrics.Counter
-	dropped   *metrics.Counter
-	inFlight  *metrics.Gauge
-	latency   *metrics.Histogram
+	// The snapshot fold, read by the registry's families at scrape: the
+	// traffic counters (negative deltas ignored), the last interval's
+	// in-flight level, and the interval-latency histogram as one count per
+	// defaultLatencyBuckets bound, then the overflow, plus the raw sum.
+	mu                                               sync.Mutex
+	snapshots, injected, delivered, escaped, dropped int64
+	inFlight                                         int64
+	latency                                          [len(defaultLatencyBuckets) + 1]int64
+	latencySum                                       float64
 
 	// Flow-attribution series, populated only when snapshots carry flow
 	// samples (SessionConfig.FlowBuckets > 0): per-flow deliveries and
 	// per-link / per-router flits summed over intervals, and each flow's
 	// latest interval latency. Keyed (src, dst) bucket pair, (from, to)
 	// link or (node, 0); rendered as labeled samples in key order at scrape.
-	mu                         sync.Mutex
 	flowDelivered, flowLatency map[[2]int]float64
 	links, routers             map[[2]int]float64
 }
@@ -63,7 +64,7 @@ type MetricsServer struct {
 // defaultLatencyBuckets are the interval-latency histogram bounds:
 // doubling from 25 ns to 12.8 us, bracketing the paper's
 // zero-load-to-saturation latency range.
-var defaultLatencyBuckets = []int{25, 50, 100, 200, 400, 800, 1600, 3200, 6400, 12800}
+var defaultLatencyBuckets = [...]int{25, 50, 100, 200, 400, 800, 1600, 3200, 6400, 12800}
 
 // ServeMetrics starts a Prometheus-text /metrics HTTP endpoint on addr
 // ("host:port"; ":0" picks a free port, read it back with Addr). The
@@ -74,41 +75,43 @@ var defaultLatencyBuckets = []int{25, 50, 100, 200, 400, 800, 1600, 3200, 6400, 
 func ServeMetrics(addr string) (*MetricsServer, error) {
 	reg := metrics.NewRegistry()
 	m := &MetricsServer{
-		reg: reg,
-		snapshots: reg.Counter("stringfigure_snapshots_total",
-			"Interval telemetry snapshots observed."),
-		injected: reg.Counter("stringfigure_injected_total",
-			"Flits injected, summed over observed intervals."),
-		delivered: reg.Counter("stringfigure_delivered_total",
-			"Flits delivered, summed over observed intervals."),
-		escaped: reg.Counter("stringfigure_escaped_total",
-			"Packets diverted to the escape subnetwork."),
-		dropped: reg.Counter("stringfigure_dropped_total",
-			"Packets dropped as unroutable during reconfiguration windows."),
-		inFlight: reg.Gauge("stringfigure_in_flight",
-			"Network flit occupancy at the last observed interval."),
-		latency: reg.Histogram("stringfigure_interval_latency_ns",
-			"Per-interval average packet latency in nanoseconds.",
-			defaultLatencyBuckets),
+		reg:           reg,
 		flowDelivered: make(map[[2]int]float64),
 		flowLatency:   make(map[[2]int]float64),
 		links:         make(map[[2]int]float64),
 		routers:       make(map[[2]int]float64),
 	}
+	scalar := func(name, help, typ string, v *int64) {
+		m.family(name, help, typ, func() []metrics.Sample {
+			return []metrics.Sample{{Name: name, Value: float64(*v)}}
+		})
+	}
+	scalar("stringfigure_snapshots_total", "Interval telemetry snapshots observed.", "counter", &m.snapshots)
+	scalar("stringfigure_injected_total", "Flits injected, summed over observed intervals.", "counter", &m.injected)
+	scalar("stringfigure_delivered_total", "Flits delivered, summed over observed intervals.", "counter", &m.delivered)
+	scalar("stringfigure_escaped_total", "Packets diverted to the escape subnetwork.", "counter", &m.escaped)
+	scalar("stringfigure_dropped_total",
+		"Packets dropped as unroutable during reconfiguration windows.", "counter", &m.dropped)
+	scalar("stringfigure_in_flight", "Network flit occupancy at the last observed interval.", "gauge", &m.inFlight)
+	m.family("stringfigure_interval_latency_ns",
+		"Per-interval average packet latency in nanoseconds.", "histogram",
+		func() []metrics.Sample {
+			return metrics.Buckets("stringfigure_interval_latency_ns", defaultLatencyBuckets[:], m.latency[:], m.latencySum)
+		})
 	pair := func(a, b string) func([2]int) string {
 		return func(k [2]int) string { return fmt.Sprintf(`{%s="%d",%s="%d"}`, a, k[0], b, k[1]) }
 	}
 	m.labeled("stringfigure_flow_delivered_total",
-		"Packets delivered per (src bucket, dst bucket) flow, summed over intervals.",
+		"Packets delivered per (src bucket, dst bucket) flow, summed over intervals.", "gauge",
 		m.flowDelivered, pair("src", "dst"))
 	m.labeled("stringfigure_flow_latency_ns",
-		"Average packet latency per flow over the last observed interval.",
+		"Average packet latency per flow over the last observed interval.", "gauge",
 		m.flowLatency, pair("src", "dst"))
 	m.labeled("stringfigure_link_flits_total",
-		"Flits forwarded per directed link, summed over intervals.",
+		"Flits forwarded per directed link, summed over intervals.", "gauge",
 		m.links, pair("from", "to"))
 	m.labeled("stringfigure_router_flits_total",
-		"Flits forwarded through each router's crossbar, summed over intervals.",
+		"Flits forwarded through each router's crossbar, summed over intervals.", "gauge",
 		m.routers, func(k [2]int) string { return fmt.Sprintf(`{node="%d"}`, k[0]) })
 	srv, err := metrics.Serve(addr, reg)
 	if err != nil {
@@ -130,20 +133,20 @@ func (m *MetricsServer) Close() error { return m.srv.Close() }
 // `cfg.WithTelemetry(0, m.Observe)`, or call it from a sink of your own.
 // Safe for concurrent use.
 func (m *MetricsServer) Observe(t TelemetrySnapshot) {
-	m.snapshots.Add(1)
-	m.injected.Add(float64(t.Injected))
-	m.delivered.Add(float64(t.Delivered))
-	m.escaped.Add(float64(t.Escaped))
-	m.dropped.Add(float64(t.Dropped))
-	m.inFlight.Set(float64(t.InFlight))
-	if t.Delivered > 0 {
-		m.latency.Observe(t.AvgLatencyNs)
-	}
-	if len(t.Flows) == 0 && len(t.Links) == 0 && len(t.Routers) == 0 {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.snapshots++
+	m.injected += max(t.Injected, 0)
+	m.delivered += max(t.Delivered, 0)
+	m.escaped += max(t.Escaped, 0)
+	m.dropped += max(t.Dropped, 0)
+	m.inFlight = int64(t.InFlight)
+	if t.Delivered > 0 {
+		// Bucket by the latency's integer part; a negative one counts
+		// in the first bucket.
+		m.latency[sort.SearchInts(defaultLatencyBuckets[:], int(t.AvgLatencyNs))]++
+		m.latencySum += t.AvgLatencyNs
+	}
 	for _, f := range t.Flows {
 		k := [2]int{f.SrcBucket, f.DstBucket}
 		m.flowDelivered[k] += float64(f.Delivered)
@@ -157,12 +160,19 @@ func (m *MetricsServer) Observe(t TelemetrySnapshot) {
 	}
 }
 
-// labeled registers one labeled family over a series map: at scrape, every
-// key renders as name+labels(key) in key order.
-func (m *MetricsServer) labeled(name, help string, series map[[2]int]float64, labels func([2]int) string) {
-	m.reg.GaugeFunc(name, help, func() []metrics.Sample {
+// family registers one family whose samples are read under m.mu.
+func (m *MetricsServer) family(name, help, typ string, fn func() []metrics.Sample) {
+	m.reg.Register(name, help, typ, func() []metrics.Sample {
 		m.mu.Lock()
 		defer m.mu.Unlock()
+		return fn()
+	})
+}
+
+// labeled registers one labeled family over a series map: at scrape, every
+// key renders as name+labels(key) in key order.
+func (m *MetricsServer) labeled(name, help, typ string, series map[[2]int]float64, labels func([2]int) string) {
+	m.family(name, help, typ, func() []metrics.Sample {
 		keys := make([][2]int, 0, len(series))
 		for k := range series {
 			keys = append(keys, k)
@@ -187,8 +197,8 @@ func (m *MetricsServer) labeled(name, help string, series map[[2]int]float64, la
 // every scrape (Cluster.Progress), so no goroutine runs between scrapes.
 // Watching a second cluster replaces the first.
 func (m *MetricsServer) WatchCluster(c *Cluster) {
-	m.reg.GaugeFunc("stringfigure_workers",
-		"Connected distributed-sweep workers.",
+	m.reg.Register("stringfigure_workers",
+		"Connected distributed-sweep workers.", "gauge",
 		func() []metrics.Sample {
 			return []metrics.Sample{{Name: "stringfigure_workers", Value: float64(c.Workers())}}
 		})
@@ -205,20 +215,20 @@ func (m *MetricsServer) WatchCluster(c *Cluster) {
 			return out
 		}
 	}
-	m.reg.GaugeFunc("stringfigure_worker_capacity",
-		"Per-worker concurrent-session slots.",
+	m.reg.Register("stringfigure_worker_capacity",
+		"Per-worker concurrent-session slots.", "gauge",
 		perWorker("stringfigure_worker_capacity",
 			func(p WorkerProgress) float64 { return float64(p.Capacity) }))
-	m.reg.GaugeFunc("stringfigure_worker_active",
-		"Per-worker sweep points dispatched and not yet answered.",
+	m.reg.Register("stringfigure_worker_active",
+		"Per-worker sweep points dispatched and not yet answered.", "gauge",
 		perWorker("stringfigure_worker_active",
 			func(p WorkerProgress) float64 { return float64(p.Active) }))
-	m.reg.GaugeFunc("stringfigure_worker_completed",
-		"Per-worker sweep points returned since the worker connected.",
+	m.reg.Register("stringfigure_worker_completed",
+		"Per-worker sweep points returned since the worker connected.", "gauge",
 		perWorker("stringfigure_worker_completed",
 			func(p WorkerProgress) float64 { return float64(p.Completed) }))
-	m.reg.GaugeFunc("stringfigure_worker_report_age_seconds",
-		"Seconds since each worker's last dispatch or result (-1 before the first).",
+	m.reg.Register("stringfigure_worker_report_age_seconds",
+		"Seconds since each worker's last dispatch or result (-1 before the first).", "gauge",
 		perWorker("stringfigure_worker_report_age_seconds",
 			func(p WorkerProgress) float64 {
 				if p.LastReport.IsZero() {

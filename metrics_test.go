@@ -2,9 +2,10 @@ package stringfigure_test
 
 // Metrics-endpoint tests: ServeMetrics exposes the telemetry stream as a
 // Prometheus text page — counters fed by interval snapshots (local or
-// forwarded from cluster workers), histogram buckets cut from
-// stats.Histogram, and per-worker liveness read off the cluster at scrape
-// time. The scrape test parses the exposition text line by line.
+// forwarded from cluster workers), a cumulative interval-latency
+// histogram, and per-worker liveness read off the cluster at scrape time.
+// The scrape test parses the exposition text line by line; the golden
+// test pins the whole page byte for byte.
 
 import (
 	"fmt"
