@@ -35,9 +35,10 @@ import (
 //	worker_completed{worker=...}     per-worker returned sweep points
 //	worker_report_age_seconds{...}   seconds since the last dispatch or result
 //
-// Counters aggregate across every run that feeds the server; scrape-side
-// rate() turns them into live throughput. All methods are safe for
-// concurrent use.
+// Every _total family is a counter, interval_latency_ns a histogram and
+// the rest are gauges. Counters aggregate across every run that feeds the
+// server; scrape-side rate() turns them into live throughput. All methods
+// are safe for concurrent use.
 type MetricsServer struct {
 	reg *metrics.Registry
 	srv *metrics.Server
@@ -102,16 +103,16 @@ func ServeMetrics(addr string) (*MetricsServer, error) {
 		return func(k [2]int) string { return fmt.Sprintf(`{%s="%d",%s="%d"}`, a, k[0], b, k[1]) }
 	}
 	m.labeled("stringfigure_flow_delivered_total",
-		"Packets delivered per (src bucket, dst bucket) flow, summed over intervals.", "gauge",
+		"Packets delivered per (src bucket, dst bucket) flow, summed over intervals.", "counter",
 		m.flowDelivered, pair("src", "dst"))
 	m.labeled("stringfigure_flow_latency_ns",
 		"Average packet latency per flow over the last observed interval.", "gauge",
 		m.flowLatency, pair("src", "dst"))
 	m.labeled("stringfigure_link_flits_total",
-		"Flits forwarded per directed link, summed over intervals.", "gauge",
+		"Flits forwarded per directed link, summed over intervals.", "counter",
 		m.links, pair("from", "to"))
 	m.labeled("stringfigure_router_flits_total",
-		"Flits forwarded through each router's crossbar, summed over intervals.", "gauge",
+		"Flits forwarded through each router's crossbar, summed over intervals.", "counter",
 		m.routers, func(k [2]int) string { return fmt.Sprintf(`{node="%d"}`, k[0]) })
 	srv, err := metrics.Serve(addr, reg)
 	if err != nil {
