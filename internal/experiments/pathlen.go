@@ -38,28 +38,28 @@ func Fig5(scales []int, seeds int, sources int) (*stats.Series, error) {
 	s := stats.NewSeries("Figure 5: average shortest path length",
 		"nodes", "jellyfish", "s2", "stringfigure")
 	for _, n := range scales {
-		var jf, s2, sf stats.Summary
+		var jf, s2, sf []float64
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			deg := topology.PortsForN(n)
 			j, err := topology.NewJellyfish(n, deg, seed)
 			if err != nil {
 				return nil, err
 			}
-			jf.Add(sampleMean(j.Graph(), sources, seed))
+			jf = append(jf, sampleMean(j.Graph(), sources, seed))
 
 			s2t, err := topology.NewS2(n, deg, seed, true)
 			if err != nil {
 				return nil, err
 			}
-			s2.Add(sampleMean(s2t.Graph(), sources, seed))
+			s2 = append(s2, sampleMean(s2t.Graph(), sources, seed))
 
 			sft, err := topology.NewPaperSF(n, seed)
 			if err != nil {
 				return nil, err
 			}
-			sf.Add(sampleMean(sft.Graph(), sources, seed))
+			sf = append(sf, sampleMean(sft.Graph(), sources, seed))
 		}
-		s.AddRow(float64(n), jf.Mean(), s2.Mean(), sf.Mean())
+		s.AddRow(float64(n), stats.Mean(jf), stats.Mean(s2), stats.Mean(sf))
 	}
 	return s, nil
 }

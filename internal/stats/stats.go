@@ -6,100 +6,6 @@ import (
 	"strings"
 )
 
-// Summary accumulates a running mean, min, max and variance (Welford) over a
-// stream of float64 observations. The zero value is ready to use.
-type Summary struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-}
-
-// Merge folds another summary into s.
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	min, max := s.min, s.max
-	if o.min < min {
-		min = o.min
-	}
-	if o.max > max {
-		max = o.max
-	}
-	*s = Summary{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() int { return s.n }
-
-// Mean returns the arithmetic mean, or 0 when empty.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation, or 0 when empty.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 when empty.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the population variance, or 0 for fewer than two samples.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// DeltaSince returns the summary of the observations recorded between prev
-// (an earlier snapshot of this summary — Summary is a value type, so a plain
-// copy is a snapshot) and now, by inverting the Merge combination. Count,
-// mean and variance are exact up to floating-point noise; min and max cannot
-// be un-merged and report the cumulative bounds instead. The receiver is
-// unchanged.
-func (s *Summary) DeltaSince(prev Summary) Summary {
-	n := s.n - prev.n
-	if n <= 0 {
-		return Summary{}
-	}
-	if prev.n == 0 {
-		return *s
-	}
-	mean := (float64(s.n)*s.mean - float64(prev.n)*prev.mean) / float64(n)
-	delta := mean - prev.mean
-	m2 := s.m2 - prev.m2 - delta*delta*float64(prev.n)*float64(n)/float64(s.n)
-	if m2 < 0 {
-		m2 = 0 // floating-point noise on a near-constant interval
-	}
-	return Summary{n: n, mean: mean, m2: m2, min: s.min, max: s.max}
-}
-
 // Histogram is an integer-bucketed histogram with exact percentile queries.
 // It is used for hop-count and latency distributions. The zero value is ready
 // to use; buckets grow on demand.

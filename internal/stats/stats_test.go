@@ -7,76 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	if s.Count() != 0 || s.Mean() != 0 {
-		t.Fatalf("zero value not empty: count=%d mean=%v", s.Count(), s.Mean())
-	}
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if s.Count() != 8 {
-		t.Errorf("Count = %d, want 8", s.Count())
-	}
-	if got := s.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := s.Variance(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	bound := func(v float64) float64 { return math.Mod(v, 1e6) } // keep delta*delta finite
-	f := func(xs []float64, ys []float64) bool {
-		var all, left, right Summary
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			x = bound(x)
-			all.Add(x)
-			left.Add(x)
-		}
-		for _, y := range ys {
-			if math.IsNaN(y) || math.IsInf(y, 0) {
-				return true
-			}
-			y = bound(y)
-			all.Add(y)
-			right.Add(y)
-		}
-		left.Merge(right)
-		if left.Count() != all.Count() {
-			return false
-		}
-		if all.Count() == 0 {
-			return true
-		}
-		return math.Abs(left.Mean()-all.Mean()) < 1e-6*(1+math.Abs(all.Mean())) &&
-			left.Min() == all.Min() && left.Max() == all.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSummaryMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Merge(b) // merging empty is a no-op
-	if a.Count() != 1 || a.Mean() != 1 {
-		t.Errorf("merge empty changed summary: %+v", a)
-	}
-	b.Merge(a) // merging into empty copies
-	if b.Count() != 1 || b.Mean() != 1 {
-		t.Errorf("merge into empty failed: %+v", b)
-	}
-}
-
 func TestHistogramPercentiles(t *testing.T) {
 	var h Histogram
 	for v := 1; v <= 100; v++ {
@@ -181,35 +111,6 @@ func TestHistogramCloneAndDeltaSince(t *testing.T) {
 	var zero Histogram
 	if full := h.DeltaSince(&zero); full.Total() != 10 {
 		t.Errorf("delta from empty = %d, want 10", full.Total())
-	}
-}
-
-func TestSummaryDeltaSince(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{2, 4, 6} {
-		s.Add(v)
-	}
-	snap := s // Summary is a value: a copy is a snapshot
-	for _, v := range []float64{10, 14} {
-		s.Add(v)
-	}
-	d := s.DeltaSince(snap)
-	if d.Count() != 2 {
-		t.Fatalf("delta count = %d, want 2", d.Count())
-	}
-	if math.Abs(d.Mean()-12) > 1e-9 {
-		t.Errorf("delta mean = %v, want 12", d.Mean())
-	}
-	if math.Abs(d.Variance()-4) > 1e-9 {
-		t.Errorf("delta variance = %v, want 4", d.Variance())
-	}
-	// Delta from an empty snapshot is the summary itself; an empty interval
-	// is an empty summary.
-	if full := s.DeltaSince(Summary{}); full.Count() != 5 || full.Mean() != s.Mean() {
-		t.Errorf("delta from empty wrong: %+v", full)
-	}
-	if e := s.DeltaSince(s); e.Count() != 0 || e.Mean() != 0 {
-		t.Errorf("empty interval not empty: %+v", e)
 	}
 }
 
