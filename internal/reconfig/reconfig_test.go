@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -191,40 +192,56 @@ func TestStaticExpansionReduction(t *testing.T) {
 	}
 }
 
+// TestTablesMatchAdjacencyAfterReconfig: after every step of a gate-off,
+// gate-on and mount sequence, every alive router's table holds exactly the
+// entries a fresh BuildTable over the active adjacency holds, and its
+// one-hop entries are exactly the router's active links to alive nodes.
 func TestTablesMatchAdjacencyAfterReconfig(t *testing.T) {
-	n := deploy(t, topology.Config{N: 36, Ports: 4, Seed: 13, Shortcuts: true})
-	for _, v := range []int{1, 2, 3, 30} {
-		if err := n.GateOff(v); err != nil {
-			t.Fatal(err)
-		}
+	const N = 36
+	n := deploy(t, topology.Config{N: N, Ports: 4, Seed: 13, Shortcuts: true})
+	mounted := make([]bool, N)
+	for i := range mounted {
+		mounted[i] = i%5 != 0
 	}
-	out := n.OutNeighbors()
-	for u := 0; u < 36; u++ {
-		if !n.Alive(u) {
-			continue
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"gate off 1", func() error { return n.GateOff(1) }},
+		{"gate off 2", func() error { return n.GateOff(2) }},
+		{"gate off 3", func() error { return n.GateOff(3) }},
+		{"gate off 30", func() error { return n.GateOff(30) }},
+		{"gate on 2", func() error { return n.GateOn(2) }},
+		{"gate on 30", func() error { return n.GateOn(30) }},
+		{"mount subset", func() error { return n.SetAlive(mounted) }},
+		{"gate on 10", func() error { return n.GateOn(10) }},
+		{"gate off 7", func() error { return n.GateOff(7) }},
+	}
+	for _, st := range steps {
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
 		}
-		tb := n.Router.Tables[u]
-		for _, w := range out[u] {
-			if !tb.HasOneHop(w) {
-				t.Errorf("node %d: active link to %d missing from table", u, w)
-			}
-		}
-		// No one-hop entry may point at a dead node or a non-link.
-		for _, e := range tb.Entries() {
-			if e.TwoHop || !e.Valid || e.Blocked {
+		out := n.OutNeighbors()
+		for u := 0; u < N; u++ {
+			if !n.Alive(u) {
 				continue
 			}
-			if !n.Alive(e.Node) {
-				t.Errorf("node %d: one-hop entry for dead node %d", u, e.Node)
+			got := n.Router.Tables[u].Entries()
+			if want := routing.BuildTable(u, out).Entries(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: node %d table\ngot  %v\nwant %v", st.name, u, got, want)
 			}
-			found := false
-			for _, w := range out[u] {
-				if w == e.Node {
-					found = true
+			var oneHop []int
+			for _, e := range got {
+				if e.TwoHop {
+					continue
 				}
+				if !n.Alive(e.Node) {
+					t.Errorf("%s: node %d: one-hop entry for dead node %d", st.name, u, e.Node)
+				}
+				oneHop = append(oneHop, e.Node)
 			}
-			if !found {
-				t.Errorf("node %d: one-hop entry %d is not an active link", u, e.Node)
+			if !reflect.DeepEqual(oneHop, out[u]) {
+				t.Errorf("%s: node %d: one-hop entries %v, active links %v", st.name, u, oneHop, out[u])
 			}
 		}
 	}
