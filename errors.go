@@ -15,8 +15,8 @@ var (
 	ErrUnknownPattern = errors.New("stringfigure: unknown pattern or workload")
 
 	// ErrNotRoutable reports that no route exists between two alive nodes —
-	// only possible mid-reconfiguration or on a corrupted routing table; an
-	// intact String Figure network routes every alive pair (Lemma 1).
+	// only possible on a corrupted routing table; an intact or healed
+	// String Figure network routes every alive pair (Lemma 1).
 	ErrNotRoutable = errors.New("stringfigure: no route between nodes")
 
 	// ErrOutOfRange reports a node or space index outside the network.

@@ -2,17 +2,21 @@
 // String Figure paper (Section III-C): dynamic reconfiguration for power
 // management (gating memory nodes off and on) and static network expansion
 // and reduction for design reuse. It owns the dynamic state of a deployed
-// network — which nodes are alive and which wires are switched in — and
-// drives the four-step atomic reconfiguration protocol against the routing
-// tables. A network has one router: Adopt takes over the router its design
-// already built (New builds a private one), and the protocol edits that
-// router's tables in place:
+// network — which nodes are alive and which wires are switched in — and the
+// routing tables that follow it. A network has one router: Adopt takes over
+// the router its design already built (New builds a private one).
 //
-//  1. block the routing-table entries that refer to the affected node,
-//  2. disable/enable links (ring healing through shortcut wires and the
-//     mux-based topology switch of Figure 7),
-//  3. invalidate/validate and promote the corresponding entries,
-//  4. unblock the entries.
+// A reconfiguration is modelled as one atomic step: switch the links (ring
+// healing through shortcut wires and the mux-based topology switch of
+// Figure 7), then swap in rebuilt tables for every router whose one- or
+// two-hop neighborhood changed. The paper's four-step protocol also blocks
+// the affected entries before the switch, invalidates and promotes them,
+// and unblocks them after; those bits keep packets in flight safe while
+// hardware reconfigures over real time. Here the step runs between
+// simulation slices, so no packet reads a half-edited table: the transient
+// is modelled by the link wake deadlines a gate schedule sets, and deadlock
+// freedom during it comes from the escape channels, so the bits are not
+// modelled.
 //
 // The invariant maintained across every reconfiguration is that each virtual
 // space's ring is complete over the alive nodes, which preserves the Lemma 1

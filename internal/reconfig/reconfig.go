@@ -27,21 +27,18 @@ func DefaultTiming() Timing {
 // were served by pre-provisioned shortcut wires versus the generic topology
 // switch.
 type Stats struct {
-	Reconfigs          int
-	LinksDisabled      int
-	LinksEnabled       int
-	HealedByShortcut   int
-	HealedBySwitch     int
-	EntriesBlocked     int
-	EntriesPromoted    int
-	EntriesInvalidated int
-	TablesRebuilt      int
+	Reconfigs        int
+	LinksDisabled    int
+	LinksEnabled     int
+	HealedByShortcut int
+	HealedBySwitch   int
+	TablesRebuilt    int
 }
 
 // Network is a deployed String Figure network with elastic scale.
 type Network struct {
 	SF     *topology.StringFigure
-	Router *routing.Greediest // edited in place by every reconfiguration
+	Router *routing.Greediest // its tables are replaced by every reconfiguration
 	Timing Timing
 	Stats  Stats
 
@@ -62,8 +59,9 @@ func New(sf *topology.StringFigure) *Network {
 
 // Adopt deploys a String Figure network at full scale around the router a
 // design already built over out, sf's full-scale adjacency (OutNeighbors,
-// which equals AdjacencyFor with every node alive). Reconfiguration edits
-// router's tables in place: other readers of router serialize against it.
+// which equals AdjacencyFor with every node alive). Reconfiguration swaps
+// rebuilt tables into router.Tables: other readers of router serialize
+// against it.
 func Adopt(sf *topology.StringFigure, out [][]int, router *routing.Greediest) *Network {
 	n := &Network{
 		SF:        sf,
@@ -140,9 +138,9 @@ func (n *Network) AdjacencyFor(alive []bool) [][]int {
 	return topology.OutLists(N, sf.Cfg.Bidirectional, wires)
 }
 
-// GateOff powers node v down, running the four-step reconfiguration
-// protocol. It refuses to gate the last alive node or to disconnect the
-// network.
+// GateOff powers node v down: it switches the links and swaps in rebuilt
+// tables for the affected routers. It refuses to gate the last alive node
+// or to disconnect the network.
 func (n *Network) GateOff(v int) error {
 	if v < 0 || v >= len(n.alive) {
 		return fmt.Errorf("reconfig: node %d out of range", v)
@@ -154,11 +152,11 @@ func (n *Network) GateOff(v int) error {
 		return fmt.Errorf("reconfig: refusing to gate node %d below two alive nodes", v)
 	}
 	n.alive[v] = false
-	n.applyReconfig(v)
+	n.applyReconfig()
 	return nil
 }
 
-// GateOn powers node v back up, reversing GateOff with the same protocol.
+// GateOn powers node v back up, reversing GateOff.
 func (n *Network) GateOn(v int) error {
 	if v < 0 || v >= len(n.alive) {
 		return fmt.Errorf("reconfig: node %d out of range", v)
@@ -167,7 +165,7 @@ func (n *Network) GateOn(v int) error {
 		return fmt.Errorf("reconfig: node %d already on", v)
 	}
 	n.alive[v] = true
-	n.applyReconfig(v)
+	n.applyReconfig()
 	return nil
 }
 
@@ -192,21 +190,12 @@ func (n *Network) SetAlive(alive []bool) error {
 	return nil
 }
 
-// applyReconfig executes the four-step protocol around a single-node state
-// change and updates adjacency, tables and statistics.
-func (n *Network) applyReconfig(v int) {
+// applyReconfig applies a single-node state change: it switches the links,
+// one merge per router (neighbor lists are ascending, as AdjacencyFor
+// returns them), and swaps in rebuilt tables for every router whose one- or
+// two-hop neighborhood changed. Both ends of every switched link change.
+func (n *Network) applyReconfig() {
 	n.Stats.Reconfigs++
-
-	// Step 1: block entries referring to v in every alive router.
-	for u, tb := range n.Router.Tables {
-		if n.alive[u] || u == v {
-			n.Stats.EntriesBlocked += tb.Block(v)
-		}
-	}
-
-	// Step 2: enable/disable links, one merge per router (neighbor lists
-	// are ascending, as AdjacencyFor returns them). Both ends of every
-	// switched link change.
 	oldOut := n.out
 	newOut := n.AdjacencyFor(n.alive)
 	changed := make([]bool, len(n.alive))
@@ -230,33 +219,11 @@ func (n *Network) applyReconfig(v int) {
 	}
 	n.out = newOut
 
-	// Step 3: invalidate/validate entries. Rebuild the tables of every
-	// router whose one- or two-hop neighborhood changed; hardware performs
-	// this as local bit flips (Promote) plus entry validation, which we
-	// count before rebuilding.
 	affected := n.affectedRouters(changed, oldOut, newOut)
 	for _, u := range affected {
-		tb := n.Router.Tables[u]
-		n.Stats.EntriesInvalidated += tb.Invalidate(v)
-		if !n.alive[v] {
-			// The paper's fast path: former two-hop neighbors that
-			// became one-hop neighbors are promoted by flipping hop#.
-			for _, w := range n.out[u] {
-				if tb.Promote(w) {
-					n.Stats.EntriesPromoted++
-				}
-			}
-		}
 		n.Router.Tables[u] = routing.BuildTable(u, n.out)
 	}
 	n.Stats.TablesRebuilt += len(affected)
-
-	// Step 4: unblock.
-	for u, tb := range n.Router.Tables {
-		if n.alive[u] || u == v {
-			tb.Unblock(v)
-		}
-	}
 }
 
 // affectedRouters returns, ascending, the alive routers whose tables are

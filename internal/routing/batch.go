@@ -58,7 +58,7 @@ func (g *Greediest) CandidatesInto(sc *Scratch, cur, dst int) []int {
 	cands := sc.cands[:0]
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.TwoHop || !e.Valid || e.Blocked {
+		if e.TwoHop {
 			continue
 		}
 		md := g.Coords.MD(g.Metric, e.Node, dst)
@@ -77,7 +77,7 @@ func (g *Greediest) CandidatesInto(sc *Scratch, cur, dst int) []int {
 		// beats building a map.
 		for i := range t.entries {
 			e := &t.entries[i]
-			if !e.TwoHop || !e.Valid || e.Blocked {
+			if !e.TwoHop {
 				continue
 			}
 			ci := -1

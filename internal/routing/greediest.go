@@ -11,8 +11,8 @@ import (
 // simulator: given the current router and the destination router, return the
 // candidate next hops in preference order. The first candidate is the
 // deterministic (oblivious) choice; the rest enable adaptive selection. An
-// empty slice means the packet is unroutable from cur (only possible while a
-// reconfiguration has entries blocked).
+// empty slice means the packet is unroutable from cur: it is at dst, or no
+// neighbor of cur makes progress toward dst.
 type Algorithm interface {
 	Name() string
 	Candidates(cur, dst int) []int
@@ -53,8 +53,7 @@ func NewGreediestOver(sf *topology.StringFigure, bits int, out [][]int) *Greedie
 
 // BuildTables constructs per-node routing tables from an out-neighbor
 // adjacency (see BuildTable). Every table's entries are carved from one
-// arena and clipped to their length, so a later Add reallocates rather
-// than write into the next table's entries.
+// arena.
 func BuildTables(n int, out [][]int) []*Table {
 	size := 0
 	for v := 0; v < n; v++ {
@@ -68,9 +67,7 @@ func BuildTables(n int, out [][]int) []*Table {
 		t.Node = v
 		t.entries = arena[len(arena):]
 		t.fill(out)
-		k := len(t.entries)
-		t.entries = t.entries[:k:k]
-		arena = arena[:len(arena)+k]
+		arena = arena[:len(arena)+len(t.entries)]
 		tables[v] = t
 	}
 	return tables
@@ -99,16 +96,17 @@ func tableSize(v int, out [][]int) int {
 }
 
 // fill adds t's one-hop entries, then its two-hop entries, in adjacency
-// order.
+// order. Every out list holds distinct targets, so every (node, via) pair
+// is added once.
 func (t *Table) fill(out [][]int) {
 	v := t.Node
 	for _, w := range out[v] {
-		t.Add(w, -1, false)
+		t.add(w, -1, false)
 	}
 	for _, w := range out[v] {
 		for _, x := range out[w] {
 			if x != v && x != w {
-				t.Add(x, w, true)
+				t.add(x, w, true)
 			}
 		}
 	}
@@ -192,8 +190,8 @@ func (g *Greediest) Candidates(cur, dst int) []int {
 
 // Route walks greedy forwarding from src to dst and returns the node path
 // including both endpoints. It errors if a router has no strictly improving
-// neighbor (cannot happen on an intact topology; possible mid-
-// reconfiguration) or if the hop count exceeds the node count (which would
+// neighbor (cannot happen between alive routers of an intact or ring-healed
+// topology) or if the hop count exceeds the node count (which would
 // indicate a loop and is asserted against in tests).
 func (g *Greediest) Route(src, dst int) ([]int, error) {
 	path := []int{src}

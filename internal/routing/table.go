@@ -1,46 +1,43 @@
 package routing
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 )
 
 // Entry is one routing-table row, mirroring the hardware layout of Figure
-// 6(b): the neighbor's node number (log2 N bits), a blocking bit, a valid
-// bit, a hop-count bit ('0' one-hop, '1' two-hop), and — implicitly through
-// the Coordinates view — the per-space virtual coordinates. Two-hop entries
-// additionally record Via, the one-hop neighbor through which the two-hop
-// neighbor is reached, which the forwarding pipeline needs to turn a
-// lookahead win into an output port.
+// 6(b): the neighbor's node number (log2 N bits), a hop-count bit ('0'
+// one-hop, '1' two-hop), and — implicitly through the Coordinates view —
+// the per-space virtual coordinates. Two-hop entries additionally record
+// Via, the one-hop neighbor through which the two-hop neighbor is reached,
+// which the forwarding pipeline needs to turn a lookahead win into an
+// output port. The figure's blocking and valid bits are not modelled:
+// reconfiguration applies atomically between simulation slices and swaps
+// in rebuilt tables, so no packet ever reads a half-edited table.
 type Entry struct {
-	Node    int
-	Via     int // -1 for one-hop entries
-	TwoHop  bool
-	Valid   bool
-	Blocked bool
+	Node   int
+	Via    int // -1 for one-hop entries
+	TwoHop bool
 }
 
 // Table is the routing table of one router. Entries are bounded by p(p+1)
-// per Section IV; the table enforces the bound when built through the
-// topology-driven builders and reconfiguration engine. The entries are the
-// whole table: at that size a scan finds an entry faster than an index.
+// per Section IV; the topology-driven builders (BuildTable, BuildTables)
+// are the only way to fill one, and a built table never changes:
+// reconfiguration replaces the tables it affects. The entries are the whole
+// table: at that size a scan finds an entry faster than an index.
 type Table struct {
 	Node    int
 	entries []Entry
-	// view is the compact read-side copy of the usable entries the column
-	// kernel scans (see Greediest.FirstHopColumn), built on first use. Every
-	// mutator drops it; simulators running concurrently over unchanged
-	// tables may each rebuild it, and racing stores publish equal values.
+	// view is the compact read-side copy of the entries the column kernel
+	// scans (see Greediest.FirstHopColumn), built on first use. Simulators
+	// running concurrently over one table may each build it, and racing
+	// stores publish equal values.
 	view atomic.Pointer[tableView]
 }
 
-// tableView lists a table's usable entries as int32 node numbers: the
-// distinct one-hop neighbors in entry order, and the two-hop neighbors
-// reached through one[i] in two[ends[i-1]:ends[i]] (ends[-1] = 0). Two-hop
-// entries whose via is not a usable one-hop neighbor are left out: greediest
-// routing never reads them.
+// tableView lists a table's entries as int32 node numbers: the one-hop
+// neighbors in entry order, and the two-hop neighbors reached through
+// one[i] in two[ends[i-1]:ends[i]] (ends[-1] = 0).
 type tableView struct {
 	one, ends, two []int32
 }
@@ -54,43 +51,24 @@ func (v *tableView) group(i int) []int32 {
 	return v.two[lo:v.ends[i]]
 }
 
-// NewTable creates an empty routing table for the given router.
-func NewTable(node int) *Table {
-	return &Table{Node: node}
-}
-
-// dropView forgets the compact view after a mutation. Mutations happen while
-// no simulator reads the table, so the common case — a table being built,
-// which never had a view — costs a load and no atomic write.
-func (t *Table) dropView() {
-	if t.view.Load() != nil {
-		t.view.Store(nil)
-	}
-}
-
-// viewSize bounds the int32s buildView carves for t: a node per usable
-// entry, plus a group end per one-hop one.
+// viewSize counts the int32s buildView carves for t: a node per entry,
+// plus a group end per one-hop one.
 func (t *Table) viewSize() int {
-	n := 0
+	n := len(t.entries)
 	for i := range t.entries {
-		if e := &t.entries[i]; e.Valid && !e.Blocked {
+		if !t.entries[i].TwoHop {
 			n++
-			if !e.TwoHop {
-				n++
-			}
 		}
 	}
 	return n
 }
 
-// buildView fills v from t's usable entries, carving its slices from buf,
-// and returns what is left of buf.
+// buildView fills v from t's entries, carving its slices from buf, and
+// returns what is left of buf.
 func (t *Table) buildView(v *tableView, buf []int32) []int32 {
 	one := buf[:0]
 	for i := range t.entries {
-		// A node listed twice as one-hop (possible after Promote) is one
-		// candidate, scored through its first listing, as CandidatesInto does.
-		if e := &t.entries[i]; !e.TwoHop && e.Valid && !e.Blocked && !slices.Contains(one, int32(e.Node)) {
+		if e := &t.entries[i]; !e.TwoHop {
 			one = append(one, int32(e.Node))
 		}
 	}
@@ -99,7 +77,7 @@ func (t *Table) buildView(v *tableView, buf []int32) []int32 {
 	two := buf[:0]
 	for i, w := range v.one {
 		for j := range t.entries {
-			if e := &t.entries[j]; e.TwoHop && e.Valid && !e.Blocked && int32(e.Via) == w {
+			if e := &t.entries[j]; e.TwoHop && int32(e.Via) == w {
 				two = append(two, int32(e.Node))
 			}
 		}
@@ -109,20 +87,12 @@ func (t *Table) buildView(v *tableView, buf []int32) []int32 {
 	return buf
 }
 
-// Add inserts an entry, or re-validates the first one with the same node
-// and via. One-hop entries use via = -1.
-func (t *Table) Add(node, via int, twoHop bool) {
-	t.dropView()
-	for i := range t.entries {
-		if e := &t.entries[i]; e.Node == node && e.Via == via {
-			e.Valid, e.Blocked, e.TwoHop = true, false, twoHop
-			return
-		}
-	}
-	t.entries = append(t.entries, Entry{Node: node, Via: via, TwoHop: twoHop, Valid: true})
+// add appends an entry; one-hop entries use via = -1.
+func (t *Table) add(node, via int, twoHop bool) {
+	t.entries = append(t.entries, Entry{Node: node, Via: via, TwoHop: twoHop})
 }
 
-// Len returns the number of entries (valid or not).
+// Len returns the number of entries.
 func (t *Table) Len() int { return len(t.entries) }
 
 // Entries returns a copy of the entries, sorted for deterministic output.
@@ -137,101 +107,33 @@ func (t *Table) Entries() []Entry {
 	return out
 }
 
-// visitOneHop calls fn for every usable (valid, unblocked) one-hop entry.
+// visitOneHop calls fn for every one-hop entry.
 func (t *Table) visitOneHop(fn func(node int)) {
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.TwoHop && e.Valid && !e.Blocked {
+		if !e.TwoHop {
 			fn(e.Node)
 		}
 	}
 }
 
-// visitTwoHop calls fn for every usable two-hop entry.
+// visitTwoHop calls fn for every two-hop entry.
 func (t *Table) visitTwoHop(fn func(node, via int)) {
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.TwoHop && e.Valid && !e.Blocked {
+		if e.TwoHop {
 			fn(e.Node, e.Via)
 		}
 	}
 }
 
-// setBlockedWhere sets the blocking bit on entries selected by match.
-func (t *Table) setBlockedWhere(match func(Entry) bool, blocked bool) int {
-	t.dropView()
-	n := 0
-	for i := range t.entries {
-		if match(t.entries[i]) {
-			t.entries[i].Blocked = blocked
-			n++
-		}
-	}
-	return n
-}
-
-// Block sets the blocking bit on every entry that refers to the given node,
-// either as the neighbor itself or as the via of a two-hop entry. This is
-// step 1 of the reconfiguration protocol (Section III-C).
-func (t *Table) Block(node int) int {
-	return t.setBlockedWhere(func(e Entry) bool { return e.Node == node || e.Via == node }, true)
-}
-
-// Unblock clears the blocking bit set by Block — step 4 of reconfiguration.
-func (t *Table) Unblock(node int) int {
-	return t.setBlockedWhere(func(e Entry) bool { return e.Node == node || e.Via == node }, false)
-}
-
-// Invalidate clears the valid bit on entries referring to node (as target or
-// via) — used when a neighbor is power-gated off.
-func (t *Table) Invalidate(node int) int {
-	t.dropView()
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].Node == node || t.entries[i].Via == node {
-			t.entries[i].Valid = false
-			n++
-		}
-	}
-	return n
-}
-
-// Promote flips a two-hop entry for node (via any path) into a one-hop
-// entry — the "original two-hop neighbors are now one-hop neighbors" bit
-// flip of Section III-C. It returns false if no entry for node exists, in
-// which case the caller adds a fresh entry instead.
-func (t *Table) Promote(node int) bool {
-	t.dropView()
-	for i := range t.entries {
-		if e := &t.entries[i]; e.Node == node && e.TwoHop {
-			e.TwoHop, e.Via, e.Valid = false, -1, true
-			return true
-		}
-	}
-	return false
-}
-
-// HasOneHop reports whether node is a usable one-hop neighbor.
+// HasOneHop reports whether node is a one-hop neighbor.
 func (t *Table) HasOneHop(node int) bool {
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.TwoHop && e.Node == node && e.Valid && !e.Blocked {
+		if !e.TwoHop && e.Node == node {
 			return true
 		}
 	}
 	return false
-}
-
-// String renders the table in the layout of Figure 6(b).
-func (t *Table) String() string {
-	s := fmt.Sprintf("routing table of node %d (%d entries)\n", t.Node, len(t.entries))
-	s += "node  via  hop#  valid  blocked\n"
-	for _, e := range t.Entries() {
-		hop := 0
-		if e.TwoHop {
-			hop = 1
-		}
-		s += fmt.Sprintf("%4d  %3d  %4d  %5v  %7v\n", e.Node, e.Via, hop, e.Valid, e.Blocked)
-	}
-	return s
 }

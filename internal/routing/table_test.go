@@ -2,16 +2,20 @@ package routing
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/topology"
 )
 
+// TestTableAddAndLookup builds a table over a hand-made adjacency and
+// reads its one- and two-hop entries back.
 func TestTableAddAndLookup(t *testing.T) {
-	tb := NewTable(0)
-	tb.Add(1, -1, false)
-	tb.Add(2, 1, true)
+	out := [][]int{
+		0: {1},
+		1: {0, 2},
+		2: {},
+	}
+	tb := BuildTable(0, out)
 	if tb.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tb.Len())
 	}
@@ -21,110 +25,9 @@ func TestTableAddAndLookup(t *testing.T) {
 	if tb.HasOneHop(2) {
 		t.Error("node 2 is two-hop, not one-hop")
 	}
-	// Re-adding is idempotent.
-	tb.Add(1, -1, false)
-	if tb.Len() != 2 {
-		t.Errorf("duplicate Add grew table to %d", tb.Len())
-	}
-}
-
-func TestTableBlockUnblock(t *testing.T) {
-	tb := NewTable(0)
-	tb.Add(1, -1, false)
-	tb.Add(5, 1, true) // two-hop via 1
-	tb.Add(2, -1, false)
-
-	n := tb.Block(1)
-	if n != 2 {
-		t.Errorf("Block(1) touched %d entries, want 2 (entry for 1 and via-1)", n)
-	}
-	if tb.HasOneHop(1) {
-		t.Error("blocked entry still usable")
-	}
-	var twoHopSeen int
-	tb.visitTwoHop(func(node, via int) { twoHopSeen++ })
-	if twoHopSeen != 0 {
-		t.Error("blocked via entry still visited")
-	}
-	tb.Unblock(1)
-	if !tb.HasOneHop(1) {
-		t.Error("unblock did not restore entry")
-	}
-}
-
-func TestTableInvalidate(t *testing.T) {
-	tb := NewTable(0)
-	tb.Add(1, -1, false)
-	tb.Add(3, 1, true)
-	tb.Invalidate(1)
-	if tb.HasOneHop(1) {
-		t.Error("invalidated entry still usable")
-	}
-	count := 0
-	tb.visitTwoHop(func(node, via int) { count++ })
-	if count != 0 {
-		t.Error("two-hop entry via invalidated node still usable")
-	}
-	// Add re-validates.
-	tb.Add(1, -1, false)
-	if !tb.HasOneHop(1) {
-		t.Error("re-Add did not re-validate")
-	}
-}
-
-func TestTablePromote(t *testing.T) {
-	tb := NewTable(0)
-	tb.Add(2, 1, true)
-	if !tb.Promote(2) {
-		t.Fatal("Promote(2) = false, want true")
-	}
-	if !tb.HasOneHop(2) {
-		t.Error("promoted entry is not one-hop")
-	}
-	if tb.Promote(2) {
-		t.Error("second Promote should return false (already one-hop)")
-	}
-	if tb.Promote(99) {
-		t.Error("Promote of unknown node should return false")
-	}
-}
-
-// TestBuildTablesArenaIsolation adds fresh entries to tables carved from
-// one arena: each lands in its own table, and no neighbouring table's
-// entries move.
-func TestBuildTablesArenaIsolation(t *testing.T) {
-	sf, err := topology.NewStringFigure(topology.Config{N: 32, Ports: 4, Seed: 1, Bidirectional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := BuildTables(32, sf.OutNeighbors())
-	before := make([][]Entry, len(tables))
-	for v, tb := range tables {
-		before[v] = slices.Clone(tb.entries)
-	}
-	for v := 0; v < len(tables); v += 2 {
-		tables[v].Add(99, 98, true)
-	}
-	for v, tb := range tables {
-		want := before[v]
-		if v%2 == 0 {
-			want = append(slices.Clone(want), Entry{Node: 99, Via: 98, TwoHop: true, Valid: true})
-		}
-		if !slices.Equal(tb.entries, want) {
-			t.Fatalf("table %d after the even tables' Add:\ngot  %v\nwant %v", v, tb.entries, want)
-		}
-	}
-}
-
-func TestTableString(t *testing.T) {
-	tb := NewTable(7)
-	tb.Add(1, -1, false)
-	tb.Add(2, 1, true)
-	s := tb.String()
-	for _, want := range []string{"node 7", "hop#", "blocked"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("table string missing %q:\n%s", want, s)
-		}
+	want := []Entry{{Node: 1, Via: -1}, {Node: 2, Via: 1, TwoHop: true}}
+	if got := tb.Entries(); !slices.Equal(got, want) {
+		t.Errorf("Entries = %v, want %v", got, want)
 	}
 }
 

@@ -114,7 +114,7 @@ func (n *Network) OutNeighbors(v int) []int {
 // except FB/AFB, routers and nodes coincide): the first candidate of the
 // design's router at every hop. It reports ErrOutOfRange for invalid
 // indices, ErrNodeDead when either endpoint is powered off, and
-// ErrNotRoutable when forwarding fails (possible only mid-reconfiguration).
+// ErrNotRoutable when forwarding fails (only on a corrupted routing table).
 func (n *Network) Route(src, dst int) ([]int, error) {
 	if src < 0 || src >= n.d.N || dst < 0 || dst >= n.d.N {
 		return nil, fmt.Errorf("%w: route %d -> %d on %d nodes", ErrOutOfRange, src, dst, n.d.N)
@@ -149,9 +149,10 @@ func (n *Network) MD(u, v int) float64 {
 	return g.MD(u, v)
 }
 
-// GateOff powers a node down using the four-step reconfiguration protocol;
-// ring healing through shortcut wires keeps every alive pair routable. It
-// reports ErrNotReconfigurable on the baseline designs.
+// GateOff powers a node down: in one atomic step it switches the links and
+// swaps in rebuilt routing tables for the routers whose neighborhood
+// changed; ring healing through shortcut wires keeps every alive pair
+// routable. It reports ErrNotReconfigurable on the baseline designs.
 func (n *Network) GateOff(v int) error {
 	if n.net == nil {
 		return fmt.Errorf("%w: gate off on %s", ErrNotReconfigurable, n.d.Spec.Kind)

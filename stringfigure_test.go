@@ -133,9 +133,9 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := sess.Run(TraceWorkload{Workload: "bogus"}); !errors.Is(err, ErrUnknownPattern) {
 		t.Errorf("bogus workload err = %v, want ErrUnknownPattern", err)
 	}
-	// ErrNotRoutable is only reachable mid-reconfiguration on real
-	// hardware; emulate the transient by blanking one routing table.
-	net.net.Router.Tables[10] = routing.NewTable(10)
+	// ErrNotRoutable is unreachable between alive routers of a healed
+	// network; provoke it by blanking one routing table.
+	net.net.Router.Tables[10] = &routing.Table{Node: 10}
 	if _, err := net.Route(10, 20); !errors.Is(err, ErrNotRoutable) {
 		t.Errorf("unroutable err = %v, want ErrNotRoutable", err)
 	}
