@@ -89,8 +89,7 @@ func gatedEDP(n int, workload string, frac float64, ops int, seed int64) (float6
 			return 0, err
 		}
 		d := net.ReconfigStats()
-		transitionNs += float64(d.LinksDisabled-before.LinksDisabled)*timing.LinkSleepNs +
-			float64(d.LinksEnabled-before.LinksEnabled)*timing.LinkWakeNs
+		transitionNs += timing.TransitionNs(d.LinksDisabled-before.LinksDisabled, d.LinksEnabled-before.LinksEnabled)
 		gated++
 	}
 

@@ -23,6 +23,13 @@ func DefaultTiming() Timing {
 	return Timing{LinkSleepNs: 680, LinkWakeNs: 5000, MinIntervalNs: 100_000}
 }
 
+// TransitionNs returns the modeled wall-clock cost of switching links:
+// each disabled link costs a sleep transition and each enabled one a
+// wake-up, serialized per the atomic protocol.
+func (t Timing) TransitionNs(disabled, enabled int) float64 {
+	return float64(disabled)*t.LinkSleepNs + float64(enabled)*t.LinkWakeNs
+}
+
 // Stats counts reconfiguration work, including how many ring-healing links
 // were served by pre-provisioned shortcut wires versus the generic topology
 // switch.
@@ -246,13 +253,6 @@ func (n *Network) rebuildAll() {
 	n.out = n.AdjacencyFor(n.alive)
 	n.Router.Tables = routing.BuildTables(n.SF.Cfg.N, n.out)
 	n.Stats.TablesRebuilt += n.AliveCount()
-}
-
-// ReconfigLatencyNs returns the modeled wall-clock cost of one
-// reconfiguration: disabling links costs a sleep transition, enabling costs
-// a wake-up, serialized per the atomic protocol.
-func (n *Network) ReconfigLatencyNs(linksDisabled, linksEnabled int) float64 {
-	return float64(linksDisabled)*n.Timing.LinkSleepNs + float64(linksEnabled)*n.Timing.LinkWakeNs
 }
 
 // MergeSorted walks two ascending lists without duplicates — neighbor

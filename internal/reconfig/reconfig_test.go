@@ -248,13 +248,12 @@ func TestTablesMatchAdjacencyAfterReconfig(t *testing.T) {
 }
 
 func TestReconfigLatencyModel(t *testing.T) {
-	n := deploy(t, topology.Config{N: 10, Ports: 4, Seed: 1})
-	got := n.ReconfigLatencyNs(2, 3)
+	tm := DefaultTiming()
+	got := tm.TransitionNs(2, 3)
 	want := 2*680.0 + 3*5000.0
 	if got != want {
-		t.Errorf("ReconfigLatencyNs = %v, want %v", got, want)
+		t.Errorf("TransitionNs = %v, want %v", got, want)
 	}
-	tm := DefaultTiming()
 	if tm.MinIntervalNs != 100_000 {
 		t.Errorf("MinIntervalNs = %v, want 100us", tm.MinIntervalNs)
 	}
