@@ -143,9 +143,10 @@ func (m *MetricsServer) Observe(t TelemetrySnapshot) {
 	m.dropped += max(t.Dropped, 0)
 	m.inFlight = int64(t.InFlight)
 	if t.Delivered > 0 {
-		// Bucket by the latency's integer part; a negative one counts
-		// in the first bucket.
-		m.latency[sort.SearchInts(defaultLatencyBuckets[:], int(t.AvgLatencyNs))]++
+		// The first bound at or above the latency (Prometheus' le rule); a
+		// negative one counts in the first bucket.
+		b := defaultLatencyBuckets[:]
+		m.latency[sort.Search(len(b), func(i int) bool { return t.AvgLatencyNs <= float64(b[i]) })]++
 		m.latencySum += t.AvgLatencyNs
 	}
 	for _, f := range t.Flows {
