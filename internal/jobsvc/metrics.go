@@ -7,13 +7,16 @@ import (
 	"repro/internal/metrics"
 )
 
-// RegisterMetrics exposes the service's per-tenant health on reg as gauge
-// families, read off the live job table at scrape time:
+// RegisterMetrics exposes the service's per-tenant health on reg, read off
+// the live job table at scrape time:
 //
-//	sfserve_queue_depth{tenant="..."}      queued jobs per tenant
-//	sfserve_jobs_running{tenant="..."}     running jobs per tenant
-//	sfserve_jobs_total                     jobs known to the service
-//	sfserve_points_completed{tenant="..."} points checkpointed this process
+//	sfserve_queue_depth{tenant="..."}      gauge: queued jobs per tenant
+//	sfserve_jobs_running{tenant="..."}     gauge: running jobs per tenant
+//	sfserve_jobs_total                     counter: jobs known to the service
+//	sfserve_points_completed{tenant="..."} counter: points checkpointed this process
+//
+// The two counters only grow: jobs are never removed from the table, and
+// the per-tenant point counts only add.
 func (s *Service) RegisterMetrics(reg *metrics.Registry) {
 	reg.Register("sfserve_queue_depth",
 		"Queued jobs per tenant.", "gauge",
@@ -22,7 +25,7 @@ func (s *Service) RegisterMetrics(reg *metrics.Registry) {
 		"Running jobs per tenant.", "gauge",
 		func() []metrics.Sample { return s.tenantStateSamples("sfserve_jobs_running", StateRunning) })
 	reg.Register("sfserve_jobs_total",
-		"Jobs known to the service in any state.", "gauge",
+		"Jobs known to the service in any state.", "counter",
 		func() []metrics.Sample {
 			s.mu.Lock()
 			n := len(s.jobs)
@@ -30,7 +33,7 @@ func (s *Service) RegisterMetrics(reg *metrics.Registry) {
 			return []metrics.Sample{{Name: "sfserve_jobs_total", Value: float64(n)}}
 		})
 	reg.Register("sfserve_points_completed",
-		"Sweep points checkpointed per tenant since this process started.", "gauge",
+		"Sweep points checkpointed per tenant since this process started.", "counter",
 		func() []metrics.Sample {
 			s.mu.Lock()
 			out := make([]metrics.Sample, 0, len(s.served))
