@@ -11,12 +11,11 @@
 // Figure 7), then swap in rebuilt tables for every router whose one- or
 // two-hop neighborhood changed. The paper's four-step protocol also blocks
 // the affected entries before the switch, invalidates and promotes them,
-// and unblocks them after; those bits keep packets in flight safe while
-// hardware reconfigures over real time. Here the step runs between
-// simulation slices, so no packet reads a half-edited table: the transient
-// is modelled by the link wake deadlines a gate schedule sets, and deadlock
-// freedom during it comes from the escape channels, so the bits are not
-// modelled.
+// and unblocks them after, to keep packets in flight safe while hardware
+// reconfigures over real time. Those bits are not modelled: here the step
+// runs between simulation slices, so no packet reads a half-edited table;
+// the transient is the link wake deadlines a gate schedule sets, and the
+// escape channels keep it deadlock-free.
 //
 // The invariant maintained across every reconfiguration is that each virtual
 // space's ring is complete over the alive nodes, which preserves the Lemma 1
