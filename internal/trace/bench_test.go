@@ -40,18 +40,19 @@ func BenchmarkTraceGenerate(b *testing.B) {
 }
 
 // BenchmarkTraceSlotSynthesis times the path sessions take: each synthesis
-// runs on a warm synthesis slot, whose hierarchy the previous one dirtied
-// and Reset leaves for the lazy warm-up to empty unit by unit.
+// builds its workload afresh, as Shared does, and runs on a warm synthesis
+// slot, whose hierarchy the previous one dirtied and Reset leaves for the
+// lazy warm-up to empty unit by unit.
 func BenchmarkTraceSlotSynthesis(b *testing.B) {
 	m := memnode.NewAddressMap(128)
 	for _, name := range WorkloadNames {
 		b.Run(name, func(b *testing.B) {
-			w, err := NewWorkload(name, m.CapacityBytes(), 1)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				w, err := NewWorkload(name, m.CapacityBytes(), 1)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if _, err := synthesizeOnSlot(w, m, 400, 101); err != nil {
 					b.Fatal(err)
 				}
