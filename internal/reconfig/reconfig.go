@@ -226,7 +226,7 @@ func (n *Network) applyReconfig() {
 	}
 	n.out = newOut
 
-	affected := n.affectedRouters(changed, oldOut, newOut)
+	affected := n.affectedRouters(changed, oldOut)
 	for _, u := range affected {
 		n.Router.Tables[u] = routing.BuildTable(u, n.out)
 	}
@@ -234,13 +234,14 @@ func (n *Network) applyReconfig() {
 }
 
 // affectedRouters returns, ascending, the alive routers whose tables are
-// stale: those with changed out-links, or with a neighbor (old or new)
-// whose out-links changed.
-func (n *Network) affectedRouters(changed []bool, oldOut, newOut [][]int) []int {
+// stale: those with changed out-links, or with a neighbor whose out-links
+// changed. Old neighbors are enough: a new neighbor that was not an old
+// one is a newly enabled link, which already marks u changed.
+func (n *Network) affectedRouters(changed []bool, oldOut [][]int) []int {
 	isChanged := func(w int) bool { return changed[w] }
 	var affected []int
 	for u := range n.out {
-		if n.alive[u] && (changed[u] || slices.ContainsFunc(oldOut[u], isChanged) || slices.ContainsFunc(newOut[u], isChanged)) {
+		if n.alive[u] && (changed[u] || slices.ContainsFunc(oldOut[u], isChanged)) {
 			affected = append(affected, u)
 		}
 	}
