@@ -770,6 +770,7 @@ func (s *Sim) send(r *router, out int, f flit) {
 	}
 	q.buf[(q.head+q.n)&uint32(len(q.buf)-1)] = rec
 	q.n++
+	s.st.LaneHighWater = max(s.st.LaneHighWater, int64(q.n))
 }
 
 // laneOverflow is send's failure path, out of line so its panic value stays

@@ -72,10 +72,10 @@ func (s *Sim) RunMeasured(warmup, measure int64) Results {
 // alone), and appears on no Result, Snapshot or wire message, so keeping
 // it costs the results nothing.
 //
-// The route-cache, delivery and grant-scan counts are the event core's; a
-// reference-core run leaves them zero. The packet, source-queue and escape
-// counts come from transitions the two cores share, so they agree across
-// cores.
+// The route-cache, delivery (lane high-water included) and grant-scan
+// counts are the event core's; a reference-core run leaves them zero. The
+// packet, source-queue and escape counts come from transitions the two
+// cores share, so they agree across cores.
 type EngineStats struct {
 	// RouteHits counts routing decisions served by a filled route-cache
 	// entry; RouteMisses counts empty entries resolved for their own
@@ -87,8 +87,9 @@ type EngineStats struct {
 	OverThreshold int64
 	// LaneFlits and FarFlits count link deliveries out of the delivery
 	// lanes and out of the far heap (flits sent onto a waking link);
-	// FarHighWater is the most flits the far heap held at once.
-	LaneFlits, FarFlits, FarHighWater int64
+	// FarHighWater is the most flits the far heap held at once, and
+	// LaneHighWater the most records any one delivery lane held at once.
+	LaneFlits, FarFlits, FarHighWater, LaneHighWater int64
 	// PoolGrowths counts growths of the packet pool; PoolHighWater is the
 	// largest number of packets in flight at once.
 	PoolGrowths, PoolHighWater int64
