@@ -93,6 +93,49 @@ func (l *level) touch(lineAddr uint64, write bool) (hit bool, evicted uint64, wa
 	return hit, evicted, wasDirty
 }
 
+// touch4 is touch for a 4-way level, reporting only whether the access
+// hit: it compares all four ways and moves them with selects, where touch
+// runs a data-dependent probe loop and a copy.
+func (l *level) touch4(lineAddr uint64, write bool) bool {
+	base := int(lineAddr&l.setMask) * 4
+	s := (*[4]uint64)(l.ways[base : base+4])
+	key := lineAddr<<2 | wayValid
+	w0, w1, w2, w3 := s[0], s[1], s[2], s[3]
+	// i is the way that goes to MRU: the hit way, or the LRU way on a miss.
+	// A line sits in at most one way of its set, so at most one compare
+	// holds.
+	i := 3 - 3*b2i(w0&^wayDirty == key) - 2*b2i(w1&^wayDirty == key) - b2i(w2&^wayDirty == key)
+	w := s[i&3]
+	hit := w&^wayDirty == key
+	if !hit {
+		w = key
+	}
+	if write {
+		w |= wayDirty
+	}
+	// The ways above i move down one.
+	n1, n2, n3 := w1, w2, w3
+	if i >= 1 {
+		n1 = w0
+	}
+	if i >= 2 {
+		n2 = w1
+	}
+	if i >= 3 {
+		n3 = w2
+	}
+	s[0], s[1], s[2], s[3] = w, n1, n2, n3
+	return hit
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Hierarchy is the paper's three-level hierarchy. It is not safe for
 // concurrent use; the trace generator drives each one from one goroutine
 // at a time.
@@ -123,10 +166,12 @@ type Hierarchy struct {
 // (entry k in the low half of the unit's way k/2 when k is even, the high
 // half when odd, counting the ways of the unit's L3 sets in index order so
 // that a log fills one host cache line at a time), each packed as
-// (line>>bits)<<1 | write; the unit's own index supplies the low bits.
-// Entries past that inline capacity (256 in the paper geometry) go to
-// chunks of the shared overflow arena. Making a unit live empties its sets
-// and replays its log through them, in order.
+// (line>>bits)<<1 | write; the unit's own index supplies the low bits. An
+// even entry waits in the unit's pending slot until the odd one after it
+// arrives, and the pair goes to its way in one whole-word store, so the
+// log never reads the L3 array. Entries past that inline capacity (256 in
+// the paper geometry) go to chunks of the shared overflow arena. Making a
+// unit live empties its sets and replays its log through them, in order.
 type lazy struct {
 	mask   uint64
 	bits   uint // log2 of the unit count
@@ -140,10 +185,13 @@ type lazy struct {
 	scratch []uint32
 }
 
-// unitLog is one unit's log: its length, or live once replayed, and the
-// word offsets of its first and last overflow chunk when it has any.
+// unitLog is one unit's log: its length, or live once replayed; the word
+// offsets of its first and last overflow chunk when it has any; and the
+// even entry still waiting for its pair when the length is odd and within
+// the inline capacity.
 type unitLog struct {
-	n, head, tail int
+	n, head, tail int32
+	pending       uint32
 }
 
 // live marks a unit whose sets hold its cache state.
@@ -255,7 +303,11 @@ func (h *Hierarchy) Access(addr uint64, t AccessType) Result {
 func (h *Hierarchy) Warm(addr uint64, t AccessType) {
 	line := addr / LineSize
 	write := t == Write
-	if hit, _, _ := h.l1.touch(line, write); hit {
+	if h.l1.assoc == 4 {
+		if h.l1.touch4(line, write) {
+			return
+		}
+	} else if hit, _, _ := h.l1.touch(line, write); hit {
 		return
 	}
 	u := line & h.lz.mask
@@ -285,26 +337,25 @@ func (h *Hierarchy) below(line uint64, write bool) {
 func (h *Hierarchy) log(u uint64, e uint32) {
 	z := &h.lz
 	ul := &z.units[u]
-	if k := ul.n; k < z.inline {
-		w := &h.l3.ways[h.inlineWay(u, k/2)]
+	if k := int(ul.n); k < z.inline {
 		if k&1 == 0 {
-			*w = uint64(e)
+			ul.pending = e
 		} else {
-			*w |= uint64(e) << 32
+			h.l3.ways[h.inlineWay(u, k/2)] = uint64(ul.pending) | uint64(e)<<32
 		}
 	} else {
 		j := (k - z.inline) % chunkEntries
 		if j == 0 {
-			c := len(z.ovf)
+			c := int32(len(z.ovf))
 			z.ovf = append(z.ovf, emptyChunk[:]...)
 			if k == z.inline {
 				ul.head = c
 			} else {
-				z.ovf[ul.tail+chunkEntries] = uint32(c)
+				z.ovf[int(ul.tail)+chunkEntries] = uint32(c)
 			}
 			ul.tail = c
 		}
-		z.ovf[ul.tail+j] = e
+		z.ovf[int(ul.tail)+j] = e
 	}
 	ul.n++
 	h.Logged++
@@ -320,14 +371,17 @@ func (h *Hierarchy) inlineWay(u uint64, i int) int {
 func (h *Hierarchy) materialize(u uint64) {
 	z := &h.lz
 	ul := &z.units[u]
-	n := ul.n
+	n := int(ul.n)
 	ul.n = live
 	h.Materialized++
 	h.Replayed += int64(n)
 	in := z.scratch[:min(n, z.inline)]
-	for k := range in {
+	for k := 0; k+1 < len(in); k += 2 {
 		w := h.l3.ways[h.inlineWay(u, k/2)]
-		in[k] = uint32(w >> (32 * (k & 1)))
+		in[k], in[k+1] = uint32(w), uint32(w>>32)
+	}
+	if len(in)&1 == 1 {
+		in[len(in)-1] = ul.pending
 	}
 	for s := u; s <= h.l2.setMask; s += z.mask + 1 {
 		clear(h.l2.set(s))
@@ -338,7 +392,7 @@ func (h *Hierarchy) materialize(u uint64) {
 	for _, e := range in {
 		h.replay(u, e)
 	}
-	for c, rest := ul.head, n-len(in); rest > 0; rest -= chunkEntries {
+	for c, rest := int(ul.head), n-len(in); rest > 0; rest -= chunkEntries {
 		for _, e := range z.ovf[c : c+min(rest, chunkEntries)] {
 			h.replay(u, e)
 		}

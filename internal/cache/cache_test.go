@@ -545,3 +545,24 @@ func FuzzHierarchyDifferential(f *testing.F) {
 		differ(t, g, stream[:nwarm], stream[nwarm:])
 	})
 }
+
+// TestTouch4MatchesTouch runs one random stream through two 4-way levels,
+// one with touch and one with touch4: every hit flag and, after every
+// access, every way (line, dirty and valid bits, LRU order) must agree.
+// The lines come from a pool four times the level's size, so the stream
+// hits each MRU position, misses, and evicts clean and dirty lines.
+func TestTouch4MatchesTouch(t *testing.T) {
+	ref, fast := newLevel(8*4*LineSize, 4), newLevel(8*4*LineSize, 4)
+	rng := rand.New(rand.NewSource(4))
+	for i := range 200_000 {
+		line, write := uint64(rng.Intn(128)), rng.Intn(3) == 0
+		want, _, _ := ref.touch(line, write)
+		if got := fast.touch4(line, write); got != want {
+			t.Fatalf("access %d (line %d): touch4 hit %v, touch %v", i, line, got, want)
+		}
+		s := line & ref.setMask
+		if got, want := fast.set(s), ref.set(s); [4]uint64(got) != [4]uint64(want) {
+			t.Fatalf("access %d (line %d): set %x after touch4, %x after touch", i, line, got, want)
+		}
+	}
+}
