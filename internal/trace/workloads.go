@@ -87,7 +87,7 @@ func NewWorkload(name string, capacity uint64, seed int64) (Workload, error) {
 	case "kmeans":
 		// K-means: streaming scan of the observation array plus hot
 		// centroid reads/writes.
-		return &kmeans{span: capacity, k: 64, dims: 16, instrPerOp: 5, seed: seed}, nil
+		return &kmeans{span: capacity, instrPerOp: 5, seed: seed}, nil
 	default:
 		return nil, fmt.Errorf("%w %q (want one of %v)", ErrUnknownWorkload, name, WorkloadNames)
 	}
@@ -134,7 +134,7 @@ type graphWalk struct {
 	instrPerOp int64
 	seed       int64
 	edgeCursor uint64
-	zipf       *rand.Zipf
+	zipf       *zipf
 }
 
 func (w *graphWalk) Name() string { return w.name }
@@ -142,7 +142,7 @@ func (w *graphWalk) Name() string { return w.name }
 func (w *graphWalk) Next(rng *rand.Rand) Access {
 	if w.zipf == nil {
 		zr := rand.New(rand.NewSource(w.seed))
-		w.zipf = rand.NewZipf(zr, 1.0/w.alpha+1, 1, w.vertices/64-1)
+		w.zipf = newZipf(zr, 1.0/w.alpha+1, 1, w.vertices/64-1)
 	}
 	instr := jitter(rng, w.instrPerOp)
 	r := rng.Float64()
@@ -173,7 +173,7 @@ type keyValue struct {
 	getFrac    float64
 	instrPerOp int64
 	seed       int64
-	zipf       *rand.Zipf
+	zipf       *zipf
 	perm       []uint64
 	// pending[head:tail] are the object's remaining lines. The queue is
 	// refilled only when empty and an object has at most 8 lines, so a
@@ -194,7 +194,7 @@ func (w *keyValue) Next(rng *rand.Rand) Access {
 	if w.zipf == nil {
 		objects := w.span / (w.objLines * 64)
 		zr := rand.New(rand.NewSource(w.seed))
-		w.zipf = rand.NewZipf(zr, w.alpha+1, 1, objects-1)
+		w.zipf = newZipf(zr, w.alpha+1, 1, objects-1)
 		// Scatter popular objects across the address space.
 		w.perm = make([]uint64, 4096)
 		pr := rand.New(rand.NewSource(w.seed ^ 0x9e37))
@@ -207,10 +207,15 @@ func (w *keyValue) Next(rng *rand.Rand) Access {
 	write := rng.Float64() >= w.getFrac
 	instr := jitter(rng, w.instrPerOp)
 	// Touch every line of the object: first access returned now, the rest
-	// queued with small instruction gaps.
+	// queued with small instruction gaps. base < span and the object is
+	// far smaller than the span, so a line wraps with one subtraction.
 	w.head, w.tail = 0, 0
 	for i := uint64(1); i < w.objLines; i++ {
-		w.pending[w.tail] = Access{Addr: (base + i*64) % w.span, Write: write, Instr: 2}
+		addr := base + i*64
+		if addr >= w.span {
+			addr -= w.span
+		}
+		w.pending[w.tail] = Access{Addr: addr, Write: write, Instr: 2}
 		w.tail++
 	}
 	return Access{Addr: base, Write: write, Instr: instr}
@@ -220,7 +225,6 @@ func (w *keyValue) Next(rng *rand.Rand) Access {
 // blocks of float64.
 type matMul struct {
 	n       uint64 // matrix dimension in elements
-	block   uint64
 	a, b, c uint64 // base addresses
 	i, j, k uint64 // current block indices
 	phase   int    // element streaming position within the block op
@@ -231,7 +235,7 @@ type matMul struct {
 func newMatMul(capacity uint64, seed int64) *matMul {
 	// Three n x n float64 matrices (24 n^2 bytes) filling the capacity.
 	n := uint64(math.Sqrt(float64(capacity/24))) / 8 * 8
-	m := &matMul{n: n, block: 64, instr: 3}
+	m := &matMul{n: n, instr: 3}
 	m.a = 0
 	m.b = n * n * 8
 	m.c = 2 * n * n * 8
@@ -239,32 +243,36 @@ func newMatMul(capacity uint64, seed int64) *matMul {
 	return m
 }
 
+// matBlock is matMul's block edge in elements; as a constant, the block
+// arithmetic of every access is shifts and masks.
+const matBlock = 64
+
 func (w *matMul) Name() string { return "matmul" }
 
 func (w *matMul) Next(rng *rand.Rand) Access {
 	instr := jitter(rng, w.instr)
-	nBlocks := w.n / w.block
+	nBlocks := w.n / matBlock
 	if nBlocks == 0 {
 		nBlocks = 1
 	}
-	elemsPerBlock := w.block * w.block
+	const elemsPerBlock = matBlock * matBlock
 	switch w.phase {
 	case 0: // stream A block (row-major: good locality)
-		addr := w.a + ((w.i*w.block+w.pos/w.block)*w.n+w.k*w.block+w.pos%w.block)*8
+		addr := w.a + ((w.i*matBlock+w.pos/matBlock)*w.n+w.k*matBlock+w.pos%matBlock)*8
 		w.pos++
 		if w.pos >= elemsPerBlock {
 			w.pos, w.phase = 0, 1
 		}
 		return Access{Addr: addr, Write: false, Instr: instr}
 	case 1: // stream B block (column access: strided)
-		addr := w.b + ((w.k*w.block+w.pos%w.block)*w.n+w.j*w.block+w.pos/w.block)*8
+		addr := w.b + ((w.k*matBlock+w.pos%matBlock)*w.n+w.j*matBlock+w.pos/matBlock)*8
 		w.pos++
 		if w.pos >= elemsPerBlock {
 			w.pos, w.phase = 0, 2
 		}
 		return Access{Addr: addr, Write: false, Instr: instr}
 	default: // write C block
-		addr := w.c + ((w.i*w.block+w.pos/w.block)*w.n+w.j*w.block+w.pos%w.block)*8
+		addr := w.c + ((w.i*matBlock+w.pos/matBlock)*w.n+w.j*matBlock+w.pos%matBlock)*8
 		w.pos++
 		if w.pos >= elemsPerBlock {
 			w.pos, w.phase = 0, 0
@@ -286,29 +294,34 @@ func (w *matMul) Next(rng *rand.Rand) Access {
 // array with hot centroid reads and periodic centroid writes.
 type kmeans struct {
 	span       uint64
-	k          uint64
-	dims       uint64
 	instrPerOp int64
 	seed       int64
 	cursor     uint64
 	step       int
 }
 
+// kmeansK centroids of kmeansDims float64 dimensions each; as constants,
+// the step and centroid arithmetic of every access folds.
+const (
+	kmeansK    = 64
+	kmeansDims = 16
+)
+
 func (w *kmeans) Name() string { return "kmeans" }
 
 func (w *kmeans) Next(rng *rand.Rand) Access {
 	instr := jitter(rng, w.instrPerOp)
-	centroidBytes := w.k * w.dims * 8
+	const centroidBytes = kmeansK * kmeansDims * 8
 	w.step++
 	switch {
-	case w.step%(int(w.dims)+2) == 0:
+	case w.step%(kmeansDims+2) == 0:
 		// Read a centroid while comparing distances.
-		c := uint64(rng.Int63n(int64(w.k)))
-		return Access{Addr: w.span - centroidBytes + c*w.dims*8, Write: false, Instr: instr}
+		c := uint64(rng.Int63n(kmeansK))
+		return Access{Addr: w.span - centroidBytes + c*kmeansDims*8, Write: false, Instr: instr}
 	case w.step%1024 == 0:
 		// Update the nearest centroid's accumulator.
-		c := uint64(rng.Int63n(int64(w.k)))
-		return Access{Addr: w.span - centroidBytes + c*w.dims*8, Write: true, Instr: instr}
+		c := uint64(rng.Int63n(kmeansK))
+		return Access{Addr: w.span - centroidBytes + c*kmeansDims*8, Write: true, Instr: instr}
 	default:
 		w.cursor += 64
 		if w.cursor >= w.span-centroidBytes {
@@ -323,9 +336,38 @@ func jitter(rng *rand.Rand, base int64) int64 {
 	if base <= 1 {
 		return 1
 	}
-	v := base/2 + rng.Int63n(base)
+	v := base/2 + int63n(rng, base)
 	if v < 1 {
 		v = 1
 	}
 	return v
+}
+
+// int63n is rng.Int63n(n) for n > 0: the same draws and the same result.
+// The moduli the workloads' jitter uses are constants here, so each costs
+// a multiply or a mask instead of rand.Int63n's two 64-bit divisions.
+func int63n(rng *rand.Rand, n int64) int64 {
+	v := rng.Int63()
+	// rand.Int63n redraws every v >= 2^63 - 2^63 mod n, which only a v
+	// above MaxInt64-n can be (and none when n is a power of two).
+	for v > math.MaxInt64-n && uint64(v) >= 1<<63-(1<<63)%uint64(n) {
+		v = rng.Int63()
+	}
+	u := uint64(v)
+	switch n {
+	case 3:
+		return int64(u % 3)
+	case 5:
+		return int64(u % 5)
+	case 9:
+		return int64(u % 9)
+	case 10:
+		return int64(u % 10)
+	case 12:
+		return int64(u % 12)
+	}
+	if n&(n-1) == 0 {
+		return int64(u & uint64(n-1))
+	}
+	return int64(u % uint64(n))
 }
