@@ -23,6 +23,12 @@
 // since L1 inserts on every L1 miss and L2 on every L2 miss whatever the
 // levels below hold. Until it is replayed a log lives in its unit's own
 // idle L3 ways, two packed 32-bit entries to a way, and spills to a small
-// overflow arena, so the lazy state adds no per-set allocation. Reset
-// clears only L1 and the logs.
+// overflow arena, so the lazy state adds no per-set allocation. An even
+// entry waits in the unit's record until its odd partner arrives, so the
+// log writes each way once, as one whole 64-bit store, and never reads
+// the L3 array back. Reset clears only L1 and the logs.
+//
+// Warm runs the paper's 4-way L1 through touch4, which compares all four
+// ways and moves them with selects instead of touch's probe loop and
+// copy; L2 and L3, and every Access, keep touch.
 package cache

@@ -20,4 +20,19 @@
 // hierarchy and never takes a slot. Traces from Shared are read-only;
 // golden digests in the tests pin Generate's output, and Shared's on a
 // reused slot, to history.
+//
+// The Zipf workloads (pagerank, redis, memcached) draw from zipf, a copy
+// of math/rand's rejection-inversion sampler that returns the same values
+// from the same draws. Its constants and loop are math/rand's, expression
+// for expression, and a head table of draw intervals answers the first
+// 16 values without the loop's Log and Exp: a draw inside head[k] is one
+// the loop would turn into k on its first attempt. Each interval comes
+// from the same h as the loop and is cut 1e-9 inward at both ends: about
+// 10⁷ ulps near 1, and for the workloads' exponents over 10⁻¹⁰ in the
+// loop's x, where Log and Exp err by a few ulps. Every other draw runs
+// the loop itself. So the draw
+// stream and every value stay math/rand's, which the tests check against
+// math/rand.Zipf draw for draw and at every interval edge. math/rand.Zipf
+// remains only as that test oracle. jitter likewise draws through
+// int63n, rand.Int63n with the workloads' moduli as constants.
 package trace
