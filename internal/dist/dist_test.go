@@ -628,3 +628,65 @@ func TestOldWorkerProgressFramesIgnored(t *testing.T) {
 		t.Fatalf("old worker not kept registered with its results counted: %+v", ps)
 	}
 }
+
+func TestConcurrentRunsShareWorkerSlots(t *testing.T) {
+	// Three runs share two workers at once and a fourth is canceled as it
+	// is submitted: no worker ever runs more tasks at once than its
+	// capacity, every live task returns its own payload, the canceled
+	// run's outcomes are all context.Canceled, and no task stays active.
+	c, err := Listen("127.0.0.1:0", testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	capacities := []int{2, 1}
+	for i, capacity := range capacities {
+		var running atomic.Int32 // this worker's executions right now
+		defer startWorker(t, c, capacity, func(ctx context.Context, p []byte, emit func([]byte)) ([]byte, error) {
+			if n := running.Add(1); n > int32(capacity) {
+				t.Errorf("worker %d runs %d tasks at once, capacity %d", i, n, capacity)
+			}
+			defer running.Add(-1)
+			time.Sleep(2 * time.Millisecond) // long enough for dispatches to overlap
+			return echoUpper(ctx, p, emit)
+		})()
+	}
+	if err := c.WaitWorkers(context.Background(), len(capacities)); err != nil {
+		t.Fatal(err)
+	}
+
+	const runs, tasks = 3, 6
+	canceled, cancel := context.WithCancel(context.Background())
+	batches := make([][][]byte, runs+1)
+	outs := make([]<-chan Outcome, runs+1)
+	for r := range batches {
+		ctx := context.Background()
+		if r == runs {
+			ctx = canceled
+		}
+		for i := 0; i < tasks; i++ {
+			batches[r] = append(batches[r], []byte(fmt.Sprintf("run%d-task%d", r, i)))
+		}
+		if outs[r], err = c.Run(ctx, batches[r], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	for r, out := range outs {
+		for i, o := range collect(t, out, tasks) {
+			if r == runs && !errors.Is(o.Err, context.Canceled) {
+				t.Errorf("canceled run task %d err = %v, want context.Canceled", i, o.Err)
+			} else if r < runs && (o.Err != nil || !bytes.Equal(o.Payload, bytes.ToUpper(batches[r][i]))) {
+				t.Errorf("run %d task %d: outcome %+v", r, i, o)
+			}
+		}
+	}
+	// A canceled task may still be running; its worker answers it anyway.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if ps := c.Progress(); ps[0].Active+ps[1].Active == 0 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("tasks still active: %+v", ps)
+		}
+	}
+}
