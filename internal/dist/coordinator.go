@@ -512,12 +512,12 @@ func (r *run) requeue(id int) {
 		return
 	}
 	r.requeues[id]++
-	exhausted := r.requeues[id] > maxRequeues
+	attempts := r.requeues[id]
 	r.mu.Unlock()
-	if exhausted {
-		r.c.cfg.logf("dist: task %d of run %d abandoned after %d dispatch attempts", id, r.id, r.requeues[id])
+	if attempts > maxRequeues {
+		r.c.cfg.logf("dist: task %d of run %d abandoned after %d dispatch attempts", id, r.id, attempts)
 		r.complete(id, nil, fmt.Errorf("%w: task %d abandoned after %d dispatch attempts",
-			ErrWorkerLost, id, r.requeues[id]))
+			ErrWorkerLost, id, attempts))
 		return
 	}
 	r.enqueue(id)
