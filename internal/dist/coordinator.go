@@ -5,8 +5,9 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -26,11 +27,10 @@ const maxRequeues = 3
 
 // Coordinator accepts worker connections and shards task payloads over
 // them. One coordinator serves many sequential or concurrent runs (a
-// saturation search issues one run per candidate wave), and workers may
-// join or leave at any time: joining workers pick up pending tasks of
-// active runs, and tasks in flight on a lost worker are requeued. A task
-// no worker can take goes back to the caller (ErrNoWorkers): the
-// coordinator only transports, it never executes.
+// saturation search issues one run per candidate wave) from one task queue,
+// and workers may join or leave at any time: tasks in flight on a lost
+// worker are requeued. A task no worker can take goes back to the caller
+// (ErrNoWorkers): the coordinator only transports, it never executes.
 type Coordinator struct {
 	cfg Config
 	ln  net.Listener
@@ -41,9 +41,16 @@ type Coordinator struct {
 	runSeq  int
 	workers map[int]*remote
 	runs    map[int]*run
-	change  chan struct{} // closed+replaced on every registry change
+	queue   []task        // undispatched tasks of every run, oldest first
+	change  chan struct{} // closed+replaced on every registry, queue or slot change
 
-	wg sync.WaitGroup // connection handlers, for Close
+	wg sync.WaitGroup // connection handlers and dispatchers, for Close
+}
+
+// task is one task of a run, as the queue holds it.
+type task struct {
+	r  *run
+	id int
 }
 
 // Listen starts a coordinator on addr ("host:port"; ":0" picks a port).
@@ -80,7 +87,7 @@ func (c *Coordinator) Capacity() int {
 	defer c.mu.Unlock()
 	total := 0
 	for _, w := range c.workers {
-		total += cap(w.sem)
+		total += w.capacity
 	}
 	return total
 }
@@ -117,14 +124,8 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	workers := make([]*remote, 0, len(c.workers))
-	for _, w := range c.workers {
-		workers = append(workers, w)
-	}
-	runs := make([]*run, 0, len(c.runs))
-	for _, r := range c.runs {
-		runs = append(runs, r)
-	}
+	workers := slices.Collect(maps.Values(c.workers))
+	runs := slices.Collect(maps.Values(c.runs))
 	c.bump()
 	c.mu.Unlock()
 
@@ -142,7 +143,8 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// bump wakes WaitWorkers after a registry change. Callers hold c.mu.
+// bump wakes WaitWorkers and the dispatchers after a worker joins or
+// leaves, a task is queued or a slot frees. Callers hold c.mu.
 func (c *Coordinator) bump() {
 	close(c.change)
 	c.change = make(chan struct{})
@@ -161,17 +163,16 @@ func (c *Coordinator) accept() {
 
 // remote is one connected worker.
 type remote struct {
-	id   int
-	conn net.Conn
-	sem  chan struct{} // occupied task slots; cap is the hello capacity
-	dead chan struct{} // closed when the worker is lost
+	id       int
+	conn     net.Conn
+	capacity int // task slots, from the hello
 
 	wmu sync.Mutex // serializes frame writes
 
-	imu       sync.Mutex
-	inflight  map[[2]int]struct{} // {run, task} dispatched and unanswered
-	completed int64               // results of tasks dispatched here
-	lastAt    time.Time           // last dispatch or result
+	// Guarded by the coordinator's mu.
+	inflight  map[[2]int]*run // {run, task} dispatched and unanswered; nil once dropped
+	completed int64           // results of tasks dispatched here
+	lastAt    time.Time       // last dispatch or result
 }
 
 func (w *remote) send(f *frame, timeout time.Duration) error {
@@ -203,9 +204,8 @@ func (c *Coordinator) handle(conn net.Conn) {
 	}
 	w := &remote{
 		conn:     conn,
-		sem:      make(chan struct{}, hello.Capacity),
-		dead:     make(chan struct{}),
-		inflight: make(map[[2]int]struct{}),
+		capacity: hello.Capacity,
+		inflight: make(map[[2]int]*run),
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -216,36 +216,12 @@ func (c *Coordinator) handle(conn net.Conn) {
 	c.seq++
 	w.id = c.seq
 	c.workers[w.id] = w
-	active := make([]*run, 0, len(c.runs))
-	for _, r := range c.runs {
-		active = append(active, r)
-	}
 	c.bump()
+	c.wg.Add(1)
 	c.mu.Unlock()
 
-	c.cfg.logf("dist: worker %d joined from %s (capacity %d)", w.id, conn.RemoteAddr(), cap(w.sem))
-
-	// A joining worker immediately pumps every active run.
-	for _, r := range active {
-		go r.pump(w)
-	}
-
-	hbStop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(c.cfg.HeartbeatInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if w.send(&frame{Type: msgHeartbeat}, c.cfg.HeartbeatTimeout) != nil {
-					conn.Close() // unblocks the read loop below
-					return
-				}
-			case <-hbStop:
-				return
-			}
-		}
-	}()
+	c.cfg.logf("dist: worker %d joined from %s (capacity %d)", w.id, conn.RemoteAddr(), w.capacity)
+	go c.dispatch(w)
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout))
@@ -254,35 +230,77 @@ func (c *Coordinator) handle(conn net.Conn) {
 			break
 		}
 		switch f.Type {
-		case msgHeartbeat:
-			// Liveness is the read itself; nothing to do.
+		case msgHeartbeat: // liveness is the read itself
 		case msgResult:
 			c.deliver(w, f)
 		case msgSnapshot:
 			c.deliverSnapshot(f)
 		}
 	}
-	close(hbStop)
 	c.drop(w)
 }
 
-// deliver routes one worker result to its run and releases the slot. The
+// dispatch is worker w's one writer of jobs and heartbeats: it sends the
+// next queued task whenever w has a free slot, and a heartbeat each idle
+// interval. A failed write closes the connection, so the read loop fails and
+// drop requeues what was in flight. dispatch returns once w is dropped.
+func (c *Coordinator) dispatch(w *remote) {
+	defer c.wg.Done()
+	beat := time.NewTicker(c.cfg.HeartbeatInterval)
+	defer beat.Stop()
+	for {
+		c.mu.Lock()
+		if c.workers[w.id] != w {
+			c.mu.Unlock()
+			return
+		}
+		f, ch := c.next(w), c.change
+		c.mu.Unlock()
+		if f == nil {
+			select {
+			case <-ch:
+				continue
+			case <-beat.C:
+				f = &frame{Type: msgHeartbeat}
+			}
+		}
+		if w.send(f, c.cfg.HeartbeatTimeout) != nil {
+			w.conn.Close()
+			return
+		}
+	}
+}
+
+// next pops the queue's first task whose run is still active and records it
+// in flight on w, before its frame is written, so drop requeues it if the
+// write fails. It returns nil when w has no free slot or no task is queued;
+// tasks of ended (canceled or closed) runs are skipped. Callers hold c.mu.
+func (c *Coordinator) next(w *remote) *frame {
+	for len(w.inflight) < w.capacity && len(c.queue) > 0 {
+		t := c.queue[0]
+		c.queue[0] = task{}
+		c.queue = c.queue[1:]
+		if c.runs[t.r.id] == t.r {
+			w.inflight[[2]int{t.r.id, t.id}] = t.r
+			w.lastAt = time.Now()
+			return &frame{Type: msgJob, Run: t.r.id, ID: t.id, Payload: t.r.tasks[t.id]}
+		}
+	}
+	return nil
+}
+
+// deliver routes one worker result to its run and frees the slot. The
 // worker's progress books are updated before the outcome is sent, so
 // Progress is exact once a run's last outcome has arrived.
 func (c *Coordinator) deliver(w *remote, f *frame) {
 	key := [2]int{f.Run, f.ID}
-	w.imu.Lock()
-	_, mine := w.inflight[key]
-	if mine {
+	c.mu.Lock()
+	if _, mine := w.inflight[key]; mine {
 		delete(w.inflight, key)
 		w.completed++
 		w.lastAt = time.Now()
+		c.bump()
 	}
-	w.imu.Unlock()
-	if mine {
-		<-w.sem
-	}
-	c.mu.Lock()
 	r := c.runs[f.Run]
 	c.mu.Unlock()
 	if r == nil || f.ID < 0 || f.ID >= len(r.tasks) {
@@ -343,54 +361,38 @@ func (c *Coordinator) Progress() []WorkerProgress {
 	c.mu.Lock()
 	out := make([]WorkerProgress, 0, len(c.workers))
 	for _, w := range c.workers {
-		w.imu.Lock()
-		p := Progress{Capacity: cap(w.sem), Active: len(w.inflight), Completed: w.completed}
+		p := Progress{Capacity: w.capacity, Active: len(w.inflight), Completed: w.completed}
 		out = append(out, WorkerProgress{Worker: w.id, Progress: p, LastReport: w.lastAt})
-		w.imu.Unlock()
 	}
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
+	slices.SortFunc(out, func(a, b WorkerProgress) int { return a.Worker - b.Worker })
 	return out
 }
 
 // drop unregisters a lost worker and requeues its in-flight tasks. The
-// drop that removes the last worker also drains every active run's pending
-// queue into ErrNoWorkers outcomes. It does so under c.mu, the lock every
-// enqueue checks for live workers under, so no task id can be queued after
-// the drain and left with no one to take it.
+// drop that removes the last worker also empties the queue into
+// ErrNoWorkers outcomes. It does so under c.mu, the lock requeue checks
+// for live workers under, so no task can be queued after that and left
+// with no one to take it.
 func (c *Coordinator) drop(w *remote) {
 	w.conn.Close()
 	c.mu.Lock()
 	delete(c.workers, w.id)
-	runsByID := make(map[int]*run, len(c.runs))
-	var orphans [][2]int // {run, task} drained from pending
-	for id, r := range c.runs {
-		runsByID[id] = r
-		if len(c.workers) == 0 {
-			for _, task := range r.drain() {
-				orphans = append(orphans, [2]int{id, task})
-			}
-		}
+	lost := w.inflight
+	w.inflight = nil
+	var orphans []task
+	if len(c.workers) == 0 {
+		orphans, c.queue = c.queue, nil
 	}
 	c.bump()
 	c.mu.Unlock()
-	close(w.dead)
 
-	w.imu.Lock()
-	keys := make([][2]int, 0, len(w.inflight))
-	for k := range w.inflight {
-		keys = append(keys, k)
+	c.cfg.logf("dist: worker %d lost, requeueing %d in-flight tasks", w.id, len(lost))
+	for _, t := range orphans {
+		t.r.complete(t.id, nil, ErrNoWorkers)
 	}
-	w.inflight = nil // pumps racing a send now requeue themselves
-	w.imu.Unlock()
-	c.cfg.logf("dist: worker %d lost, requeueing %d in-flight tasks", w.id, len(keys))
-	for _, k := range orphans {
-		runsByID[k[0]].complete(k[1], nil, ErrNoWorkers)
-	}
-	for _, k := range keys {
-		if r := runsByID[k[0]]; r != nil {
-			r.requeue(k[1])
-		}
+	for k, r := range lost {
+		r.requeue(k[1])
 	}
 }
 
@@ -398,20 +400,17 @@ func (c *Coordinator) drop(w *remote) {
 type run struct {
 	id    int
 	c     *Coordinator
-	ctx   context.Context
 	tasks [][]byte
 	snap  func(id int, snapshot []byte)
 
-	out     chan Outcome // buffered len(tasks): completes never block
-	pending chan int     // undispatched task ids, buffered len(tasks)
+	out chan Outcome // buffered len(tasks): completes never block
 
 	mu        sync.Mutex
 	delivered []bool
 	requeues  []int
 	remaining int
 
-	done   chan struct{}
-	finish sync.Once
+	stop func() bool // unregisters the cancel hook on ctx
 }
 
 // Run distributes one batch of task payloads and streams exactly one
@@ -443,32 +442,27 @@ func (c *Coordinator) Run(ctx context.Context, tasks [][]byte, onSnapshot func(i
 	r := &run{
 		id:        c.runSeq,
 		c:         c,
-		ctx:       ctx,
 		tasks:     tasks,
 		snap:      onSnapshot,
 		out:       make(chan Outcome, len(tasks)),
-		pending:   make(chan int, len(tasks)),
 		delivered: make([]bool, len(tasks)),
 		requeues:  make([]int, len(tasks)),
 		remaining: len(tasks),
-		done:      make(chan struct{}),
 	}
 	c.runs[r.id] = r
-	// Queued under c.mu: a drop of the last worker drains all of them.
+	// Queued under c.mu: a drop of the last worker hands all of them back.
 	for i := range tasks {
-		r.pending <- i
+		c.queue = append(c.queue, task{r, i})
 	}
-	for _, w := range c.workers {
-		go r.pump(w)
-	}
-	go r.watchCtx()
+	c.bump()
+	r.stop = context.AfterFunc(ctx, func() { r.cancel(ctx.Err()) })
 	return r.out, nil
 }
 
 // complete records the terminal outcome of one task, exactly once. The
 // send happens under the run lock — out is buffered one slot per task,
 // so it never blocks — which orders every send before the close issued
-// by whichever completer drains remaining to zero.
+// by whichever completer brings remaining to zero.
 func (r *run) complete(id int, payload []byte, err error) {
 	r.mu.Lock()
 	if r.delivered[id] {
@@ -485,15 +479,15 @@ func (r *run) complete(id int, payload []byte, err error) {
 	}
 }
 
-// end retires the run: unregister, close the stream, release pumps.
+// end retires the run once its last task completes: unregister it (the
+// dispatchers skip its queued tasks from then on), drop the cancel hook,
+// close the stream.
 func (r *run) end() {
-	r.finish.Do(func() {
-		r.c.mu.Lock()
-		delete(r.c.runs, r.id)
-		r.c.mu.Unlock()
-		close(r.out)
-		close(r.done)
-	})
+	r.c.mu.Lock()
+	delete(r.c.runs, r.id)
+	r.c.mu.Unlock()
+	r.stop()
+	close(r.out)
 }
 
 // fail terminates every unfinished task with err.
@@ -503,8 +497,11 @@ func (r *run) fail(err error) {
 	}
 }
 
-// requeue puts a task lost with its worker back into the pending queue,
-// or fails it once its requeue budget is spent.
+// requeue puts a task lost with its worker back at the tail of the queue
+// while some worker is connected to take it, and hands it back to the
+// caller as ErrNoWorkers otherwise; the check and the append happen
+// together under c.mu (see drop). A task whose requeue budget is spent
+// fails with ErrWorkerLost.
 func (r *run) requeue(id int) {
 	r.mu.Lock()
 	if r.delivered[id] {
@@ -520,134 +517,28 @@ func (r *run) requeue(id int) {
 			ErrWorkerLost, id, attempts))
 		return
 	}
-	r.enqueue(id)
-}
-
-// enqueue is the one way a task id returns to the pending queue: there
-// while some worker is connected to take it, handed back to the caller as
-// ErrNoWorkers otherwise. The check and the push happen together under c.mu
-// (see drop). The pending channel holds each task id at most once, so the
-// len(tasks)-deep buffer never blocks.
-func (r *run) enqueue(id int) {
-	r.c.mu.Lock()
-	if len(r.c.workers) > 0 {
-		r.pending <- id
-		r.c.mu.Unlock()
+	c := r.c
+	c.mu.Lock()
+	if len(c.workers) > 0 {
+		c.queue = append(c.queue, task{r, id})
+		c.bump()
+		c.mu.Unlock()
 		return
 	}
-	r.c.mu.Unlock()
+	c.mu.Unlock()
 	r.complete(id, nil, ErrNoWorkers)
 }
 
-// drain empties the pending queue without blocking: the lost worker's own
-// pumps may still be taking ids, and each of those returns through enqueue.
-func (r *run) drain() (ids []int) {
-	for {
-		select {
-		case id := <-r.pending:
-			ids = append(ids, id)
-		default:
-			return ids
-		}
-	}
-}
-
-// pump feeds one worker: acquire a slot, pull a pending task, dispatch.
-// One pump goroutine runs per (run, worker) pair; the per-worker slot
-// semaphore arbitrates capacity across concurrent runs. A pump whose run
-// has no pending work releases its slot while it waits, so a drained but
-// unfinished run never parks capacity that a concurrent run could use.
-func (r *run) pump(w *remote) {
-	for {
-		select {
-		case w.sem <- struct{}{}:
-		case <-w.dead:
-			return
-		case <-r.done:
-			return
-		}
-		var id int
-		select {
-		case id = <-r.pending:
-		default:
-			// Nothing pending right now: give the slot back while idle.
-			<-w.sem
-			select {
-			case id = <-r.pending:
-			case <-w.dead:
-				return
-			case <-r.done:
-				return
-			}
-			// Work arrived; reclaim a slot, but if the worker is now busy,
-			// hand the task back (another worker may be free) and requeue
-			// ourselves behind the semaphore instead of sitting on it.
-			select {
-			case w.sem <- struct{}{}:
-			default:
-				r.enqueue(id)
-				continue
-			}
-		case <-w.dead:
-			<-w.sem
-			return
-		case <-r.done:
-			<-w.sem
-			return
-		}
-		r.mu.Lock()
-		stale := r.delivered[id]
-		r.mu.Unlock()
-		if stale {
-			<-w.sem
-			continue
-		}
-		key := [2]int{r.id, id}
-		w.imu.Lock()
-		if w.inflight == nil { // worker dropped between selects
-			w.imu.Unlock()
-			<-w.sem
-			r.requeue(id)
-			return
-		}
-		w.inflight[key] = struct{}{}
-		w.lastAt = time.Now()
-		w.imu.Unlock()
-		if err := w.send(&frame{Type: msgJob, Run: r.id, ID: id, Payload: r.tasks[id]},
-			r.c.cfg.HeartbeatTimeout); err != nil {
-			// The read loop will notice the broken connection and drop the
-			// worker; reclaim this dispatch ourselves in case drop already
-			// drained the in-flight set.
-			w.imu.Lock()
-			_, mine := w.inflight[key]
-			delete(w.inflight, key)
-			w.imu.Unlock()
-			w.conn.Close()
-			if mine {
-				r.requeue(id)
-			}
-			return
-		}
-	}
-}
-
-// watchCtx fails every unfinished task the moment ctx is canceled and
-// tells workers to abort the run's in-flight jobs.
-func (r *run) watchCtx() {
-	select {
-	case <-r.done:
-		return
-	case <-r.ctx.Done():
-	}
-	err := r.ctx.Err()
+// cancel runs when the run's ctx is done: it fails every unfinished task
+// with the ctx's error, then tells the workers to abort the run's in-flight
+// jobs. Failing first keeps a worker's answer to the abort (its own
+// "context canceled" text) from settling a task ahead of ctx.Err().
+func (r *run) cancel(err error) {
+	r.fail(err)
 	r.c.mu.Lock()
-	workers := make([]*remote, 0, len(r.c.workers))
-	for _, w := range r.c.workers {
-		workers = append(workers, w)
-	}
+	workers := slices.Collect(maps.Values(r.c.workers))
 	r.c.mu.Unlock()
 	for _, w := range workers {
 		w.send(&frame{Type: msgCancel, Run: r.id}, r.c.cfg.HeartbeatTimeout)
 	}
-	r.fail(err)
 }

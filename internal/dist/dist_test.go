@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -688,5 +689,46 @@ func TestConcurrentRunsShareWorkerSlots(t *testing.T) {
 		} else if time.Now().After(deadline) {
 			t.Fatalf("tasks still active: %+v", ps)
 		}
+	}
+}
+
+func TestQueuedRunsStartNoGoroutines(t *testing.T) {
+	// Runs queued behind busy workers wait as tasks in the coordinator's
+	// queue: submitting one starts no goroutine.
+	c, err := Listen("127.0.0.1:0", testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const runs = 16
+	started, release := make(chan struct{}, runs+2), make(chan struct{})
+	for range 2 {
+		defer startWorker(t, c, 1, func(ctx context.Context, p []byte, _ func([]byte)) ([]byte, error) {
+			started <- struct{}{}
+			<-release
+			return p, nil
+		})()
+	}
+	if err := c.WaitWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]<-chan Outcome, runs+1)
+	if outs[runs], err = c.Run(context.Background(), [][]byte{{1}, {2}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	<-started
+	before := runtime.NumGoroutine()
+	for i := range runs {
+		if outs[i], err = c.Run(context.Background(), [][]byte{{3}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= runs {
+		t.Errorf("%d queued runs started %d goroutines", runs, grew)
+	}
+	close(release)
+	for i, out := range outs {
+		collect(t, out, 1+i/runs) // the busy run, last, has two tasks
 	}
 }
