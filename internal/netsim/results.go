@@ -114,7 +114,16 @@ type EngineStats struct {
 	// taken once delivery and injection are done: ActiveRouters / cycles
 	// is the mean worklist occupancy.
 	ActiveRouters int64
+	// MDEvals counts the greediest MD evaluations the event core's routing
+	// made (routing.Scratch.MDEvals): pair misses, column fills and the
+	// candidate sets of over-threshold hops. Every other algorithm, and the
+	// reference core, evaluates none through it.
+	MDEvals int64
 }
 
 // Stats returns the engine counters accumulated since New.
-func (s *Sim) Stats() EngineStats { return s.st }
+func (s *Sim) Stats() EngineStats {
+	st := s.st
+	st.MDEvals = s.rsc.MDEvals
+	return st
+}

@@ -14,6 +14,10 @@ type Scratch struct {
 	md    []float64
 	col   []int32
 	views []*tableView
+	// MDEvals counts the MD evaluations Greediest.CandidatesInto and
+	// Greediest.FirstHopColumn made through this Scratch: the cost of the
+	// routing decisions its owner could not take from a cache.
+	MDEvals int64
 }
 
 type scratchCand struct {
@@ -54,6 +58,7 @@ func (g *Greediest) CandidatesInto(sc *Scratch, cur, dst int) []int {
 		return sc.out
 	}
 	curMD := g.Coords.MD(g.Metric, cur, dst)
+	sc.MDEvals++
 
 	cands := sc.cands[:0]
 	for i := range t.entries {
@@ -62,6 +67,7 @@ func (g *Greediest) CandidatesInto(sc *Scratch, cur, dst int) []int {
 			continue
 		}
 		md := g.Coords.MD(g.Metric, e.Node, dst)
+		sc.MDEvals++
 		if md < curMD {
 			cands = append(cands, scratchCand{node: e.Node, md: md, score: md})
 		}
@@ -94,6 +100,7 @@ func (g *Greediest) CandidatesInto(sc *Scratch, cur, dst int) []int {
 				cands[ci].score = -1 // destination two hops away: best possible
 				continue
 			}
+			sc.MDEvals++
 			if md := g.Coords.MD(g.Metric, e.Node, dst); md < cands[ci].score {
 				cands[ci].score = md
 			}
@@ -142,6 +149,7 @@ func (g *Greediest) FirstHopColumn(sc *Scratch, dst int) []int32 {
 	for x := range md {
 		md[x] = g.Coords.MD(g.Metric, x, dst)
 	}
+	sc.MDEvals += int64(n)
 	md[dst] = -1
 	col := slices.Grow(sc.col[:0], n)[:n]
 	for cur, v := range g.loadViews(sc) {
