@@ -419,6 +419,7 @@ func netsimStepBench(b *testing.B, n int, rate float64, session, reference bool,
 	if sim.Results().Deadlocked {
 		b.Fatal("deadlocked during warmup")
 	}
+	before := flitMoves(sim.Results())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -426,8 +427,22 @@ func netsimStepBench(b *testing.B, n int, rate float64, session, reference bool,
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+	reportNsPerFlit(b, flitMoves(sim.Results())-before)
 	if sim.Results().Deadlocked {
 		b.Fatal("deadlocked during measurement")
+	}
+}
+
+// flitMoves is the flit work of a run: every forwarded flit, onto a link
+// (FlitHops) or out of the network (FlitsDelivered).
+func flitMoves(res netsim.Results) int64 { return res.FlitHops + res.FlitsDelivered }
+
+// reportNsPerFlit reports the timed wall time per flit move. Where every
+// router is busy it is the per-flit path length of the core, comparable
+// across scales; near idle it also carries each cycle's fixed cost.
+func reportNsPerFlit(b *testing.B, moves int64) {
+	if moves > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moves), "ns/flit")
 	}
 }
 
@@ -438,7 +453,8 @@ func netsimStepBench(b *testing.B, n int, rate float64, session, reference bool,
 // "loaded" is the regime the figures' rate sweeps and saturation searches
 // run in, configured the way sessions run it (see netsimStepConfig): rate
 // 0.20, sfperf's synth-loaded-n256 — every router busy every cycle, near
-// but under saturation. All three reach a stable in-flight population,
+// but under saturation; at N=64 its whole state stays cache-resident, so
+// there the cost per flit is the core's path length alone. All three reach a stable in-flight population,
 // which an allocation count needs to be meaningful (an ever-growing
 // source-queue backlog allocates forever on any core).
 var netsimStepGrid = []struct {
@@ -447,7 +463,7 @@ var netsimStepGrid = []struct {
 	rate    float64
 	session bool
 }{
-	{64, "low", 0.00125, false}, {64, "light", 0.01, false},
+	{64, "low", 0.00125, false}, {64, "light", 0.01, false}, {64, "loaded", 0.20, true},
 	{256, "low", 0.0006, false}, {256, "light", 0.005, false}, {256, "loaded", 0.20, true},
 	{1024, "low", 0.0003, false}, {1024, "light", 0.0025, false}, {1024, "loaded", 0.20, true},
 }
@@ -468,21 +484,26 @@ func BenchmarkNetsimStep(b *testing.B) {
 // cycles with no warm-up. The warm grid cannot see what this measures:
 // construction, growth to the working set (allocs/op is the whole
 // session's; TestNetsimColdSimAllocs holds it under a ceiling) and the
-// price of every cold routing decision.
+// price of every cold routing decision. Its ns/flit charges all of that
+// to the run's flit moves.
 func BenchmarkNetsimStepCold(b *testing.B) {
 	b.Run("N256_loaded", func(b *testing.B) {
 		const cycles = 1000
 		cfg := netsimStepConfig(b, 256, true)
+		moves := int64(0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sim := netsimStepSim(b, cfg, 0.20)
 			sim.Run(cycles)
-			if sim.Results().Deadlocked {
+			res := sim.Results()
+			if res.Deadlocked {
 				b.Fatal("deadlocked")
 			}
+			moves += flitMoves(res)
 		}
 		b.ReportMetric(float64(b.N*cycles)/b.Elapsed().Seconds(), "cycles/s")
+		reportNsPerFlit(b, moves)
 	})
 }
 
