@@ -175,6 +175,9 @@ type keyValue struct {
 	seed       int64
 	zipf       *zipf
 	perm       []uint64
+	// mask is span-1 when span is a power of two (every paper capacity,
+	// N x 8 GB for N = 16..1024), else 0: see objectBase.
+	mask uint64
 	// pending[head:tail] are the object's remaining lines. The queue is
 	// refilled only when empty and an object has at most 8 lines, so a
 	// fixed array and two indices replace a slice that reallocated on
@@ -201,9 +204,11 @@ func (w *keyValue) Next(rng *rand.Rand) Access {
 		for i := range w.perm {
 			w.perm[i] = uint64(pr.Int63())
 		}
+		if w.span&(w.span-1) == 0 {
+			w.mask = w.span - 1
+		}
 	}
-	obj := w.zipf.Uint64()
-	base := (obj*w.objLines*64 + w.perm[obj%4096]*64) % w.span &^ 63
+	base := w.objectBase(w.zipf.Uint64())
 	write := rng.Float64() >= w.getFrac
 	instr := jitter(rng, w.instrPerOp)
 	// Touch every line of the object: first access returned now, the rest
@@ -219,6 +224,18 @@ func (w *keyValue) Next(rng *rand.Rand) Access {
 		w.tail++
 	}
 	return Access{Addr: base, Write: write, Instr: instr}
+}
+
+// objectBase is object obj's first line: its scattered offset reduced mod
+// span. The sum wraps mod 2^64 (perm holds 63-bit values), and 2^64 is a
+// multiple of every power-of-two span, so a mask gives the remainder the
+// division would: no 64-bit DIV per object at the paper's capacities.
+func (w *keyValue) objectBase(obj uint64) uint64 {
+	x := obj*w.objLines*64 + w.perm[obj%4096]*64
+	if w.mask != 0 {
+		return x & w.mask &^ 63
+	}
+	return x % w.span &^ 63
 }
 
 // matMul models a blocked dense matrix multiply C = A x B with 64x64
