@@ -107,11 +107,11 @@ var netsimHot = []string{
 	// input units' inline buffers
 	"inputUnit.Len", "inputUnit.push", "inputUnit.front", "inputUnit.at",
 	"inputUnit.popFront", "inputUnit.truncate",
-	// worklist ops
-	"activeSet.set", "activeSet.clear", "activeSet.forEach",
+	// worklist ops (the router worklist and the drain worklist)
+	"activeSet.set", "activeSet.clear", "activeSet.count",
 	// router bitmask helpers
 	"router.candSet", "router.candClear", "router.attnSet", "router.attnClear",
-	"router.unitFilled", "router.unitEmptied", "router.park", "router.unpark",
+	"router.park", "router.unpark",
 	// flow accounting and trace sampling
 	"flowAcct.observe", "flowAcct.bucketOf", "Sim.traceEvent",
 }

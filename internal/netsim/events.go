@@ -62,12 +62,13 @@ func (h *farHeap) pop() farRec {
 	return top
 }
 
-// activeSet is the router worklist: a bitmap of routers that may have work
-// this cycle (flits queued in input units, or source-queue flits waiting to
-// drain). Iteration is in ascending router index order, which the credit
-// protocol requires for bit-identity with a full scan: credits returned
-// during router i's arbitration are visible to routers j > i within the same
-// cycle, and only to them.
+// activeSet is a router worklist bitmap: Sim.active holds the routers that
+// may have work this cycle (flits queued in input units, or source-queue
+// flits waiting to drain), and Sim.drain those whose source queue holds
+// flits. Sim.step walks both in ascending router index order, which the
+// credit protocol requires of the route-and-arbitrate pass for bit-identity
+// with a full scan: credits returned during router i's arbitration are
+// visible to routers j > i within the same cycle, and only to them.
 type activeSet struct {
 	words []uint64
 }
@@ -79,22 +80,11 @@ func newActiveSet(n int) activeSet {
 func (a *activeSet) set(v int)   { a.words[v>>6] |= 1 << (uint(v) & 63) }
 func (a *activeSet) clear(v int) { a.words[v>>6] &^= 1 << (uint(v) & 63) }
 
-// forEach visits set routers in ascending order. A bit set during iteration
-// behind the cursor (or within the already-snapshotted word) is picked up
-// next cycle; that matches the full scan, because the only mid-pass
-// activation — an OnDelivered callback injecting into a source queue — feeds
-// a queue whose drain phase has already run this cycle in the full scan too.
-// It returns the number of routers it visited.
-func (a *activeSet) forEach(fn func(v int)) int64 {
-	visited := int64(0)
-	for wi := range a.words {
-		w := a.words[wi]
-		visited += int64(bits.OnesCount64(w))
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			fn(wi<<6 | b)
-		}
+// count returns the number of routers in the set.
+func (a *activeSet) count() int64 {
+	n := 0
+	for _, w := range a.words {
+		n += bits.OnesCount64(w)
 	}
-	return visited
+	return int64(n)
 }

@@ -312,15 +312,12 @@ type router struct {
 	// queued counts flits across all input units; idle routers (queued==0
 	// and empty srcQ) leave the active worklist entirely.
 	queued int
-	// occ is a bitmask over input units: bit i is set iff in[i] has at
-	// least one queued flit. The event core's route pass iterates set bits
-	// (ascending — the same order as the reference scan); the reference
-	// core ignores it.
-	occ []uint64
-	// attn is the subset of occ the route pass must actually look at: units
-	// whose front flit has no route yet, plus route-assigned units whose
-	// starvation counter crossed the escape-diversion threshold. Every other
-	// occupied unit is a no-op for routeUnit, so the event core skips it.
+	// attn is the event core's route-pass worklist over input units, a set
+	// of occupied units: those whose front flit has no route yet, plus
+	// route-assigned units whose starvation counter crossed the
+	// escape-diversion threshold. Every other occupied unit is a no-op for
+	// routeUnit, so the route pass visits only these (ascending, the order
+	// of the reference scan over every occupied unit).
 	attn []uint64
 	// cand[out*candW...] is a bitmask per output port over input units:
 	// bit i is set iff in[i] has a queued flit routed to out. The event
@@ -343,12 +340,8 @@ type router struct {
 	parked []uint64
 }
 
-// unitFilled/unitEmptied maintain occ on queue emptiness transitions.
-func (r *router) unitFilled(i int)  { r.occ[i>>6] |= 1 << uint(i&63) }
-func (r *router) unitEmptied(i int) { r.occ[i>>6] &^= 1 << uint(i&63) }
-
-// attnSet/attnClear maintain the route pass worklist. attn ⊆ occ: bits are
-// only set for units known to hold a queued flit.
+// attnSet/attnClear maintain the route pass worklist: bits are only set
+// for units known to hold a queued flit.
 func (r *router) attnSet(i int)   { r.attn[i>>6] |= 1 << uint(i&63) }
 func (r *router) attnClear(i int) { r.attn[i>>6] &^= 1 << uint(i&63) }
 
@@ -408,12 +401,13 @@ type Sim struct {
 	fl *flowAcct
 	tr *traceAcct
 
-	// active is the worklist of routers with queued or waiting flits, and
-	// lanes and far carry the flits in flight on links: one lane per
+	// active is the worklist of routers with queued or waiting flits and
+	// drain its subset whose source queue holds flits; lanes and far carry the flits in flight on links: one lane per
 	// distinct base latency (see newLanes), and the far heap for flits sent
 	// onto a waking link (farSeq numbers them in send order). All are
 	// maintained only by the event-driven core.
 	active activeSet
+	drain  activeSet
 	lanes  []ring[laneRec]
 	far    farHeap
 	farSeq int64
@@ -542,10 +536,10 @@ func New(cfg Config) (*Sim, error) {
 		totRR += nout + 1
 	}
 	inA := make([]inputUnit, totIn)
-	// One bitmask arena, carved per router in access order (occ, attn,
+	// One bitmask arena, carved per router in access order (attn,
 	// candOuts, parked, cand): a router's whole worklist state spans a
 	// couple of adjacent cache lines.
-	maskA := make([]uint64, 2*totW+2*totOut64+totCand)
+	maskA := make([]uint64, totW+2*totOut64+totCand)
 	ovcA := make([]ovc, totOvc)
 	rrA := make([]int, totRR)
 	// Pre-seed the source queues too (input units carry their rings inline);
@@ -579,7 +573,6 @@ func New(cfg Config) (*Sim, error) {
 		links += nout
 		r.rr, rrA = rrA[:nout+1:nout+1], rrA[nout+1:] // +1 for the ejection port
 		r.candW = (nin + 63) / 64
-		r.occ = carve(r.candW, &maskA)
 		r.attn = carve(r.candW, &maskA)
 		r.candOuts = carve((nout+1+63)/64, &maskA)
 		r.parked = carve((nout+1+63)/64, &maskA)
@@ -618,6 +611,7 @@ func New(cfg Config) (*Sim, error) {
 		s.tr = &traceAcct{every: cfg.TraceSampleEvery, buf: make([]traceRecord, 0, 256)}
 	}
 	s.active = newActiveSet(n)
+	s.drain = newActiveSet(n)
 	// Room for the first eight slabs (8 192 packets) before the slab list
 	// itself has to grow.
 	s.slabs = make([][]packet, 0, 8)
@@ -689,23 +683,41 @@ func (s *Sim) step() {
 	} else {
 		s.deliverLinkFlits()
 		s.inject()
-		active := s.active.forEach(func(v int) {
-			s.drainSourceQueue(s.routers[v])
-		})
+		// Drain the source queues that hold flits. Draining touches only
+		// the router's own units, so the order is free; it sets no bit.
+		for wi, w := range s.drain.words {
+			for w != 0 {
+				v := wi<<6 | bits.TrailingZeros64(w)
+				w &= w - 1
+				r := s.routers[v]
+				s.drainSourceQueue(r)
+				if r.srcQ.Len() == 0 {
+					s.drain.clear(v)
+				}
+			}
+		}
+		active := s.active.count()
 		s.st.ActiveRouters += active
 		if active == 0 {
 			s.st.EmptyCycles++
 		}
-		s.active.forEach(func(v int) {
-			r := s.routers[v]
-			if r.queued > 0 {
-				s.routeHeads(r)
-				s.arbitrate(r)
+		// Route and arbitrate in ascending router order (see activeSet).
+		// Each word is read when the cursor reaches it: a router clears
+		// only its own bit, and a bit an OnDelivered callback sets behind
+		// the cursor waits for the next cycle, as in the full scan.
+		for wi := range s.active.words {
+			for w := s.active.words[wi]; w != 0; w &= w - 1 {
+				v := wi<<6 | bits.TrailingZeros64(w)
+				r := s.routers[v]
+				if r.queued > 0 {
+					s.routeHeads(r)
+					s.arbitrate(r)
+				}
+				if r.queued == 0 && r.srcQ.Len() == 0 {
+					s.active.clear(v)
+				}
 			}
-			if r.queued == 0 && r.srcQ.Len() == 0 {
-				s.active.clear(v)
-			}
-		})
+		}
 	}
 	s.cycle++
 	if s.cfg.OnSnapshot != nil && s.cfg.SnapshotEvery > 0 &&
@@ -797,7 +809,6 @@ func (s *Sim) deliverFlit(dn *router, unit int, f flit) bool {
 	if !wasEmpty {
 		return false
 	}
-	dn.unitFilled(unit)
 	if iu.route >= 0 {
 		dn.candSet(int(iu.route), unit)
 		return false
@@ -958,16 +969,12 @@ func (s *Sim) enqueuePacket(r *router, src, dst int) {
 func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
 	h := s.allocPacket()
 	p := s.pkt(h)
-	*p = packet{
-		id:       s.nextID,
-		tag:      tag,
-		src:      src,
-		dst:      dst,
-		advc:     s.adaptiveVC(src, dst),
-		size:     flits,
-		left:     flits,
-		injected: s.cycle,
-	}
+	// Field by field, every field: a packet literal is copied in whole.
+	p.id, p.tag = s.nextID, tag
+	p.src, p.dst = src, dst
+	p.advc = s.adaptiveVC(src, dst)
+	p.size, p.left = flits, flits
+	p.injected, p.hops, p.escaped = s.cycle, 0, false
 	s.nextID++
 	s.res.Injected++
 	s.flitsIn += flits
@@ -982,6 +989,7 @@ func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
 	}
 	s.st.SrcQHighWater = max(s.st.SrcQHighWater, int64(r.srcQ.Len()))
 	s.active.set(r.id)
+	s.drain.set(r.id)
 }
 
 // Inject enqueues one packet of the given flit count at the current cycle;
@@ -1010,7 +1018,6 @@ func (s *Sim) drainSourceQueue(r *router) {
 			break
 		}
 		if iu.n == 0 {
-			r.unitFilled(unit)
 			if iu.route >= 0 {
 				r.candSet(int(iu.route), unit)
 			} else {
@@ -1329,7 +1336,6 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 		r.candClear(int(iu.route), unit)
 	}
 	if kept == 0 {
-		r.unitEmptied(unit)
 		r.attnClear(unit)
 	} else {
 		r.attnSet(unit) // the next packet's flits need routing (or purging)
@@ -1481,7 +1487,6 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) (flit, bo
 	iu := &r.in[granted]
 	f := iu.popFront()
 	if iu.n == 0 {
-		r.unitEmptied(granted)
 		r.candClear(out, granted)
 		r.attnClear(granted)
 	} else if f.tail {

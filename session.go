@@ -316,15 +316,17 @@ func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, pat traffi
 		return netsim.Results{}, err
 	}
 	// Injection liveness follows the schedule: gated nodes neither source
-	// nor sink new traffic from the moment their event applies (the rig
-	// swaps aliveNow, so the lookup is dynamic). Gate-free runs filter by
-	// the mask they started under.
-	nodeAlive := func(v int) bool { return rig.aliveNow[v] }
-	if rig == nil {
-		alive := n.startMask()
-		nodeAlive = func(v int) bool { return alive == nil || alive[v] }
+	// nor sink new traffic from the moment their event applies (the
+	// injector reads the rig's aliveNow, which each gate event swaps).
+	// Gate-free runs filter by the mask they started under.
+	var alive *[]bool
+	if rig != nil {
+		alive = &rig.aliveNow
+	} else {
+		mask := n.startMask()
+		alive = &mask
 	}
-	sim.SetPattern(rate0, n.hostedPattern(pat, nodeAlive))
+	sim.SetPattern(rate0, n.newInjector(pat, alive).next)
 
 	// The timeline; the stable sort keeps reset, gates, rates in that order
 	// within one cycle.
@@ -349,38 +351,62 @@ func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, pat traffi
 	return sim.Results(), nil
 }
 
-// hostedPattern adapts a memory-node traffic pattern to router-level
-// injection: each injecting router picks the source uniformly among its
-// hosted nodes (so concentrated FB/AFB routers represent all their nodes'
-// traffic), filters by node liveness, and drops intra-router traffic.
-// nodeAlive is consulted per call, so gated runs pass a dynamic lookup.
-func (n *Network) hostedPattern(pat traffic.Pattern, nodeAlive func(v int) bool) func(srcRouter int, rng *rand.Rand) (int, bool) {
-	hosted := n.d.RouterNodes
-	return func(srcRouter int, rng *rand.Rand) (int, bool) {
-		// Pick the source memory node among the router's hosted nodes.
-		nodes := hosted[srcRouter]
-		var src int
-		switch len(nodes) {
-		case 0:
-			return 0, false // router hosts no memory at this scale
-		case 1:
-			src = nodes[0]
-		default:
-			src = nodes[rng.Intn(len(nodes))]
+// injector adapts a memory-node traffic pattern to router-level injection:
+// each injecting router picks the source uniformly among its hosted nodes
+// (so concentrated FB/AFB routers represent all their nodes' traffic),
+// filters by node liveness, and drops intra-router traffic. Everything but
+// the pattern is data read once per session, so an injection costs one
+// call into the pattern.
+type injector struct {
+	pat traffic.Pattern
+	// hosted[r] are the memory nodes router r hosts (Design.RouterNodes);
+	// router[v] is node v's router, their inverse.
+	hosted [][]int
+	router []int
+	// alive is the session's alive mask (nil: every node), behind a pointer
+	// so that a gated run's injector follows the rig's swaps.
+	alive *[]bool
+}
+
+// newInjector returns the injector of pat on this network under the alive
+// mask *alive.
+func (n *Network) newInjector(pat traffic.Pattern, alive *[]bool) *injector {
+	inj := &injector{pat: pat, hosted: n.d.RouterNodes, router: make([]int, n.d.N), alive: alive}
+	for r, nodes := range inj.hosted {
+		for _, v := range nodes {
+			inj.router[v] = r
 		}
-		if !nodeAlive(src) {
-			return 0, false
-		}
-		dst, ok := pat(src, rng)
-		if !ok || !nodeAlive(dst) {
-			return 0, false
-		}
-		dstRouter := n.d.NodeRouter(dst)
-		if dstRouter == srcRouter {
-			return 0, false // intra-router traffic never enters the network
-		}
-		return dstRouter, true
 	}
+	return inj
+}
+
+// next is the simulator's pattern: the destination router of one injection
+// at srcRouter, or false when there is none.
+func (inj *injector) next(srcRouter int, rng *rand.Rand) (int, bool) {
+	// Pick the source memory node among the router's hosted nodes.
+	nodes := inj.hosted[srcRouter]
+	var src int
+	switch len(nodes) {
+	case 0:
+		return 0, false // router hosts no memory at this scale
+	case 1:
+		src = nodes[0]
+	default:
+		src = nodes[rng.Intn(len(nodes))]
+	}
+	alive := *inj.alive
+	if alive != nil && !alive[src] {
+		return 0, false
+	}
+	dst, ok := inj.pat(src, rng)
+	if !ok || alive != nil && !alive[dst] {
+		return 0, false
+	}
+	dstRouter := inj.router[dst]
+	if dstRouter == srcRouter {
+		return 0, false // intra-router traffic never enters the network
+	}
+	return dstRouter, true
 }
 
 // syntheticResult assembles the unified Result of one open-loop measured
