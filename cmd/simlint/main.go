@@ -111,7 +111,9 @@ var netsimHot = []string{
 	"activeSet.set", "activeSet.clear", "activeSet.count",
 	// router bitmask helpers
 	"router.candSet", "router.candClear", "router.attnSet", "router.attnClear",
-	"router.park", "router.unpark",
+	"router.park", "router.unpark", "router.unparkFlagged",
+	// the credit return (unparkUp is its out-of-line unpark)
+	"Sim.creditUp", "Sim.unparkUp",
 	// flow accounting and trace sampling
 	"flowAcct.observe", "flowAcct.bucketOf", "Sim.traceEvent",
 }

@@ -197,15 +197,17 @@ type flit struct {
 // sent and gets it back only when the flit leaves), so a fixed ring of that
 // size is exact, and a push onto a full unit is a protocol bug, not a
 // reason to grow. The route state comes first, so it shares a cache line
-// with the front of the ring; the whole unit is 88 bytes.
+// with the front of the ring; the whole unit is 84 bytes.
 type inputUnit struct {
 	head, n uint8 // ring cursor and occupancy of buf
 	route   int32 // assigned output port, -1 when the head packet is unrouted
 	outVC   int32 // VC on the next link, set with route
 	blocked int32 // consecutive cycles the routed head flit failed to move
-	port    int32 // this unit's input port (unit index / VCs, precomputed)
-	vc      int32 // this unit's buffer VC (unit index % VCs, precomputed)
-	buf     [bufFlits]flit
+	// upOvc is the Sim.ovcs index of the upstream output VC that a slot
+	// freed here credits (-1 on the injection port): the credit return
+	// reads no port table and no upstream router.
+	upOvc int32
+	buf   [bufFlits]flit
 }
 
 // The inline ring indexes by masking, so bufFlits must be a power of two.
@@ -268,10 +270,15 @@ type linkCost struct {
 	base, lane int32
 }
 
-// ovc is one output-VC arbitration record (see router.ovcs).
+// ovc is one output-VC arbitration record (see router.ovcs). parked is set
+// on every VC of an output when the output parks (router.park), so that a
+// credit return, which writes this record anyway, learns from it whether
+// the output may need unparking without reading the parked set; the flags
+// outlive an unpark by a new candidate until that next credit return.
 type ovc struct {
-	owner int32
-	cred  int32
+	owner  int32
+	cred   int32
+	parked bool
 }
 
 // router holds the per-node microarchitecture.
@@ -328,6 +335,8 @@ type router struct {
 	// candOuts is a bitmask over output ports: bit out is set iff cand has
 	// any bit set for out.
 	candOuts []uint64
+	// ovcBase is the Sim.ovcs index of ovcs[0]; vcs is Sim.vcs.
+	ovcBase, vcs int32
 	// parked is a bitmask over output ports the event core's arbitration
 	// skips: the last scan granted nothing and observed no live starvation
 	// counter, and nothing that could change either has happened since. A
@@ -355,8 +364,29 @@ func (r *router) candSet(out, i int) {
 	r.unpark(out)
 }
 
-func (r *router) park(out int)   { r.parked[out>>6] |= 1 << uint(out&63) }
+// park adds out to the parked set and flags its output-VC records.
+func (r *router) park(out int) {
+	r.parked[out>>6] |= 1 << uint(out&63)
+	vcs := int(r.vcs)
+	for v := out * vcs; v < (out+1)*vcs; v++ {
+		r.ovcs[v].parked = true
+	}
+}
+
+// unpark removes out from the parked set. Its records may keep their
+// flags: a flag only sends the next credit return to unparkFlagged.
 func (r *router) unpark(out int) { r.parked[out>>6] &^= 1 << uint(out&63) }
+
+// unparkFlagged unparks out and clears its records' flags: a credit return
+// found the flag on the record it writes, so without reading the parked
+// set it knows out may be parked.
+func (r *router) unparkFlagged(out int) {
+	r.unpark(out)
+	vcs := int(r.vcs)
+	for v := out * vcs; v < (out+1)*vcs; v++ {
+		r.ovcs[v].parked = false
+	}
+}
 
 func (r *router) candClear(out, i int) {
 	r.cand[out*r.candW+i>>6] &^= 1 << uint(i&63)
@@ -445,6 +475,11 @@ type Sim struct {
 	galg *routing.Greediest
 	// st is the engine's own work record (see EngineStats).
 	st EngineStats
+
+	// ovcs holds every router's output-VC records (router.ovcs is its
+	// router's stretch), so that a credit return indexes it directly
+	// (inputUnit.upOvc).
+	ovcs []ovc
 
 	// overCred is the adaptive threshold as a credit bound (overCredit).
 	overCred int32
@@ -540,7 +575,8 @@ func New(cfg Config) (*Sim, error) {
 	// candOuts, parked, cand): a router's whole worklist state spans a
 	// couple of adjacent cache lines.
 	maskA := make([]uint64, totW+2*totOut64+totCand)
-	ovcA := make([]ovc, totOvc)
+	s.ovcs = make([]ovc, totOvc)
+	ovcA := s.ovcs
 	rrA := make([]int, totRR)
 	// Pre-seed the source queues too (input units carry their rings inline);
 	// a backlog that outgrows srcQSeed falls back to ring.grow.
@@ -558,8 +594,6 @@ func New(cfg Config) (*Sim, error) {
 		r.in, inA = inA[:nin:nin], inA[nin:]
 		for i := range r.in {
 			r.in[i].route = -1
-			r.in[i].port = int32(i / s.vcs)
-			r.in[i].vc = int32(i % s.vcs)
 		}
 		r.srcQ.buf, srcA = srcA[:srcQSeed:srcQSeed], srcA[srcQSeed:]
 		for p, w := range r.outNbr {
@@ -577,11 +611,23 @@ func New(cfg Config) (*Sim, error) {
 		r.candOuts = carve((nout+1+63)/64, &maskA)
 		r.parked = carve((nout+1+63)/64, &maskA)
 		r.cand = carve((nout+1)*r.candW, &maskA)
+		r.ovcBase, r.vcs = int32(len(s.ovcs)-len(ovcA)), int32(s.vcs)
 		r.ovcs, ovcA = ovcA[:(nout+1)*s.vcs:(nout+1)*s.vcs], ovcA[(nout+1)*s.vcs:]
 		for i := range r.ovcs {
 			r.ovcs[i].owner = -1
 			if i < nout*s.vcs {
 				r.ovcs[i].cred = int32(bufFlits)
+			}
+		}
+	}
+	// Every input unit's credit target, now that every router's output-VC
+	// records have their place in s.ovcs.
+	for _, r := range s.routers {
+		for i := range r.in {
+			port, vc := i/s.vcs, i%s.vcs
+			r.in[i].upOvc = -1
+			if up := r.inUp[port]; up >= 0 {
+				r.in[i].upOvc = s.routers[up].ovcBase + r.upOutPort[port]*int32(s.vcs) + int32(vc)
 			}
 		}
 	}
@@ -1314,7 +1360,6 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 		return
 	}
 	h := iu.front().pkt
-	vc := unit % s.vcs
 	kept := 0
 	purged := 0
 	n := iu.Len()
@@ -1342,15 +1387,34 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 	}
 	iu.route = -1
 	iu.blocked = 0
-	if up := r.inUp[unit/s.vcs]; up >= 0 && purged > 0 {
-		ur := s.routers[up]
-		upOut := int(r.upOutPort[unit/s.vcs])
-		ur.ovcs[upOut*s.vcs+vc].cred += int32(purged)
-		ur.unpark(upOut) // new credits: the upstream output may grant again
+	if purged > 0 {
+		s.creditUp(r, unit, int32(purged))
 	}
 	if p.left == 0 {
 		s.freePacket(h)
 	}
+}
+
+// creditUp returns n credits for slots freed in r's input unit to the
+// upstream output VC they belong to, unparking that output if it was
+// parked: it may grant again.
+func (s *Sim) creditUp(r *router, unit int, n int32) {
+	if c := r.in[unit].upOvc; c >= 0 {
+		o := &s.ovcs[c]
+		o.cred += n
+		if o.parked {
+			s.unparkUp(r, unit)
+		}
+	}
+}
+
+// unparkUp unparks the flagged upstream output feeding r's input unit. It
+// is the rare path (no output parks on a loaded network), kept out of line.
+//
+//go:noinline
+func (s *Sim) unparkUp(r *router, unit int) {
+	port := unit / s.vcs
+	s.routers[r.inUp[port]].unparkFlagged(int(r.upOutPort[port]))
 }
 
 // arbitrate is the event core's switch allocation: it grants each output
@@ -1502,22 +1566,21 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) (flit, bo
 		s.fl.rtrs[r.id]++
 	}
 	outVC := int(iu.outVC)
-	if f.head {
-		r.ovcs[out*vcs+outVC].owner = int32(granted)
-	}
+	o := &r.ovcs[out*vcs+outVC]
 	if f.tail {
 		iu.route = -1
-		r.ovcs[out*vcs+outVC].owner = -1
+		o.owner = -1
+	} else if f.head {
+		o.owner = int32(granted)
 	}
 	// Return a credit to the upstream router for the freed slot; the
 	// freed buffer is the unit's own VC, not the outgoing VC.
-	unitVC := int(iu.vc)
-	port := int(iu.port)
-	if up := r.inUp[port]; up >= 0 {
-		ur := s.routers[up]
-		upOut := int(r.upOutPort[port])
-		ur.ovcs[upOut*vcs+unitVC].cred++
-		ur.unpark(upOut) // new credit: the upstream output may grant again
+	if c := iu.upOvc; c >= 0 {
+		o := &s.ovcs[c]
+		o.cred++
+		if o.parked {
+			s.unparkUp(r, granted) // new credit: the upstream output may grant again
+		}
 	}
 	if out == eject {
 		s.res.FlitsDelivered++
@@ -1533,7 +1596,7 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) (flit, bo
 		return flit{}, false
 	}
 	// Send over the link on the outgoing VC.
-	r.ovcs[out*vcs+outVC].cred--
+	o.cred--
 	f.vc = uint8(outVC)
 	s.res.FlitHops++
 	if s.fl != nil {
