@@ -171,7 +171,10 @@ type packet struct {
 	size     int
 	left     int // flits not yet retired; 0 returns the packet to the pool
 	injected int64
-	hops     int
+	// hops counts the links the head flit has crossed. It is counted as
+	// the head lands (deliverFlit), where the head's router — every reader
+	// of hops runs there — next looks at the packet anyway.
+	hops int
 	// escaped commits the packet to the escape subnetwork. Commitment is
 	// permanent: re-entering the adaptive channels would create indirect
 	// escape->adaptive->escape dependencies that defeat the dateline
@@ -764,6 +767,11 @@ func (s *Sim) step() {
 				}
 			}
 		}
+		// Sends are the only pushes onto a lane and come after this
+		// cycle's pops, so each lane's high-water mark is read here.
+		for li := range s.lanes {
+			s.st.LaneHighWater = max(s.st.LaneHighWater, int64(s.lanes[li].n))
+		}
 	}
 	s.cycle++
 	if s.cfg.OnSnapshot != nil && s.cfg.SnapshotEvery > 0 &&
@@ -783,23 +791,29 @@ func (s *Sim) step() {
 // links commute — each input unit is fed by exactly one link — so only the
 // order within a link matters, and far-before-lanes keeps it (see farHeap).
 func (s *Sim) deliverLinkFlits() {
+	landed := int64(0)
 	for len(s.far) > 0 && s.far[0].arrive <= s.cycle {
 		s.land(s.far.pop().rec)
 		s.st.FarFlits++
+		landed++
 	}
 	now := uint32(s.cycle)
 	for li := range s.lanes {
 		q := &s.lanes[li]
+		n := q.n
 		for q.Len() > 0 && int32(q.front().arrive-now) <= 0 {
 			s.land(q.popFront())
-			s.st.LaneFlits++
 		}
+		s.st.LaneFlits += int64(n - q.n)
+		landed += int64(n - q.n)
+	}
+	if landed > 0 {
+		s.lastMove = s.cycle
 	}
 }
 
 // land delivers one lane or far record downstream (see deliverFlit).
 func (s *Sim) land(rec laneRec) {
-	s.lastMove = s.cycle
 	dn := s.routers[rec.dn]
 	unit := int(rec.unit)
 	if s.deliverFlit(dn, unit, rec.f) && !s.routeFront(dn, unit, rec.f) {
@@ -828,7 +842,6 @@ func (s *Sim) send(r *router, out int, f flit) {
 	}
 	q.buf[(q.head+q.n)&uint32(len(q.buf)-1)] = rec
 	q.n++
-	s.st.LaneHighWater = max(s.st.LaneHighWater, int64(q.n))
 }
 
 // laneOverflow is send's failure path, out of line so its panic value stays
@@ -844,8 +857,12 @@ func laneOverflow() {
 // the event core then resolves the route on the spot or flags the unit for
 // its route pass; the reference scan visits every occupied unit anyway.
 func (s *Sim) deliverFlit(dn *router, unit int, f flit) bool {
-	if s.tr != nil && f.head {
-		s.traceEvent(s.pkt(f.pkt), TraceHop, dn.id)
+	if f.head {
+		p := s.pkt(f.pkt)
+		p.hops++
+		if s.tr != nil {
+			s.traceEvent(p, TraceHop, dn.id)
+		}
 	}
 	iu := &dn.in[unit]
 	wasEmpty := iu.n == 0
@@ -1436,22 +1453,23 @@ func (s *Sim) arbitrate(r *router) {
 			out := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			s.scanSawLive = false
-			s.st.GrantScans++
-			if !s.arbitrateSlot(r, out, nUnits, eject, vcs) {
-				s.st.FailedScans++
-				if s.scanSawLive {
-					s.st.LiveFailedScans++
-				} else {
-					s.st.Parks++
-					r.park(out)
-				}
-				continue
-			}
-			for slot := 1; slot < s.cfg.LinkWidth; slot++ {
+			for slot := 0; slot < s.cfg.LinkWidth; slot++ {
 				s.st.GrantScans++
-				if !s.arbitrateSlot(r, out, nUnits, eject, vcs) {
+				granted := s.scanSlot(r, out, nUnits, eject, vcs)
+				if granted < 0 {
 					s.st.FailedScans++
+					if slot == 0 {
+						if s.scanSawLive {
+							s.st.LiveFailedScans++
+						} else {
+							s.st.Parks++
+							r.park(out)
+						}
+					}
 					break
+				}
+				if f, onLink := s.forward(r, out, granted, nUnits, eject, vcs); onLink {
+					s.send(r, out, f)
 				}
 			}
 		}
@@ -1522,19 +1540,6 @@ func (s *Sim) scanSlot(r *router, out, nUnits, eject, vcs int) int {
 	return -1
 }
 
-// arbitrateSlot performs one event-core grant on one output port and reports
-// whether a flit was forwarded.
-func (s *Sim) arbitrateSlot(r *router, out, nUnits, eject, vcs int) bool {
-	granted := s.scanSlot(r, out, nUnits, eject, vcs)
-	if granted < 0 {
-		return false
-	}
-	if f, onLink := s.forward(r, out, granted, nUnits, eject, vcs); onLink {
-		s.send(r, out, f)
-	}
-	return true
-}
-
 // forward moves the front flit of the granted input unit through output
 // port out — the state transition both cores' grant scans end in: advance
 // the round-robin pointer, release or claim the output VC, return a credit
@@ -1601,9 +1606,6 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) (flit, bo
 	s.res.FlitHops++
 	if s.fl != nil {
 		s.fl.links[r.linkBase+int32(out)]++
-	}
-	if f.head {
-		s.pkt(f.pkt).hops++
 	}
 	return f, true
 }
