@@ -286,42 +286,11 @@ type ovc struct {
 
 // router holds the per-node microarchitecture.
 type router struct {
-	id int
-	// outNbr[p] is the downstream node of output port p.
-	outNbr []int
-	// inUp[p] is the upstream node of input port p; the last input port is
-	// the injection port (upstream -1).
-	inUp []int
-	// upOutPort[p] is the output-port index at upstream router inUp[p]
-	// whose link feeds input port p — the dense replacement for the old
-	// per-router outPortOf map on the credit-return path. Undefined for
-	// the injection port.
-	upOutPort []int32
-	// downInPort[p] is the input-port index at downstream router outNbr[p]
-	// fed by output port p — the dense replacement for the old inPortOf
-	// map on the link-delivery path.
-	downInPort []int32
-	// in[p*VCs+v] are the input units.
-	in []inputUnit
-	// linkBase is the global link id of output port 0 (ports are numbered
-	// consecutively): Sim.links, Sim.lines and the flow counters index
-	// links by linkBase+p.
-	linkBase int32
-	// rr[p] is the round-robin pointer of output port p over input units.
-	rr []int
-	// ovcs[p*VCs+v] is the merged per-(output port, VC) arbitration state:
-	// the wormhole owner unit (-1 when free — switching must not
-	// interleave flits of different packets on one virtual channel) and
-	// the free downstream buffer slots. Packing both into one word keeps
-	// the grant scan's ownership and credit checks on a single cache
-	// line. The eject port's entries carry no credits (ejection is
-	// always free); scans check out < eject before reading cred.
-	ovcs []ovc
-	// srcQ is the unbounded source queue feeding the injection port.
-	srcQ ring[flit]
 	// queued counts flits across all input units; idle routers (queued==0
 	// and empty srcQ) leave the active worklist entirely.
 	queued int
+	// srcQ is the unbounded source queue feeding the injection port.
+	srcQ ring[flit]
 	// attn is the event core's route-pass worklist over input units, a set
 	// of occupied units: those whose front flit has no route yet, plus
 	// route-assigned units whose starvation counter crossed the
@@ -329,17 +298,9 @@ type router struct {
 	// routeUnit, so the route pass visits only these (ascending, the order
 	// of the reference scan over every occupied unit).
 	attn []uint64
-	// cand[out*candW...] is a bitmask per output port over input units:
-	// bit i is set iff in[i] has a queued flit routed to out. The event
-	// core's arbitration visits only these bits (rotated to round-robin
-	// order); outputs with an empty mask are skipped entirely via candOuts.
-	cand  []uint64
-	candW int
 	// candOuts is a bitmask over output ports: bit out is set iff cand has
 	// any bit set for out.
 	candOuts []uint64
-	// ovcBase is the Sim.ovcs index of ovcs[0]; vcs is Sim.vcs.
-	ovcBase, vcs int32
 	// parked is a bitmask over output ports the event core's arbitration
 	// skips: the last scan granted nothing and observed no live starvation
 	// counter, and nothing that could change either has happened since. A
@@ -350,6 +311,45 @@ type router struct {
 	// counters (a starvation counter on an escape VC is never read before
 	// the next reset, and the escape-diversion check ignores escape VCs).
 	parked []uint64
+	// in[p*VCs+v] are the input units.
+	in []inputUnit
+	// cand[out*candW...] is a bitmask per output port over input units:
+	// bit i is set iff in[i] has a queued flit routed to out. The event
+	// core's arbitration visits only these bits (rotated to round-robin
+	// order); outputs with an empty mask are skipped entirely via candOuts.
+	cand  []uint64
+	candW int
+	// ovcs[p*VCs+v] is the merged per-(output port, VC) arbitration state:
+	// the wormhole owner unit (-1 when free — switching must not
+	// interleave flits of different packets on one virtual channel) and
+	// the free downstream buffer slots. Packing both into one word keeps
+	// the grant scan's ownership and credit checks on a single cache
+	// line. The eject port's entries carry no credits (ejection is
+	// always free); scans check out < eject before reading cred.
+	ovcs []ovc
+	// rr[p] is the round-robin pointer of output port p over input units.
+	rr []int
+	// outNbr[p] is the downstream node of output port p.
+	outNbr []int
+	id     int
+	// linkBase is the global link id of output port 0 (ports are numbered
+	// consecutively): Sim.links, Sim.lines and the flow counters index
+	// links by linkBase+p.
+	linkBase int32
+	// ovcBase is the Sim.ovcs index of ovcs[0]; vcs is Sim.vcs.
+	ovcBase, vcs int32
+	// downInPort[p] is the input-port index at downstream router outNbr[p]
+	// fed by output port p — the dense replacement for the old inPortOf
+	// map on the link-delivery path.
+	downInPort []int32
+	// inUp[p] is the upstream node of input port p; the last input port is
+	// the injection port (upstream -1).
+	inUp []int
+	// upOutPort[p] is the output-port index at upstream router inUp[p]
+	// whose link feeds input port p — the dense replacement for the old
+	// per-router outPortOf map on the credit-return path. Undefined for
+	// the injection port.
+	upOutPort []int32
 }
 
 // attnSet/attnClear maintain the route pass worklist: bits are only set
