@@ -90,7 +90,7 @@ var netsimHot = []string{
 	"Sim.land", "Sim.deliverFlit", "Sim.inject", "Sim.injGap",
 	"Sim.drainSourceQueue", "Sim.routeHeads", "Sim.routeUnit", "Sim.routeFront",
 	"Sim.arbitrate", "Sim.forward", "Sim.scanSlot",
-	"Sim.scanSlotRef", "Sim.pickPort", "Sim.overThreshold",
+	"Sim.scanSlotRef", "router.blocked", "Sim.pickPort", "Sim.overThreshold",
 	// routing helpers (get/put are the route cache's lookup and fill,
 	// missed its per-destination miss count, fillColumn its column fill)
 	"Sim.candidates", "router.portOf", "Sim.noteBlocked", "Sim.assignEscape",

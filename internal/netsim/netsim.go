@@ -1455,7 +1455,18 @@ func (s *Sim) arbitrate(r *router) {
 			s.scanSawLive = false
 			for slot := 0; slot < s.cfg.LinkWidth; slot++ {
 				s.st.GrantScans++
-				granted := s.scanSlot(r, out, nUnits, eject, vcs)
+				granted := -1
+				if m := r.cand[out*r.candW]; r.candW == 1 && m&(m-1) == 0 {
+					// At most one candidate unit, the dominant shape: the
+					// round-robin rotation cannot matter.
+					if i := bits.TrailingZeros64(m); m != 0 && !r.blocked(out, i, eject, vcs) {
+						granted = i
+					} else if m != 0 {
+						s.noteBlocked(r, &r.in[i], i)
+					}
+				} else {
+					granted = s.scanSlot(r, out, nUnits, eject, vcs)
+				}
 				if granted < 0 {
 					s.st.FailedScans++
 					if slot == 0 {
@@ -1480,30 +1491,10 @@ func (s *Sim) arbitrate(r *router) {
 // scanSlotRef — the candidate mask holds exactly the units the reference
 // scan would consider (queued flit, routed to out), visited in the same
 // round-robin rotation — but the cost is proportional to the candidates,
-// not to the unit count.
+// not to the unit count. arbitrate takes an output with at most one
+// candidate, where the rotation cannot matter, straight to blocked.
 func (s *Sim) scanSlot(r *router, out, nUnits, eject, vcs int) int {
 	base := out * r.candW
-	// Fast path for the dominant low-load shape — a single candidate unit
-	// on the output — where the round-robin rotation cannot matter.
-	if r.candW == 1 {
-		if w := r.cand[base]; w&(w-1) == 0 {
-			if w == 0 {
-				return -1
-			}
-			i := bits.TrailingZeros64(w)
-			iu := &r.in[i]
-			o := &r.ovcs[out*vcs+int(iu.outVC)]
-			if o.owner >= 0 && int(o.owner) != i {
-				s.noteBlocked(r, iu, i)
-				return -1
-			}
-			if out < eject && o.cred <= 0 {
-				s.noteBlocked(r, iu, i)
-				return -1
-			}
-			return i
-		}
-	}
 	rr := r.rr[out]
 	// Two passes over the rotation: unit indexes [rr, nUnits) then [0, rr).
 	lo, hi := rr, nUnits
@@ -1519,17 +1510,10 @@ func (s *Sim) scanSlot(r *router, out, nUnits, eject, vcs int) int {
 			for w != 0 {
 				i := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				iu := &r.in[i]
-				o := &r.ovcs[out*vcs+int(iu.outVC)]
-				if o.owner >= 0 && int(o.owner) != i {
-					s.noteBlocked(r, iu, i)
-					continue // another packet holds this output VC
+				if !r.blocked(out, i, eject, vcs) {
+					return i
 				}
-				if out < eject && o.cred <= 0 {
-					s.noteBlocked(r, iu, i)
-					continue // no downstream space
-				}
-				return i
+				s.noteBlocked(r, &r.in[i], i)
 			}
 		}
 		lo, hi = 0, rr
@@ -1538,6 +1522,15 @@ func (s *Sim) scanSlot(r *router, out, nUnits, eject, vcs int) int {
 		}
 	}
 	return -1
+}
+
+// blocked reports whether candidate unit i of output out must wait: its
+// output VC is held by another packet (wormhole), or a link has no
+// downstream slot (ejection is always free). Callers note the blocked head
+// (noteBlocked).
+func (r *router) blocked(out, i, eject, vcs int) bool {
+	o := &r.ovcs[out*vcs+int(r.in[i].outVC)]
+	return o.owner >= 0 && int(o.owner) != i || out < eject && o.cred <= 0
 }
 
 // forward moves the front flit of the granted input unit through output
