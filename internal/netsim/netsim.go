@@ -273,6 +273,15 @@ type linkCost struct {
 	base, lane int32
 }
 
+// downPort is where an output port's link lands, in the lane record's
+// 16-bit fields: the downstream router and the index of its first input
+// unit fed by the link (the downstream input port times the VC count; a
+// flit lands in unit0 plus its VC). It replaces the old inPortOf map on the
+// link-delivery path, and a send reads it in one load.
+type downPort struct {
+	router, unit0 uint16
+}
+
 // ovc is one output-VC arbitration record (see router.ovcs). parked is set
 // on every VC of an output when the output parks (router.park), so that a
 // credit return, which writes this record anyway, learns from it whether
@@ -338,10 +347,8 @@ type router struct {
 	linkBase int32
 	// ovcBase is the Sim.ovcs index of ovcs[0]; vcs is Sim.vcs.
 	ovcBase, vcs int32
-	// downInPort[p] is the input-port index at downstream router outNbr[p]
-	// fed by output port p — the dense replacement for the old inPortOf
-	// map on the link-delivery path.
-	downInPort []int32
+	// down[p] is where output port p's link lands (see downPort).
+	down []downPort
 	// inUp[p] is the upstream node of input port p; the last input port is
 	// the injection port (upstream -1).
 	inUp []int
@@ -529,7 +536,7 @@ func New(cfg Config) (*Sim, error) {
 	if units := (slices.Max(inDeg) + 1) * s.vcs; n > 1<<16 || units > 1<<16 {
 		return nil, fmt.Errorf("netsim: %d routers, up to %d input units per router: a lane record holds at most %d of each", n, units, 1<<16)
 	}
-	outNbrA, downA := make([]int, edges), make([]int32, edges)
+	outNbrA, downA := make([]int, edges), make([]downPort, edges)
 	inUpA, upOutA := make([]int, edges+n), make([]int32, edges+n)
 	for v := 0; v < n; v++ {
 		r := &rarena[v]
@@ -537,7 +544,7 @@ func New(cfg Config) (*Sim, error) {
 		k, m := len(cfg.Out[v]), inDeg[v]+1
 		r.outNbr, outNbrA = outNbrA[:k:k], outNbrA[k:]
 		copy(r.outNbr, cfg.Out[v])
-		r.downInPort, downA = downA[:k:k], downA[k:]
+		r.down, downA = downA[:k:k], downA[k:]
 		r.inUp, inUpA = inUpA[:0:m], inUpA[m:]
 		r.upOutPort, upOutA = upOutA[:0:m], upOutA[m:]
 		s.routers[v] = r
@@ -549,7 +556,7 @@ func New(cfg Config) (*Sim, error) {
 		r := s.routers[v]
 		for p, w := range cfg.Out[v] {
 			rw := s.routers[w]
-			r.downInPort[p] = int32(len(rw.inUp))
+			r.down[p] = downPort{router: uint16(w), unit0: uint16(len(rw.inUp) * s.vcs)}
 			rw.inUp = append(rw.inUp, v)
 			rw.upOutPort = append(rw.upOutPort, int32(p))
 		}
@@ -827,7 +834,8 @@ func (s *Sim) land(rec laneRec) {
 // arrive at base + wake.
 func (s *Sim) send(r *router, out int, f flit) {
 	k := &s.links[int(r.linkBase)+out]
-	rec := laneRec{f: f, dn: uint16(r.outNbr[out]), unit: uint16(int(r.downInPort[out])*s.vcs + int(f.vc))}
+	d := r.down[out]
+	rec := laneRec{f: f, dn: d.router, unit: d.unit0 + uint16(f.vc)}
 	if k.wake > s.cycle {
 		s.far.push(farRec{arrive: int64(k.base) + k.wake, seq: s.farSeq, rec: rec})
 		s.farSeq++

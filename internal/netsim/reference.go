@@ -52,7 +52,7 @@ func (s *Sim) deliverLinkFlitsRef() {
 			q := &s.lines[int(r.linkBase)+p]
 			for q.Len() > 0 && q.front().arrive <= s.cycle {
 				f := q.popFront().f
-				s.deliverFlit(s.routers[w], int(r.downInPort[p])*s.vcs+int(f.vc), f)
+				s.deliverFlit(s.routers[w], int(r.down[p].unit0)+int(f.vc), f)
 				s.lastMove = s.cycle
 			}
 		}
