@@ -441,11 +441,12 @@ type Sim struct {
 	fl *flowAcct
 	tr *traceAcct
 
-	// active is the worklist of routers with queued or waiting flits and
-	// drain its subset whose source queue holds flits; lanes and far carry the flits in flight on links: one lane per
-	// distinct base latency (see newLanes), and the far heap for flits sent
-	// onto a waking link (farSeq numbers them in send order). All are
-	// maintained only by the event-driven core.
+	// active is the worklist of routers with queued or waiting flits, and
+	// drain its subset whose source queue holds flits. lanes and far carry
+	// the flits in flight on links: one lane per distinct base latency
+	// (see newLanes), and the far heap for flits sent onto a waking link
+	// (farSeq numbers them in send order). All are maintained only by the
+	// event-driven core.
 	active activeSet
 	drain  activeSet
 	lanes  []ring[laneRec]
@@ -758,9 +759,11 @@ func (s *Sim) step() {
 			s.st.EmptyCycles++
 		}
 		// Route and arbitrate in ascending router order (see activeSet).
-		// Each word is read when the cursor reaches it: a router clears
-		// only its own bit, and a bit an OnDelivered callback sets behind
-		// the cursor waits for the next cycle, as in the full scan.
+		// Each word is read when the cursor reaches it. A router clears
+		// only its own bit, and the only bit set mid-pass is an
+		// OnDelivered callback's injection into a source queue, whose
+		// drain phase has run this cycle in the full scan too: visiting
+		// that router now or next cycle changes nothing.
 		for wi := range s.active.words {
 			for w := s.active.words[wi]; w != 0; w &= w - 1 {
 				v := wi<<6 | bits.TrailingZeros64(w)
@@ -1040,7 +1043,8 @@ func (s *Sim) enqueuePacket(r *router, src, dst int) {
 func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
 	h := s.allocPacket()
 	p := s.pkt(h)
-	// Field by field, every field: a packet literal is copied in whole.
+	// Every field, set in place: assigning a packet literal builds it
+	// first and then copies all of it.
 	p.id, p.tag = s.nextID, tag
 	p.src, p.dst = src, dst
 	p.advc = s.adaptiveVC(src, dst)
@@ -1412,25 +1416,24 @@ func (s *Sim) purgeHeadPacket(r *router, unit int) {
 	}
 	iu.route = -1
 	iu.blocked = 0
-	if purged > 0 {
-		s.creditUp(r, unit, int32(purged))
+	if purged > 0 && s.creditUp(iu, int32(purged)) {
+		s.unparkUp(r, unit) // new credits: the upstream output may grant again
 	}
 	if p.left == 0 {
 		s.freePacket(h)
 	}
 }
 
-// creditUp returns n credits for slots freed in r's input unit to the
-// upstream output VC they belong to, unparking that output if it was
-// parked: it may grant again.
-func (s *Sim) creditUp(r *router, unit int, n int32) {
-	if c := r.in[unit].upOvc; c >= 0 {
-		o := &s.ovcs[c]
-		o.cred += n
-		if o.parked {
-			s.unparkUp(r, unit)
-		}
+// creditUp returns n credits for slots freed in input unit iu to the
+// upstream output VC they belong to. It reports whether that output is
+// flagged as parked; the caller then unparks it (unparkUp).
+func (s *Sim) creditUp(iu *inputUnit, n int32) bool {
+	if iu.upOvc < 0 {
+		return false
 	}
+	o := &s.ovcs[iu.upOvc]
+	o.cred += n
+	return o.parked
 }
 
 // unparkUp unparks the flagged upstream output feeding r's input unit. It
@@ -1464,16 +1467,17 @@ func (s *Sim) arbitrate(r *router) {
 			for slot := 0; slot < s.cfg.LinkWidth; slot++ {
 				s.st.GrantScans++
 				granted := -1
-				if m := r.cand[out*r.candW]; r.candW == 1 && m&(m-1) == 0 {
-					// At most one candidate unit, the dominant shape: the
-					// round-robin rotation cannot matter.
-					if i := bits.TrailingZeros64(m); m != 0 && !r.blocked(out, i, eject, vcs) {
-						granted = i
-					} else if m != 0 {
-						s.noteBlocked(r, &r.in[i], i)
-					}
-				} else {
+				if m := r.cand[out*r.candW]; r.candW > 1 || m&(m-1) != 0 {
 					granted = s.scanSlot(r, out, nUnits, eject, vcs)
+				} else if m != 0 {
+					// One candidate, the dominant shape: the round-robin
+					// rotation cannot matter.
+					i := bits.TrailingZeros64(m)
+					if r.blocked(out, i, eject, vcs) {
+						s.noteBlocked(r, &r.in[i], i)
+					} else {
+						granted = i
+					}
 				}
 				if granted < 0 {
 					s.st.FailedScans++
@@ -1581,12 +1585,8 @@ func (s *Sim) forward(r *router, out, granted, nUnits, eject, vcs int) (flit, bo
 	}
 	// Return a credit to the upstream router for the freed slot; the
 	// freed buffer is the unit's own VC, not the outgoing VC.
-	if c := iu.upOvc; c >= 0 {
-		o := &s.ovcs[c]
-		o.cred++
-		if o.parked {
-			s.unparkUp(r, granted) // new credit: the upstream output may grant again
-		}
+	if s.creditUp(iu, 1) {
+		s.unparkUp(r, granted) // new credit: the upstream output may grant again
 	}
 	if out == eject {
 		s.res.FlitsDelivered++
