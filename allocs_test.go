@@ -77,8 +77,9 @@ func TestNetsimSteadyStateAllocs(t *testing.T) {
 // of a fresh loaded N=256 simulator over shared routing tables, then 1000
 // cycles of growth to the working set. It read 3 383 while New appended
 // each router's port tables separately; with every table carved from
-// arenas and the input-unit buffers inline, the whole cold start is 56
-// allocations (an occasional run reads 58).
+// arenas and the input-unit buffers inline, the whole cold start is 57
+// allocations (an occasional run has read two more), one of them the drain
+// worklist's bitmap.
 func TestNetsimColdSimAllocs(t *testing.T) {
 	const ceiling = 67
 	cfg := netsimStepConfig(t, 256, true)

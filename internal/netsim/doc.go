@@ -25,11 +25,17 @@
 // Two cores advance that machinery, chosen once per cycle in step: the
 // event-driven core (netsim.go, events.go) carries in-flight flits in one
 // FIFO lane per distinct base latency, plus a far heap for flits sent onto
-// a waking link, and follows a router worklist and per-router bitmasks; the
-// reference core (reference.go, Config.ReferenceCore) keeps a delay line
+// a waking link, and follows two router worklists (routers with work, and
+// routers whose source queue holds flits) and per-router bitmasks (units
+// needing a route, candidates per output, parked outputs); the reference
+// core (reference.go, Config.ReferenceCore) keeps a delay line
 // per link, scans everything and is the oracle the cross-core determinism
 // suites byte-diff against. They share every other state transition and
 // own only their scans and link queues (see ARCHITECTURE.md, "Hot loop").
+//
+// A freed buffer slot credits its upstream output VC through an index the
+// input unit keeps into one array of every router's output-VC records, so
+// a credit return reads no upstream router.
 //
 // The per-flit state holds no pointer: a flit is 8 bytes naming its packet
 // by handle in the Sim's packet slabs, and each input unit carries a fixed
