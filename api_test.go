@@ -71,6 +71,38 @@ func TestFuncWorkload(t *testing.T) {
 	}
 }
 
+// TestFuncWorkloadOutOfRangeDest holds a destination outside the node
+// range to a skipped injection: the session runs exactly as if Dest had
+// returned ok=false for it.
+func TestFuncWorkloadOutOfRangeDest(t *testing.T) {
+	net, _ := New(WithNodes(24), WithSeed(8))
+	cfg := SessionConfig{Rate: 0.05, Warmup: 300, Measure: 900, Seed: 3}
+	run := func(every3rd func(src int) (int, bool)) Result {
+		res, err := net.NewSession(cfg).Run(FuncWorkload{Dest: func(src int, _ *rand.Rand) (int, bool) {
+			if src%3 == 0 {
+				return every3rd(src)
+			}
+			return (src + 5) % 24, true
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(func(int) (int, bool) { return 0, false })
+	if want.Delivered == 0 {
+		t.Fatalf("nothing delivered: %+v", want)
+	}
+	for _, outside := range []func(int) (int, bool){
+		func(src int) (int, bool) { return 24 + src, true },
+		func(src int) (int, bool) { return -1 - src, true },
+	} {
+		if got := run(outside); !reflect.DeepEqual(got, want) {
+			t.Errorf("out-of-range destinations changed the run:\n%+v\n%+v", got, want)
+		}
+	}
+}
+
 func TestTraceWorkloadEndToEnd(t *testing.T) {
 	// Session.Run on a Table IV workload must return nonzero IPC and read
 	// latency, matching cmd/sfexp's Figure 12 path (experiments.RunWorkload

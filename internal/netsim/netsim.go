@@ -276,8 +276,7 @@ type linkCost struct {
 // downPort is where an output port's link lands, in the lane record's
 // 16-bit fields: the downstream router and the index of its first input
 // unit fed by the link (the downstream input port times the VC count; a
-// flit lands in unit0 plus its VC). It replaces the old inPortOf map on the
-// link-delivery path, and a send reads it in one load.
+// flit lands in unit0 plus its VC), so a send reads it in one load.
 type downPort struct {
 	router, unit0 uint16
 }

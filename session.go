@@ -399,8 +399,8 @@ func (inj *injector) next(srcRouter int, rng *rand.Rand) (int, bool) {
 		return 0, false
 	}
 	dst, ok := inj.pat(src, rng)
-	if !ok || alive != nil && !alive[dst] {
-		return 0, false
+	if !ok || dst < 0 || dst >= len(inj.router) || alive != nil && !alive[dst] {
+		return 0, false // no destination, or not an alive memory node
 	}
 	dstRouter := inj.router[dst]
 	if dstRouter == srcRouter {
