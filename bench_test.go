@@ -454,9 +454,10 @@ func reportNsPerFlit(b *testing.B, moves int64) {
 // run in, configured the way sessions run it (see netsimStepConfig): rate
 // 0.20, sfperf's synth-loaded-n256 — every router busy every cycle, near
 // but under saturation; at N=64 its whole state stays cache-resident, so
-// there the cost per flit is the core's path length alone. All three reach a stable in-flight population,
-// which an allocation count needs to be meaningful (an ever-growing
-// source-queue backlog allocates forever on any core).
+// there the cost per flit is the core's path length alone. All three
+// reach a stable in-flight population, which an allocation count needs to
+// be meaningful (an ever-growing source-queue backlog allocates forever on
+// any core).
 var netsimStepGrid = []struct {
 	n       int
 	load    string
