@@ -3,12 +3,13 @@ package main
 import (
 	"bytes"
 	"errors"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 // footer matches sfexp's "-- <id> done in <wall> --" line and the blank
@@ -18,7 +19,8 @@ var footer = regexp.MustCompile(`(?m)^-- \S+ done in \S+ --\n\n`)
 // TestCLI builds sfexp once and drives it as a user does: the one-shot
 // ids against golden output (testdata/ holds the topology and session the
 // retired sfgen -n 16 and sfsim -n 16 -warmup 600 -cycles 1500 printed at
-// seed 1), and every bad input to a named error and exit status 1.
+// seed 1; rewrite them on purpose with go test ./cmd/sfexp -run TestCLI
+// -update), and every bad input to a named error and exit status 1.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "sfexp")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -49,17 +51,11 @@ func TestCLI(t *testing.T) {
 		{"run-16-quick", []string{"-exp", "run", "-quick", "-scale", "16"}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, stderr, code := sfexp(c.args...)
 			if code != 0 {
 				t.Fatalf("sfexp %s: exit %d: %s", strings.Join(c.args, " "), code, stderr)
 			}
-			if got != string(want) {
-				t.Errorf("sfexp %s printed\n%s\nwant\n%s", strings.Join(c.args, " "), got, want)
-			}
+			golden.Text(t, filepath.Join("testdata", c.golden+".golden"), got)
 		})
 	}
 

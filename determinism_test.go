@@ -1,46 +1,34 @@
 package stringfigure
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 // The cross-core determinism suite: every scenario below runs twice — on the
 // event-driven netsim core and on the reference full-scan core
-// (SessionConfig.ReferenceCore) — and the two runs are byte-diffed through
+// (SessionConfig.ReferenceCore) — and the two runs are compared through
 // their JSON encodings, exactly the representation the job service journals
-// (invariant 6). The contract is bit-identity: the event scheduler, packet
-// pooling, batched routing evaluation and the incremental occupancy counter
-// may change nothing observable, for any design, workload or gate schedule.
+// (invariant 6); golden.Diff names the leaves that diverge. The contract is
+// bit-identity: the event scheduler, packet pooling, batched routing
+// evaluation and the incremental occupancy counter may change nothing
+// observable, for any design, workload or gate schedule.
 
-// coreDiff runs fn under both cores and byte-compares the JSON of whatever
-// it returns (results, snapshot streams, saturation rates...).
+// coreDiff runs fn under both cores and compares the JSON of whatever it
+// returns (results, snapshot streams, saturation rates...).
 func coreDiff(t *testing.T, label string, fn func(cfg SessionConfig) any, cfg SessionConfig) {
 	t.Helper()
-	encode := func(ref bool) []byte {
+	run := func(ref bool) any {
 		c := cfg
 		c.ReferenceCore = ref
-		out := fn(c)
-		b, err := json.Marshal(out)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", label, err)
-		}
-		return b
+		return fn(c)
 	}
-	ev := encode(false)
-	ref := encode(true)
-	if !bytes.Equal(ev, ref) {
-		t.Errorf("%s: cores diverge\nevent: %s\nref:   %s", label, clip(ev), clip(ref))
+	ev := run(false)
+	if d := golden.Diff(run(true), ev); d != "" {
+		t.Errorf("%s: cores diverge (recorded: reference, got: event):%s", label, d)
 	}
-}
-
-func clip(b []byte) string {
-	if len(b) > 600 {
-		return string(b[:600]) + "..."
-	}
-	return string(b)
 }
 
 // sessionOutput bundles a run's Result with its telemetry stream so both are
@@ -106,7 +94,7 @@ func TestFlowTelemetryOnOffIdentity(t *testing.T) {
 		t.Run(d, func(t *testing.T) {
 			net := mustNet(t, d, 16)
 			for _, ref := range []bool{false, true} {
-				run := func(flow bool) ([]byte, int) {
+				run := func(flow bool) (Result, int) {
 					cfg := SessionConfig{Rate: 0.08, Warmup: 400, Measure: 1600,
 						Seed: 9, ReferenceCore: ref}
 					if flow {
@@ -121,17 +109,12 @@ func TestFlowTelemetryOnOffIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := json.Marshal(res)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return b, records
+					return res, records
 				}
 				on, records := run(true)
 				off, _ := run(false)
-				if !bytes.Equal(on, off) {
-					t.Errorf("%s ref=%v: flow telemetry perturbs the result\non:  %s\noff: %s",
-						d, ref, clip(on), clip(off))
+				if diff := golden.Diff(off, on); diff != "" {
+					t.Errorf("%s ref=%v: flow telemetry perturbs the result (recorded: off, got: on):%s", d, ref, diff)
 				}
 				if records == 0 {
 					t.Errorf("%s ref=%v: no flow/trace records with accounting enabled", d, ref)
@@ -278,7 +261,7 @@ func TestScenarioTelemetryOnOffIdentity(t *testing.T) {
 		t.Run(tc.design+"/"+tc.spec.Kind, func(t *testing.T) {
 			net := mustNet(t, tc.design, 16)
 			for _, ref := range []bool{false, true} {
-				run := func(telemetry bool) ([]byte, int) {
+				run := func(telemetry bool) (Result, int) {
 					cfg := SessionConfig{Rate: 0.05, Warmup: tc.warmup, Measure: tc.measure,
 						Seed: 7, ReferenceCore: ref, Scenario: []ScenarioSpec{tc.spec}}
 					applied := 0
@@ -291,17 +274,12 @@ func TestScenarioTelemetryOnOffIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := json.Marshal(res)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return b, applied
+					return res, applied
 				}
 				on, applied := run(true)
 				off, _ := run(false)
-				if !bytes.Equal(on, off) {
-					t.Errorf("%s ref=%v: scenario telemetry perturbs the result\non:  %s\noff: %s",
-						tc.design, ref, clip(on), clip(off))
+				if d := golden.Diff(off, on); d != "" {
+					t.Errorf("%s ref=%v: scenario telemetry perturbs the result (recorded: off, got: on):%s", tc.design, ref, d)
 				}
 				if applied == 0 {
 					t.Errorf("%s ref=%v: no scenario events on the telemetry stream", tc.design, ref)

@@ -1,13 +1,10 @@
 package stringfigure_test
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"reflect"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/netsim"
 )
 
@@ -19,14 +16,8 @@ import (
 // wall-clock move on a shared host would be noise. Rewrite the table only
 // on purpose:
 //
-//	go test -run TestGoldenEngineCounts -update .
-//
-// The same flag rewrites the /metrics golden page (TestMetricsExpositionGolden).
-var update = flag.Bool("update", false,
-	"rewrite the testdata goldens of the tests selected by -run from the current code")
-
+//	go test . -run TestGoldenEngineCounts -update
 const (
-	goldenEngineCountsFile = "testdata/golden_engine_counts.json"
 	// engineCountCycles is the run length of every grid point: long enough
 	// for the loaded points to fill their pools, rings and columns, short
 	// enough for CI's -race run.
@@ -73,31 +64,5 @@ func TestGoldenEngineCounts(t *testing.T) {
 		got[fmt.Sprintf("N%d_%s", g.n, g.load)] = sim.Stats()
 	}
 	got["N64_wake"] = wakeEngineCounts(t)
-	if *update {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenEngineCountsFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d points)", goldenEngineCountsFile, len(got))
-		return
-	}
-	var want map[string]netsim.EngineStats
-	b, err := os.ReadFile(goldenEngineCountsFile)
-	if err == nil {
-		err = json.Unmarshal(b, &want)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s holds %d points, the grid has %d", goldenEngineCountsFile, len(want), len(got))
-	}
-	for name, st := range got {
-		if !reflect.DeepEqual(st, want[name]) {
-			t.Errorf("%s engine counts moved:\ngot:  %+v\nwant: %+v", name, st, want[name])
-		}
-	}
+	golden.JSON(t, "testdata/golden_engine_counts.json", got)
 }

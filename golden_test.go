@@ -4,30 +4,23 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
-	"os"
 	"testing"
+
+	"repro/internal/golden"
 )
 
-// The golden session digests anchor the session layer to history: the
-// cross-core and on/off suites are relative (event == reference, sink ==
-// no sink) and would not notice both sides drifting together, so this
-// table pins the absolute bytes. testdata/golden_session_digests.json was
-// recorded at commit 465c710 (before the session layer collapsed onto one
-// run loop) and changes only deliberately:
+// goldenRecord is one case's entry in testdata/golden_sessions.json: the
+// Result of its run with a 256-cycle telemetry sink, which the run without
+// a sink must reproduce, and the sha256 of the sink's JSON-encoded snapshot
+// stream. The cross-core and on/off suites are relative (event ==
+// reference, sink == no sink) and would not notice both sides drifting
+// together; this file anchors the session layer to history and changes
+// only on purpose:
 //
-//	go test -run TestGoldenSessionDigests -update-golden <commit> .
-var updateGolden = flag.String("update-golden", "",
-	"rewrite testdata/golden_session_digests.json from the current code, recorded at the named `commit`")
-
-const goldenDigestFile = "testdata/golden_session_digests.json"
-
-// goldenFile is the checked-in table: where it was recorded and one
-// sha256 per case and per telemetry mode ("<case>" with a 256-cycle sink,
-// "<case>/nosink" without).
-type goldenFile struct {
-	RecordedAt string            `json:"recorded_at"`
-	Digests    map[string]string `json:"digests"`
+//	go test . -run TestGoldenSessionDigests -update
+type goldenRecord struct {
+	Result    Result
+	Telemetry string
 }
 
 // goldenCase is one pinned run. events marks cases whose scenario must
@@ -49,14 +42,17 @@ var goldenPlain = SessionConfig{Rate: 0.08, Warmup: 400, Measure: 1600, Seed: 9,
 func goldenCases() []goldenCase {
 	uniform := SyntheticWorkload{Pattern: "uniform"}
 	wordcount := TraceWorkload{Workload: TraceWorkloads()[0]}
+	with := func(c SessionConfig, specs ...ScenarioSpec) SessionConfig {
+		c.Scenario = specs
+		return c
+	}
+	rated := SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1600, Seed: 7}
 	var cases []goldenCase
 	for _, d := range Designs() {
 		cases = append(cases,
 			goldenCase{"plain/" + d, d, goldenPlain, uniform, false},
-			goldenCase{"diurnal/" + d, d, SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1600, Seed: 7,
-				Scenario: []ScenarioSpec{DiurnalRate(800, 0.5)}}, uniform, true},
-			goldenCase{"bursty/" + d, d, SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1600, Seed: 7,
-				Scenario: []ScenarioSpec{BurstyRate(300, 100, 3)}}, uniform, true},
+			goldenCase{"diurnal/" + d, d, with(rated, DiurnalRate(800, 0.5)), uniform, true},
+			goldenCase{"bursty/" + d, d, with(rated, BurstyRate(300, 100, 3)), uniform, true},
 			goldenCase{"trace/" + d, d, SessionConfig{Seed: 5, Ops: 300, Sockets: 2,
 				MaxCycles: 3_000_000}, wordcount, false},
 		)
@@ -67,16 +63,12 @@ func goldenCases() []goldenCase {
 		on = append(on, GateEvent{Cycle: 3000 + 31250, Node: v, On: true})
 	}
 	gated := SessionConfig{Rate: 0.05, Warmup: 500, Measure: 40_000, Seed: 7}
-	with := func(c SessionConfig, specs ...ScenarioSpec) SessionConfig {
-		c.Scenario = specs
-		return c
-	}
 	traced := SessionConfig{Seed: 5, Ops: 400, Sockets: 2, MaxCycles: 3_000_000}
+	late := rated
+	late.Warmup = 900
 	return append(cases,
-		goldenCase{"regen-after-warmup/s2", "s2", SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1600, Seed: 7,
-			Scenario: []ScenarioSpec{RegenerateS2(1000, 4, 500)}}, uniform, true},
-		goldenCase{"regen-before-warmup/s2", "s2", SessionConfig{Rate: 0.05, Warmup: 900, Measure: 1600, Seed: 7,
-			Scenario: []ScenarioSpec{RegenerateS2(300, 4, 200)}}, uniform, true},
+		goldenCase{"regen-after-warmup/s2", "s2", with(rated, RegenerateS2(1000, 4, 500)), uniform, true},
+		goldenCase{"regen-before-warmup/s2", "s2", with(late, RegenerateS2(300, 4, 200)), uniform, true},
 		goldenCase{"churn/sf", "sf", with(gated, Churn(32_000, 2)), uniform, true},
 		goldenCase{"storm+diurnal/sf", "sf",
 			with(gated, FailureStorm(3000, 4, 2, 31250), DiurnalRate(8000, 0.5)), uniform, true},
@@ -93,46 +85,45 @@ func goldenCases() []goldenCase {
 	)
 }
 
-// goldenRun executes one case and returns the digest of its Result plus
-// telemetry stream, and how many scenario events the stream carried.
-func goldenRun(t *testing.T, c goldenCase, sink bool) (string, int) {
+// goldenRun executes one case with a telemetry sink and without one and
+// returns its record.
+func goldenRun(t *testing.T, c goldenCase) goldenRecord {
 	t.Helper()
-	net := mustNet(t, c.design, 16)
-	cfg := c.cfg
-	var out sessionOutput
+	run := func(cfg SessionConfig) Result {
+		res, err := mustNet(t, c.design, 16).NewSession(cfg).Run(c.workload)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		return res
+	}
+	var snaps []TelemetrySnapshot
 	applied := 0
-	if sink {
-		cfg = cfg.WithTelemetry(256, func(s TelemetrySnapshot) {
-			out.Snaps = append(out.Snaps, s)
-			applied += len(s.Scenario)
-		})
+	res := run(c.cfg.WithTelemetry(256, func(s TelemetrySnapshot) {
+		snaps = append(snaps, s)
+		applied += len(s.Scenario)
+	}))
+	if plain := run(c.cfg); plain != res {
+		t.Errorf("%s: Result without a sink %+v, with one %+v", c.name, plain, res)
 	}
-	res, err := net.NewSession(cfg).Run(c.workload)
-	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
+	if c.events && applied == 0 {
+		t.Errorf("%s: scenario stamped no events on the telemetry stream", c.name)
 	}
-	out.Result = res
-	b, err := json.Marshal(out)
+	b, err := json.Marshal(snaps)
 	if err != nil {
 		t.Fatalf("%s: marshal: %v", c.name, err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), applied
+	return goldenRecord{res, hex.EncodeToString(sum[:])}
 }
 
-// TestGoldenSessionDigests pins Result and telemetry bytes, with and
+// TestGoldenSessionDigests pins Result and telemetry stream, with and
 // without a sink, over designs x {plain, rate scenarios, trace}, both S2
 // regeneration orders, and the gate scenarios on sf (open- and
-// closed-loop) to the table recorded at 465c710.
+// closed-loop).
 func TestGoldenSessionDigests(t *testing.T) {
-	got := make(map[string]string)
+	got := make(map[string]goldenRecord)
 	for _, c := range goldenCases() {
-		on, applied := goldenRun(t, c, true)
-		got[c.name] = on
-		got[c.name+"/nosink"], _ = goldenRun(t, c, false)
-		if c.events && applied == 0 {
-			t.Errorf("%s: scenario stamped no events on the telemetry stream", c.name)
-		}
+		got[c.name] = goldenRun(t, c)
 	}
 
 	// A scenario that compiles to zero events is the plain run, byte for
@@ -140,41 +131,9 @@ func TestGoldenSessionDigests(t *testing.T) {
 	empty := goldenCase{name: "empty-churn-trace/dm", design: "dm", cfg: goldenPlain,
 		workload: SyntheticWorkload{Pattern: "uniform"}}
 	empty.cfg.Scenario = []ScenarioSpec{ChurnTrace()}
-	for _, sink := range []bool{true, false} {
-		key := "plain/dm"
-		if !sink {
-			key += "/nosink"
-		}
-		if d, _ := goldenRun(t, empty, sink); d != got[key] {
-			t.Errorf("zero-event ChurnTrace() on dm (sink=%v) = %s, want the plain run's %s", sink, d, got[key])
-		}
+	if rec := goldenRun(t, empty); rec != got["plain/dm"] {
+		t.Errorf("zero-event ChurnTrace() on dm = %+v, want the plain run's %+v", rec, got["plain/dm"])
 	}
 
-	if *updateGolden != "" {
-		b, err := json.MarshalIndent(goldenFile{RecordedAt: *updateGolden, Digests: got}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenDigestFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d digests)", goldenDigestFile, len(got))
-		return
-	}
-	var want goldenFile
-	b, err := os.ReadFile(goldenDigestFile)
-	if err == nil {
-		err = json.Unmarshal(b, &want)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Digests) != len(got) {
-		t.Errorf("%s holds %d digests, the suite produces %d", goldenDigestFile, len(want.Digests), len(got))
-	}
-	for name, d := range got {
-		if want.Digests[name] != d {
-			t.Errorf("%s: digest %s, recorded %q", name, d, want.Digests[name])
-		}
-	}
+	golden.JSON(t, "testdata/golden_sessions.json", got)
 }

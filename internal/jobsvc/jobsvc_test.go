@@ -2,7 +2,6 @@ package jobsvc
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/golden"
 )
 
 // fakeExec plans specs of the form {"points": N} and emits
@@ -206,10 +207,8 @@ func TestResumeRunsOnlyPendingPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(rs)
-	b, _ := json.Marshal(frs)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("resumed results differ from fresh run:\n  resumed: %s\n  fresh:   %s", a, b)
+	if d := golden.Diff(frs, rs); d != "" {
+		t.Fatalf("resumed results differ from fresh run (recorded: fresh, got: resumed):%s", d)
 	}
 }
 

@@ -2,15 +2,12 @@ package routing_test
 
 import (
 	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"hash"
-	"os"
-	"reflect"
 	"testing"
 
 	"repro/internal/design"
+	"repro/internal/golden"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -22,13 +19,9 @@ import (
 // kernel reads them in, which Entries' sorted copy would hide), and the
 // tables and reconfiguration's link and table counters after three
 // gate-offs. A change to how a network is built must leave the file
-// untouched; rewrite it only on purpose:
+// untouched; rewrite testdata/golden_build_digests.json only on purpose:
 //
 //	go test ./internal/routing -run TestGoldenBuildDigests -update
-var updateBuildDigests = flag.Bool("update", false,
-	"rewrite testdata/golden_build_digests.json from the current code")
-
-const goldenBuildDigestsFile = "testdata/golden_build_digests.json"
 
 // buildDigest holds one design's digests, one per part so a diff names the
 // part that moved. Links and Gated are empty for designs without a String
@@ -128,31 +121,5 @@ func TestGoldenBuildDigests(t *testing.T) {
 	for name, spec := range buildDigestSpecs() {
 		got[name] = digestBuild(t, spec)
 	}
-	if *updateBuildDigests {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenBuildDigestsFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d builds)", goldenBuildDigestsFile, len(got))
-		return
-	}
-	var want map[string]buildDigest
-	b, err := os.ReadFile(goldenBuildDigestsFile)
-	if err == nil {
-		err = json.Unmarshal(b, &want)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s holds %d builds, the test digests %d", goldenBuildDigestsFile, len(want), len(got))
-	}
-	for name, bd := range got {
-		if !reflect.DeepEqual(bd, want[name]) {
-			t.Errorf("%s build moved:\ngot:  %+v\nwant: %+v", name, bd, want[name])
-		}
-	}
+	golden.JSON(t, "testdata/golden_build_digests.json", got)
 }

@@ -11,11 +11,7 @@ import (
 // accesses it cost.
 func generateOnce(tb testing.TB, m memnode.AddressMap, name string) int64 {
 	tb.Helper()
-	w, err := NewWorkload(name, m.CapacityBytes(), 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tr, err := Generate(w, m, 400, 101)
+	tr, err := generateNamed(name, m, 400, 1, 101)
 	if err != nil {
 		tb.Fatal(err)
 	}

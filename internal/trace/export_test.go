@@ -25,11 +25,7 @@ func CheckSharedWholeForTest() error {
 		default:
 			return fmt.Errorf("%s seeds %d/%d: still in flight", k.name, k.wseed, k.gseed)
 		}
-		w, err := NewWorkload(k.name, k.m.CapacityBytes(), k.wseed)
-		if err != nil {
-			return err
-		}
-		want, err := Generate(w, k.m, k.ops, k.gseed)
+		want, err := generateNamed(k.name, k.m, k.ops, k.wseed, k.gseed)
 		if err != nil {
 			return err
 		}

@@ -2,13 +2,13 @@ package trace_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"runtime"
 	"testing"
 	"time"
 
 	stringfigure "repro"
+	"repro/internal/golden"
 	"repro/internal/trace"
 )
 
@@ -19,17 +19,13 @@ import (
 // would change what the next design replays.
 func TestSessionResultIndependentOfStore(t *testing.T) {
 	cfg := stringfigure.SessionConfig{Ops: 300, Sockets: 2, Window: 8, Threads: 4, Seed: 5}
-	run := func(net *stringfigure.Network) string {
+	run := func(net *stringfigure.Network) stringfigure.Result {
 		t.Helper()
 		res, err := net.NewSession(cfg).Run(stringfigure.TraceWorkload{Workload: "redis"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(enc)
+		return res
 	}
 	// afb concentrates several memory nodes on a router, so its remap
 	// differs from sf's at the same node count.
@@ -41,23 +37,22 @@ func TestSessionResultIndependentOfStore(t *testing.T) {
 		}
 		nets[kind] = net
 	}
-	cold := map[string]string{}
+	cold := map[string]stringfigure.Result{}
 	for kind, net := range nets {
 		trace.ResetSharedForTest()
 		cold[kind] = run(net)
-		if warm := run(net); warm != cold[kind] {
-			t.Errorf("%s: warm store changed the result\ncold %s\nwarm %s", kind, cold[kind], warm)
+		if d := golden.Diff(cold[kind], run(net)); d != "" {
+			t.Errorf("%s: warm store changed the result (recorded: cold, got: warm):%s", kind, d)
 		}
 	}
-	if cold["sf"] == cold["afb"] {
+	if golden.Diff(cold["sf"], cold["afb"]) == "" {
 		t.Fatal("the two designs produced one result; the test would prove nothing")
 	}
 	for _, order := range [][2]string{{"sf", "afb"}, {"afb", "sf"}} {
 		trace.ResetSharedForTest()
 		run(nets[order[0]])
-		if got := run(nets[order[1]]); got != cold[order[1]] {
-			t.Errorf("%s after %s filled the store: result differs from its cold run\ncold %s\ngot  %s",
-				order[1], order[0], cold[order[1]], got)
+		if d := golden.Diff(cold[order[1]], run(nets[order[1]])); d != "" {
+			t.Errorf("%s after %s filled the store: result differs from its cold run:%s", order[1], order[0], d)
 		}
 	}
 }
@@ -72,13 +67,8 @@ func TestCancelDuringSynthesis(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := stringfigure.SessionConfig{Ops: 400, Sockets: 4, Window: 8, Threads: 4, Seed: 11}
-	run := func(ctx context.Context) (string, error) {
-		res, err := net.NewSession(cfg).RunContext(ctx, stringfigure.TraceWorkload{Workload: "kmeans"})
-		if err != nil {
-			return "", err
-		}
-		enc, err := json.Marshal(res)
-		return string(enc), err
+	run := func(ctx context.Context) (stringfigure.Result, error) {
+		return net.NewSession(cfg).RunContext(ctx, stringfigure.TraceWorkload{Workload: "kmeans"})
 	}
 	trace.ResetSharedForTest()
 	cold, err := run(context.Background())
@@ -112,7 +102,7 @@ func TestCancelDuringSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rerun != cold {
-		t.Errorf("rerun after a cancelled session differs from the cold run\ncold  %s\nrerun %s", cold, rerun)
+	if d := golden.Diff(cold, rerun); d != "" {
+		t.Errorf("rerun after a cancelled session differs from the cold run (recorded: cold, got: rerun):%s", d)
 	}
 }

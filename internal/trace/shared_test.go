@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/golden"
 	"repro/internal/memnode"
 )
 
@@ -45,10 +46,10 @@ func counters(h *cache.Hierarchy) [6]int64 {
 	return [6]int64{h.Accesses, h.HitsL1, h.HitsL2, h.HitsL3, h.Misses, h.Writeback}
 }
 
-// TestSharedGoldenOnReusedSlot pushes the golden table through Shared back
-// to back on one goroutine, so every synthesis after the first runs on the
-// hierarchy the previous one dirtied: each must start with zeroed counters
-// and reproduce its golden digest.
+// TestSharedGoldenOnReusedSlot pushes every golden trace through Shared
+// back to back on one goroutine, so every synthesis after the first runs
+// on the hierarchy the previous one dirtied: each must start with zeroed
+// counters and reproduce its golden digest.
 func TestSharedGoldenOnReusedSlot(t *testing.T) {
 	resetShared()
 	used := map[*cache.Hierarchy]bool{}
@@ -58,19 +59,11 @@ func TestSharedGoldenOnReusedSlot(t *testing.T) {
 			t.Errorf("a synthesis started on a hierarchy with counters %v", c)
 		}
 	}, func(*cache.Hierarchy) {})
-	m := memnode.NewAddressMap(128)
-	for _, g := range goldenTraces {
-		tr, err := Shared(g.workload, m, g.ops, 1, 101)
-		if err != nil {
-			t.Fatalf("%s/%d: %v", g.workload, g.ops, err)
-		}
-		if got := traceDigest(tr); got != g.digest {
-			t.Errorf("%s ops=%d through Shared: digest %s, golden %s", g.workload, g.ops, got, g.digest)
-		}
-	}
-	if _, _, _, syntheses := sharedState(); syntheses != int64(len(goldenTraces)) || len(used) != 1 {
-		t.Errorf("%d golden rows made %d syntheses on %d hierarchies; want %d on 1",
-			len(goldenTraces), syntheses, len(used), len(goldenTraces))
+	got := goldenTraceDigests(t, Shared)
+	golden.JSON(t, "testdata/golden_trace_digests.json", got)
+	if _, _, _, syntheses := sharedState(); syntheses != int64(len(got)) || len(used) != 1 {
+		t.Errorf("%d golden traces made %d syntheses on %d hierarchies; want %d on 1",
+			len(got), syntheses, len(used), len(got))
 	}
 }
 
@@ -142,11 +135,7 @@ func TestSharedBoundsConcurrentSyntheses(t *testing.T) {
 		}
 	}
 	for i, c := range calls[:3*bound+1] {
-		w, err := NewWorkload(c.name, m.CapacityBytes(), c.wseed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Generate(w, m, 400, c.gseed)
+		want, err := generateNamed(c.name, m, 400, c.wseed, c.gseed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +185,7 @@ func TestSharedSingleFlight(t *testing.T) {
 	}
 
 	// The shared trace is the one the uncached kernel builds.
-	w, err := NewWorkload("grep", m.CapacityBytes(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Generate(w, m, 400, 101)
+	want, err := generateNamed("grep", m, 400, 1, 101)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	. "repro"
+	"repro/internal/golden"
 )
 
 // scrape fetches and returns the exposition page of a metrics server.
@@ -125,12 +125,9 @@ func TestMetricsEndpointScrape(t *testing.T) {
 	}
 }
 
-// goldenMetricsPage is the exposition page TestMetricsExpositionGolden
-// renders; rewrite it only on purpose, with
-// `go test -run TestMetricsExpositionGolden -update .`.
-const goldenMetricsPage = "testdata/golden_metrics_page.txt"
-
-// TestMetricsExpositionGolden pins the whole /metrics page byte for byte:
+// TestMetricsExpositionGolden pins the whole /metrics page byte for byte,
+// in testdata/golden_metrics_page.txt (rewrite it only on purpose, with
+// `go test . -run TestMetricsExpositionGolden -update`):
 // every family's HELP and TYPE lines, registration order, sample order and
 // number formatting. A fixed snapshot sequence feeds Observe — a latency
 // past the top bucket, one on a bound, a fractional one, an interval with
@@ -172,20 +169,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		m.Observe(s)
 	}
 
-	page := scrape(t, m)
-	if *update {
-		if err := os.WriteFile(goldenMetricsPage, []byte(page), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenMetricsPage)
-	if err != nil {
-		t.Fatalf("%v (create it with -update)", err)
-	}
-	if page != string(want) {
-		t.Errorf("/metrics page differs from %s:\ngot:\n%s\nwant:\n%s", goldenMetricsPage, page, want)
-	}
+	golden.Text(t, "testdata/golden_metrics_page.txt", scrape(t, m))
 }
 
 // TestMetricsLabeledFamilies pins the labeled flow/link/router families:

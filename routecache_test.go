@@ -1,10 +1,10 @@
 package stringfigure
 
 import (
-	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 // These tests pin the route cache a Network shares across its gate-free
@@ -19,24 +19,19 @@ import (
 var routeCacheCfg = SessionConfig{Rate: 0.15, Warmup: 200, Measure: 800, Seed: 5,
 	FlowBuckets: 4, TraceSampleEvery: 16}
 
-// sessionBytes runs one session with a telemetry sink and returns the JSON
-// of its Result and snapshot stream. It reports errors with t.Error so it
-// can run off the test goroutine.
-func sessionBytes(t *testing.T, net *Network, cfg SessionConfig) []byte {
+// sessionRun runs one session with a telemetry sink and returns its Result
+// and snapshot stream. It reports errors with t.Error so it can run off the
+// test goroutine.
+func sessionRun(t *testing.T, net *Network, cfg SessionConfig) sessionOutput {
 	t.Helper()
 	var out sessionOutput
 	cfg = cfg.WithTelemetry(256, func(s TelemetrySnapshot) { out.Snaps = append(out.Snaps, s) })
 	res, err := net.NewSession(cfg).Run(SyntheticWorkload{Pattern: "uniform"})
 	if err != nil {
 		t.Errorf("session: %v", err)
-		return nil
 	}
 	out.Result = res
-	b, err := json.Marshal(out)
-	if err != nil {
-		t.Errorf("marshal: %v", err)
-	}
-	return b
+	return out
 }
 
 // TestRouteCacheInvalidation walks one network through every table
@@ -78,17 +73,17 @@ func TestRouteCacheInvalidation(t *testing.T) {
 				t.Fatalf("%s: %v", st.name, err)
 			}
 		}
-		got := sessionBytes(t, net, st.cfg)
+		got := sessionRun(t, net, st.cfg)
 		fresh := mustNet(t, "sf", nodes)
 		if st.state != nil {
 			if err := st.state(fresh); err != nil {
 				t.Fatalf("%s: fresh network: %v", st.name, err)
 			}
 		}
-		want := sessionBytes(t, fresh, st.cfg)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: session on the long-lived network differs from a fresh network in the same state\nlong-lived: %s\nfresh:      %s",
-				st.name, clip(got), clip(want))
+		want := sessionRun(t, fresh, st.cfg)
+		if d := golden.Diff(want, got); d != "" {
+			t.Errorf("%s: session on the long-lived network differs from a fresh network in the same state (recorded: fresh, got: long-lived):%s",
+				st.name, d)
 		}
 	}
 }
@@ -103,29 +98,29 @@ func TestRouteCacheInvalidation(t *testing.T) {
 func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
 	for _, design := range []string{"sf", "s2", "fb"} {
 		cfgs := make([]SessionConfig, 6)
-		want := make([][]byte, len(cfgs))
+		want := make([]sessionOutput, len(cfgs))
 		for i := range cfgs {
 			cfgs[i] = routeCacheCfg
 			cfgs[i].Seed = int64(100 + i)
 			cfgs[i].Rate = 0.05 * float64(1+i%3)
 			cfgs[i].ReferenceCore = i == len(cfgs)-1 // one session that never touches the cache
-			want[i] = sessionBytes(t, mustNet(t, design, 32), cfgs[i])
+			want[i] = sessionRun(t, mustNet(t, design, 32), cfgs[i])
 		}
 		net := mustNet(t, design, 32)
-		got := make([][]byte, len(cfgs))
+		got := make([]sessionOutput, len(cfgs))
 		var wg sync.WaitGroup
 		for i := range cfgs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i] = sessionBytes(t, net, cfgs[i])
+				got[i] = sessionRun(t, net, cfgs[i])
 			}()
 		}
 		wg.Wait()
 		for i := range cfgs {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("%s session %d: concurrent run on a shared cold cache differs from its serial run\nconcurrent: %s\nserial:     %s",
-					design, i, clip(got[i]), clip(want[i]))
+			if d := golden.Diff(want[i], got[i]); d != "" {
+				t.Errorf("%s session %d: concurrent run on a shared cold cache differs from its serial run (recorded: serial, got: concurrent):%s",
+					design, i, d)
 			}
 		}
 		if design == "fb" {

@@ -1,7 +1,6 @@
 package stringfigure
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/golden"
 )
 
 // waitJob polls until the job reaches a terminal state.
@@ -114,10 +115,8 @@ func TestServiceResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(resumed)
-	b, _ := json.Marshal(fresh)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("resumed results differ from uninterrupted run\nresumed: %s\nfresh:   %s", a, b)
+	if d := golden.Diff(fresh, resumed); d != "" {
+		t.Fatalf("resumed results differ from uninterrupted run (recorded: fresh, got: resumed):%s", d)
 	}
 }
 
@@ -299,10 +298,8 @@ func TestServiceDistributedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(distributed)
-	b, _ := json.Marshal(ref)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("distributed job results differ from local-only run\ndistributed: %s\nlocal:       %s", a, b)
+	if d := golden.Diff(ref, distributed); d != "" {
+		t.Fatalf("distributed job results differ from local-only run (recorded: local, got: distributed):%s", d)
 	}
 }
 
