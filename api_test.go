@@ -109,10 +109,7 @@ func TestTraceWorkloadEndToEnd(t *testing.T) {
 	// on the same topology seed) within noise — the two paths share trace
 	// seeds and differ only in adjacency/port ordering.
 	const n, seed = 32, 1
-	net, err := New(WithNodes(n), WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(n), WithSeed(seed))
 	cfg := SessionConfig{Ops: 800, Sockets: 2, Window: 8, Threads: 4,
 		MaxCycles: 10_000_000, Seed: seed}
 	res, err := net.NewSession(cfg).Run(TraceWorkload{Workload: "grep"})
@@ -145,10 +142,7 @@ func TestTraceWorkloadEndToEnd(t *testing.T) {
 func TestLivenessParitySyntheticVsTrace(t *testing.T) {
 	// Both workload families must filter powered-off nodes the same way:
 	// gated nodes neither source nor sink traffic, and runs complete.
-	net, err := New(WithNodes(32), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(5))
 	for _, v := range []int{0, 7, 19} { // node 0 is a default socket site
 		if err := net.GateOff(v); err != nil {
 			t.Fatal(err)
@@ -175,10 +169,7 @@ func TestLivenessParitySyntheticVsTrace(t *testing.T) {
 func TestSweepDeterminism(t *testing.T) {
 	// Same seeds => bit-identical results regardless of worker count or
 	// scheduling (run with -cpu 1,4 to also vary GOMAXPROCS).
-	net, err := New(WithNodes(32), WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(6))
 	rates := []float64{0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20, 0.23}
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, rates)
 	points = append(points, Point{Workload: TraceWorkload{Workload: "grep"}})
@@ -238,10 +229,7 @@ func TestSweepReportsPointErrors(t *testing.T) {
 func TestConcurrentSessionsWithReconfig(t *testing.T) {
 	// One network, many sessions in flight, reconfiguration interleaved:
 	// must not race or deadlock (run under -race in CI).
-	net, err := New(WithNodes(32), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(7))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/dist"
@@ -128,7 +127,7 @@ type WorkerOptions struct {
 	// Reconnect keeps the worker in service across connection loss and
 	// coordinator restarts: after an abnormal disconnect it redials with
 	// exponential backoff (for up to DialRetry per attempt round, default
-	// 15s when unset) and registers afresh; the network cache survives. An
+	// 15s when unset) and registers afresh; stored networks survive. An
 	// orderly coordinator shutdown (goodbye) or an auth rejection still
 	// ends service — only unexpected losses retry.
 	Reconnect bool
@@ -142,18 +141,18 @@ var ErrWorkerUnauthorized = errors.New("stringfigure: worker unauthorized")
 // ServeWorker dials a cluster coordinator and serves sweep points until
 // the coordinator disconnects (returns nil), ctx is canceled (returns
 // ctx.Err()), or — without WorkerOptions.Reconnect — the connection is
-// lost. Jobs rebuild the coordinator's network locally from its
-// serialized spec — builds are deterministic, so results are
-// bit-identical to in-process runs — and built networks are cached
-// across jobs and across reconnects. cmd/sfworker is a thin flag wrapper
-// around this function.
+// lost. Jobs rebuild the coordinator's network from its serialized spec
+// — builds are deterministic, so results are bit-identical to in-process
+// runs — through the process's one network store: the jobs, reconnects
+// and ServeWorkers of a process share one build per spec, not one per
+// call. cmd/sfworker is a thin flag wrapper around this function.
 func ServeWorker(ctx context.Context, addr string, o WorkerOptions) error {
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
-	cache := &netCache{nets: make(map[netKey]*netEntry)}
+	var observe func(TelemetrySnapshot)
 	if o.Metrics != nil {
-		cache.observe = o.Metrics.Observe
+		observe = o.Metrics.Observe
 	}
 	retry := o.DialRetry
 	for {
@@ -161,7 +160,7 @@ func ServeWorker(ctx context.Context, addr string, o WorkerOptions) error {
 		if err != nil {
 			return fmt.Errorf("stringfigure: worker dial %s: %w", addr, err)
 		}
-		err = dist.Serve(ctx, conn, o.Parallel, cache.runJob, dist.Config{Token: o.Token})
+		err = dist.Serve(ctx, conn, o.Parallel, runJob(observe), dist.Config{Token: o.Token})
 		switch {
 		case err == nil:
 			return nil // orderly coordinator shutdown
@@ -179,105 +178,65 @@ func ServeWorker(ctx context.Context, addr string, o WorkerOptions) error {
 	}
 }
 
-// netCache reuses worker-side networks across the jobs of a sweep (and
-// across sweeps over the same network — a saturation search issues many
-// waves against one spec). observe, when set, is the worker's own local
-// telemetry sink (WorkerOptions.Metrics): it sees every job's interval
-// snapshots whether or not the coordinator asked for them forwarded.
-type netCache struct {
-	mu      sync.Mutex
-	nets    map[netKey]*netEntry
-	observe func(TelemetrySnapshot)
-}
-
-// netEntry is one cached network; once makes its build single-flight.
-type netEntry struct {
-	once sync.Once
-	net  *Network
-	err  error
-}
-
-// cacheCap bounds the worker's resident networks; a coordinator cycling
-// through more specs than this (a Figure 8 scale sweep builds one
-// network per design x scale) evicts everything and rebuilds on demand.
-const cacheCap = 8
-
-// get returns the network the spec builds, building it at most once while
-// it stays cached: the first jobs of a sweep all miss at once, and they
-// must share one Network — one design, one table set, one RouteCache —
-// rather than each run on a private build. A failed build stays cached
-// too: builds are pure, so it would fail the same way again.
-func (c *netCache) get(spec networkSpec) (*Network, error) {
-	key := spec.key()
-	c.mu.Lock()
-	e := c.nets[key]
-	if e == nil {
-		if len(c.nets) >= cacheCap {
-			c.nets = make(map[netKey]*netEntry)
+// runJob is the worker-side executor: decode the job, take the network
+// from the process's store, run the point through the exact in-process
+// code path. Jobs dispatched with Telemetry get a batching snapshot sink
+// whose batches travel back as dist snapshot frames; the coordinator
+// unpacks them into the sweep's local telemetry sink. observe, when set,
+// is the worker's own local sink (WorkerOptions.Metrics): it sees every
+// job's interval snapshots whether or not the coordinator asked for them
+// forwarded.
+func runJob(observe func(TelemetrySnapshot)) dist.RunFunc {
+	return func(ctx context.Context, payload []byte, emit func([]byte)) ([]byte, error) {
+		var job wireJob
+		if err := decodeWire(payload, &job); err != nil {
+			return nil, fmt.Errorf("stringfigure: worker decode job: %w", err)
 		}
-		e = &netEntry{}
-		c.nets[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.net, e.err = spec.build() })
-	return e.net, e.err
-}
-
-// runJob is the worker-side executor: decode the job, rebuild (or reuse)
-// the network, run the point through the exact in-process code path. Jobs
-// dispatched with Telemetry get a batching snapshot sink whose batches
-// travel back as dist snapshot frames; the coordinator unpacks them into
-// the sweep's local telemetry sink. Every local sink of this worker
-// (o.Metrics in ServeWorker) observes the same stream.
-func (c *netCache) runJob(ctx context.Context, payload []byte, emit func([]byte)) ([]byte, error) {
-	var job wireJob
-	if err := decodeWire(payload, &job); err != nil {
-		return nil, fmt.Errorf("stringfigure: worker decode job: %w", err)
-	}
-	net, err := c.get(job.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("stringfigure: worker build network: %w", err)
-	}
-	p, err := job.Point.point()
-	if err != nil {
-		return nil, err
-	}
-	cfg := job.Cfg
-	var flush func()
-	if localSink := c.observe; job.Telemetry && emit != nil || localSink != nil {
-		// One point's snapshots are produced sequentially on its simulating
-		// goroutine, so the batch needs no lock; the emitted frames inherit
-		// the connection's write ordering.
-		var batch []TelemetrySnapshot
-		forward := job.Telemetry && emit != nil
-		send := func() {
-			if len(batch) == 0 {
-				return
-			}
-			if b, err := encodeWire(wireSnapshotBatch{Snaps: batch}); err == nil {
-				emit(b)
-			}
-			batch = batch[:0]
+		net, err := sharedNetwork(job.Spec, nil)
+		if err != nil {
+			return nil, fmt.Errorf("stringfigure: worker build network: %w", err)
 		}
-		cfg = cfg.WithTelemetry(cfg.TelemetryEvery, func(t TelemetrySnapshot) {
-			if localSink != nil {
-				localSink(t)
-			}
-			if !forward {
-				return
-			}
-			batch = append(batch, t)
-			if len(batch) >= snapshotBatchMax {
-				send()
-			}
-		})
-		if forward {
-			flush = send
+		p, err := job.Point.point()
+		if err != nil {
+			return nil, err
 		}
+		cfg := job.Cfg
+		var flush func()
+		if job.Telemetry && emit != nil || observe != nil {
+			// One point's snapshots are produced sequentially on its simulating
+			// goroutine, so the batch needs no lock; the emitted frames inherit
+			// the connection's write ordering.
+			var batch []TelemetrySnapshot
+			forward := job.Telemetry && emit != nil
+			send := func() {
+				if len(batch) == 0 {
+					return
+				}
+				if b, err := encodeWire(wireSnapshotBatch{Snaps: batch}); err == nil {
+					emit(b)
+				}
+				batch = batch[:0]
+			}
+			cfg = cfg.WithTelemetry(0, func(t TelemetrySnapshot) {
+				if observe != nil {
+					observe(t)
+				}
+				if !forward {
+					return
+				}
+				batch = append(batch, t)
+				if len(batch) >= snapshotBatchMax {
+					send()
+				}
+			})
+			if forward {
+				flush = send
+			}
+		}
+		res := net.runPoint(ctx, cfg, p, job.Index)
+		if flush != nil {
+			flush()
+		}
+		return encodeWire(resultToWire(res))
 	}
-	res := net.runPoint(ctx, cfg, p, job.Index)
-	if flush != nil {
-		flush()
-	}
-	return encodeWire(resultToWire(res))
 }

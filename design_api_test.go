@@ -153,10 +153,7 @@ func TestConcentratedTraceRun(t *testing.T) {
 	}
 	// The FB design hosts several memory nodes per router; the closed-loop
 	// trace path must route their pages at router granularity.
-	net, err := New(WithDesign("fb"), WithNodes(16), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithDesign("fb"), WithNodes(16), WithSeed(1))
 	cfg := SessionConfig{Ops: 300, Sockets: 2, Window: 8, MaxCycles: 10_000_000, Seed: 1}
 	res, err := net.NewSession(cfg).Run(TraceWorkload{Workload: "grep"})
 	if err != nil {
@@ -168,10 +165,7 @@ func TestConcentratedTraceRun(t *testing.T) {
 }
 
 func TestRunContextCancellation(t *testing.T) {
-	net, err := New(WithNodes(32), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Synthetic and trace runs must both honor a canceled context.
@@ -186,10 +180,7 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestSweepContextCancellation(t *testing.T) {
-	net, err := New(WithNodes(16), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"},
@@ -214,20 +205,14 @@ func TestBaselineDesignGuards(t *testing.T) {
 	if _, err := New(WithDesign("bogus"), WithNodes(16)); !errors.Is(err, ErrUnknownDesign) {
 		t.Errorf("unknown design err = %v, want ErrUnknownDesign", err)
 	}
-	dm, err := New(WithDesign("dm"), WithNodes(16), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dm := mustNew(t, WithDesign("dm"), WithNodes(16), WithSeed(1))
 	if err := dm.GateOff(3); !errors.Is(err, ErrNotReconfigurable) {
 		t.Errorf("GateOff on dm err = %v, want ErrNotReconfigurable", err)
 	}
 	// S2 lacks reconfiguration support by definition (down-scaling it
 	// requires regenerating the topology), even though it is built on the
 	// same coordinate spaces as sf.
-	s2, err := New(WithDesign("s2"), WithNodes(16), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := mustNew(t, WithDesign("s2"), WithNodes(16), WithSeed(1))
 	if err := s2.GateOff(3); !errors.Is(err, ErrNotReconfigurable) {
 		t.Errorf("GateOff on s2 err = %v, want ErrNotReconfigurable", err)
 	}
@@ -244,10 +229,7 @@ func TestBaselineDesignGuards(t *testing.T) {
 		t.Error("baseline designs are always fully alive")
 	}
 	// Routing works at router granularity on every design.
-	fb, err := New(WithDesign("fb"), WithNodes(128), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fb := mustNew(t, WithDesign("fb"), WithNodes(128), WithSeed(1))
 	path, err := fb.Route(0, 127)
 	if err != nil {
 		t.Fatal(err)

@@ -52,6 +52,16 @@ func startCluster(t *testing.T, n, parallel int) *Cluster {
 	return c
 }
 
+// mustNew is New for tests: a build error fails the test.
+func mustNew(t testing.TB, opts ...Option) *Network {
+	t.Helper()
+	net, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 // distTestPoints mixes synthetic, trace, explicit-seed and in-process-only
 // (FuncWorkload) points, so every dispatch path is exercised.
 func distTestPoints(nodes int) []Point {
@@ -80,19 +90,13 @@ var distTestCfg = SessionConfig{Warmup: 300, Measure: 900,
 // than one worker count.
 func TestDistributedSweepBitIdentical(t *testing.T) {
 	const nodes = 32
-	reference, err := New(WithNodes(nodes), WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := mustNew(t, WithNodes(nodes), WithSeed(6))
 	points := distTestPoints(nodes)
 	want := reference.SweepAll(distTestCfg, points, 0)
 
 	for _, workers := range []int{1, 2} {
 		c := startCluster(t, workers, 2)
-		net, err := New(WithNodes(nodes), WithSeed(6), WithCluster(c))
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := mustNew(t, WithNodes(nodes), WithSeed(6), WithCluster(c))
 		got := net.SweepAll(distTestCfg, points, 0)
 		if len(got) != len(want) {
 			t.Fatalf("%d workers: %d results, want %d", workers, len(got), len(want))
@@ -130,10 +134,7 @@ func TestDistributedSweepGatedNetwork(t *testing.T) {
 	}
 	mask[3], mask[11], mask[26] = false, false, false
 
-	reference, err := New(WithNodes(nodes), WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := mustNew(t, WithNodes(nodes), WithSeed(9))
 	if err := reference.SetMounted(mask); err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +142,7 @@ func TestDistributedSweepGatedNetwork(t *testing.T) {
 	want := reference.SweepAll(distTestCfg, points, 0)
 
 	c := startCluster(t, 2, 2)
-	net, err := New(WithNodes(nodes), WithSeed(9), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(nodes), WithSeed(9), WithCluster(c))
 	if err := net.SetMounted(mask); err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +159,7 @@ func TestDistributedSweepGatedNetwork(t *testing.T) {
 
 func TestDistributedSaturationMatchesLocal(t *testing.T) {
 	const nodes = 32
-	reference, err := New(WithNodes(nodes), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := mustNew(t, WithNodes(nodes), WithSeed(2))
 	scfg := SessionConfig{Warmup: 300, Measure: 900, Seed: 2}
 	want, err := reference.Saturation(SyntheticWorkload{Pattern: "uniform"}, scfg, 0.1)
 	if err != nil {
@@ -172,10 +167,7 @@ func TestDistributedSaturationMatchesLocal(t *testing.T) {
 	}
 
 	c := startCluster(t, 2, 2)
-	net, err := New(WithNodes(nodes), WithSeed(2), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(nodes), WithSeed(2), WithCluster(c))
 	got, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, scfg, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +185,8 @@ func TestDistributedFallsBackWithoutWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	net, err := New(WithNodes(16), WithSeed(3), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := New(WithNodes(16), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(3), WithCluster(c))
+	bare := mustNew(t, WithNodes(16), WithSeed(3))
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.05, 0.1})
 	cfg := SessionConfig{Warmup: 200, Measure: 600, Seed: 1}
 	// A sweep stuck waiting for a worker ends at the deadline with errored
@@ -224,10 +210,7 @@ func TestDistributedSweepSurvivesTotalWorkerLoss(t *testing.T) {
 	// Long points: the first is still running when the kill, triggered by
 	// its first snapshot, reaches the worker.
 	cfg := SessionConfig{Warmup: 1000, Measure: 200000, Seed: 5}
-	reference, err := New(WithNodes(nodes), WithSeed(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := mustNew(t, WithNodes(nodes), WithSeed(8))
 	want := reference.SweepAll(cfg, points, 0)
 
 	c, err := NewCluster("127.0.0.1:0")
@@ -247,10 +230,7 @@ func TestDistributedSweepSurvivesTotalWorkerLoss(t *testing.T) {
 		t.Fatalf("worker never joined: %v", err)
 	}
 
-	net, err := New(WithNodes(nodes), WithSeed(8), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(nodes), WithSeed(8), WithCluster(c))
 	var killed atomic.Bool
 	kill := func(TelemetrySnapshot) {
 		if killed.CompareAndSwap(false, true) {
@@ -290,10 +270,7 @@ func TestClusterClosedErrors(t *testing.T) {
 
 func TestDistributedSweepContextCancel(t *testing.T) {
 	c := startCluster(t, 1, 2)
-	net, err := New(WithNodes(32), WithSeed(1), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(1), WithCluster(c))
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"},
 		[]float64{0.05, 0.1, 0.15, 0.2})
 	// One point that cannot travel: it stays on the coordinator's pool and
@@ -316,10 +293,7 @@ func TestDistributedSweepContextCancel(t *testing.T) {
 func TestSweepAbandonAfterCancelDoesNotLeak(t *testing.T) {
 	// The documented emitter-goroutine leak: cancel a sweep, read nothing,
 	// walk away. The buffered stream must let every sweep goroutine exit.
-	net, err := New(WithNodes(32), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(5))
 	before := runtime.NumGoroutine()
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"},
 		[]float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3})
@@ -352,10 +326,7 @@ func TestDistributedSweepReportsProgress(t *testing.T) {
 	// this is also the witness that the one front door dispatches to the
 	// attached cluster.
 	c := startCluster(t, 2, 2)
-	net, err := New(WithNodes(32), WithSeed(6), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(6), WithCluster(c))
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"},
 		[]float64{0.02, 0.05, 0.08, 0.11, 0.14, 0.17})
 	cfg := SessionConfig{Warmup: 200, Measure: 600, Seed: 1}
@@ -399,10 +370,7 @@ func TestTraceGatedWorkerInvariance(t *testing.T) {
 		{Workload: SyntheticWorkload{Pattern: "uniform"}, Rate: 0.06},
 		{Workload: TraceWorkload{Workload: "grep"}},
 	}
-	reference, err := New(WithNodes(nodes), WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := mustNew(t, WithNodes(nodes), WithSeed(6))
 	want := reference.SweepAll(cfg, points, 0)
 	for i, r := range want {
 		if r.Err != nil {
@@ -411,10 +379,7 @@ func TestTraceGatedWorkerInvariance(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		c := startCluster(t, workers, 2)
-		net, err := New(WithNodes(nodes), WithSeed(6), WithCluster(c))
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := mustNew(t, WithNodes(nodes), WithSeed(6), WithCluster(c))
 		got := net.SweepAll(cfg, points, 0)
 		if len(got) != len(want) {
 			t.Fatalf("%d workers: %d results, want %d", workers, len(got), len(want))

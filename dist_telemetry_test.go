@@ -60,19 +60,13 @@ func TestDistributedSweepForwardsTelemetry(t *testing.T) {
 	}, Rate: 0.05})
 	cfg := SessionConfig{Warmup: 400, Measure: 1600, Seed: 9}
 
-	reference, err := New(WithNodes(nodes), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := mustNew(t, WithNodes(nodes), WithSeed(2))
 	want := reference.SweepAll(cfg, points, 0) // no telemetry, in-process
 	local := newCollectSink()
 	reference.SweepAll(cfg.WithTelemetry(200, local.observe), points, 0)
 
 	c := startCluster(t, 2, 2)
-	net, err := New(WithNodes(nodes), WithSeed(2), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(nodes), WithSeed(2), WithCluster(c))
 	sink := newCollectSink()
 	got := net.SweepAll(cfg.WithTelemetry(200, sink.observe), points, 0)
 
@@ -135,10 +129,7 @@ func TestDistributedTelemetryWorkerLoss(t *testing.T) {
 	// kill, triggered by the first snapshots, reaches it.
 	cfg := SessionConfig{Warmup: 1000, Measure: 300000, Seed: 3}
 
-	reference, err := New(WithNodes(nodes), WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := mustNew(t, WithNodes(nodes), WithSeed(4))
 	want := reference.SweepAll(cfg, points, 0)
 
 	// Two capacity-1 workers: each takes one point. Worker A dies once
@@ -174,10 +165,7 @@ func TestDistributedTelemetryWorkerLoss(t *testing.T) {
 		t.Fatalf("workers never joined: %v", err)
 	}
 
-	net, err := New(WithNodes(nodes), WithSeed(4), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(nodes), WithSeed(4), WithCluster(c))
 	sink := newCollectSink()
 	var killOnce sync.Once
 	kill := func(t TelemetrySnapshot) {

@@ -81,10 +81,7 @@ func TestMetricsEndpointScrape(t *testing.T) {
 	}
 	defer m.Close()
 
-	net, err := New(WithNodes(32), WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(11))
 	cfg := SessionConfig{Rate: 0.1, Warmup: 500, Measure: 2000, Seed: 1}.WithTelemetry(250, m.Observe)
 	if _, err := net.NewSession(cfg).Run(SyntheticWorkload{Pattern: "uniform"}); err != nil {
 		t.Fatal(err)
@@ -183,10 +180,7 @@ func TestMetricsLabeledFamilies(t *testing.T) {
 	}
 	defer m.Close()
 
-	net, err := New(WithNodes(32), WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(11))
 	want := map[string]float64{}
 	cfg := SessionConfig{Rate: 0.1, Warmup: 500, Measure: 2000, Seed: 1, FlowBuckets: 4}
 	cfg = cfg.WithTelemetry(250, func(s TelemetrySnapshot) {
@@ -274,10 +268,7 @@ func TestClusterMetricsExportWorkers(t *testing.T) {
 	defer m.Close()
 	m.WatchCluster(c)
 
-	net, err := New(WithNodes(32), WithSeed(8), WithCluster(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(8), WithCluster(c))
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.05, 0.1, 0.15})
 	cfg := SessionConfig{Warmup: 400, Measure: 1600, Seed: 1}.WithTelemetry(200, m.Observe)
 	for _, r := range net.SweepAll(cfg, points, 0) {

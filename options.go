@@ -3,6 +3,7 @@ package stringfigure
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/design"
 	"repro/internal/netsim"
@@ -101,4 +102,41 @@ func (o options) build() (*Network, error) {
 		net.routes = netsim.NewRouteCache(d.Routers)
 	}
 	return net, nil
+}
+
+// netStore is the process's one store of built networks. ServeWorker's
+// jobs, Service jobs and the S2 regeneration's phase B take their networks
+// from it, so callers with one key share one build — one table set, one
+// route cache — while New keeps returning networks the caller owns.
+var netStore struct {
+	mu   sync.Mutex
+	nets map[netKey]func() (*Network, error)
+}
+
+// cacheCap bounds the stored networks; a process cycling through more
+// keys than this (a Figure 8 scale sweep on a cluster builds one network
+// per design x scale) evicts everything and rebuilds on demand.
+const cacheCap = 8
+
+// sharedNetwork returns the network s builds with cluster c attached,
+// building it at most once while it stays stored: the first jobs of a
+// sweep all miss at once and must share one Network rather than each run
+// on a private build. A failed build stays stored too: builds are pure, so
+// it would fail the same way again. A stored network is never reconfigured
+// outside a run: a gated run holds the write lock, and lockRun's release
+// restores the starting mask and resets the route cache, so concurrent
+// gated jobs with one key take turns.
+func sharedNetwork(s networkSpec, c *Cluster) (*Network, error) {
+	key := s.key(c)
+	netStore.mu.Lock()
+	get := netStore.nets[key]
+	if get == nil {
+		if netStore.nets == nil || len(netStore.nets) >= cacheCap {
+			netStore.nets = make(map[netKey]func() (*Network, error))
+		}
+		get = sync.OnceValues(func() (*Network, error) { return s.build(c) })
+		netStore.nets[key] = get
+	}
+	netStore.mu.Unlock()
+	return get()
 }

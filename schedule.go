@@ -298,11 +298,11 @@ func (r *gateRig) restore() {
 
 // runRegen executes the ScenarioRegenS2 baseline as two open-loop
 // stretches: phase A runs the full-scale S2 topology to the regeneration
-// cycle; the topology is then regenerated at Drop fewer nodes (a fresh
-// seeded build — S2 cannot gate nodes, so down-scaling means rebuilding),
-// and phase B runs the remainder on the new network, its clock offset by
-// the regeneration cycle and injection silenced through the rebuild
-// outage. The measured window stitches both phases together, so the
+// cycle; the topology is then regenerated at Drop fewer nodes (a seeded
+// build from the process's network store — S2 cannot gate nodes, so
+// down-scaling means rebuilding), and phase B runs the remainder on the
+// new network, its clock offset by the regeneration cycle and injection
+// silenced through the rebuild outage. The measured window stitches both phases together, so the
 // regeneration's outage and warm-cache loss land in the same metrics a
 // String Figure storm is measured by.
 func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName string,
@@ -327,7 +327,7 @@ func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName strin
 	sp := n.d.Spec
 	sp.N -= rg.Drop
 	sp.Seed += 1 + int64(rg.Drop)
-	n2, err := options{spec: sp}.build()
+	n2, err := sharedNetwork(networkSpec{Spec: sp}, nil)
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: regenerating s2 at %d nodes: %v", ErrScenario, sp.N, err)
 	}

@@ -385,9 +385,7 @@ func (e *sweepExecutor) Run(ctx context.Context, raw json.RawMessage, pending []
 	if err != nil {
 		return err
 	}
-	opts := spec.options()
-	opts.cluster = e.cluster
-	net, err := opts.build()
+	net, err := sharedNetwork(networkSpec{Spec: spec.options().spec}, e.cluster)
 	if err != nil {
 		return err
 	}
@@ -395,7 +393,7 @@ func (e *sweepExecutor) Run(ctx context.Context, raw json.RawMessage, pending []
 	cfg := spec.sessionConfig()
 	if spec.Telemetry && emit.Telemetry != nil {
 		sink := emit.Telemetry
-		cfg = cfg.WithTelemetry(spec.TelemetryEvery, func(t TelemetrySnapshot) {
+		cfg = cfg.WithTelemetry(0, func(t TelemetrySnapshot) {
 			if b, err := json.Marshal(t); err == nil {
 				sink(b)
 			}

@@ -37,6 +37,26 @@ func waitJob(t *testing.T, s *Service, id string) JobStatus {
 	return JobStatus{}
 }
 
+// checkOwnSweep returns a finished job's results after checking them
+// against SweepAll on a network of the job's own.
+func checkOwnSweep(t *testing.T, s *Service, id string, js JobSpec) []Result {
+	t.Helper()
+	got, err := s.JobResults(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := js.options().build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := js.workload()
+	want := own.SweepAll(js.sessionConfig(), RateSweep(w, js.rates()), 0)
+	if d := golden.Diff(want, got); d != "" {
+		t.Fatalf("job %s differs from a sweep on a network of its own (recorded: own network, got: job):%s", id, d)
+	}
+	return got
+}
+
 // quickSpec is a sweep small enough for CI yet with several points, so an
 // interruption can land mid-job.
 func quickSpec() JobSpec {
@@ -56,6 +76,10 @@ func quickSpec() JobSpec {
 // job runs to completion once, then its checkpoint journal is cut to its
 // first records and its terminal state record is dropped from the job
 // log — what a service killed mid-job leaves in its state directory.
+//
+// A gated job runs first on the same stored network, and nothing of it
+// may leak into the plain job: its results equal a sweep on a network of
+// its own, and the stored network ends all-alive.
 func TestServiceResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	spec := quickSpec()
@@ -64,16 +88,26 @@ func TestServiceResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s1.SubmitJob("alice", 0, spec)
-	if err != nil {
-		t.Fatal(err)
+	churn := spec
+	churn.Scenario = []ScenarioSpec{ChurnTrace(GateEvent{Cycle: 50, Node: 3})}
+	for _, js := range []JobSpec{churn, spec} {
+		j, err := s1.SubmitJob("alice", 0, js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, s1, j.ID)
 	}
-	waitJob(t, s1, j.ID)
-	fresh, err := s1.JobResults(j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := s1.Jobs()[1]
+	fresh := checkOwnSweep(t, s1, j.ID, spec)
 	s1.Close()
+	stored, err := sharedNetwork(networkSpec{Spec: spec.options().spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.ReconfigStats().Reconfigs == 0 || stored.AliveCount() != spec.Nodes {
+		t.Fatalf("stored network: %d reconfigurations, %d of %d nodes alive; want the gated job's and all alive",
+			stored.ReconfigStats().Reconfigs, stored.AliveCount(), spec.Nodes)
+	}
 
 	// The state directory's layout: jobs.jsonl is the job log, and
 	// job-<id>.ckpt.jsonl the job's checkpoint journal, one JSON line per
@@ -244,10 +278,12 @@ func TestWorkerReconnectAcrossCoordinator(t *testing.T) {
 	}
 }
 
-// TestServiceDistributedJob runs a job through sfserve's moving parts in
-// process: a token-guarded cluster with one worker, submitted over HTTP,
-// results identical to a local-only service run.
-func TestServiceDistributedJob(t *testing.T) {
+// serveTwoJobs runs sfserve's moving parts in process: two jobs
+// submitted over HTTP to a Service on a token-guarded cluster of two
+// workers. Both jobs reproduce a sweep on a network of their own; the
+// workers share one store entry and the service's jobs another (its key
+// carries the cluster).
+func serveTwoJobs(t *testing.T) []netKey {
 	cluster, err := NewCluster("127.0.0.1:0", ClusterToken("tok"))
 	if err != nil {
 		t.Fatal(err)
@@ -255,11 +291,12 @@ func TestServiceDistributedJob(t *testing.T) {
 	defer cluster.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go ServeWorker(ctx, cluster.Addr(), WorkerOptions{Parallel: 2, Token: "tok", DialRetry: 5 * time.Second})
-	if err := cluster.WaitForWorkers(ctx, 1); err != nil {
+	for range 2 {
+		go ServeWorker(ctx, cluster.Addr(), WorkerOptions{Parallel: 1, Token: "tok", DialRetry: 5 * time.Second})
+	}
+	if err := cluster.WaitForWorkers(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-
 	s, err := NewService(ServiceConfig{StateDir: t.TempDir(), Cluster: cluster, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -269,38 +306,27 @@ func TestServiceDistributedJob(t *testing.T) {
 	defer srv.Close()
 
 	spec := quickSpec()
+	spec.Design, spec.Ports = "sf", 4 // the normal form workers receive
 	specRaw, _ := json.Marshal(spec)
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"tenant":"alice","spec":`+string(specRaw)+`}`))
-	if err != nil {
-		t.Fatal(err)
+	for range 2 {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"tenant":"alice","spec":`+string(specRaw)+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var j JobStatus
+		json.NewDecoder(resp.Body).Decode(&j)
+		resp.Body.Close()
+		waitJob(t, s, j.ID)
+		checkOwnSweep(t, s, j.ID, spec)
 	}
-	var j JobStatus
-	json.NewDecoder(resp.Body).Decode(&j)
-	resp.Body.Close()
-	waitJob(t, s, j.ID)
-	distributed, err := s.JobResults(j.ID)
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range cluster.Progress() {
+		if w.Completed == 0 {
+			t.Fatalf("worker %d ran no point", w.Worker)
+		}
 	}
-
-	local, err := NewService(ServiceConfig{StateDir: t.TempDir(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	lj, err := local.SubmitJob("alice", 0, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, local, lj.ID)
-	ref, err := local.JobResults(lj.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := golden.Diff(ref, distributed); d != "" {
-		t.Fatalf("distributed job results differ from local-only run (recorded: local, got: distributed):%s", d)
-	}
+	key := networkSpec{Spec: spec.options().spec}
+	return []netKey{key.key(nil), key.key(cluster)}
 }
 
 // TestServiceScenarioSentinelParity pins the one-source-of-truth rule for

@@ -18,10 +18,7 @@ import (
 )
 
 func TestSessionTelemetryStreamsSnapshots(t *testing.T) {
-	net, err := New(WithNodes(32), WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(4))
 	cfg := SessionConfig{Rate: 0.1, Warmup: 1000, Measure: 4000, Seed: 2}
 	var got []TelemetrySnapshot
 	res, err := net.NewSession(cfg.WithTelemetry(0, func(s TelemetrySnapshot) {
@@ -65,10 +62,7 @@ func TestSessionTelemetryStreamsSnapshots(t *testing.T) {
 }
 
 func TestSessionTelemetryTraceWorkload(t *testing.T) {
-	net, err := New(WithNodes(16), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(3))
 	cfg := SessionConfig{Ops: 400, Sockets: 2, Window: 8, MaxCycles: 10_000_000,
 		Seed: 1, TelemetryEvery: 500}
 	var got []TelemetrySnapshot
@@ -106,10 +100,7 @@ func TestSessionTelemetryTraceWorkload(t *testing.T) {
 // than replacing the first. Both see the identical snapshot sequence, the
 // earlier-attached sink first, and the cadence is the last non-zero every.
 func TestWithTelemetrySinksCompose(t *testing.T) {
-	net, err := New(WithNodes(16), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(2))
 	var order []string
 	var first, second []TelemetrySnapshot
 	cfg := SessionConfig{Rate: 0.1, Warmup: 250, Measure: 1250, Seed: 5, FlowBuckets: 2}.
@@ -138,10 +129,7 @@ func TestWithTelemetrySinksCompose(t *testing.T) {
 }
 
 func TestSweepTelemetryStampsPointsAndStaysBitIdentical(t *testing.T) {
-	net, err := New(WithNodes(32), WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(6))
 	points := RateSweep(SyntheticWorkload{Pattern: "uniform"}, []float64{0.05, 0.1, 0.15})
 	points = append(points, Point{Workload: TraceWorkload{Workload: "grep"}})
 	base := SessionConfig{Warmup: 400, Measure: 1200,
@@ -176,10 +164,7 @@ func TestGatingTransientTelemetry(t *testing.T) {
 	// paper's 5 us link wake latency) and in-flight packets divert to the
 	// escape subnetwork, settles, spikes again at GateOn, and recovers to
 	// the full-network steady state.
-	net, err := New(WithNodes(32), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(32), WithSeed(7))
 	// The two epochs sit a full minimum reconfiguration interval apart
 	// (100 us = 31250 cycles at 3.2 ns/cycle), as the paper requires.
 	quadrant := []int{8, 9, 10, 11, 12, 13, 14, 15}
@@ -242,10 +227,7 @@ func TestGatingTransientTelemetry(t *testing.T) {
 // its gate-off applied still restores the starting alive mask and releases
 // the network's write lock.
 func TestGatedRunRestoresMaskOnCancel(t *testing.T) {
-	net, err := New(WithNodes(16), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(7))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := SessionConfig{Rate: 0.05, Warmup: 200, Measure: 400_000, Seed: 3,
@@ -276,10 +258,7 @@ func TestGateScheduleHonorsMinInterval(t *testing.T) {
 	const minCycles = 31250 // 100_000 ns at 3.2 ns/cycle
 	run := func(second int64) Result {
 		t.Helper()
-		net, err := New(WithNodes(32), WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := mustNew(t, WithNodes(32), WithSeed(5))
 		cfg := SessionConfig{Rate: 0.05, Warmup: 500, Measure: 36000, Seed: 2,
 			Scenario: []ScenarioSpec{ChurnTrace(
 				GateEvent{Cycle: 2000, Node: 3, On: false},

@@ -51,9 +51,9 @@ func (n *Network) spec() networkSpec {
 	return s
 }
 
-// build deploys the spec into a fresh Network.
-func (s networkSpec) build() (*Network, error) {
-	net, err := options{spec: s.Spec}.build()
+// build deploys the spec into a fresh Network with cluster c attached.
+func (s networkSpec) build(c *Cluster) (*Network, error) {
+	net, err := options{spec: s.Spec, cluster: c}.build()
 	if err != nil {
 		return nil, err
 	}
@@ -65,13 +65,15 @@ func (s networkSpec) build() (*Network, error) {
 	return net, nil
 }
 
-// netKey is a networkSpec in comparable form, the worker's cache key.
+// netKey is everything a stored network is built from, in comparable
+// form: the New options and the alive mask ('1' per powered-on node, ""
+// when every node is).
 type netKey struct {
-	design.Spec
+	options
 	alive string
 }
 
-func (s networkSpec) key() netKey {
+func (s networkSpec) key(c *Cluster) netKey {
 	mask := make([]byte, len(s.Alive))
 	for i, a := range s.Alive {
 		mask[i] = '0'
@@ -79,7 +81,7 @@ func (s networkSpec) key() netKey {
 			mask[i] = '1'
 		}
 	}
-	return netKey{Spec: s.Spec, alive: string(mask)}
+	return netKey{options: options{spec: s.Spec, cluster: c}, alive: string(mask)}
 }
 
 // Wire workload kinds. FuncWorkload carries arbitrary Go functions and

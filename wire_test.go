@@ -169,7 +169,7 @@ func TestNetworkSpecRebuild(t *testing.T) {
 			if spec.Alive != nil {
 				t.Error("ungated spec carries an alive mask")
 			}
-			rebuilt, err := spec.build()
+			rebuilt, err := spec.build(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestNetworkSpecRebuild(t *testing.T) {
 			if spec.Alive == nil {
 				t.Fatal("gated network spec lost its alive mask")
 			}
-			mounted, err := spec.build()
+			mounted, err := spec.build(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,24 +201,66 @@ func TestNetworkSpecRebuild(t *testing.T) {
 	}
 }
 
-func TestNetCacheBuildsOncePerSpec(t *testing.T) {
-	// The first Parallel jobs of a sweep all miss the worker's cache at
-	// once; they must end up on one Network (one table set, one shared
-	// route cache), not on a private build each.
-	cache := &netCache{nets: make(map[netKey]*netEntry)}
+// TestNetworkStoreBuildsOncePerKey pins the process's network store: each
+// case runs its callers on an empty store, and they must leave exactly one
+// entry per key they used. The first jobs of a sweep all miss at once;
+// they must end up on one Network (one table set, one shared route cache),
+// not on a private build each.
+func TestNetworkStoreBuildsOncePerKey(t *testing.T) {
 	spec := networkSpec{Spec: design.Spec{Kind: "sf", N: 64, Seed: 7}}
+	gated := networkSpec{Spec: spec.Spec, Alive: make([]bool, 64)}
+	for i := range gated.Alive {
+		gated.Alive[i] = i != 5
+	}
+	other := &Cluster{} // a key only: nothing is swept on it
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) []netKey // returns the keys it used
+	}{
+		{"concurrent getters", func(t *testing.T) []netKey { return getShared(t, spec, nil) }},
+		{"different cluster", func(t *testing.T) []netKey {
+			return append(getShared(t, spec, nil), getShared(t, spec, other)...)
+		}},
+		{"gated mask", func(t *testing.T) []netKey {
+			return append(getShared(t, spec, nil), getShared(t, gated, nil)...)
+		}},
+		{"two workers and two service jobs", serveTwoJobs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			netStore.mu.Lock()
+			netStore.nets = nil
+			netStore.mu.Unlock()
+			want := tc.run(t)
+			netStore.mu.Lock()
+			defer netStore.mu.Unlock()
+			for _, k := range want {
+				if netStore.nets[k] == nil {
+					t.Errorf("no entry for %+v", k)
+				}
+			}
+			if len(netStore.nets) != len(want) {
+				t.Errorf("store holds %d entries, want %d", len(netStore.nets), len(want))
+			}
+		})
+	}
+}
+
+// getShared takes the network of (s, c) from the store on eight
+// goroutines at once: all must get one *Network, with the spec's alive
+// mask.
+func getShared(t *testing.T, s networkSpec, c *Cluster) []netKey {
 	nets := make([]*Network, 8)
 	var wg sync.WaitGroup
 	for i := range nets {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			n, err := cache.get(spec)
+			n, err := sharedNetwork(s, c)
 			if err != nil {
 				t.Error(err)
 			}
 			nets[i] = n
-		}(i)
+		}()
 	}
 	wg.Wait()
 	for i, n := range nets {
@@ -226,13 +268,10 @@ func TestNetCacheBuildsOncePerSpec(t *testing.T) {
 			t.Fatalf("get %d returned network %p, get 0 returned %p", i, n, nets[0])
 		}
 	}
-	// A different spec (here: a gated copy) is a different network.
-	gated := spec
-	gated.Alive = make([]bool, 64)
-	for i := range gated.Alive {
-		gated.Alive[i] = i != 5
+	for v, a := range s.Alive {
+		if nets[0].Alive(v) != a {
+			t.Fatalf("node %d alive %v, the spec says %v", v, !a, a)
+		}
 	}
-	if n, err := cache.get(gated); err != nil || n == nets[0] || n.Alive(5) {
-		t.Fatalf("gated spec: network %p (ungated %p), err %v", n, nets[0], err)
-	}
+	return []netKey{s.key(c)}
 }
