@@ -13,6 +13,7 @@ package stringfigure_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	stringfigure "repro"
@@ -77,9 +78,9 @@ func TestNetsimSteadyStateAllocs(t *testing.T) {
 // of a fresh loaded N=256 simulator over shared routing tables, then 1000
 // cycles of growth to the working set. It read 3 383 while New appended
 // each router's port tables separately; with every table carved from
-// arenas and the input-unit buffers inline, the whole cold start is 57
-// allocations (an occasional run has read two more), one of them the drain
-// worklist's bitmap.
+// arenas and the input-unit buffers inline, the whole cold start is 55
+// allocations (a run after other tests has read up to 63); the two router
+// worklists are carved from the bitmask arena.
 func TestNetsimColdSimAllocs(t *testing.T) {
 	const ceiling = 67
 	cfg := netsimStepConfig(t, 256, true)
@@ -113,5 +114,45 @@ func TestNetworkBuildAllocs(t *testing.T) {
 	t.Logf("%v allocations", allocs)
 	if allocs > ceiling {
 		t.Errorf("N=1024 network build: %v allocations, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestSecondSessionReusesArenas guards the simulator arena free list
+// (netsim.Sim.Release): the second sfperf synth-idle-n1024 session on one
+// Network must allocate under a tenth of the first session's bytes. The
+// first session's 5.9 MB are mostly the simulator's per-router tables,
+// which the second takes back from the first; it read 1% of them. Without
+// the free list both sessions allocate the same. The test runs at
+// GOMAXPROCS 1, where the free list keeps one set, after a small session
+// that evicts whatever earlier tests left, so the first session starts
+// cold however the test binary is run.
+func TestSecondSessionReusesArenas(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	uniform := stringfigure.SyntheticWorkload{Pattern: "uniform"}
+	small, err := stringfigure.New(stringfigure.WithNodes(16), stringfigure.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := small.NewSession(stringfigure.SessionConfig{Rate: 0.1, Warmup: 10, Measure: 10}).Run(uniform); err != nil {
+		t.Fatal(err)
+	}
+	net, err := stringfigure.New(stringfigure.WithNodes(1024), stringfigure.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(i int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cfg := stringfigure.SessionConfig{Rate: 0.0003, Warmup: 3000, Measure: 20000, Seed: stringfigure.PointSeed(1, i)}
+		if _, err := net.NewSession(cfg).Run(uniform); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := session(0), session(1)
+	t.Logf("first session %d bytes, second %d (%.1f%%)", first, second, 100*float64(second)/float64(first))
+	if second*10 >= first {
+		t.Errorf("second N=1024 session allocated %d bytes, the first %d: want under a tenth", second, first)
 	}
 }

@@ -69,6 +69,7 @@ func ProcessorPlacement(n int, rate float64, cfg stringfigure.SessionConfig) (*s
 		pat := traffic.Subset(uniform, a.sources)
 		sim.SetPattern(perSource, func(src int, r *rand.Rand) (int, bool) { return pat(src, r) })
 		res := sim.RunMeasured(cfg.Warmup, cfg.Measure)
+		sim.Release()
 		frac := res.DeliveredFraction()
 		lat := res.AvgLatencyNs()
 		if res.Deadlocked {
@@ -183,6 +184,7 @@ func MetaCubeStudy(n int, cubeSizes []int, rate float64, cfg stringfigure.Sessio
 		}
 		sim.SetPattern(rate, func(src int, r *rand.Rand) (int, bool) { return uniform(src, r) })
 		res := sim.RunMeasured(cfg.Warmup, cfg.Measure)
+		sim.Release()
 		if res.Deadlocked || res.Delivered == 0 {
 			return 0, nil
 		}

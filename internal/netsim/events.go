@@ -1,7 +1,5 @@
 package netsim
 
-import "math/bits"
-
 // laneRec is one flit in flight on a link of the event core (16 bytes,
 // pointer-free): the flit, the low 32 bits of its arrival cycle, and the
 // downstream router and input unit it lands in. New rejects networks whose
@@ -69,22 +67,56 @@ func (h *farHeap) pop() farRec {
 // credit protocol requires of the route-and-arbitrate pass for bit-identity
 // with a full scan: credits returned during router i's arbitration are
 // visible to routers j > i within the same cycle, and only to them.
+//
+// The set keeps its member count and a summary of its non-empty words, so
+// that a walk and a count cost O(non-empty words), not O(routers/64). Both
+// are updated only when a bit flips; the callers set a router's bit only
+// when it gains work from none (see deliverFlit and enqueueSized), so the
+// bookkeeping is paid per transition, never per flit.
 type activeSet struct {
-	words []uint64
+	words []uint64 // bit v: router v is a member
+	sum   []uint64 // bit i: words[i] is not zero
+	n     int64    // members
 }
 
-func newActiveSet(n int) activeSet {
-	return activeSet{words: make([]uint64, (n+63)/64)}
+// activeSetLen is the length of the backing block newActiveSet carves a
+// set over n routers from.
+func activeSetLen(n int) int {
+	w := (n + 63) / 64
+	return w + (w+63)/64
 }
 
-func (a *activeSet) set(v int)   { a.words[v>>6] |= 1 << (uint(v) & 63) }
-func (a *activeSet) clear(v int) { a.words[v>>6] &^= 1 << (uint(v) & 63) }
+// newActiveSet lays an empty set over n routers on buf, which holds
+// activeSetLen(n) zero words.
+func newActiveSet(n int, buf []uint64) activeSet {
+	w := (n + 63) / 64
+	return activeSet{words: buf[:w:w], sum: buf[w:]}
+}
+
+// set adds v; a member stays as it is.
+func (a *activeSet) set(v int) {
+	w := &a.words[v>>6]
+	bit := uint64(1) << (uint(v) & 63)
+	if *w&bit != 0 {
+		return
+	}
+	if *w == 0 {
+		a.sum[v>>12] |= 1 << (uint(v>>6) & 63)
+	}
+	*w |= bit
+	a.n++
+}
+
+// clear removes v, which must be a member: both callers clear only the
+// router their walk is visiting.
+func (a *activeSet) clear(v int) {
+	w := &a.words[v>>6]
+	*w &^= 1 << (uint(v) & 63)
+	if *w == 0 {
+		a.sum[v>>12] &^= 1 << (uint(v>>6) & 63)
+	}
+	a.n--
+}
 
 // count returns the number of routers in the set.
-func (a *activeSet) count() int64 {
-	n := 0
-	for _, w := range a.words {
-		n += bits.OnesCount64(w)
-	}
-	return int64(n)
-}
+func (a *activeSet) count() int64 { return a.n }

@@ -498,50 +498,64 @@ type Sim struct {
 	// candidate's starvation counter is live (adaptive VC, head at front):
 	// such an output must keep being rescanned every cycle and cannot park.
 	scanSawLive bool
+
+	// ar holds the arenas New carved the tables above from (nil once
+	// Release has returned them).
+	ar *arenas
 }
 
-// New builds a simulator for the given configuration.
+// New builds a simulator for the given configuration. Its per-router
+// tables are carved from arenas a released simulator of the same shape
+// left behind when there is one (see Release), and from new ones
+// otherwise; either way they start zeroed.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	n := len(cfg.Out)
-	s := &Sim{
-		cfg:      cfg,
-		vcs:      cfg.EscapeVCs + adaptiveVCs,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		overCred: overCredit(cfg.AdaptiveThreshold),
-	}
 	if cfg.Routes != nil && cfg.Routes.n != n {
 		return nil, fmt.Errorf("netsim: route cache built for %d routers, network has %d", cfg.Routes.n, n)
 	}
-	maxPorts := 0
-	for _, row := range cfg.Out {
-		maxPorts = max(maxPorts, len(row))
-	}
-	s.routers = make([]*router, n)
-	rarena := make([]router, n) // contiguous router structs: s.routers[v] derefs stay in cache
+	vcs := cfg.EscapeVCs + adaptiveVCs
 	// The port tables are carved from four arenas sized by the adjacency: a
 	// router has one output port per out-neighbor and one input port per
 	// in-neighbor, plus the injection port.
-	edges := 0
-	inDeg := make([]int, n)
+	maxPorts, edges := 0, 0
 	for _, row := range cfg.Out {
+		maxPorts = max(maxPorts, len(row))
 		edges += len(row)
+	}
+	ar := takeArenas(n, edges, vcs)
+	inDeg := ar.deg
+	for _, row := range cfg.Out {
 		for _, w := range row {
 			inDeg[w]++
 		}
 	}
 	// A lane record names its downstream router and input unit in 16 bits.
-	if units := (slices.Max(inDeg) + 1) * s.vcs; n > 1<<16 || units > 1<<16 {
+	if units := (int(slices.Max(inDeg)) + 1) * vcs; n > 1<<16 || units > 1<<16 {
 		return nil, fmt.Errorf("netsim: %d routers, up to %d input units per router: a lane record holds at most %d of each", n, units, 1<<16)
 	}
-	outNbrA, downA := make([]int, edges), make([]downPort, edges)
-	inUpA, upOutA := make([]int, edges+n), make([]int32, edges+n)
+	if ar.rng == nil {
+		ar.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		ar.rng.Seed(cfg.Seed)
+	}
+	s := &Sim{
+		cfg:      cfg,
+		vcs:      vcs,
+		rng:      ar.rng,
+		overCred: overCredit(cfg.AdaptiveThreshold),
+		ar:       ar,
+	}
+	s.routers = ar.ptrs
+	rarena := ar.routers // contiguous router structs: s.routers[v] derefs stay in cache
+	outNbrA, inUpA := ar.ints[:edges], ar.ints[edges:]
+	downA, upOutA := ar.down, ar.upOut
 	for v := 0; v < n; v++ {
 		r := &rarena[v]
 		r.id = v
-		k, m := len(cfg.Out[v]), inDeg[v]+1
+		k, m := len(cfg.Out[v]), int(inDeg[v])+1
 		r.outNbr, outNbrA = outNbrA[:k:k], outNbrA[k:]
 		copy(r.outNbr, cfg.Out[v])
 		r.down, downA = downA[:k:k], downA[k:]
@@ -565,33 +579,35 @@ func New(cfg Config) (*Sim, error) {
 	// records, round-robin cursors) is carved out of shared arenas rather
 	// than allocated per router: the hot loop walks these structures across
 	// many routers per cycle, and scattering them through the heap makes the
-	// walk memory-latency bound at low load.
-	var totIn, totW, totCand, totOut64, totOvc, totRR int
+	// walk memory-latency bound at low load. Every arena but the bitmask
+	// block has a length the shape fixes (edges + n input ports, each with
+	// vcs units; edges + n output ports, the ejection ports included); the
+	// bitmask block's follows from the degrees.
+	var totW, totCand, totOut64 int
 	for _, r := range s.routers {
 		r.inUp = append(r.inUp, -1) // injection port
 		r.upOutPort = append(r.upOutPort, -1)
-		nin := len(r.inUp) * s.vcs
-		w := (nin + 63) / 64
+		w := (len(r.inUp)*s.vcs + 63) / 64
 		nout := len(r.outNbr)
-		totIn += nin
 		totW += w
 		totCand += (nout + 1) * w
 		totOut64 += (nout + 1 + 63) / 64
-		totOvc += (nout + 1) * s.vcs
-		totRR += nout + 1
 	}
-	inA := make([]inputUnit, totIn)
+	inA := ar.units
 	// One bitmask arena, carved per router in access order (attn,
 	// candOuts, parked, cand): a router's whole worklist state spans a
-	// couple of adjacent cache lines.
-	maskA := make([]uint64, totW+2*totOut64+totCand)
-	s.ovcs = make([]ovc, totOvc)
+	// couple of adjacent cache lines. The two router worklists come last.
+	if need := totW + 2*totOut64 + totCand + 2*activeSetLen(n); len(ar.masks) != need {
+		ar.masks = make([]uint64, need)
+	}
+	maskA := ar.masks
+	s.ovcs = ar.ovcs
 	ovcA := s.ovcs
-	rrA := make([]int, totRR)
+	rrA := ar.rr
 	// Pre-seed the source queues too (input units carry their rings inline);
 	// a backlog that outgrows srcQSeed falls back to ring.grow.
-	srcA := make([]flit, n*srcQSeed)
-	s.links = make([]linkCost, edges)
+	srcA := ar.srcQ
+	s.links = ar.links
 	carve := func(n int, a *[]uint64) []uint64 {
 		s := (*a)[:n:n]
 		*a = (*a)[n:]
@@ -630,6 +646,8 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
+	s.active = newActiveSet(n, carve(activeSetLen(n), &maskA))
+	s.drain = newActiveSet(n, carve(activeSetLen(n), &maskA))
 	// Every input unit's credit target, now that every router's output-VC
 	// records have their place in s.ovcs.
 	for _, r := range s.routers {
@@ -666,8 +684,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.TraceSampleEvery > 0 && cfg.OnSnapshot != nil && cfg.SnapshotEvery > 0 {
 		s.tr = &traceAcct{every: cfg.TraceSampleEvery, buf: make([]traceRecord, 0, 256)}
 	}
-	s.active = newActiveSet(n)
-	s.drain = newActiveSet(n)
 	// Room for the first eight slabs (8 192 packets) before the slab list
 	// itself has to grow.
 	s.slabs = make([][]packet, 0, 8)
@@ -683,23 +699,29 @@ func New(cfg Config) (*Sim, error) {
 // finds at most the sends of cycles c-L+1..c in the lane — at most
 // LinkWidth per link and cycle — and the lane is sized from that exact
 // bound, (links of latency L) × L × LinkWidth, rounded up to the ring's
-// power of two: it never grows.
+// power of two: it never grows. Lanes of the sizes the arenas already hold
+// are reused.
 func (s *Sim) newLanes() {
-	lats := make([]int32, len(s.links))
+	var lats []int32 // the distinct base latencies, ascending
 	for l := range s.links {
-		lats[l] = s.links[l].base
+		if i, ok := slices.BinarySearch(lats, s.links[l].base); !ok {
+			lats = slices.Insert(lats, i, s.links[l].base)
+		}
 	}
-	slices.Sort(lats)
-	lats = slices.Compact(lats)
 	bound := make([]int, len(lats))
 	for l := range s.links {
 		i, _ := slices.BinarySearch(lats, s.links[l].base)
 		s.links[l].lane = int32(i)
 		bound[i] += int(lats[i]) * s.cfg.LinkWidth
 	}
-	s.lanes = make([]ring[laneRec], len(lats))
+	if len(s.ar.lanes) != len(lats) {
+		s.ar.lanes = make([]ring[laneRec], len(lats))
+	}
+	s.lanes = s.ar.lanes
 	for i, b := range bound {
-		s.lanes[i].buf = make([]laneRec, 1<<bits.Len(uint(b-1)))
+		if size := 1 << bits.Len(uint(b-1)); len(s.lanes[i].buf) != size {
+			s.lanes[i].buf = make([]laneRec, size)
+		}
 	}
 }
 
@@ -741,14 +763,16 @@ func (s *Sim) step() {
 		s.inject()
 		// Drain the source queues that hold flits. Draining touches only
 		// the router's own units, so the order is free; it sets no bit.
-		for wi, w := range s.drain.words {
-			for w != 0 {
-				v := wi<<6 | bits.TrailingZeros64(w)
-				w &= w - 1
-				r := s.routers[v]
-				s.drainSourceQueue(r)
-				if r.srcQ.Len() == 0 {
-					s.drain.clear(v)
+		for si, sw := range s.drain.sum {
+			for ; sw != 0; sw &= sw - 1 {
+				wi := si<<6 | bits.TrailingZeros64(sw)
+				for w := s.drain.words[wi]; w != 0; w &= w - 1 {
+					v := wi<<6 | bits.TrailingZeros64(w)
+					r := s.routers[v]
+					s.drainSourceQueue(r)
+					if r.srcQ.Len() == 0 {
+						s.drain.clear(v)
+					}
 				}
 			}
 		}
@@ -758,21 +782,25 @@ func (s *Sim) step() {
 			s.st.EmptyCycles++
 		}
 		// Route and arbitrate in ascending router order (see activeSet).
-		// Each word is read when the cursor reaches it. A router clears
-		// only its own bit, and the only bit set mid-pass is an
-		// OnDelivered callback's injection into a source queue, whose
-		// drain phase has run this cycle in the full scan too: visiting
-		// that router now or next cycle changes nothing.
-		for wi := range s.active.words {
-			for w := s.active.words[wi]; w != 0; w &= w - 1 {
-				v := wi<<6 | bits.TrailingZeros64(w)
-				r := s.routers[v]
-				if r.queued > 0 {
-					s.routeHeads(r)
-					s.arbitrate(r)
-				}
-				if r.queued == 0 && r.srcQ.Len() == 0 {
-					s.active.clear(v)
+		// Each summary and member word is read when the cursor reaches it.
+		// A router clears only its own bit, and the only bit set mid-pass
+		// is an OnDelivered callback's injection into the source queue of
+		// a router with nothing queued (one with queued flits is a member
+		// already), whose drain phase has run this cycle in the full scan
+		// too: visiting that router now or next cycle changes nothing.
+		for si := range s.active.sum {
+			for sw := s.active.sum[si]; sw != 0; sw &= sw - 1 {
+				wi := si<<6 | bits.TrailingZeros64(sw)
+				for w := s.active.words[wi]; w != 0; w &= w - 1 {
+					v := wi<<6 | bits.TrailingZeros64(w)
+					r := s.routers[v]
+					if r.queued > 0 {
+						s.routeHeads(r)
+						s.arbitrate(r)
+					}
+					if r.queued == 0 && r.srcQ.Len() == 0 {
+						s.active.clear(v)
+					}
 				}
 			}
 		}
@@ -877,8 +905,11 @@ func (s *Sim) deliverFlit(dn *router, unit int, f flit) bool {
 	iu := &dn.in[unit]
 	wasEmpty := iu.n == 0
 	iu.push(f)
+	// A router with queued flits is on the worklist already.
+	if dn.queued == 0 {
+		s.active.set(dn.id)
+	}
 	dn.queued++
-	s.active.set(dn.id)
 	if !wasEmpty {
 		return false
 	}
@@ -1055,6 +1086,12 @@ func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
 	if s.tr != nil {
 		s.traceEvent(p, TraceInject, src)
 	}
+	// A router whose source queue holds flits is on both worklists
+	// already.
+	if r.srcQ.Len() == 0 {
+		s.active.set(r.id)
+		s.drain.set(r.id)
+	}
 	for i := 0; i < flits; i++ {
 		if r.srcQ.full() {
 			s.st.SrcQGrowths++
@@ -1062,8 +1099,6 @@ func (s *Sim) enqueueSized(r *router, src, dst, flits int, tag int64) {
 		r.srcQ.push(flit{pkt: h, vc: uint8(p.advc), head: i == 0, tail: i == flits-1})
 	}
 	s.st.SrcQHighWater = max(s.st.SrcQHighWater, int64(r.srcQ.Len()))
-	s.active.set(r.id)
-	s.drain.set(r.id)
 }
 
 // Inject enqueues one packet of the given flit count at the current cycle;

@@ -306,7 +306,6 @@ func serveTwoJobs(t *testing.T) []netKey {
 	defer srv.Close()
 
 	spec := quickSpec()
-	spec.Design, spec.Ports = "sf", 4 // the normal form workers receive
 	specRaw, _ := json.Marshal(spec)
 	for range 2 {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
@@ -327,6 +326,41 @@ func serveTwoJobs(t *testing.T) []netKey {
 	}
 	key := networkSpec{Spec: spec.options().spec}
 	return []netKey{key.key(nil), key.key(cluster)}
+}
+
+// serveJobAndWorkerSpec runs one job of quickSpec as submitted
+// ({"nodes":16}: no design, no port count) on a Service without a cluster,
+// then takes the network a worker takes for it, whose spec comes
+// normalized (sf, 4 ports): both must be one stored network.
+func serveJobAndWorkerSpec(t *testing.T) []netKey {
+	s, err := NewService(ServiceConfig{StateDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := quickSpec()
+	j, err := s.SubmitJob("alice", 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, s, j.ID)
+	checkOwnSweep(t, s, j.ID, spec)
+	submitted := networkSpec{Spec: spec.options().spec}
+	normal, err := submitted.Spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if normal == submitted.Spec {
+		t.Fatalf("spec %+v is in normal form already: the case checks nothing", normal)
+	}
+	worker := networkSpec{Spec: normal}
+	keys := getShared(t, worker, nil)
+	a, errA := sharedNetwork(submitted, nil)
+	b, errB := sharedNetwork(worker, nil)
+	if errA != nil || errB != nil || a != b {
+		t.Fatalf("submitted spec got network %p (%v), normal form %p (%v)", a, errA, b, errB)
+	}
+	return keys
 }
 
 // TestServiceScenarioSentinelParity pins the one-source-of-truth rule for

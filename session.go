@@ -315,6 +315,9 @@ func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, pat traffi
 	if err != nil {
 		return netsim.Results{}, err
 	}
+	// Nothing reads the simulator once its Results are copied out, so its
+	// arenas go back for the next session's New however the run ends.
+	defer sim.Release()
 	// Injection liveness follows the schedule: gated nodes neither source
 	// nor sink new traffic from the moment their event applies (the
 	// injector reads the rig's aliveNow, which each gate event swaps).
@@ -480,6 +483,9 @@ func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload stri
 	if err != nil {
 		return Result{}, err
 	}
+	// traceResult copies everything out of the co-simulation's network, so
+	// its arenas go back for the next session's New however the run ends.
+	defer sys.Sim().Release()
 	sys.Ports = n.d.Ports
 	st := stepper{sim: sys.Sim(), slice: traceSliceCycles, done: sys.Done, run: func(k int64) error {
 		sys.Run(k)

@@ -66,14 +66,21 @@ func (s networkSpec) build(c *Cluster) (*Network, error) {
 }
 
 // netKey is everything a stored network is built from, in comparable
-// form: the New options and the alive mask ('1' per powered-on node, ""
-// when every node is).
+// form: the New options, their spec in normal form, and the alive mask
+// ('1' per powered-on node, "" when every node is). The normal form makes
+// a Service job's spec as submitted ({"nodes":16}: no design, no port
+// count) and a worker's as the coordinator normalized it (sf, 4 ports) one
+// key; a spec that does not normalize is keyed as it is, and its build
+// fails.
 type netKey struct {
 	options
 	alive string
 }
 
 func (s networkSpec) key(c *Cluster) netKey {
+	if spec, err := s.Spec.Normalize(); err == nil {
+		s.Spec = spec
+	}
 	mask := make([]byte, len(s.Alive))
 	for i, a := range s.Alive {
 		mask[i] = '0'

@@ -225,6 +225,7 @@ func TestNetworkStoreBuildsOncePerKey(t *testing.T) {
 			return append(getShared(t, spec, nil), getShared(t, gated, nil)...)
 		}},
 		{"two workers and two service jobs", serveTwoJobs},
+		{"submitted and normal spec", serveJobAndWorkerSpec},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			netStore.mu.Lock()
