@@ -27,11 +27,21 @@
 // FIFO lane per distinct base latency, plus a far heap for flits sent onto
 // a waking link, and follows two router worklists (routers with work, and
 // routers whose source queue holds flits) and per-router bitmasks (units
-// needing a route, candidates per output, parked outputs); the reference
-// core (reference.go, Config.ReferenceCore) keeps a delay line
+// needing a route, candidates per output, parked outputs). A worklist
+// changes only when a router gains work from none or runs out of it, and
+// keeps its member count and a summary of its non-empty words, so walking
+// and counting it costs O(busy words) per cycle and nothing per flit. The
+// reference core (reference.go, Config.ReferenceCore) keeps a delay line
 // per link, scans everything and is the oracle the cross-core determinism
 // suites byte-diff against. They share every other state transition and
 // own only their scans and link queues (see ARCHITECTURE.md, "Hot loop").
+//
+// New carves every per-router table from a few large arenas. Sim.Release
+// returns them to a bounded process-wide free list, from which the next New
+// over a network of the same shape takes them back, cleared; the session
+// layer releases each simulator once its Results are copied, so sessions on
+// one network stop paying for its size. A simulator that is never released
+// is garbage-collected as usual.
 //
 // A freed buffer slot credits its upstream output VC through an index the
 // input unit keeps into one array of every router's output-VC records, so

@@ -517,7 +517,7 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("netsim: route cache built for %d routers, network has %d", cfg.Routes.n, n)
 	}
 	vcs := cfg.EscapeVCs + adaptiveVCs
-	// The port tables are carved from four arenas sized by the adjacency: a
+	// The port tables are carved from arenas sized by the adjacency: a
 	// router has one output port per out-neighbor and one input port per
 	// in-neighbor, plus the injection port.
 	maxPorts, edges := 0, 0
