@@ -20,8 +20,7 @@ import (
 // Each worker rebuilds this network from its serialized spec and runs the
 // point through runPoint with the same PointSeed-derived session seed as
 // the in-process pool, so remote Results are bit-identical to local ones.
-// Points whose workloads cannot be serialized (FuncWorkload and external
-// Workload implementations) stay local. Points in flight on a worker that
+// Points whose workloads cannot be serialized (FuncWorkload) stay local. Points in flight on a worker that
 // disconnects are requeued onto surviving workers; a point repeatedly lost
 // this way fails with ErrWorkerLost in its Result, and points orphaned by
 // Cluster.Close fail with ErrClusterClosed.

@@ -31,8 +31,8 @@ func ExampleSessionConfig_WithTelemetry() {
 	}
 
 	// Schedule: gate nodes 16..31 off at gateOff, back on at gateOn. The
-	// session applies the events inside the run and restores the starting
-	// mask on exit.
+	// session applies the events inside the run, to its own copy of the
+	// network's reconfiguration state, so the network keeps its mask.
 	cfg := stringfigure.SessionConfig{
 		Rate:           0.1,
 		Warmup:         1000,

@@ -1,7 +1,9 @@
 package reconfig
 
 import (
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/routing"
@@ -128,5 +130,65 @@ func TestAdoptKeepsTheRouter(t *testing.T) {
 	}
 	if g.Tables[sf.Order[0][1]] == before {
 		t.Error("gating a ring neighbor left the adopted router's table untouched")
+	}
+}
+
+// TestCopyIsolatesReconfiguration pins the ownership a gated session
+// relies on: gating a copy leaves the original's alive mask, adjacency and
+// every table pointer as they were, the reverse holds too, and a copy
+// reconfigures exactly as a network of its own would.
+func TestCopyIsolatesReconfiguration(t *testing.T) {
+	type state struct {
+		alive  []bool
+		out    [][]int
+		tables []*routing.Table
+	}
+	stateOf := func(n *Network) state {
+		return state{n.AliveSlice(), n.OutNeighbors(), slices.Clone(n.Router.Tables)}
+	}
+	same := func(a, b state) bool {
+		return reflect.DeepEqual(a.alive, b.alive) && reflect.DeepEqual(a.out, b.out) && slices.Equal(a.tables, b.tables)
+	}
+	for _, v := range wireVariants {
+		sf, err := topology.NewStringFigure(topology.Config{
+			N: 64, Ports: topology.PortsForN(64), Seed: 3,
+			Bidirectional: v.bidirectional, Shortcuts: v.shortcuts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// twin replays the original's history, then the copy's steps.
+		orig, twin := New(sf), New(sf)
+		if err := errors.Join(orig.GateOff(40), twin.GateOff(40)); err != nil {
+			t.Fatal(err)
+		}
+		steps := []func(*Network) error{
+			func(n *Network) error { return n.GateOff(sf.Order[0][2]) },
+			func(n *Network) error { return n.GateOff(9) },
+			func(n *Network) error { return n.GateOn(sf.Order[0][2]) },
+			func(n *Network) error { return n.GateOn(40) },
+		}
+		before, cp := stateOf(orig), orig.Copy()
+		for i, step := range steps {
+			if err := errors.Join(step(cp), step(twin)); err != nil {
+				t.Fatalf("%s step %d: %v", v.name, i, err)
+			}
+			if !same(stateOf(orig), before) {
+				t.Fatalf("%s step %d: gating the copy changed the original", v.name, i)
+			}
+			c, w := stateOf(cp), stateOf(twin)
+			if !reflect.DeepEqual(c.alive, w.alive) || !reflect.DeepEqual(c.out, w.out) || !reflect.DeepEqual(c.tables, w.tables) {
+				t.Fatalf("%s step %d: the copy differs from a network of its own after the same steps", v.name, i)
+			}
+		}
+		mid := stateOf(cp)
+		for i, step := range steps {
+			if err := step(orig); err != nil {
+				t.Fatalf("%s original step %d: %v", v.name, i, err)
+			}
+			if !same(stateOf(cp), mid) {
+				t.Fatalf("%s original step %d: gating the original changed the copy", v.name, i)
+			}
+		}
 	}
 }

@@ -4,7 +4,9 @@
 // and reduction for design reuse. It owns the dynamic state of a deployed
 // network — which nodes are alive and which wires are switched in — and the
 // routing tables that follow it. A network has one router: Adopt takes over
-// the router its design already built (New builds a private one).
+// the router its design already built (New builds a private one), and Copy
+// gives a caller an engine of its own over the same topology and tables,
+// whose reconfigurations leave the original untouched.
 //
 // A reconfiguration is modelled as one atomic step: switch the links (ring
 // healing through shortcut wires and the mux-based topology switch of

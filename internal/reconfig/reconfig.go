@@ -46,7 +46,6 @@ type Stats struct {
 type Network struct {
 	SF     *topology.StringFigure
 	Router *routing.Greediest // its tables are replaced by every reconfiguration
-	Timing Timing
 	Stats  Stats
 
 	alive []bool
@@ -73,7 +72,6 @@ func Adopt(sf *topology.StringFigure, out [][]int, router *routing.Greediest) *N
 	n := &Network{
 		SF:        sf,
 		Router:    router,
-		Timing:    DefaultTiming(),
 		alive:     make([]bool, sf.Cfg.N),
 		out:       out,
 		base:      out,
@@ -83,6 +81,21 @@ func Adopt(sf *topology.StringFigure, out [][]int, router *routing.Greediest) *N
 		n.alive[i] = true
 	}
 	return n
+}
+
+// Copy returns an engine whose reconfigurations leave n untouched. It
+// shares what a reconfiguration only ever replaces — the topology, the
+// adjacency rows and the built tables — and owns its alive mask, its
+// router's table slice and zeroed Stats. A copy costs one mask and one
+// pointer per router.
+func (n *Network) Copy() *Network {
+	router := *n.Router
+	router.Tables = slices.Clone(n.Router.Tables)
+	c := *n
+	c.Router = &router
+	c.Stats = Stats{}
+	c.alive = slices.Clone(n.alive)
+	return &c
 }
 
 // Alive reports whether node v is powered on.

@@ -122,10 +122,10 @@ const cacheCap = 8
 // building it at most once while it stays stored: the first jobs of a
 // sweep all miss at once and must share one Network rather than each run
 // on a private build. A failed build stays stored too: builds are pure, so
-// it would fail the same way again. A stored network is never reconfigured
-// outside a run: a gated run holds the write lock, and lockRun's release
-// restores the starting mask and resets the route cache, so concurrent
-// gated jobs with one key take turns.
+// it would fail the same way again. Nothing reconfigures a stored network:
+// jobs only run sessions on it, and a gated session reconfigures a private
+// copy of its engine, so every job with one key — gated or not — runs at
+// once under the read lock and shares one route cache.
 func sharedNetwork(s networkSpec, c *Cluster) (*Network, error) {
 	key := s.key(c)
 	netStore.mu.Lock()

@@ -35,12 +35,12 @@ func sessionRun(t *testing.T, net *Network, cfg SessionConfig) sessionOutput {
 }
 
 // TestRouteCacheInvalidation walks one network through every table
-// mutation — GateOff, GateOn, SetMounted, and a gate-rig (ChurnTrace)
-// session, which mutates and restores the tables inside the run — with a
-// gate-free session after each, and compares every session with the same
-// one on a network built fresh and put into the same state, whose cache is
-// empty. A mutation that left the cache standing would serve the old
-// topology's ports.
+// mutation — GateOff, GateOn, SetMounted — and a gate-rig (ChurnTrace)
+// session, which must mutate nothing (it gates a private engine copy),
+// with a gate-free session after each, and compares every session with
+// the same one on a network built fresh and put into the same state,
+// whose cache is empty. A mutation that left the cache standing would
+// serve the old topology's ports.
 func TestRouteCacheInvalidation(t *testing.T) {
 	const nodes = 32
 	mounted := make([]bool, nodes)
@@ -94,16 +94,27 @@ func TestRouteCacheInvalidation(t *testing.T) {
 // Uniform traffic sends every session toward every destination, so the
 // sessions' misses add up on the same per-destination counters and cross
 // each column-fill threshold together; the counters must show every column
-// filled exactly once. It runs under -race in CI.
+// filled exactly once. On sf a gated (ChurnTrace) session runs beside them
+// under the same read lock: it reconfigures its own engine copy and
+// simulates without the cache, so it changes neither the others' bytes nor
+// the fill counts. It runs under -race in CI.
 func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
 	for _, design := range []string{"sf", "s2", "fb"} {
 		cfgs := make([]SessionConfig, 6)
-		want := make([]sessionOutput, len(cfgs))
 		for i := range cfgs {
 			cfgs[i] = routeCacheCfg
 			cfgs[i].Seed = int64(100 + i)
 			cfgs[i].Rate = 0.05 * float64(1+i%3)
 			cfgs[i].ReferenceCore = i == len(cfgs)-1 // one session that never touches the cache
+		}
+		if design == "sf" {
+			gated := routeCacheCfg
+			gated.Seed = 106
+			gated.Scenario = []ScenarioSpec{ChurnTrace(GateEvent{Cycle: 300, Node: 8})}
+			cfgs = append(cfgs, gated)
+		}
+		want := make([]sessionOutput, len(cfgs))
+		for i := range cfgs {
 			want[i] = sessionRun(t, mustNet(t, design, 32), cfgs[i])
 		}
 		net := mustNet(t, design, 32)

@@ -135,10 +135,11 @@ func (r *scenarioRecorder) wrap(cfg SessionConfig, offset int64) SessionConfig {
 }
 
 // scenarioEnv is what scenarios compile against: the node count, the
-// Section VI timing in cycles, the starting alive mask (nil = all alive)
-// and the seed specs without their own derive from. resolveSchedule sets
-// the run length.
-func scenarioEnv(nodes int, t reconfig.Timing, alive []bool, seed int64) scenario.Env {
+// paper's Section VI timing in cycles, the starting alive mask (nil = all
+// alive) and the seed specs without their own derive from.
+// resolveSchedule sets the run length.
+func scenarioEnv(nodes int, alive []bool, seed int64) scenario.Env {
+	t := reconfig.DefaultTiming()
 	return scenario.Env{
 		Nodes:       nodes,
 		Alive:       alive,
@@ -146,18 +147,6 @@ func scenarioEnv(nodes int, t reconfig.Timing, alive []bool, seed int64) scenari
 		MinInterval: int64(t.MinIntervalNs / netsim.CycleNs),
 		Seed:        seed,
 	}
-}
-
-// scenarioEnv is the live network's compile environment: its own timing
-// and alive mask on the String Figure family, the paper defaults elsewhere
-// (rate schedules need them on the baseline designs too).
-func (n *Network) scenarioEnv(seed int64) scenario.Env {
-	if n.net == nil {
-		return scenarioEnv(n.d.N, reconfig.DefaultTiming(), nil, seed)
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return scenarioEnv(n.d.N, n.net.Timing, n.net.AliveSlice(), seed)
 }
 
 // resolveSchedule compiles the (default-filled) config's scenario specs

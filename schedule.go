@@ -3,6 +3,7 @@ package stringfigure
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/reconfig"
@@ -15,10 +16,12 @@ import (
 // without a scenario — is a stepper advanced by the one loop, drive,
 // through a cycle-sorted timeline of actions (statistics reset, gate
 // apply, rate change); a plain run is the empty timeline, not a separate
-// path. lockRun decides how exclusive a run is: a schedule that gates
-// nodes takes the network's write lock and a gateRig, everything else
-// the read lock and no rig. The S2 regeneration baseline (runRegen) is
-// two open-loop stretches on two networks.
+// path. A run holds its network's read lock once, from compiling its
+// schedule against the alive mask it holds to its end. A schedule that
+// gates nodes runs on a gateRig, which reconfigures a private copy of the
+// network's engine, so every run shares its network with every other.
+// The S2 regeneration baseline (runRegen) is two open-loop stretches on
+// two networks, each phase under its own network's lock.
 
 // stepper is what drive advances: an open-loop *netsim.Sim or a
 // closed-loop *memsys.System behind its run step.
@@ -80,56 +83,25 @@ func drive(ctx context.Context, st stepper, end int64, acts []action) error {
 	}
 }
 
-// lockRun takes the lock a run under the given gate schedule needs and
-// returns the release function. Reconfiguration is part of a gated run,
-// so it is exclusive: the write lock, plus the gateRig that executes the
-// schedule, whose release restores the starting alive mask however the
-// run ended and resets the shared route cache (the run mutated the tables
-// gate-free sessions route by). A gate-free run — plain, rate-modulated,
-// a regeneration phase — shares the network under the read lock and gets
-// a nil rig.
-func (n *Network) lockRun(gates []scenario.GateEvent, rec *scenarioRecorder) (*gateRig, func(), error) {
-	if len(gates) == 0 {
-		n.mu.RLock()
-		return nil, n.mu.RUnlock, nil
-	}
-	if n.net == nil {
-		return nil, nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Spec.Kind)
-	}
-	n.mu.Lock()
-	rig, err := n.newGateRig(gates, rec)
-	if err != nil {
-		n.mu.Unlock()
-		return nil, nil, err
-	}
-	return rig, func() {
-		rig.restore()
-		n.routes.Reset()
-		n.mu.Unlock()
-	}, nil
-}
-
-// gateRig is the shared execution machinery of gate-scheduled runs: the
-// validated schedule with the alive mask each phase passes through, the
-// per-phase adjacency and its union (the simulator's physical link set),
-// the link wake-latency charges a gate-off incurs, and the live apply/
-// restore hooks. The caller holds the network's write lock for the rig's
-// whole lifetime — reconfiguration is part of the run, so scheduled runs
-// are exclusive.
+// gateRig is the execution machinery of a gate-scheduled run: a private
+// copy of the network's reconfiguration engine that the schedule's events
+// apply to, the union adjacency of every phase (the simulator's physical
+// link set), and the link wake-latency charge a gate-off incurs. The copy
+// owns its alive mask and its router's table slice, so a gated run never
+// touches the network its session runs on, and the run ends however it
+// ends without anything to undo.
 type gateRig struct {
-	n      *Network
+	net    *reconfig.Network
 	events []scenario.GateEvent
-	// adjs[i] is the adjacency of the alive mask after the first i events.
 	// out is the union adjacency over every phase: all wires any phase
 	// activates exist from cycle 0 (they are pre-provisioned shortcuts or
 	// switched links); which ones carry traffic at any moment is governed
-	// by the live routing tables.
-	adjs [][][]int
-	out  [][]int
-	// start is the alive mask on entry (restored on exit); aliveNow tracks
-	// the live mask as events apply, consulted dynamically by injection;
-	// everAlive marks the nodes that stay powered through the whole
-	// schedule (where closed-loop runs place memory pages and CPU sockets).
+	// by the copy's routing tables.
+	out [][]int
+	// start is the alive mask on entry; aliveNow tracks the live mask as
+	// events apply, consulted dynamically by injection; everAlive marks
+	// the nodes that stay powered through the whole schedule (where
+	// closed-loop runs place memory pages and CPU sockets).
 	start     []bool
 	aliveNow  []bool
 	everAlive []bool
@@ -141,49 +113,25 @@ type gateRig struct {
 	rec        *scenarioRecorder
 }
 
-// newGateRig validates the normalized schedule against the live network
-// (the caller holds the write lock) and precomputes every phase's
-// adjacency. Compiled schedules already satisfy these rules, but the mask
-// can change between compile and lock, so they are checked again: events
-// must stay in range, never re-apply a node's current state, and never
-// drop the network below two alive nodes.
+// newGateRig copies the network's reconfiguration engine for one run of
+// the compiled schedule events and merges the union adjacency of every
+// phase; no events is a gate-free run and a nil rig. The caller holds the
+// read lock under which events were compiled against the network's alive
+// mask, so every event is already legal (scenario.Compile guarantees it).
 func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder) (*gateRig, error) {
-	start := n.net.AliveSlice()
-	cur := append([]bool(nil), start...)
-	ever := append([]bool(nil), start...)
-	masks := [][]bool{start}
-	aliveCount := len(start)
-	for _, a := range start {
-		if !a {
-			aliveCount--
-		}
+	if len(events) == 0 {
+		return nil, nil
 	}
-	for _, ev := range events {
-		if ev.Cycle < 0 || ev.Node < 0 || ev.Node >= n.d.N {
-			return nil, fmt.Errorf("%w: gate event %+v", ErrOutOfRange, ev)
-		}
-		if cur[ev.Node] == ev.On {
-			return nil, fmt.Errorf("stringfigure: gate event at cycle %d: node %d already %s",
-				ev.Cycle, ev.Node, map[bool]string{true: "on", false: "off"}[ev.On])
-		}
-		if !ev.On && aliveCount <= 2 {
-			return nil, fmt.Errorf("stringfigure: gate event at cycle %d would drop below two alive nodes", ev.Cycle)
-		}
-		cur[ev.Node] = ev.On
-		if ev.On {
-			aliveCount++
-		} else {
-			aliveCount--
-			ever[ev.Node] = false
-		}
-		masks = append(masks, append([]bool(nil), cur...))
+	if n.net == nil {
+		return nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Spec.Kind)
 	}
-
-	adjs := make([][][]int, len(masks))
+	net := n.net.Copy()
+	start := net.AliveSlice()
+	cur := slices.Clone(start)
+	ever := slices.Clone(start)
 	out := make([][]int, n.d.Routers)
-	for mi, m := range masks {
-		adjs[mi] = n.net.AdjacencyFor(m)
-		for u, nbrs := range adjs[mi] {
+	addPhase := func() {
+		for u, nbrs := range net.AdjacencyFor(cur) {
 			// A router's union is rebuilt only when a phase adds to it.
 			added := 0
 			reconfig.MergeSorted(out[u], nbrs, func(_ int, had, _ bool) {
@@ -199,15 +147,22 @@ func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder)
 			out[u] = union
 		}
 	}
+	addPhase()
+	for _, ev := range events {
+		cur[ev.Node] = ev.On
+		if !ev.On {
+			ever[ev.Node] = false
+		}
+		addPhase()
+	}
 	return &gateRig{
-		n:          n,
+		net:        net,
 		events:     events,
-		adjs:       adjs,
 		out:        out,
 		start:      start,
 		aliveNow:   start,
 		everAlive:  ever,
-		wakeCycles: int64(n.net.Timing.LinkWakeNs / netsim.CycleNs),
+		wakeCycles: int64(reconfig.DefaultTiming().LinkWakeNs / netsim.CycleNs),
 		rec:        rec,
 	}, nil
 }
@@ -219,7 +174,7 @@ func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder)
 // circulate forever, eventually clogging the escape channels and wedging
 // the whole network.
 func (r *gateRig) escapeFor(alive []bool) func(cur, dst int) (int, int) {
-	ring := netsim.RingEscape(r.n.d.SF, alive)
+	ring := netsim.RingEscape(r.net.SF, alive)
 	return func(cur, dst int) (int, int) {
 		if !alive[dst] {
 			return -1, 0
@@ -238,35 +193,35 @@ func (r *gateRig) attach(sim *netsim.Sim) []action {
 	r.sim = sim
 	acts := make([]action, len(r.events))
 	for i, ev := range r.events {
-		acts[i] = action{ev.Cycle, func() error { return r.apply(i) }}
+		acts[i] = action{ev.Cycle, func() error { return r.apply(ev) }}
 	}
 	return acts
 }
 
-// apply executes event idx against the live network and simulator:
-// gate the node, swap the escape routes to the new mask, and set a wake
-// deadline on links a gate-off switches on (ring healing) — a gate-on
-// was already deferred past its links' wake by normalization. Flits
-// routed onto a still waking link arrive only after its deadline, the
-// mechanism behind the post-gate-off latency transient the telemetry
-// stream watches.
-func (r *gateRig) apply(idx int) error {
-	ev := r.events[idx]
+// apply executes one event against the rig's engine and simulator: gate
+// the node, swap the escape routes to the new mask, and set a wake
+// deadline on links a gate-off switches on (ring healing: in the
+// adjacency after it, not before) — a gate-on was already deferred past
+// its links' wake by normalization. Flits routed onto a still waking link
+// arrive only after its deadline, the mechanism behind the post-gate-off
+// latency transient the telemetry stream watches.
+func (r *gateRig) apply(ev scenario.GateEvent) error {
+	before := r.net.OutNeighbors()
 	var err error
 	if ev.On {
-		err = r.n.net.GateOn(ev.Node)
+		err = r.net.GateOn(ev.Node)
 	} else {
-		err = r.n.net.GateOff(ev.Node)
+		err = r.net.GateOff(ev.Node)
 	}
 	if err != nil {
 		return err
 	}
-	r.aliveNow = r.n.net.AliveSlice()
+	r.aliveNow = r.net.AliveSlice()
 	r.sim.SetEscapeRoute(r.escapeFor(r.aliveNow))
 	if !ev.On {
 		until := r.sim.Cycle() + r.wakeCycles
-		for u, nbrs := range r.adjs[idx+1] {
-			reconfig.MergeSorted(r.adjs[idx][u], nbrs, func(v int, was, is bool) {
+		for u, nbrs := range r.net.OutNeighbors() {
+			reconfig.MergeSorted(before[u], nbrs, func(v int, was, is bool) {
 				if is && !was && err == nil {
 					err = r.sim.SetLinkWake(u, v, until)
 				}
@@ -284,27 +239,17 @@ func (r *gateRig) apply(idx int) error {
 	return nil
 }
 
-// restore puts the starting alive mask back however the run ended: a
-// session run never permanently reconfigures its network.
-func (r *gateRig) restore() {
-	now := r.n.net.AliveSlice()
-	for i := range now {
-		if now[i] != r.start[i] {
-			r.n.net.SetAlive(r.start)
-			return
-		}
-	}
-}
-
 // runRegen executes the ScenarioRegenS2 baseline as two open-loop
 // stretches: phase A runs the full-scale S2 topology to the regeneration
 // cycle; the topology is then regenerated at Drop fewer nodes (a seeded
 // build from the process's network store — S2 cannot gate nodes, so
 // down-scaling means rebuilding), and phase B runs the remainder on the
 // new network, its clock offset by the regeneration cycle and injection
-// silenced through the rebuild outage. The measured window stitches both phases together, so the
-// regeneration's outage and warm-cache loss land in the same metrics a
-// String Figure storm is measured by.
+// silenced through the rebuild outage. The measured window stitches both
+// phases together, so the regeneration's outage and warm-cache loss land
+// in the same metrics a String Figure storm is measured by. The caller
+// holds n's read lock; phase B takes n2's own (n2 is never n: it has fewer
+// nodes).
 func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName string,
 	pat traffic.Pattern, rg *scenario.Regen) (Result, error) {
 	if n.d.Spec.Kind != "s2" {
@@ -340,7 +285,9 @@ func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName strin
 	// Phase B starts silent and returns to the configured rate when the
 	// outage ends (never, if the outage outlasts the run).
 	back := scenario.Schedule{Rates: []scenario.RateEvent{{Cycle: rg.Outage, Scale: 1}}}
+	n2.mu.RLock()
 	resB, err := n2.runOpenLoop(ctx, cfg, patB, rec, back, R, total-R, 0)
+	n2.mu.RUnlock()
 	if err != nil {
 		return Result{}, err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/design"
 	"repro/internal/jobsvc"
-	"repro/internal/reconfig"
 	"repro/internal/trace"
 )
 
@@ -206,7 +205,7 @@ func (js JobSpec) validate() error {
 	// The run resolves again over the live network.
 	cfg := js.sessionConfig()
 	cfg.fill()
-	env := scenarioEnv(js.Nodes, reconfig.DefaultTiming(), nil, js.Seed)
+	env := scenarioEnv(js.Nodes, nil, js.Seed)
 	if _, err := resolveSchedule(cfg, env, js.Trace != ""); err != nil {
 		return err
 	}

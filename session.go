@@ -76,12 +76,13 @@ type SessionConfig struct {
 	// baseline — compiled into a deterministic event schedule before the
 	// run starts (see ScenarioSpec and the ChurnTrace/Churn/FailureStorm/
 	// DiurnalRate/BurstyRate/RegenerateS2 constructors). A schedule that
-	// gates nodes (reconfigurable designs only) makes the run exclusive —
-	// it holds the network's write lock — and the starting alive mask is
-	// restored on exit; rate-modulating scenarios run on any design under
-	// the read lock like a plain run. Invalid specs surface as ErrScenario
-	// when the run starts. Pair with telemetry to watch the latency
-	// transient a reconfiguration causes.
+	// gates nodes (reconfigurable designs only) reconfigures the run's own
+	// copy of the network's engine, so the Network keeps its alive mask and
+	// tables and other sessions run beside it as beside a plain run; the
+	// schedule compiles against the alive mask the network has when the
+	// run starts. Rate-modulating scenarios run on any design. Invalid
+	// specs surface as ErrScenario when the run starts. Pair with telemetry
+	// to watch the latency transient a reconfiguration causes.
 	Scenario []ScenarioSpec
 
 	// ReferenceCore runs the simulation on the netsim reference core — the
@@ -142,7 +143,8 @@ func (c *SessionConfig) fill() {
 // with its RNG seed and warm-up/measurement windows. Sessions are cheap;
 // create one per run. A single *Network can serve many sessions
 // concurrently — runs take the network's read lock, so they proceed in
-// parallel with each other and serialize only against reconfiguration.
+// parallel with each other, gated or not, and serialize only against
+// GateOff, GateOn and SetMounted.
 type Session struct {
 	net *Network
 	cfg SessionConfig
@@ -232,16 +234,16 @@ type Result struct {
 }
 
 // simConfig assembles a simulator configuration for the network's current
-// active state or, under a gate rig, for the union of the wires every
-// phase of the schedule activates (with the escape routes of the starting
-// mask); the policy is always the design's. A gate-free run simulates on
-// the network's shared route cache; a rig mutates the tables mid-run and
-// routes over its own adjacency, so its simulator keeps a private one.
-// Callers hold n.mu through lockRun.
+// active state or, under a gate rig, for the rig's engine copy: its router
+// and the union of the wires every phase of the schedule activates, with
+// the escape routes of the starting mask. A gate-free run simulates on the
+// network's shared route cache; a rig's tables change mid-run, so its
+// simulator keeps a private one. Callers hold n.mu's read side.
 func (n *Network) simConfig(cfg SessionConfig, rig *gateRig) netsim.Config {
 	sc := n.d.NetCfg(cfg.Seed)
 	switch {
 	case rig != nil:
+		sc.Alg, sc.VCPolicy = rig.net.Router, rig.net.Router.VirtualChannel
 		sc.Out = rig.out
 		sc.EscapeRoute = rig.escapeFor(rig.start)
 	case n.net != nil:
@@ -258,9 +260,10 @@ func (n *Network) simConfig(cfg SessionConfig, rig *gateRig) netsim.Config {
 	return sc
 }
 
-// startMask snapshots the alive mask a gate-free run keeps for its whole
-// lifetime (nil = every node, on designs without reconfiguration).
-// Callers hold n.mu.
+// startMask snapshots the network's alive mask (nil = every node, on
+// designs without reconfiguration): the mask a run compiles its schedule
+// against and a gate-free run keeps for its whole lifetime. Callers hold
+// n.mu.
 func (n *Network) startMask() []bool {
 	if n.net == nil {
 		return nil
@@ -276,7 +279,9 @@ func (n *Network) startMask() []bool {
 // function workloads, which the S2 regeneration scenario rejects —
 // regenerating swaps the node count the traffic draws over).
 func (n *Network) runSynthetic(ctx context.Context, cfg SessionConfig, patName string, pat traffic.Pattern) (Result, error) {
-	sch, err := resolveSchedule(cfg, n.scenarioEnv(cfg.Seed), false)
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	sch, err := resolveSchedule(cfg, scenarioEnv(n.d.N, n.startMask(), cfg.Seed), false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -296,18 +301,18 @@ func (n *Network) runSynthetic(ctx context.Context, cfg SessionConfig, patName s
 // run cycle this simulator's cycle 0 stands for (non-zero only for the
 // second phase of an S2 regeneration): the warm-up boundary and telemetry
 // stamps shift by it, sch's cycles are already on the simulator's clock.
+// The caller holds n.mu's read side, under which sch was compiled.
 //
-// Gate events mutate the live routing tables at their cycle; packets
-// already in flight route around the reconfiguration (or divert to the
-// escape subnetwork, or drop as unroutable), which is exactly the
+// Gate events swap rebuilt tables into the rig's router at their cycle;
+// packets already in flight route around the reconfiguration (or divert
+// to the escape subnetwork, or drop as unroutable), which is exactly the
 // transient the telemetry stream watches.
 func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, pat traffic.Pattern, rec *scenarioRecorder,
 	sch scenario.Schedule, offset, end int64, rate0 float64) (netsim.Results, error) {
-	rig, unlock, err := n.lockRun(sch.Gates, rec)
+	rig, err := n.newGateRig(sch.Gates, rec)
 	if err != nil {
 		return netsim.Results{}, err
 	}
-	defer unlock()
 	simCfg := n.simConfig(cfg, rig)
 	simCfg.PacketFlits = cfg.PacketFlits
 	wireTelemetry(&simCfg, rec.wrap(cfg, offset), cfg.Rate, nil)
@@ -450,17 +455,18 @@ func (n *Network) syntheticResult(res netsim.Results, rate float64) Result {
 // running. Rate modulation and regeneration have no closed-loop meaning
 // (offered load emerges from the replay); resolveSchedule rejects them.
 func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload string) (Result, error) {
-	sch, err := resolveSchedule(cfg, n.scenarioEnv(cfg.Seed), true)
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	alive := n.startMask()
+	sch, err := resolveSchedule(cfg, scenarioEnv(n.d.N, alive, cfg.Seed), true)
 	if err != nil {
 		return Result{}, err
 	}
 	rec := &scenarioRecorder{}
-	rig, unlock, err := n.lockRun(sch.Gates, rec)
+	rig, err := n.newGateRig(sch.Gates, rec)
 	if err != nil {
 		return Result{}, err
 	}
-	defer unlock()
-	alive := n.startMask()
 	if rig != nil {
 		alive = rig.everAlive
 	}

@@ -13,28 +13,31 @@ import (
 
 // Network is a deployed memory-network design with routing and, for the
 // String Figure family, elastic reconfiguration. Read-side methods and
-// session runs may be used from multiple goroutines; reconfiguration
-// serializes against them.
+// session runs, gated ones included, may be used from multiple
+// goroutines; the public reconfiguration calls serialize against them.
 type Network struct {
 	// d.Alg is the one router every routing read goes through.
 	d *design.Design
 	// net is the reconfiguration engine, non-nil only for the sf design
-	// (and its wire variants); it adopts d.Alg and edits its tables.
+	// (and its wire variants); it adopts d.Alg and edits its tables. Only
+	// GateOff, GateOn and SetMounted reconfigure it: a gated session runs
+	// on a copy (reconfig.Network.Copy).
 	net *reconfig.Network
 	// cluster, when attached via WithCluster, runs every sweep point that
 	// can travel; nil keeps every run in-process.
 	cluster *Cluster
 
-	// mu serializes reconfiguration (write side) against concurrent
-	// sessions and topology queries (read side).
+	// mu serializes the public reconfiguration calls (write side) against
+	// concurrent sessions and topology queries (read side).
 	mu sync.RWMutex
 
 	// routes is the route cache every gate-free session of this network
 	// simulates on (nil for designs whose routing is adaptive at every
 	// hop). Its entries are functions of the routing tables and the active
 	// adjacency, so it lives for one table epoch: sessions fill it under
-	// mu's read side, and whatever mutates the tables holds the write side
-	// and ends the epoch with routes.Reset — no session is reading then.
+	// mu's read side, and reconfigure, the one path that mutates the
+	// tables, holds the write side and ends the epoch with routes.Reset —
+	// no session is reading then.
 	routes *netsim.RouteCache
 }
 
@@ -154,42 +157,43 @@ func (n *Network) MD(u, v int) float64 {
 // changed; ring healing through shortcut wires keeps every alive pair
 // routable. It reports ErrNotReconfigurable on the baseline designs.
 func (n *Network) GateOff(v int) error {
-	if n.net == nil {
-		return fmt.Errorf("%w: gate off on %s", ErrNotReconfigurable, n.d.Spec.Kind)
-	}
-	if v < 0 || v >= n.d.N {
-		return fmt.Errorf("%w: gate off %d on %d nodes", ErrOutOfRange, v, n.d.N)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	defer n.routes.Reset()
-	return n.net.GateOff(v)
+	return n.gate("gate off", v, (*reconfig.Network).GateOff)
 }
 
 // GateOn powers a node back up.
 func (n *Network) GateOn(v int) error {
-	if n.net == nil {
-		return fmt.Errorf("%w: gate on on %s", ErrNotReconfigurable, n.d.Spec.Kind)
-	}
-	if v < 0 || v >= n.d.N {
-		return fmt.Errorf("%w: gate on %d on %d nodes", ErrOutOfRange, v, n.d.N)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	defer n.routes.Reset()
-	return n.net.GateOn(v)
+	return n.gate("gate on", v, (*reconfig.Network).GateOn)
 }
 
 // SetMounted applies a bulk alive mask — the static expansion/reduction
 // path for design reuse.
 func (n *Network) SetMounted(mounted []bool) error {
+	return n.reconfigure("set mounted", func(e *reconfig.Network) error { return e.SetAlive(mounted) })
+}
+
+// gate runs one single-node engine call through reconfigure, refusing an
+// out-of-range node with ErrOutOfRange.
+func (n *Network) gate(op string, v int, call func(*reconfig.Network, int) error) error {
+	return n.reconfigure(op, func(e *reconfig.Network) error {
+		if v < 0 || v >= n.d.N {
+			return fmt.Errorf("%w: %s %d on %d nodes", ErrOutOfRange, op, v, n.d.N)
+		}
+		return call(e, v)
+	})
+}
+
+// reconfigure is the one path of the public reconfiguration calls: it
+// reports ErrNotReconfigurable on designs without an engine, and otherwise
+// runs apply on the engine under the write lock and ends the route cache's
+// epoch, whose entries may describe the tables apply replaced.
+func (n *Network) reconfigure(op string, apply func(*reconfig.Network) error) error {
 	if n.net == nil {
-		return fmt.Errorf("%w: set mounted on %s", ErrNotReconfigurable, n.d.Spec.Kind)
+		return fmt.Errorf("%w: %s on %s", ErrNotReconfigurable, op, n.d.Spec.Kind)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	defer n.routes.Reset()
-	return n.net.SetAlive(mounted)
+	return apply(n.net)
 }
 
 // Alive reports whether node v is powered on (false for out-of-range

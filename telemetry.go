@@ -61,8 +61,9 @@ type PacketTraceEvent = netsim.PacketTraceEvent
 // honor the paper's minimum reconfiguration interval (Timing.MinIntervalNs,
 // 100 us): an epoch scheduled closer than that to its predecessor is
 // deferred to the earliest legal cycle, preserving order. An epoch deferred
-// past the end of the run never fires — the starting alive mask is restored
-// on exit either way.
+// past the end of the run never fires. Events apply to the session's own
+// copy of the network's reconfiguration state, so the Network the session
+// runs on keeps its alive mask and routing tables whatever the run does.
 type GateEvent = scenario.GateEvent
 
 // WithTelemetry returns a copy of the config with a live snapshot sink

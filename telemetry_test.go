@@ -217,15 +217,16 @@ func TestGatingTransientTelemetry(t *testing.T) {
 	if res.Deadlocked {
 		t.Error("scheduled run deadlocked")
 	}
-	// The schedule must not leak: the session restores the starting mask.
+	// The schedule must not leak: the session gated its own engine copy.
 	if net.AliveCount() != 32 {
 		t.Errorf("alive count after scheduled run = %d, want 32", net.AliveCount())
 	}
 }
 
 // TestGatedRunRestoresMaskOnCancel: a gate-scheduled run canceled after
-// its gate-off applied still restores the starting alive mask and releases
-// the network's write lock.
+// its gate-off applied leaves the network with its starting alive mask —
+// the gate-off reconfigured the run's own engine copy — and releases the
+// network's read lock, so a GateOff, which takes the write lock, proceeds.
 func TestGatedRunRestoresMaskOnCancel(t *testing.T) {
 	net := mustNew(t, WithNodes(16), WithSeed(7))
 	ctx, cancel := context.WithCancel(context.Background())

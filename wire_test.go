@@ -16,57 +16,29 @@ import (
 	"repro/internal/design"
 )
 
-func TestWireSessionConfigRoundTrip(t *testing.T) {
-	cfg := SessionConfig{
-		Rate: 0.37, Warmup: 1234, Measure: 5678, PacketFlits: 3,
-		AdaptiveThreshold: 0.62, Seed: -991,
-		Ops: 777, Sockets: 3, Window: 9, Threads: 5, MaxCycles: 123456789,
+// TestWirePointRoundTrip covers what TestWireRoundTripByReflection's
+// filled synthetic point does not: a trace point, the refusal of a
+// workload that carries code, and an unknown wire kind.
+func TestWirePointRoundTrip(t *testing.T) {
+	p := Point{Workload: TraceWorkload{Workload: "redis"}}
+	wp, ok := pointToWire(p)
+	if !ok {
+		t.Fatal("trace point not serializable")
 	}
-	job := wireJob{Cfg: cfg, Index: 41,
-		Spec:  networkSpec{Spec: design.Spec{Kind: "sf", N: 64, Ports: 4, Seed: 7}},
-		Point: wirePoint{Kind: wireSynthetic, Name: "uniform", Rate: 0.37}}
-	b, err := encodeWire(job)
+	b, err := encodeWire(wp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got wireJob
-	if err := decodeWire(b, &got); err != nil {
+	var back wirePoint
+	if err := decodeWire(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, job) {
-		t.Errorf("wireJob round-trip:\ngot  %+v\nwant %+v", got, job)
+	got, err := back.point()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Cfg, cfg) {
-		t.Errorf("SessionConfig over the wire:\ngot  %+v\nwant %+v", got.Cfg, cfg)
-	}
-}
-
-func TestWirePointRoundTrip(t *testing.T) {
-	points := []Point{
-		{Workload: SyntheticWorkload{Pattern: "tornado"}, Rate: 0.25},
-		{Workload: TraceWorkload{Workload: "redis"}},
-		{Workload: SyntheticWorkload{Pattern: "hotspot"}, Rate: 0.1, Seed: 42},
-	}
-	for i, p := range points {
-		wp, ok := pointToWire(p)
-		if !ok {
-			t.Fatalf("point %d not serializable", i)
-		}
-		b, err := encodeWire(wp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back wirePoint
-		if err := decodeWire(b, &back); err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.point()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("point %d round-trip:\ngot  %+v\nwant %+v", i, got, p)
-		}
+	if !reflect.DeepEqual(got, p) {
+		t.Errorf("trace point round-trip:\ngot  %+v\nwant %+v", got, p)
 	}
 	// FuncWorkload carries code and must be refused, not mangled.
 	if _, ok := pointToWire(Point{Workload: FuncWorkload{Label: "f"}}); ok {
@@ -77,51 +49,27 @@ func TestWirePointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireResultRoundTrip covers the Result error, which travels as text
+// (TestWireRoundTripByReflection covers every other field): canonical
+// context errors are restored so errors.Is keeps working across the wire,
+// and any other error keeps its text.
 func TestWireResultRoundTrip(t *testing.T) {
-	res := Result{
-		Workload: "grep", Rate: 0.15, Seed: 99,
-		Cycles: 40000, Injected: 1201, Delivered: 1200,
-		AvgLatencyNs: 81.25, P90LatencyNs: 140.5, AvgHops: 3.375,
-		ThroughputFPC: 0.0625, Escaped: 17, Dropped: 3, Deadlocked: true,
-		IPC: 0.8125, AvgReadLatencyNs: 210.75, DRAMAccesses: 512,
-		ReadsCompleted: 480, TotalInstrs: 100000,
-		NetworkEnergyPJ: 1.5e6, DRAMEnergyPJ: 2.5e6, TotalEnergyPJ: 4e6,
-		EDP: 3.2e11,
-	}
-	b, err := encodeWire(resultToWire(res))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wr wireResult
-	if err := decodeWire(b, &wr); err != nil {
-		t.Fatal(err)
-	}
-	if got := wr.result(); !reflect.DeepEqual(got, res) {
-		t.Errorf("Result round-trip:\ngot  %+v\nwant %+v", got, res)
-	}
-
-	// Errors travel as text; canonical context errors are restored so
-	// errors.Is keeps working across the wire.
-	res.Err = context.Canceled
-	b, err = encodeWire(resultToWire(res))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wr2 wireResult
-	if err := decodeWire(b, &wr2); err != nil {
-		t.Fatal(err)
-	}
-	if got := wr2.result(); !errors.Is(got.Err, context.Canceled) {
-		t.Errorf("context.Canceled did not survive the wire: %v", got.Err)
-	}
-	res.Err = errors.New("remote session exploded")
-	b, _ = encodeWire(resultToWire(res))
-	var wr3 wireResult
-	if err := decodeWire(b, &wr3); err != nil {
-		t.Fatal(err)
-	}
-	if got := wr3.result(); got.Err == nil || got.Err.Error() != "remote session exploded" {
-		t.Errorf("error text mangled: %v", got.Err)
+	for _, sent := range []error{context.Canceled, errors.New("remote session exploded")} {
+		b, err := encodeWire(resultToWire(Result{Workload: "grep", Err: sent}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wr wireResult
+		if err := decodeWire(b, &wr); err != nil {
+			t.Fatal(err)
+		}
+		got := wr.result().Err
+		if sent == context.Canceled && !errors.Is(got, context.Canceled) {
+			t.Errorf("context.Canceled did not survive the wire: %v", got)
+		}
+		if got == nil || got.Error() != sent.Error() {
+			t.Errorf("error text mangled: got %v, want %q", got, sent.Error())
+		}
 	}
 }
 
