@@ -241,7 +241,7 @@ func TestConcurrentSessionsWithReconfig(t *testing.T) {
 			}
 		}(int64(g + 1))
 	}
-	// Route and MD read the router reconfiguration edits in place.
+	// Route and MD read the router of whichever epoch is current.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

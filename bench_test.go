@@ -223,10 +223,7 @@ func BenchmarkTopologyGeneration(b *testing.B) {
 // BenchmarkGreedyRouting measures per-route decision cost on a 1296-node
 // network (the compute side of the compute+table hybrid).
 func BenchmarkGreedyRouting(b *testing.B) {
-	net, err := New(WithNodes(1296), WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := mustNew(b, WithNodes(1296), WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := i % 1296
@@ -243,10 +240,7 @@ func BenchmarkGreedyRouting(b *testing.B) {
 // BenchmarkReconfiguration measures one gate-off/gate-on cycle including
 // table updates on a 1296-node network.
 func BenchmarkReconfiguration(b *testing.B) {
-	net, err := New(WithNodes(1296), WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := mustNew(b, WithNodes(1296), WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := 1 + i%1294
@@ -262,10 +256,7 @@ func BenchmarkReconfiguration(b *testing.B) {
 // BenchmarkSimulatorCycles measures raw simulator throughput
 // (router-cycles per second) at 256 nodes under uniform load.
 func BenchmarkSimulatorCycles(b *testing.B) {
-	net, err := New(WithNodes(256), WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := mustNew(b, WithNodes(256), WithSeed(1))
 	sess := net.NewSession(SessionConfig{Rate: 0.2, Warmup: 200, Measure: 800, Seed: 2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -313,10 +304,7 @@ func sweepBenchSerialPass(b *testing.B, net *Network, points []Point) {
 
 // BenchmarkSweepSerial is the serial reference loop.
 func BenchmarkSweepSerial(b *testing.B) {
-	net, err := New(WithNodes(64), WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := mustNew(b, WithNodes(64), WithSeed(1))
 	points := sweepBenchPoints()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -334,10 +322,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		b.Skip("parallel sweep speedup needs GOMAXPROCS > 1 (run with -cpu 4)")
 	}
-	net, err := New(WithNodes(64), WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := mustNew(b, WithNodes(64), WithSeed(1))
 	points := sweepBenchPoints()
 	// Untimed serial baseline for the speedup metric.
 	serialStart := time.Now()
@@ -588,10 +573,7 @@ var traceSessionColdSeed int64 = 1 << 20
 // process-wide store and what remains is the remap and the replay — the
 // cost of the second to fifth design of a Figure 12 row.
 func BenchmarkTraceSession(b *testing.B) {
-	net, err := New(WithNodes(64), WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := mustNew(b, WithNodes(64), WithSeed(1))
 	run := func(b *testing.B, seed func() int64) {
 		cfg := SessionConfig{Ops: 800, Sockets: 4, Window: 8, Threads: 4, MaxCycles: 20_000_000}
 		for i := 0; i < b.N; i++ {

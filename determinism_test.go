@@ -38,13 +38,19 @@ type sessionOutput struct {
 	Snaps  []TelemetrySnapshot
 }
 
-func mustNet(t *testing.T, design string, nodes int) *Network {
+// mustNew is New for tests: a build error fails the test.
+func mustNew(t testing.TB, opts ...Option) *Network {
 	t.Helper()
-	net, err := New(WithDesign(design), WithNodes(nodes), WithSeed(11))
+	net, err := New(opts...)
 	if err != nil {
-		t.Fatalf("build %s/%d: %v", design, nodes, err)
+		t.Fatal(err)
 	}
 	return net
+}
+
+func mustNet(t *testing.T, design string, nodes int) *Network {
+	t.Helper()
+	return mustNew(t, WithDesign(design), WithNodes(nodes), WithSeed(11))
 }
 
 // TestCrossCoreSessionAllDesigns byte-diffs a synthetic telemetry-enabled

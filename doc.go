@@ -31,7 +31,8 @@
 // Saturation searches (Figure 10's metric) fan candidate rates across the
 // same worker pool; see Network.Saturation. A single *Network may run many
 // sessions concurrently; reconfiguration calls (GateOff, GateOn, SetMounted)
-// serialize against in-flight runs.
+// publish a new state of the network without waiting for in-flight runs,
+// which finish on the state they started on.
 //
 // Sweeps also run cluster-wide: attach a Cluster (NewCluster, WithCluster)
 // and the same Sweep and Saturation calls shard points over remote

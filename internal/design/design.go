@@ -39,8 +39,8 @@ type Design struct {
 	// Out is the router-level out-adjacency at full scale.
 	Out   [][]int
 	Graph *graph.Graph
-	// Alg supplies candidate next hops at router granularity. It is the
-	// network's one router: on sf, reconfiguration edits its tables in place.
+	// Alg supplies candidate next hops at router granularity. Nothing edits
+	// it once built: on sf, reconfiguration routes a copy of it.
 	Alg routing.Algorithm
 	// NodeRouter maps a memory node to its hosting router.
 	NodeRouter func(node int) int
@@ -169,7 +169,7 @@ func buildSF(spec Spec) (*Design, error) {
 	}
 	g := sf.Graph()
 	// One router, adjacency and escape function per design, shared by every
-	// session's configuration (only reconfiguration edits the router).
+	// session's configuration (nothing edits the router after the build).
 	out := sf.OutNeighbors()
 	alg := routing.NewGreediestOver(sf, 0, out)
 	escape := netsim.RingEscape(sf, nil)

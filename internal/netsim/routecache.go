@@ -15,9 +15,9 @@ const (
 // first candidate resolves to, or one of the no-route outcomes. The outcome
 // is a pure function of the routing algorithm's tables and the
 // out-adjacency, so one cache serves every simulator built over the same
-// (Alg, Out) for as long as neither changes — its lifetime is a table
-// epoch, not a session. Owners that mutate the tables Reset it while no
-// simulator is running on it.
+// (Alg, Out) — its lifetime is a table epoch, not a session. Nothing
+// empties a cache: an owner that changes the tables starts a new epoch with
+// a new cache.
 //
 // Concurrent simulators may share one cache: an entry only ever moves from
 // empty to its one possible value, so racing fills are idempotent and a
@@ -75,16 +75,6 @@ func NewRouteCache(routers int) *RouteCache {
 		words:  make([]atomic.Uint32, (routers*routers+3)/4),
 		misses: make([]atomic.Uint32, routers),
 		fillAt: uint32(max(1, routers/colFillDiv)),
-	}
-}
-
-// Reset empties the cache and its counters. The caller guarantees no
-// simulator is using it.
-func (c *RouteCache) Reset() {
-	if c != nil {
-		clear(c.words)
-		clear(c.misses)
-		c.fills.Store(0)
 	}
 }
 

@@ -38,15 +38,9 @@ func TestRouteCacheEncoding(t *testing.T) {
 			}
 		}
 	}
-	c.Reset()
-	if got := c.get(0, 3); got != rcEmpty {
-		t.Errorf("after Reset (0,3) = %d", got)
-	}
 	if NewRouteCache(1<<12+1) != nil {
 		t.Error("cache allocated past the 16M-pair bound")
 	}
-	var none *RouteCache
-	none.Reset() // a network without a cache resets nothing
 }
 
 // routeCacheDesigns builds the three routing families the cache meets: the
@@ -167,8 +161,7 @@ func checkFillWitness(t *testing.T, name string, c *RouteCache, exclusive bool) 
 // makes exactly these misses and column fills. A loaded N=32 run fills
 // every column; in a light N=256 run 78 of 256 destinations reach their
 // threshold and the rest keep resolving pair by pair. A count that moves is
-// either a deliberate change of the fill rule or a bug. Reset clears both
-// counters.
+// either a deliberate change of the fill rule or a bug.
 func TestColumnFillCounts(t *testing.T) {
 	paper, err := topology.NewPaperSF(256, 1)
 	if err != nil {
@@ -203,10 +196,6 @@ func TestColumnFillCounts(t *testing.T) {
 			t.Errorf("%s: %d misses and %d column fills, pinned %d and %d", c.name, misses, fills, c.misses, c.fills)
 		}
 		checkFillWitness(t, c.name, c.cfg.Routes, true)
-		c.cfg.Routes.Reset()
-		if misses, fills := c.cfg.Routes.Counts(); misses != 0 || fills != 0 {
-			t.Errorf("%s: Reset left %d misses and %d fills", c.name, misses, fills)
-		}
 	}
 }
 

@@ -66,8 +66,8 @@ func New(sf *topology.StringFigure) *Network {
 // Adopt deploys a String Figure network at full scale around the router a
 // design already built over out, sf's full-scale adjacency (OutNeighbors,
 // which equals AdjacencyFor with every node alive). Reconfiguration swaps
-// rebuilt tables into router.Tables: other readers of router serialize
-// against it.
+// rebuilt tables into router.Tables, so a caller that shares router with
+// other readers reconfigures a Copy instead.
 func Adopt(sf *topology.StringFigure, out [][]int, router *routing.Greediest) *Network {
 	n := &Network{
 		SF:        sf,
@@ -85,15 +85,14 @@ func Adopt(sf *topology.StringFigure, out [][]int, router *routing.Greediest) *N
 
 // Copy returns an engine whose reconfigurations leave n untouched. It
 // shares what a reconfiguration only ever replaces — the topology, the
-// adjacency rows and the built tables — and owns its alive mask, its
-// router's table slice and zeroed Stats. A copy costs one mask and one
-// pointer per router.
+// adjacency rows and the built tables — and owns its alive mask and its
+// router's table slice. Its Stats start from n's and count on. A copy
+// costs one mask and one pointer per router.
 func (n *Network) Copy() *Network {
 	router := *n.Router
 	router.Tables = slices.Clone(n.Router.Tables)
 	c := *n
 	c.Router = &router
-	c.Stats = Stats{}
 	c.alive = slices.Clone(n.alive)
 	return &c
 }

@@ -94,13 +94,15 @@ func (o options) build() (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := &Network{d: d, cluster: o.cluster}
+	var ep epoch
 	if d.Reconfigurable {
-		net.net = reconfig.Adopt(d.SF, d.Out, d.Alg.(*routing.Greediest))
+		ep.net = reconfig.Adopt(d.SF, d.Out, d.Alg.(*routing.Greediest))
 	}
 	if d.SF != nil {
-		net.routes = netsim.NewRouteCache(d.Routers)
+		ep.routes = netsim.NewRouteCache(d.Routers)
 	}
+	net := &Network{d: d, cluster: o.cluster}
+	net.cur.Store(&ep)
 	return net, nil
 }
 
@@ -124,8 +126,8 @@ const cacheCap = 8
 // on a private build. A failed build stays stored too: builds are pure, so
 // it would fail the same way again. Nothing reconfigures a stored network:
 // jobs only run sessions on it, and a gated session reconfigures a private
-// copy of its engine, so every job with one key — gated or not — runs at
-// once under the read lock and shares one route cache.
+// copy of its engine, so every job with one key — gated or not — runs on
+// the one epoch the store built and shares its route cache.
 func sharedNetwork(s networkSpec, c *Cluster) (*Network, error) {
 	key := s.key(c)
 	netStore.mu.Lock()

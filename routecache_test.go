@@ -8,10 +8,10 @@ import (
 )
 
 // These tests pin the route cache a Network shares across its gate-free
-// sessions (Network.routes): whatever the cache holds — nothing, the fills
-// of earlier sessions, the racing fills of concurrent ones — a session's
-// bytes are those of the same session on a freshly built network, and every
-// path that mutates the routing tables ends the cache's epoch.
+// sessions (each epoch's routes): whatever the cache holds — nothing, the
+// fills of earlier sessions, the racing fills of concurrent ones — a
+// session's bytes are those of the same session on a freshly built network,
+// and every reconfiguration publishes an epoch with an empty cache.
 
 // routeCacheCfg loads the network enough that packets queue at their
 // sources: first hops meet ports over the adaptive threshold, so both the
@@ -34,12 +34,12 @@ func sessionRun(t *testing.T, net *Network, cfg SessionConfig) sessionOutput {
 	return out
 }
 
-// TestRouteCacheInvalidation walks one network through every table
-// mutation — GateOff, GateOn, SetMounted — and a gate-rig (ChurnTrace)
+// TestRouteCacheInvalidation walks one network through every
+// reconfiguration — GateOff, GateOn, SetMounted — and a gate-rig (ChurnTrace)
 // session, which must mutate nothing (it gates a private engine copy),
 // with a gate-free session after each, and compares every session with
 // the same one on a network built fresh and put into the same state,
-// whose cache is empty. A mutation that left the cache standing would
+// whose cache is empty. An epoch that kept its predecessor's cache would
 // serve the old topology's ports.
 func TestRouteCacheInvalidation(t *testing.T) {
 	const nodes = 32
@@ -95,7 +95,7 @@ func TestRouteCacheInvalidation(t *testing.T) {
 // sessions' misses add up on the same per-destination counters and cross
 // each column-fill threshold together; the counters must show every column
 // filled exactly once. On sf a gated (ChurnTrace) session runs beside them
-// under the same read lock: it reconfigures its own engine copy and
+// on the same epoch: it reconfigures its own engine copy and
 // simulates without the cache, so it changes neither the others' bytes nor
 // the fill counts. It runs under -race in CI.
 func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
@@ -137,7 +137,7 @@ func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
 		if design == "fb" {
 			continue // adaptive at every hop: the network has no cache
 		}
-		if misses, fills := net.routes.Counts(); fills != 32 {
+		if misses, fills := net.cur.Load().routes.Counts(); fills != 32 {
 			t.Errorf("%s: %d column fills after %d misses on the shared cache, want one per destination (32)", design, fills, misses)
 		}
 	}

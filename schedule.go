@@ -16,12 +16,12 @@ import (
 // without a scenario — is a stepper advanced by the one loop, drive,
 // through a cycle-sorted timeline of actions (statistics reset, gate
 // apply, rate change); a plain run is the empty timeline, not a separate
-// path. A run holds its network's read lock once, from compiling its
-// schedule against the alive mask it holds to its end. A schedule that
-// gates nodes runs on a gateRig, which reconfigures a private copy of the
-// network's engine, so every run shares its network with every other.
-// The S2 regeneration baseline (runRegen) is two open-loop stretches on
-// two networks, each phase under its own network's lock.
+// path. A run loads its network's epoch once and runs on it to its end,
+// from compiling its schedule against the epoch's alive mask on. A
+// schedule that gates nodes runs on a gateRig, which reconfigures a
+// private copy of the epoch's engine, so every run shares its epoch with
+// every other. The S2 regeneration baseline (runRegen) is two open-loop
+// stretches on two networks, each phase on its own network's epoch.
 
 // stepper is what drive advances: an open-loop *netsim.Sim or a
 // closed-loop *memsys.System behind its run step.
@@ -113,19 +113,19 @@ type gateRig struct {
 	rec        *scenarioRecorder
 }
 
-// newGateRig copies the network's reconfiguration engine for one run of
-// the compiled schedule events and merges the union adjacency of every
-// phase; no events is a gate-free run and a nil rig. The caller holds the
-// read lock under which events were compiled against the network's alive
-// mask, so every event is already legal (scenario.Compile guarantees it).
-func (n *Network) newGateRig(events []scenario.GateEvent, rec *scenarioRecorder) (*gateRig, error) {
+// newGateRig copies epoch ep's reconfiguration engine for one run of the
+// compiled schedule events and merges the union adjacency of every phase;
+// no events is a gate-free run and a nil rig. The events were compiled
+// against ep's alive mask, so every one is already legal
+// (scenario.Compile guarantees it).
+func (n *Network) newGateRig(ep *epoch, events []scenario.GateEvent, rec *scenarioRecorder) (*gateRig, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
-	if n.net == nil {
+	if ep.net == nil {
 		return nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Spec.Kind)
 	}
-	net := n.net.Copy()
+	net := ep.net.Copy()
 	start := net.AliveSlice()
 	cur := slices.Clone(start)
 	ever := slices.Clone(start)
@@ -247,10 +247,9 @@ func (r *gateRig) apply(ev scenario.GateEvent) error {
 // new network, its clock offset by the regeneration cycle and injection
 // silenced through the rebuild outage. The measured window stitches both
 // phases together, so the regeneration's outage and warm-cache loss land
-// in the same metrics a String Figure storm is measured by. The caller
-// holds n's read lock; phase B takes n2's own (n2 is never n: it has fewer
-// nodes).
-func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName string,
+// in the same metrics a String Figure storm is measured by. Phase A runs
+// on epoch ep of n, phase B on n2's current epoch.
+func (n *Network) runRegen(ctx context.Context, ep *epoch, cfg SessionConfig, patName string,
 	pat traffic.Pattern, rg *scenario.Regen) (Result, error) {
 	if n.d.Spec.Kind != "s2" {
 		return Result{}, fmt.Errorf("%w: regen-s2 on design %q (the regeneration baseline rebuilds an s2 topology; reconfigurable designs gate nodes in place instead)",
@@ -262,7 +261,7 @@ func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName strin
 	total := cfg.Warmup + cfg.Measure
 	R := rg.Cycle
 	rec := &scenarioRecorder{}
-	resA, err := n.runOpenLoop(ctx, cfg, pat, rec, scenario.Schedule{}, 0, R, cfg.Rate)
+	resA, err := n.runOpenLoop(ctx, ep, cfg, pat, rec, scenario.Schedule{}, 0, R, cfg.Rate)
 	if err != nil {
 		return Result{}, err
 	}
@@ -285,9 +284,7 @@ func (n *Network) runRegen(ctx context.Context, cfg SessionConfig, patName strin
 	// Phase B starts silent and returns to the configured rate when the
 	// outage ends (never, if the outage outlasts the run).
 	back := scenario.Schedule{Rates: []scenario.RateEvent{{Cycle: rg.Outage, Scale: 1}}}
-	n2.mu.RLock()
-	resB, err := n2.runOpenLoop(ctx, cfg, patB, rec, back, R, total-R, 0)
-	n2.mu.RUnlock()
+	resB, err := n2.runOpenLoop(ctx, n2.cur.Load(), cfg, patB, rec, back, R, total-R, 0)
 	if err != nil {
 		return Result{}, err
 	}

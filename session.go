@@ -79,8 +79,8 @@ type SessionConfig struct {
 	// gates nodes (reconfigurable designs only) reconfigures the run's own
 	// copy of the network's engine, so the Network keeps its alive mask and
 	// tables and other sessions run beside it as beside a plain run; the
-	// schedule compiles against the alive mask the network has when the
-	// run starts. Rate-modulating scenarios run on any design. Invalid
+	// schedule compiles against the alive mask of the epoch the run starts
+	// on. Rate-modulating scenarios run on any design. Invalid
 	// specs surface as ErrScenario when the run starts. Pair with telemetry
 	// to watch the latency transient a reconfiguration causes.
 	Scenario []ScenarioSpec
@@ -142,9 +142,9 @@ func (c *SessionConfig) fill() {
 // Session owns one simulation run on a Network: a configuration snapshot
 // with its RNG seed and warm-up/measurement windows. Sessions are cheap;
 // create one per run. A single *Network can serve many sessions
-// concurrently — runs take the network's read lock, so they proceed in
-// parallel with each other, gated or not, and serialize only against
-// GateOff, GateOn and SetMounted.
+// concurrently, gated or not: a run loads the network's current epoch when
+// it starts and keeps it to its end, so GateOff, GateOn and SetMounted
+// neither wait for running sessions nor change what they simulate.
 type Session struct {
 	net *Network
 	cfg SessionConfig
@@ -233,42 +233,32 @@ type Result struct {
 	Err error `json:"-"`
 }
 
-// simConfig assembles a simulator configuration for the network's current
-// active state or, under a gate rig, for the rig's engine copy: its router
-// and the union of the wires every phase of the schedule activates, with
-// the escape routes of the starting mask. A gate-free run simulates on the
-// network's shared route cache; a rig's tables change mid-run, so its
-// simulator keeps a private one. Callers hold n.mu's read side.
-func (n *Network) simConfig(cfg SessionConfig, rig *gateRig) netsim.Config {
+// simConfig assembles a simulator configuration for the epoch's active
+// state or, under a gate rig, for the rig's engine copy: its router and
+// the union of the wires every phase of the schedule activates, with the
+// escape routes of the starting mask. A gate-free run simulates on the
+// epoch's route cache; a rig's tables change mid-run, so its simulator
+// keeps a private one.
+func (n *Network) simConfig(ep *epoch, cfg SessionConfig, rig *gateRig) netsim.Config {
 	sc := n.d.NetCfg(cfg.Seed)
 	switch {
 	case rig != nil:
 		sc.Alg, sc.VCPolicy = rig.net.Router, rig.net.Router.VirtualChannel
 		sc.Out = rig.out
 		sc.EscapeRoute = rig.escapeFor(rig.start)
-	case n.net != nil:
-		sc.Out = n.net.OutNeighbors()
-		sc.EscapeRoute = netsim.RingEscape(n.d.SF, n.net.AliveSlice())
-		sc.Routes = n.routes
+	case ep.net != nil:
+		sc.Alg, sc.VCPolicy = ep.net.Router, ep.net.Router.VirtualChannel
+		sc.Out = ep.net.OutNeighbors()
+		sc.EscapeRoute = netsim.RingEscape(n.d.SF, ep.net.AliveSlice())
+		fallthrough
 	default:
-		sc.Routes = n.routes
+		sc.Routes = ep.routes
 	}
 	if cfg.AdaptiveThreshold > 0 {
 		sc.AdaptiveThreshold = cfg.AdaptiveThreshold
 	}
 	sc.ReferenceCore = cfg.ReferenceCore
 	return sc
-}
-
-// startMask snapshots the network's alive mask (nil = every node, on
-// designs without reconfiguration): the mask a run compiles its schedule
-// against and a gate-free run keeps for its whole lifetime. Callers hold
-// n.mu.
-func (n *Network) startMask() []bool {
-	if n.net == nil {
-		return nil
-	}
-	return n.net.AliveSlice()
 }
 
 // runSynthetic drives one open-loop synthetic-traffic simulation. The
@@ -279,41 +269,40 @@ func (n *Network) startMask() []bool {
 // function workloads, which the S2 regeneration scenario rejects —
 // regenerating swaps the node count the traffic draws over).
 func (n *Network) runSynthetic(ctx context.Context, cfg SessionConfig, patName string, pat traffic.Pattern) (Result, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	sch, err := resolveSchedule(cfg, scenarioEnv(n.d.N, n.startMask(), cfg.Seed), false)
+	ep := n.cur.Load()
+	sch, err := resolveSchedule(cfg, scenarioEnv(n.d.N, ep.startMask(), cfg.Seed), false)
 	if err != nil {
 		return Result{}, err
 	}
 	if sch.Regen != nil {
-		return n.runRegen(ctx, cfg, patName, pat, sch.Regen)
+		return n.runRegen(ctx, ep, cfg, patName, pat, sch.Regen)
 	}
-	res, err := n.runOpenLoop(ctx, cfg, pat, &scenarioRecorder{}, sch, 0, cfg.Warmup+cfg.Measure, cfg.Rate)
+	res, err := n.runOpenLoop(ctx, ep, cfg, pat, &scenarioRecorder{}, sch, 0, cfg.Warmup+cfg.Measure, cfg.Rate)
 	if err != nil {
 		return Result{}, err
 	}
 	return n.syntheticResult(res, cfg.Rate), nil
 }
 
-// runOpenLoop simulates one open-loop stretch on this network: a fresh
-// simulator injecting pat at rate0 runs `end` cycles under sch's gate and
-// rate events, with statistics reset where the warm-up ends. offset is the
-// run cycle this simulator's cycle 0 stands for (non-zero only for the
-// second phase of an S2 regeneration): the warm-up boundary and telemetry
-// stamps shift by it, sch's cycles are already on the simulator's clock.
-// The caller holds n.mu's read side, under which sch was compiled.
+// runOpenLoop simulates one open-loop stretch on epoch ep of this network:
+// a fresh simulator injecting pat at rate0 runs `end` cycles under sch's
+// gate and rate events, with statistics reset where the warm-up ends.
+// offset is the run cycle this simulator's cycle 0 stands for (non-zero
+// only for the second phase of an S2 regeneration): the warm-up boundary
+// and telemetry stamps shift by it, sch's cycles are already on the
+// simulator's clock. sch was compiled against ep's alive mask.
 //
 // Gate events swap rebuilt tables into the rig's router at their cycle;
 // packets already in flight route around the reconfiguration (or divert
 // to the escape subnetwork, or drop as unroutable), which is exactly the
 // transient the telemetry stream watches.
-func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, pat traffic.Pattern, rec *scenarioRecorder,
+func (n *Network) runOpenLoop(ctx context.Context, ep *epoch, cfg SessionConfig, pat traffic.Pattern, rec *scenarioRecorder,
 	sch scenario.Schedule, offset, end int64, rate0 float64) (netsim.Results, error) {
-	rig, err := n.newGateRig(sch.Gates, rec)
+	rig, err := n.newGateRig(ep, sch.Gates, rec)
 	if err != nil {
 		return netsim.Results{}, err
 	}
-	simCfg := n.simConfig(cfg, rig)
+	simCfg := n.simConfig(ep, cfg, rig)
 	simCfg.PacketFlits = cfg.PacketFlits
 	wireTelemetry(&simCfg, rec.wrap(cfg, offset), cfg.Rate, nil)
 	sim, err := netsim.New(simCfg)
@@ -331,7 +320,7 @@ func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, pat traffi
 	if rig != nil {
 		alive = &rig.aliveNow
 	} else {
-		mask := n.startMask()
+		mask := ep.startMask()
 		alive = &mask
 	}
 	sim.SetPattern(rate0, n.newInjector(pat, alive).next)
@@ -455,15 +444,14 @@ func (n *Network) syntheticResult(res netsim.Results, rate float64) Result {
 // running. Rate modulation and regeneration have no closed-loop meaning
 // (offered load emerges from the replay); resolveSchedule rejects them.
 func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload string) (Result, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	alive := n.startMask()
+	ep := n.cur.Load()
+	alive := ep.startMask()
 	sch, err := resolveSchedule(cfg, scenarioEnv(n.d.N, alive, cfg.Seed), true)
 	if err != nil {
 		return Result{}, err
 	}
 	rec := &scenarioRecorder{}
-	rig, err := n.newGateRig(sch.Gates, rec)
+	rig, err := n.newGateRig(ep, sch.Gates, rec)
 	if err != nil {
 		return Result{}, err
 	}
@@ -474,7 +462,7 @@ func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload stri
 	if err != nil {
 		return Result{}, err
 	}
-	netCfg := n.simConfig(cfg, rig)
+	netCfg := n.simConfig(ep, cfg, rig)
 	// The snapshot hook reaches through to the co-simulation for the
 	// memory-side occupancy; sys is assigned before any cycle runs, and
 	// callbacks fire on the simulating goroutine.

@@ -2,7 +2,7 @@ package stringfigure
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/design"
 	"repro/internal/netsim"
@@ -12,33 +12,45 @@ import (
 )
 
 // Network is a deployed memory-network design with routing and, for the
-// String Figure family, elastic reconfiguration. Read-side methods and
-// session runs, gated ones included, may be used from multiple
-// goroutines; the public reconfiguration calls serialize against them.
+// String Figure family, elastic reconfiguration. Every method may be used
+// from multiple goroutines. The network's state is one published epoch:
+// a read or a run loads it once and keeps it to its end, and GateOff,
+// GateOn and SetMounted publish a new one without waiting for anyone.
 type Network struct {
-	// d.Alg is the one router every routing read goes through.
+	// d.Alg is the router the design built. On sf it is the first epoch's
+	// router, and nothing edits it: a reconfiguration routes a copy.
 	d *design.Design
-	// net is the reconfiguration engine, non-nil only for the sf design
-	// (and its wire variants); it adopts d.Alg and edits its tables. Only
-	// GateOff, GateOn and SetMounted reconfigure it: a gated session runs
-	// on a copy (reconfig.Network.Copy).
-	net *reconfig.Network
 	// cluster, when attached via WithCluster, runs every sweep point that
 	// can travel; nil keeps every run in-process.
 	cluster *Cluster
+	// cur is the current epoch; only reconfigure replaces it.
+	cur atomic.Pointer[epoch]
+}
 
-	// mu serializes the public reconfiguration calls (write side) against
-	// concurrent sessions and topology queries (read side).
-	mu sync.RWMutex
-
-	// routes is the route cache every gate-free session of this network
-	// simulates on (nil for designs whose routing is adaptive at every
-	// hop). Its entries are functions of the routing tables and the active
-	// adjacency, so it lives for one table epoch: sessions fill it under
-	// mu's read side, and reconfigure, the one path that mutates the
-	// tables, holds the write side and ends the epoch with routes.Reset —
-	// no session is reading then.
+// epoch is one immutable state of a Network. Nothing edits a published
+// epoch: a reconfiguration copies the engine, applies its change to the
+// copy and publishes the copy as the next epoch, so a run that loaded an
+// epoch sees one table set and one alive mask to its end.
+type epoch struct {
+	// net is the reconfiguration engine, its router and alive mask, or nil
+	// on designs that cannot reconfigure (the design's router is then the
+	// network's for good).
+	net *reconfig.Network
+	// routes is the route cache every gate-free session of this epoch
+	// simulates on, nil where routing is adaptive at every hop. Its
+	// entries are functions of the epoch's tables and adjacency, so a new
+	// epoch brings a new, empty cache.
 	routes *netsim.RouteCache
+}
+
+// startMask snapshots the epoch's alive mask (nil = every node, on designs
+// without reconfiguration): the mask a run compiles its schedule against
+// and a gate-free run keeps for its whole lifetime.
+func (e *epoch) startMask() []bool {
+	if e.net == nil {
+		return nil
+	}
+	return e.net.AliveSlice()
 }
 
 // Design returns the design name ("dm", "odm", "fb", "afb", "s2" or "sf").
@@ -103,34 +115,34 @@ func (n *Network) OutNeighbors(v int) []int {
 	if v < 0 || v >= n.d.Routers {
 		return nil
 	}
-	if n.net == nil {
+	ep := n.cur.Load()
+	if ep.net == nil {
 		return append([]int(nil), n.d.Out[v]...)
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := n.net.OutNeighbors()[v]
-	return append([]int(nil), out...)
+	return append([]int(nil), ep.net.OutNeighbors()[v]...)
 }
 
 // Route returns the design's deterministic routing path between the routers
 // of memory nodes src and dst, including both endpoints (for every design
 // except FB/AFB, routers and nodes coincide): the first candidate of the
-// design's router at every hop. It reports ErrOutOfRange for invalid
+// current epoch's router at every hop. It reports ErrOutOfRange for invalid
 // indices, ErrNodeDead when either endpoint is powered off, and
 // ErrNotRoutable when forwarding fails (only on a corrupted routing table).
 func (n *Network) Route(src, dst int) ([]int, error) {
 	if src < 0 || src >= n.d.N || dst < 0 || dst >= n.d.N {
 		return nil, fmt.Errorf("%w: route %d -> %d on %d nodes", ErrOutOfRange, src, dst, n.d.N)
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.net != nil && (!n.net.Alive(src) || !n.net.Alive(dst)) {
-		return nil, fmt.Errorf("%w: route %d -> %d", ErrNodeDead, src, dst)
+	alg := n.d.Alg
+	if ep := n.cur.Load(); ep.net != nil {
+		if !ep.net.Alive(src) || !ep.net.Alive(dst) {
+			return nil, fmt.Errorf("%w: route %d -> %d", ErrNodeDead, src, dst)
+		}
+		alg = ep.net.Router
 	}
 	cur, dstR := n.d.NodeRouter(src), n.d.NodeRouter(dst)
 	path := []int{cur}
 	for cur != dstR {
-		cands := n.d.Alg.Candidates(cur, dstR)
+		cands := alg.Candidates(cur, dstR)
 		if len(cands) == 0 || len(path) > n.d.Routers {
 			return nil, fmt.Errorf("%w: route %d -> %d stalled at router %d", ErrNotRoutable, src, dst, cur)
 		}
@@ -153,9 +165,10 @@ func (n *Network) MD(u, v int) float64 {
 }
 
 // GateOff powers a node down: in one atomic step it switches the links and
-// swaps in rebuilt routing tables for the routers whose neighborhood
+// publishes rebuilt routing tables for the routers whose neighborhood
 // changed; ring healing through shortcut wires keeps every alive pair
-// routable. It reports ErrNotReconfigurable on the baseline designs.
+// routable. Runs already going keep the state they started on. It reports
+// ErrNotReconfigurable on the baseline designs.
 func (n *Network) GateOff(v int) error {
 	return n.gate("gate off", v, (*reconfig.Network).GateOff)
 }
@@ -184,16 +197,24 @@ func (n *Network) gate(op string, v int, call func(*reconfig.Network, int) error
 
 // reconfigure is the one path of the public reconfiguration calls: it
 // reports ErrNotReconfigurable on designs without an engine, and otherwise
-// runs apply on the engine under the write lock and ends the route cache's
-// epoch, whose entries may describe the tables apply replaced.
+// runs apply on a copy of the current epoch's engine and publishes the copy,
+// with an empty route cache, as the next epoch. A reconfiguration that loses
+// the race to publish retries on the epoch that won, so concurrent calls
+// apply in some order and none is lost.
 func (n *Network) reconfigure(op string, apply func(*reconfig.Network) error) error {
-	if n.net == nil {
-		return fmt.Errorf("%w: %s on %s", ErrNotReconfigurable, op, n.d.Spec.Kind)
+	for {
+		ep := n.cur.Load()
+		if ep.net == nil {
+			return fmt.Errorf("%w: %s on %s", ErrNotReconfigurable, op, n.d.Spec.Kind)
+		}
+		next := ep.net.Copy()
+		if err := apply(next); err != nil {
+			return err
+		}
+		if n.cur.CompareAndSwap(ep, &epoch{net: next, routes: netsim.NewRouteCache(n.d.Routers)}) {
+			return nil
+		}
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	defer n.routes.Reset()
-	return apply(n.net)
 }
 
 // Alive reports whether node v is powered on (false for out-of-range
@@ -202,22 +223,17 @@ func (n *Network) Alive(v int) bool {
 	if v < 0 || v >= n.d.N {
 		return false
 	}
-	if n.net == nil {
-		return true
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.net.Alive(v)
+	ep := n.cur.Load()
+	return ep.net == nil || ep.net.Alive(v)
 }
 
 // AliveCount returns the number of powered-on nodes.
 func (n *Network) AliveCount() int {
-	if n.net == nil {
+	ep := n.cur.Load()
+	if ep.net == nil {
 		return n.d.N
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.net.AliveCount()
+	return ep.net.AliveCount()
 }
 
 // ReconfigStats summarizes reconfiguration work so far.
@@ -232,12 +248,11 @@ type ReconfigStats struct {
 // ReconfigStats returns the accumulated reconfiguration statistics (zero on
 // designs without reconfiguration).
 func (n *Network) ReconfigStats() ReconfigStats {
-	if n.net == nil {
+	ep := n.cur.Load()
+	if ep.net == nil {
 		return ReconfigStats{}
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	s := n.net.Stats
+	s := ep.net.Stats
 	return ReconfigStats{
 		Reconfigs:        s.Reconfigs,
 		LinksDisabled:    s.LinksDisabled,
@@ -260,7 +275,8 @@ func (n *Network) PathLengths(maxSources int) PathStats {
 	if maxSources <= 0 || maxSources > n.d.Routers {
 		maxSources = n.d.Routers
 	}
-	if n.net == nil {
+	ep := n.cur.Load()
+	if ep.net == nil {
 		alive := make([]bool, n.d.Routers)
 		for i := range alive {
 			alive[i] = true
@@ -268,11 +284,8 @@ func (n *Network) PathLengths(maxSources int) PathStats {
 		st := n.d.Graph.InducedSubgraphStats(alive, maxSources)
 		return PathStats{Mean: st.Mean, P10: st.P10, P90: st.P90, Diameter: st.Diameter}
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	g := n.net.Graph()
 	// Sample alive sources only.
-	st := g.InducedSubgraphStats(n.net.AliveSlice(), maxSources)
+	st := ep.net.Graph().InducedSubgraphStats(ep.net.AliveSlice(), maxSources)
 	return PathStats{Mean: st.Mean, P10: st.P10, P90: st.P90, Diameter: st.Diameter}
 }
 

@@ -3,23 +3,22 @@ package stringfigure
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/golden"
 	"repro/internal/routing"
 )
 
 func TestNewDefaults(t *testing.T) {
-	net, err := New(WithNodes(64))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(64))
 	if net.Nodes() != 64 || net.Ports() != 4 || net.Spaces() != 2 {
 		t.Errorf("defaults: nodes=%d ports=%d spaces=%d", net.Nodes(), net.Ports(), net.Spaces())
 	}
-	net2, err := New(WithNodes(256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net2 := mustNew(t, WithNodes(256))
 	if net2.Ports() != 8 {
 		t.Errorf("256-node default ports = %d, want 8", net2.Ports())
 	}
@@ -29,10 +28,7 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestRouteAndMD(t *testing.T) {
-	net, err := New(WithNodes(40), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(40), WithSeed(2))
 	path, err := net.Route(0, 31)
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +52,7 @@ func TestRouteAndMD(t *testing.T) {
 // distance, bit for bit.
 func TestMDIsMinCircularDistance(t *testing.T) {
 	for _, kind := range []string{"s2", "sf"} {
-		net, err := New(WithDesign(kind), WithNodes(61), WithSeed(2))
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := mustNew(t, WithDesign(kind), WithNodes(61), WithSeed(2))
 		for u := 0; u < 61; u++ {
 			for v := 0; v < 61; v++ {
 				if got, want := net.MD(u, v), net.d.SF.MinCircularDistance(u, v); math.Float64bits(got) != math.Float64bits(want) {
@@ -71,7 +64,7 @@ func TestMDIsMinCircularDistance(t *testing.T) {
 }
 
 func TestCoordinatesExposed(t *testing.T) {
-	net, _ := New(WithNodes(16), WithSeed(1))
+	net := mustNew(t, WithNodes(16), WithSeed(1))
 	for s := 0; s < net.Spaces(); s++ {
 		c := net.Coordinate(s, 5)
 		if c < 0 || c >= 1 {
@@ -81,7 +74,7 @@ func TestCoordinatesExposed(t *testing.T) {
 }
 
 func TestBoundsChecked(t *testing.T) {
-	net, _ := New(WithNodes(16), WithSeed(1))
+	net := mustNew(t, WithNodes(16), WithSeed(1))
 	// Out-of-range topology queries return zero values instead of panicking
 	// through internal slices.
 	for _, probe := range [][2]int{{-1, 3}, {9, 3}, {0, -1}, {0, 16}} {
@@ -116,7 +109,7 @@ func TestBoundsChecked(t *testing.T) {
 }
 
 func TestTypedErrors(t *testing.T) {
-	net, _ := New(WithNodes(30), WithSeed(7))
+	net := mustNew(t, WithNodes(30), WithSeed(7))
 	if err := net.GateOff(5); err != nil {
 		t.Fatal(err)
 	}
@@ -135,32 +128,91 @@ func TestTypedErrors(t *testing.T) {
 	}
 	// ErrNotRoutable is unreachable between alive routers of a healed
 	// network; provoke it by blanking one routing table.
-	net.net.Router.Tables[10] = &routing.Table{Node: 10}
+	net.cur.Load().net.Router.Tables[10] = &routing.Table{Node: 10}
 	if _, err := net.Route(10, 20); !errors.Is(err, ErrNotRoutable) {
 		t.Errorf("unroutable err = %v, want ErrNotRoutable", err)
 	}
 }
 
-// TestOneRouterPerNetwork: an sf network builds its routing tables once —
-// the reconfiguration engine adopts the design's router, so Route, MD and
-// every session read the tables reconfiguration edits.
+// TestOneRouterPerNetwork: reconfiguration never edits the design's
+// router. An sf network's first epoch adopts the router the design built;
+// GateOff publishes an epoch whose router is a copy, so every table of the
+// design's router stays the one the build made, and Route and sessions
+// read the published epoch's router.
 func TestOneRouterPerNetwork(t *testing.T) {
 	for _, opts := range [][]Option{nil, {Unidirectional()}, {NoShortcuts()}} {
-		net, err := New(append(opts, WithNodes(32), WithSeed(3))...)
-		if err != nil {
+		net := mustNew(t, append(opts, WithNodes(32), WithSeed(3))...)
+		g, ok := net.d.Alg.(*routing.Greediest)
+		if first := net.cur.Load().net.Router; !ok || g != first {
+			t.Fatalf("%+v: design router %p, first epoch's router %p", net.d.Spec, net.d.Alg, first)
+		}
+		built := slices.Clone(g.Tables)
+		if err := net.GateOff(5); err != nil {
 			t.Fatal(err)
 		}
-		if g, ok := net.d.Alg.(*routing.Greediest); !ok || g != net.net.Router {
-			t.Errorf("%+v: design router %p, reconfiguration router %p", net.d.Spec, net.d.Alg, net.net.Router)
+		if !slices.Equal(g.Tables, built) {
+			t.Errorf("%+v: GateOff replaced tables of the design's router", net.d.Spec)
+		}
+		ep := net.cur.Load()
+		if ep.net.Router == g {
+			t.Fatalf("%+v: GateOff published the design's router", net.d.Spec)
+		}
+		if sc := net.simConfig(ep, net.NewSession(SessionConfig{}).Config(), nil); sc.Alg != ep.net.Router || sc.Routes != ep.routes {
+			t.Errorf("%+v: a session simulates on router %p and cache %p, want the epoch's %p and %p",
+				net.d.Spec, sc.Alg, sc.Routes, ep.net.Router, ep.routes)
+		}
+		// Blanking a table of the epoch's router is what Route must see.
+		ep.net.Router.Tables[10] = &routing.Table{Node: 10}
+		if _, err := net.Route(10, 20); !errors.Is(err, ErrNotRoutable) {
+			t.Errorf("%+v: Route over a blanked epoch table: err = %v, want ErrNotRoutable", net.d.Spec, err)
 		}
 	}
 }
 
-func TestElasticScaling(t *testing.T) {
-	net, err := New(WithNodes(30), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
+// TestGateOffDoesNotWaitForRunningSessions: a reconfiguration publishes a
+// new epoch without waiting for the sessions running on the old one, and
+// they finish on the state they started with. The session's destination
+// function gates node 5 off from inside the run and waits for GateOff to
+// return; the session's Result must be that of the same session on a
+// fresh network. It runs under -race in CI.
+func TestGateOffDoesNotWaitForRunningSessions(t *testing.T) {
+	// run runs one session whose first injection calls first.
+	run := func(net *Network, first func()) Result {
+		var once sync.Once
+		res, err := net.NewSession(SessionConfig{Rate: 0.05, Warmup: 200, Measure: 800, Seed: 3}).
+			Run(FuncWorkload{Dest: func(_ int, rng *rand.Rand) (int, bool) {
+				once.Do(first)
+				return rng.Intn(32), true
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	want := run(mustNet(t, "sf", 32), func() {})
+	net := mustNet(t, "sf", 32)
+	got := run(net, func() {
+		done := make(chan error, 1)
+		go func() { done <- net.GateOff(5) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("GateOff: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("GateOff still waiting for the running session after 10 s")
+		}
+	})
+	if d := golden.Diff(want, got); d != "" {
+		t.Errorf("session during GateOff differs from the same session on a fresh network (recorded: fresh, got: gated mid-run):%s", d)
+	}
+	if net.Alive(5) {
+		t.Error("node 5 alive after GateOff returned")
+	}
+}
+
+func TestElasticScaling(t *testing.T) {
+	net := mustNew(t, WithNodes(30), WithSeed(7))
 	if err := net.GateOff(5); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +246,7 @@ func TestElasticScaling(t *testing.T) {
 }
 
 func TestPathLengths(t *testing.T) {
-	net, _ := New(WithNodes(100), WithSeed(3))
+	net := mustNew(t, WithNodes(100), WithSeed(3))
 	st := net.PathLengths(20)
 	if st.Mean <= 0 || st.P90 < st.P10 || st.Diameter < st.P90 {
 		t.Errorf("inconsistent path stats: %+v", st)
@@ -202,7 +254,7 @@ func TestPathLengths(t *testing.T) {
 }
 
 func TestSimulateUniform(t *testing.T) {
-	net, _ := New(WithNodes(32), WithSeed(4))
+	net := mustNew(t, WithNodes(32), WithSeed(4))
 	res, err := net.NewSession(SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1200, Seed: 5}).
 		Run(SyntheticWorkload{Pattern: "uniform"})
 	if err != nil {
@@ -223,7 +275,7 @@ func TestSimulateUniform(t *testing.T) {
 }
 
 func TestSimulateAfterGating(t *testing.T) {
-	net, _ := New(WithNodes(32), WithSeed(5))
+	net := mustNew(t, WithNodes(32), WithSeed(5))
 	for _, v := range []int{3, 9, 21} {
 		if err := net.GateOff(v); err != nil {
 			t.Fatal(err)
@@ -240,10 +292,7 @@ func TestSimulateAfterGating(t *testing.T) {
 }
 
 func TestUnidirectionalVariant(t *testing.T) {
-	net, err := New(WithNodes(40), WithSeed(6), Unidirectional())
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(40), WithSeed(6), Unidirectional())
 	if _, err := net.Route(1, 30); err != nil {
 		t.Errorf("uni-directional routing failed: %v", err)
 	}
@@ -253,7 +302,7 @@ func TestSaturationRateSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	net, _ := New(WithNodes(16), WithSeed(1))
+	net := mustNew(t, WithNodes(16), WithSeed(1))
 	sat, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, SessionConfig{Seed: 2}, 0)
 	if err != nil {
 		t.Fatal(err)

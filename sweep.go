@@ -50,10 +50,10 @@ func RateSweep(w Workload, rates []float64) []Point {
 // last worker is lost — run on an in-process pool of workers goroutines
 // (workers <= 0 uses GOMAXPROCS).
 //
-// Sessions take the network's read lock, so a sweep — gated points
-// included — runs fully in parallel with itself and with other sweeps;
-// reconfiguration calls issued while a sweep is draining serialize against
-// the in-flight runs.
+// Each point runs on the network epoch current when the point starts, so a
+// sweep — gated points included — runs fully in parallel with itself and
+// with other sweeps; a reconfiguration issued while a sweep is draining
+// waits for no point and reaches only the points that start after it.
 func (n *Network) Sweep(cfg SessionConfig, points []Point, workers int) <-chan Result {
 	return n.SweepContext(context.Background(), cfg, points, workers)
 }

@@ -43,10 +43,7 @@ func TestSaturationSurvivesTinyMeasureWindow(t *testing.T) {
 	// alone takes 2 cycles) and at low rates often injects nothing either.
 	// The bracketing search must march past the empty windows instead of
 	// declaring saturation at rate 0.
-	net, err := New(WithNodes(16), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(2))
 	cfg := SessionConfig{Warmup: 50, Measure: 1, Seed: 1}
 	sat, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"}, cfg, 0.05)
 	if err != nil {
@@ -73,10 +70,7 @@ func (w countingWorkload) run(ctx context.Context, s *Session) (Result, error) {
 // candidate runs (it used to read as "saturates at 0%"), a step of exactly
 // satMaxRate runs its one candidate, and step <= 0 means 0.05.
 func TestSaturationStepValidation(t *testing.T) {
-	net, err := New(WithNodes(16), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(1))
 	cfg := SessionConfig{Warmup: 100, Measure: 300, Seed: 1}
 	var runs atomic.Int64
 	w := countingWorkload{&runs}
@@ -116,10 +110,7 @@ func TestSaturationWorkerInvariance(t *testing.T) {
 	}
 	const step, seed = 0.1, 5
 	for _, kind := range []string{"sf", "dm"} {
-		net, err := New(WithDesign(kind), WithNodes(16), WithSeed(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := mustNew(t, WithDesign(kind), WithNodes(16), WithSeed(1))
 		var got []float64
 		for _, width := range []int{1, 3} {
 			var mu sync.Mutex
@@ -152,10 +143,7 @@ func TestSaturationWorkerInvariance(t *testing.T) {
 }
 
 func TestSweepPointRateAuthoritative(t *testing.T) {
-	net, err := New(WithNodes(16), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(1))
 	cfg := SessionConfig{Rate: 0.25, Warmup: 100, Measure: 300, Seed: 1}
 
 	// Success path: a Point{Rate: 0} inherits the sweep's base rate, and
@@ -219,10 +207,7 @@ func TestSweepPointRateAuthoritative(t *testing.T) {
 // satisfy. A serialized pool fails at the deadline instead of hanging.
 func TestSweepRunsPointsConcurrently(t *testing.T) {
 	const workers = 4
-	net, err := New(WithNodes(16), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mustNew(t, WithNodes(16), WithSeed(1))
 	var entered sync.WaitGroup
 	entered.Add(workers)
 	all := make(chan struct{})

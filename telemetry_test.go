@@ -225,8 +225,8 @@ func TestGatingTransientTelemetry(t *testing.T) {
 
 // TestGatedRunRestoresMaskOnCancel: a gate-scheduled run canceled after
 // its gate-off applied leaves the network with its starting alive mask —
-// the gate-off reconfigured the run's own engine copy — and releases the
-// network's read lock, so a GateOff, which takes the write lock, proceeds.
+// the gate-off reconfigured the run's own engine copy — so the same node
+// is still alive and a public GateOff of it succeeds.
 func TestGatedRunRestoresMaskOnCancel(t *testing.T) {
 	net := mustNew(t, WithNodes(16), WithSeed(7))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -244,7 +244,7 @@ func TestGatedRunRestoresMaskOnCancel(t *testing.T) {
 	if net.AliveCount() != 16 {
 		t.Errorf("alive count after canceled gated run = %d, want 16", net.AliveCount())
 	}
-	if err := net.GateOff(3); err != nil { // needs the write lock back
+	if err := net.GateOff(3); err != nil { // node 3 is still alive
 		t.Errorf("GateOff after canceled gated run: %v", err)
 	}
 }

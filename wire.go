@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/design"
 )
@@ -37,16 +38,8 @@ type networkSpec struct {
 // spec snapshots the network's rebuild inputs.
 func (n *Network) spec() networkSpec {
 	s := networkSpec{Spec: n.d.Spec}
-	if n.net != nil {
-		n.mu.RLock()
-		alive := n.net.AliveSlice()
-		n.mu.RUnlock()
-		for _, a := range alive {
-			if !a {
-				s.Alive = alive
-				break
-			}
-		}
+	if alive := n.cur.Load().startMask(); slices.Contains(alive, false) {
+		s.Alive = alive
 	}
 	return s
 }

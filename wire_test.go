@@ -109,10 +109,7 @@ func TestNetworkSpecRebuild(t *testing.T) {
 	}
 	for name, opts := range variants {
 		t.Run(name, func(t *testing.T) {
-			net, err := New(append(opts, WithNodes(n), WithSeed(11))...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			net := mustNew(t, append(opts, WithNodes(n), WithSeed(11))...)
 			spec := net.spec()
 			if spec.Alive != nil {
 				t.Error("ungated spec carries an alive mask")
@@ -125,7 +122,7 @@ func TestNetworkSpecRebuild(t *testing.T) {
 				t.Fatalf("rebuilt spec %+v, want %+v", rebuilt.d.Spec, net.d.Spec)
 			}
 			same(t, net, rebuilt)
-			if net.net == nil {
+			if net.cur.Load().net == nil {
 				return // only the sf family reconfigures
 			}
 			// The rebuilt network gates as the original does, and the
