@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/golden"
@@ -136,4 +138,71 @@ func TestGoldenSessionDigests(t *testing.T) {
 	}
 
 	golden.JSON(t, "testdata/golden_sessions.json", got)
+}
+
+// networkReads is one network's entry in
+// testdata/golden_network_reads.json: every read the Network offers
+// besides running a session, with adjacency rows, routes and the alive
+// mask written as strings to keep the file reviewable.
+type networkReads struct {
+	Out        []string // OutNeighbors of every router
+	Routes     []string // "src->dst: path" or "src->dst: error"
+	Alive      string   // one '1' or '0' per node
+	AliveCount int
+	Paths      PathStats // PathLengths(0)
+	Paths16    PathStats // PathLengths(16)
+	Reconfig   ReconfigStats
+}
+
+// readNetwork records every read of net over a fixed set of node pairs.
+func readNetwork(net *Network) networkReads {
+	ints := func(vs []int) string { return strings.Trim(fmt.Sprint(vs), "[]") }
+	var r networkReads
+	for v := range net.Routers() {
+		r.Out = append(r.Out, ints(net.OutNeighbors(v)))
+	}
+	for src := 0; src < net.Nodes(); src += 5 {
+		dst := (src*29 + 7) % net.Nodes()
+		path, err := net.Route(src, dst)
+		line := fmt.Sprintf("%d->%d: %s", src, dst, ints(path))
+		if err != nil {
+			line = fmt.Sprintf("%d->%d: %v", src, dst, err)
+		}
+		r.Routes = append(r.Routes, line)
+	}
+	for v := range net.Nodes() {
+		r.Alive += map[bool]string{true: "1", false: "0"}[net.Alive(v)]
+	}
+	r.AliveCount = net.AliveCount()
+	r.Paths, r.Paths16 = net.PathLengths(0), net.PathLengths(16)
+	r.Reconfig = net.ReconfigStats()
+	return r
+}
+
+// TestGoldenNetworkReads pins OutNeighbors, Route, Alive, AliveCount,
+// PathLengths and ReconfigStats of the six designs at N=64, and of sf
+// after three GateOffs and after a SetMounted that unmounts a quarter of
+// the nodes.
+func TestGoldenNetworkReads(t *testing.T) {
+	got := make(map[string]networkReads)
+	for _, d := range Designs() {
+		got[d] = readNetwork(mustNet(t, d, 64))
+	}
+	gated := mustNet(t, "sf", 64)
+	for _, v := range []int{5, 20, 41} {
+		if err := gated.GateOff(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got["sf/gated"] = readNetwork(gated)
+	mounted := mustNet(t, "sf", 64)
+	mask := make([]bool, 64)
+	for v := range mask {
+		mask[v] = v < 48
+	}
+	if err := mounted.SetMounted(mask); err != nil {
+		t.Fatal(err)
+	}
+	got["sf/mounted"] = readNetwork(mounted)
+	golden.JSON(t, "testdata/golden_network_reads.json", got)
 }
