@@ -1,13 +1,11 @@
 package stringfigure_test
 
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (Section VI). Each benchmark regenerates its artifact through
-// internal/experiments and reports the headline numbers as custom metrics,
-// so `go test -bench=. -benchmem` reproduces the paper end to end. The
-// experiments use reduced-but-representative scales so the full suite
-// finishes in minutes; cmd/sfexp runs the full-scale versions. External
-// test package (dot-imported): the experiments layer consumes the public
-// API.
+// Benchmark harness of the public API and the simulator core: topology
+// generation, routing, reconfiguration, whole sessions, the sweep pool,
+// per-cycle netsim stepping and trace sessions. Timings only; nothing
+// gates them. The paper's figures are regenerated and checked by the
+// tests of internal/experiments and by cmd/sfexp, not here. External test
+// package (dot-imported): it measures what callers of the public API pay.
 
 import (
 	"fmt"
@@ -17,196 +15,10 @@ import (
 
 	. "repro"
 	"repro/internal/design"
-	"repro/internal/experiments"
 	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
-
-// quickBudget is sfexp -quick's synthetic budget: 600 warm-up and 1500
-// measured cycles per point (saturation searched in 10% steps).
-var quickBudget = SessionConfig{Warmup: 600, Measure: 1500, Seed: 1}
-
-// BenchmarkFig5_PathLengthComparison regenerates Figure 5: average shortest
-// path length of Jellyfish, S2 and String Figure random topologies. The
-// headline metric is the SF mean path length at the largest scale.
-func BenchmarkFig5_PathLengthComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig5([]int{100, 200, 400}, 2, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := s.Rows[len(s.Rows)-1]
-		b.ReportMetric(last[3], "sf_hops@400")
-		b.ReportMetric(last[1], "jellyfish_hops@400")
-	}
-}
-
-// BenchmarkFig9a_HopCounts regenerates Figure 9(a): average hop count of
-// every design as the network scales, plus SF's P10/P90.
-func BenchmarkFig9a_HopCounts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig9a([]int{64, 256, 1024}, 64, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := s.Rows[len(s.Rows)-1]
-		b.ReportMetric(last[1], "dm_hops@1024")
-		b.ReportMetric(last[6], "sf_hops@1024")
-		b.ReportMetric(last[8], "sf_p90@1024")
-	}
-}
-
-// BenchmarkFig9b_PowerGatingEDP regenerates Figure 9(b): normalized EDP as
-// a fraction of the network is power-gated off.
-func BenchmarkFig9b_PowerGatingEDP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig9b(64, []string{"grep"}, []float64{0, 0.25}, 800, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(s.Rows[1][1], "edp_gated25pct_vs_full")
-	}
-}
-
-// BenchmarkFig10_Saturation regenerates Figure 10: saturation injection
-// rates across designs under uniform random traffic.
-func BenchmarkFig10_Saturation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig10([]int{64}, []string{"uniform"}, quickBudget, 0.10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		row := series[0].Rows[0]
-		b.ReportMetric(row[1], "dm_sat_pct@64")
-		b.ReportMetric(row[6], "sf_sat_pct@64")
-	}
-}
-
-// BenchmarkFig10_SaturationHotspotTornado covers the remaining Figure 10
-// panels (hotspot and tornado traffic).
-func BenchmarkFig10_SaturationHotspotTornado(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig10([]int{64}, []string{"hotspot", "tornado"}, quickBudget, 0.10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(series[0].Rows[0][6], "sf_hotspot_sat_pct")
-		b.ReportMetric(series[1].Rows[0][6], "sf_tornado_sat_pct")
-	}
-}
-
-// BenchmarkFig11_LatencyCurves regenerates Figure 11: latency versus
-// injection rate per design.
-func BenchmarkFig11_LatencyCurves(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig11(64, []string{"uniform"}, []float64{0.05, 0.20, 0.40}, quickBudget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := series[0]
-		b.ReportMetric(s.Rows[0][6], "sf_ns@5pct")
-		b.ReportMetric(s.Rows[2][6], "sf_ns@40pct")
-	}
-}
-
-// BenchmarkFig12a_WorkloadThroughput regenerates Figure 12(a): normalized
-// workload throughput versus DM, on a representative workload subset.
-func BenchmarkFig12a_WorkloadThroughput(b *testing.B) {
-	cfg := SessionConfig{Ops: 1200, Sockets: 4, Window: 16, Threads: 4, MaxCycles: 20_000_000, Seed: 1}
-	for i := 0; i < b.N; i++ {
-		t, _, err := experiments.Fig12([]string{"grep", "redis"}, 64, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		geo := t.Rows[len(t.Rows)-1]
-		b.ReportMetric(geo[3], "sf_vs_dm_geomean")
-	}
-}
-
-// BenchmarkFig12b_WorkloadEnergy regenerates Figure 12(b): normalized
-// dynamic memory energy versus AFB.
-func BenchmarkFig12b_WorkloadEnergy(b *testing.B) {
-	cfg := SessionConfig{Ops: 1200, Sockets: 4, Window: 16, Threads: 4, MaxCycles: 20_000_000, Seed: 1}
-	for i := 0; i < b.N; i++ {
-		_, e, err := experiments.Fig12([]string{"grep", "redis"}, 64, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		geo := e.Rows[len(e.Rows)-1]
-		b.ReportMetric(geo[3], "sf_vs_afb_geomean")
-	}
-}
-
-// BenchmarkTable2_PortCounts regenerates Table II / Figure 8: router port
-// requirements per design and scale.
-func BenchmarkTable2_PortCounts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Table2([]int{256, 1024})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for r, label := range s.Labels {
-			if label == "fb" {
-				b.ReportMetric(s.Rows[r][4], "fb_ports@1024")
-			}
-			if label == "sf" {
-				b.ReportMetric(s.Rows[r][4], "sf_ports@1024")
-			}
-		}
-	}
-}
-
-// BenchmarkBisection regenerates the Section V bisection-bandwidth
-// methodology (random cuts + max-flow).
-func BenchmarkBisection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Bisection([]int{64}, 8, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(s.Rows[0][2], "sf_bisection@64")
-		b.ReportMetric(s.Rows[0][4], "odm_width@64")
-	}
-}
-
-// BenchmarkAblationUniBidi measures the Section IV uni- vs bi-directional
-// sensitivity study.
-func BenchmarkAblationUniBidi(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.AblationUniBidi([]int{64}, quickBudget, 0.10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(s.Rows[0][1], "uni_path@64")
-		b.ReportMetric(s.Rows[0][2], "bidi_path@64")
-	}
-}
-
-// BenchmarkAblationLookahead measures the value of two-hop routing tables.
-func BenchmarkAblationLookahead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.AblationLookahead([]int{128}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(s.Rows[0][1], "greedy_1hop@128")
-		b.ReportMetric(s.Rows[0][2], "greedy_2hop@128")
-		b.ReportMetric(s.Rows[0][3], "bfs_optimal@128")
-	}
-}
-
-// BenchmarkAblationShortcuts measures shortcut healing after down-scaling.
-func BenchmarkAblationShortcuts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.AblationShortcuts(128, []float64{0.3}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(s.Rows[0][2], "sf_connected_pct")
-		b.ReportMetric(s.Rows[0][4], "unhealed_connected_pct")
-	}
-}
 
 // BenchmarkTopologyGeneration measures raw topology construction cost at
 // the paper's maximum scale (1296 nodes).

@@ -9,7 +9,7 @@ import (
 
 // The cross-core determinism suite: every scenario below runs twice — on the
 // event-driven netsim core and on the reference full-scan core
-// (SessionConfig.ReferenceCore) — and the two runs are compared through
+// (SessionConfig.referenceCore) — and the two runs are compared through
 // their JSON encodings, exactly the representation the job service journals
 // (invariant 6); golden.Diff names the leaves that diverge. The contract is
 // bit-identity: the event scheduler, packet pooling, batched routing
@@ -22,7 +22,7 @@ func coreDiff(t *testing.T, label string, fn func(cfg SessionConfig) any, cfg Se
 	t.Helper()
 	run := func(ref bool) any {
 		c := cfg
-		c.ReferenceCore = ref
+		c.referenceCore = ref
 		return fn(c)
 	}
 	ev := run(false)
@@ -102,7 +102,7 @@ func TestFlowTelemetryOnOffIdentity(t *testing.T) {
 			for _, ref := range []bool{false, true} {
 				run := func(flow bool) (Result, int) {
 					cfg := SessionConfig{Rate: 0.08, Warmup: 400, Measure: 1600,
-						Seed: 9, ReferenceCore: ref}
+						Seed: 9, referenceCore: ref}
 					if flow {
 						cfg.FlowBuckets = 4
 						cfg.TraceSampleEvery = 8
@@ -269,7 +269,7 @@ func TestScenarioTelemetryOnOffIdentity(t *testing.T) {
 			for _, ref := range []bool{false, true} {
 				run := func(telemetry bool) (Result, int) {
 					cfg := SessionConfig{Rate: 0.05, Warmup: tc.warmup, Measure: tc.measure,
-						Seed: 7, ReferenceCore: ref, Scenario: []ScenarioSpec{tc.spec}}
+						Seed: 7, referenceCore: ref, Scenario: []ScenarioSpec{tc.spec}}
 					applied := 0
 					if telemetry {
 						cfg = cfg.WithTelemetry(500, func(s TelemetrySnapshot) {

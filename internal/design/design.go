@@ -48,8 +48,8 @@ type Design struct {
 	// of NodeRouter; empty for routers that host no memory at small N).
 	RouterNodes [][]int
 	// NetCfg builds a simulator configuration with the design's routing,
-	// VC and escape policies; sessions replace its full-scale Out and
-	// EscapeRoute on a reconfigured network.
+	// VC and escape policies; a network copies it once per epoch, with a
+	// reconfigured epoch's router, Out and EscapeRoute in place.
 	NetCfg func(seed int64) netsim.Config
 	// SF holds the String Figure topology for the SF/S2 designs (nil
 	// otherwise), used by reconfiguration.

@@ -339,15 +339,22 @@ func (c *Coordinator) deliverSnapshot(f *frame) {
 	r.mu.Unlock()
 }
 
-// WorkerProgress is one worker's progress, stamped with its
-// coordinator-assigned id and the time of its last dispatch or result (the
-// root package's WorkerProgress is an alias of this type).
+// WorkerProgress is one worker's execution state as the coordinator's
+// dispatch records give it, stamped with its coordinator-assigned id and
+// the time of its last dispatch or result (the root package's
+// WorkerProgress is an alias of this type).
 type WorkerProgress struct {
 	// Worker is the coordinator-assigned worker id (stable for the
 	// connection's lifetime).
 	Worker int
-	// Progress holds Capacity, Active and Completed.
-	Progress
+	// Capacity is the worker's concurrent-task slot count (from its hello).
+	Capacity int
+	// Active counts tasks dispatched to the worker and not yet answered.
+	Active int
+	// Completed counts results the worker returned since it connected;
+	// the delta between two polls over their wall-clock gap is the
+	// worker's throughput.
+	Completed int64
 	// LastReport is the time of the worker's last dispatch or result
 	// (zero until its first task is dispatched).
 	LastReport time.Time
@@ -361,8 +368,8 @@ func (c *Coordinator) Progress() []WorkerProgress {
 	c.mu.Lock()
 	out := make([]WorkerProgress, 0, len(c.workers))
 	for _, w := range c.workers {
-		p := Progress{Capacity: w.capacity, Active: len(w.inflight), Completed: w.completed}
-		out = append(out, WorkerProgress{Worker: w.id, Progress: p, LastReport: w.lastAt})
+		out = append(out, WorkerProgress{Worker: w.id, Capacity: w.capacity, Active: len(w.inflight),
+			Completed: w.completed, LastReport: w.lastAt})
 	}
 	c.mu.Unlock()
 	slices.SortFunc(out, func(a, b WorkerProgress) int { return a.Worker - b.Worker })

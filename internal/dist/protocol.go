@@ -59,19 +59,6 @@ type frame struct {
 	Err      string
 }
 
-// Progress is one worker's execution state as the coordinator's dispatch
-// records give it.
-type Progress struct {
-	// Capacity is the worker's concurrent-task slot count (from its hello).
-	Capacity int
-	// Active counts tasks dispatched to the worker and not yet answered.
-	Active int
-	// Completed counts results the worker returned since it connected;
-	// the delta between two polls over their wall-clock gap is the
-	// worker's throughput.
-	Completed int64
-}
-
 // Config tunes the transport. The zero value uses production defaults;
 // tests shrink the intervals.
 type Config struct {

@@ -32,6 +32,18 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Edge, n)}
 }
 
+// FromOut returns the graph of an out-adjacency: one edge u->v of
+// capacity 1 for every entry v of out[u].
+func FromOut(out [][]int) *Graph {
+	g := New(len(out))
+	for u, nbrs := range out {
+		for _, v := range nbrs {
+			g.AddEdge(u, v)
+		}
+	}
+	return g
+}
+
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 

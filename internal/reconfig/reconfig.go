@@ -118,15 +118,7 @@ func (n *Network) AliveCount() int {
 func (n *Network) OutNeighbors() [][]int { return n.out }
 
 // Graph returns the directed graph of currently active links.
-func (n *Network) Graph() *graph.Graph {
-	g := graph.New(n.SF.Cfg.N)
-	for u, nbrs := range n.out {
-		for _, v := range nbrs {
-			g.AddEdge(u, v)
-		}
-	}
-	return g
-}
+func (n *Network) Graph() *graph.Graph { return graph.FromOut(n.out) }
 
 // AdjacencyFor computes the out-adjacency the network would activate under
 // the given alive mask, without changing any state: every alive node links

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/design"
-	"repro/internal/netsim"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
 )
@@ -94,15 +93,12 @@ func (o options) build() (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ep epoch
+	var engine *reconfig.Network
 	if d.Reconfigurable {
-		ep.net = reconfig.Adopt(d.SF, d.Out, d.Alg.(*routing.Greediest))
-	}
-	if d.SF != nil {
-		ep.routes = netsim.NewRouteCache(d.Routers)
+		engine = reconfig.Adopt(d.SF, d.Out, d.Alg.(*routing.Greediest))
 	}
 	net := &Network{d: d, cluster: o.cluster}
-	net.cur.Store(&ep)
+	net.cur.Store(newEpoch(d, engine))
 	return net, nil
 }
 

@@ -105,7 +105,7 @@ func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
 			cfgs[i] = routeCacheCfg
 			cfgs[i].Seed = int64(100 + i)
 			cfgs[i].Rate = 0.05 * float64(1+i%3)
-			cfgs[i].ReferenceCore = i == len(cfgs)-1 // one session that never touches the cache
+			cfgs[i].referenceCore = i == len(cfgs)-1 // one session that never touches the cache
 		}
 		if design == "sf" {
 			gated := routeCacheCfg
@@ -137,7 +137,7 @@ func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
 		if design == "fb" {
 			continue // adaptive at every hop: the network has no cache
 		}
-		if misses, fills := net.cur.Load().routes.Counts(); fills != 32 {
+		if misses, fills := net.cur.Load().sim.Routes.Counts(); fills != 32 {
 			t.Errorf("%s: %d column fills after %d misses on the shared cache, want one per destination (32)", design, fills, misses)
 		}
 	}

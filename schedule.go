@@ -98,11 +98,10 @@ type gateRig struct {
 	// switched links); which ones carry traffic at any moment is governed
 	// by the copy's routing tables.
 	out [][]int
-	// start is the alive mask on entry; aliveNow tracks the live mask as
-	// events apply, consulted dynamically by injection; everAlive marks
-	// the nodes that stay powered through the whole schedule (where
-	// closed-loop runs place memory pages and CPU sockets).
-	start     []bool
+	// aliveNow tracks the live mask as events apply, from the epoch's on
+	// entry, consulted dynamically by injection; everAlive marks the nodes
+	// that stay powered through the whole schedule (where closed-loop runs
+	// place memory pages and CPU sockets).
 	aliveNow  []bool
 	everAlive []bool
 	// wakeCycles is the link wake-up time a gate-off charges, as a wake
@@ -126,23 +125,11 @@ func (n *Network) newGateRig(ep *epoch, events []scenario.GateEvent, rec *scenar
 		return nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Spec.Kind)
 	}
 	net := ep.net.Copy()
-	start := net.AliveSlice()
-	cur := slices.Clone(start)
-	ever := slices.Clone(start)
+	cur, ever := slices.Clone(ep.alive), slices.Clone(ep.alive)
 	out := make([][]int, n.d.Routers)
 	addPhase := func() {
 		for u, nbrs := range net.AdjacencyFor(cur) {
-			// A router's union is rebuilt only when a phase adds to it.
-			added := 0
-			reconfig.MergeSorted(out[u], nbrs, func(_ int, had, _ bool) {
-				if !had {
-					added++
-				}
-			})
-			if added == 0 {
-				continue
-			}
-			union := make([]int, 0, len(out[u])+added)
+			var union []int
 			reconfig.MergeSorted(out[u], nbrs, func(v int, _, _ bool) { union = append(union, v) })
 			out[u] = union
 		}
@@ -159,8 +146,7 @@ func (n *Network) newGateRig(ep *epoch, events []scenario.GateEvent, rec *scenar
 		net:        net,
 		events:     events,
 		out:        out,
-		start:      start,
-		aliveNow:   start,
+		aliveNow:   ep.alive,
 		everAlive:  ever,
 		wakeCycles: int64(reconfig.DefaultTiming().LinkWakeNs / netsim.CycleNs),
 		rec:        rec,
@@ -208,7 +194,9 @@ func (r *gateRig) attach(sim *netsim.Sim) []action {
 func (r *gateRig) apply(ev scenario.GateEvent) error {
 	before := r.net.OutNeighbors()
 	var err error
+	kind := scenario.EventGateOff
 	if ev.On {
+		kind = scenario.EventGateOn
 		err = r.net.GateOn(ev.Node)
 	} else {
 		err = r.net.GateOff(ev.Node)
@@ -230,10 +218,6 @@ func (r *gateRig) apply(ev scenario.GateEvent) error {
 		if err != nil {
 			return err
 		}
-	}
-	kind := scenario.EventGateOff
-	if ev.On {
-		kind = scenario.EventGateOn
 	}
 	r.rec.add(scenario.Event{Cycle: ev.Cycle, Kind: kind, Node: ev.Node})
 	return nil

@@ -85,13 +85,12 @@ type SessionConfig struct {
 	// to watch the latency transient a reconfiguration causes.
 	Scenario []ScenarioSpec
 
-	// ReferenceCore runs the simulation on the netsim reference core — the
+	// referenceCore runs the simulation on the netsim reference core — the
 	// full-scan, per-flit-routing slow path kept for differential testing —
 	// instead of the event-driven core. Results are bit-identical by
-	// contract (the cross-core determinism suite enforces it), so the flag
-	// only trades speed for independence from the event scheduler; leave it
-	// false outside of tests.
-	ReferenceCore bool
+	// contract (the cross-core determinism suite enforces it), so only the
+	// package's own tests set it, to run both cores.
+	referenceCore bool
 
 	// onTelemetry, when set (WithTelemetry), receives the interval
 	// snapshots. Unexported so that it stays off the sweep wire:
@@ -233,31 +232,25 @@ type Result struct {
 	Err error `json:"-"`
 }
 
-// simConfig assembles a simulator configuration for the epoch's active
-// state or, under a gate rig, for the rig's engine copy: its router and
-// the union of the wires every phase of the schedule activates, with the
-// escape routes of the starting mask. A gate-free run simulates on the
-// epoch's route cache; a rig's tables change mid-run, so its simulator
-// keeps a private one.
-func (n *Network) simConfig(ep *epoch, cfg SessionConfig, rig *gateRig) netsim.Config {
-	sc := n.d.NetCfg(cfg.Seed)
-	switch {
-	case rig != nil:
+// simConfig returns the simulator configuration of one run on the epoch:
+// its template with the session's seed, threshold and core. Under a gate
+// rig it routes on the rig's engine copy instead, over the union of the
+// wires every phase of the schedule activates, with the escape routes of
+// the starting mask and no route cache: a rig's tables change mid-run, so
+// its simulator keeps a private one.
+func (ep *epoch) simConfig(cfg SessionConfig, rig *gateRig) netsim.Config {
+	sc := ep.sim
+	sc.Seed = cfg.Seed
+	if rig != nil {
 		sc.Alg, sc.VCPolicy = rig.net.Router, rig.net.Router.VirtualChannel
 		sc.Out = rig.out
-		sc.EscapeRoute = rig.escapeFor(rig.start)
-	case ep.net != nil:
-		sc.Alg, sc.VCPolicy = ep.net.Router, ep.net.Router.VirtualChannel
-		sc.Out = ep.net.OutNeighbors()
-		sc.EscapeRoute = netsim.RingEscape(n.d.SF, ep.net.AliveSlice())
-		fallthrough
-	default:
-		sc.Routes = ep.routes
+		sc.EscapeRoute = rig.escapeFor(ep.alive)
+		sc.Routes = nil
 	}
 	if cfg.AdaptiveThreshold > 0 {
 		sc.AdaptiveThreshold = cfg.AdaptiveThreshold
 	}
-	sc.ReferenceCore = cfg.ReferenceCore
+	sc.ReferenceCore = cfg.referenceCore
 	return sc
 }
 
@@ -270,7 +263,7 @@ func (n *Network) simConfig(ep *epoch, cfg SessionConfig, rig *gateRig) netsim.C
 // regenerating swaps the node count the traffic draws over).
 func (n *Network) runSynthetic(ctx context.Context, cfg SessionConfig, patName string, pat traffic.Pattern) (Result, error) {
 	ep := n.cur.Load()
-	sch, err := resolveSchedule(cfg, scenarioEnv(n.d.N, ep.startMask(), cfg.Seed), false)
+	sch, err := resolveSchedule(cfg, scenarioEnv(n.d.N, ep.alive, cfg.Seed), false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -302,7 +295,7 @@ func (n *Network) runOpenLoop(ctx context.Context, ep *epoch, cfg SessionConfig,
 	if err != nil {
 		return netsim.Results{}, err
 	}
-	simCfg := n.simConfig(ep, cfg, rig)
+	simCfg := ep.simConfig(cfg, rig)
 	simCfg.PacketFlits = cfg.PacketFlits
 	wireTelemetry(&simCfg, rec.wrap(cfg, offset), cfg.Rate, nil)
 	sim, err := netsim.New(simCfg)
@@ -315,13 +308,10 @@ func (n *Network) runOpenLoop(ctx context.Context, ep *epoch, cfg SessionConfig,
 	// Injection liveness follows the schedule: gated nodes neither source
 	// nor sink new traffic from the moment their event applies (the
 	// injector reads the rig's aliveNow, which each gate event swaps).
-	// Gate-free runs filter by the mask they started under.
-	var alive *[]bool
+	// Gate-free runs filter by their epoch's mask.
+	alive := &ep.alive
 	if rig != nil {
 		alive = &rig.aliveNow
-	} else {
-		mask := ep.startMask()
-		alive = &mask
 	}
 	sim.SetPattern(rate0, n.newInjector(pat, alive).next)
 
@@ -360,8 +350,8 @@ type injector struct {
 	// router[v] is node v's router, their inverse.
 	hosted [][]int
 	router []int
-	// alive is the session's alive mask (nil: every node), behind a pointer
-	// so that a gated run's injector follows the rig's swaps.
+	// alive is the session's node mask, behind a pointer so that a gated
+	// run's injector follows the rig's swaps.
 	alive *[]bool
 }
 
@@ -392,11 +382,11 @@ func (inj *injector) next(srcRouter int, rng *rand.Rand) (int, bool) {
 		src = nodes[rng.Intn(len(nodes))]
 	}
 	alive := *inj.alive
-	if alive != nil && !alive[src] {
+	if !alive[src] {
 		return 0, false
 	}
 	dst, ok := inj.pat(src, rng)
-	if !ok || dst < 0 || dst >= len(inj.router) || alive != nil && !alive[dst] {
+	if !ok || dst < 0 || dst >= len(inj.router) || !alive[dst] {
 		return 0, false // no destination, or not an alive memory node
 	}
 	dstRouter := inj.router[dst]
@@ -445,7 +435,7 @@ func (n *Network) syntheticResult(res netsim.Results, rate float64) Result {
 // (offered load emerges from the replay); resolveSchedule rejects them.
 func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload string) (Result, error) {
 	ep := n.cur.Load()
-	alive := ep.startMask()
+	alive := ep.alive
 	sch, err := resolveSchedule(cfg, scenarioEnv(n.d.N, alive, cfg.Seed), true)
 	if err != nil {
 		return Result{}, err
@@ -462,7 +452,7 @@ func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload stri
 	if err != nil {
 		return Result{}, err
 	}
-	netCfg := n.simConfig(ep, cfg, rig)
+	netCfg := ep.simConfig(cfg, rig)
 	// The snapshot hook reaches through to the co-simulation for the
 	// memory-side occupancy; sys is assigned before any cycle runs, and
 	// callbacks fire on the simulating goroutine.
@@ -507,34 +497,21 @@ type traceParts struct {
 }
 
 // buildTraceParts synthesizes the memory layout and per-socket traces of
-// a closed-loop run over the given alive mask (nil = every node; a gated
-// run passes the AND of every phase's mask so pages and sockets never
-// land on a node the schedule gates off).
+// a closed-loop run over the given node mask (a gated run passes the AND
+// of every phase's mask so pages and sockets never land on a node the
+// schedule gates off).
 func (n *Network) buildTraceParts(ctx context.Context, cfg SessionConfig, workload string, alive []bool) (*traceParts, error) {
 	// Memory pages are interleaved over the alive nodes only — gating a
 	// node migrates its pages rather than dropping its traffic.
-	var aliveNodes []int
-	for v := 0; v < n.d.N; v++ {
-		if alive == nil || alive[v] {
-			aliveNodes = append(aliveNodes, v)
-		}
-	}
+	aliveNodes := indices(alive)
 	if len(aliveNodes) < 2 {
 		return nil, fmt.Errorf("%w: trace run needs >= 2 alive nodes, have %d",
 			ErrNodeDead, len(aliveNodes))
 	}
 	// CPU sockets attach to alive routers (the paper attaches processors to
 	// edge nodes; any subset is legal — Section IV).
-	var aliveRouters []int
-	for r := 0; r < n.d.Routers; r++ {
-		if alive == nil || alive[r] {
-			aliveRouters = append(aliveRouters, r)
-		}
-	}
-	sockets := cfg.Sockets
-	if sockets > len(aliveRouters) {
-		sockets = len(aliveRouters)
-	}
+	aliveRouters := indices(n.routerMask(alive))
+	sockets := min(cfg.Sockets, len(aliveRouters))
 	cpuNodes := make([]int, sockets)
 	for i := range cpuNodes {
 		cpuNodes[i] = aliveRouters[(i*len(aliveRouters))/sockets]

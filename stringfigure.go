@@ -2,9 +2,11 @@ package stringfigure
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/design"
+	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
@@ -27,30 +29,40 @@ type Network struct {
 	cur atomic.Pointer[epoch]
 }
 
-// epoch is one immutable state of a Network. Nothing edits a published
-// epoch: a reconfiguration copies the engine, applies its change to the
-// copy and publishes the copy as the next epoch, so a run that loaded an
+// epoch is one immutable state of a Network, one record for every design.
+// A reconfiguration copies the engine, applies its change to the copy and
+// publishes newEpoch's epoch around the copy, so a run that loaded an
 // epoch sees one table set and one alive mask to its end.
 type epoch struct {
-	// net is the reconfiguration engine, its router and alive mask, or nil
-	// on designs that cannot reconfigure (the design's router is then the
-	// network's for good).
+	// net is the reconfiguration engine, nil exactly on the designs that
+	// cannot reconfigure; only reconfigure, newGateRig and ReconfigStats
+	// ask which.
 	net *reconfig.Network
-	// routes is the route cache every gate-free session of this epoch
-	// simulates on, nil where routing is adaptive at every hop. Its
-	// entries are functions of the epoch's tables and adjacency, so a new
-	// epoch brings a new, empty cache.
-	routes *netsim.RouteCache
+	// alive is the node mask (all true without an engine) that reads
+	// report, schedules compile against and gate-free runs inject under.
+	alive []bool
+	// sim is every session's simulator template: the design's NetCfg(0)
+	// with the epoch's router, VC policy, Out and ring escape, and as
+	// Routes the route cache the epoch's gate-free sessions share (nil
+	// where routing is adaptive at every hop). The cache's entries are
+	// functions of the epoch's tables, so every epoch brings an empty one.
+	sim netsim.Config
 }
 
-// startMask snapshots the epoch's alive mask (nil = every node, on designs
-// without reconfiguration): the mask a run compiles its schedule against
-// and a gate-free run keeps for its whole lifetime.
-func (e *epoch) startMask() []bool {
-	if e.net == nil {
-		return nil
+// newEpoch builds the epoch of design d around engine net (nil on designs
+// that cannot reconfigure), for the build and for every reconfiguration.
+func newEpoch(d *design.Design, net *reconfig.Network) *epoch {
+	ep := &epoch{net: net, alive: slices.Repeat([]bool{true}, d.N), sim: d.NetCfg(0)}
+	if net != nil {
+		ep.alive = net.AliveSlice()
+		ep.sim.Alg, ep.sim.VCPolicy = net.Router, net.Router.VirtualChannel
+		ep.sim.Out = net.OutNeighbors()
+		ep.sim.EscapeRoute = netsim.RingEscape(d.SF, ep.alive)
 	}
-	return e.net.AliveSlice()
+	if d.SF != nil {
+		ep.sim.Routes = netsim.NewRouteCache(d.Routers)
+	}
+	return ep
 }
 
 // Design returns the design name ("dm", "odm", "fb", "afb", "s2" or "sf").
@@ -115,11 +127,7 @@ func (n *Network) OutNeighbors(v int) []int {
 	if v < 0 || v >= n.d.Routers {
 		return nil
 	}
-	ep := n.cur.Load()
-	if ep.net == nil {
-		return append([]int(nil), n.d.Out[v]...)
-	}
-	return append([]int(nil), ep.net.OutNeighbors()[v]...)
+	return append([]int(nil), n.cur.Load().sim.Out[v]...)
 }
 
 // Route returns the design's deterministic routing path between the routers
@@ -132,17 +140,14 @@ func (n *Network) Route(src, dst int) ([]int, error) {
 	if src < 0 || src >= n.d.N || dst < 0 || dst >= n.d.N {
 		return nil, fmt.Errorf("%w: route %d -> %d on %d nodes", ErrOutOfRange, src, dst, n.d.N)
 	}
-	alg := n.d.Alg
-	if ep := n.cur.Load(); ep.net != nil {
-		if !ep.net.Alive(src) || !ep.net.Alive(dst) {
-			return nil, fmt.Errorf("%w: route %d -> %d", ErrNodeDead, src, dst)
-		}
-		alg = ep.net.Router
+	ep := n.cur.Load()
+	if !ep.alive[src] || !ep.alive[dst] {
+		return nil, fmt.Errorf("%w: route %d -> %d", ErrNodeDead, src, dst)
 	}
 	cur, dstR := n.d.NodeRouter(src), n.d.NodeRouter(dst)
 	path := []int{cur}
 	for cur != dstR {
-		cands := alg.Candidates(cur, dstR)
+		cands := ep.sim.Alg.Candidates(cur, dstR)
 		if len(cands) == 0 || len(path) > n.d.Routers {
 			return nil, fmt.Errorf("%w: route %d -> %d stalled at router %d", ErrNotRoutable, src, dst, cur)
 		}
@@ -211,7 +216,7 @@ func (n *Network) reconfigure(op string, apply func(*reconfig.Network) error) er
 		if err := apply(next); err != nil {
 			return err
 		}
-		if n.cur.CompareAndSwap(ep, &epoch{net: next, routes: netsim.NewRouteCache(n.d.Routers)}) {
+		if n.cur.CompareAndSwap(ep, newEpoch(n.d, next)) {
 			return nil
 		}
 	}
@@ -220,20 +225,12 @@ func (n *Network) reconfigure(op string, apply func(*reconfig.Network) error) er
 // Alive reports whether node v is powered on (false for out-of-range
 // indices; always true on designs without reconfiguration).
 func (n *Network) Alive(v int) bool {
-	if v < 0 || v >= n.d.N {
-		return false
-	}
-	ep := n.cur.Load()
-	return ep.net == nil || ep.net.Alive(v)
+	return v >= 0 && v < n.d.N && n.cur.Load().alive[v]
 }
 
 // AliveCount returns the number of powered-on nodes.
 func (n *Network) AliveCount() int {
-	ep := n.cur.Load()
-	if ep.net == nil {
-		return n.d.N
-	}
-	return ep.net.AliveCount()
+	return len(indices(n.cur.Load().alive))
 }
 
 // ReconfigStats summarizes reconfiguration work so far.
@@ -270,23 +267,36 @@ type PathStats struct {
 }
 
 // PathLengths computes shortest-path statistics over the alive routers
-// using BFS from up to maxSources sampled sources (0 = all).
+// using BFS from up to maxSources sampled alive sources (0 = all).
 func (n *Network) PathLengths(maxSources int) PathStats {
 	if maxSources <= 0 || maxSources > n.d.Routers {
 		maxSources = n.d.Routers
 	}
 	ep := n.cur.Load()
-	if ep.net == nil {
-		alive := make([]bool, n.d.Routers)
-		for i := range alive {
-			alive[i] = true
-		}
-		st := n.d.Graph.InducedSubgraphStats(alive, maxSources)
-		return PathStats{Mean: st.Mean, P10: st.P10, P90: st.P90, Diameter: st.Diameter}
-	}
-	// Sample alive sources only.
-	st := ep.net.Graph().InducedSubgraphStats(ep.net.AliveSlice(), maxSources)
+	st := graph.FromOut(ep.sim.Out).InducedSubgraphStats(n.routerMask(ep.alive), maxSources)
 	return PathStats{Mean: st.Mean, P10: st.P10, P90: st.P90, Diameter: st.Diameter}
+}
+
+// routerMask maps a node mask onto the routers: a router is powered while
+// it hosts an alive node, or when it hosts none (a concentrated design's
+// spare router at small scale).
+func (n *Network) routerMask(alive []bool) []bool {
+	mask := make([]bool, n.d.Routers)
+	for r, nodes := range n.d.RouterNodes {
+		mask[r] = len(nodes) == 0 || slices.ContainsFunc(nodes, func(v int) bool { return alive[v] })
+	}
+	return mask
+}
+
+// indices returns the positions of mask's true entries, ascending.
+func indices(mask []bool) []int {
+	var on []int
+	for i, a := range mask {
+		if a {
+			on = append(on, i)
+		}
+	}
+	return on
 }
 
 // Series re-exports the experiment output table type for tooling built on

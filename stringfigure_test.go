@@ -157,9 +157,9 @@ func TestOneRouterPerNetwork(t *testing.T) {
 		if ep.net.Router == g {
 			t.Fatalf("%+v: GateOff published the design's router", net.d.Spec)
 		}
-		if sc := net.simConfig(ep, net.NewSession(SessionConfig{}).Config(), nil); sc.Alg != ep.net.Router || sc.Routes != ep.routes {
+		if sc := ep.simConfig(net.NewSession(SessionConfig{}).Config(), nil); sc.Alg != ep.net.Router || sc.Routes != ep.sim.Routes {
 			t.Errorf("%+v: a session simulates on router %p and cache %p, want the epoch's %p and %p",
-				net.d.Spec, sc.Alg, sc.Routes, ep.net.Router, ep.routes)
+				net.d.Spec, sc.Alg, sc.Routes, ep.net.Router, ep.sim.Routes)
 		}
 		// Blanking a table of the epoch's router is what Route must see.
 		ep.net.Router.Tables[10] = &routing.Table{Node: 10}

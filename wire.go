@@ -38,8 +38,8 @@ type networkSpec struct {
 // spec snapshots the network's rebuild inputs.
 func (n *Network) spec() networkSpec {
 	s := networkSpec{Spec: n.d.Spec}
-	if alive := n.cur.Load().startMask(); slices.Contains(alive, false) {
-		s.Alive = alive
+	if alive := n.cur.Load().alive; slices.Contains(alive, false) {
+		s.Alive = slices.Clone(alive)
 	}
 	return s
 }
