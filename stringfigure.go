@@ -15,9 +15,10 @@ import (
 
 // Network is a deployed memory-network design with routing and, for the
 // String Figure family, elastic reconfiguration. Every method may be used
-// from multiple goroutines. The network's state is one published epoch:
-// a read or a run loads it once and keeps it to its end, and GateOff,
-// GateOn and SetMounted publish a new one without waiting for anyone.
+// from multiple goroutines. The network's state is one published epoch,
+// the same record on every design: a read or a run loads it once and keeps
+// it to its end, and GateOff, GateOn and SetMounted publish a new one
+// without waiting for anyone.
 type Network struct {
 	// d.Alg is the router the design built. On sf it is the first epoch's
 	// router, and nothing edits it: a reconfiguration routes a copy.
