@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	stringfigure "repro"
+	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -128,13 +129,16 @@ func AblationShortcuts(n int, gateFracs []float64, seed int64) (*stats.Series, e
 		}
 
 		// SF: reconfiguration heals rings via shortcuts/switches.
-		net := reconfigured(sf, alive)
-		sfPath, sfConn := reachableStats(net, alive)
+		net := reconfig.New(sf)
+		if err := net.SetAlive(alive); err != nil {
+			return nil, err
+		}
+		sfPath, sfConn := reachableStats(net.Graph(), alive)
 
 		// S2-style: same dead set, links to dead nodes dropped, nothing
 		// re-linked.
 		raw := sf.Graph().InducedSubgraph(alive)
-		s2Path, s2Conn := reachableStatsGraph(raw, alive)
+		s2Path, s2Conn := reachableStats(raw, alive)
 
 		s.AddRow(frac*100, sfPath, sfConn*100, s2Path, s2Conn*100)
 	}

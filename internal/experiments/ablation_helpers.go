@@ -1,31 +1,11 @@
 package experiments
 
-import (
-	"repro/internal/graph"
-	"repro/internal/reconfig"
-	"repro/internal/topology"
-)
-
-// reconfigured deploys a String Figure network and applies the alive mask
-// through the reconfiguration engine (static reduction path).
-func reconfigured(sf *topology.StringFigure, alive []bool) *reconfig.Network {
-	net := reconfig.New(sf)
-	// SetAlive validates the mask; the callers always pass >= 2 alive.
-	if err := net.SetAlive(alive); err != nil {
-		panic(err)
-	}
-	return net
-}
+import "repro/internal/graph"
 
 // reachableStats measures mean shortest-path length over reachable alive
-// pairs and the fraction of alive ordered pairs that are mutually
-// reachable, on a reconfigured network.
-func reachableStats(net *reconfig.Network, alive []bool) (meanPath, connectedFrac float64) {
-	return reachableStatsGraph(net.Graph(), alive)
-}
-
-// reachableStatsGraph is reachableStats over a raw graph.
-func reachableStatsGraph(g *graph.Graph, alive []bool) (meanPath, connectedFrac float64) {
+// pairs of g and the fraction of alive ordered pairs that are mutually
+// reachable.
+func reachableStats(g *graph.Graph, alive []bool) (meanPath, connectedFrac float64) {
 	var sum float64
 	var reachable, pairs int64
 	for src := 0; src < g.N(); src++ {

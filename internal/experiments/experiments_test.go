@@ -207,8 +207,9 @@ func TestWorkloadRunQuick(t *testing.T) {
 
 // TestFig12MatchesRunWorkload pins Figure 12's sweeps to the standalone
 // sessions they stand for: every normalized cell is the ratio of the
-// matching RunWorkload results. Seed 1 rides the Point.Seed override;
-// seed 0 cannot, and goes through the PointSeed inverse instead.
+// matching RunWorkload results. Each cell's session seed is cfg.Seed,
+// pinned through the PointSeed inverse; seed 0 is the case a Point.Seed
+// override could not express.
 func TestFig12MatchesRunWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("co-simulation sweep")

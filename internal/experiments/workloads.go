@@ -60,15 +60,12 @@ func Fig12(workloads []string, n int, cfg stringfigure.SessionConfig) (throughpu
 			if err != nil {
 				return cell{}, err
 			}
-			p := stringfigure.Point{Workload: stringfigure.TraceWorkload{Workload: workloads[i%len(workloads)]}, Seed: cfg.Seed}
+			// Shift the one-point sweep's base seed so its point draws
+			// cfg.Seed: PointSeed is affine in its base, so base
+			// cfg.Seed - PointSeed(0, 0) gives PointSeed(base, 0) = cfg.Seed.
+			p := stringfigure.Point{Workload: stringfigure.TraceWorkload{Workload: workloads[i%len(workloads)]}}
 			pc := cfg
-			if cfg.Seed == 0 {
-				// A zero seed cannot ride the Point.Seed override (0 means
-				// "derive"); pin the session seed through the PointSeed
-				// inverse instead. PointSeed is affine in its base, so base
-				// -PointSeed(0, 0) gives PointSeed(base, 0) = 0.
-				pc.Seed = -stringfigure.PointSeed(0, 0)
-			}
+			pc.Seed = cfg.Seed - stringfigure.PointSeed(0, 0)
 			r := nw.SweepAll(pc, []stringfigure.Point{p}, 1)[0]
 			return cell{ipc: r.IPC, pj: r.TotalEnergyPJ}, r.Err
 		})

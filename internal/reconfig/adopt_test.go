@@ -30,6 +30,14 @@ func allAlive(n int) []bool {
 	return alive
 }
 
+// gateStep is a sequence step that gates node v on or off.
+func gateStep(v int, on bool) func(*Network) error {
+	return func(n *Network) error {
+		_, err := n.Gate(v, on)
+		return err
+	}
+}
+
 // TestFullScaleAdjacencyIsOutNeighbors is what makes adoption safe: the
 // adjacency the engine derives for an all-alive mask, which every later
 // reconfiguration diffs against, is exactly the full-scale adjacency a
@@ -81,13 +89,13 @@ func TestAdoptedRouterTracksReconfiguration(t *testing.T) {
 			do   func(*Network) error
 		}{
 			{"full scale", func(*Network) error { return nil }},
-			{"gate off 3", func(w *Network) error { return w.GateOff(3) }},
-			{"gate off 4", func(w *Network) error { return w.GateOff(4) }},
-			{"gate off 40", func(w *Network) error { return w.GateOff(40) }},
-			{"gate on 3", func(w *Network) error { return w.GateOn(3) }},
+			{"gate off 3", gateStep(3, false)},
+			{"gate off 4", gateStep(4, false)},
+			{"gate off 40", gateStep(40, false)},
+			{"gate on 3", gateStep(3, true)},
 			{"mount 32", func(w *Network) error { return w.SetAlive(mounted) }},
-			{"gate on 45", func(w *Network) error { return w.GateOn(45) }},
-			{"gate off 0", func(w *Network) error { return w.GateOff(0) }},
+			{"gate on 45", gateStep(45, true)},
+			{"gate off 0", gateStep(0, false)},
 			{"mount all", func(w *Network) error { return w.SetAlive(allAlive(n)) }},
 		}
 		for _, st := range steps {
@@ -125,7 +133,7 @@ func TestAdoptKeepsTheRouter(t *testing.T) {
 		t.Fatal("Adopt replaced the router it was handed")
 	}
 	before := g.Tables[sf.Order[0][1]]
-	if err := net.GateOff(sf.Order[0][2]); err != nil {
+	if _, err := net.Gate(sf.Order[0][2], false); err != nil {
 		t.Fatal(err)
 	}
 	if g.Tables[sf.Order[0][1]] == before {
@@ -159,14 +167,14 @@ func TestCopyIsolatesReconfiguration(t *testing.T) {
 		}
 		// twin replays the original's history, then the copy's steps.
 		orig, twin := New(sf), New(sf)
-		if err := errors.Join(orig.GateOff(40), twin.GateOff(40)); err != nil {
+		if err := errors.Join(gateStep(40, false)(orig), gateStep(40, false)(twin)); err != nil {
 			t.Fatal(err)
 		}
 		steps := []func(*Network) error{
-			func(n *Network) error { return n.GateOff(sf.Order[0][2]) },
-			func(n *Network) error { return n.GateOff(9) },
-			func(n *Network) error { return n.GateOn(sf.Order[0][2]) },
-			func(n *Network) error { return n.GateOn(40) },
+			gateStep(sf.Order[0][2], false),
+			gateStep(9, false),
+			gateStep(sf.Order[0][2], true),
+			gateStep(40, true),
 		}
 		before, cp := stateOf(orig), orig.Copy()
 		for i, step := range steps {

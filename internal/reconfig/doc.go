@@ -8,16 +8,18 @@
 // gives a caller an engine of its own over the same topology and tables,
 // whose reconfigurations leave the original untouched.
 //
-// A reconfiguration is modelled as one atomic step: switch the links (ring
+// Every alive-mask change — Gate powering one node on or off, SetAlive
+// mounting a whole mask — is one atomic step: switch the links (ring
 // healing through shortcut wires and the mux-based topology switch of
-// Figure 7), then swap in rebuilt tables for every router whose one- or
-// two-hop neighborhood changed. The paper's four-step protocol also blocks
+// Figure 7), counting them, then swap in rebuilt tables for every alive
+// router whose one- or two-hop neighborhood changed. Gate returns the
+// links the step switched on. The paper's four-step protocol also blocks
 // the affected entries before the switch, invalidates and promotes them,
 // and unblocks them after, to keep packets in flight safe while hardware
-// reconfigures over real time. Those bits are not modelled: here the step
-// runs between simulation slices, so no packet reads a half-edited table;
-// the transient is the link wake deadlines a gate schedule sets, and the
-// escape channels keep it deadlock-free.
+// reconfigures over real time. Those bits are not modelled: the step runs
+// between simulation slices, so no packet reads a half-edited table; the
+// transient is the wake deadlines a gate schedule sets on the links a
+// gate-off switches on, and the escape channels keep it deadlock-free.
 //
 // The invariant maintained across every reconfiguration is that each virtual
 // space's ring is complete over the alive nodes, which preserves the Lemma 1

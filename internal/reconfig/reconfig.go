@@ -104,9 +104,12 @@ func (n *Network) Alive(v int) bool { return n.alive[v] }
 func (n *Network) AliveSlice() []bool { return append([]bool(nil), n.alive...) }
 
 // AliveCount returns the number of powered-on nodes.
-func (n *Network) AliveCount() int {
+func (n *Network) AliveCount() int { return countAlive(n.alive) }
+
+// countAlive returns the number of true entries of an alive mask.
+func countAlive(alive []bool) int {
 	c := 0
-	for _, a := range n.alive {
+	for _, a := range alive {
 		if a {
 			c++
 		}
@@ -149,67 +152,51 @@ func (n *Network) AdjacencyFor(alive []bool) [][]int {
 	return topology.OutLists(N, sf.Cfg.Bidirectional, wires)
 }
 
-// GateOff powers node v down: it switches the links and swaps in rebuilt
-// tables for the affected routers. It refuses to gate the last alive node
-// or to disconnect the network.
-func (n *Network) GateOff(v int) error {
+// Gate powers node v on or off in one reconfiguration step and returns
+// the links the step switched on. It refuses a gate-off that would leave
+// fewer than two alive nodes.
+func (n *Network) Gate(v int, on bool) ([]topology.Link, error) {
 	if v < 0 || v >= len(n.alive) {
-		return fmt.Errorf("reconfig: node %d out of range", v)
+		return nil, fmt.Errorf("reconfig: node %d out of range", v)
 	}
-	if !n.alive[v] {
-		return fmt.Errorf("reconfig: node %d already off", v)
+	if n.alive[v] == on {
+		return nil, fmt.Errorf("reconfig: node %d already %s", v, map[bool]string{false: "off", true: "on"}[on])
 	}
-	if n.AliveCount() <= 2 {
-		return fmt.Errorf("reconfig: refusing to gate node %d below two alive nodes", v)
+	if !on && n.AliveCount() <= 2 {
+		return nil, fmt.Errorf("reconfig: refusing to gate node %d below two alive nodes", v)
 	}
-	n.alive[v] = false
-	n.applyReconfig()
-	return nil
+	n.alive[v] = on
+	return n.reconfigure(), nil
 }
 
-// GateOn powers node v back up, reversing GateOff.
-func (n *Network) GateOn(v int) error {
-	if v < 0 || v >= len(n.alive) {
-		return fmt.Errorf("reconfig: node %d out of range", v)
-	}
-	if n.alive[v] {
-		return fmt.Errorf("reconfig: node %d already on", v)
-	}
-	n.alive[v] = true
-	n.applyReconfig()
-	return nil
-}
-
-// SetAlive applies a bulk alive mask — the static expansion/reduction path
-// for design reuse: a network fabricated for N nodes deploys with a subset
-// mounted, and later mounts (or unmounts) nodes without refabrication.
+// SetAlive applies a bulk alive mask in one reconfiguration step — the
+// static expansion/reduction path for design reuse: a network fabricated
+// for N nodes deploys with a subset mounted, and later mounts (or
+// unmounts) nodes without refabrication.
 func (n *Network) SetAlive(alive []bool) error {
 	if len(alive) != len(n.alive) {
 		return fmt.Errorf("reconfig: alive mask has %d entries, want %d", len(alive), len(n.alive))
 	}
-	count := 0
-	for _, a := range alive {
-		if a {
-			count++
-		}
-	}
-	if count < 2 {
+	if count := countAlive(alive); count < 2 {
 		return fmt.Errorf("reconfig: need at least two mounted nodes, got %d", count)
 	}
 	copy(n.alive, alive)
-	n.rebuildAll()
+	n.reconfigure()
 	return nil
 }
 
-// applyReconfig applies a single-node state change: it switches the links,
-// one merge per router (neighbor lists are ascending, as AdjacencyFor
-// returns them), and swaps in rebuilt tables for every router whose one- or
-// two-hop neighborhood changed. Both ends of every switched link change.
-func (n *Network) applyReconfig() {
+// reconfigure is the one reconfiguration step, taking the network to its
+// alive mask: it switches the links, one merge per router (neighbor lists
+// are ascending, as AdjacencyFor returns them), swaps in rebuilt tables
+// for every alive router whose one- or two-hop neighborhood changed, and
+// returns the links it switched on, ascending. Both ends of every switched
+// link change; a dead router keeps the table it had.
+func (n *Network) reconfigure() []topology.Link {
 	n.Stats.Reconfigs++
 	oldOut := n.out
 	newOut := n.AdjacencyFor(n.alive)
 	changed := make([]bool, len(n.alive))
+	var enabled []topology.Link
 	for u := range oldOut {
 		MergeSorted(oldOut[u], newOut[u], func(w int, was, is bool) {
 			if was == is {
@@ -221,6 +208,7 @@ func (n *Network) applyReconfig() {
 				return
 			}
 			n.Stats.LinksEnabled++
+			enabled = append(enabled, topology.Link{From: u, To: w})
 			if slices.Contains(n.shortcuts[u], w) {
 				n.Stats.HealedByShortcut++
 			} else if !slices.Contains(n.base[u], w) {
@@ -235,6 +223,7 @@ func (n *Network) applyReconfig() {
 		n.Router.Tables[u] = routing.BuildTable(u, n.out)
 	}
 	n.Stats.TablesRebuilt += len(affected)
+	return enabled
 }
 
 // affectedRouters returns, ascending, the alive routers whose tables are
@@ -250,14 +239,6 @@ func (n *Network) affectedRouters(changed []bool, oldOut [][]int) []int {
 		}
 	}
 	return affected
-}
-
-// rebuildAll recomputes adjacency and all tables (bulk static path).
-func (n *Network) rebuildAll() {
-	n.Stats.Reconfigs++
-	n.out = n.AdjacencyFor(n.alive)
-	n.Router.Tables = routing.BuildTables(n.SF.Cfg.N, n.out)
-	n.Stats.TablesRebuilt += n.AliveCount()
 }
 
 // MergeSorted walks two ascending lists without duplicates — neighbor

@@ -3,6 +3,7 @@ package reconfig
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -52,11 +53,9 @@ func TestFullScaleDeployment(t *testing.T) {
 func TestGateOffPreservesDelivery(t *testing.T) {
 	n := deploy(t, topology.Config{N: 30, Ports: 4, Seed: 7, Shortcuts: true})
 	for _, v := range []int{5, 12, 29} {
-		if err := n.GateOff(v); err != nil {
-			t.Fatalf("GateOff(%d): %v", v, err)
+		if _, err := n.Gate(v, false); err != nil {
+			t.Fatalf("gate off %d: %v", v, err)
 		}
-		sub := n.Graph().InducedSubgraph(n.AliveSlice())
-		_ = sub
 		routeAllAlive(t, n)
 	}
 	if n.AliveCount() != 27 {
@@ -76,8 +75,8 @@ func TestGateOffAdjacentNodes(t *testing.T) {
 	b := n.SF.Order[0][5]
 	c := n.SF.Order[0][6]
 	for _, v := range []int{a, b, c} {
-		if err := n.GateOff(v); err != nil {
-			t.Fatalf("GateOff(%d): %v", v, err)
+		if _, err := n.Gate(v, false); err != nil {
+			t.Fatalf("gate off %d: %v", v, err)
 		}
 	}
 	routeAllAlive(t, n)
@@ -96,12 +95,12 @@ func TestGateOnRestoresOriginalAdjacency(t *testing.T) {
 		orig[v] = append([]int(nil), nbrs...)
 	}
 	for _, v := range []int{3, 17} {
-		if err := n.GateOff(v); err != nil {
+		if _, err := n.Gate(v, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, v := range []int{17, 3} {
-		if err := n.GateOn(v); err != nil {
+		if _, err := n.Gate(v, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,28 +112,28 @@ func TestGateOnRestoresOriginalAdjacency(t *testing.T) {
 
 func TestGateOffErrors(t *testing.T) {
 	n := deploy(t, topology.Config{N: 6, Ports: 4, Seed: 1})
-	if err := n.GateOff(-1); err == nil {
-		t.Error("GateOff(-1) should fail")
+	if _, err := n.Gate(-1, false); err == nil {
+		t.Error("gating off node -1 should fail")
 	}
-	if err := n.GateOff(6); err == nil {
-		t.Error("GateOff(out of range) should fail")
+	if _, err := n.Gate(6, false); err == nil {
+		t.Error("gating off an out-of-range node should fail")
 	}
-	if err := n.GateOff(0); err != nil {
+	if _, err := n.Gate(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.GateOff(0); err == nil {
-		t.Error("double GateOff should fail")
+	if _, err := n.Gate(0, false); err == nil {
+		t.Error("gating off a dead node should fail")
 	}
-	if err := n.GateOn(1); err == nil {
-		t.Error("GateOn of alive node should fail")
+	if _, err := n.Gate(1, true); err == nil {
+		t.Error("gating on an alive node should fail")
 	}
 	// Gate down to two nodes, then refuse.
 	for v := 1; v < 4; v++ {
-		if err := n.GateOff(v); err != nil {
+		if _, err := n.Gate(v, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := n.GateOff(4); err == nil {
+	if _, err := n.Gate(4, false); err == nil {
 		t.Error("gating below two alive nodes should fail")
 	}
 }
@@ -150,7 +149,7 @@ func TestShortcutHealingAttribution(t *testing.T) {
 		if !n.Alive(v) {
 			continue
 		}
-		if err := n.GateOff(v); err != nil {
+		if _, err := n.Gate(v, false); err != nil {
 			t.Fatal(err)
 		}
 		gated++
@@ -196,6 +195,9 @@ func TestStaticExpansionReduction(t *testing.T) {
 // gate-on and mount sequence, every alive router's table holds exactly the
 // entries a fresh BuildTable over the active adjacency holds, and its
 // one-hop entries are exactly the router's active links to alive nodes.
+// Every step counts the links only in the old adjacency as disabled and
+// those only in the new one as enabled, and a gate step returns the
+// enabled ones.
 func TestTablesMatchAdjacencyAfterReconfig(t *testing.T) {
 	const N = 36
 	n := deploy(t, topology.Config{N: N, Ports: 4, Seed: 13, Shortcuts: true})
@@ -205,23 +207,50 @@ func TestTablesMatchAdjacencyAfterReconfig(t *testing.T) {
 	}
 	steps := []struct {
 		name string
-		do   func() error
+		node int // the node a gate step powers on or off; -1 mounts the subset
+		on   bool
 	}{
-		{"gate off 1", func() error { return n.GateOff(1) }},
-		{"gate off 2", func() error { return n.GateOff(2) }},
-		{"gate off 3", func() error { return n.GateOff(3) }},
-		{"gate off 30", func() error { return n.GateOff(30) }},
-		{"gate on 2", func() error { return n.GateOn(2) }},
-		{"gate on 30", func() error { return n.GateOn(30) }},
-		{"mount subset", func() error { return n.SetAlive(mounted) }},
-		{"gate on 10", func() error { return n.GateOn(10) }},
-		{"gate off 7", func() error { return n.GateOff(7) }},
+		{"gate off 1", 1, false},
+		{"gate off 2", 2, false},
+		{"gate off 3", 3, false},
+		{"gate off 30", 30, false},
+		{"gate on 2", 2, true},
+		{"gate on 30", 30, true},
+		{"mount subset", -1, false},
+		{"gate on 10", 10, true},
+		{"gate off 7", 7, false},
 	}
 	for _, st := range steps {
-		if err := st.do(); err != nil {
+		old, before := n.OutNeighbors(), n.Stats
+		var woken []topology.Link
+		var err error
+		if st.node < 0 {
+			err = n.SetAlive(mounted)
+		} else {
+			woken, err = n.Gate(st.node, st.on)
+		}
+		if err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
 		out := n.OutNeighbors()
+		disabled, enabled := 0, []topology.Link(nil)
+		for u := range out {
+			for _, w := range old[u] {
+				if !slices.Contains(out[u], w) {
+					disabled++
+				}
+			}
+			for _, w := range out[u] {
+				if !slices.Contains(old[u], w) {
+					enabled = append(enabled, topology.Link{From: u, To: w})
+				}
+			}
+		}
+		d, e := n.Stats.LinksDisabled-before.LinksDisabled, n.Stats.LinksEnabled-before.LinksEnabled
+		if d != disabled || e != len(enabled) || st.node >= 0 && !slices.Equal(woken, enabled) {
+			t.Errorf("%s: counted %d links disabled and %d enabled, returned %v; %d are only in the old adjacency, %v only in the new",
+				st.name, d, e, woken, disabled, enabled)
+		}
 		for u := 0; u < N; u++ {
 			if !n.Alive(u) {
 				continue
@@ -278,12 +307,12 @@ func TestElasticDeliveryProperty(t *testing.T) {
 			v := rng.Intn(n)
 			if net.Alive(v) {
 				if net.AliveCount() > n/2 {
-					if err := net.GateOff(v); err != nil {
+					if _, err := net.Gate(v, false); err != nil {
 						return false
 					}
 				}
 			} else {
-				if err := net.GateOn(v); err != nil {
+				if _, err := net.Gate(v, true); err != nil {
 					return false
 				}
 			}

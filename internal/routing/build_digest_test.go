@@ -101,7 +101,7 @@ func digestBuild(t *testing.T, spec design.Spec) buildDigest {
 	}
 	net := reconfig.Adopt(d.SF, d.Out, g)
 	for _, v := range []int{1, d.N / 2, d.N - 1} {
-		if err := net.GateOff(v); err != nil {
+		if _, err := net.Gate(v, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -179,6 +179,9 @@ type Schedule struct {
 	Gates []GateEvent
 	Rates []RateEvent
 	Regen *Regen
+	// Wake is the link wake latency in cycles (Env.Wake) the gate-ons
+	// were deferred by; a gate-off charges it to the links it switches on.
+	Wake int64
 }
 
 // Normalize applies the Section VI epoch rules to a raw gate-event list:
@@ -304,6 +307,7 @@ func Compile(specs []Spec, env Env) (Schedule, error) {
 		return sch, fmt.Errorf("scenario: a regeneration combines with no other scenario")
 	}
 	sch.Gates = filterValid(Normalize(raw, env.Wake, env.MinInterval, env.Total), start)
+	sch.Wake = env.Wake
 	return sch, nil
 }
 

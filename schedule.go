@@ -113,12 +113,12 @@ type gateRig struct {
 }
 
 // newGateRig copies epoch ep's reconfiguration engine for one run of the
-// compiled schedule events and merges the union adjacency of every phase;
-// no events is a gate-free run and a nil rig. The events were compiled
-// against ep's alive mask, so every one is already legal
+// compiled schedule's gate events and merges the union adjacency of every
+// phase; no gate events is a gate-free run and a nil rig. The schedule was
+// compiled against ep's alive mask, so every event is already legal
 // (scenario.Compile guarantees it).
-func (n *Network) newGateRig(ep *epoch, events []scenario.GateEvent, rec *scenarioRecorder) (*gateRig, error) {
-	if len(events) == 0 {
+func (n *Network) newGateRig(ep *epoch, sch scenario.Schedule, rec *scenarioRecorder) (*gateRig, error) {
+	if len(sch.Gates) == 0 {
 		return nil, nil
 	}
 	if ep.net == nil {
@@ -135,7 +135,7 @@ func (n *Network) newGateRig(ep *epoch, events []scenario.GateEvent, rec *scenar
 		}
 	}
 	addPhase()
-	for _, ev := range events {
+	for _, ev := range sch.Gates {
 		cur[ev.Node] = ev.On
 		if !ev.On {
 			ever[ev.Node] = false
@@ -144,11 +144,11 @@ func (n *Network) newGateRig(ep *epoch, events []scenario.GateEvent, rec *scenar
 	}
 	return &gateRig{
 		net:        net,
-		events:     events,
+		events:     sch.Gates,
 		out:        out,
 		aliveNow:   ep.alive,
 		everAlive:  ever,
-		wakeCycles: int64(reconfig.DefaultTiming().LinkWakeNs / netsim.CycleNs),
+		wakeCycles: sch.Wake,
 		rec:        rec,
 	}, nil
 }
@@ -186,37 +186,26 @@ func (r *gateRig) attach(sim *netsim.Sim) []action {
 
 // apply executes one event against the rig's engine and simulator: gate
 // the node, swap the escape routes to the new mask, and set a wake
-// deadline on links a gate-off switches on (ring healing: in the
-// adjacency after it, not before) — a gate-on was already deferred past
-// its links' wake by normalization. Flits routed onto a still waking link
-// arrive only after its deadline, the mechanism behind the post-gate-off
-// latency transient the telemetry stream watches.
+// deadline on the links a gate-off switches on (ring healing) — a gate-on
+// was already deferred past its links' wake by normalization. Flits
+// routed onto a still waking link arrive only after its deadline, the
+// mechanism behind the post-gate-off latency transient the telemetry
+// stream watches.
 func (r *gateRig) apply(ev scenario.GateEvent) error {
-	before := r.net.OutNeighbors()
-	var err error
-	kind := scenario.EventGateOff
-	if ev.On {
-		kind = scenario.EventGateOn
-		err = r.net.GateOn(ev.Node)
-	} else {
-		err = r.net.GateOff(ev.Node)
-	}
+	woken, err := r.net.Gate(ev.Node, ev.On)
 	if err != nil {
 		return err
 	}
 	r.aliveNow = r.net.AliveSlice()
 	r.sim.SetEscapeRoute(r.escapeFor(r.aliveNow))
+	kind := scenario.EventGateOn
 	if !ev.On {
+		kind = scenario.EventGateOff
 		until := r.sim.Cycle() + r.wakeCycles
-		for u, nbrs := range r.net.OutNeighbors() {
-			reconfig.MergeSorted(before[u], nbrs, func(v int, was, is bool) {
-				if is && !was && err == nil {
-					err = r.sim.SetLinkWake(u, v, until)
-				}
-			})
-		}
-		if err != nil {
-			return err
+		for _, l := range woken {
+			if err := r.sim.SetLinkWake(l.From, l.To, until); err != nil {
+				return err
+			}
 		}
 	}
 	r.rec.add(scenario.Event{Cycle: ev.Cycle, Kind: kind, Node: ev.Node})

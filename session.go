@@ -291,7 +291,7 @@ func (n *Network) runSynthetic(ctx context.Context, cfg SessionConfig, patName s
 // transient the telemetry stream watches.
 func (n *Network) runOpenLoop(ctx context.Context, ep *epoch, cfg SessionConfig, pat traffic.Pattern, rec *scenarioRecorder,
 	sch scenario.Schedule, offset, end int64, rate0 float64) (netsim.Results, error) {
-	rig, err := n.newGateRig(ep, sch.Gates, rec)
+	rig, err := n.newGateRig(ep, sch, rec)
 	if err != nil {
 		return netsim.Results{}, err
 	}
@@ -441,7 +441,7 @@ func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload stri
 		return Result{}, err
 	}
 	rec := &scenarioRecorder{}
-	rig, err := n.newGateRig(ep, sch.Gates, rec)
+	rig, err := n.newGateRig(ep, sch, rec)
 	if err != nil {
 		return Result{}, err
 	}

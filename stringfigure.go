@@ -175,29 +175,26 @@ func (n *Network) MD(u, v int) float64 {
 // changed; ring healing through shortcut wires keeps every alive pair
 // routable. Runs already going keep the state they started on. It reports
 // ErrNotReconfigurable on the baseline designs.
-func (n *Network) GateOff(v int) error {
-	return n.gate("gate off", v, (*reconfig.Network).GateOff)
-}
+func (n *Network) GateOff(v int) error { return n.gate("gate off", v, false) }
 
 // GateOn powers a node back up.
-func (n *Network) GateOn(v int) error {
-	return n.gate("gate on", v, (*reconfig.Network).GateOn)
-}
+func (n *Network) GateOn(v int) error { return n.gate("gate on", v, true) }
 
-// SetMounted applies a bulk alive mask — the static expansion/reduction
-// path for design reuse.
+// SetMounted applies a bulk alive mask in the same one step — the static
+// expansion/reduction path for design reuse.
 func (n *Network) SetMounted(mounted []bool) error {
 	return n.reconfigure("set mounted", func(e *reconfig.Network) error { return e.SetAlive(mounted) })
 }
 
-// gate runs one single-node engine call through reconfigure, refusing an
+// gate powers node v on or off through reconfigure, refusing an
 // out-of-range node with ErrOutOfRange.
-func (n *Network) gate(op string, v int, call func(*reconfig.Network, int) error) error {
+func (n *Network) gate(op string, v int, on bool) error {
 	return n.reconfigure(op, func(e *reconfig.Network) error {
 		if v < 0 || v >= n.d.N {
 			return fmt.Errorf("%w: %s %d on %d nodes", ErrOutOfRange, op, v, n.d.N)
 		}
-		return call(e, v)
+		_, err := e.Gate(v, on)
+		return err
 	})
 }
 
