@@ -15,36 +15,41 @@ import (
 // injection rate for the strict uni-directional variant (one wire per port
 // half, clockwise metric) against the bidirectional default, at equal port
 // count — both through the public API's wire-variant options and parallel
-// saturation search (cfg's windows and seed, rate resolution step).
+// saturation search (cfg's windows and seed, rate resolution step). Every
+// (scale, variant) network is one figure cell, and the cells run on the
+// harness's cell pool, largest N first.
 func AblationUniBidi(scales []int, cfg stringfigure.SessionConfig, step float64) (*stats.Series, error) {
 	if len(scales) == 0 {
 		scales = []int{32, 64, 128, 256}
 	}
+	// Cell i is (scale, variant) in row-major order, uni-directional
+	// first; a saturation search's cost grows with N.
+	type cell struct{ path, satPct float64 }
+	largestN := func(i int) float64 { return float64(scales[i/2]) }
+	cells, err := runCells(2*len(scales), largestN, func(i int) (cell, error) {
+		n := scales[i/2]
+		opts := []stringfigure.Option{
+			stringfigure.WithNodes(n), stringfigure.WithSeed(cfg.Seed),
+		}
+		if i%2 == 0 {
+			opts = append(opts, stringfigure.Unidirectional())
+		}
+		net, err := stringfigure.New(opts...)
+		if err != nil {
+			return cell{}, err
+		}
+		path := net.PathLengths(min(n, 64)).Mean
+		sat, err := net.Saturation(stringfigure.SyntheticWorkload{Pattern: "uniform"}, cfg, step)
+		return cell{path, sat * 100}, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	s := stats.NewSeries("Ablation: uni- vs bi-directional connections",
 		"nodes", "uni_path", "bidi_path", "uni_sat_pct", "bidi_sat_pct")
-	for _, n := range scales {
-		row := []float64{float64(n)}
-		var sats []float64
-		for _, bidi := range []bool{false, true} {
-			opts := []stringfigure.Option{
-				stringfigure.WithNodes(n), stringfigure.WithSeed(cfg.Seed),
-			}
-			if !bidi {
-				opts = append(opts, stringfigure.Unidirectional())
-			}
-			net, err := stringfigure.New(opts...)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, net.PathLengths(min(n, 64)).Mean)
-			sat, err := net.Saturation(stringfigure.SyntheticWorkload{Pattern: "uniform"}, cfg, step)
-			if err != nil {
-				return nil, err
-			}
-			sats = append(sats, sat*100)
-		}
-		row = append(row, sats...)
-		s.AddRow(row...)
+	for si, n := range scales {
+		uni, bidi := cells[2*si], cells[2*si+1]
+		s.AddRow(float64(n), uni.path, bidi.path, uni.satPct, bidi.satPct)
 	}
 	return s, nil
 }
@@ -53,13 +58,15 @@ func AblationUniBidi(scales []int, cfg stringfigure.SessionConfig, step float64)
 // routing tables (Section III-B's sensitivity study): mean greedy path
 // length with and without the two-hop lookahead. It probes the routing
 // mechanism directly — there is no public knob for crippling the tables.
+// Every scale is one figure cell, and the cells run on the harness's cell
+// pool, largest N first; a scale with no routable pair has no row.
 func AblationLookahead(scales []int, seed int64) (*stats.Series, error) {
 	if len(scales) == 0 {
 		scales = []int{64, 128, 256, 512}
 	}
-	s := stats.NewSeries("Ablation: 1-hop vs 1+2-hop routing tables",
-		"nodes", "greedy_1hop", "greedy_2hop", "bfs_optimal")
-	for _, n := range scales {
+	largestN := func(i int) float64 { return float64(scales[i]) }
+	rows, err := runCells(len(scales), largestN, func(i int) ([]float64, error) {
+		n := scales[i]
 		sf, err := topology.NewPaperSF(n, seed)
 		if err != nil {
 			return nil, err
@@ -88,12 +95,22 @@ func AblationLookahead(scales []int, seed int64) (*stats.Series, error) {
 			pairs++
 		}
 		if pairs == 0 {
-			continue
+			return nil, nil
 		}
-		s.AddRow(float64(n),
-			float64(sumWo)/float64(pairs),
-			float64(sumW)/float64(pairs),
-			bfsSum/float64(pairs))
+		return []float64{float64(n),
+			float64(sumWo) / float64(pairs),
+			float64(sumW) / float64(pairs),
+			bfsSum / float64(pairs)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := stats.NewSeries("Ablation: 1-hop vs 1+2-hop routing tables",
+		"nodes", "greedy_1hop", "greedy_2hop", "bfs_optimal")
+	for _, row := range rows {
+		if row != nil {
+			s.AddRow(row...)
+		}
 	}
 	return s, nil
 }
@@ -102,22 +119,23 @@ func AblationLookahead(scales []int, seed int64) (*stats.Series, error) {
 // after down-scaling: mean shortest path over the alive subnetwork with
 // ring healing via shortcuts (SF) versus an S2-style network that merely
 // drops the dead nodes' links (no healing, may disconnect — measured as
-// reachable-pair path length and connectivity fraction).
+// reachable-pair path length and connectivity fraction). Every gated
+// fraction is one figure cell, and the cells run on the harness's cell
+// pool.
 func AblationShortcuts(n int, gateFracs []float64, seed int64) (*stats.Series, error) {
 	if len(gateFracs) == 0 {
 		gateFracs = []float64{0.1, 0.2, 0.3, 0.5}
 	}
-	s := stats.NewSeries("Ablation: down-scaling with healing (SF) vs without (S2-style)",
-		"gated_pct", "sf_path", "sf_connected_pct", "s2_path", "s2_connected_pct")
-	for _, frac := range gateFracs {
+	rows, err := runCells(len(gateFracs), nil, func(i int) ([]float64, error) {
+		frac := gateFracs[i]
 		sf, err := topology.NewPaperSF(n, seed)
 		if err != nil {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(seed + 3))
 		alive := make([]bool, n)
-		for i := range alive {
-			alive[i] = true
+		for v := range alive {
+			alive[v] = true
 		}
 		for gated := 0; gated < int(frac*float64(n)); {
 			v := rng.Intn(n)
@@ -140,7 +158,15 @@ func AblationShortcuts(n int, gateFracs []float64, seed int64) (*stats.Series, e
 		raw := sf.Graph().InducedSubgraph(alive)
 		s2Path, s2Conn := reachableStats(raw, alive)
 
-		s.AddRow(frac*100, sfPath, sfConn*100, s2Path, s2Conn*100)
+		return []float64{frac * 100, sfPath, sfConn * 100, s2Path, s2Conn * 100}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := stats.NewSeries("Ablation: down-scaling with healing (SF) vs without (S2-style)",
+		"gated_pct", "sf_path", "sf_connected_pct", "s2_path", "s2_connected_pct")
+	for _, row := range rows {
+		s.AddRow(row...)
 	}
 	return s, nil
 }
@@ -148,6 +174,8 @@ func AblationShortcuts(n int, gateFracs []float64, seed int64) (*stats.Series, e
 // AblationAdaptiveThreshold sweeps the adaptive-routing queue threshold
 // (the paper's user-defined 50% default) at a fixed load and reports mean
 // latency, through the public session knob, with cfg's windows and seed.
+// Every threshold is one figure cell, a session on one shared network, and
+// the cells run on the harness's cell pool.
 func AblationAdaptiveThreshold(n int, rate float64, thresholds []float64, cfg stringfigure.SessionConfig) (*stats.Series, error) {
 	if len(thresholds) == 0 {
 		thresholds = []float64{0.125, 0.25, 0.5, 0.75, 1.0}
@@ -157,19 +185,25 @@ func AblationAdaptiveThreshold(n int, rate float64, thresholds []float64, cfg st
 		return nil, err
 	}
 	cfg.Rate = rate
+	latencies, err := runCells(len(thresholds), nil, func(i int) (float64, error) {
+		tc := cfg
+		tc.AdaptiveThreshold = thresholds[i]
+		res, err := net.NewSession(tc).Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
+		if err != nil {
+			return 0, err
+		}
+		if res.Deadlocked || res.Delivered == 0 {
+			return 0, nil
+		}
+		return res.AvgLatencyNs, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	s := stats.NewSeries("Ablation: adaptive threshold sweep (uniform traffic)",
 		"threshold_pct", "latency_ns")
-	for _, th := range thresholds {
-		cfg.AdaptiveThreshold = th
-		res, err := net.NewSession(cfg).Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
-		if err != nil {
-			return nil, err
-		}
-		lat := res.AvgLatencyNs
-		if res.Deadlocked || res.Delivered == 0 {
-			lat = 0
-		}
-		s.AddRow(th*100, lat)
+	for i, th := range thresholds {
+		s.AddRow(th*100, latencies[i])
 	}
 	return s, nil
 }

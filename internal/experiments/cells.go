@@ -10,7 +10,10 @@ import (
 )
 
 // runCells runs a figure's n independent cells on a pool and returns each
-// cell's result at its index. The pool is as wide as a Saturation wave:
+// cell's result at its index. Every figure and study in this package is a
+// grid of such cells: each cell is a pure function of its index, and the
+// caller assembles its table by index once all cells are done, so the table
+// prints the same at any pool width. The pool is as wide as a Saturation wave:
 // GOMAXPROCS, or the harness cluster's slot capacity when that is larger.
 // Cells are submitted highest cost first (index order when cost is nil),
 // so the pool's tail — where a core sits idle — is short.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -247,11 +248,12 @@ func TestFig12MatchesRunWorkload(t *testing.T) {
 	}
 }
 
-// TestFigureCellsWorkerInvariance runs Figures 10, 11 and 12 on cell pools
-// of width 1 and 4: every table must print the same, and a grid with
-// failing cells must report the same — lowest-index — error. At width 1
-// the Figure 10 and 11 cells must also equal the serial loops they replace:
-// one Saturation call per cell, one Sweep per (pattern, design) rate axis.
+// TestFigureCellsWorkerInvariance runs every pooled figure and study, at
+// reduced sizes, on cell pools of width 1 and 4: every table must print
+// the same, and a grid with failing cells must report the same —
+// lowest-index — error. At width 1 the Figure 10 and 11 cells must also
+// equal the serial loops they replace: one Saturation call per cell, one
+// Sweep per (pattern, design) rate axis.
 func TestFigureCellsWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -275,9 +277,37 @@ func TestFigureCellsWorkerInvariance(t *testing.T) {
 		add(err, s11...)
 		tp, en, err := Fig12([]string{"grep", "redis"}, 16, trace)
 		add(err, tp, en)
+		s, err := Fig5([]int{64, 128}, 2, 16)
+		add(err, s)
+		s, err = Fig9a([]int{16, 64, 128}, 16, 1)
+		add(err, s)
+		s, err = Table2([]int{128, 256})
+		add(err, s)
+		s, err = ConnectionBound([]int{64, 128}, 1)
+		add(err, s)
+		s, err = Bisection([]int{16, 64}, 4, 1)
+		add(err, s)
+		s, err = ProcessorPlacement(32, 0.1, quick)
+		add(err, s)
+		s, err = QuantizationStudy(64, nil, 200, 1)
+		add(err, s)
+		s, err = MetaCubeStudy(64, []int{8, 32}, 0.05, quick)
+		add(err, s)
+		s, err = Fig9b(16, []string{"grep", "redis"}, []float64{0, 0.25}, 300, 1)
+		add(err, s)
+		s, err = AblationUniBidi([]int{32}, quick, quickStep)
+		add(err, s)
+		s, err = AblationLookahead([]int{64}, 1)
+		add(err, s)
+		s, err = AblationShortcuts(64, nil, 1)
+		add(err, s)
+		s, err = AblationAdaptiveThreshold(16, 0.3, nil, quick)
+		add(err, s)
 		_, err = Fig10([]int{16}, []string{"uniform", "bogus-a", "bogus-b"}, quick, quickStep)
 		errs = append(errs, err)
 		_, err = Fig11(16, []string{"uniform", "bogus-a", "bogus-b"}, []float64{0.05, 0.3}, quick)
+		errs = append(errs, err)
+		_, err = Fig9b(16, []string{"grep", "bogus-a", "bogus-b"}, []float64{0, 0.25}, 300, 1)
 		errs = append(errs, err)
 		return tables, errs
 	}
@@ -343,6 +373,40 @@ func TestFig9bQuick(t *testing.T) {
 	}
 	if s.Rows[1][1] <= 0 {
 		t.Errorf("gated EDP missing: %v", s.Rows[1])
+	}
+}
+
+// TestFig9bNormalizesAgainstZeroAnywhere pins Figure 9(b)'s normalization
+// to the 0% cell wherever it sits in the fraction list: the rows of
+// {0.2, 0} are the rows of {0, 0.2} in reverse, and a list with no 0 keeps
+// its normalized cells at 0.
+func TestFig9bNormalizesAgainstZeroAnywhere(t *testing.T) {
+	if testing.Short() {
+		t.Skip("co-simulation sweep")
+	}
+	wls := []string{"grep", "redis"}
+	up, err := Fig9b(16, wls, []float64{0, 0.2}, 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := Fig9b(16, wls, []float64{0.2, 0}, 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range up.Rows {
+		if got := down.Rows[len(down.Rows)-1-i]; !slices.Equal(got, row) {
+			t.Errorf("row %v of {0.2, 0} = %v, want %v", row[0], got, row)
+		}
+	}
+	if up.Rows[1][1] == 0 || up.Rows[1][2] == 0 {
+		t.Errorf("gated row not normalized: %v", up.Rows[1])
+	}
+	none, err := Fig9b(16, wls, []float64{0.2}, 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{20, 0, 0}; !slices.Equal(none.Rows[0], want) {
+		t.Errorf("row with no 0%% baseline = %v, want %v", none.Rows[0], want)
 	}
 }
 

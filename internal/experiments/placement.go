@@ -18,6 +18,8 @@ import (
 // corner nodes, a subset (one per quadrant), random nodes, or all nodes —
 // with uniform-random destinations, reporting mean latency per arrangement.
 // Each run measures cfg's windows as given (no session defaults apply).
+// Every arrangement is one figure cell, and the cells run on the harness's
+// cell pool.
 func ProcessorPlacement(n int, rate float64, cfg stringfigure.SessionConfig) (*stats.Series, error) {
 	seed := cfg.Seed
 	d, err := design.Build(design.Spec{N: n, Seed: seed})
@@ -46,13 +48,14 @@ func ProcessorPlacement(n int, rate float64, cfg stringfigure.SessionConfig) (*s
 		{"all", all},
 	}
 
-	s := stats.NewSeries("Section V: processor placement study (uniform traffic)",
-		"sources", "latency_ns", "delivered_frac")
 	uniform, err := traffic.NewPattern("uniform", n)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range arrangements {
+	// Cell i is arrangement i, each on its own simulator over the shared
+	// design.
+	rows, err := runCells(len(arrangements), nil, func(i int) ([]float64, error) {
+		a := arrangements[i]
 		nc := d.NetCfg(seed)
 		nc.PacketFlits = 1
 		nc.LinkLatency = grid.LinkLatency(netsim.DefaultLinkLatency)
@@ -75,7 +78,15 @@ func ProcessorPlacement(n int, rate float64, cfg stringfigure.SessionConfig) (*s
 		if res.Deadlocked {
 			lat, frac = 0, 0
 		}
-		s.AddLabeledRow(a.name, float64(len(a.sources)), lat, frac)
+		return []float64{float64(len(a.sources)), lat, frac}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := stats.NewSeries("Section V: processor placement study (uniform traffic)",
+		"sources", "latency_ns", "delivered_frac")
+	for i, a := range arrangements {
+		s.AddLabeledRow(a.name, rows[i]...)
 	}
 	return s, nil
 }
@@ -117,7 +128,8 @@ func spreadNodes(n, k int) []int {
 // (Section IV, Figure 6(b)): per coordinate width, the fraction of random
 // routes that still deliver under strict-decrease greedy routing, plus the
 // mean path length of successful routes. Exact coordinates (bits=0) always
-// deliver; narrow widths collapse on large networks.
+// deliver; narrow widths collapse on large networks. Every bit width is
+// one figure cell, and the cells run on the harness's cell pool.
 func QuantizationStudy(n int, bitWidths []int, trials int, seed int64) (*stats.Series, error) {
 	if len(bitWidths) == 0 {
 		bitWidths = []int{0, 12, 10, 8, 7, 6}
@@ -129,9 +141,10 @@ func QuantizationStudy(n int, bitWidths []int, trials int, seed int64) (*stats.S
 	if err != nil {
 		return nil, err
 	}
-	s := stats.NewSeries("Section IV: coordinate quantization study",
-		"bits", "delivered_pct", "mean_path")
-	for _, bits := range bitWidths {
+	// Cell i is bit width i, each on its own router over the shared
+	// topology.
+	rows, err := runCells(len(bitWidths), nil, func(i int) ([]float64, error) {
+		bits := bitWidths[i]
 		g := routing.NewGreediest(sf, bits)
 		rng := rand.New(rand.NewSource(seed + int64(bits)))
 		ok, sum, attempted := 0, 0, 0
@@ -150,7 +163,15 @@ func QuantizationStudy(n int, bitWidths []int, trials int, seed int64) (*stats.S
 		if ok > 0 {
 			meanPath = float64(sum) / float64(ok)
 		}
-		s.AddRow(float64(bits), 100*float64(ok)/float64(trials), meanPath)
+		return []float64{float64(bits), 100 * float64(ok) / float64(trials), meanPath}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := stats.NewSeries("Section IV: coordinate quantization study",
+		"bits", "delivered_pct", "mean_path")
+	for _, row := range rows {
+		s.AddRow(row...)
 	}
 	return s, nil
 }
@@ -159,7 +180,9 @@ func QuantizationStudy(n int, bitWidths []int, trials int, seed int64) (*stats.S
 // cluster the network into interposer MetaCubes of varying sizes and report
 // the fraction of links that stay on-interposer, the mean uniform-traffic
 // latency under the MetaCube wire model, and the same latency under a flat
-// 2D-grid placement. Each run measures cfg's windows as given.
+// 2D-grid placement. Each run measures cfg's windows as given. The flat
+// grid and every cube size are one figure cell each, and the cells run on
+// the harness's cell pool.
 func MetaCubeStudy(n int, cubeSizes []int, rate float64, cfg stringfigure.SessionConfig) (*stats.Series, error) {
 	if len(cubeSizes) == 0 {
 		cubeSizes = []int{8, 16, 32}
@@ -191,23 +214,28 @@ func MetaCubeStudy(n int, cubeSizes []int, rate float64, cfg stringfigure.Sessio
 		return res.AvgLatencyNs(), nil
 	}
 
-	s := stats.NewSeries("Section IV: MetaCube clustering study (uniform traffic)",
-		"cube_size", "intra_link_pct", "metacube_ns", "flat_grid_ns")
-	flatNs, err := runWith(grid.LinkLatency(netsim.DefaultLinkLatency))
+	// Cell 0 is the flat grid, cell i > 0 cube size i-1: the flat latency
+	// and the cube's intra-link share and latency.
+	type cell struct{ intraPct, ns float64 }
+	cells, err := runCells(1+len(cubeSizes), nil, func(i int) (cell, error) {
+		if i == 0 {
+			ns, err := runWith(grid.LinkLatency(netsim.DefaultLinkLatency))
+			return cell{ns: ns}, err
+		}
+		mc, err := placement.NewMetaCube(d.SF, cubeSizes[i-1])
+		if err != nil {
+			return cell{}, err
+		}
+		ns, err := runWith(mc.LinkLatency(netsim.DefaultLinkLatency))
+		return cell{100 * mc.IntraCubeFraction(d.SF.BaseLinks()), ns}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, size := range cubeSizes {
-		mc, err := placement.NewMetaCube(d.SF, size)
-		if err != nil {
-			return nil, err
-		}
-		cubeNs, err := runWith(mc.LinkLatency(netsim.DefaultLinkLatency))
-		if err != nil {
-			return nil, err
-		}
-		s.AddRow(float64(size),
-			100*mc.IntraCubeFraction(d.SF.BaseLinks()), cubeNs, flatNs)
+	s := stats.NewSeries("Section IV: MetaCube clustering study (uniform traffic)",
+		"cube_size", "intra_link_pct", "metacube_ns", "flat_grid_ns")
+	for i, size := range cubeSizes {
+		s.AddRow(float64(size), cells[1+i].intraPct, cells[1+i].ns, cells[0].ns)
 	}
 	return s, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 
 	stringfigure "repro"
 	"repro/internal/netsim"
@@ -20,7 +21,10 @@ var Fig9bFractions = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 // topology through shortcut wires. A static-energy proxy scales with the
 // alive fraction, so gating saves energy until the shrunken network's
 // congestion pushes back — Figure 9(b)'s improving efficiency. EDP is
-// normalized to the ungated run per workload.
+// normalized to the ungated run per workload: the first 0 in fractions,
+// wherever it sits; with no 0 fraction every normalized cell reads 0.
+// Every (fraction, workload) run is one figure cell, and the cells run on
+// the harness's cell pool.
 func Fig9b(n int, workloads []string, fractions []float64, ops int, seed int64) (*stats.Series, error) {
 	if len(workloads) == 0 {
 		workloads = []string{"wordcount", "redis", "matmul"}
@@ -31,26 +35,29 @@ func Fig9b(n int, workloads []string, fractions []float64, ops int, seed int64) 
 	if ops <= 0 {
 		ops = 2000
 	}
+	// Cell i is (fraction, workload) in row-major order.
+	wls := len(workloads)
+	edps, err := runCells(len(fractions)*wls, nil, func(i int) (float64, error) {
+		return gatedEDP(n, workloads[i%wls], fractions[i/wls], ops, seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var base []float64 // the ungated row's EDPs; nil without one
+	if f := slices.Index(fractions, 0); f >= 0 {
+		base = edps[f*wls : (f+1)*wls]
+	}
 	cols := []string{"gated_pct"}
 	cols = append(cols, workloads...)
 	s := stats.NewSeries("Figure 9(b): normalized EDP vs power-gated fraction (lower is better)", cols...)
-
-	base := make(map[string]float64)
-	for _, frac := range fractions {
+	for f, frac := range fractions {
 		row := []float64{frac * 100}
-		for _, wl := range workloads {
-			edp, err := gatedEDP(n, wl, frac, ops, seed)
-			if err != nil {
-				return nil, err
+		for w := range workloads {
+			norm := 0.0
+			if base != nil && base[w] > 0 {
+				norm = edps[f*wls+w] / base[w]
 			}
-			if frac == 0 {
-				base[wl] = edp
-			}
-			if b := base[wl]; b > 0 {
-				row = append(row, edp/b)
-			} else {
-				row = append(row, 0)
-			}
+			row = append(row, norm)
 		}
 		s.AddRow(row...)
 	}
