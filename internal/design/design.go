@@ -264,12 +264,13 @@ func buildButterfly(n int, partitioned bool) (*Design, error) {
 	for v := 0; v < b.Routers(); v++ {
 		out[v] = g.UniqueOutNeighbors(v)
 	}
+	ports := g.MaxOutDegree() // Butterfly.Ports, on the graph at hand
 	alg := &routing.ButterflyRouter{B: b}
 	d := &Design{
 		N:          n,
 		Routers:    b.Routers(),
-		Ports:      b.Ports(),
-		PortBudget: b.Ports(),
+		Ports:      ports,
+		PortBudget: ports,
 		Out:        out,
 		Graph:      g,
 		Alg:        alg,
@@ -288,12 +289,20 @@ func buildButterfly(n int, partitioned bool) (*Design, error) {
 	return d, nil
 }
 
+// maxODMWidth is the widest channel ODMWidth chooses.
+const maxODMWidth = 8
+
 // ODMWidth computes the channel-width multiplier that matches the mesh's
 // bisection bandwidth to String Figure's at the same scale (Section V's
 // "optimized DM"). The SF bandwidth uses the paper's random-cut max-flow
 // methodology (appropriate for random topologies, where every balanced cut
 // is near-minimal); the mesh uses its geometric bisection (the true minimum
 // cut of a grid — random cuts would overestimate it wildly).
+//
+// Each cut's flow stops at maxODMWidth times the mesh's bandwidth. That is
+// exact: a stopped cut can only decide the minimum when every cut reaches
+// the cap, and then the width is maxODMWidth either way; a cut below the
+// cap is computed in full.
 func ODMWidth(n int, seed int64) (int, error) {
 	sf, err := topology.NewPaperSF(n, seed)
 	if err != nil {
@@ -303,21 +312,14 @@ func ODMWidth(n int, seed int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	cuts := 5
-	rng := rand.New(rand.NewSource(seed))
-	sfBW := sf.Graph().BisectionBandwidth(cuts, rng)
 	meshBW := MeshGeometricBisection(m)
 	if meshBW <= 0 {
 		return 1, nil
 	}
-	width := int(math.Round(sfBW / meshBW))
-	if width < 1 {
-		width = 1
-	}
-	if width > 8 {
-		width = 8
-	}
-	return width, nil
+	cuts := 5
+	rng := rand.New(rand.NewSource(seed))
+	sfBW := sf.Graph().BisectionBandwidth(cuts, rng, maxODMWidth*meshBW)
+	return min(max(int(math.Round(sfBW/meshBW)), 1), maxODMWidth), nil
 }
 
 // MeshGeometricBisection returns the directed flow across the mesh's middle

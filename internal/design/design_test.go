@@ -2,8 +2,12 @@ package design
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 func TestBuildAllKinds(t *testing.T) {
@@ -88,6 +92,34 @@ func TestODMWidthReasonable(t *testing.T) {
 	}
 }
 
+// TestODMWidthCapIsExact holds ODMWidth, whose cuts stop at maxODMWidth
+// times the mesh bandwidth, equal to the width of Section V's definition —
+// every cut's flow computed in full — at every paper scale and seeds 1-3.
+func TestODMWidthCapIsExact(t *testing.T) {
+	for _, n := range PaperScales {
+		m, err := topology.NewMesh(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meshBW := MeshGeometricBisection(m)
+		for seed := int64(1); seed <= 3; seed++ {
+			sf, err := topology.NewPaperSF(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sfBW := sf.Graph().BisectionBandwidth(5, rand.New(rand.NewSource(seed)), math.Inf(1))
+			want := min(max(int(math.Round(sfBW/meshBW)), 1), maxODMWidth)
+			got, err := ODMWidth(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("ODMWidth(%d, %d) = %d, uncapped bisection %v / mesh %v gives %d", n, seed, got, sfBW, meshBW, want)
+			}
+		}
+	}
+}
+
 func TestDeterministicRebuild(t *testing.T) {
 	for _, kind := range Names {
 		a, err := Build(Spec{Kind: kind, N: 64, Seed: 7})
@@ -105,6 +137,18 @@ func TestDeterministicRebuild(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a.Out, b.Out) {
 			t.Fatalf("%s: adjacency differs on rebuild", kind)
+		}
+	}
+}
+
+// BenchmarkODMWidth times Section V's width search at the largest paper
+// scale: an N=1296 String Figure build, its random-cut bisection and the
+// mesh's geometric cut.
+func BenchmarkODMWidth(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ODMWidth(1296, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/design"
@@ -178,8 +179,8 @@ func Bisection(scales []int, cuts int, seed int64) (*stats.Series, error) {
 		// Random cuts suit random topologies (any balanced cut is near
 		// minimal); the planar mesh needs its true geometric bisection.
 		meshBW := design.MeshGeometricBisection(m)
-		sfBW := sf.Graph().BisectionBandwidth(cuts, rand.New(rand.NewSource(seed)))
-		s2BW := s2.Graph().BisectionBandwidth(cuts, rand.New(rand.NewSource(seed)))
+		sfBW := sf.Graph().BisectionBandwidth(cuts, rand.New(rand.NewSource(seed)), math.Inf(1))
+		s2BW := s2.Graph().BisectionBandwidth(cuts, rand.New(rand.NewSource(seed)), math.Inf(1))
 		width, err := design.ODMWidth(n, seed)
 		if err != nil {
 			return nil, err

@@ -10,9 +10,9 @@ import (
 )
 
 // Graph is a directed multigraph over nodes 0..N-1. Links are stored as flat
-// adjacency slices for cache-friendly traversal; parallel edges are allowed
-// (ODM uses them to model widened channels) and each directed edge carries a
-// capacity used by max-flow.
+// adjacency slices for cache-friendly traversal; parallel edges are allowed,
+// and each directed edge carries a capacity used by max-flow (a widened
+// channel, such as an ODM link, is one edge whose capacity is its width).
 type Graph struct {
 	n   int
 	adj [][]Edge
@@ -32,10 +32,30 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Edge, n)}
 }
 
+// NewSized creates an empty graph with len(deg) nodes whose adjacency rows
+// are carved from one allocation, row u with room for deg[u] edges; adding
+// more still works, the row then grows on its own.
+func NewSized(deg []int) *Graph {
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	g := New(len(deg))
+	arena := make([]Edge, total)
+	for u, d := range deg {
+		g.adj[u], arena = arena[:0:d], arena[d:]
+	}
+	return g
+}
+
 // FromOut returns the graph of an out-adjacency: one edge u->v of
 // capacity 1 for every entry v of out[u].
 func FromOut(out [][]int) *Graph {
-	g := New(len(out))
+	deg := make([]int, len(out))
+	for u, nbrs := range out {
+		deg[u] = len(nbrs)
+	}
+	g := NewSized(deg)
 	for u, nbrs := range out {
 		for _, v := range nbrs {
 			g.AddEdge(u, v)
@@ -74,8 +94,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Neighbors returns the out-neighbors of u, including duplicates for parallel
-// edges. The returned slice is owned by the graph and must not be modified.
+// Neighbors returns the out-edges of u, parallel edges included. The
+// returned slice is owned by the graph and must not be modified.
 func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
 // OutDegree returns the number of outgoing edges of u (parallel edges count).
@@ -114,7 +134,13 @@ func (g *Graph) MaxOutDegree() int {
 // BFS computes directed shortest hop distances from src. Unreachable nodes
 // get distance -1.
 func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.n)
+	return g.bfsInto(src, make([]int, g.n), make([]int, g.n))
+}
+
+// bfsInto is BFS over caller-owned buffers, each of length N: it fills and
+// returns dist, using queue as scratch, so repeated searches allocate
+// nothing.
+func (g *Graph) bfsInto(src int, dist, queue []int) []int {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -122,11 +148,9 @@ func (g *Graph) BFS(src int) []int {
 		return dist
 	}
 	dist[src] = 0
-	queue := make([]int, 0, g.n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
 		for _, e := range g.adj[u] {
 			if dist[e.To] < 0 {
 				dist[e.To] = dist[u] + 1
@@ -161,7 +185,13 @@ func (g *Graph) StronglyConnected() bool {
 	if !g.Connected() {
 		return false
 	}
-	rev := New(g.n)
+	in := make([]int, g.n)
+	for _, a := range g.adj {
+		for _, e := range a {
+			in[e.To]++
+		}
+	}
+	rev := NewSized(in)
 	for u, a := range g.adj {
 		for _, e := range a {
 			rev.AddEdge(e.To, u)
@@ -203,8 +233,9 @@ func (g *Graph) SampledPathLengths(sources int, rng *rand.Rand) PathLengthStats 
 		srcs = srcs[:sources]
 	}
 	diameter := 0
+	dist, queue := make([]int, g.n), make([]int, g.n)
 	for _, s := range srcs {
-		dist := g.BFS(s)
+		g.bfsInto(s, dist, queue)
 		for v, d := range dist {
 			if v == s {
 				continue
@@ -251,8 +282,9 @@ func (g *Graph) InducedSubgraphStats(alive []bool, maxSources int) PathLengthSta
 	}
 	hist := &stats.Histogram{}
 	diameter := 0
+	dist, queue := make([]int, g.n), make([]int, g.n)
 	for _, s := range sources {
-		dist := g.BFS(s)
+		g.bfsInto(s, dist, queue)
 		for v, d := range dist {
 			if v == s || d < 0 {
 				continue

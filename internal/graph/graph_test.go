@@ -207,7 +207,7 @@ func TestPartitionFlowRing(t *testing.T) {
 
 func TestBisectionBandwidthRing(t *testing.T) {
 	g := ring(16)
-	bw := g.BisectionBandwidth(25, rand.New(rand.NewSource(42)))
+	bw := g.BisectionBandwidth(25, rand.New(rand.NewSource(42)), math.Inf(1))
 	// Any balanced cut of a ring crosses at least 2 edges per direction.
 	if bw < 2-1e-9 {
 		t.Errorf("BisectionBandwidth = %v, want >= 2", bw)

@@ -48,10 +48,18 @@ func TestODMWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := m.Graph()
-	// Every physical link appears 3 times.
-	deg := g.OutDegree(5) // interior node of a 4x4: degree 4*3
-	if deg != 12 {
-		t.Errorf("ODM interior out-degree = %d, want 12", deg)
+	// Every physical link is one edge per direction of capacity 3: an
+	// interior node of a 4x4 has 4 out-edges and out-capacity 4*3.
+	edges := g.Neighbors(5)
+	outCap := 0.0
+	for _, e := range edges {
+		if e.Cap != 3 {
+			t.Errorf("ODM edge 5->%d capacity = %v, want 3", e.To, e.Cap)
+		}
+		outCap += e.Cap
+	}
+	if len(edges) != 4 || outCap != 12 {
+		t.Errorf("ODM interior node: %d out-edges of out-capacity %v, want 4 and 12", len(edges), outCap)
 	}
 	if m.Ports() != 12 {
 		t.Errorf("ODM Ports = %d, want 12", m.Ports())

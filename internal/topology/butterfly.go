@@ -113,29 +113,36 @@ func (b *Butterfly) connected(i, j int) bool {
 
 // Graph returns the bidirectional router-level link graph.
 func (b *Butterfly) Graph() *graph.Graph {
-	g := graph.New(b.Routers())
+	deg := make([]int, b.Routers())
+	b.eachLink(func(r, s int) { deg[r]++; deg[s]++ })
+	g := graph.NewSized(deg)
+	b.eachLink(g.AddBiEdge)
+	return g
+}
+
+// eachLink calls fn(r, s) once for every router link, r < s: each router's
+// row links, then its column links, toward higher indices.
+func (b *Butterfly) eachLink(fn func(r, s int)) {
 	for r := 0; r < b.Routers(); r++ {
 		row, col := b.RouterLoc(r)
 		// Row links (vary the column).
 		for c2 := col + 1; c2 < b.Side; c2++ {
 			if b.connected(col, c2) {
-				g.AddBiEdge(r, b.routerAt(row, c2))
+				fn(r, b.routerAt(row, c2))
 			}
 		}
 		// Column links (vary the row).
 		for r2 := row + 1; r2 < b.Side; r2++ {
 			if b.connected(row, r2) {
-				g.AddBiEdge(r, b.routerAt(r2, col))
+				fn(r, b.routerAt(r2, col))
 			}
 		}
 	}
-	return g
 }
 
 // Ports returns the number of network ports per router.
 func (b *Butterfly) Ports() int {
-	g := b.Graph()
-	return g.MaxOutDegree()
+	return b.Graph().MaxOutDegree()
 }
 
 // MinimalNextHops returns the minimal-routing candidate next routers from

@@ -114,7 +114,11 @@ func samplePairing(n, degree int, rng *rand.Rand) ([][]int, bool) {
 
 // Graph returns the bidirectional link graph.
 func (j *Jellyfish) Graph() *graph.Graph {
-	g := graph.New(j.N)
+	deg := make([]int, j.N)
+	for u, nbrs := range j.adj {
+		deg[u] = len(nbrs)
+	}
+	g := graph.NewSized(deg)
 	for u, nbrs := range j.adj {
 		for _, v := range nbrs {
 			if u < v {

@@ -29,8 +29,8 @@ func NewMesh(n int) (*Mesh, error) {
 	return &Mesh{N: n, Rows: rows, Cols: cols, Width: 1}, nil
 }
 
-// NewODM builds an optimized distributed mesh whose links carry `width`
-// parallel channels. The experiment harness chooses width so the mesh's
+// NewODM builds an optimized distributed mesh whose links are `width`
+// channels wide. The experiment harness chooses width so the mesh's
 // bisection bandwidth matches String Figure's at the same N (Section V).
 func NewODM(n, width int) (*Mesh, error) {
 	m, err := NewMesh(n)
@@ -60,23 +60,33 @@ func (m *Mesh) NodeAt(row, col int) int {
 	return v
 }
 
-// Graph returns the bidirectional mesh link graph; ODM width appears as
-// parallel edges so that max-flow sees the widened channels.
+// Graph returns the bidirectional mesh link graph: one edge per link and
+// direction, with the ODM width as its capacity, so that max-flow sees the
+// widened channels and a search scans each link once.
 func (m *Mesh) Graph() *graph.Graph {
-	g := graph.New(m.N)
+	deg := make([]int, m.N)
+	m.eachLink(func(v, w int) { deg[v]++; deg[w]++ })
+	g := graph.NewSized(deg)
+	width := float64(m.Width)
+	m.eachLink(func(v, w int) {
+		g.AddEdgeCap(v, w, width)
+		g.AddEdgeCap(w, v, width)
+	})
+	return g
+}
+
+// eachLink calls fn(v, w) once for every mesh link, its lower-indexed end
+// first: each node's link to the right, then its link down.
+func (m *Mesh) eachLink(fn func(v, w int)) {
 	for v := 0; v < m.N; v++ {
 		r, c := m.Loc(v)
-		for _, d := range [][2]int{{0, 1}, {1, 0}} {
-			w := m.NodeAt(r+d[0], c+d[1])
-			if w < 0 {
-				continue
-			}
-			for k := 0; k < m.Width; k++ {
-				g.AddBiEdge(v, w)
-			}
+		if w := m.NodeAt(r, c+1); w >= 0 {
+			fn(v, w)
+		}
+		if w := m.NodeAt(r+1, c); w >= 0 {
+			fn(v, w)
 		}
 	}
-	return g
 }
 
 // Ports returns the number of router ports per node (4 for an interior mesh

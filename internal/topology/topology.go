@@ -398,8 +398,16 @@ func (sf *StringFigure) AllLinks() []Link {
 
 // Graph builds the directed link graph of the full-scale network.
 func (sf *StringFigure) Graph() *graph.Graph {
-	g := graph.New(sf.Cfg.N)
-	for _, l := range sf.BaseLinks() {
+	links := sf.BaseLinks()
+	deg := make([]int, sf.Cfg.N)
+	for _, l := range links {
+		deg[l.From]++
+		if sf.Cfg.Bidirectional {
+			deg[l.To]++
+		}
+	}
+	g := graph.NewSized(deg)
+	for _, l := range links {
 		g.AddEdge(l.From, l.To)
 		if sf.Cfg.Bidirectional {
 			g.AddEdge(l.To, l.From)
