@@ -267,12 +267,42 @@ var netsimStepGrid = []struct {
 }
 
 // BenchmarkNetsimStep is the netsim hot-loop benchmark grid: cycles/s and
-// allocs/op at N=64/256/1024 from near-idle to loaded.
+// allocs/op at N=64/256/1024 from near-idle to loaded, and each cycle
+// phase's wall time (see reportPhases).
 func BenchmarkNetsimStep(b *testing.B) {
 	for _, g := range netsimStepGrid {
 		b.Run(fmt.Sprintf("N%d_%s", g.n, g.load), func(b *testing.B) {
 			netsimStepBench(b, g.n, g.rate, g.session, false, 0)
+			reportPhases(b, g.n, g.rate, g.session)
 		})
+	}
+}
+
+// reportPhases reports the event core's four cycle phases as ns/cycle:
+// deliver, inject, drain and route (route and arbitrate, which interleave
+// per router). A twin of the measured simulator runs the same warm-up and
+// b.N cycles with netsim.Config.PhaseClock set, outside the timed region,
+// so the clock reads cost the headline cycles/s and ns/flit nothing.
+func reportPhases(b *testing.B, n int, rate float64, session bool) {
+	b.Helper()
+	cfg := netsimStepConfig(b, n, session)
+	start := time.Now()
+	cfg.PhaseClock = func() int64 { return int64(time.Since(start)) }
+	sim := netsimStepSim(b, cfg, rate)
+	sim.Run(3000)
+	before := sim.Stats()
+	sim.Run(int64(b.N))
+	after := sim.Stats()
+	for _, p := range []struct {
+		unit          string
+		after, before int64
+	}{
+		{"deliver-ns/cycle", after.DeliverNs, before.DeliverNs},
+		{"inject-ns/cycle", after.InjectNs, before.InjectNs},
+		{"drain-ns/cycle", after.DrainNs, before.DrainNs},
+		{"route-ns/cycle", after.RouteNs, before.RouteNs},
+	} {
+		b.ReportMetric(float64(p.after-p.before)/float64(b.N), p.unit)
 	}
 }
 

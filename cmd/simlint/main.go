@@ -89,7 +89,7 @@ var netsimHot = []string{
 	"Sim.step", "Sim.stepRef", "Sim.deliverLinkFlits", "Sim.deliverLinkFlitsRef",
 	"Sim.land", "Sim.deliverFlit", "Sim.inject", "Sim.injGap",
 	"Sim.drainSourceQueue", "Sim.routeHeads", "Sim.routeUnit", "Sim.routeFront",
-	"Sim.arbitrate", "Sim.forward", "Sim.scanSlot",
+	"Sim.arbitrate", "Sim.forward", "Sim.scanSlot", "Sim.lap",
 	"Sim.scanSlotRef", "router.blocked", "Sim.pickPort", "Sim.overThreshold",
 	// routing helpers (get/put are the route cache's lookup and fill,
 	// missed its per-destination miss count, fillColumn its column fill)

@@ -62,10 +62,14 @@ func TestCrossCoreSessionAllDesigns(t *testing.T) {
 	type scale struct {
 		nodes   int
 		designs []string
+		// meshRate is the rate of the mesh designs (dm, odm), high enough
+		// that adaptive hops find their cached port over the threshold and
+		// take the full-candidate branch; the others run at 0.08.
+		meshRate float64
 	}
 	scales := []scale{
-		{16, Designs()},
-		{64, []string{"dm", "sf"}},
+		{16, Designs(), 0.8},
+		{64, []string{"dm", "sf"}, 0.4},
 	}
 	for _, sc := range scales {
 		for _, d := range sc.designs {
@@ -73,6 +77,13 @@ func TestCrossCoreSessionAllDesigns(t *testing.T) {
 				net := mustNet(t, d, sc.nodes)
 				base := SessionConfig{Rate: 0.08, Warmup: 400, Measure: 1600, Seed: 9,
 					FlowBuckets: 4, TraceSampleEvery: 8}
+				if d == "dm" || d == "odm" {
+					base.Rate = sc.meshRate
+					if st := epochSimStats(t, net, base); st.OverThreshold == 0 {
+						t.Errorf("%s N=%d: no adaptive hop found its port over the threshold at rate %v; raise it",
+							d, sc.nodes, base.Rate)
+					}
+				}
 				coreDiff(t, d, func(cfg SessionConfig) any {
 					var snaps []TelemetrySnapshot
 					cfg = cfg.WithTelemetry(256, func(s TelemetrySnapshot) {

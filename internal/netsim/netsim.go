@@ -102,6 +102,14 @@ type Config struct {
 	// private one. Results are identical either way. The caller keeps Alg's
 	// tables and Out unchanged for as long as any simulator runs on it.
 	Routes *RouteCache
+	// PhaseClock, when set, times the event core's four cycle phases into
+	// EngineStats (DeliverNs, InjectNs, DrainNs, RouteNs): step reads it
+	// once before delivery and once after each phase, and charges each
+	// phase the difference. It must return monotonic nanoseconds, such as
+	// time.Since of a fixed instant. The clock is only read, so results are
+	// identical with it set or nil; nil (the default) costs one branch per
+	// phase per cycle.
+	PhaseClock func() int64
 	// Seed drives injection randomness.
 	Seed int64
 }
@@ -475,9 +483,9 @@ type Sim struct {
 	balg routing.BufferedAlgorithm
 
 	// rc is the event core's route cache (Config.Routes, or a private
-	// instance): the table-deterministic outcome per (cur, dst). nil on the
-	// reference core and under AdaptiveEveryHop, where no hop is
-	// table-deterministic, and on networks too large for the table.
+	// instance): the table-deterministic outcome per (cur, dst), which an
+	// adaptive hop keeps unless its port is over the threshold. nil on the
+	// reference core and on networks too large for the table.
 	rc *RouteCache
 	// galg is Alg when it is a greediest router over this network's routers
 	// and rc is set: the column kernel behind fillColumn. nil otherwise, and
@@ -667,7 +675,7 @@ func New(cfg Config) (*Sim, error) {
 		// accelerators nil and so routes every head through Alg.Candidates.
 		s.newLanes()
 		s.balg, _ = cfg.Alg.(routing.BufferedAlgorithm)
-		if cfg.Adaptive != AdaptiveEveryHop && maxPorts <= rcMaxPort+1 {
+		if maxPorts <= rcMaxPort+1 {
 			if s.rc = cfg.Routes; s.rc == nil {
 				s.rc = NewRouteCache(n)
 			}
@@ -759,8 +767,19 @@ func (s *Sim) step() {
 	if s.cfg.ReferenceCore {
 		s.stepRef()
 	} else {
+		clock := s.cfg.PhaseClock
+		var t int64
+		if clock != nil {
+			t = clock()
+		}
 		s.deliverLinkFlits()
+		if clock != nil {
+			t = s.lap(t, &s.st.DeliverNs)
+		}
 		s.inject()
+		if clock != nil {
+			t = s.lap(t, &s.st.InjectNs)
+		}
 		// Drain the source queues that hold flits. Draining touches only
 		// the router's own units, so the order is free; it sets no bit.
 		for si, sw := range s.drain.sum {
@@ -775,6 +794,9 @@ func (s *Sim) step() {
 					}
 				}
 			}
+		}
+		if clock != nil {
+			t = s.lap(t, &s.st.DrainNs)
 		}
 		active := s.active.count()
 		s.st.ActiveRouters += active
@@ -804,6 +826,9 @@ func (s *Sim) step() {
 				}
 			}
 		}
+		if clock != nil {
+			s.lap(t, &s.st.RouteNs)
+		}
 		// Sends are the only pushes onto a lane and come after this
 		// cycle's pops, so each lane's high-water mark is read here.
 		for li := range s.lanes {
@@ -818,6 +843,14 @@ func (s *Sim) step() {
 	if !s.res.Deadlocked && s.cycle-s.lastMove > 50_000 && s.inFlight() > 0 {
 		s.res.Deadlocked = true
 	}
+}
+
+// lap charges the PhaseClock time since t to one phase's timer and returns
+// the clock's new reading.
+func (s *Sim) lap(t int64, phase *int64) int64 {
+	now := s.cfg.PhaseClock()
+	*phase += now - t
+	return now
 }
 
 // deliverLinkFlits moves every flit due this cycle into its downstream
@@ -927,7 +960,9 @@ func (s *Sim) deliverFlit(dn *router, unit int, f flit) bool {
 // served here (ejection, cached table-deterministic ports) depend on no
 // dynamic state, so assigning them during delivery is indistinguishable
 // from routeUnit assigning them later the same cycle. Any case this cannot
-// decide identically — escape traffic, cache misses, drop outcomes — is
+// decide identically — escape traffic, cache misses, drop outcomes, and
+// under AdaptiveEveryHop every hop but ejection, whose port routeUnit must
+// check against the credit state of the route pass, not of delivery — is
 // declined, leaving the unit on the attention path for routeUnit.
 func (s *Sim) routeFront(r *router, unit int, f flit) bool {
 	if !f.head {
@@ -946,8 +981,9 @@ func (s *Sim) routeFront(r *router, unit int, f flit) bool {
 		return true
 	}
 	// Link deliveries never land in an injection unit, so this is never a
-	// first hop: the cached outcome is the whole decision.
-	if s.rc == nil {
+	// first hop: unless every hop is adaptive, the cached outcome is the
+	// whole decision.
+	if s.rc == nil || s.cfg.Adaptive == AdaptiveEveryHop {
 		return false
 	}
 	outcome := s.rc.get(r.id, p.dst)

@@ -66,7 +66,8 @@ func (s *Sim) RunMeasured(warmup, measure int64) Results {
 
 // EngineStats counts the simulator's own work — what the engine did to
 // produce a run's Results, not what the simulated network did. Every count
-// is a pure function of the configuration and seed (given a private
+// (the phase timers, DeliverNs to RouteNs, are wall time, not counts) is a
+// pure function of the configuration and seed (given a private
 // RouteCache; a shared one moves the route-cache counts between its
 // simulators), covers the simulator's whole life (ResetStats leaves it
 // alone), and appears on no Result, Snapshot or wire message, so keeping
@@ -119,6 +120,16 @@ type EngineStats struct {
 	// candidate sets of over-threshold hops. Every other algorithm, and the
 	// reference core, evaluates none through it.
 	MDEvals int64
+	// DeliverNs, InjectNs, DrainNs and RouteNs are the event core's time in
+	// its four cycle phases as Config.PhaseClock reads it: link delivery,
+	// injection, the source-queue drain, and route+arbitrate (which
+	// interleave per router, so they are timed together). Unlike every
+	// other field they are wall time, not functions of configuration and
+	// seed; without a clock they stay zero, and JSON then omits them.
+	DeliverNs int64 `json:",omitempty"`
+	InjectNs  int64 `json:",omitempty"`
+	DrainNs   int64 `json:",omitempty"`
+	RouteNs   int64 `json:",omitempty"`
 }
 
 // Stats returns the engine counters accumulated since New.

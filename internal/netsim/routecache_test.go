@@ -46,7 +46,8 @@ func TestRouteCacheEncoding(t *testing.T) {
 // routeCacheDesigns builds the three routing families the cache meets: the
 // reconfigurable String Figure and its S2 ancestor (adaptive first hop, the
 // cache serves every hop) and the flattened butterfly (adaptive at every
-// hop: the simulator must ignore a cache it is handed).
+// hop: the cache serves each hop's deterministic port, which the hop keeps
+// unless that port is over the threshold).
 func routeCacheDesigns(t *testing.T) map[string]Config {
 	t.Helper()
 	const n = 32
@@ -232,9 +233,8 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 				t.Errorf("%s: %s shared-cache run diverges from the private-cache run", name, phase)
 			}
 		}
-		filled := filledWords(shared.Routes)
-		if wantFill := cfg.Adaptive != AdaptiveEveryHop; (filled > 0) != wantFill {
-			t.Errorf("%s: shared cache has %d filled words, want filled=%v", name, filled, wantFill)
+		if filled := filledWords(shared.Routes); filled == 0 {
+			t.Errorf("%s: the shared cache is empty after two runs", name)
 		}
 
 		shared = routeCacheDesigns(t)[name]
@@ -257,7 +257,9 @@ func TestSharedRouteCacheIdentity(t *testing.T) {
 		// The four runs missed toward the same destinations at once; each
 		// column still filled once.
 		checkFillWitness(t, name+" concurrent", shared.Routes, false)
-		if _, fills := shared.Routes.Counts(); (fills > 0) != (cfg.Adaptive != AdaptiveEveryHop) {
+		// Only a greediest router has a column kernel to fill with.
+		_, greediest := cfg.Alg.(*routing.Greediest)
+		if _, fills := shared.Routes.Counts(); (fills > 0) != greediest {
 			t.Errorf("%s: %d column fills on the concurrently shared cache", name, fills)
 		}
 	}

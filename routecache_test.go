@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/golden"
+	"repro/internal/netsim"
+	"repro/internal/traffic"
 )
 
 // These tests pin the route cache a Network shares across its gate-free
@@ -135,10 +137,79 @@ func TestConcurrentSessionsShareColdRouteCache(t *testing.T) {
 			}
 		}
 		if design == "fb" {
-			continue // adaptive at every hop: the network has no cache
+			continue // no greediest router: misses resolve pair by pair
 		}
 		if misses, fills := net.cur.Load().sim.Routes.Counts(); fills != 32 {
 			t.Errorf("%s: %d column fills after %d misses on the shared cache, want one per destination (32)", design, fills, misses)
+		}
+	}
+}
+
+// epochSimStats runs, on the network's current epoch, the simulator a
+// gate-free uniform session of cfg builds — the epoch's template and
+// shared route cache, the session's injector, Warmup+Measure cycles — and
+// returns its engine counts, which no Result carries.
+func epochSimStats(t *testing.T, net *Network, cfg SessionConfig) netsim.EngineStats {
+	t.Helper()
+	cfg = net.NewSession(cfg).Config()
+	ep := net.cur.Load()
+	simCfg := ep.simConfig(cfg, nil)
+	simCfg.PacketFlits = cfg.PacketFlits
+	sim, err := netsim.New(simCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Release()
+	pat, err := traffic.NewPattern("uniform", net.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetPattern(cfg.Rate, net.newInjector(pat, &ep.alive).next)
+	sim.Run(cfg.Warmup + cfg.Measure)
+	return sim.Stats()
+}
+
+// TestEveryHopDesignsShareRouteCache covers the designs that route
+// adaptively at every hop (dm, odm, afb): their gate-free sessions share
+// the epoch's route cache for each hop's deterministic port and still
+// check that port against the credit state of the moment. Concurrent
+// sessions on one network must each equal their serial run on a fresh
+// network, and a rerun of each session's simulator on the shared cache
+// afterwards must find every decision its session made already filled:
+// route hits and no miss. It runs under -race in CI.
+func TestEveryHopDesignsShareRouteCache(t *testing.T) {
+	for _, design := range []string{"dm", "odm", "afb"} {
+		cfgs := make([]SessionConfig, 4)
+		for i := range cfgs {
+			cfgs[i] = routeCacheCfg
+			cfgs[i].Seed = int64(200 + i)
+			cfgs[i].Rate = 0.05 * float64(1+i%3)
+		}
+		want := make([]sessionOutput, len(cfgs))
+		for i := range cfgs {
+			want[i] = sessionRun(t, mustNet(t, design, 32), cfgs[i])
+		}
+		net := mustNet(t, design, 32)
+		got := make([]sessionOutput, len(cfgs))
+		var wg sync.WaitGroup
+		for i := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = sessionRun(t, net, cfgs[i])
+			}()
+		}
+		wg.Wait()
+		for i := range cfgs {
+			if d := golden.Diff(want[i], got[i]); d != "" {
+				t.Errorf("%s session %d: concurrent run on the shared cache differs from its serial run (recorded: serial, got: concurrent):%s",
+					design, i, d)
+			}
+			st := epochSimStats(t, net, cfgs[i])
+			if st.RouteHits == 0 || st.RouteMisses != 0 {
+				t.Errorf("%s session %d: rerun on the shared cache made %d hits and %d misses, want hits and no miss",
+					design, i, st.RouteHits, st.RouteMisses)
+			}
 		}
 	}
 }

@@ -44,9 +44,9 @@ type epoch struct {
 	alive []bool
 	// sim is every session's simulator template: the design's NetCfg(0)
 	// with the epoch's router, VC policy, Out and ring escape, and as
-	// Routes the route cache the epoch's gate-free sessions share (nil
-	// where routing is adaptive at every hop). The cache's entries are
-	// functions of the epoch's tables, so every epoch brings an empty one.
+	// Routes the route cache the epoch's gate-free sessions share. The
+	// cache's entries are functions of the epoch's tables, so every epoch
+	// brings an empty one.
 	sim netsim.Config
 }
 
@@ -60,9 +60,7 @@ func newEpoch(d *design.Design, net *reconfig.Network) *epoch {
 		ep.sim.Out = net.OutNeighbors()
 		ep.sim.EscapeRoute = netsim.RingEscape(d.SF, ep.alive)
 	}
-	if d.SF != nil {
-		ep.sim.Routes = netsim.NewRouteCache(d.Routers)
-	}
+	ep.sim.Routes = netsim.NewRouteCache(d.Routers)
 	return ep
 }
 
